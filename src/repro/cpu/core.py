@@ -50,13 +50,16 @@ class Core:
         self._cycle_ns = cpu.cycle_ns
         self._ipc = cpu.peak_ipc
         self._rob_instructions = cpu.rob_entries
+        self._quantum_ns = config.os.quantum_ns
         # Per-window MLP: bounded by the L1 MSHRs and by the workload's
         # dependence-limited parallelism (pointer chasing exposes little).
         self._mlp = max(1, min(cpu.l1_mshrs, getattr(system, "workload_mlp", 8)))
         self.thread: Optional[ThreadContext] = None
-        #: Vectorized device-latency inner loop: DRAM-only runs have no
-        #: delay hints, so a whole window batches into one float loop.
+        #: Vectorized device-latency inner loops: a whole window is served
+        #: in one call, from host DRAM (DRAM-only runs have no delay
+        #: hints) or through the system's CXL-SSD window loop.
         self._dram_fast = config.dram_only and fastpath.vectorized()
+        self._device_fast = system.batched_windows
         self._sched_runtime = 0.0  # time on core since last schedule
         self._parked = False
         #: Pending TLB-shootdown cost to absorb at the next window.
@@ -101,12 +104,11 @@ class Core:
             self._park()
             return
         now = self._engine.now
-        stats = self._system.stats
 
         if self._pending_shootdown_ns > 0.0:
             cost = self._pending_shootdown_ns
             self._pending_shootdown_ns = 0.0
-            stats.add_memory_stall(cost)
+            self._system.stats.add_memory_stall(cost)
             self._engine.schedule(cost, self._run_slice)
             return
 
@@ -117,20 +119,36 @@ class Core:
 
         just_resumed = thread.just_resumed
         thread.just_resumed = False
+        ops = window.ops
         compute_ns = window.instructions * self._cycle_ns / self._ipc
 
         if self._dram_fast:
-            completes = self._system.dram_window_access(
-                window.ops, now, thread.tid
+            completes = self._system.dram_window_access(ops, now, thread.tid)
+            self._retire(thread, window.instructions, completes, compute_ns, now)
+            return
+        if self._device_fast:
+            completes, trigger = self._system.window_access(
+                ops, now, thread.tid, just_resumed
             )
-            self._retire_values(thread, window, completes, compute_ns, now)
+            if trigger is None:
+                self._retire(
+                    thread, window.instructions, completes, compute_ns, now
+                )
+                return
+            executed_instr = 0
+            for op in ops[: len(completes) + 1]:
+                executed_instr += op[0]
+            self._context_switch(
+                thread, window, completes, trigger, executed_instr, now
+            )
             return
 
+        # Scalar reference path: one memory_access per op.
         results: List[AccessResult] = []
         switch_at: Optional[int] = None
         executed_instr = 0
         threshold = self._config.os.cs_threshold_ns
-        for i, (gap, is_write, addr) in enumerate(window.ops):
+        for i, (gap, is_write, addr) in enumerate(ops):
             executed_instr += gap
             result = self._system.memory_access(
                 self.core_id, thread.tid, is_write, addr, now
@@ -144,68 +162,48 @@ class Core:
                 switch_at = i
                 break
 
+        completes = [r.complete_ns for r in results]
         if switch_at is None:
-            self._retire_window(thread, window, results, compute_ns, now)
+            self._retire(thread, window.instructions, completes, compute_ns, now)
         else:
-            self._context_switch(thread, window, results, switch_at, executed_instr, now)
+            self._context_switch(
+                thread, window, completes[:switch_at], results[switch_at],
+                executed_instr, now,
+            )
 
-    def _retire_window(
+    def _retire(
         self,
         thread: ThreadContext,
-        window: Window,
-        results: List[AccessResult],
-        compute_ns: float,
-        now: float,
-    ) -> None:
-        stats = self._system.stats
-        last_completion = max((r.complete_ns for r in results), default=now)
-        wall = max(compute_ns, last_completion - now)
-        stats.add_instructions(window.instructions)
-        stats.add_compute(compute_ns)
-        stats.add_memory_stall(max(0.0, wall - compute_ns))
-        for r in results:
-            stats.record_offchip(max(1.0, r.complete_ns - now))
-        self._finish_retire(thread, window.instructions, wall, now)
-
-    def _retire_values(
-        self,
-        thread: ThreadContext,
-        window: Window,
+        instructions: int,
         completes: List[float],
         compute_ns: float,
         now: float,
     ) -> None:
-        """:meth:`_retire_window` over bare completion times (the batched
-        DRAM-only inner loop); field-for-field the same updates."""
-        stats = self._system.stats
-        last_completion = now
-        for c in completes:
-            if c > last_completion:
-                last_completion = c
-        wall = max(compute_ns, last_completion - now)
-        stats.add_instructions(window.instructions)
-        stats.add_compute(compute_ns)
-        stats.add_memory_stall(max(0.0, wall - compute_ns))
-        if stats.enabled:
-            record = stats.offchip_latency.record
-            for c in completes:
-                lat = c - now
-                record(lat if lat > 1.0 else 1.0)
-        self._finish_retire(thread, window.instructions, wall, now)
+        """Retire a whole window whose accesses complete at ``completes``.
 
-    def _finish_retire(
-        self, thread: ThreadContext, instructions: int, wall: float, now: float
-    ) -> None:
+        Every completion is later than ``now``, so the window's wall time
+        is ``max(compute_ns, slowest - now)``; the comparisons are spelled
+        out inline (ties pick equal floats, so this is ``max`` exactly).
+        """
+        wall = compute_ns
+        for complete in completes:
+            if complete - now > wall:
+                wall = complete - now
+        stats = self._system.stats
+        if stats.enabled:
+            stats.instructions += instructions
+            stats.compute_ns += compute_ns
+            stats.memory_stall_ns += wall - compute_ns
+            stats.offchip_latency.record_window(completes, now)
         thread.runtime_ns += wall
         thread.instructions_done += instructions
         self._sched_runtime += wall
-        self._system.note_progress(instructions)
         end = now + wall
 
         # Quantum preemption keeps oversubscribed runs fair even when the
         # device never asks for a switch.
         if (
-            self._sched_runtime >= self._config.os.quantum_ns
+            self._sched_runtime >= self._quantum_ns
             and self._scheduler.runnable() > 0
         ):
             self._yield_thread(thread, end, self._config.os.context_switch_ns)
@@ -216,34 +214,32 @@ class Core:
         self,
         thread: ThreadContext,
         window: Window,
-        results: List[AccessResult],
-        switch_at: int,
+        completes: List[float],
+        triggering: AccessResult,
         executed_instr: int,
         now: float,
     ) -> None:
-        stats = self._system.stats
-        triggering = results[switch_at]
+        """Take the Long Delay Exception at op ``len(completes)`` of
+        ``window``; ``completes`` are the older ops' completion times."""
         compute_ns = executed_instr * self._cycle_ns / self._ipc
         # In-order retirement: the exception fires after every older op in
         # the window has completed and the NDR hint has arrived.
-        older_done = max(
-            (r.complete_ns for r in results[:switch_at]), default=now
-        )
+        older_done = max(completes, default=now)
         exception_ns = max(now + compute_ns, older_done, triggering.hint_arrival_ns)
 
-        stats.add_instructions(executed_instr)
-        stats.add_compute(compute_ns)
-        stats.add_memory_stall(max(0.0, exception_ns - now - compute_ns))
-        for r in results[:switch_at]:
-            stats.record_offchip(max(1.0, r.complete_ns - now))
+        stats = self._system.stats
+        if stats.enabled:
+            stats.instructions += executed_instr
+            stats.compute_ns += compute_ns
+            stats.memory_stall_ns += max(0.0, exception_ns - now - compute_ns)
+            stats.offchip_latency.record_window(completes, now)
         # The triggering access is squashed: reverse its AMAT accounting.
         stats.unrecord_access(triggering.request_class, triggering.breakdown)
 
-        thread.squash_after(switch_at, window)
+        thread.squash_after(len(completes), window)
         thread.instructions_done += executed_instr
         thread.runtime_ns += exception_ns - now
         thread.just_resumed = True
-        self._system.note_progress(executed_instr)
         switch_cost = self._system.switch_cost_ns
         self._yield_thread(thread, exception_ns, switch_cost)
 

@@ -83,18 +83,26 @@ class ColocatedSystem(System):
         for trace, owner in zip(plan.traces, plan.tenant_of_thread):
             self.tenant_stats[owner].instructions += sum(r[0] for r in trace)
 
+    def _mirror_access(
+        self, tid: int, request_class: str, latency: float,
+        breakdown: Dict[str, float],
+    ) -> None:
+        """Mirror one access into the issuing tenant's stats; called by
+        the batched window loop for every issued access."""
+        tenant = self.tenant_stats[self.plan.tenant_of_thread[tid]]
+        tenant.count_request(request_class)
+        tenant.record_offchip(max(1.0, latency))
+        tenant.record_amat(**{
+            key: float(breakdown.get(key, 0.0)) for key in _AMAT_KEYS
+        })
+
     def memory_access(
         self, core_id: int, tid: int, is_write: bool, address: int, now: float
     ) -> AccessResult:
         result = super().memory_access(core_id, tid, is_write, address, now)
         if self.stats.enabled:
-            tenant = self.tenant_stats[self.plan.tenant_of_thread[tid]]
-            tenant.count_request(result.request_class)
-            tenant.record_offchip(max(1.0, result.complete_ns - now))
-            tenant.record_amat(**{
-                key: float(result.breakdown.get(key, 0.0))
-                for key in _AMAT_KEYS
-            })
+            self._mirror_access(tid, result.request_class,
+                                result.complete_ns - now, result.breakdown)
         return result
 
     def dram_window_access(self, ops, now, tid: int = -1):
@@ -104,12 +112,10 @@ class ColocatedSystem(System):
         the returned completion times."""
         completes = super().dram_window_access(ops, now, tid)
         if self.stats.enabled and tid >= 0:
-            tenant = self.tenant_stats[self.plan.tenant_of_thread[tid]]
             for complete in completes:
                 latency = complete - now
-                tenant.count_request(HOST_DRAM)
-                tenant.record_offchip(latency if latency > 1.0 else 1.0)
-                tenant.record_amat(host_dram=latency)
+                self._mirror_access(tid, HOST_DRAM, latency,
+                                    {"host_dram": latency})
         return completes
 
     def on_thread_done(self, thread) -> None:

@@ -303,13 +303,15 @@ def run_worker(
             try:
                 with sock:
                     served, from_cache = serve_connection(sock, cache)
-            except OSError:
-                # The redial parked in the listener's backlog and the
-                # coordinator closed it (connection reset): clean exit,
-                # same as a refused redial.
-                if connections:
-                    return 0
-                raise
+            except OSError as exc:
+                # A reset after a successful dial means the coordinator
+                # is gone: it closed before its first sweep, or the redial
+                # parked in its backlog when it closed.  Clean exit, same
+                # as a refused redial.
+                log.info("coordinator_closed",
+                         address=f"{address[0]}:{address[1]}",
+                         error=str(exc))
+                return 0
             connections += 1
             print(
                 f"worker: served {served} cell(s) ({from_cache} from cache) "

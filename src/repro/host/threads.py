@@ -37,7 +37,8 @@ class ThreadContext:
         self.pos = 0
         #: Memory op to re-issue first on resume (set on context switch).
         self.replay: Optional[TraceRecord] = None
-        #: Records fetched into a window but squashed by a context switch.
+        #: Records fetched into a window but squashed by a context switch
+        #: (scalar path; the vectorized path rewinds ``pos`` instead).
         self._pushback: List[TraceRecord] = []
         #: Wall time received on a core (CFS vruntime).
         self.runtime_ns = 0.0
@@ -47,10 +48,13 @@ class ThreadContext:
         #: re-switch on the same access would ping-pong.
         self.just_resumed = False
         #: Trace-capture tap: called once per record the *first* time it
-        #: is fetched from the trace (replays and pushbacks are not
-        #: re-reported), so a capture sees exactly the consumed stream in
-        #: order.  ``python -m repro trace capture`` installs this.
+        #: is fetched from the trace (replays, pushbacks and re-fetches
+        #: after a rewind are not re-reported), so a capture sees exactly
+        #: the consumed stream in order.  ``python -m repro trace
+        #: capture`` installs this.
         self.on_fetch: Optional[callable] = None
+        #: Trace positions below this were already reported to the tap.
+        self._tapped = 0
         #: Vectorized window plan (lazy): ``_plan[p]`` is the record count
         #: of the ROB/MSHR window starting at trace position ``p`` and
         #: ``_cum[i]`` the total gap instructions of records ``0..i-1``,
@@ -81,10 +85,12 @@ class ThreadContext:
             return record
         if self._pushback:
             return self._pushback.pop(0)
-        if self.pos < len(self.trace):
-            record = self.trace[self.pos]
-            self.pos += 1
-            if self.on_fetch is not None:
+        pos = self.pos
+        if pos < len(self.trace):
+            record = self.trace[pos]
+            self.pos = pos + 1
+            if self.on_fetch is not None and pos >= self._tapped:
+                self._tapped = pos + 1
                 self.on_fetch(record)
             return record
         return None
@@ -99,8 +105,10 @@ class ThreadContext:
         The vectorized path slices a whole window out of the trace with
         one searchsorted over the gap prefix sums instead of a
         per-record Python loop; it yields byte-identical windows and is
-        skipped whenever per-record state is live (a replay record, a
-        pushback from a squash, or a capture tap).
+        skipped whenever per-record state is live (a replay record or a
+        capture tap).  Squashes and over-budget records rewind the cursor
+        there, so only the window that replays a squashed op takes the
+        per-record loop.
         """
         if (
             self._vectorized
@@ -108,7 +116,19 @@ class ThreadContext:
             and not self._pushback
             and self.on_fetch is None
         ):
-            return self._next_window_batched(max_instructions, max_ops)
+            # O(1) fetch from the precomputed plan (see _build_plan): it
+            # fixes, for *every* trace position, how many records the
+            # per-record loop would take from there.
+            pos = self.pos
+            trace = self.trace
+            if pos >= len(trace):
+                return None
+            if self._plan_key != (max_instructions, max_ops):
+                self._build_plan(max_instructions, max_ops)
+            end = pos + self._plan[pos]
+            cum = self._cum
+            self.pos = end
+            return Window(cum[end] - cum[pos], list(trace[pos:end]))
         window = Window(instructions=0)
         while len(window.ops) < max_ops:
             record = self._next_record()
@@ -116,38 +136,20 @@ class ThreadContext:
                 break
             gap = record[0]
             if window.ops and window.instructions + gap > max_instructions:
-                # Does not fit: push back for the next window.
-                self._pushback.insert(0, record)
+                # Does not fit: leave it for the next window.  Only the
+                # first record (which always fits) can be the replay, so
+                # on the vectorized path, whose pushback stays empty, this
+                # record came from the trace and un-fetching is a rewind.
+                if self._vectorized:
+                    self.pos -= 1
+                else:
+                    self._pushback.insert(0, record)
                 break
             window.instructions += gap
             window.ops.append(record)
         if not window.ops and window.instructions == 0:
             return None
         return window
-
-    def _next_window_batched(
-        self, max_instructions: int, max_ops: int
-    ) -> Optional[Window]:
-        """O(1) window fetch from the precomputed vectorized plan.
-
-        The plan fixes, for *every* trace position, how many records the
-        scalar loop would take from there, so a window is two list
-        lookups and one slice regardless of where a squash left the
-        cursor.
-        """
-        pos = self.pos
-        trace = self.trace
-        if pos >= len(trace):
-            return None
-        if self._plan_key != (max_instructions, max_ops):
-            self._build_plan(max_instructions, max_ops)
-        end = pos + self._plan[pos]
-        cum = self._cum
-        self.pos = end
-        return Window(
-            instructions=cum[end] - cum[pos],
-            ops=list(trace[pos:end]),
-        )
 
     def _build_plan(self, max_instructions: int, max_ops: int) -> None:
         """One numpy pass over the whole trace.
@@ -177,9 +179,18 @@ class ThreadContext:
     def squash_after(self, index: int, window: Window) -> TraceRecord:
         """Context switch at the ``index``-th op of ``window``: that op is
         saved for replay (with its compute gap already consumed) and every
-        later op is pushed back untouched.  Returns the replay record."""
+        later op is pushed back untouched.  Returns the replay record.
+
+        The vectorized path rewinds the cursor instead of pushing back:
+        every op after a window's first is fetched from the trace in
+        order (pushback being empty there), so the squashed ops are the
+        trace slice just before ``pos``.
+        """
         triggering = window.ops[index]
         # Its gap instructions were executed before the exception retired.
         self.replay = (0, triggering[1], triggering[2])
-        self._pushback = list(window.ops[index + 1 :]) + self._pushback
+        if self._vectorized:
+            self.pos -= len(window.ops) - index - 1
+        else:
+            self._pushback = list(window.ops[index + 1 :]) + self._pushback
         return self.replay

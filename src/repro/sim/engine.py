@@ -89,9 +89,10 @@ class Engine:
         :class:`PastEventWarning`); every occurrence is still counted in
         :attr:`past_clamps` / :attr:`last_past_clamp`.
         """
-        if when < self._now - self.PAST_TOLERANCE_NS:
+        now = self._now
+        if when < now - self.PAST_TOLERANCE_NS:
             self.past_clamps += 1
-            self.last_past_clamp = (when, self._now)
+            self.last_past_clamp = (when, now)
             warnings.warn(
                 "schedule_at received a time in the past; clamping to now "
                 "(deduplicated per call site -- see Engine.past_clamps / "
@@ -99,7 +100,13 @@ class Engine:
                 PastEventWarning,
                 stacklevel=2,
             )
-        self.schedule(when - self._now, callback)
+        # :meth:`schedule` inlined: the queued time stays ``now + (when -
+        # now)``, which is not always ``when`` in floating point.
+        delay = when - now
+        if delay < 0:
+            delay = 0.0
+        self._seq += 1
+        heapq.heappush(self._queue, (now + delay, self._seq, callback))
 
     def stop(self) -> None:
         """Stop the run loop after the current event completes."""

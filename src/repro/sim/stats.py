@@ -71,6 +71,35 @@ class LatencyHistogram:
         if latency_ns < self._min:
             self._min = latency_ns
 
+    def record_window(self, completes: List[float], now: float) -> None:
+        """:meth:`record` of ``c - now`` for every ``c`` in ``completes``,
+        in order: the same clamp, bucket cache and summation order, with
+        the running fields kept in locals for the whole window."""
+        cache = self._bucket_cache
+        counts = self._counts
+        total = self._sum
+        high = self._max
+        low = self._min
+        for complete in completes:
+            latency_ns = complete - now
+            if latency_ns < 1.0:
+                latency_ns = 1.0
+            bucket = cache.get(latency_ns)
+            if bucket is None:
+                bucket = int(math.log10(latency_ns) * self.BUCKETS_PER_DECADE)
+                if len(cache) < self._BUCKET_CACHE_MAX:
+                    cache[latency_ns] = bucket
+            counts[bucket] = counts.get(bucket, 0) + 1
+            total += latency_ns
+            if latency_ns > high:
+                high = latency_ns
+            if latency_ns < low:
+                low = latency_ns
+        self._total += len(completes)
+        self._sum = total
+        self._max = high
+        self._min = low
+
     @property
     def count(self) -> int:
         return self._total

@@ -15,7 +15,7 @@ bypass host DRAM".
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.baselines.astriflash import AstriFlashController
 from repro.baselines.tpp import TPPHotnessPolicy
@@ -26,7 +26,7 @@ from repro.cpu.core import Core
 from repro.cpu.dram import HostDRAM
 from repro.cxl.link import CXLLink
 from repro.cxl.protocol import M2SOpcode, MemRequest
-from repro.host.page_table import PageTable
+from repro.host.page_table import Location, PageTable
 from repro.host.scheduler import Scheduler
 from repro.host.threads import ThreadContext
 from repro.obs.timeline import TimelineTracer
@@ -64,10 +64,18 @@ class System:
             self.tracer = TimelineTracer(
                 max_events=self.config.trace.max_events
             )
-        # Tracing pins the scalar path: the fused fast path skips the
-        # per-request structures the tracer annotates, and both paths are
-        # timing-identical by construction (pinned in test_fastpath.py).
-        self._fast = fastpath.vectorized() and self.tracer is None
+        #: Cores hand whole ROB windows to :meth:`window_access`: every
+        #: CXL-SSD variant on the vector path except AstriFlash-CXL, whose
+        #: controller owns the link.  Tracing keeps per-access
+        #: :meth:`memory_access`: the window loop skips the per-request
+        #: structures the tracer annotates, and both paths are
+        #: timing-identical (pinned in test_fastpath_identity.py).
+        self.batched_windows = (
+            fastpath.vectorized()
+            and self.tracer is None
+            and not variant.astriflash
+            and not variant.dram_only
+        )
         self.engine = Engine()
         self.stats = SimStats()
         self.link = CXLLink(self.config.cxl, self.stats)
@@ -81,7 +89,7 @@ class System:
         if qos_map is not None and qos_map.host_scheduling:
             self.scheduler.set_tenant_qos(qos_map)
 
-        # Precomputed wire timing for the fused CXL fast path: per-message
+        # Precomputed wire timing for :meth:`window_access`: per-message
         # byte counts and serialisation delays for the four message sizes
         # (read/write x down/up).  ``transfer_ns`` is deterministic in the
         # byte count, so hoisting it out of the per-access loop is exact.
@@ -141,7 +149,6 @@ class System:
         self._total_instructions = sum(
             sum(r[0] for r in t) + len(t) for t in traces
         )
-        self._progress = 0
         self._finished = False
         self._traces = traces
 
@@ -206,17 +213,6 @@ class System:
                 request_class=HOST_DRAM,
                 breakdown={"host_dram": latency},
             )
-
-        if self._fast and not self.variant.astriflash:
-            # Device-latency fast path: decide promoted-vs-CXL from the
-            # raw address so neither branch materialises a MemRequest
-            # (tags are bookkeeping-only; nothing downstream consumes
-            # them).
-            page = address >> 12
-            line = (address >> 6) & 0x3F
-            if self.page_table.is_promoted(page):
-                return self._host_dram_hit(page, line, is_write, now)
-            return self._cxl_access_fast(page, line, is_write, now)
 
         request = MemRequest(
             opcode=M2SOpcode.MEM_WR if is_write else M2SOpcode.MEM_RD,
@@ -297,46 +293,119 @@ class System:
             breakdown={"host_dram": latency},
         )
 
-    def _cxl_access_fast(
-        self, page: int, line: int, is_write: bool, now: float
-    ) -> AccessResult:
-        """:meth:`_cxl_access` with the link transfers unrolled inline.
+    #: Per-access tenant attribution hook of :meth:`window_access`:
+    #: ``(tid, request_class, latency_ns, breakdown)``.  Multi-tenant
+    #: subclasses override it; ``None`` skips the call.
+    _mirror_access = None
 
-        Replays the exact arithmetic of ``CXLLink.send_downstream`` /
-        ``send_upstream`` (same operand order, hoisted constant
-        serialisation delays) and calls the controller through its
-        decoded-address entry; only taken on the vectorized path.
+    def window_access(
+        self,
+        ops: Sequence[TraceRecord],
+        now: float,
+        tid: int,
+        just_resumed: bool,
+    ) -> Tuple[List[float], Optional[AccessResult]]:
+        """Serve a whole ROB window of CXL-SSD accesses issued at ``now``.
+
+        The vectorized device path (see :attr:`batched_windows`):
+        :meth:`memory_access` and the core's hint test, op by op, in one
+        loop.  Promoted pages are served inline from host DRAM (one
+        page-table lookup, no request or result object) and CXL
+        accesses run the arithmetic of ``CXLLink.send_downstream`` /
+        ``send_upstream`` inline (same operand order, hoisted constant
+        serialisation delays) around the controller's decoded-address
+        entry.  Skipped ``+= 0.0`` AMAT adds are exact because those
+        sums never hold ``-0.0``.
+
+        Returns the completion times of the ops that retire and the
+        :class:`AccessResult` of the op whose ``SkyByte-Delay`` hint the
+        core acts on, or ``None`` when the whole window retires; ops
+        after that one are never issued.  As in the scalar core loop,
+        ``scheduler.runnable()`` is consulted only when a hint arrives,
+        and a just-resumed thread ignores hints estimated below four
+        switch thresholds (the replay is almost ready).
         """
         stats = self.stats
-        link = self.link
-        down_bytes, down_ser, up_bytes, up_ser = self._wire[is_write]
         enabled = stats.enabled
-        free = link._down_free_at
-        start = free if free > now else now
-        new_free = start + down_ser
-        link._down_free_at = new_free
-        arrive_dev = new_free + self._protocol_ns
-        if enabled:
-            stats.cxl_bytes += down_bytes
-        result = self.controller.access_line(page, line, is_write, arrive_dev)
-        complete = result.complete_ns
-        arrive_host = complete + up_ser + self._protocol_ns
-        if enabled:
-            stats.cxl_bytes += up_bytes
-        protocol = (arrive_dev - now) + (arrive_host - complete)
-        if enabled:
-            stats.amat_protocol_ns += protocol
-        result.breakdown["protocol"] = protocol
-        if result.delay_hint:
-            # The SkyByte-Delay NDR races ahead of the data.
-            decision_ns = result.breakdown.get("indexing", 0.0)
-            result.hint_arrival_ns = self.link.send_upstream(
-                arrive_dev + decision_ns, NDR_BYTES
-            )
-        result.complete_ns = arrive_host
-        if not is_write and enabled:
-            stats.host_lines_read += 1
-        return result
+        counts = stats.request_counts
+        entries = self.page_table._entries
+        dram = self.host_dram
+        dram_latency = dram._latency_ns
+        dram_inc = CACHELINE_SIZE / dram._bytes_per_ns
+        link = self.link
+        protocol_ns = self._protocol_ns
+        wire = self._wire
+        ndr_ser = wire[True][3]  # a write's reply is itself an NDR
+        access_line = self.controller.access_line
+        mirror = self._mirror_access if enabled else None
+        guard_ns = 4 * self.config.os.cs_threshold_ns
+        completes: List[float] = []
+        append = completes.append
+        for _gap, is_write, address in ops:
+            page = address >> 12
+            line = (address >> 6) & 0x3F
+            entry = entries.get(page)
+            if entry is not None and entry.location == Location.HOST:
+                # H-R/W: the page was promoted; served by host DRAM.
+                entry.last_access_ns = now
+                if is_write:
+                    entry.dirty_mask |= 1 << line
+                free = dram._free_at
+                start = free if free > now else now
+                dram._free_at = start + dram_inc
+                dram.accesses += 1
+                complete = start + dram_latency
+                if enabled:
+                    counts[HOST_DRAM] += 1
+                    stats.amat_host_dram_ns += complete - now
+                    stats.amat_accesses += 1
+                    stats.promoted_hits += 1
+                    if is_write:
+                        stats.host_lines_written += 1
+                if mirror is not None:
+                    latency = complete - now
+                    mirror(tid, HOST_DRAM, latency, {"host_dram": latency})
+                append(complete)
+                continue
+
+            # CXL: downstream request, device access, upstream response.
+            down_bytes, down_ser, up_bytes, up_ser = wire[is_write]
+            free = link._down_free_at
+            start = free if free > now else now
+            new_free = start + down_ser
+            link._down_free_at = new_free
+            arrive_dev = new_free + protocol_ns
+            if enabled:
+                stats.cxl_bytes += down_bytes
+            result = access_line(page, line, is_write, arrive_dev)
+            device_done = result.complete_ns
+            complete = device_done + up_ser + protocol_ns
+            protocol = (arrive_dev - now) + (complete - device_done)
+            if enabled:
+                stats.cxl_bytes += up_bytes
+                stats.amat_protocol_ns += protocol
+                if not is_write:
+                    stats.host_lines_read += 1
+            if mirror is not None or result.delay_hint:
+                result.breakdown["protocol"] = protocol
+                result.complete_ns = complete
+            if mirror is not None:
+                mirror(tid, result.request_class, complete - now,
+                       result.breakdown)
+            if result.delay_hint:
+                # The SkyByte-Delay NDR races ahead of the data.
+                decision_ns = result.breakdown.get("indexing", 0.0)
+                if enabled:
+                    stats.cxl_bytes += NDR_BYTES + CXLLink.FLIT_OVERHEAD
+                result.hint_arrival_ns = (
+                    arrive_dev + decision_ns + ndr_ser + protocol_ns
+                )
+                if self.scheduler.runnable() > 0 and not (
+                    just_resumed and result.est_delay_ns < guard_ns
+                ):
+                    return completes, result
+            append(complete)
+        return completes, None
 
     def _cxl_access(
         self, request: MemRequest, is_write: bool, now: float
@@ -392,10 +461,6 @@ class System:
             "cxl.up", "requests", thread, int(device_done), int(arrive_host))
 
     # -- progress callbacks --------------------------------------------------------------
-
-    def note_progress(self, instructions: int) -> None:
-        """Progress counter (handy for debugging/monitoring hooks)."""
-        self._progress += instructions
 
     def on_thread_done(self, thread: ThreadContext) -> None:
         self._threads_done += 1

@@ -6,8 +6,11 @@ TCP/JSON protocol: listen and dial topologies, shared caches, worker
 failure reporting, and requeueing cells from dead connections.
 """
 
+import io
 import json
+import select
 import socket
+import struct
 import threading
 import time
 
@@ -468,6 +471,30 @@ class TestDistributedBackend:
         assert dumps(second) == dumps(serial)
         assert proc.wait(timeout=30) == 0  # listener closed -> clean exit
         assert proc.stdout.read().count("served 3 cell(s)") == 2
+
+    def test_connect_worker_exits_cleanly_on_reset_before_first_sweep(self):
+        """A coordinator that accepts the dial and then goes away before
+        any sweep resets the connection under the worker's hello: the
+        worker logs it and exits 0, like a refused redial."""
+        server = socket.create_server(("127.0.0.1", 0))
+        host, port = server.getsockname()[:2]
+
+        def accept_then_reset():
+            sock, _peer = server.accept()
+            select.select([sock], [], [], 10.0)  # the hello has arrived
+            # Linger 0: close() sends RST instead of FIN.
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                            struct.pack("ii", 1, 0))
+            sock.close()
+            server.close()
+
+        thread = threading.Thread(target=accept_then_reset, daemon=True)
+        thread.start()
+        out = io.StringIO()
+        assert worker_mod.run_worker(connect=f"{host}:{port}", retries=1,
+                                     out=out) == 0
+        thread.join(timeout=10)
+        assert "served" not in out.getvalue()
 
 
 class TestWorkerProtocol:

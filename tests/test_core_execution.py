@@ -4,6 +4,7 @@ exercised through small end-to-end systems."""
 import pytest
 
 from repro.config import scaled_config
+from repro.sim import fastpath
 from repro.sim.system import System
 from repro.variants import get_variant
 
@@ -84,6 +85,100 @@ class TestContextSwitching:
         traces = [uniform_trace(40, 300) for _ in range(12)]
         system, stats = run_system("SkyByte-C", traces, threads=12)
         assert all(t.done for t in system.threads)
+
+
+#: Thread 0's trace: one 4-op window (distinct pages, small gaps).
+WINDOW = [(10, False, (100 + i) * 4096) for i in range(4)]
+
+
+def one_slice(mode, hint_ops, runnable=True, just_resumed=False,
+              est_ns=None):
+    """Run one window of thread 0 on core 0 of a SkyByte-C system whose
+    controller answers exactly the ops at ``hint_ops`` with a
+    ``SkyByte-Delay`` hint.  Returns (system, thread 0, pages issued)."""
+    traces = [list(WINDOW), [(10, False, (900 + i) * 4096) for i in range(4)]]
+    config = scaled_config(scale=512, threads=2).replace(warmup_fraction=0.0)
+    with fastpath.forced_mode(mode):
+        system = System(config, traces, get_variant("SkyByte-C"))
+    hint_pages = {WINDOW[i][2] >> 12 for i in hint_ops}
+    threshold = system.config.os.cs_threshold_ns
+    issued = []
+    real_access_line = system.controller.access_line
+
+    def access_line(lpa, line, is_write, now):
+        issued.append(lpa)
+        result = real_access_line(lpa, line, is_write, now)
+        result.delay_hint = lpa in hint_pages
+        result.est_delay_ns = threshold if est_ns is None else est_ns
+        return result
+
+    system.controller.access_line = access_line
+    system.prepare()
+    scheduler = system.scheduler
+    queued = [scheduler.pick_next() for _ in range(scheduler.runnable())]
+    if runnable:
+        scheduler.enqueue(system.threads[1])
+    thread = system.threads[0]
+    assert thread in queued
+    thread.just_resumed = just_resumed
+    core = system.cores[0]
+    core.thread = thread
+    core._run_slice()
+    return system, thread, issued
+
+
+class TestWindowLoop:
+    """The batched window loop must act on hints exactly like the
+    per-access scalar loop: same switch point, same squash, same stats."""
+
+    @pytest.mark.parametrize("switch_at", [0, 1, 3])
+    def test_switch_at_first_middle_last_op(self, switch_at):
+        out = {}
+        for mode in ("scalar", "vector"):
+            system, thread, issued = one_slice(mode, [switch_at])
+            page = WINDOW[switch_at][2]
+            # Ops after the trigger are never issued.
+            assert issued == [op[2] >> 12 for op in WINDOW[:switch_at + 1]]
+            assert thread.replay == (0, False, page)
+            assert thread.just_resumed
+            assert system.stats.context_switches == 1
+            assert system.cores[0].thread is system.threads[1]
+            resumed = thread.next_window(10_000, 8)
+            assert resumed.ops == [(0, False, page)] + WINDOW[switch_at + 1:]
+            out[mode] = system.stats.to_dict()
+        assert out["scalar"] == out["vector"]
+
+    def test_rewind_leaves_cursor_at_squashed_ops(self):
+        _, thread, _ = one_slice("vector", [1])
+        assert thread.pos == 2
+        assert thread._pushback == []
+
+    def test_hint_ignored_without_runnable_threads(self):
+        out = {}
+        for mode in ("scalar", "vector"):
+            system, thread, issued = one_slice(mode, [1], runnable=False)
+            assert len(issued) == len(WINDOW)
+            assert thread.replay is None
+            assert system.stats.context_switches == 0
+            assert system.stats.instructions == sum(op[0] for op in WINDOW)
+            out[mode] = system.stats.to_dict()
+        assert out["scalar"] == out["vector"]
+
+    @pytest.mark.parametrize("near", [True, False])
+    def test_just_resumed_guard(self, near):
+        """A just-resumed thread ignores a hint estimated below four
+        switch thresholds, and acts on one at or above it."""
+        threshold = scaled_config(scale=512).os.cs_threshold_ns
+        est = 4 * threshold * (0.5 if near else 1.0)
+        out = {}
+        for mode in ("scalar", "vector"):
+            system, thread, issued = one_slice(
+                mode, [1], just_resumed=True, est_ns=est)
+            switched = system.stats.context_switches == 1
+            assert switched is not near
+            assert len(issued) == (len(WINDOW) if near else 2)
+            out[mode] = system.stats.to_dict()
+        assert out["scalar"] == out["vector"]
 
 
 class TestMLPModel:

@@ -1,20 +1,23 @@
 """The vectorized hot path must be an *exact* optimization.
 
 Every fast path behind :mod:`repro.sim.fastpath` — same-epoch event
-coalescing, window-plan precomputation, the batched DRAM-only inner
-loop, the fused CXL access, lazy MSHR retirement, and the trace /
-precondition memos — claims bit-identical results to the scalar
+coalescing, window-plan precomputation with cursor rewind, the batched
+DRAM-only and CXL-SSD window loops, lazy MSHR retirement, and the
+trace / precondition memos — claims bit-identical results to the scalar
 reference.  This suite pins that claim: each Table I scenario simulates
 under both forced modes and the canonical ``RunResult.to_dict()`` JSON
-must match byte for byte.
+must match byte for byte, for every device variant, both device models,
+and colocated (per-tenant attributed, optionally WFQ-scheduled) runs.
 """
 
 import json
 
 import pytest
 
+from repro.experiments.colocation import run_colocation
 from repro.experiments.runner import run_workload
 from repro.scenarios import scenario_names
+from repro.scenarios.colocate import Tenant
 from repro.sim import fastpath
 
 TAB1 = sorted(n for n in scenario_names() if n.startswith("tab1-"))
@@ -56,9 +59,27 @@ def test_vectorized_identity_dram_only(scenario):
 @pytest.mark.parametrize("scenario", ["tab1-ycsb", "tab1-srad"])
 def test_vectorized_identity_skybyte_full(scenario):
     """SkyByte-Full exercises the device trigger, write log, and lazy
-    MSHR retirement on top of the fused CXL path."""
+    MSHR retirement on top of the batched window loop."""
     scalar, vector = _both_modes(scenario, "SkyByte-Full")
     assert scalar == vector, f"{scenario}: vectorized run diverged"
+
+
+@pytest.mark.parametrize("variant", [
+    # Delay hints on the Base controller: context switches with no
+    # write log.
+    "SkyByte-C",
+    # Promotion plus switching: promoted host-DRAM hits interleave with
+    # hinted CXL accesses inside one window.
+    "SkyByte-CP",
+    # Write log and promotion, no switching.
+    "SkyByte-WP",
+    # Stays on per-access memory_access (its controller owns the link).
+    "AstriFlash-CXL",
+])
+@pytest.mark.parametrize("scenario", ["tab1-ycsb", "tab1-srad"])
+def test_vectorized_identity_device_variants(scenario, variant):
+    scalar, vector = _both_modes(scenario, variant)
+    assert scalar == vector, f"{scenario} x {variant}: vectorized run diverged"
 
 
 @pytest.mark.parametrize("scenario", ["tab1-bc", "tab1-ycsb"])
@@ -69,3 +90,35 @@ def test_vectorized_identity_deep_device_model(scenario):
     scalar, vector = _both_modes(scenario, "SkyByte-Full",
                                  device_model="deep")
     assert scalar == vector, f"{scenario}: deep-model vectorized run diverged"
+
+
+@pytest.mark.parametrize("scenario", ["tab1-bc", "tab1-ycsb"])
+def test_vectorized_identity_deep_base_cssd(scenario):
+    scalar, vector = _both_modes(scenario, "Base-CSSD", device_model="deep")
+    assert scalar == vector, f"{scenario}: deep-model vectorized run diverged"
+
+
+def _colocated(isolation):
+    """Canonical global and per-tenant stats of a 2-tenant colocation."""
+    tenants = [
+        Tenant(name="web", scenario="web-tier", threads=2, seed=7),
+        Tenant(name="ingest", scenario="log-ingest", threads=2, seed=8),
+    ]
+    system = run_colocation(tenants, variant="SkyByte-Full",
+                            records_per_thread=RECORDS, isolation=isolation)
+    return json.dumps(
+        [system.stats.to_dict()] + [s.to_dict() for s in system.tenant_stats]
+        + [system.tenant_end_ns],
+        sort_keys=True, separators=(",", ":"),
+    )
+
+
+@pytest.mark.parametrize("isolation", ["none", "wfq"])
+def test_vectorized_identity_colocation(isolation):
+    """Per-tenant attribution (the window loop's access mirror) and
+    weighted host scheduling must match the per-access scalar path."""
+    with fastpath.forced_mode("scalar"):
+        scalar = _colocated(isolation)
+    with fastpath.forced_mode("vector"):
+        vector = _colocated(isolation)
+    assert scalar == vector, f"colocation ({isolation}) diverged"

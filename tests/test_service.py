@@ -405,13 +405,25 @@ class TestServiceHTTP:
             client.jobs(state="nope")
         assert err.value.status == 400
 
-    def test_result_of_unfinished_job_conflicts(self, service):
-        svc, client = service
-        jid = svc.store.submit("sweep", {})  # never scheduled: store only
-        svc.store.request_cancel(jid)
-        with pytest.raises(ServiceError) as err:
-            client.result(jid)
-        assert err.value.status == 409
+    def test_result_of_unfinished_job_conflicts(self, tmp_path):
+        # No scheduler runs, so the job stays queued.  A started service
+        # could claim it between submit and cancel and run the default
+        # (full-size) sweep in the background past the test's end.
+        svc = SweepService(state_dir=tmp_path / "state",
+                           cache_dir=tmp_path / "cache", jobs=1)
+        api = ServiceAPI(svc, port=0)
+        api.start()
+        try:
+            client = ServiceClient(api.url)
+            client.wait_healthy()
+            jid = svc.store.submit("sweep", {})
+            svc.store.request_cancel(jid)
+            with pytest.raises(ServiceError) as err:
+                client.result(jid)
+            assert err.value.status == 409
+        finally:
+            api.close()
+            svc.close()
 
     def test_concurrent_submitters_byte_identical(self, service):
         """Two submitters race overlapping sweeps over HTTP; both jobs

@@ -16,6 +16,22 @@ from repro.sim.stats import (
 
 
 class TestLatencyHistogram:
+    @given(
+        now=st.floats(0.0, 1e9),
+        latencies=st.lists(st.lists(st.floats(0.0, 1e7), max_size=8),
+                           max_size=6),
+    )
+    def test_record_window_equals_record_loop(self, now, latencies):
+        """Window-at-a-time recording is bit-identical to per-sample
+        ``record`` of ``max(1.0, c - now)`` (clamp, sum order, extrema)."""
+        one, batched = LatencyHistogram(), LatencyHistogram()
+        for window in latencies:
+            completes = [now + lat for lat in window]
+            for c in completes:
+                one.record(max(1.0, c - now))
+            batched.record_window(completes, now)
+        assert batched.to_dict() == one.to_dict()
+
     def test_mean_and_count(self):
         h = LatencyHistogram()
         for v in (100, 200, 300):

@@ -1,6 +1,10 @@
 """Tests for thread contexts and window building."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.host.threads import ThreadContext
+from repro.sim import fastpath
 
 
 def make_trace(n=10, gap=5):
@@ -95,3 +99,63 @@ class TestSquashReplay:
         assert not t.done
         t.next_window(10_000, 8)
         assert t.done
+
+
+def context(mode, trace):
+    with fastpath.forced_mode(mode):
+        return ThreadContext(0, trace)
+
+
+def drive(thread, squashes, max_instructions, max_ops):
+    """Fetch windows to exhaustion, squashing the ``k``-th window at op
+    ``squashes[k] % len(ops)`` when ``squashes[k]`` is not None; returns
+    the window sequence."""
+    windows = []
+    while True:
+        window = thread.next_window(max_instructions, max_ops)
+        if window is None:
+            return windows
+        windows.append((window.instructions, list(window.ops)))
+        k = len(windows) - 1
+        if k < len(squashes) and squashes[k] is not None:
+            thread.squash_after(squashes[k] % len(window.ops), window)
+
+
+class TestCursorRewind:
+    """The vectorized path squashes by rewinding ``pos``; the scalar path
+    pushes records back.  Both must hand the core the same windows."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        gaps=st.lists(st.integers(0, 120), min_size=1, max_size=40),
+        squashes=st.lists(st.one_of(st.none(), st.integers(0, 7)),
+                          max_size=60),
+        max_instructions=st.integers(1, 300),
+        max_ops=st.integers(1, 8),
+    )
+    def test_rewind_matches_pushback_reference(
+        self, gaps, squashes, max_instructions, max_ops
+    ):
+        trace = [(g, i % 3 == 0, i * 4096) for i, g in enumerate(gaps)]
+        reference = context("scalar", trace)
+        rewound = context("vector", trace)
+        expected = drive(reference, squashes, max_instructions, max_ops)
+        assert drive(rewound, squashes, max_instructions, max_ops) == expected
+        assert rewound.done and reference.done
+        assert rewound.remaining_records == 0
+        assert rewound._pushback == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        gaps=st.lists(st.integers(0, 120), min_size=1, max_size=40),
+        squashes=st.lists(st.one_of(st.none(), st.integers(0, 7)),
+                          max_size=60),
+        mode=st.sampled_from(["scalar", "vector"]),
+    )
+    def test_capture_tap_sees_every_record_once(self, gaps, squashes, mode):
+        trace = [(g, False, i * 4096) for i, g in enumerate(gaps)]
+        thread = context(mode, trace)
+        seen = []
+        thread.on_fetch = seen.append
+        drive(thread, squashes, max_instructions=150, max_ops=4)
+        assert seen == trace
