@@ -78,6 +78,7 @@ import argparse
 import inspect
 import json
 import os
+import signal
 import sys
 import traceback
 from pathlib import Path
@@ -602,8 +603,9 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_worker(args: argparse.Namespace) -> int:
-    # Workers share the coordinator's content-addressed cache when
-    # pointed at the same directory (e.g. a shared filesystem).
+    # Workers on one host share a content-addressed cache when pointed
+    # at the same directory; a remote worker keeps its own (the sqlite
+    # index needs shared memory, so no network filesystems).
     cache = (
         None
         if args.no_cache
@@ -828,6 +830,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     service.start()
     api = ServiceAPI(service, host=host, port=int(port))
+    # SIGTERM (plain ``kill``, supervisors) takes the same shutdown path
+    # as Ctrl-C, so the cache and job-store connections get closed.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     print(f"serve: listening on http://{api.address[0]}:{api.address[1]} "
           f"(backend: {service.backend_label}, state: {service.state_dir})",
           flush=True)

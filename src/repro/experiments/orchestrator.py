@@ -20,11 +20,13 @@ go through:
   keyed by a stable hash of the fully *resolved* simulation config plus
   workload, variant, trace length and time limit, so a re-run only
   simulates missing cells and a config change can never serve stale
-  data.  The store has a real storage layer: an ``index.json`` with
-  LRU bookkeeping, an optional size cap with least-recently-used
-  eviction, lifetime hit/miss/evict counters, and advisory file locks
-  so many processes (or distributed workers on a shared filesystem)
-  can use one cache directory concurrently.
+  data.  The store has a real storage layer: a sqlite ``index.sqlite3``
+  with LRU bookkeeping, an optional size cap with least-recently-used
+  eviction, and lifetime hit/miss/put/evict counters, so many
+  processes on one host (the CLI, ``repro serve``, local workers) can
+  share one cache directory concurrently.  sqlite WAL needs shared
+  memory, so a cache directory is not shared over a network
+  filesystem: remote workers keep their own ``--cache-dir``.
 
 Determinism: each job builds its own :class:`~repro.sim.system.System`
 from its own seeds, so a parallel sweep is numerically identical to the
@@ -52,8 +54,8 @@ import hashlib
 import json
 import os
 import queue
+import sqlite3
 import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -67,11 +69,6 @@ from typing import (
     Tuple,
     Union,
 )
-
-try:  # advisory file locking; absent on non-POSIX platforms
-    import fcntl
-except ImportError:  # pragma: no cover - POSIX-only dependency
-    fcntl = None
 
 from repro.experiments.backends import (
     BackendLike,
@@ -96,10 +93,6 @@ DEFAULT_CACHE_DIR = ".repro_cache"
 #: incompatibly; old cache entries then miss instead of deserializing
 #: garbage.
 CACHE_VERSION = 1
-
-#: On-disk index format version (bumped independently of CACHE_VERSION:
-#: the index is bookkeeping, the entries are data).
-INDEX_VERSION = 1
 
 _TRUTHY = {"1", "true", "yes", "on"}
 
@@ -218,42 +211,94 @@ def sweep_product(
     ]
 
 
+#: Connections a forked child inherited and must never close (see
+#: :class:`_Connection`).
+_INHERITED_CONNECTIONS: List[sqlite3.Connection] = []
+
+
+class _Connection(sqlite3.Connection):
+    """A connection that a forked child never closes.
+
+    A sqlite connection is only freed by the cyclic garbage collector
+    (it and its statement cache reference each other), so a process
+    pool child forked from a threaded parent -- ``repro serve`` runs
+    every job, and every HTTP request, on its own thread -- may collect
+    connections the parent's dead threads left behind.  Closing one
+    there calls into sqlite, whose mutexes another parent thread may
+    have held at the moment of the fork: the child deadlocks.  The
+    finalizer therefore resurrects inherited connections instead; the
+    child exits without ever touching them.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._owner_pid = os.getpid()
+
+    def __del__(self) -> None:
+        if os.getpid() != self._owner_pid:
+            _INHERITED_CONNECTIONS.append(self)
+
+
+def _connect(path: Union[str, Path]) -> sqlite3.Connection:
+    """A WAL-mode autocommit connection (transactions are explicit)."""
+    con = sqlite3.connect(str(path), timeout=30.0, isolation_level=None,
+                          factory=_Connection)
+    con.execute("PRAGMA journal_mode=WAL")
+    con.execute("PRAGMA synchronous=NORMAL")
+    con.execute("PRAGMA busy_timeout=30000")
+    return con
+
+
+@contextlib.contextmanager
+def _txn(con: sqlite3.Connection) -> Iterator[sqlite3.Connection]:
+    """One IMMEDIATE transaction: the write lock is taken up front, so
+    read-modify-write sequences are atomic across processes."""
+    con.execute("BEGIN IMMEDIATE")
+    try:
+        yield con
+    except BaseException:
+        con.execute("ROLLBACK")
+        raise
+    con.execute("COMMIT")
+
+
 class ResultCache:
     """On-disk result store: one JSON file per simulated cell.
 
-    Layout: ``<root>/<key>.json`` data entries plus ``<root>/index.json``
-    (LRU bookkeeping and lifetime stats) and ``<root>/index.lock`` (an
-    advisory ``flock`` serialising index updates across processes and
-    hosts sharing the directory).  ``<root>`` defaults to
-    ``.repro_cache/`` (override with ``REPRO_CACHE_DIR``) and ``<key>``
-    is :meth:`SweepJob.key`.
+    Layout: ``<root>/<key>.json`` data entries plus
+    ``<root>/index.sqlite3`` (LRU bookkeeping and lifetime stats, a WAL
+    sqlite database).  ``<root>`` defaults to ``.repro_cache/``
+    (override with ``REPRO_CACHE_DIR``) and ``<key>`` is
+    :meth:`SweepJob.key`.
 
     Data files hold ``RunResult.to_dict()`` output and are written
     atomically (tmp file + rename), so a sweep killed mid-write never
     leaves a corrupt entry -- unreadable entries are treated as misses.
-    The index is rewritten atomically under the lock, so concurrent
-    writers can interleave but never corrupt it; a lost or corrupt index
-    is rebuilt from the data files on the next reconcile.
+    Every get/put is one sqlite transaction touching only the affected
+    row, so many processes and threads on one host can share a
+    directory (one connection per thread).  sqlite WAL needs shared
+    memory, so the directory must not live on a network filesystem:
+    remote workers keep their own ``--cache-dir``.  Instances must not
+    be shared across ``fork()`` -- each process opens its own.
 
     ``max_bytes`` (default ``REPRO_CACHE_MAX_BYTES``; 0 = unbounded)
     caps the total data size: every :meth:`put` evicts
     least-recently-used entries until the cap holds.  ``hits`` /
     ``misses`` / ``evictions`` count this object's lifetime;
     :meth:`stats` additionally reports the directory-wide lifetime
-    counters kept in the index.
+    counters kept in the index.  A pre-sqlite ``index.json`` is adopted
+    once (counters and LRU order carry over) and renamed to
+    ``index.json.migrated``.
     """
 
-    INDEX_NAME = "index.json"
-    LOCK_NAME = "index.lock"
+    INDEX_DB = "index.sqlite3"
 
-    #: Fallback lockfile (O_CREAT|O_EXCL) used when ``fcntl`` is
-    #: unavailable; created per critical section, removed on release.
-    LOCKFILE_NAME = "index.lockfile"
+    #: The pre-sqlite JSON index, adopted once and then renamed to
+    #: :attr:`MIGRATED_NAME`.
+    LEGACY_INDEX_NAME = "index.json"
+    MIGRATED_NAME = "index.json.migrated"
 
-    #: Seconds after which an abandoned fallback lockfile is broken.  A
-    #: crashed holder cannot release it (unlike a flock, which the OS
-    #: drops with the process), so waiters must eventually steal it.
-    LOCK_STALE_SECONDS = 30.0
+    _COUNTERS = ("hits", "misses", "evictions", "puts")
 
     def __init__(
         self,
@@ -269,178 +314,185 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        self._tls = threading.local()
 
     def path_for(self, key: str) -> Path:
         return self.root / f"{key}.json"
 
-    # -- index plumbing ----------------------------------------------------
+    # -- connection / schema ---------------------------------------------
 
-    @contextlib.contextmanager
-    def _lock(self):
-        """Exclusive advisory lock on the cache directory's index.
+    def _db(self) -> sqlite3.Connection:
+        con = getattr(self._tls, "con", None)
+        if con is None:
+            self.root.mkdir(parents=True, exist_ok=True)
+            con = _connect(self.root / self.INDEX_DB)
+            con.execute(
+                "CREATE TABLE IF NOT EXISTS meta "
+                "(k TEXT PRIMARY KEY, v INTEGER NOT NULL)"
+            )
+            con.execute(
+                "CREATE TABLE IF NOT EXISTS entries (key TEXT PRIMARY KEY, "
+                "size INTEGER NOT NULL, tick INTEGER NOT NULL)"
+            )
+            con.execute(
+                "CREATE INDEX IF NOT EXISTS entries_lru ON entries (tick, key)"
+            )
+            self._tls.con = con
+            self._adopt_legacy_index(con)
+        return con
 
-        POSIX hosts flock ``index.lock``.  Where ``fcntl`` is missing
-        (e.g. Windows) the fallback is an ``O_CREAT|O_EXCL`` lockfile:
-        atomic creation is the acquisition, removal the release, and a
-        lockfile older than :attr:`LOCK_STALE_SECONDS` is presumed
-        abandoned by a crashed holder and broken (best-effort: two
-        waiters racing the break resolve through the atomic create).
-        The previous behaviour -- silently skipping locking entirely --
-        made every index update on such hosts a lost-update race.
+    def _read_legacy_index(self) -> Tuple[Dict[str, int], List[Tuple[str, int, int]]]:
+        """The ``(meta, rows)`` a pre-sqlite ``index.json`` holds.
+
+        Salvages what a damaged or foreign-version index still has:
+        every well-formed counter, the tick and each well-formed entry
+        carry over; malformed ones are skipped.
         """
-        self.root.mkdir(parents=True, exist_ok=True)
-        if fcntl is not None:
-            handle = open(self.root / self.LOCK_NAME, "a+")
-            try:
-                fcntl.flock(handle, fcntl.LOCK_EX)
-                yield
-            finally:
-                fcntl.flock(handle, fcntl.LOCK_UN)
-                handle.close()
-            return
-        path = self.root / self.LOCKFILE_NAME
-        while True:
-            try:
-                fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                os.write(fd, str(os.getpid()).encode("ascii"))
-                os.close(fd)
-                break
-            except FileExistsError:
-                try:
-                    age = time.time() - os.stat(path).st_mtime
-                except OSError:
-                    continue  # holder just released: retry immediately
-                if age > self.LOCK_STALE_SECONDS:
-                    with contextlib.suppress(OSError):
-                        os.unlink(path)
-                    continue
-                time.sleep(0.05)
         try:
-            yield
-        finally:
-            with contextlib.suppress(OSError):
-                os.unlink(path)
+            with open(self.root / self.LEGACY_INDEX_NAME, "r",
+                      encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except (OSError, ValueError):
+            return {}, []
+        if not isinstance(raw, dict):
+            return {}, []
+        fields = [("tick", raw.get("tick", 0))]
+        stats = raw.get("stats")
+        if isinstance(stats, dict):
+            fields += [(field, stats.get(field, 0)) for field in self._COUNTERS]
+        meta: Dict[str, int] = {}
+        for field, value in fields:
+            with contextlib.suppress(TypeError, ValueError):
+                meta[field] = max(0, int(value))
+        rows: List[Tuple[str, int, int]] = []
+        entries = raw.get("entries")
+        if isinstance(entries, dict):
+            for key, entry in entries.items():
+                with contextlib.suppress(TypeError, ValueError, KeyError):
+                    rows.append((str(key), int(entry["size"]), int(entry["tick"])))
+        return meta, rows
+
+    def _adopt_legacy_index(self, con: sqlite3.Connection) -> None:
+        """One-time import of a pre-sqlite ``index.json`` (and of any
+        stray data blobs), preserving lifetime stats and LRU order."""
+        with _txn(con):
+            con.executemany(
+                "INSERT OR IGNORE INTO meta (k, v) VALUES (?, 0)",
+                [(k,) for k in ("adopted", "tick") + self._COUNTERS],
+            )
+            if con.execute(
+                "SELECT v FROM meta WHERE k='adopted'"
+            ).fetchone()[0]:
+                return
+            meta, rows = self._read_legacy_index()
+            con.executemany(
+                "UPDATE meta SET v = v + ? WHERE k = ?",
+                [(value, field) for field, value in meta.items()],
+            )
+            con.executemany(
+                "INSERT OR REPLACE INTO entries (key, size, tick) "
+                "VALUES (?, ?, ?)",
+                rows,
+            )
+            self._reconcile_rows(con)
+            con.execute("UPDATE meta SET v = 1 WHERE k = 'adopted'")
+        with contextlib.suppress(OSError):
+            os.replace(
+                self.root / self.LEGACY_INDEX_NAME,
+                self.root / self.MIGRATED_NAME,
+            )
+
+    # -- row helpers (call inside a transaction) -------------------------
 
     @staticmethod
-    def _fresh_index() -> Dict[str, object]:
-        return {
-            "version": INDEX_VERSION,
-            "tick": 0,
-            "stats": {"hits": 0, "misses": 0, "evictions": 0, "puts": 0},
-            "entries": {},
-        }
+    def _bump(con: sqlite3.Connection, field: str, n: int = 1) -> None:
+        con.execute("UPDATE meta SET v = v + ? WHERE k = ?", (n, field))
 
-    def _read_index(self) -> Dict[str, object]:
-        """The on-disk index, salvaging whatever a damaged one holds.
+    @staticmethod
+    def _next_tick(con: sqlite3.Connection) -> int:
+        con.execute("UPDATE meta SET v = v + 1 WHERE k = 'tick'")
+        return con.execute("SELECT v FROM meta WHERE k='tick'").fetchone()[0]
 
-        A version mismatch or parse error used to be treated as "fresh
-        index", which silently zeroed the lifetime hit/miss/evict
-        counters and orphaned every existing blob entry (invisible to
-        LRU eviction until the next explicit reconcile).  Instead,
-        readable stats fields and well-formed entries are adopted into
-        a fresh-format index, and the data files on disk are reconciled
-        in so no blob is orphaned by bookkeeping damage.
+    def _touch_row(self, con: sqlite3.Connection, key: str, size: int) -> None:
+        con.execute(
+            "INSERT OR REPLACE INTO entries (key, size, tick) VALUES (?, ?, ?)",
+            (key, size, self._next_tick(con)),
+        )
+
+    def _evict_rows(
+        self,
+        con: sqlite3.Connection,
+        max_bytes: int,
+        protect: Tuple[str, ...] = (),
+    ) -> List[str]:
+        """Drop LRU rows until the cap holds; returns the victims (the
+        caller unlinks their blobs after commit)."""
+        if max_bytes <= 0:
+            return []
+        total = con.execute(
+            "SELECT COALESCE(SUM(size), 0) FROM entries"
+        ).fetchone()[0]
+        victims: List[str] = []
+        for key, size in con.execute(
+            "SELECT key, size FROM entries ORDER BY tick, key"
+        ).fetchall():
+            if total <= max_bytes:
+                break
+            if key in protect:
+                continue
+            victims.append(key)
+            total -= size
+        for key in victims:
+            con.execute("DELETE FROM entries WHERE key = ?", (key,))
+        if victims:
+            self._bump(con, "evictions", len(victims))
+            self.evictions += len(victims)
+        return victims
+
+    def _reconcile_rows(self, con: sqlite3.Connection) -> None:
+        """Make the rows agree with the directory (inside a txn).
+
+        Rows whose data file vanished are dropped; stray data files
+        (e.g. written by a pre-index version of this cache) are adopted
+        at tick 0, i.e. first in line for eviction.
         """
-        raw: object = None
-        intact = False
-        try:
-            with open(self.root / self.INDEX_NAME, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-            intact = isinstance(raw, dict) and raw.get("version") == INDEX_VERSION
-        except (OSError, ValueError):
-            raw = None
-        index = self._fresh_index()
-        if isinstance(raw, dict):
-            try:
-                index["tick"] = max(0, int(raw.get("tick", 0)))
-            except (TypeError, ValueError):
-                intact = False
-            stats = raw.get("stats")
-            if isinstance(stats, dict):
-                for field in ("hits", "misses", "evictions", "puts"):
-                    try:
-                        index["stats"][field] = max(0, int(stats.get(field, 0)))
-                    except (TypeError, ValueError):
-                        intact = False
-            entries = raw.get("entries")
-            if isinstance(entries, dict):
-                for key, entry in entries.items():
-                    try:
-                        index["entries"][str(key)] = {
-                            "size": int(entry["size"]),
-                            "tick": int(entry["tick"]),
-                        }
-                    except (TypeError, ValueError, KeyError):
-                        intact = False
-            else:
-                intact = False
-        if not intact:
-            # Damaged, foreign-version, or absent bookkeeping: make the
-            # salvaged index agree with the directory so existing blobs
-            # stay visible to eviction and stats.
-            self._reconcile(index)
-        return index
-
-    def _write_index(self, index: Dict[str, object]) -> None:
-        final = self.root / self.INDEX_NAME
-        tmp = final.with_name(final.name + f".tmp{os.getpid()}")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(index, fh, separators=(",", ":"))
-        os.replace(tmp, final)
+        for (key,) in con.execute("SELECT key FROM entries").fetchall():
+            if not self.path_for(key).is_file():
+                con.execute("DELETE FROM entries WHERE key = ?", (key,))
+        for path in self._data_files():
+            key = path.stem
+            if not con.execute(
+                "SELECT 1 FROM entries WHERE key = ?", (key,)
+            ).fetchone():
+                con.execute(
+                    "INSERT INTO entries (key, size, tick) VALUES (?, ?, 0)",
+                    (key, path.stat().st_size),
+                )
 
     def _data_files(self) -> List[Path]:
         if not self.root.is_dir():
             return []
         return sorted(
-            p for p in self.root.glob("*.json") if p.name != self.INDEX_NAME
+            p for p in self.root.glob("*.json")
+            if p.name != self.LEGACY_INDEX_NAME
         )
 
-    def _reconcile(self, index: Dict[str, object]) -> None:
-        """Make the index agree with the directory (call under the lock).
+    def _write_blob(self, key: str, result: RunResult) -> int:
+        """Atomically write one data entry; returns its size in bytes.
 
-        Entries whose data file vanished are dropped; stray data files
-        (e.g. written by a pre-index version of this cache) are adopted
-        at tick 0, i.e. first in line for eviction.
+        The size comes from the payload, not a ``stat`` after the
+        rename: a concurrent eviction may already have unlinked it.
         """
-        entries: Dict[str, Dict[str, int]] = index["entries"]
-        for key in list(entries):
-            if not self.path_for(key).is_file():
-                del entries[key]
-        for path in self._data_files():
-            key = path.stem
-            if key not in entries:
-                entries[key] = {"size": path.stat().st_size, "tick": 0}
+        self.root.mkdir(parents=True, exist_ok=True)
+        final = self.path_for(key)
+        tmp = final.with_name(final.name + f".tmp{os.getpid()}")
+        payload = json.dumps(result.to_dict(), separators=(",", ":")).encode("utf-8")
+        with open(tmp, "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp, final)
+        return len(payload)
 
-    def _evict(self, index: Dict[str, object], max_bytes: int,
-               protect: Tuple[str, ...] = ()) -> int:
-        """Drop LRU entries until the cap holds (call under the lock)."""
-        if max_bytes <= 0:
-            return 0
-        entries: Dict[str, Dict[str, int]] = index["entries"]
-        total = sum(entry["size"] for entry in entries.values())
-        victims: List[str] = []
-        for key in sorted(entries, key=lambda k: (entries[k]["tick"], k)):
-            if total <= max_bytes:
-                break
-            if key in protect:
-                continue
-            total -= entries[key]["size"]
-            victims.append(key)
-        for key in victims:
-            del entries[key]
-            try:
-                self.path_for(key).unlink()
-            except OSError:
-                pass
-        index["stats"]["evictions"] += len(victims)
-        self.evictions += len(victims)
-        return len(victims)
-
-    def _touch(self, index: Dict[str, object], key: str, size: int) -> None:
-        index["tick"] += 1
-        index["entries"][key] = {"size": size, "tick": index["tick"]}
-
-    # -- public API --------------------------------------------------------
+    # -- public API ------------------------------------------------------
 
     def get(self, key: str) -> Optional[RunResult]:
         """The cached result for ``key``, or None (counting hit/miss)."""
@@ -454,94 +506,93 @@ class ResultCache:
             self.misses += 1
             REGISTRY.counter("repro_cache_misses_total",
                              "result-cache lookups that missed").inc()
-            # Counter updates pay the directory lock deliberately: the
-            # lifetime stats are exact across processes, and the cost is
-            # per simulation cell -- orders of magnitude cheaper than
-            # the cell itself.  A miss on a not-yet-created cache skips
-            # even that (no directory gets conjured just to count it).
-            if self.root.is_dir():
-                with self._lock():
-                    index = self._read_index()
-                    index["stats"]["misses"] += 1
-                    self._write_index(index)
+            if self.root.is_dir():  # a miss never conjures the directory
+                con = self._db()
+                with _txn(con):
+                    self._bump(con, "misses")
             return None
         self.hits += 1
         REGISTRY.counter("repro_cache_hits_total",
                          "result-cache lookups answered from disk").inc()
-        with self._lock():
-            index = self._read_index()
-            index["stats"]["hits"] += 1
-            # LRU: a hit refreshes recency -- but the blob was read
-            # *before* this lock, so a concurrent eviction may have
-            # removed entry and file in between.  Touching then would
-            # resurrect an index entry whose blob is gone; only refresh
-            # while the blob is still on disk.
-            if key in index["entries"] or path.is_file():
-                self._touch(index, key, size)
-            self._write_index(index)
+        con = self._db()
+        with _txn(con):
+            self._bump(con, "hits")
+            # LRU: a hit refreshes recency -- but only while the blob
+            # still exists, else a concurrent eviction between the read
+            # above and this transaction would be resurrected as an
+            # orphan row.
+            if con.execute(
+                "SELECT 1 FROM entries WHERE key = ?", (key,)
+            ).fetchone() or path.is_file():
+                self._touch_row(con, key, size)
         return result
-
-    def _write_blob(self, key: str, result: RunResult) -> int:
-        """Atomically write one data entry; returns its size in bytes."""
-        self.root.mkdir(parents=True, exist_ok=True)
-        final = self.path_for(key)
-        tmp = final.with_name(final.name + f".tmp{os.getpid()}")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(result.to_dict(), fh, separators=(",", ":"))
-        os.replace(tmp, final)
-        return final.stat().st_size
 
     def put(self, key: str, result: RunResult) -> None:
         REGISTRY.counter("repro_cache_puts_total",
                          "results written to the cache").inc()
         size = self._write_blob(key, result)
-        final = self.path_for(key)
-        with self._lock():
-            index = self._read_index()
-            if not final.is_file():
+        con = self._db()
+        with _txn(con):
+            if not self.path_for(key).is_file():
                 # A concurrent eviction raced the blob away between the
-                # write above and this lock; restore it before indexing
-                # so the entry never points at a missing file.
+                # write above and this transaction; restore it so the
+                # row never points at a missing file.
                 size = self._write_blob(key, result)
-            index["stats"]["puts"] += 1
-            self._touch(index, key, size)
+            self._bump(con, "puts")
+            self._touch_row(con, key, size)
             # Never evict what was just written, even if it alone busts
             # the cap -- caching the current sweep beats strict caps.
-            self._evict(index, self.max_bytes, protect=(key,))
-            self._write_index(index)
+            victims = self._evict_rows(con, self.max_bytes, protect=(key,))
+        for victim in victims:
+            with contextlib.suppress(OSError):
+                self.path_for(victim).unlink()
 
     def prune(self, max_bytes: Optional[int] = None) -> int:
         """Evict LRU entries until the cache fits ``max_bytes``.
 
         Defaults to this cache's configured cap; returns the number of
-        entries removed (0 when unbounded).
+        entries removed (0 when unbounded or when the directory does
+        not exist).
         """
         target = self.max_bytes if max_bytes is None else max(0, int(max_bytes))
-        if target <= 0:
+        if target <= 0 or not self.root.is_dir():
             return 0
-        with self._lock():
-            index = self._read_index()
-            self._reconcile(index)
-            removed = self._evict(index, target)
-            self._write_index(index)
-        return removed
+        con = self._db()
+        with _txn(con):
+            self._reconcile_rows(con)
+            victims = self._evict_rows(con, target)
+        for victim in victims:
+            with contextlib.suppress(OSError):
+                self.path_for(victim).unlink()
+        return len(victims)
 
     def stats(self) -> Dict[str, object]:
-        """Directory-wide cache statistics (reconciled under the lock)."""
-        with self._lock():
-            index = self._read_index()
-            self._reconcile(index)
-            self._write_index(index)
-        entries: Dict[str, Dict[str, int]] = index["entries"]
+        """Directory-wide cache statistics (reconciled with the blobs).
+
+        A directory that does not exist reads as an empty cache and is
+        not created.
+        """
+        entries, size_bytes, counters = 0, 0, {}
+        if self.root.is_dir():
+            con = self._db()
+            with _txn(con):
+                self._reconcile_rows(con)
+                entries, size_bytes = con.execute(
+                    "SELECT COUNT(*), COALESCE(SUM(size), 0) FROM entries"
+                ).fetchone()
+                counters = dict(
+                    con.execute(
+                        "SELECT k, v FROM meta WHERE k IN (?, ?, ?, ?)",
+                        self._COUNTERS,
+                    ).fetchall()
+                )
         return {
             "root": str(self.root),
-            "entries": len(entries),
-            "size_bytes": sum(entry["size"] for entry in entries.values()),
+            "index": "sqlite",
+            "entries": entries,
+            "size_bytes": size_bytes,
             "max_bytes": self.max_bytes,
-            "hits": index["stats"]["hits"],
-            "misses": index["stats"]["misses"],
-            "evictions": index["stats"]["evictions"],
-            "puts": index["stats"]["puts"],
+            **{field: counters.get(field, 0) for field in self._COUNTERS},
         }
 
     def entries(self) -> List[Path]:
@@ -554,16 +605,26 @@ class ResultCache:
         """Delete all cached results (and reset the index); returns count."""
         if not self.root.is_dir():
             return 0
-        with self._lock():
-            removed = 0
+        con = self._db()
+        removed = 0
+        with _txn(con):
             for path in self._data_files():
-                try:
+                with contextlib.suppress(OSError):
                     path.unlink()
                     removed += 1
-                except OSError:
-                    pass
-            self._write_index(self._fresh_index())
+            con.execute("DELETE FROM entries")
+            con.executemany(
+                "UPDATE meta SET v = 0 WHERE k = ?",
+                [(k,) for k in ("tick",) + self._COUNTERS],
+            )
         return removed
+
+    def close(self) -> None:
+        """Close this thread's index connection (reopened on next use)."""
+        con = getattr(self._tls, "con", None)
+        if con is not None:
+            con.close()
+            self._tls.con = None
 
 
 def resolve_cache(
@@ -703,7 +764,7 @@ def stream_sweep(
     # cell through this queue.  "finish exactly once per cell, from the
     # thread that called run()" still holds -- that thread is the
     # helper, and its calls serialize through the queue.  The cache
-    # write happens here in _finish (the ResultCache is flock-guarded),
+    # write happens here in _finish (one sqlite transaction per put),
     # so finished cells are durable even if the consumer never drains
     # the queue.
     events: "queue.Queue[tuple]" = queue.Queue()

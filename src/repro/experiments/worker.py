@@ -27,9 +27,12 @@ Three ways to wire a worker to a coordinator:
 Workers execute cells through exactly the same
 :func:`~repro.experiments.orchestrator._execute_job` path as the local
 backends, so results are byte-identical wherever a cell runs.  Passing
-``cache`` (``--cache-dir``) lets workers on a shared filesystem consult
-and feed one content-addressed result cache; the cache's advisory file
-locking keeps concurrent workers safe.
+``cache`` (``--cache-dir``) lets workers consult and feed a
+content-addressed result cache.  Workers on one host may share a
+directory (its sqlite index is safe across processes); sqlite WAL needs
+shared memory, so remote workers keep their own ``--cache-dir`` rather
+than one on a network filesystem, and the coordinator counts their
+answers as ``remote_cache_hits``.
 
 A cell that raises on the worker is reported back (``ok: false`` plus
 the traceback) and aborts the coordinator's sweep; the worker itself

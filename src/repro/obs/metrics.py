@@ -227,3 +227,12 @@ def _default_enabled() -> bool:
 
 
 REGISTRY = MetricsRegistry(enabled=_default_enabled())
+
+if hasattr(os, "register_at_fork"):
+    # A fork can catch another thread inside the registry's lock (cache
+    # and sweep counters are bumped from service threads); the child --
+    # a process-pool worker that publishes its cell's span -- would
+    # then block on its copy forever.  It starts with a fresh lock.
+    os.register_at_fork(
+        after_in_child=lambda: setattr(REGISTRY, "_lock", threading.Lock())
+    )

@@ -3,7 +3,6 @@
 Submodules:
 
 * :mod:`repro.service.store` -- sqlite persistence: the
-  :class:`~repro.service.store.SqliteResultCache` result index and the
   :class:`~repro.service.store.JobStore` job queue / event log.
 * :mod:`repro.service.coordinator` -- :class:`SweepService`, the
   scheduler that claims jobs and drives ``stream_sweep`` over them.
@@ -13,13 +12,11 @@ Submodules:
 
 The coordinator and API are imported lazily by the CLI (``repro
 serve`` / ``repro job``) so that importing :mod:`repro.service` stays
-cheap for code that only wants the sqlite cache.
+cheap for code that only wants the job store.
 """
 
-from repro.service.store import JobStore, SqliteResultCache, open_result_cache
+from repro.service.store import JobStore
 
 __all__ = [
     "JobStore",
-    "SqliteResultCache",
-    "open_result_cache",
 ]

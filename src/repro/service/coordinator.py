@@ -3,7 +3,7 @@
 :class:`SweepService` turns the one-shot CLI orchestration into
 infrastructure: it owns a persistent :class:`~repro.service.store.JobStore`
 (submissions survive coordinator crashes), a shared
-:class:`~repro.service.store.SqliteResultCache`, and -- optionally -- one
+:class:`~repro.experiments.orchestrator.ResultCache`, and -- optionally -- one
 long-lived distributed backend (static workers, a dial-in listener,
 and/or a registry subscription), then runs submitted jobs through the
 exact ``stream_sweep`` machinery the CLI uses.  Reliability semantics
@@ -56,7 +56,7 @@ from repro.experiments.runner import default_records
 from repro.obs import REGISTRY, span
 from repro.obs.log import JsonLinesLogger
 from repro.obs.spans import SpanContext, activate, deactivate
-from repro.service.store import JobStore, SqliteResultCache
+from repro.service.store import JobStore
 
 #: Job kinds :class:`SweepService` executes.
 JOB_KINDS = ("sweep", "scenario", "report")
@@ -71,10 +71,11 @@ class SweepService:
 
     Use as a context manager or call :meth:`start` / :meth:`close`.
     ``state_dir`` holds the sqlite job queue and per-job artifact
-    directories; ``cache_dir`` the (sqlite-indexed) result cache shared
-    by every job.  ``workers`` / ``listen`` / ``registry`` configure
-    one shared :class:`DistributedBackend`; with none of them, cells
-    run on the local process pool (``jobs``).
+    directories; ``cache_dir`` the result cache shared by every job
+    (and by any ``repro sweep`` on this host pointed at the same
+    directory).  ``workers`` / ``listen`` / ``registry`` configure one
+    shared :class:`DistributedBackend`; with none of them, cells run on
+    the local process pool (``jobs``).
     """
 
     def __init__(
@@ -93,9 +94,7 @@ class SweepService:
         self.state_dir = Path(state_dir)
         self.state_dir.mkdir(parents=True, exist_ok=True)
         self.store = JobStore(self.state_dir / "jobs.sqlite3")
-        self.cache: ResultCache = SqliteResultCache(
-            cache_dir, max_bytes=cache_max_bytes
-        )
+        self.cache = ResultCache(cache_dir, max_bytes=cache_max_bytes)
         self.jobs = jobs
         self.policy = policy
         self.max_active = max(1, int(max_active))

@@ -1,50 +1,34 @@
-"""Sqlite persistence for sweep-as-a-service: result index + job queue.
+"""Sqlite persistence for sweep-as-a-service: the job queue.
 
-Two stores back the always-on coordinator (:mod:`repro.service`):
+:class:`JobStore` is the coordinator's persistent job queue and event
+log.  (The result cache the coordinator shares with every other entry
+point is :class:`~repro.experiments.orchestrator.ResultCache`, whose
+sqlite helpers this module reuses.)  Jobs -- sweep / scenario / report
+submissions over the HTTP API -- survive coordinator crashes: a
+SIGKILLed coordinator restarts, moves its ``running`` jobs back to
+``queued`` (:meth:`JobStore.requeue_running`), and resumes -- finished
+cells are already in the result cache, so the resumed job
+fast-forwards through cache hits.  :meth:`JobStore.claim_next`
+implements the scheduling policy: strict priority first, then **fair
+share** across submitters (the submitter with the fewest
+already-started jobs goes first), then FIFO.
 
-* :class:`SqliteResultCache` -- a drop-in
-  :class:`~repro.experiments.orchestrator.ResultCache` whose index
-  lives in ``<root>/index.sqlite3`` instead of the flock'd
-  ``index.json``.  The ``.repro_cache/`` data blobs (one JSON file per
-  simulated cell) are unchanged, so every existing consumer of the
-  cache directory keeps working; only the LRU/stats bookkeeping moves
-  into sqlite, whose page-level locking survives thousands of
-  concurrent cells where rewriting one JSON index per touch will not.
-  On first open an existing ``index.json`` is adopted one time --
-  lifetime stats and LRU order carry over -- and renamed to
-  ``index.json.migrated`` so the two bookkeeping schemes never run
-  side by side.
-
-* :class:`JobStore` -- the coordinator's persistent job queue and
-  event log.  Jobs (sweep / scenario / report submissions over the
-  HTTP API) survive coordinator crashes: a SIGKILLed coordinator
-  restarts, moves its ``running`` jobs back to ``queued``
-  (:meth:`JobStore.requeue_running`), and resumes -- finished cells
-  are already in the result cache, so the resumed job fast-forwards
-  through cache hits.  :meth:`JobStore.claim_next` implements the
-  scheduling policy: strict priority first, then **fair share** across
-  submitters (the submitter with the fewest already-started jobs goes
-  first), then FIFO.
-
-Both stores open one sqlite connection per thread (WAL journal, busy
+The store opens one sqlite connection per thread (WAL journal, busy
 timeout) so the HTTP handler threads, the scheduler, and concurrent
-submitter processes can share them without a global lock.  Instances
+submitter processes can share it without a global lock.  Instances
 must not be shared across ``fork()`` -- each process opens its own.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
-import os
 import sqlite3
 import threading
 import time
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
-from repro.experiments.orchestrator import ResultCache
-from repro.experiments.runner import RunResult
+from repro.experiments.orchestrator import ResultCache, _connect, _txn
 
 #: Jobs in these states are finished: no scheduler will touch them again.
 TERMINAL_STATES = ("done", "failed", "cancelled")
@@ -52,302 +36,8 @@ TERMINAL_STATES = ("done", "failed", "cancelled")
 #: Every state a job can be in (queued -> running -> one of the above).
 JOB_STATES = ("queued", "running") + TERMINAL_STATES
 
-
-def _connect(path: Union[str, Path]) -> sqlite3.Connection:
-    """A WAL-mode autocommit connection (transactions are explicit)."""
-    con = sqlite3.connect(str(path), timeout=30.0, isolation_level=None)
-    con.execute("PRAGMA journal_mode=WAL")
-    con.execute("PRAGMA synchronous=NORMAL")
-    con.execute("PRAGMA busy_timeout=30000")
-    return con
-
-
-@contextlib.contextmanager
-def _txn(con: sqlite3.Connection) -> Iterator[sqlite3.Connection]:
-    """One IMMEDIATE transaction: the write lock is taken up front, so
-    read-modify-write sequences are atomic across processes."""
-    con.execute("BEGIN IMMEDIATE")
-    try:
-        yield con
-    except BaseException:
-        con.execute("ROLLBACK")
-        raise
-    con.execute("COMMIT")
-
-
-class SqliteResultCache(ResultCache):
-    """A ResultCache whose index is a sqlite database, not a JSON file.
-
-    Same directory layout for data (``<root>/<key>.json`` blobs), same
-    public API and lifetime counters, same LRU semantics -- but every
-    get/put touches only the affected row instead of rewriting the
-    whole index under an exclusive flock.  Safe for many concurrent
-    processes and threads (sqlite WAL + per-thread connections).
-    """
-
-    INDEX_DB = "index.sqlite3"
-
-    #: ``index.json`` is renamed to this after its one-time adoption.
-    MIGRATED_NAME = "index.json.migrated"
-
-    _COUNTERS = ("hits", "misses", "evictions", "puts")
-
-    def __init__(
-        self,
-        root: Optional[Union[str, Path]] = None,
-        max_bytes: Optional[int] = None,
-    ) -> None:
-        super().__init__(root, max_bytes=max_bytes)
-        self._tls = threading.local()
-
-    # -- connection / schema ---------------------------------------------
-
-    def _db(self) -> sqlite3.Connection:
-        con = getattr(self._tls, "con", None)
-        if con is None:
-            self.root.mkdir(parents=True, exist_ok=True)
-            con = _connect(self.root / self.INDEX_DB)
-            con.execute(
-                "CREATE TABLE IF NOT EXISTS meta "
-                "(k TEXT PRIMARY KEY, v INTEGER NOT NULL)"
-            )
-            con.execute(
-                "CREATE TABLE IF NOT EXISTS entries (key TEXT PRIMARY KEY, "
-                "size INTEGER NOT NULL, tick INTEGER NOT NULL)"
-            )
-            con.execute(
-                "CREATE INDEX IF NOT EXISTS entries_lru ON entries (tick, key)"
-            )
-            self._tls.con = con
-            self._adopt_legacy_index(con)
-        return con
-
-    def _adopt_legacy_index(self, con: sqlite3.Connection) -> None:
-        """One-time import of a pre-sqlite ``index.json`` (and of any
-        stray data blobs), preserving lifetime stats and LRU order."""
-        with _txn(con):
-            con.executemany(
-                "INSERT OR IGNORE INTO meta (k, v) VALUES (?, 0)",
-                [(k,) for k in ("adopted", "tick") + self._COUNTERS],
-            )
-            if con.execute(
-                "SELECT v FROM meta WHERE k='adopted'"
-            ).fetchone()[0]:
-                return
-            # The salvage-capable JSON reader: parses what it can of a
-            # legacy index and reconciles the directory's blobs in.
-            legacy = ResultCache._read_index(self)
-            for field in self._COUNTERS:
-                con.execute(
-                    "UPDATE meta SET v = v + ? WHERE k = ?",
-                    (int(legacy["stats"][field]), field),
-                )
-            con.execute(
-                "UPDATE meta SET v = ? WHERE k = 'tick'",
-                (int(legacy["tick"]),),
-            )
-            con.executemany(
-                "INSERT OR REPLACE INTO entries (key, size, tick) "
-                "VALUES (?, ?, ?)",
-                [
-                    (key, int(entry["size"]), int(entry["tick"]))
-                    for key, entry in legacy["entries"].items()
-                ],
-            )
-            con.execute("UPDATE meta SET v = 1 WHERE k = 'adopted'")
-        with contextlib.suppress(OSError):
-            os.replace(
-                self.root / self.INDEX_NAME, self.root / self.MIGRATED_NAME
-            )
-
-    # -- row helpers (call inside a transaction) -------------------------
-
-    @staticmethod
-    def _bump(con: sqlite3.Connection, field: str, n: int = 1) -> None:
-        con.execute("UPDATE meta SET v = v + ? WHERE k = ?", (n, field))
-
-    @staticmethod
-    def _next_tick(con: sqlite3.Connection) -> int:
-        con.execute("UPDATE meta SET v = v + 1 WHERE k = 'tick'")
-        return con.execute("SELECT v FROM meta WHERE k='tick'").fetchone()[0]
-
-    def _touch_row(self, con: sqlite3.Connection, key: str, size: int) -> None:
-        con.execute(
-            "INSERT OR REPLACE INTO entries (key, size, tick) VALUES (?, ?, ?)",
-            (key, size, self._next_tick(con)),
-        )
-
-    def _evict_rows(
-        self,
-        con: sqlite3.Connection,
-        max_bytes: int,
-        protect: Tuple[str, ...] = (),
-    ) -> List[str]:
-        """Drop LRU rows until the cap holds; returns the victims (the
-        caller unlinks their blobs after commit)."""
-        if max_bytes <= 0:
-            return []
-        total = con.execute(
-            "SELECT COALESCE(SUM(size), 0) FROM entries"
-        ).fetchone()[0]
-        victims: List[str] = []
-        for key, size in con.execute(
-            "SELECT key, size FROM entries ORDER BY tick, key"
-        ).fetchall():
-            if total <= max_bytes:
-                break
-            if key in protect:
-                continue
-            victims.append(key)
-            total -= size
-        for key in victims:
-            con.execute("DELETE FROM entries WHERE key = ?", (key,))
-        if victims:
-            self._bump(con, "evictions", len(victims))
-            self.evictions += len(victims)
-        return victims
-
-    def _reconcile_rows(self, con: sqlite3.Connection) -> None:
-        """Make the rows agree with the directory (inside a txn)."""
-        for (key,) in con.execute("SELECT key FROM entries").fetchall():
-            if not self.path_for(key).is_file():
-                con.execute("DELETE FROM entries WHERE key = ?", (key,))
-        for path in self._data_files():
-            key = path.stem
-            if not con.execute(
-                "SELECT 1 FROM entries WHERE key = ?", (key,)
-            ).fetchone():
-                con.execute(
-                    "INSERT INTO entries (key, size, tick) VALUES (?, ?, 0)",
-                    (key, path.stat().st_size),
-                )
-
-    # -- public API ------------------------------------------------------
-
-    def get(self, key: str) -> Optional[RunResult]:
-        path = self.path_for(key)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            result = RunResult.from_dict(data)
-            size = path.stat().st_size
-        except (OSError, ValueError, KeyError, TypeError):
-            self.misses += 1
-            if self.root.is_dir():  # a miss never conjures the directory
-                con = self._db()
-                with _txn(con):
-                    self._bump(con, "misses")
-            return None
-        self.hits += 1
-        con = self._db()
-        with _txn(con):
-            self._bump(con, "hits")
-            # LRU: a hit refreshes recency -- but only while the blob
-            # still exists, else a concurrent eviction between the read
-            # above and this transaction would be resurrected as an
-            # orphan row (same hazard as ResultCache.get).
-            if con.execute(
-                "SELECT 1 FROM entries WHERE key = ?", (key,)
-            ).fetchone() or path.is_file():
-                self._touch_row(con, key, size)
-        return result
-
-    def put(self, key: str, result: RunResult) -> None:
-        size = self._write_blob(key, result)
-        con = self._db()
-        with _txn(con):
-            if not self.path_for(key).is_file():
-                # A concurrent eviction raced the blob away between the
-                # write above and this transaction; restore it so the
-                # row never points at a missing file.
-                size = self._write_blob(key, result)
-            self._bump(con, "puts")
-            self._touch_row(con, key, size)
-            victims = self._evict_rows(con, self.max_bytes, protect=(key,))
-        for victim in victims:
-            with contextlib.suppress(OSError):
-                self.path_for(victim).unlink()
-
-    def prune(self, max_bytes: Optional[int] = None) -> int:
-        target = self.max_bytes if max_bytes is None else max(0, int(max_bytes))
-        if target <= 0:
-            return 0
-        con = self._db()
-        with _txn(con):
-            self._reconcile_rows(con)
-            victims = self._evict_rows(con, target)
-        for victim in victims:
-            with contextlib.suppress(OSError):
-                self.path_for(victim).unlink()
-        return len(victims)
-
-    def stats(self) -> Dict[str, object]:
-        con = self._db()
-        with _txn(con):
-            self._reconcile_rows(con)
-            entries, size_bytes = con.execute(
-                "SELECT COUNT(*), COALESCE(SUM(size), 0) FROM entries"
-            ).fetchone()
-            counters = dict(
-                con.execute(
-                    "SELECT k, v FROM meta WHERE k IN (?, ?, ?, ?)",
-                    self._COUNTERS,
-                ).fetchall()
-            )
-        return {
-            "root": str(self.root),
-            "index": "sqlite",
-            "entries": entries,
-            "size_bytes": size_bytes,
-            "max_bytes": self.max_bytes,
-            **{field: counters.get(field, 0) for field in self._COUNTERS},
-        }
-
-    def clear(self) -> int:
-        if not self.root.is_dir():
-            return 0
-        con = self._db()
-        removed = 0
-        with _txn(con):
-            for path in self._data_files():
-                with contextlib.suppress(OSError):
-                    path.unlink()
-                    removed += 1
-            con.execute("DELETE FROM entries")
-            con.executemany(
-                "UPDATE meta SET v = 0 WHERE k = ?",
-                [(k,) for k in ("tick",) + self._COUNTERS],
-            )
-        return removed
-
-    def close(self) -> None:
-        con = getattr(self._tls, "con", None)
-        if con is not None:
-            con.close()
-            self._tls.con = None
-
-
-def open_result_cache(
-    root: Optional[Union[str, Path]] = None,
-    max_bytes: Optional[int] = None,
-    index: str = "auto",
-) -> ResultCache:
-    """A ResultCache for ``root`` with the right index backend.
-
-    ``index``: ``"sqlite"`` / ``"json"`` force a backend; ``"auto"``
-    (default) keeps whatever the directory already uses -- sqlite if
-    ``index.sqlite3`` exists, else the legacy JSON index -- so mixed
-    fleets never run both bookkeeping schemes on one directory.
-    """
-    if index not in ("auto", "sqlite", "json"):
-        raise ValueError(f"unknown cache index backend {index!r}")
-    if index == "auto":
-        probe = ResultCache(root, max_bytes=0)
-        index = "sqlite" if (probe.root / SqliteResultCache.INDEX_DB).exists() \
-            else "json"
-    if index == "sqlite":
-        return SqliteResultCache(root, max_bytes=max_bytes)
-    return ResultCache(root, max_bytes=max_bytes)
+#: The result cache's former service-side name, kept for importers.
+SqliteResultCache = ResultCache
 
 
 class JobStore:

@@ -1,23 +1,28 @@
 """Tests for the ResultCache storage layer.
 
-Exercises the index file, size caps with LRU eviction, exact hit/miss/
-evict accounting, prune, legacy-entry adoption, index-corruption
-recovery, and multi-process writers sharing one cache directory.
+Exercises the sqlite index, size caps with LRU eviction, exact hit/miss/
+put/evict accounting, prune, one-time adoption of a legacy ``index.json``
+(including damaged ones), multi-process writers sharing one cache
+directory, and ``repro sweep`` and ``repro serve`` sharing one directory.
 """
 
+import gc
 import json
 import multiprocessing
-import os
+import sys
 import threading
 import time
 
-import pytest
-
+from repro.cli import main
 from repro.config import SimConfig
-from repro.experiments import orchestrator as orchestrator_mod
+from repro.experiments import orchestrator
 from repro.experiments.orchestrator import ResultCache
 from repro.experiments.runner import RunResult
+from repro.service.coordinator import SweepService
+from repro.service.store import SqliteResultCache
 from repro.sim.stats import SimStats
+
+LEGACY = ResultCache.LEGACY_INDEX_NAME
 
 
 def fake_result(workload: str = "bc") -> RunResult:
@@ -32,6 +37,26 @@ def entry_size(tmp_path) -> int:
     return probe.size_bytes()
 
 
+def write_legacy_cache(root, keys=("k0", "k1"), hits=1, misses=1):
+    """A cache directory as the pre-sqlite JSON index left it: one blob
+    per key plus an ``index.json`` with LRU ticks and lifetime stats."""
+    root.mkdir(parents=True, exist_ok=True)
+    blob = json.dumps(fake_result().to_dict(), separators=(",", ":"))
+    entries = {}
+    for tick, key in enumerate(keys, start=1):
+        (root / f"{key}.json").write_text(blob)
+        entries[key] = {"size": len(blob), "tick": tick}
+    index = {
+        "version": 1,
+        "tick": len(keys),
+        "stats": {"hits": hits, "misses": misses, "evictions": 0,
+                  "puts": len(keys)},
+        "entries": entries,
+    }
+    (root / LEGACY).write_text(json.dumps(index))
+    return index
+
+
 class TestBasics:
     def test_round_trip_and_counters(self, tmp_path):
         store = ResultCache(tmp_path)
@@ -41,11 +66,14 @@ class TestBasics:
         assert hit is not None
         assert hit.workload == "bc"
         assert (store.hits, store.misses) == (1, 1)
+        stats = store.stats()
+        assert stats["index"] == "sqlite"
+        assert (stats["hits"], stats["misses"], stats["puts"]) == (1, 1, 1)
 
     def test_index_file_is_not_an_entry(self, tmp_path):
         store = ResultCache(tmp_path)
         store.put("k1", fake_result())
-        assert (tmp_path / ResultCache.INDEX_NAME).is_file()
+        assert (tmp_path / ResultCache.INDEX_DB).is_file()
         assert [p.stem for p in store.entries()] == ["k1"]
         assert store.stats()["entries"] == 1
 
@@ -57,6 +85,19 @@ class TestBasics:
         monkeypatch.delenv("REPRO_CACHE_MAX_BYTES")
         assert ResultCache(tmp_path).max_bytes == 0
         assert ResultCache(tmp_path, max_bytes=123).max_bytes == 123
+
+    def test_missing_directory_reads_empty_and_is_not_created(self, tmp_path):
+        root = tmp_path / "absent"
+        store = ResultCache(root, max_bytes=1)
+        stats = store.stats()
+        assert (stats["entries"], stats["size_bytes"], stats["puts"]) == (0, 0, 0)
+        assert store.prune() == 0
+        assert store.clear() == 0
+        assert store.get("k") is None
+        assert not root.exists()
+
+    def test_service_name_is_the_same_class(self):
+        assert SqliteResultCache is ResultCache
 
 
 class TestEviction:
@@ -132,16 +173,18 @@ class TestPrune:
         assert stats["entries"] == 0
         assert stats["puts"] == 0
         assert store.size_bytes() == 0
+        assert store.get("k0") is None
 
 
 class TestResilience:
     def test_corrupt_index_recovers(self, tmp_path):
+        """An unparseable legacy index still adopts every blob."""
+        write_legacy_cache(tmp_path)
+        (tmp_path / LEGACY).write_text("{not json")
         store = ResultCache(tmp_path)
-        store.put("k0", fake_result())
-        store.put("k1", fake_result())
-        (tmp_path / ResultCache.INDEX_NAME).write_text("{not json")
         assert store.stats()["entries"] == 2  # rebuilt from data files
         assert store.get("k0") is not None
+        assert (tmp_path / ResultCache.MIGRATED_NAME).is_file()
 
     def test_adopts_legacy_unindexed_entries(self, tmp_path):
         """Data files written before the index existed are adopted and
@@ -159,6 +202,58 @@ class TestResilience:
         store.put("k0", fake_result())
         store.path_for("k0").unlink()
         assert store.stats()["entries"] == 0
+
+
+class TestLegacyAdoption:
+    def test_adoption_keeps_lru_order(self, tmp_path):
+        unit = entry_size(tmp_path / "probe-dir")
+        write_legacy_cache(tmp_path / "c", keys=("old", "new"))
+        store = ResultCache(tmp_path / "c", max_bytes=2 * unit)
+        store.put("fresh", fake_result())
+        assert {p.stem for p in store.entries()} == {"new", "fresh"}
+
+
+class TestIndexSalvage:
+    def test_version_mismatch_preserves_stats_and_entries(self, tmp_path):
+        """A foreign-version legacy index is salvaged, not zeroed:
+        lifetime counters and entries carry over into sqlite."""
+        index = write_legacy_cache(tmp_path, hits=1, misses=1)
+        index["version"] = 999
+        (tmp_path / LEGACY).write_text(json.dumps(index))
+
+        fresh = ResultCache(tmp_path)
+        stats = fresh.stats()
+        assert stats["entries"] == 2
+        assert stats["puts"] == 2
+        assert stats["hits"] == 1
+        assert stats["misses"] == 1
+        assert fresh.get("k1") is not None
+
+    def test_mangled_entries_reconciled_from_disk(self, tmp_path):
+        """Damaged entry records and counters are skipped but the blobs
+        they pointed at are re-adopted from the directory -- nothing is
+        orphaned, and the well-formed counters survive."""
+        index = write_legacy_cache(tmp_path)
+        index["entries"]["k0"] = "garbage"
+        index["stats"]["hits"] = "garbage"
+        (tmp_path / LEGACY).write_text(json.dumps(index))
+
+        stats = ResultCache(tmp_path).stats()
+        assert stats["entries"] == 2           # k0 came back via reconcile
+        assert stats["puts"] == 2              # counters survived
+        assert stats["misses"] == 1
+        assert stats["hits"] == 0              # the malformed one is skipped
+
+    def test_salvaged_blobs_stay_evictable(self, tmp_path):
+        """After index damage every blob must stay visible to the LRU."""
+        unit = entry_size(tmp_path)
+        root = tmp_path / "c"
+        write_legacy_cache(root, keys=("k0", "k1", "k2"))
+        (root / LEGACY).write_text("{not json")
+        capped = ResultCache(root, max_bytes=unit + unit // 2)
+        capped.put("fresh", fake_result())
+        assert capped.size_bytes() <= capped.max_bytes
+        assert "fresh" in {p.stem for p in capped.entries()}
 
 
 def _hammer(root, worker_id, n, max_bytes):
@@ -184,7 +279,38 @@ def _run_hammers(root, max_bytes, workers=4, n=20):
     return workers * n
 
 
+def _collect_inherited():
+    gc.collect()
+    sys.exit(len(orchestrator._INHERITED_CONNECTIONS))
+
+
 class TestConcurrency:
+    def test_forked_child_never_closes_inherited_connections(self, tmp_path):
+        """A dead thread's index connection is cyclic garbage.  A forked
+        child that collects it must not close it -- sqlite's mutexes may
+        have been held by another parent thread at the fork, which used
+        to deadlock ``repro serve``'s process-pool workers -- so it is
+        kept alive instead, and the parent's index is untouched."""
+        store = ResultCache(tmp_path)
+        gc.disable()
+        try:
+            writer = threading.Thread(target=store.put,
+                                      args=("k", fake_result()))
+            writer.start()
+            writer.join()
+            child = multiprocessing.get_context("fork").Process(
+                target=_collect_inherited)
+            child.start()
+            child.join(timeout=60)
+        finally:
+            gc.enable()
+        # At least the writer's connection; earlier garbage may join it.
+        assert child.exitcode >= 1
+        gc.collect()
+        assert orchestrator._INHERITED_CONNECTIONS == []
+        stats = store.stats()
+        assert stats["puts"] == 1 and stats["entries"] == 1
+
     def test_concurrent_writers_exact_accounting(self, tmp_path):
         """Unbounded cache: no update may be lost under contention."""
         puts = _run_hammers(tmp_path, max_bytes=0)
@@ -197,128 +323,51 @@ class TestConcurrency:
         assert stats["evictions"] == 0
         assert stats["hits"] + stats["misses"] == 2 * puts
         assert stats["hits"] >= puts  # each writer re-reads its own key
+        for path in store.entries():
+            assert store.get(path.stem) is not None
 
     def test_concurrent_writers_capped_never_corrupt(self, tmp_path):
         unit = entry_size(tmp_path / "probe-dir")
         cap = 5 * unit
         _run_hammers(tmp_path / "shared", max_bytes=cap)
-        with open(tmp_path / "shared" / ResultCache.INDEX_NAME) as fh:
-            index = json.load(fh)  # must parse: writers never corrupt it
         store = ResultCache(tmp_path / "shared", max_bytes=cap)
         stats = store.stats()
         assert stats["size_bytes"] <= cap
         assert stats["puts"] == 80
         # Every surviving index entry must be a readable result.
-        for key in index["entries"]:
-            assert store.get(key) is not None
+        for path in store.entries():
+            assert store.get(path.stem) is not None, path.stem
 
 
-class TestIndexSalvage:
-    def test_version_mismatch_preserves_stats_and_entries(self, tmp_path):
-        """A foreign-version index is salvaged, not zeroed: lifetime
-        counters and entries carry over into the fresh format."""
-        store = ResultCache(tmp_path)
-        store.put("k0", fake_result())
-        store.put("k1", fake_result())
-        assert store.get("k0") is not None   # hits = 1
-        assert store.get("gone") is None     # misses = 1
-        index_path = tmp_path / ResultCache.INDEX_NAME
-        index = json.loads(index_path.read_text())
-        index["version"] = 999
-        index_path.write_text(json.dumps(index))
+class TestSharedDirectory:
+    def test_sweep_serve_sweep_keeps_one_index(self, tmp_path):
+        """``repro sweep``, ``repro serve`` and ``repro sweep`` again on
+        one ``--cache-dir`` share a single index whose lifetime
+        counters are the true totals (3 puts, 2 hits)."""
+        cache_dir = tmp_path / "cache"
+        records = "60"
 
-        fresh = ResultCache(tmp_path)
-        stats = fresh.stats()
-        assert stats["entries"] == 2
-        assert stats["puts"] == 2
-        assert stats["hits"] == 1
-        assert stats["misses"] == 1
-        assert fresh.get("k1") is not None
+        def sweep(*workloads):
+            assert main(["sweep", "--workloads", ",".join(workloads),
+                         "--variants", "DRAM-Only", "--records", records,
+                         "--jobs", "1", "--cache-dir", str(cache_dir),
+                         "--quiet"]) == 0
 
-    def test_mangled_entries_reconciled_from_disk(self, tmp_path):
-        """Damaged entry records are dropped but the blobs they pointed
-        at are re-adopted from the directory -- nothing is orphaned."""
-        store = ResultCache(tmp_path)
-        store.put("k0", fake_result())
-        store.put("k1", fake_result())
-        index_path = tmp_path / ResultCache.INDEX_NAME
-        index = json.loads(index_path.read_text())
-        index["entries"]["k0"] = "garbage"
-        index_path.write_text(json.dumps(index))
+        sweep("bc")                                     # put bc
+        with SweepService(state_dir=tmp_path / "state", cache_dir=cache_dir,
+                          jobs=1) as svc:               # hit bc, put ycsb
+            jid = svc.submit("sweep", {"workloads": ["bc", "ycsb"],
+                                       "variants": ["DRAM-Only"],
+                                       "records": int(records)})
+            deadline = time.monotonic() + 120
+            while svc.store.get(jid)["state"] not in ("done", "failed"):
+                assert time.monotonic() < deadline, "service job timed out"
+                time.sleep(0.05)
+            assert svc.store.get(jid)["state"] == "done"
+        sweep("ycsb", "tpcc")                           # hit ycsb, put tpcc
 
-        stats = ResultCache(tmp_path).stats()
-        assert stats["entries"] == 2           # k0 came back via reconcile
-        assert stats["puts"] == 2              # counters survived
-
-    def test_salvaged_blobs_stay_evictable(self, tmp_path):
-        """After index damage every blob must stay visible to the LRU --
-        the old reset-to-fresh behaviour hid them from eviction."""
-        unit = entry_size(tmp_path)
-        root = tmp_path / "c"
-        store = ResultCache(root, max_bytes=10 * unit)
-        for i in range(3):
-            store.put(f"k{i}", fake_result())
-        (root / ResultCache.INDEX_NAME).write_text("{not json")
-        capped = ResultCache(root, max_bytes=unit + unit // 2)
-        capped.put("fresh", fake_result())
-        assert capped.size_bytes() <= capped.max_bytes
-        assert "fresh" in {p.stem for p in capped.entries()}
-
-
-class TestLockfileFallback:
-    @pytest.fixture
-    def no_fcntl(self, monkeypatch):
-        """Simulate a host without fcntl (e.g. Windows)."""
-        monkeypatch.setattr(orchestrator_mod, "fcntl", None)
-
-    def test_lockfile_created_and_removed(self, tmp_path, no_fcntl):
-        store = ResultCache(tmp_path)
-        lockfile = tmp_path / ResultCache.LOCKFILE_NAME
-        with store._lock():
-            assert lockfile.is_file()
-            assert lockfile.read_text() == str(multiprocessing.current_process().pid)
-        assert not lockfile.exists()
-
-    def test_lockfile_excludes_second_acquirer(self, tmp_path, no_fcntl):
-        store = ResultCache(tmp_path)
-        order = []
-        entered = threading.Event()
-        with store._lock():
-            def contender():
-                entered.set()
-                with store._lock():
-                    order.append("second")
-            thread = threading.Thread(target=contender, daemon=True)
-            thread.start()
-            assert entered.wait(timeout=5)
-            time.sleep(0.3)  # give the contender time to (wrongly) enter
-            order.append("first")
-        thread.join(timeout=10)
-        assert order == ["first", "second"]
-
-    def test_stale_lockfile_is_broken(self, tmp_path, no_fcntl, monkeypatch):
-        monkeypatch.setattr(ResultCache, "LOCK_STALE_SECONDS", 0.2)
-        store = ResultCache(tmp_path)
-        lockfile = tmp_path / ResultCache.LOCKFILE_NAME
-        tmp_path.mkdir(exist_ok=True)
-        lockfile.write_text("99999")  # a crashed holder's leftover
-        old = time.time() - 5.0
-        os.utime(lockfile, (old, old))
-        start = time.monotonic()
-        store.put("k0", fake_result())  # must break the stale lock
-        assert time.monotonic() - start < 5.0
-        assert store.get("k0") is not None
-        assert not lockfile.exists()
-
-    def test_concurrent_writers_exact_accounting_without_fcntl(
-        self, tmp_path, no_fcntl
-    ):
-        """The fallback lock provides real mutual exclusion: the exact
-        counter invariants hold across forked writers (which inherit
-        the fcntl=None patch).  The silent no-op it replaced failed
-        this by losing index updates."""
-        puts = _run_hammers(tmp_path, max_bytes=0)
-        stats = ResultCache(tmp_path).stats()
-        assert stats["puts"] == puts
-        assert stats["entries"] == puts
-        assert stats["hits"] + stats["misses"] == 2 * puts
+        assert (cache_dir / ResultCache.INDEX_DB).is_file()
+        assert not (cache_dir / LEGACY).exists()
+        stats = ResultCache(cache_dir).stats()
+        assert (stats["puts"], stats["hits"]) == (3, 2)
+        assert stats["entries"] == 3

@@ -344,6 +344,18 @@ def test_cache_stats_reports_lifetime_counters(capsys, tmp_path):
     assert "1 hit(s), 0 miss(es), 1 put(s), 0 eviction(s)" in out
 
 
+def test_cache_stats_and_prune_do_not_create_missing_dir(capsys, tmp_path):
+    cache_dir = tmp_path / "absent"
+    assert main(["cache", "stats", "--cache-dir", str(cache_dir)]) == 0
+    assert "entries:   0" in capsys.readouterr().out
+    assert main(["cache", "stats", "--json", "--cache-dir", str(cache_dir)]) == 0
+    assert json.loads(capsys.readouterr().out)["puts"] == 0
+    assert main(["cache", "prune", "--max-bytes", "1",
+                 "--cache-dir", str(cache_dir)]) == 0
+    assert "evicted 0 entries" in capsys.readouterr().out
+    assert not cache_dir.exists()
+
+
 def test_cache_prune_requires_cap(capsys, tmp_path):
     rc = main(["cache", "prune", "--cache-dir", str(tmp_path)])
     assert rc == 2
@@ -358,7 +370,7 @@ def test_cache_prune_evicts_lru(capsys, tmp_path):
     main(base + ["--records", str(int(R) + 1)])  # a second, newer entry
     capsys.readouterr()
     entries = sorted(cache_dir.glob("*.json"))
-    keep = max(p.stat().st_size for p in entries if p.name != "index.json")
+    keep = max(p.stat().st_size for p in entries)
     assert main(["cache", "prune", "--cache-dir", str(cache_dir),
                  "--max-bytes", str(keep)]) == 0
     assert "evicted 1 entry" in capsys.readouterr().out

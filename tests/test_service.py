@@ -1,9 +1,9 @@
 """Tests for sweep-as-a-service: sqlite stores, coordinator, HTTP API.
 
-Covers the :class:`SqliteResultCache` (round trips, LRU caps, one-time
-adoption of a legacy ``index.json``, multi-process writers), the
-:class:`JobStore` queue (priority + fair-share claim order, concurrent
-submitters, crash requeue, cancellation), the :class:`SweepService`
+Covers the service's result cache (``SqliteResultCache``, the one
+:class:`ResultCache`: round trips, LRU caps, one-time adoption of a
+legacy ``index.json``, multi-process writers), the :class:`JobStore` queue (priority + fair-share claim order,
+concurrent submitters, crash requeue, cancellation), the :class:`SweepService`
 scheduler (byte-identical results, failure capture, restart recovery --
 including a SIGKILL'd ``repro serve`` subprocess resuming its queue),
 and the HTTP front end with two concurrent submitters.
@@ -21,27 +21,14 @@ import time
 import pytest
 
 from _worker_utils import worker_env
-from repro.config import SimConfig
-from repro.experiments.orchestrator import ResultCache, run_sweep, sweep_product
-from repro.experiments.runner import RunResult
+from repro.experiments.orchestrator import run_sweep, sweep_product
 from repro.service.api import ServiceAPI
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.coordinator import SweepService
-from repro.service.store import JobStore, SqliteResultCache, open_result_cache
-from repro.sim.stats import SimStats
+from repro.service.store import JobStore, SqliteResultCache
+from test_cache_store import entry_size, fake_result, write_legacy_cache
 
 R = 150  # tiny traces: service plumbing, not magnitudes
-
-
-def fake_result(workload: str = "bc") -> RunResult:
-    return RunResult(workload=workload, variant="Base-CSSD", threads=8,
-                     stats=SimStats(), config=SimConfig())
-
-
-def entry_size(tmp_path) -> int:
-    probe = SqliteResultCache(tmp_path / "probe")
-    probe.put("probe", fake_result())
-    return probe.size_bytes()
 
 
 def dumps(results):
@@ -97,46 +84,31 @@ class TestSqliteResultCache:
         assert [p.stem for p in store.entries()] == ["k1"]
 
     def test_adopts_legacy_json_index(self, tmp_path):
-        legacy = ResultCache(tmp_path)
-        legacy.put("old1", fake_result())
-        legacy.put("old2", fake_result("ycsb"))
-        assert legacy.get("old1") is not None          # hits=1
-        assert legacy.get("nope") is None              # misses=1
-
+        write_legacy_cache(tmp_path, keys=("old1", "old2"), hits=1, misses=1)
         store = SqliteResultCache(tmp_path)
         assert store.get("old1").workload == "bc"
-        assert store.get("old2").workload == "ycsb"
+        assert store.get("old2") is not None
         stats = store.stats()
         # Adoption preserved the legacy counters, then the two fresh
         # hits above were added on top.
         assert stats["puts"] == 2
         assert stats["hits"] == 1 + 2
         assert stats["misses"] == 1
-        assert not (tmp_path / ResultCache.INDEX_NAME).exists()
+        assert not (tmp_path / SqliteResultCache.LEGACY_INDEX_NAME).exists()
         assert (tmp_path / SqliteResultCache.MIGRATED_NAME).is_file()
 
     def test_adoption_happens_once(self, tmp_path):
-        legacy = ResultCache(tmp_path)
-        legacy.put("old", fake_result())
+        write_legacy_cache(tmp_path, keys=("old",))
         SqliteResultCache(tmp_path).get("old")
         # A new legacy index written afterwards must not be re-imported
         # (the sqlite index is authoritative once it exists).
-        (tmp_path / ResultCache.INDEX_NAME).write_text("{}")
+        (tmp_path / SqliteResultCache.LEGACY_INDEX_NAME).write_text(json.dumps(
+            {"version": 1, "tick": 0, "entries": {},
+             "stats": {"hits": 0, "misses": 0, "evictions": 0, "puts": 7}}
+        ))
         store = SqliteResultCache(tmp_path)
         assert store.stats()["puts"] == 1
-
-    def test_open_result_cache_autodetects(self, tmp_path):
-        json_dir, sqlite_dir = tmp_path / "j", tmp_path / "s"
-        ResultCache(json_dir).put("k", fake_result())
-        SqliteResultCache(sqlite_dir).put("k", fake_result())
-        assert isinstance(open_result_cache(json_dir), ResultCache)
-        assert not isinstance(open_result_cache(json_dir), SqliteResultCache)
-        assert isinstance(open_result_cache(sqlite_dir), SqliteResultCache)
-        assert isinstance(open_result_cache(tmp_path / "fresh"), ResultCache)
-        assert isinstance(
-            open_result_cache(tmp_path / "forced", index="sqlite"),
-            SqliteResultCache,
-        )
+        assert store.stats()["entries"] == 1  # index.json is never a blob
 
     def test_clear(self, tmp_path):
         store = SqliteResultCache(tmp_path)
@@ -549,9 +521,18 @@ class TestServeProcess:
             proc2.terminate()
             proc2.wait(timeout=10)
 
-    def test_sigint_exits_cleanly(self, tmp_path):
+    @staticmethod
+    def _assert_signal_shuts_down(tmp_path, sig):
         proc, url = _serve_proc(tmp_path)
         client = ServiceClient(url)
         client.wait_healthy()
-        proc.send_signal(signal.SIGINT)
+        proc.send_signal(sig)
         assert proc.wait(timeout=15) == 0
+        assert "shutting down" in proc.stdout.read()
+
+    def test_sigint_exits_cleanly(self, tmp_path):
+        self._assert_signal_shuts_down(tmp_path, signal.SIGINT)
+
+    def test_sigterm_exits_cleanly(self, tmp_path):
+        """A plain ``kill`` runs the same shutdown path as Ctrl-C."""
+        self._assert_signal_shuts_down(tmp_path, signal.SIGTERM)
