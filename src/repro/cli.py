@@ -9,8 +9,9 @@ Subcommands
     Run a workload x variant grid through the parallel orchestrator
     (``--jobs N`` worker processes, on-disk result cache) and write the
     per-run stats as JSON.  ``--backend`` picks the execution backend
-    (``local`` process pool, ``thread`` pool, or ``distributed`` TCP
-    workers named by ``--workers HOST:PORT,...``).  ``--scenario NAME``
+    (``local`` process pool or ``thread`` pool); ``--listen [HOST:]PORT``
+    instead coordinates TCP workers that dial in (``repro worker
+    --connect HOST:PORT``).  ``--scenario NAME``
     adds phase-DSL scenarios (see ``docs/SCENARIOS.md``) to the grid
     alongside (or instead of) Table I workloads.
 ``trace``
@@ -34,16 +35,10 @@ Subcommands
     refreshing the file; a cache-warm re-run rebuilds it without
     re-simulating.
 ``worker``
-    Serve sweep cells to a distributed coordinator over TCP: either
-    ``--listen [HOST:]PORT`` (coordinator dials with ``--workers``),
-    ``--listen ... --register REGHOST:REGPORT`` (announce to a worker
-    registry so coordinators discover this worker with ``--registry``),
-    or ``--connect HOST:PORT`` (dial a coordinator started with
-    ``--listen``).
-``registry``
-    Run the worker registry (``--listen [HOST:]PORT``): workers
-    announce and heartbeat, coordinators discover the live fleet --
-    workers can join and leave mid-sweep (see ``docs/DISTRIBUTED.md``).
+    Serve sweep cells to a coordinator over TCP: ``--connect HOST:PORT``
+    dials a ``sweep``/``figures``/``report``/``trace replay``/``serve``
+    started with ``--listen``.  Workers may join and leave mid-sweep
+    (see ``docs/DISTRIBUTED.md``).
 ``cache``
     Inspect (``stats``), bound (``prune``), locate (``path``) or empty
     (``clear``) the result cache.
@@ -61,8 +56,8 @@ Subcommands
 
 Trace length per thread follows ``REPRO_RECORDS`` unless ``--records``
 is given; ``REPRO_JOBS`` sets the default worker count;
-``REPRO_BENCH_BACKEND``/``REPRO_BENCH_WORKERS``/``REPRO_REGISTRY`` the
-default backend; ``REPRO_CELL_TIMEOUT``/``REPRO_RETRY_BUDGET`` (or
+``REPRO_BENCH_BACKEND`` the default backend;
+``REPRO_CELL_TIMEOUT``/``REPRO_RETRY_BUDGET`` (or
 ``--cell-timeout``/``--retry-budget``) the distributed per-cell
 reliability policy; the cache lives in ``.repro_cache/``
 (``REPRO_CACHE_DIR`` or ``--cache-dir`` override) and is size-capped by
@@ -91,6 +86,7 @@ from repro.experiments import qos, sensitivity
 from repro.experiments.backends import (
     CellPolicy,
     DistributedBackend,
+    parse_address,
     resolve_backend,
 )
 from repro.experiments.orchestrator import (
@@ -101,7 +97,6 @@ from repro.experiments.orchestrator import (
     stream_sweep,
     sweep_product,
 )
-from repro.experiments.registry import run_registry
 from repro.experiments.runner import (
     DEFAULT_SCALE,
     build_config,
@@ -197,30 +192,23 @@ def _backend_from_args(args: argparse.Namespace) -> object:
     """The backend for run_sweep, or None for the environment default.
 
     ``--listen`` builds a coordinator workers dial in to
-    (``repro worker --connect``); ``--workers`` dials listening workers;
-    ``--registry`` discovers workers through a registry (elastic
-    join/leave); ``--backend`` names the backend explicitly
-    (``--workers`` or ``--registry`` alone imply ``distributed``).
+    (``repro worker --connect``); ``--backend`` names a local backend
+    (``distributed`` needs ``--listen``).
     """
     listen = getattr(args, "listen", None)
-    workers = _split_names(getattr(args, "workers", None))
-    registry = getattr(args, "registry", None)
     spec = getattr(args, "backend", None)
     policy = _policy_from_args(args)
-    if listen or registry:
-        if spec not in (None, "distributed", "registry"):
+    if listen:
+        if spec not in (None, "distributed"):
             raise ValueError(
-                f"--listen/--registry are distributed-backend options, "
+                f"--listen is a distributed-backend option, "
                 f"incompatible with --backend {spec}"
             )
-        # Mixed topology: dial the named workers, accept dial-ins, and
-        # discover registered workers -- any combination.
-        return DistributedBackend(listen=listen, workers=workers or [],
-                                  registry=registry, policy=policy)
-    if spec is None and not workers:
+        return DistributedBackend(listen=listen, policy=policy)
+    if spec is None:
         return None  # let run_sweep apply REPRO_BENCH_BACKEND / local
     return resolve_backend(spec, jobs=getattr(args, "jobs", None),
-                           workers=workers, policy=policy)
+                           policy=policy)
 
 
 def _print_kv(rows: Dict[str, object], indent: str = "  ") -> None:
@@ -270,21 +258,13 @@ def _add_common_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker processes (default REPRO_JOBS or 1)")
     parser.add_argument("--backend", default=None,
-                        choices=["local", "thread", "serial", "distributed",
-                                 "registry"],
+                        choices=["local", "thread", "serial", "distributed"],
                         help="execution backend (default REPRO_BENCH_BACKEND "
-                             "or local)")
-    parser.add_argument("--workers", action="append", default=None,
-                        metavar="HOST:PORT,...",
-                        help="distributed worker addresses to dial "
-                             "(started with: repro worker --listen PORT)")
+                             "or local; distributed needs --listen)")
     parser.add_argument("--listen", default=None, metavar="[HOST:]PORT",
                         help="coordinate distributed workers that dial in "
-                             "(started with: repro worker --connect HOST:PORT)")
-    parser.add_argument("--registry", default=None, metavar="HOST:PORT",
-                        help="discover distributed workers through a registry "
-                             "(started with: repro registry --listen PORT); "
-                             "workers may join/leave mid-sweep")
+                             "(started with: repro worker --connect HOST:PORT); "
+                             "port 0 picks a free port")
     parser.add_argument("--cell-timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="per-attempt cell timeout on distributed workers "
@@ -397,31 +377,35 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     backend_label = backend.describe() if backend is not None else "default"
     print(f"sweep: {len(workloads)} workload(s) x {len(variants)} variant(s) "
           f"= {len(specs)} cell(s), {records} records/thread, jobs={jobs}, "
-          f"backend={backend_label}")
+          f"backend={backend_label}", flush=True)
     policy = _policy_from_args(args)
-    if args.stream:
-        # Streaming mode: one JSON line per completed cell (NDJSON), in
-        # completion order, so long sweeps can be tailed/piped live.
-        results = [None] * len(specs)
-        for update in stream_sweep(specs, jobs=jobs, cache=store,
-                                   backend=backend, policy=policy):
-            for i in update.positions:
-                results[i] = update.result
-            r = update.result
-            print(json.dumps({
-                "event": "cell",
-                "workload": r.workload,
-                "variant": r.variant,
-                "source": update.source,
-                "completed": update.completed,
-                "total": update.total,
-                "exec_ms": r.stats.execution_ns / 1e6,
-                "ipns": r.stats.throughput_ipns,
-            }, sort_keys=True), flush=True)
-    else:
-        results = run_sweep(specs, jobs=jobs, cache=store, backend=backend,
-                            progress=_progress_printer(not args.quiet),
-                            policy=policy)
+    try:
+        if args.stream:
+            # Streaming mode: one JSON line per completed cell (NDJSON), in
+            # completion order, so long sweeps can be tailed/piped live.
+            results = [None] * len(specs)
+            for update in stream_sweep(specs, jobs=jobs, cache=store,
+                                       backend=backend, policy=policy):
+                for i in update.positions:
+                    results[i] = update.result
+                r = update.result
+                print(json.dumps({
+                    "event": "cell",
+                    "workload": r.workload,
+                    "variant": r.variant,
+                    "source": update.source,
+                    "completed": update.completed,
+                    "total": update.total,
+                    "exec_ms": r.stats.execution_ns / 1e6,
+                    "ipns": r.stats.throughput_ipns,
+                }, sort_keys=True), flush=True)
+        else:
+            results = run_sweep(specs, jobs=jobs, cache=store, backend=backend,
+                                progress=_progress_printer(not args.quiet),
+                                policy=policy)
+    finally:
+        if backend is not None:
+            backend.close()
 
     header = f"{'workload':<12}{'variant':<16}{'threads':>8}" \
              f"{'exec_ms':>12}{'ipns':>10}{'ctx_sw':>8}"
@@ -614,23 +598,11 @@ def cmd_worker(args: argparse.Namespace) -> int:
     try:
         return run_worker(
             connect=args.connect,
-            listen=args.listen,
             cache=cache,
             retries=args.retry,
             retry_delay=args.retry_delay,
             once=args.once,
-            register=args.register,
-            announce=args.announce,
-            heartbeat=args.heartbeat,
         )
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-def cmd_registry(args: argparse.Namespace) -> int:
-    try:
-        return run_registry(args.listen, stale_after=args.stale_after)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -785,10 +757,14 @@ def cmd_trace(args: argparse.Namespace) -> int:
         job = SweepJob.make(str(meta.get("workload") or "trace"), variant,
                             trace=args.file)
         backend = _backend_from_args(args)
-        result = run_sweep(
-            [job], jobs=args.jobs or 1, cache=_cache_from_args(args),
-            backend=backend, policy=_policy_from_args(args),
-        )[0]
+        try:
+            result = run_sweep(
+                [job], jobs=args.jobs or 1, cache=_cache_from_args(args),
+                backend=backend, policy=_policy_from_args(args),
+            )[0]
+        finally:
+            if backend is not None:
+                backend.close()
         print(f"replayed {args.file}: {result.workload} / {result.variant} "
               f"({result.threads} thread(s))")
         _print_kv(result.stats.summary())
@@ -814,22 +790,23 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.api import ServiceAPI
     from repro.service.coordinator import SweepService
 
-    host, _, port = (args.http or DEFAULT_SERVICE_ADDR).rpartition(":")
-    host = host or "127.0.0.1"
-    service = SweepService(
-        state_dir=args.state_dir,
-        cache_dir=args.cache_dir,
-        cache_max_bytes=args.cache_max_bytes,
-        workers=_split_names(args.workers),
-        listen=args.listen,
-        registry=args.registry,
-        jobs=args.jobs,
-        policy=_policy_from_args(args),
-        max_active=args.max_active,
-        log=sys.stdout,
-    )
+    try:
+        host, port = parse_address(args.http or DEFAULT_SERVICE_ADDR)
+        service = SweepService(
+            state_dir=args.state_dir,
+            cache_dir=args.cache_dir,
+            cache_max_bytes=args.cache_max_bytes,
+            listen=args.listen,
+            jobs=args.jobs,
+            policy=_policy_from_args(args),
+            max_active=args.max_active,
+            log=sys.stdout,
+        )
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     service.start()
-    api = ServiceAPI(service, host=host, port=int(port))
+    api = ServiceAPI(service, host=host, port=port)
     # SIGTERM (plain ``kill``, supervisors) takes the same shutdown path
     # as Ctrl-C, so the cache and job-store connections get closed.
     signal.signal(signal.SIGTERM, signal.default_int_handler)
@@ -1023,12 +1000,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_worker = sub.add_parser(
         "worker", help="serve sweep cells to a distributed coordinator"
     )
-    mode = p_worker.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--connect", default=None, metavar="HOST:PORT",
-                      help="dial a coordinator started with --listen")
-    mode.add_argument("--listen", default=None, metavar="[HOST:]PORT",
-                      help="bind and wait for coordinators (--workers side); "
-                           "port 0 picks a free port, printed on stdout")
+    p_worker.add_argument("--connect", required=True, metavar="HOST:PORT",
+                          help="dial a coordinator started with --listen")
     p_worker.add_argument("--cache-dir", default=None,
                           help="share this result cache directory")
     p_worker.add_argument("--cache-max-bytes", type=int, default=None)
@@ -1039,31 +1012,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_worker.add_argument("--retry", type=int, default=40,
                           help="--connect attempts before giving up")
     p_worker.add_argument("--retry-delay", type=float, default=0.25)
-    p_worker.add_argument("--register", default=None, metavar="HOST:PORT",
-                          help="announce this worker to a registry "
-                               "(requires --listen; coordinators then use "
-                               "--registry instead of --workers)")
-    p_worker.add_argument("--announce", default=None, metavar="HOST:PORT",
-                          help="address to announce to the registry when the "
-                               "bound one is not dialable (0.0.0.0, NAT)")
-    p_worker.add_argument("--heartbeat", type=float, default=2.0,
-                          metavar="SECONDS",
-                          help="registry heartbeat interval (default 2s)")
     p_worker.set_defaults(func=cmd_worker)
-
-    p_registry = sub.add_parser(
-        "registry",
-        help="run the worker registry (discovery + liveness for "
-             "elastic distributed sweeps)",
-    )
-    p_registry.add_argument("--listen", required=True, metavar="[HOST:]PORT",
-                            help="bind address; port 0 picks a free port, "
-                                 "printed on stdout")
-    p_registry.add_argument("--stale-after", type=float, default=6.0,
-                            metavar="SECONDS",
-                            help="drop a worker after this long without a "
-                                 "heartbeat (default 6s)")
-    p_registry.set_defaults(func=cmd_registry)
 
     p_trace = sub.add_parser(
         "trace",
@@ -1170,14 +1119,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--jobs", type=int, default=None,
                          help="local worker processes per sweep "
                               "(default REPRO_JOBS or 1)")
-    p_serve.add_argument("--workers", action="append", default=None,
-                         metavar="HOST:PORT,...",
-                         help="distributed worker addresses to dial")
     p_serve.add_argument("--listen", default=None, metavar="[HOST:]PORT",
                          help="accept dial-in workers "
                               "(repro worker --connect)")
-    p_serve.add_argument("--registry", default=None, metavar="HOST:PORT",
-                         help="discover workers through a registry")
     p_serve.add_argument("--max-active", type=int, default=1,
                          help="jobs run concurrently (default 1)")
     p_serve.add_argument("--cell-timeout", type=float, default=None)

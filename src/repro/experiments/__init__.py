@@ -3,7 +3,7 @@
 All drivers route their independent simulation cells through
 :mod:`repro.experiments.orchestrator`, which provides pluggable
 execution backends (``backend=``: process pool, thread pool, or
-distributed TCP workers -- see :mod:`repro.experiments.backends`) and a
+dial-in TCP workers -- see :mod:`repro.experiments.backends`) and a
 size-capped, concurrency-safe on-disk result cache.
 """
 
@@ -24,22 +24,18 @@ from repro.experiments.orchestrator import (
     stream_sweep,
     sweep_product,
 )
-from repro.experiments.registry import Announcer, Registry, fetch_workers
 from repro.experiments.runner import RunResult, run_workload
 
 __all__ = [
-    "Announcer",
     "CellPolicy",
     "CellUpdate",
     "DistributedBackend",
     "LocalProcessBackend",
-    "Registry",
     "ResultCache",
     "RunResult",
     "SweepBackend",
     "SweepJob",
     "ThreadBackend",
-    "fetch_workers",
     "resolve_backend",
     "run_pairs",
     "run_sweep",

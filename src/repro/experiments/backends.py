@@ -14,32 +14,25 @@ once per cell, always from the caller's thread:
   process spawn/import costs, which wins for tiny smoke sweeps.
 * :class:`DistributedBackend` -- fans cells out to worker processes
   (possibly on other hosts) over a newline-delimited TCP/JSON protocol.
-  Workers are started with ``python -m repro worker`` (see
-  :mod:`repro.experiments.worker`) and either *listen* for the
-  coordinator to dial them (``--listen``, coordinator passes
-  ``workers=[...]``), *dial in* to a listening coordinator
-  (``--connect``, coordinator passes ``listen=...``), or are
-  discovered through a **worker registry**
-  (:mod:`repro.experiments.registry`; coordinator passes
-  ``registry="HOST:PORT"``) which lets workers join and leave
-  mid-sweep.
+  The coordinator listens (``listen=``) and workers dial in with
+  ``python -m repro worker --connect HOST:PORT`` (see
+  :mod:`repro.experiments.worker`), joining or leaving at any time.
 
 Fault tolerance on the distributed backend is governed by a per-cell
 :class:`CellPolicy`: each cell attempt has a configurable timeout
 (``REPRO_CELL_TIMEOUT``), a cell is retried on failure up to a bounded
 retry budget (``REPRO_RETRY_BUDGET``) before the sweep fails with a
 clear error, and a worker that keeps failing cells is quarantined (no
-further cells, no re-dial) for the rest of the sweep.
+further cells) for the rest of the sweep.
 
 Every backend funnels results through ``RunResult.to_dict()`` /
 ``from_dict()`` -- the same lossless serialization the result cache
 uses -- so results are byte-identical no matter where a cell ran.
 
 Environment knobs: ``REPRO_BENCH_BACKEND`` selects the default backend
-(``local``, ``thread``, ``serial``, ``distributed[:HOST:PORT,...]``, or
-``registry[:HOST:PORT]``), ``REPRO_BENCH_WORKERS`` supplies distributed
-worker addresses, ``REPRO_REGISTRY`` the default registry address, and
-``REPRO_CELL_TIMEOUT`` / ``REPRO_RETRY_BUDGET`` the reliability policy.
+(``local``, ``thread``, ``serial``, or ``distributed:[HOST:]PORT``, the
+address a coordinator listens on), and ``REPRO_CELL_TIMEOUT`` /
+``REPRO_RETRY_BUDGET`` the reliability policy.
 """
 
 from __future__ import annotations
@@ -49,7 +42,6 @@ import os
 import queue
 import socket
 import threading
-import time
 from concurrent.futures import (
     FIRST_COMPLETED,
     ProcessPoolExecutor,
@@ -60,7 +52,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.experiments.runner import RunResult, default_records
-from repro.obs import REGISTRY
+from repro.obs import REGISTRY, get_logger
 from repro.obs.spans import SpanContext, current_context
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle is runtime-lazy
@@ -68,14 +60,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle is runtime-lazy
 
 JOBS_ENV = "REPRO_JOBS"
 BACKEND_ENV = "REPRO_BENCH_BACKEND"
-WORKERS_ENV = "REPRO_BENCH_WORKERS"
-REGISTRY_ENV = "REPRO_REGISTRY"
 CELL_TIMEOUT_ENV = "REPRO_CELL_TIMEOUT"
 RETRY_BUDGET_ENV = "REPRO_RETRY_BUDGET"
 
 #: Bumped on incompatible wire changes; coordinator and workers refuse
 #: to talk across versions instead of desynchronizing mid-sweep.
 PROTOCOL_VERSION = 1
+
+log = get_logger("backends")
 
 PendingCell = Tuple[str, "SweepJob"]
 FinishFn = Callable[[str, RunResult], None]
@@ -150,14 +142,18 @@ class CellPolicy:
 
 
 def parse_address(spec: Union[str, Tuple[str, int]]) -> Tuple[str, int]:
-    """``HOST:PORT`` (or bare ``PORT``) to a ``(host, port)`` pair."""
+    """``HOST:PORT`` (or bare ``PORT``) to a ``(host, port)`` pair.
+
+    Raises ``ValueError`` for a missing port or one outside 0-65535.
+    """
     if isinstance(spec, tuple):
         host, port = spec
-        return (host or "127.0.0.1", int(port))
-    text = str(spec).strip()
-    host, _, port = text.rpartition(":")
-    if not port or not port.isdigit():
-        raise ValueError(f"bad worker address {spec!r} (expected HOST:PORT)")
+    else:
+        host, _, port = str(spec).strip().rpartition(":")
+        if not port.isdigit():
+            raise ValueError(f"bad address {spec!r} (expected HOST:PORT)")
+    if not 0 <= int(port) <= 65535:
+        raise ValueError(f"bad address {spec!r} (port outside 0-65535)")
     return (host or "127.0.0.1", int(port))
 
 
@@ -286,23 +282,15 @@ class ThreadBackend(SweepBackend):
 
 
 class DistributedBackend(SweepBackend):
-    """Fan cells out to ``python -m repro worker`` processes over TCP.
+    """Fan cells out to ``python -m repro worker --connect`` processes.
 
-    Three connection topologies, usable together:
-
-    * ``workers=["host:port", ...]`` -- the coordinator dials workers
-      that were started with ``--listen``;
-    * ``listen="host:port"`` -- the coordinator binds a port (0 picks a
-      free one; see :attr:`address`) and workers dial in with
-      ``--connect``;
-    * ``registry="host:port"`` -- the coordinator subscribes to a
-      :class:`~repro.experiments.registry.Registry` (``watch`` push
-      dispatch; 1 s polling against older registries) and dials every
-      live announced worker it is not yet connected to, so the fleet
-      can grow and shrink mid-sweep (elastic autoscaling: a
-      late-joining worker is dialed the moment it announces, and with
-      ``listen=`` set it is also handed this coordinator's address as
-      a work-steal hint so it can dial in itself).
+    The coordinator binds ``listen`` (port 0 picks a free one; see
+    :attr:`address`) and workers dial in, at any time: a worker that
+    joins mid-sweep takes cells from the shared queue the moment its
+    hello arrives, and a sweep started with no workers waits for the
+    first one.  The listener stays open across :meth:`run` calls, so a
+    worker dismissed after one sweep redials into the next
+    (``repro figures --listen``, ``repro serve --listen``).
 
     One connection thread per worker keeps a single cell in flight on
     that worker.  Failures are governed by the per-cell
@@ -311,52 +299,34 @@ class DistributedBackend(SweepBackend):
     worker that replies with an error, and an attempt that exceeds
     ``cell_timeout`` all consume one unit of that cell's retry budget
     and the cell is requeued for another worker; a cell whose budget is
-    exhausted fails the sweep with its failure history.  A worker
-    address that accumulates ``quarantine_after`` failed attempts is
-    quarantined -- no further cells, no re-dial -- so one sick host
-    cannot eat every retry.  All ``finish`` callbacks happen on the
-    thread that called :meth:`run`, exactly once per cell -- the
+    exhausted fails the sweep with its failure history.  A worker that
+    accumulates ``quarantine_after`` failed attempts is quarantined --
+    it gets no further cells and each redial is dismissed -- so one
+    sick host cannot eat every retry.  All ``finish`` callbacks happen
+    on the thread that called :meth:`run`, exactly once per cell -- the
     per-cell progress contract ``run_sweep`` exposes holds here like on
     the local backends.
 
-    Workers may answer a cell from their own result cache (a shared
-    ``--cache-dir``); such replies are tallied in
+    Workers may answer a cell from their own result cache
+    (``--cache-dir``); such replies are tallied in
     :attr:`remote_cache_hits` (lifetime counter) so sweeps can report
     how much of the work the worker-side cache absorbed.
     """
 
     name = "distributed"
 
-    #: Seconds between registry polls -- the fallback cadence used only
-    #: against registries that do not support ``watch`` push dispatch,
-    #: and the reconnect pacing when the registry is unreachable.
-    REGISTRY_POLL_INTERVAL = 1.0
-
-    #: Seconds before re-attempting to dial an address that did not
-    #: answer -- an unreachable announced worker (NAT, died without
-    #: deregistering) must not be hammered on every poll.
-    REGISTRY_DIAL_BACKOFF = 5.0
-
-    #: Most recent connection-failure reasons kept for error messages.
-    MAX_DOWN_REASONS = 20
-
     def __init__(
         self,
-        workers: Optional[Sequence[Union[str, Tuple[str, int]]]] = None,
         listen: Optional[Union[str, Tuple[str, int]]] = None,
-        registry: Optional[Union[str, Tuple[str, int]]] = None,
         connect_timeout: float = 30.0,
         policy: Optional[CellPolicy] = None,
     ) -> None:
-        if not workers and listen is None and registry is None:
+        if listen is None:
             raise ValueError(
-                "distributed backend needs worker addresses "
-                "(--workers HOST:PORT,... or REPRO_BENCH_WORKERS), "
-                "a registry (--registry HOST:PORT or REPRO_REGISTRY), "
-                "or a listen address for workers to dial in to"
+                "distributed backend needs a listen address: pass "
+                "--listen [HOST:]PORT and start workers with "
+                "repro worker --connect HOST:PORT"
             )
-        self.workers = [parse_address(w) for w in (workers or [])]
-        self.registry = parse_address(registry) if registry is not None else None
         self.connect_timeout = connect_timeout
         self.policy = policy if policy is not None else CellPolicy.from_env()
         self.remote_cache_hits = 0
@@ -364,19 +334,16 @@ class DistributedBackend(SweepBackend):
         #: shipped cell carries a child of it so worker-side spans
         #: correlate back to the coordinator (``docs/OBSERVABILITY.md``).
         self._trace_parent: Optional[SpanContext] = None
-        self._listener: Optional[socket.socket] = None
-        if listen is not None:
-            self._listener = socket.create_server(parse_address(listen))
+        self._listener: Optional[socket.socket] = socket.create_server(
+            parse_address(listen))
 
     @property
     def address(self) -> Optional[Tuple[str, int]]:
-        """The (host, port) workers should ``--connect`` to, if listening."""
+        """The (host, port) workers ``--connect`` to (None once closed)."""
         return self._listener.getsockname()[:2] if self._listener else None
 
     def describe(self) -> str:
-        parts = [f"{h}:{p}" for h, p in self.workers]
-        if self.registry:
-            parts.append(f"registry={self.registry[0]}:{self.registry[1]}")
+        parts = []
         if self.address:
             parts.append(f"listen={self.address[0]}:{self.address[1]}")
         parts.append(self.policy.describe())
@@ -403,9 +370,8 @@ class DistributedBackend(SweepBackend):
 
         Quarantine is keyed on a *stable* worker identity -- the peer
         host plus the pid from the worker's hello -- not the connection
-        label: a dial-in (``--connect``) worker reconnects from a fresh
-        ephemeral port after every dismissal, and must not re-enter
-        with a clean slate.
+        label: a worker reconnects from a fresh ephemeral port after
+        every dismissal, and must not re-enter with a clean slate.
         """
         current: Optional[PendingCell] = None
         worker_id = label
@@ -426,8 +392,8 @@ class DistributedBackend(SweepBackend):
             sock.settimeout(self.policy.cell_timeout)
             seq = 0
             while True:
-                if worker_id in quarantined or label in quarantined:
-                    # Pace a dial-in worker's reconnect spin before the
+                if worker_id in quarantined:
+                    # Pace the worker's reconnect spin before the
                     # dismissal (it will redial the moment we hang up).
                     done.wait(0.5)
                     send_msg(sock, {"type": "bye"})
@@ -439,7 +405,7 @@ class DistributedBackend(SweepBackend):
                     current = job_q.get(timeout=0.2)
                 except queue.Empty:
                     continue
-                if worker_id in quarantined or label in quarantined:
+                if worker_id in quarantined:
                     # Charging a failure quarantines *before* requeueing
                     # the cell, so this re-check reliably keeps a just-
                     # quarantined worker from grabbing its own retry.
@@ -490,15 +456,16 @@ class DistributedBackend(SweepBackend):
                 current = None
         except Exception as exc:  # noqa: BLE001 - reported via the event queue
             events.put(("down", label, worker_id, repr(exc), current))
-            return
         finally:
             try:
                 sock.close()
             except OSError:
                 pass
-        events.put(("done", label))
 
     def run(self, pending: Sequence[PendingCell], finish: FinishFn) -> None:
+        if self._listener is None:
+            raise RuntimeError("distributed backend is closed")
+        listener = self._listener
         policy = self.policy
         # Connection threads start with a fresh contextvar context, so
         # the caller's trace context is captured here and handed to them.
@@ -508,222 +475,60 @@ class DistributedBackend(SweepBackend):
             job_q.put(cell)
         events: "queue.Queue[tuple]" = queue.Queue()
         threads: List[threading.Thread] = []
-        stop = threading.Event()
-        # Set once every cell has finished (or the sweep failed): idle
-        # connections then dismiss their workers with "bye".
+        # Set once every cell has finished (or the sweep failed): the
+        # accept loop stops and idle connections dismiss their workers
+        # with "bye".
         done = threading.Event()
-        # Shared with connection threads: a quarantined label takes no
+        # Shared with connection threads: a quarantined worker takes no
         # further cells (checked before each hand-out).
         quarantined: Set[str] = set()
-        live_labels: Set[str] = set()
-
-        def start_conn(sock: socket.socket, label: str) -> None:
-            live_labels.add(label)
-            thread = threading.Thread(
-                target=self._serve_connection,
-                args=(sock, label, job_q, events, quarantined, done),
-                name=f"sweep-conn-{label}",
-                daemon=True,
-            )
-            # Start before publishing: the run loop and the final join
-            # must never see a thread that is not yet startable/joinable.
-            thread.start()
-            threads.append(thread)
 
         def accept_loop() -> None:
-            assert self._listener is not None
-            self._listener.settimeout(0.2)
-            while not stop.is_set():
+            listener.settimeout(0.2)
+            while not done.is_set():
                 try:
-                    sock, peer = self._listener.accept()
+                    sock, peer = listener.accept()
                 except socket.timeout:
                     continue
                 except OSError:
                     return
-                start_conn(sock, "%s:%d" % peer[:2])
-
-        down_reasons: List[str] = []
-
-        def note(reason: str) -> None:
-            """Record a connection failure, keeping the list bounded."""
-            down_reasons.append(reason)
-            del down_reasons[:-self.MAX_DOWN_REASONS]
-
-        def registry_loop() -> None:
-            """Dial registered workers, off the event thread.
-
-            Preferred path: a ``watch`` subscription -- the registry
-            pushes a fresh workers list on every membership change, so
-            a worker joining mid-sweep is dialed within milliseconds
-            instead of on the next poll tick.  When listening
-            (``listen=`` + ``registry=`` together), the subscription
-            advertises this coordinator's dial-in address as a
-            work-steal hint, letting joining workers dial us directly.
-            A registry that rejects ``watch`` (an older build) drops
-            this loop back to 1 s polling.
-
-            Dials block for up to ``connect_timeout``; doing them here
-            keeps the run loop free to process results while a dead
-            announced address times out.  Unreachable addresses are
-            re-tried no more often than ``REGISTRY_DIAL_BACKOFF``.
-            """
-            from repro.experiments.registry import fetch_workers
-
-            last_attempt: Dict[str, float] = {}
-
-            def dial_new(addresses: Sequence[str]) -> None:
-                for address in addresses:
-                    if stop.is_set():
-                        return
-                    label = "%s:%d" % parse_address(address)
-                    if label in live_labels or label in quarantined:
-                        continue
-                    now = time.monotonic()
-                    if now - last_attempt.get(label, -1e9) \
-                            < self.REGISTRY_DIAL_BACKOFF:
-                        continue
-                    last_attempt[label] = now
-                    try:
-                        sock = socket.create_connection(
-                            parse_address(address),
-                            timeout=self.connect_timeout,
-                        )
-                    except OSError as exc:
-                        note(f"dial {label}: {exc}")
-                        continue
-                    start_conn(sock, label)
-
-            def watch_once() -> bool:
-                """One watch subscription; False = fall back to polling.
-
-                The socket is read with a plain 1 s ``recv`` timeout
-                into a hand-rolled line buffer -- no buffered file
-                wrapper, whose ``readline`` would lose partial lines on
-                timeout and strand coalesced pushes in its buffer.  The
-                timeout tick doubles as the re-dial cadence for
-                announced workers that refused an earlier dial.
-                """
-                wsock = socket.create_connection(self.registry, timeout=5.0)
-                try:
-                    wsock.settimeout(5.0)
-                    subscribe = {"type": "watch",
-                                 "version": PROTOCOL_VERSION}
-                    if self.address is not None:
-                        subscribe["steal"] = "%s:%d" % self.address
-                    send_msg(wsock, subscribe)
-                    buf = b""
-                    known: List[str] = []
-                    subscribed = False
-                    while not stop.is_set():
-                        newline = buf.find(b"\n")
-                        if newline >= 0:
-                            line, buf = buf[:newline], buf[newline + 1:]
-                            message = json.loads(line)
-                            if not subscribed:
-                                if not message.get("ok"):
-                                    return False  # old registry: poll
-                                subscribed = True
-                                wsock.settimeout(1.0)
-                            known = [str(w) for w in
-                                     message.get("workers", [])]
-                            dial_new(known)
-                            continue
-                        try:
-                            chunk = wsock.recv(4096)
-                        except socket.timeout:
-                            dial_new(known)  # backed-off re-dials
-                            continue
-                        if not chunk:
-                            return True  # registry gone: resubscribe
-                        buf += chunk
-                    return True
-                finally:
-                    try:
-                        wsock.close()
-                    except OSError:
-                        pass
-
-            watch = True
-            while not stop.is_set():
-                if watch:
-                    try:
-                        watch = watch_once()
-                        if not watch:
-                            note(f"registry {self.registry[0]}:"
-                                 f"{self.registry[1]} has no watch "
-                                 f"support, falling back to polling")
-                        elif stop.wait(0.2):  # pace resubscribe spins
-                            return
-                        continue
-                    except (OSError, ValueError) as exc:
-                        note(f"registry {self.registry[0]}:"
-                             f"{self.registry[1]}: {exc}")
-                        if stop.wait(self.REGISTRY_POLL_INTERVAL):
-                            return
-                        continue
-                try:
-                    addresses = fetch_workers(self.registry, timeout=5.0)
-                except (OSError, RuntimeError) as exc:
-                    note(f"registry {self.registry[0]}:{self.registry[1]}: "
-                         f"{exc}")
-                    addresses = []
-                dial_new(addresses)
-                if stop.wait(self.REGISTRY_POLL_INTERVAL):
-                    return
-
-        accept_thread: Optional[threading.Thread] = None
-        registry_thread: Optional[threading.Thread] = None
-        try:
-            for host, port in self.workers:
-                sock = socket.create_connection(
-                    (host, port), timeout=self.connect_timeout
-                )
-                start_conn(sock, f"{host}:{port}")
-            if self._listener is not None:
-                accept_thread = threading.Thread(
-                    target=accept_loop, name="sweep-accept", daemon=True
-                )
-                accept_thread.start()
-            if self.registry is not None:
-                registry_thread = threading.Thread(
-                    target=registry_loop, name="sweep-registry",
+                label = "%s:%d" % peer[:2]
+                thread = threading.Thread(
+                    target=self._serve_connection,
+                    args=(sock, label, job_q, events, quarantined, done),
+                    name=f"sweep-conn-{label}",
                     daemon=True,
                 )
-                registry_thread.start()
+                thread.start()
+                threads.append(thread)
 
+        accept_thread = threading.Thread(
+            target=accept_loop, name="sweep-accept", daemon=True
+        )
+        accept_thread.start()
+        try:
             remaining = {key for key, _ in pending}
             cell_for_key: Dict[str, PendingCell] = {k: (k, j) for k, j in pending}
             failures: Dict[str, List[str]] = {}  # key -> attempt errors
             worker_failures: Dict[str, int] = {}
-            ended = 0
-            # A dead connection's cell is requeued, but the survivors may
-            # already have drained the queue and been sent "bye" -- so in
-            # dial mode, re-dial the configured workers (a listening
-            # worker accepts a fresh connection) a bounded number of
-            # times before giving up.
-            redial_budget = policy.retry_budget * len(self.workers)
 
             def charge(key: str, label: str, worker_id: str,
                        error: str) -> None:
                 """One failed attempt: budget accounting + quarantine.
 
-                Quarantining (both the stable worker identity and the
-                dialable address label) happens *before* the requeue,
-                so the offender can never grab its own retry.
+                Quarantining happens *before* the requeue, so the
+                offender can never grab its own retry.
                 """
                 history = failures.setdefault(key, [])
                 history.append(f"{label}: {error}")
                 worker_failures[worker_id] = worker_failures.get(worker_id, 0) + 1
-                if worker_failures[worker_id] >= policy.quarantine_after:
-                    if worker_id not in quarantined:
-                        quarantined.add(worker_id)
-                        quarantined.add(label)
-                        REGISTRY.counter(
-                            "repro_worker_quarantine_total",
-                            "workers quarantined mid-sweep",
-                        ).inc()
-                        note(f"{label}: quarantined after "
-                             f"{worker_failures[worker_id]} failed attempt(s)")
+                if (worker_failures[worker_id] >= policy.quarantine_after
+                        and worker_id not in quarantined):
+                    quarantined.add(worker_id)
+                    REGISTRY.counter(
+                        "repro_worker_quarantine_total",
+                        "workers quarantined mid-sweep",
+                    ).inc()
                 if len(history) >= policy.retry_budget:
                     raise RuntimeError(
                         f"cell {key} failed {len(history)} attempt(s), "
@@ -732,43 +537,10 @@ class DistributedBackend(SweepBackend):
                     )
                 job_q.put(cell_for_key[key])
 
+            # No "every worker is gone" exit: the listener stays open,
+            # so a sweep waits for the next worker to dial in.
             while remaining:
-                try:
-                    event = events.get(timeout=0.5)
-                except queue.Empty:
-                    if accept_thread is not None or registry_thread is not None:
-                        continue  # a listener/registry can bring new workers
-                    if ended < len(threads) or any(t.is_alive() for t in threads):
-                        continue
-                    revived = False
-                    while self.workers and redial_budget > 0 and not revived:
-                        for host, port in self.workers:
-                            if redial_budget <= 0:
-                                break
-                            label = f"{host}:{port}"
-                            if label in quarantined:
-                                continue
-                            redial_budget -= 1
-                            try:
-                                sock = socket.create_connection(
-                                    (host, port), timeout=self.connect_timeout
-                                )
-                            except OSError as exc:
-                                note(f"redial {host}:{port}: {exc}")
-                                continue
-                            start_conn(sock, label)
-                            revived = True
-                        break
-                    if revived:
-                        continue
-                    detail = (
-                        f" ({'; '.join(down_reasons[-5:])})"
-                        if down_reasons else ""
-                    )
-                    raise RuntimeError(
-                        f"all distributed workers exited with "
-                        f"{len(remaining)} cell(s) unfinished{detail}"
-                    )
+                event = events.get()
                 kind = event[0]
                 if kind == "ok":
                     _, key, payload, was_cached = event
@@ -785,64 +557,45 @@ class DistributedBackend(SweepBackend):
                 elif kind == "fail":
                     _, label, worker_id, cell, error = event
                     charge(cell[0], label, worker_id, f"worker error: {error}")
-                elif kind == "down":
+                else:  # "down"
                     _, label, worker_id, reason, cell = event
-                    ended += 1
-                    live_labels.discard(label)
-                    note(f"{label}: {reason}")
+                    log.warning("worker_dropped", worker=label, reason=reason)
                     if cell is not None and cell[0] in remaining:
                         charge(cell[0], label, worker_id, reason)
-                else:  # "done"
-                    ended += 1
-                    live_labels.discard(event[1])
         finally:
             done.set()
-            stop.set()
+            accept_thread.join(timeout=2.0)
             for thread in threads:
                 thread.join(timeout=2.0)
-            if accept_thread is not None:
-                accept_thread.join(timeout=2.0)
-            if registry_thread is not None:
-                registry_thread.join(timeout=2.0)
 
 
 # ---------------------------------------------------------------------------
 # Resolution
 # ---------------------------------------------------------------------------
 
-_BACKEND_NAMES = ("local", "thread", "serial", "distributed", "registry")
+_BACKEND_NAMES = ("local", "thread", "serial", "distributed")
 
 
 def resolve_backend(
     backend: BackendLike = None,
     jobs: Optional[int] = None,
-    workers: Optional[Sequence[str]] = None,
     policy: Optional[CellPolicy] = None,
 ) -> SweepBackend:
     """Normalise a backend argument to a :class:`SweepBackend`.
 
-    ``None`` consults ``REPRO_BENCH_BACKEND`` (default ``local``, or
-    ``distributed`` when ``workers`` are supplied).  Strings accept
-    ``local``/``process``, ``thread``/``threads``, ``serial`` (local
-    with one worker), ``distributed[:HOST:PORT,...]``, and
-    ``registry[:HOST:PORT]``; distributed worker addresses come from
-    the spec suffix, the ``workers`` argument, or
-    ``REPRO_BENCH_WORKERS``, and the registry address from the spec
-    suffix or ``REPRO_REGISTRY``.  An explicit ``policy`` overrides the
-    backend's cell policy, including on an already-built instance.
+    ``None`` consults ``REPRO_BENCH_BACKEND`` (default ``local``).
+    Strings accept ``local``/``process``, ``thread``/``threads``,
+    ``serial`` (local with one worker), and ``distributed:[HOST:]PORT``,
+    which binds a coordinator on that address for workers to
+    ``--connect`` to.  An explicit ``policy`` overrides the backend's
+    cell policy, including on an already-built instance.
     """
     if isinstance(backend, SweepBackend):
         if policy is not None and hasattr(backend, "policy"):
             backend.policy = policy
         return backend
     if backend is None:
-        # An explicit worker list beats the ambient env default: a user
-        # who typed --workers means distributed, whatever the shell has
-        # REPRO_BENCH_BACKEND set to.
-        if workers:
-            spec = "distributed"
-        else:
-            spec = os.environ.get(BACKEND_ENV, "").strip() or "local"
+        spec = os.environ.get(BACKEND_ENV, "").strip() or "local"
     else:
         spec = str(backend).strip()
     name, _, rest = spec.partition(":")
@@ -854,22 +607,7 @@ def resolve_backend(
     if name == "serial":
         return LocalProcessBackend(1)
     if name == "distributed":
-        addresses = list(workers or [])
-        if not addresses and rest:
-            addresses = [part for part in rest.split(",") if part]
-        if not addresses:
-            env_workers = os.environ.get(WORKERS_ENV, "")
-            addresses = [part for part in env_workers.split(",") if part.strip()]
-        return DistributedBackend(workers=addresses, policy=policy)
-    if name == "registry":
-        registry = rest.strip() or os.environ.get(REGISTRY_ENV, "").strip()
-        if not registry:
-            raise ValueError(
-                "registry backend needs a registry address "
-                "(--registry HOST:PORT, registry:HOST:PORT, or "
-                "REPRO_REGISTRY)"
-            )
-        return DistributedBackend(registry=registry, policy=policy)
+        return DistributedBackend(listen=rest.strip() or None, policy=policy)
     raise ValueError(
         f"unknown sweep backend {spec!r} (expected one of {', '.join(_BACKEND_NAMES)})"
     )

@@ -36,8 +36,7 @@ from a pool worker, a thread, a remote worker, the cache, or an
 in-process run.
 
 Environment knobs: ``REPRO_JOBS`` (default worker count),
-``REPRO_BENCH_BACKEND`` / ``REPRO_BENCH_WORKERS`` / ``REPRO_REGISTRY``
-(default backend, see
+``REPRO_BENCH_BACKEND`` (default backend, see
 :func:`repro.experiments.backends.resolve_backend`),
 ``REPRO_CELL_TIMEOUT`` / ``REPRO_RETRY_BUDGET`` (distributed per-cell
 reliability policy, see

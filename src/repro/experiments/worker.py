@@ -6,23 +6,12 @@ protocol of :mod:`repro.experiments.backends`: it announces itself with
 a ``hello``, then answers each ``job`` message with a ``result`` until
 the coordinator says ``bye`` (or the connection closes).
 
-Three ways to wire a worker to a coordinator:
-
-* ``--listen [HOST:]PORT`` -- bind and serve coordinator connections
-  one after another (the coordinator dials with ``--workers``);
-* ``--listen [HOST:]PORT --register REGHOST:REGPORT`` -- additionally
-  announce the bound address to a worker registry (``python -m repro
-  registry``; see :mod:`repro.experiments.registry`) and heartbeat it,
-  so coordinators discover this worker with ``--registry`` instead of
-  a static address list -- including mid-sweep (elastic join).  When
-  the bound host is not what coordinators should dial (``0.0.0.0``,
-  NAT), override the announced address with ``--announce HOST:PORT``;
-* ``--connect HOST:PORT`` -- dial a listening coordinator
-  (``DistributedBackend(listen=...)``), retrying briefly so workers can
-  be started before the sweep.  After each sweep the worker redials, so
-  a coordinator running several sweeps (``repro figures --listen ...``)
-  keeps its workers; when the coordinator closes its listener the
-  redial is refused and the worker exits cleanly.
+A worker dials a listening coordinator (``--connect HOST:PORT``; a
+``repro sweep|figures|report --listen`` run or a ``repro serve
+--listen`` service), retrying briefly so workers can be started before
+the coordinator.  After each sweep the worker redials, so a coordinator
+running several sweeps keeps its workers; when the coordinator closes
+its listener the redial is refused and the worker exits cleanly.
 
 Workers execute cells through exactly the same
 :func:`~repro.experiments.orchestrator._execute_job` path as the local
@@ -35,8 +24,8 @@ than one on a network filesystem, and the coordinator counts their
 answers as ``remote_cache_hits``.
 
 A cell that raises on the worker is reported back (``ok: false`` plus
-the traceback) and aborts the coordinator's sweep; the worker itself
-survives and keeps serving.
+the traceback) and costs the cell one attempt of its retry budget on
+the coordinator; the worker itself survives and keeps serving.
 
 On POSIX hosts each cell runs in a forked child process so it is
 **preemptible**: when the coordinator abandons the cell (its
@@ -52,7 +41,6 @@ from __future__ import annotations
 import contextlib
 import multiprocessing
 import os
-import queue
 import select
 import socket
 import sys
@@ -75,9 +63,6 @@ _FORK_CTX = (
     if "fork" in multiprocessing.get_all_start_methods()
     else None
 )
-
-#: Seconds a worker waits before re-dialing the same steal hint.
-STEAL_REDIAL_BACKOFF = 5.0
 
 
 @contextlib.contextmanager
@@ -109,8 +94,10 @@ def _cell_child(conn, message: Dict[str, object],
         # parent SIGKILLed mid-cell, this orphan's dup would otherwise
         # hold the connection open and the coordinator would not see
         # EOF (and so not retry the cell) until the orphan finished.
+        # ``sock.close()`` is not enough: the parent's ``makefile``
+        # reader, inherited by the fork, keeps the descriptor alive.
         try:
-            sock.close()
+            os.close(sock.detach())
         except OSError:
             pass
     try:
@@ -249,188 +236,64 @@ def serve_connection(
 
 
 def run_worker(
-    connect: Optional[str] = None,
-    listen: Optional[str] = None,
+    connect: str,
     cache: Optional[ResultCache] = None,
     retries: int = 40,
     retry_delay: float = 0.25,
     once: bool = False,
-    register: Optional[str] = None,
-    announce: Optional[str] = None,
-    heartbeat: float = 2.0,
     out: TextIO = sys.stdout,
 ) -> int:
     """Entry point behind ``python -m repro worker``; returns an exit code.
 
-    Exactly one of ``connect``/``listen`` must be given.  ``once`` makes
-    a listening worker exit after its first coordinator connection
-    (handy for smoke tests and CI).  ``register`` (listen mode only)
-    announces the worker to a registry at that address, heartbeating
-    every ``heartbeat`` seconds; ``announce`` overrides the announced
-    address when the bound one is not dialable from the coordinator.
+    Dials the coordinator at ``connect`` (``retries`` attempts,
+    ``retry_delay`` apart) and serves it; ``once`` exits after the first
+    connection instead of redialing (handy for smoke tests and CI).
     """
-    if (connect is None) == (listen is None):
-        raise ValueError("exactly one of connect= or listen= is required")
-    if register is not None and listen is None:
-        raise ValueError("--register needs --listen (a registry hands "
-                         "out dialable worker addresses)")
-
-    if connect is not None:
-        address = backends.parse_address(connect)
-        connections = 0
-        while True:
-            # Before the first connection the coordinator may not be up
-            # yet, so dial patiently; afterwards, a refused connection
-            # means the coordinator closed its listener -- a clean exit.
-            # (Between two sweeps the listener is still open: the redial
-            # parks in its backlog and serves the next sweep, so one
-            # worker survives a whole ``figures`` run.)
-            budget = max(1, retries) if connections == 0 else 1
-            sock = None
-            last_error: Optional[OSError] = None
-            for _attempt in range(budget):
-                try:
-                    sock = socket.create_connection(address)
-                    break
-                except OSError as exc:
-                    last_error = exc
-                    if _attempt + 1 < budget:
-                        time.sleep(retry_delay)
-            if sock is None:
-                if connections:
-                    return 0  # coordinator is gone; work is done
-                log.error("coordinator_unreachable",
-                          address=f"{address[0]}:{address[1]}",
-                          error=str(last_error))
-                return 1
+    address = backends.parse_address(connect)
+    connections = 0
+    while True:
+        # Before the first connection the coordinator may not be up yet,
+        # so dial patiently; afterwards, a refused connection means the
+        # coordinator closed its listener -- a clean exit.  (Between two
+        # sweeps the listener is still open: the redial parks in its
+        # backlog and serves the next sweep, so one worker survives a
+        # whole ``figures`` run.)
+        budget = max(1, retries) if connections == 0 else 1
+        sock = None
+        last_error: Optional[OSError] = None
+        for _attempt in range(budget):
             try:
-                with sock:
-                    served, from_cache = serve_connection(sock, cache)
+                sock = socket.create_connection(address)
+                break
             except OSError as exc:
-                # A reset after a successful dial means the coordinator
-                # is gone: it closed before its first sweep, or the redial
-                # parked in its backlog when it closed.  Clean exit, same
-                # as a refused redial.
-                log.info("coordinator_closed",
-                         address=f"{address[0]}:{address[1]}",
-                         error=str(exc))
-                return 0
-            connections += 1
-            print(
-                f"worker: served {served} cell(s) ({from_cache} from cache) "
-                f"for {address[0]}:{address[1]}",
-                file=out,
-                flush=True,
-            )
-            if once:
-                return 0
-
-    server = socket.create_server(backends.parse_address(listen))
-    host, port = server.getsockname()[:2]
-    # Scripts parse this line to learn the bound port (PORT may be 0).
-    print(f"worker: listening on {host}:{port}", file=out, flush=True)
-    announcer = None
-    # Work-steal hints from the registry's registered ack: coordinator
-    # dial-in addresses this worker should offer itself to.  Filled by
-    # the announcer thread, drained by the accept loop below.
-    hints: "queue.Queue[str]" = queue.Queue()
-    if register is not None:
-        from repro.experiments.registry import Announcer
-
-        announcer = Announcer(
-            register, announce or (host, port), interval=heartbeat,
-            on_hints=lambda addresses: [hints.put(a) for a in addresses],
-        ).start()
-        print(f"worker: announcing {announcer.address} to registry "
-              f"{announcer.registry[0]}:{announcer.registry[1]}",
-              file=out, flush=True)
-        # Hints can only ever arrive while registered, so the accept
-        # call must wake up to drain them.
-        server.settimeout(0.5)
-    recent_steals: Dict[str, float] = {}
-    try:
-        with server:
-            while True:
-                # Steal-dial hinted coordinators first: a worker that
-                # just joined mid-sweep reaches the sweep through its
-                # own dial instead of waiting to be discovered.
-                try:
-                    hint = hints.get_nowait()
-                except queue.Empty:
-                    hint = None
-                if hint is not None:
-                    served = _steal_dial(hint, cache, recent_steals, out)
-                    if once and served:
-                        return 0
-                    continue
-                try:
-                    sock, peer = server.accept()
-                except socket.timeout:
-                    continue
-                try:
-                    with sock:
-                        served, from_cache = serve_connection(sock, cache)
-                except OSError as exc:
-                    # A coordinator that hung up mid-cell (cell timeout,
-                    # crash) must not take the worker down with it: log
-                    # and serve the next coordinator.
-                    log.warning("coordinator_dropped_mid_cell",
-                                coordinator="%s:%d" % peer[:2],
-                                error=str(exc))
-                    if once:
-                        return 1
-                    continue
-                print(
-                    "worker: served %d cell(s) (%d from cache) for %s:%d"
-                    % (served, from_cache, *peer[:2]),
-                    file=out,
-                    flush=True,
-                )
-                if once:
-                    return 0
-    finally:
-        if announcer is not None:
-            announcer.close()
-
-
-def _steal_dial(
-    hint: str,
-    cache: Optional[ResultCache],
-    recent: Dict[str, float],
-    out: TextIO,
-) -> bool:
-    """Dial one hinted coordinator and serve it; True if cells flowed.
-
-    Best-effort by design: the coordinator also discovers this worker
-    through its registry watch, so a refused or stale hint costs
-    nothing but this dial.  ``recent`` rate-limits repeat dials of the
-    same address (re-announcements after a registry restart re-deliver
-    hints).
-    """
-    try:
-        address = backends.parse_address(hint)
-    except ValueError:
-        return False
-    label = "%s:%d" % address
-    now = time.monotonic()
-    if now - recent.get(label, -1e9) < STEAL_REDIAL_BACKOFF:
-        return False
-    recent[label] = now
-    try:
-        sock = socket.create_connection(address, timeout=5.0)
-    except OSError:
-        return False
-    try:
-        with sock:
-            served, from_cache = serve_connection(sock, cache)
-    except OSError as exc:
-        log.warning("stolen_coordinator_dropped_mid_cell",
-                    coordinator=label, error=str(exc))
-        return False
-    print(
-        f"worker: served {served} cell(s) ({from_cache} from cache) "
-        f"for {label} (steal hint)",
-        file=out,
-        flush=True,
-    )
-    return served > 0
+                last_error = exc
+                if _attempt + 1 < budget:
+                    time.sleep(retry_delay)
+        if sock is None:
+            if connections:
+                return 0  # coordinator is gone; work is done
+            log.error("coordinator_unreachable",
+                      address=f"{address[0]}:{address[1]}",
+                      error=str(last_error))
+            return 1
+        try:
+            with sock:
+                served, from_cache = serve_connection(sock, cache)
+        except OSError as exc:
+            # A reset after a successful dial means the coordinator is
+            # gone: it closed before its first sweep, or the redial
+            # parked in its backlog when it closed.  Clean exit, same as
+            # a refused redial.
+            log.info("coordinator_closed",
+                     address=f"{address[0]}:{address[1]}",
+                     error=str(exc))
+            return 0
+        connections += 1
+        print(
+            f"worker: served {served} cell(s) ({from_cache} from cache) "
+            f"for {address[0]}:{address[1]}",
+            file=out,
+            flush=True,
+        )
+        if once:
+            return 0

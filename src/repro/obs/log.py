@@ -1,6 +1,6 @@
 """Structured JSON-lines logging for the long-running service pieces.
 
-One JSON object per line on stderr (by default), so worker/registry/serve
+One JSON object per line on stderr (by default), so worker/coordinator/serve
 logs are machine-parseable without giving up `tail -f` readability:
 
     {"ts": 1754640000.123, "level": "info", "logger": "worker",

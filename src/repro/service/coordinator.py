@@ -4,8 +4,8 @@
 infrastructure: it owns a persistent :class:`~repro.service.store.JobStore`
 (submissions survive coordinator crashes), a shared
 :class:`~repro.experiments.orchestrator.ResultCache`, and -- optionally -- one
-long-lived distributed backend (static workers, a dial-in listener,
-and/or a registry subscription), then runs submitted jobs through the
+long-lived distributed backend (a listener ``repro worker --connect``
+workers dial in to), then runs submitted jobs through the
 exact ``stream_sweep`` machinery the CLI uses.  Reliability semantics
 are therefore unchanged: the per-cell
 :class:`~repro.experiments.backends.CellPolicy` (timeouts, retry
@@ -43,7 +43,7 @@ import json
 import threading
 import traceback
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, TextIO, Union
+from typing import Dict, List, Optional, TextIO, Union
 
 from repro.experiments.backends import CellPolicy, DistributedBackend
 from repro.experiments.orchestrator import (
@@ -73,9 +73,9 @@ class SweepService:
     ``state_dir`` holds the sqlite job queue and per-job artifact
     directories; ``cache_dir`` the result cache shared by every job
     (and by any ``repro sweep`` on this host pointed at the same
-    directory).  ``workers`` / ``listen`` / ``registry`` configure one
-    shared :class:`DistributedBackend`; with none of them, cells run on
-    the local process pool (``jobs``).
+    directory).  ``listen`` binds one shared :class:`DistributedBackend`
+    for dial-in workers; without it, cells run on the local process pool
+    (``jobs``).
     """
 
     def __init__(
@@ -83,14 +83,17 @@ class SweepService:
         state_dir: Union[str, Path] = ".repro_service",
         cache_dir: Optional[Union[str, Path]] = None,
         cache_max_bytes: Optional[int] = None,
-        workers: Optional[Sequence[str]] = None,
         listen: Optional[str] = None,
-        registry: Optional[str] = None,
         jobs: Optional[int] = None,
         policy: Optional[CellPolicy] = None,
         max_active: int = 1,
         log: Optional[TextIO] = None,
     ) -> None:
+        # Bind first: a bad or busy listen address fails before any
+        # state or cache directory is created.
+        self._backend: Optional[DistributedBackend] = (
+            DistributedBackend(listen=listen, policy=policy) if listen
+            else None)
         self.state_dir = Path(state_dir)
         self.state_dir.mkdir(parents=True, exist_ok=True)
         self.store = JobStore(self.state_dir / "jobs.sqlite3")
@@ -99,15 +102,9 @@ class SweepService:
         self.policy = policy
         self.max_active = max(1, int(max_active))
         self._log = log
-        self._backend: Optional[DistributedBackend] = None
-        if workers or listen or registry:
-            self._backend = DistributedBackend(
-                workers=workers or [], listen=listen, registry=registry,
-                policy=policy,
-            )
         #: Serializes sweeps onto the shared distributed backend: its
-        #: listener and registry subscription are single-sweep-at-a-time
-        #: resources.  Local-backend jobs run without it.
+        #: listener is a single-sweep-at-a-time resource.  Local-backend
+        #: jobs run without it.
         self._backend_lock = threading.Lock()
         self._stop = threading.Event()
         self._schedulers: List[threading.Thread] = []

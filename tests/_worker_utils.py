@@ -1,7 +1,7 @@
 """Helpers for tests that drive real ``python -m repro worker`` processes."""
 
 import os
-import subprocess
+import socket
 from pathlib import Path
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -14,9 +14,8 @@ def worker_env() -> dict:
     return env
 
 
-def read_worker_address(proc: subprocess.Popen) -> str:
-    """The ``HOST:PORT`` a ``worker --listen`` subprocess bound (from its
-    announcement line), so tests can listen on port 0."""
-    line = proc.stdout.readline()
-    assert "listening on" in line, f"unexpected worker output: {line!r}"
-    return line.rsplit(" ", 1)[-1].strip()
+def free_port() -> int:
+    """A TCP port on 127.0.0.1 that was free a moment ago, for tests
+    that must start a ``worker --connect`` before its coordinator."""
+    with socket.create_server(("127.0.0.1", 0)) as probe:
+        return probe.getsockname()[1]

@@ -1,9 +1,9 @@
 """Tests for the pluggable sweep execution backends.
 
-Covers backend resolution (names, env knobs, worker addresses), the
+Covers backend resolution (names, env knobs, listen addresses), the
 thread backend's byte-identical results, and the distributed backend's
-TCP/JSON protocol: listen and dial topologies, shared caches, worker
-failure reporting, and requeueing cells from dead connections.
+TCP/JSON protocol with dial-in workers: shared caches, worker failure
+reporting, requeueing cells from dead connections, and preemption.
 """
 
 import io
@@ -67,66 +67,62 @@ class TestResolution:
         assert isinstance(resolve_backend(None, jobs=2), ThreadBackend)
 
     def test_env_supplies_workers(self, monkeypatch):
-        monkeypatch.setenv(backends.BACKEND_ENV, "distributed")
-        monkeypatch.setenv(backends.WORKERS_ENV, "alpha:7001,beta:7002")
-        backend = resolve_backend(None)
-        assert isinstance(backend, DistributedBackend)
-        assert backend.workers == [("alpha", 7001), ("beta", 7002)]
+        """REPRO_BENCH_BACKEND=distributed:HOST:PORT binds the address
+        the worker fleet dials in to."""
+        monkeypatch.setenv(backends.BACKEND_ENV, "distributed:127.0.0.1:0")
+        with resolve_backend(None) as backend:
+            assert isinstance(backend, DistributedBackend)
+            host, port = backend.address
+            assert host == "127.0.0.1" and port > 0
 
     def test_spec_suffix_supplies_workers(self):
-        backend = resolve_backend("distributed:alpha:7001,beta:7002")
-        assert backend.workers == [("alpha", 7001), ("beta", 7002)]
-
-    def test_workers_argument_implies_distributed(self, monkeypatch):
-        monkeypatch.delenv(backends.BACKEND_ENV, raising=False)
-        backend = resolve_backend(None, workers=["localhost:7001"])
-        assert isinstance(backend, DistributedBackend)
-        assert backend.workers == [("localhost", 7001)]
+        with resolve_backend("distributed:127.0.0.1:0") as backend:
+            host, port = backend.address
+            assert host == "127.0.0.1" and port > 0
+            # perfbench parses ``listen=H:P`` out of this text.
+            assert backend.describe() == (
+                f"distributed[listen={host}:{port},"
+                f"{backend.policy.describe()}]"
+            )
 
     def test_explicit_workers_beat_env_backend(self, monkeypatch):
-        """A typed worker list must not lose to an ambient env default."""
+        """A typed fleet address must not lose to an ambient env default."""
         monkeypatch.setenv(backends.BACKEND_ENV, "thread")
-        backend = resolve_backend(None, workers=["remote:7001"])
-        assert isinstance(backend, DistributedBackend)
-        assert backend.workers == [("remote", 7001)]
+        with resolve_backend("distributed:127.0.0.1:0") as backend:
+            assert isinstance(backend, DistributedBackend)
 
     def test_unknown_backend_raises(self):
         with pytest.raises(ValueError, match="unknown sweep backend"):
             resolve_backend("carrier-pigeon")
 
-    def test_distributed_without_workers_raises(self, monkeypatch):
-        monkeypatch.delenv(backends.WORKERS_ENV, raising=False)
-        with pytest.raises(ValueError, match="worker addresses"):
+    def test_distributed_without_workers_raises(self):
+        """Without a listen address there is nowhere for workers to dial."""
+        with pytest.raises(ValueError, match="--listen.*worker --connect"):
             resolve_backend("distributed")
 
     def test_parse_address(self):
         assert parse_address("host:8") == ("host", 8)
         assert parse_address("7001") == ("127.0.0.1", 7001)
         assert parse_address(("", 9)) == ("127.0.0.1", 9)
-        with pytest.raises(ValueError, match="bad worker address"):
-            parse_address("no-port")
+        assert parse_address("h:0") == ("h", 0)
+        assert parse_address("h:65535") == ("h", 65535)
+        for bad in ("no-port", "host:", "127.0.0.1:99999", "127.0.0.1:70000",
+                    ("h", 65536), ("h", -1)):
+            with pytest.raises(ValueError, match="bad address"):
+                parse_address(bad)
 
     def test_describe(self):
         assert LocalProcessBackend(4).describe() == "local[jobs=4]"
         assert ThreadBackend(2).describe() == "thread[jobs=2]"
         assert SweepBackend().describe() == "abstract"
 
-    def test_registry_spec(self, monkeypatch):
-        monkeypatch.delenv(backends.REGISTRY_ENV, raising=False)
-        backend = resolve_backend("registry:reghost:7470")
-        assert isinstance(backend, DistributedBackend)
-        assert backend.registry == ("reghost", 7470)
-        with pytest.raises(ValueError, match="registry address"):
-            resolve_backend("registry")
-        monkeypatch.setenv(backends.REGISTRY_ENV, "envhost:7471")
-        assert resolve_backend("registry").registry == ("envhost", 7471)
-
     def test_policy_reaches_instances_and_specs(self):
         policy = CellPolicy(cell_timeout=1.5, retry_budget=7)
-        spec_built = resolve_backend("distributed:h:1", policy=policy)
-        assert spec_built.policy is policy
-        instance = DistributedBackend(workers=["h:1"])
-        assert resolve_backend(instance, policy=policy).policy is policy
+        with resolve_backend("distributed:127.0.0.1:0",
+                             policy=policy) as spec_built:
+            assert spec_built.policy is policy
+        with DistributedBackend(listen="127.0.0.1:0") as instance:
+            assert resolve_backend(instance, policy=policy).policy is policy
 
 
 class TestCellPolicy:
@@ -344,117 +340,67 @@ class TestDistributedBackend:
         )
 
     def test_all_attempts_dead_exhausts_retry_budget(self):
-        """Dial mode: a worker that keeps dying mid-cell burns the cell's
-        retry budget, and the error carries the failure history."""
-        server = socket.create_server(("127.0.0.1", 0))
+        """A worker that keeps dying mid-cell (and dialing back in) burns
+        the cell's retry budget, and the error carries the history."""
+        with DistributedBackend(listen="127.0.0.1:0") as backend:
+            stop = threading.Event()
 
-        def doomed_worker():
-            while True:  # also swallow the bounded redial attempts
-                try:
-                    sock, _peer = server.accept()
-                except OSError:
-                    return
-                rfile = sock.makefile("r", encoding="utf-8")
-                backends.send_msg(
-                    sock, {"type": "hello", "version": backends.PROTOCOL_VERSION}
-                )
-                backends.recv_msg(rfile)  # take a cell
-                rfile.close()  # really close the fd: the coordinator
-                sock.close()  # must see EOF, not a half-open socket
+            address = backend.address
 
-        threading.Thread(target=doomed_worker, daemon=True).start()
-        host, port = server.getsockname()[:2]
-        backend = DistributedBackend(workers=[f"{host}:{port}"],
-                                     connect_timeout=2.0)
-        with server, pytest.raises(
-            RuntimeError, match="retry budget 3 exhausted.*mid-cell"
-        ):
-            run_sweep(tiny_jobs()[:1], cache=False, backend=backend)
+            def doomed_worker():
+                while not stop.is_set():
+                    try:
+                        sock = socket.create_connection(address)
+                        rfile = sock.makefile("r", encoding="utf-8")
+                        backends.send_msg(sock, {
+                            "type": "hello",
+                            "version": backends.PROTOCOL_VERSION,
+                        })
+                        backends.recv_msg(rfile)  # take a cell
+                    except OSError:
+                        return  # the sweep is over and the listener gone
+                    rfile.close()  # really close the fd: the coordinator
+                    sock.close()  # must see EOF, not a half-open socket
 
-    def test_all_workers_unreachable_raises_with_diagnostics(self):
-        """Dial mode: when the lone worker address stops accepting after
-        dying mid-cell, the sweep reports the unfinished cells and why."""
-        server = socket.create_server(("127.0.0.1", 0))
-
-        def one_shot_worker():
-            sock, _peer = server.accept()
-            rfile = sock.makefile("r", encoding="utf-8")
-            backends.send_msg(
-                sock, {"type": "hello", "version": backends.PROTOCOL_VERSION}
-            )
-            backends.recv_msg(rfile)  # take a cell
-            rfile.close()
-            sock.close()
-            server.close()  # refuse every redial
-
-        threading.Thread(target=one_shot_worker, daemon=True).start()
-        host, port = server.getsockname()[:2]
-        backend = DistributedBackend(workers=[f"{host}:{port}"],
-                                     connect_timeout=2.0)
-        with pytest.raises(RuntimeError, match="unfinished.*mid-cell"):
-            run_sweep(tiny_jobs()[:1], cache=False, backend=backend)
+            threading.Thread(target=doomed_worker, daemon=True).start()
+            try:
+                with pytest.raises(
+                    RuntimeError, match="retry budget 3 exhausted.*mid-cell"
+                ):
+                    run_sweep(tiny_jobs()[:1], cache=False, backend=backend)
+            finally:
+                stop.set()
 
     def test_protocol_version_mismatch_rejected(self):
-        server = socket.create_server(("127.0.0.1", 0))
+        """An ancient worker is hung up on before it gets a cell, and the
+        sweep goes on waiting: a good worker then finishes it."""
+        with DistributedBackend(listen="127.0.0.1:0") as backend:
+            rejected = threading.Event()
+            seen = []
 
-        def ancient_worker():
-            while True:
-                try:
-                    sock, _peer = server.accept()
-                except OSError:
-                    return
-                backends.send_msg(sock, {"type": "hello", "version": -1})
-                sock.recv(4096)
-                sock.close()
+            def ancient_worker():
+                sock = socket.create_connection(backend.address)
+                with sock:
+                    backends.send_msg(sock, {"type": "hello", "version": -1})
+                    sock.settimeout(10)
+                    seen.append(sock.recv(4096))  # EOF: b""
+                rejected.set()
 
-        threading.Thread(target=ancient_worker, daemon=True).start()
-        host, port = server.getsockname()[:2]
-        backend = DistributedBackend(workers=[f"{host}:{port}"],
-                                     connect_timeout=2.0)
-        with server, pytest.raises(RuntimeError, match="protocol"):
-            run_sweep(tiny_jobs()[:1], cache=False, backend=backend)
+            def good_worker_after_rejection():
+                assert rejected.wait(timeout=20)
+                start_inprocess_worker(backend.address)
 
-    def test_redials_listening_worker_after_survivors_drained(self):
-        """A cell requeued after the queue drained (survivors already
-        dismissed) is re-dispatched by re-dialing the worker address."""
-        server = socket.create_server(("127.0.0.1", 0))
-        connections = []
-
-        def worker_loop():
-            while True:
-                try:
-                    sock, _peer = server.accept()
-                except OSError:
-                    return
-                connections.append(sock)
-                if len(connections) == 1:
-                    # First connection: take one cell, die mid-cell.
-                    rfile = sock.makefile("r", encoding="utf-8")
-                    backends.send_msg(
-                        sock,
-                        {"type": "hello", "version": backends.PROTOCOL_VERSION},
-                    )
-                    backends.recv_msg(rfile)
-                    rfile.close()
-                    sock.close()
-                else:
-                    # The redial: behave like a real worker.
-                    with sock:
-                        worker_mod.serve_connection(sock)
-
-        threading.Thread(target=worker_loop, daemon=True).start()
-        host, port = server.getsockname()[:2]
-        backend = DistributedBackend(workers=[f"{host}:{port}"],
-                                     connect_timeout=5.0)
-        with server:
+            threading.Thread(target=ancient_worker, daemon=True).start()
+            threading.Thread(target=good_worker_after_rejection,
+                             daemon=True).start()
             results = run_sweep(tiny_jobs()[:1], cache=False, backend=backend)
-        assert len(connections) >= 2  # the redial actually happened
+        assert seen == [b""]  # closed without a job or a bye
         assert dumps(results) == dumps(
             run_sweep(tiny_jobs()[:1], jobs=1, cache=False)
         )
 
     def test_needs_workers_or_listen(self):
-        with pytest.raises(ValueError, match="worker addresses"):
+        with pytest.raises(ValueError, match="listen address"):
             DistributedBackend()
 
     def test_connect_worker_survives_multiple_sweeps(self, spawn_worker):
@@ -648,6 +594,37 @@ class TestWorkerPreemption:
         assert not thread.is_alive()
         self._assert_heartbeat_stops(beat)
         coord.close()
+
+    def test_orphaned_cell_child_releases_the_connection(self, monkeypatch):
+        """A SIGKILLed worker's cell child must not hold the coordinator
+        connection open: the coordinator retries the cell only once it
+        reads EOF.  The child inherits the worker's ``makefile`` reader,
+        which kept the descriptor alive through a plain ``sock.close()``."""
+        monkeypatch.setattr(worker_mod, "_execute_job",
+                            lambda job: time.sleep(30))
+        coord, worker_side = socket.socketpair()
+        rfile = worker_side.makefile("r", encoding="utf-8")
+        job = SweepJob.make("bc", "Base-CSSD", records_per_thread=R)
+        message = {"type": "job", "id": 1}
+        message.update(backends.job_to_wire(job))
+        parent_conn, child_conn = worker_mod._FORK_CTX.Pipe(duplex=False)
+        proc = worker_mod._FORK_CTX.Process(
+            target=worker_mod._cell_child,
+            args=(child_conn, message, worker_side), daemon=True,
+        )
+        proc.start()
+        try:
+            child_conn.close()
+            # The worker parent dies: its reader and socket go away.
+            rfile.close()
+            worker_side.close()
+            coord.settimeout(1.0)
+            assert coord.recv(1) == b""  # EOF, not a timeout
+        finally:
+            proc.kill()
+            proc.join(timeout=5)
+            parent_conn.close()
+            coord.close()
 
     def test_timed_out_cell_gets_a_cancel_message(self):
         """Coordinator side of the fix: abandoning a cell on timeout

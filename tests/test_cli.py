@@ -87,36 +87,11 @@ def test_cell_policy_flags_reach_backend():
 
     from repro.cli import _backend_from_args
 
-    args = argparse.Namespace(listen=None, workers=["h:1"], backend=None,
-                              jobs=None, registry=None, cell_timeout=1.5,
-                              retry_budget=2)
-    backend = _backend_from_args(args)
-    assert backend.policy.cell_timeout == 1.5
-    assert backend.policy.retry_budget == 2
-
-
-def test_registry_flag_builds_registry_backend():
-    import argparse
-
-    from repro.cli import _backend_from_args
-
-    args = argparse.Namespace(listen=None, workers=None, backend=None,
-                              jobs=None, registry="reghost:7470",
-                              cell_timeout=None, retry_budget=None)
-    backend = _backend_from_args(args)
-    try:
-        assert backend.registry == ("reghost", 7470)
-        assert backend.workers == []
-    finally:
-        backend.close()
-
-
-def test_registry_conflicts_with_non_distributed_backend(capsys):
-    rc = main(["sweep", "--workloads", "bc", "--variants", "Base-CSSD",
-               "--records", R, "--no-cache", "--quiet",
-               "--registry", "reghost:7470", "--backend", "thread"])
-    assert rc == 2
-    assert "incompatible" in capsys.readouterr().err
+    args = argparse.Namespace(listen="127.0.0.1:0", backend=None,
+                              jobs=None, cell_timeout=1.5, retry_budget=2)
+    with _backend_from_args(args) as backend:
+        assert backend.policy.cell_timeout == 1.5
+        assert backend.policy.retry_budget == 2
 
 
 def test_sweep_multiple_cells_table(capsys, tmp_path):
@@ -296,22 +271,22 @@ def test_sweep_thread_backend_matches_local(capsys, tmp_path):
 
 
 def test_sweep_distributed_backend_matches_local(capsys, tmp_path, spawn_worker):
-    """The acceptance path: ``sweep --backend distributed --workers
-    localhost:PORT`` against a real worker subprocess is byte-identical
-    to ``--backend local``."""
-    from _worker_utils import read_worker_address
+    """The acceptance path: ``sweep --backend distributed --listen
+    HOST:PORT`` served by a real ``repro worker --connect`` subprocess is
+    byte-identical to ``--backend local``."""
+    from _worker_utils import free_port
 
-    proc = spawn_worker("--listen", "127.0.0.1:0", "--once", "--no-cache")
-    address = read_worker_address(proc)
+    address = f"127.0.0.1:{free_port()}"
+    proc = spawn_worker("--connect", address, "--no-cache")
     out_local = tmp_path / "local.json"
     out_dist = tmp_path / "dist.json"
     base = ["sweep", "--workloads", "bc", "--variants", "Base-CSSD,DRAM-Only",
             "--records", R, "--no-cache", "--quiet"]
     assert main(base + ["--backend", "local", "--output", str(out_local)]) == 0
-    assert main(base + ["--backend", "distributed", "--workers", address,
+    assert main(base + ["--backend", "distributed", "--listen", address,
                         "--output", str(out_dist)]) == 0
     capsys.readouterr()
-    assert proc.wait(timeout=30) == 0
+    assert proc.wait(timeout=30) == 0  # listener closed -> clean exit
     local = json.loads(out_local.read_text())
     dist = json.loads(out_dist.read_text())
     assert json.dumps(local["results"], sort_keys=True) == json.dumps(
@@ -319,13 +294,15 @@ def test_sweep_distributed_backend_matches_local(capsys, tmp_path, spawn_worker)
     )
 
 
-def test_sweep_distributed_without_workers_fails_cleanly(capsys, monkeypatch):
-    monkeypatch.delenv("REPRO_BENCH_WORKERS", raising=False)
+def test_sweep_distributed_without_workers_fails_cleanly(capsys):
+    """``--backend distributed`` without ``--listen`` exits 2 and says
+    how to start a dial-in fleet."""
     rc = main(["sweep", "--workloads", "bc", "--variants", "Base-CSSD",
                "--records", R, "--no-cache", "--quiet",
                "--backend", "distributed"])
     assert rc == 2
-    assert "worker addresses" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--listen" in err and "repro worker --connect" in err
 
 
 def test_cache_stats_reports_lifetime_counters(capsys, tmp_path):
@@ -386,27 +363,41 @@ def test_listen_conflicts_with_non_distributed_backend(capsys):
     assert "incompatible" in capsys.readouterr().err
 
 
-def test_listen_keeps_explicit_workers():
-    """--listen plus --workers builds the mixed topology (dial out AND
-    accept dial-ins), not a listen-only backend."""
-    import argparse
-
-    from repro.cli import _backend_from_args
-
-    args = argparse.Namespace(listen="127.0.0.1:0",
-                              workers=["hostA:7461,hostB:7462"],
-                              backend=None, jobs=None)
-    backend = _backend_from_args(args)
-    try:
-        assert backend.workers == [("hostA", 7461), ("hostB", 7462)]
-        assert backend.address is not None
-    finally:
-        backend.close()
-
-
 def test_worker_requires_a_mode():
     with pytest.raises(SystemExit):
         main(["worker"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["registry", "--listen", "127.0.0.1:0"],
+    ["sweep", "--workers", "127.0.0.1:7461"],
+    ["sweep", "--registry", "127.0.0.1:7470"],
+    ["sweep", "--backend", "registry"],
+    ["serve", "--workers", "127.0.0.1:7461"],
+    ["worker", "--listen", "127.0.0.1:0"],
+    ["worker", "--connect", "127.0.0.1:7461", "--register", "127.0.0.1:7470"],
+])
+def test_removed_fleet_topologies_are_argparse_errors(argv, capsys):
+    """Workers join a fleet one way only: by dialing in."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--workloads", "bc", "--listen", "127.0.0.1:99999"],
+    ["serve", "--listen", "127.0.0.1:70000"],
+    ["worker", "--connect", "127.0.0.1:99999"],
+])
+def test_out_of_range_port_fails_cleanly(argv, capsys, tmp_path):
+    """A port outside 0-65535 is bad input (exit 2), not a traceback
+    or a 10 s dial loop."""
+    if argv[0] == "serve":
+        argv = argv + ["--state-dir", str(tmp_path / "state"),
+                       "--cache-dir", str(tmp_path / "cache")]
+    assert main(argv) == 2
+    assert "bad address" in capsys.readouterr().err
+    assert not (tmp_path / "state").exists()
 
 
 def test_cache_dir_env_override(capsys, tmp_path, monkeypatch):

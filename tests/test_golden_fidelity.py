@@ -3,7 +3,7 @@
 ``tests/golden/`` pins, per (workload, variant) cell, the summary stats
 and a SHA-256 over the canonical ``RunResult.to_dict()`` JSON of a
 short seed-fixed run.  These tests assert that the serial path and
-every execution backend -- process pool, thread pool, and distributed
+every execution backend -- process pool, thread pool, and dial-in
 workers on localhost (real ``python -m repro worker`` subprocesses) --
 reproduce those results *byte-identically*.
 
@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from _worker_utils import read_worker_address
+from _worker_utils import free_port
 from repro.experiments.backends import (
     DistributedBackend,
     LocalProcessBackend,
@@ -135,12 +135,13 @@ def test_distributed_backend_matches_golden(spawn_worker):
 
 
 def test_distributed_dial_mode_matches_golden(spawn_worker):
-    """A listening worker the coordinator dials (the CLI's ``--workers``
-    path), on an OS-assigned port parsed from the worker's stdout."""
-    proc = spawn_worker("--listen", "127.0.0.1:0", "--once", "--no-cache")
-    address = read_worker_address(proc)
-    backend = DistributedBackend(workers=[address])
-    results = run_sweep(golden_jobs(), cache=False, backend=backend)
+    """One worker started *before* its coordinator (``--connect`` keeps
+    redialing until the listener is up) serving a single connection
+    (``--once``), as the CLI's ``sweep --listen`` runs it."""
+    address = f"127.0.0.1:{free_port()}"
+    proc = spawn_worker("--connect", address, "--once", "--no-cache")
+    with DistributedBackend(listen=address) as backend:
+        results = run_sweep(golden_jobs(), cache=False, backend=backend)
     assert_matches_golden(results)
     assert proc.wait(timeout=30) == 0
 

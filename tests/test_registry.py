@@ -1,10 +1,11 @@
-"""Chaos-style tests for the worker registry and elastic sweeps.
+"""Chaos-style tests for elastic dial-in sweeps.
 
-The acceptance scenario of the registry subsystem: a sweep started
-against a registry with live workers completes correctly when a worker
-is killed mid-cell (the cell is retried elsewhere within its budget),
-a cell whose budget is exhausted fails the sweep with a clear error,
-and a late-joining worker picks up queued cells.
+Workers join a fleet one way: they dial a listening coordinator
+(``DistributedBackend(listen=...)``, ``repro worker --connect``).  A
+sweep over such a fleet completes correctly when a worker is killed
+mid-cell (the cell is retried elsewhere within its budget), a cell
+whose budget is exhausted fails the sweep with a clear error, and a
+worker that joins after the sweep started picks up the queued cells.
 """
 
 import json
@@ -14,17 +15,10 @@ import time
 
 import pytest
 
-from _worker_utils import read_worker_address
 from repro.experiments import backends
 from repro.experiments import worker as worker_mod
 from repro.experiments.backends import CellPolicy, DistributedBackend
 from repro.experiments.orchestrator import SweepJob, run_sweep
-from repro.experiments.registry import (
-    Announcer,
-    Registry,
-    fetch_workers,
-    format_address,
-)
 
 R = 120  # tiny traces: these tests check plumbing, not magnitudes
 
@@ -41,182 +35,78 @@ def dumps(results):
     return [json.dumps(r.to_dict(), sort_keys=True) for r in results]
 
 
-class InProcessWorker:
-    """A real worker loop (``serve_connection``) behind a listener,
-    announced to a registry -- join/leave in one line of test code."""
+def dial_in_worker(address):
+    """A real worker loop (``serve_connection``) dialing in on a thread,
+    redialing after each dismissal like ``repro worker --connect``."""
 
-    def __init__(self, registry_address, interval=0.2):
-        self.server = socket.create_server(("127.0.0.1", 0))
-        self.address = self.server.getsockname()[:2]
-        self.served_connections = 0
-        self._thread = threading.Thread(target=self._loop, daemon=True)
-        self._thread.start()
-        self.announcer = Announcer(
-            registry_address, self.address, interval=interval
-        ).start()
-
-    def _loop(self):
+    def loop():
         while True:
             try:
-                sock, _peer = self.server.accept()
+                sock = socket.create_connection(address)
             except OSError:
-                return
-            self.served_connections += 1
+                return  # the coordinator closed its listener
             try:
                 with sock:
                     worker_mod.serve_connection(sock)
             except OSError:
-                pass  # coordinator hung up mid-cell; keep serving
+                return
 
-    def kill(self):
-        """SIGKILL analogue: the listener vanishes, heartbeats stop."""
-        self.announcer.close()
-        self.server.close()
-
-
-def wait_for_workers(registry, count, timeout=5.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if len(registry.workers()) >= count:
-            return registry.workers()
-        time.sleep(0.05)
-    raise AssertionError(
-        f"registry never saw {count} worker(s): {registry.workers()}"
-    )
-
-
-class TestRegistry:
-    def test_announce_fetch_and_leave(self):
-        with Registry("127.0.0.1:0") as registry:
-            announcer = Announcer(
-                registry.address, ("127.0.0.1", 7777), interval=0.2
-            ).start()
-            wait_for_workers(registry, 1)
-            assert fetch_workers(registry.address) == ["127.0.0.1:7777"]
-            announcer.close()  # connection drop deregisters immediately
-            deadline = time.monotonic() + 5.0
-            while fetch_workers(registry.address) and time.monotonic() < deadline:
-                time.sleep(0.05)
-            assert fetch_workers(registry.address) == []
-
-    def test_stale_worker_pruned_without_disconnect(self):
-        """A SIGKILLed worker's TCP connection can linger; the registry
-        must drop it once heartbeats stop."""
-        with Registry("127.0.0.1:0", stale_after=0.4) as registry:
-            sock = socket.create_connection(registry.address)
-            rfile = sock.makefile("r", encoding="utf-8")
-            backends.send_msg(sock, {
-                "type": "announce", "version": backends.PROTOCOL_VERSION,
-                "address": "127.0.0.1:7778",
-            })
-            assert backends.recv_msg(rfile)["ok"] is True
-            assert registry.workers() == ["127.0.0.1:7778"]
-            time.sleep(0.6)  # no heartbeats: past stale_after
-            assert registry.workers() == []
-            sock.close()
-
-    def test_stale_pruned_worker_recovers_on_next_heartbeat(self):
-        """A worker pruned as stale (long GC pause, VM suspend) whose
-        connection survived must re-register with its next heartbeat."""
-        with Registry("127.0.0.1:0", stale_after=0.3) as registry:
-            # Heartbeat slower than the staleness window: the entry is
-            # pruned between beats and must revive on each one.
-            announcer = Announcer(
-                registry.address, ("127.0.0.1", 7779), interval=1.0
-            ).start()
-            wait_for_workers(registry, 1)
-            deadline = time.monotonic() + 5.0
-            while registry.workers() and time.monotonic() < deadline:
-                time.sleep(0.02)
-            assert registry.workers() == []  # pruned as stale
-            wait_for_workers(registry, 1)  # ...and back after one beat
-            announcer.close()
-
-    def test_bad_protocol_version_rejected(self):
-        with Registry("127.0.0.1:0") as registry:
-            sock = socket.create_connection(registry.address)
-            rfile = sock.makefile("r", encoding="utf-8")
-            backends.send_msg(sock, {"type": "workers", "version": -1})
-            reply = backends.recv_msg(rfile)
-            sock.close()
-            assert reply["ok"] is False
-            assert "protocol" in reply["error"]
-
-    def test_unexpected_first_message_rejected(self):
-        with Registry("127.0.0.1:0") as registry:
-            sock = socket.create_connection(registry.address)
-            rfile = sock.makefile("r", encoding="utf-8")
-            backends.send_msg(
-                sock, {"type": "gossip", "version": backends.PROTOCOL_VERSION}
-            )
-            reply = backends.recv_msg(rfile)
-            sock.close()
-            assert reply["ok"] is False
-            assert registry.workers() == []
-
-    def test_format_address(self):
-        assert format_address("7001") == "127.0.0.1:7001"
-        assert format_address(("host", 9)) == "host:9"
+    thread = threading.Thread(target=loop, daemon=True)
+    thread.start()
+    return thread
 
 
 class TestRegistryBackend:
-    def test_sweep_through_registry_matches_serial(self):
+    def test_sweep_through_registry_matches_serial(self, spawn_worker):
+        """Two real ``repro worker --connect`` processes serve a sweep
+        byte-identically to the serial path, then exit cleanly when the
+        coordinator closes its listener."""
         serial = run_sweep(tiny_jobs(), jobs=1, cache=False)
-        with Registry("127.0.0.1:0") as registry:
-            workers = [InProcessWorker(registry.address) for _ in range(2)]
-            wait_for_workers(registry, 2)
-            backend = DistributedBackend(
-                registry="%s:%d" % registry.address)
+        with DistributedBackend(listen="127.0.0.1:0") as backend:
+            address = "%s:%d" % backend.address
+            procs = [spawn_worker("--connect", address, "--no-cache")
+                     for _ in range(2)]
             results = run_sweep(tiny_jobs(), cache=False, backend=backend)
-            for worker in workers:
-                worker.kill()
         assert dumps(results) == dumps(serial)
+        for proc in procs:
+            assert proc.wait(timeout=30) == 0
 
     def test_worker_killed_mid_cell_retried_elsewhere(self):
-        """The acceptance scenario: one of two registered workers dies
+        """The acceptance scenario: one of two dial-in workers dies
         mid-cell; its cell is retried on the survivor within budget."""
         serial = run_sweep(tiny_jobs(), jobs=1, cache=False)
-        with Registry("127.0.0.1:0") as registry:
-            # The doomed worker: takes one cell, then is "SIGKILLed".
-            doomed = socket.create_server(("127.0.0.1", 0))
-            doomed_announcer = Announcer(
-                registry.address, doomed.getsockname()[:2], interval=0.2
-            ).start()
+        with DistributedBackend(listen="127.0.0.1:0") as backend:
+            took_cell = threading.Event()
 
-            def doomed_loop():
-                sock, _peer = doomed.accept()
+            def doomed_worker():
+                sock = socket.create_connection(backend.address)
                 rfile = sock.makefile("r", encoding="utf-8")
                 backends.send_msg(sock, {
                     "type": "hello", "version": backends.PROTOCOL_VERSION,
                 })
                 backends.recv_msg(rfile)  # accept a cell...
-                doomed_announcer.close()  # ...die: no heartbeats,
-                rfile.close()
-                sock.close()  # connection gone mid-cell,
-                doomed.close()  # and the address stops accepting
+                took_cell.set()
+                rfile.close()  # ...and die: connection gone mid-cell
+                sock.close()
 
-            threading.Thread(target=doomed_loop, daemon=True).start()
-            wait_for_workers(registry, 1)
-            survivor = InProcessWorker(registry.address)
-            wait_for_workers(registry, 2)
-            backend = DistributedBackend(registry="%s:%d" % registry.address)
+            threading.Thread(target=doomed_worker, daemon=True).start()
+
+            def survivor_after_kill():
+                assert took_cell.wait(timeout=20)
+                dial_in_worker(backend.address)
+
+            threading.Thread(target=survivor_after_kill, daemon=True).start()
             results = run_sweep(tiny_jobs(), cache=False, backend=backend)
-            survivor.kill()
+            assert took_cell.is_set()
         assert dumps(results) == dumps(serial)
 
     def test_retry_budget_exhausted_fails_with_clear_error(self):
-        with Registry("127.0.0.1:0") as registry:
-            bad = socket.create_server(("127.0.0.1", 0))
-            announcer = Announcer(
-                registry.address, bad.getsockname()[:2], interval=0.2
-            ).start()
+        policy = CellPolicy(retry_budget=2)
+        with DistributedBackend(listen="127.0.0.1:0", policy=policy) as backend:
 
-            def bad_loop():
-                while True:
-                    try:
-                        sock, _peer = bad.accept()
-                    except OSError:
-                        return
+            def bad_worker():
+                sock = socket.create_connection(backend.address)
+                with sock:
                     rfile = sock.makefile("r", encoding="utf-8")
                     backends.send_msg(sock, {
                         "type": "hello",
@@ -225,32 +115,23 @@ class TestRegistryBackend:
                     while True:
                         msg = backends.recv_msg(rfile)
                         if msg is None or msg.get("type") != "job":
-                            break
+                            return
                         backends.send_msg(sock, {
                             "type": "result", "id": msg["id"],
                             "ok": False, "error": "boom",
                         })
-                    sock.close()
 
-            threading.Thread(target=bad_loop, daemon=True).start()
-            wait_for_workers(registry, 1)
-            backend = DistributedBackend(
-                registry="%s:%d" % registry.address,
-                policy=CellPolicy(retry_budget=2),
-            )
+            threading.Thread(target=bad_worker, daemon=True).start()
             with pytest.raises(
                 RuntimeError, match="retry budget 2 exhausted.*boom"
             ):
                 run_sweep(tiny_jobs()[:1], cache=False, backend=backend)
-            announcer.close()
-            bad.close()
 
     def test_late_joining_worker_picks_up_queued_cells(self):
-        """A sweep started against an empty registry waits; a worker
-        announced later drains the queue."""
+        """A sweep started with no workers waits; a worker that dials in
+        later drains the queue."""
         serial = run_sweep(tiny_jobs(), jobs=1, cache=False)
-        with Registry("127.0.0.1:0") as registry:
-            backend = DistributedBackend(registry="%s:%d" % registry.address)
+        with DistributedBackend(listen="127.0.0.1:0") as backend:
             results_box = {}
 
             def sweep():
@@ -262,171 +143,7 @@ class TestRegistryBackend:
             thread.start()
             time.sleep(0.8)  # the sweep is queued with zero workers
             assert thread.is_alive()
-            late = InProcessWorker(registry.address)
+            dial_in_worker(backend.address)
             thread.join(timeout=60)
             assert not thread.is_alive()
-            late.kill()
         assert dumps(results_box["results"]) == dumps(serial)
-
-    def test_cli_worker_registers_and_serves(self, spawn_worker):
-        """End-to-end through the real CLI: ``repro worker --listen 0
-        --register HOST:PORT`` announces itself and serves a sweep
-        discovered purely through the registry."""
-        serial = run_sweep(tiny_jobs(), jobs=1, cache=False)
-        with Registry("127.0.0.1:0") as registry:
-            proc = spawn_worker(
-                "--listen", "127.0.0.1:0",
-                "--register", "%s:%d" % registry.address,
-                "--once", "--no-cache",
-            )
-            read_worker_address(proc)  # "listening on ..." line
-            wait_for_workers(registry, 1)
-            backend = DistributedBackend(registry="%s:%d" % registry.address)
-            results = run_sweep(tiny_jobs(), cache=False, backend=backend)
-            assert proc.wait(timeout=30) == 0
-        assert dumps(results) == dumps(serial)
-
-
-class TestRegistryWatch:
-    """Push dispatch: watch subscriptions and work-steal hints."""
-
-    def _watch(self, registry, steal=None):
-        sock = socket.create_connection(registry.address)
-        rfile = sock.makefile("r", encoding="utf-8")
-        subscribe = {"type": "watch", "version": backends.PROTOCOL_VERSION}
-        if steal is not None:
-            subscribe["steal"] = steal
-        backends.send_msg(sock, subscribe)
-        first = backends.recv_msg(rfile)
-        assert first["type"] == "workers" and first["ok"]
-        return sock, rfile, first
-
-    @staticmethod
-    def _next_push_with(rfile, workers, tries=10):
-        """Pushes coalesce under churn; accept any prefix, require the
-        target membership within a few messages."""
-        seen = []
-        for _ in range(tries):
-            push = backends.recv_msg(rfile)
-            assert push is not None, f"watch closed; saw {seen}"
-            seen.append(push["workers"])
-            if push["workers"] == workers:
-                return
-        raise AssertionError(f"never pushed {workers}; saw {seen}")
-
-    def test_watch_pushes_joins_and_leaves(self):
-        with Registry("127.0.0.1:0") as registry:
-            sock, rfile, first = self._watch(registry)
-            assert first["workers"] == []
-            announcer = Announcer(
-                registry.address, ("127.0.0.1", 7101), interval=0.2
-            ).start()
-            self._next_push_with(rfile, ["127.0.0.1:7101"])
-            announcer.close()
-            self._next_push_with(rfile, [])
-            rfile.close()
-            sock.close()
-
-    def test_watch_initial_list_has_existing_workers(self):
-        with Registry("127.0.0.1:0") as registry:
-            announcer = Announcer(
-                registry.address, ("127.0.0.1", 7102), interval=0.2
-            ).start()
-            wait_for_workers(registry, 1)
-            _sock, _rfile, first = self._watch(registry)
-            assert first["workers"] == ["127.0.0.1:7102"]
-            announcer.close()
-
-    def test_steal_hint_reaches_announcing_worker(self):
-        """A coordinator watching with a dial-in address is handed to
-        workers as they register, so they dial it immediately."""
-        with Registry("127.0.0.1:0") as registry:
-            wsock, wrfile, _ = self._watch(registry, steal="127.0.0.1:9101")
-            assert registry.steal_hints() == ["127.0.0.1:9101"]
-            hints = []
-            got = threading.Event()
-
-            def on_hints(addresses):
-                hints.extend(addresses)
-                got.set()
-
-            announcer = Announcer(
-                registry.address, ("127.0.0.1", 7103), interval=0.2,
-                on_hints=on_hints,
-            ).start()
-            assert got.wait(timeout=5)
-            assert hints == ["127.0.0.1:9101"]
-            announcer.close()
-            # The hint is withdrawn with its watcher.
-            wrfile.close()
-            wsock.close()
-            deadline = time.monotonic() + 5.0
-            while registry.steal_hints() and time.monotonic() < deadline:
-                time.sleep(0.05)
-            assert registry.steal_hints() == []
-
-    def test_watch_dispatched_sweep_matches_serial(self):
-        """End to end through push dispatch: a sweep against a registry
-        whose worker joins *after* the sweep starts, completed via the
-        watch push (no 1s poll), byte-identical to serial."""
-        with Registry("127.0.0.1:0") as registry:
-            backend = DistributedBackend(
-                registry=format_address(registry.address))
-            with backend:
-                worker = InProcessWorker(registry.address)
-                try:
-                    results = run_sweep(tiny_jobs(), cache=False,
-                                        backend=backend)
-                finally:
-                    worker.kill()
-        assert dumps(results) == dumps(
-            run_sweep(tiny_jobs(), jobs=1, cache=False))
-
-    def test_steal_dial_serves_listening_coordinator(self):
-        """Worker side of the hints: a hinted address is dialed and the
-        coordinator's queued cells flow through that dial."""
-        policy = CellPolicy(retry_budget=3)
-        with Registry("127.0.0.1:0") as registry:
-            with DistributedBackend(listen="127.0.0.1:0",
-                                    registry=format_address(registry.address),
-                                    policy=policy) as backend:
-                hints = []
-
-                def on_hints(addresses):
-                    hints.extend(addresses)
-                    for address in addresses:
-                        threading.Thread(
-                            target=worker_mod._steal_dial,
-                            args=(address, None, {},
-                                  __import__("io").StringIO()),
-                            daemon=True,
-                        ).start()
-
-                announcers = []
-
-                def announce_after_hint_registered():
-                    # Hints ride the `registered` ack, and the backend
-                    # only subscribes (registering its steal address)
-                    # once the sweep starts its registry watch -- so
-                    # this non-dialable worker must announce *after*
-                    # the hint exists or it would miss its only way in.
-                    deadline = time.monotonic() + 10.0
-                    while not registry.steal_hints() \
-                            and time.monotonic() < deadline:
-                        time.sleep(0.05)
-                    announcers.append(Announcer(
-                        registry.address, ("127.0.0.1", 1),  # not dialable
-                        interval=0.2, on_hints=on_hints,
-                    ).start())
-
-                threading.Thread(target=announce_after_hint_registered,
-                                 daemon=True).start()
-                try:
-                    results = run_sweep(tiny_jobs()[:1], cache=False,
-                                        backend=backend)
-                finally:
-                    for announcer in announcers:
-                        announcer.close()
-                assert hints and hints[0] == "%s:%d" % backend.address
-        assert dumps(results) == dumps(
-            run_sweep(tiny_jobs()[:1], jobs=1, cache=False))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from _worker_utils import read_worker_address
+from _worker_utils import free_port
 from repro.cli import FIGURES, main
 from repro.figures.report import ReportBuilder
 
@@ -175,13 +175,14 @@ def test_report_records_shaping_failure_and_continues(
 
 
 def test_report_over_distributed_worker(tmp_path, spawn_worker, capsys):
-    proc = spawn_worker("--listen", "127.0.0.1:0", "--once", "--no-cache")
-    address = read_worker_address(proc)
+    address = f"127.0.0.1:{free_port()}"
+    proc = spawn_worker("--connect", address, "--no-cache")
     out = tmp_path / "rep"
     argv = ["report", "--figures", "table3", "--workloads", "ycsb",
-            "--records", R, "--workers", address, "--no-cache",
+            "--records", R, "--listen", address, "--no-cache",
             "-o", str(out), "--quiet"]
     assert main(argv) == 0
+    assert proc.wait(timeout=30) == 0  # listener closed -> clean exit
     md = (out / "REPORT.md").read_text()
     assert "Complete: 1/1" in md
     assert "1 cell(s) finished (0 from cache)" in md  # progress fired per cell
