@@ -17,7 +17,7 @@ from typing import Dict, Optional
 
 from repro.config import SimConfig
 from repro.core.dram_manager import SkyByteDRAMManager
-from repro.core.trigger import ContextSwitchTrigger, TriggerDecision
+from repro.core.trigger import ContextSwitchTrigger
 from repro.cxl.protocol import MemRequest
 from repro.qos import FlashPacingArbiter, build_tenant_map
 from repro.sim import fastpath
@@ -64,8 +64,9 @@ class SkyByteController:
         self.trigger = ContextSwitchTrigger(
             config.os.cs_threshold_ns, self.flash, self.gc, enabled=ctx_switch_enabled
         )
-        # Hoisted per-access constant (config is settled by now).
+        # Hoisted per-access constants (config is settled by now).
         self._dram_ns = self._ssd.dram_access_ns
+        self._miss_index_ns = self.dram.miss_index_ns
         # Controller MSHRs: lpa -> completion time of the in-flight fetch.
         self._inflight: Dict[int, float] = {}
         # Lazy MSHR retirement (vectorized path): stale entries are
@@ -111,9 +112,7 @@ class SkyByteController:
         Returns the dirty-versus-flash bitmap that was dropped (logged
         lines plus dirty cache lines) so the host copy inherits it.
         """
-        dirty = 0
-        for line in self.dram.write_log.lines_for_page(lpa):
-            dirty |= 1 << line
+        dirty = self.dram.write_log.line_mask(lpa)
         entry = self.dram.data_cache.peek(lpa)
         if entry is not None:
             dirty |= entry.dirty_mask
@@ -141,85 +140,73 @@ class SkyByteController:
         inflight_ready = self._inflight.get(lpa)
         if inflight_ready is not None and inflight_ready > now:
             # Coalesce on the controller MSHR: the page is on its way.
-            self._stats.count_request(SSD_READ_MISS)
-            indexing = max(self._ssd.cache_index_ns, self._ssd.log_index_ns)
-            wait = inflight_ready - now
-            self._stats.record_amat(
-                indexing=indexing,
-                flash=max(0.0, wait - indexing),
-                ssd_dram=self._ssd.dram_access_ns,
-            )
-            entry = self.dram.data_cache.peek(lpa)
-            if entry is not None:
-                entry.touch_mask |= 1 << line
-            decision = self._mshr_decision(wait)
-            return AccessResult(
-                complete_ns=inflight_ready + self._ssd.dram_access_ns,
-                request_class=SSD_READ_MISS,
-                delay_hint=decision.trigger,
-                est_delay_ns=decision.estimated_ns,
-                breakdown={
-                    "indexing": indexing,
-                    "flash": max(0.0, wait - indexing),
-                    "ssd_dram": self._ssd.dram_access_ns,
-                },
-            )
+            return self._read_coalesced(lpa, line, now, inflight_ready)
 
+        # R1 then R2, each looked up once; only an R3 miss goes on.
+        hit = self.dram.lookup(lpa, line)
+        if hit is None:
+            return self._read_miss(lpa, line, now)
+        indexing = hit[1]
+        # Hit: the common case, with the stats mutators inlined
+        # (skipping the ``+= 0.0`` component adds is exact).
+        stats = self._stats
+        dram_ns = self._dram_ns
+        if stats.enabled:
+            stats.request_counts[SSD_READ_HIT] += 1
+            stats.amat_indexing_ns += indexing
+            stats.amat_ssd_dram_ns += dram_ns
+            stats.amat_accesses += 1
+        return AccessResult(
+            complete_ns=now + indexing + dram_ns,
+            request_class=SSD_READ_HIT,
+            breakdown={"indexing": indexing, "ssd_dram": dram_ns},
+        )
+
+    def _read_miss(self, lpa: int, line: int, now: float) -> AccessResult:
+        """R3: Algorithm 1's hint, then the flash fetch."""
+        indexing = self._miss_index_ns
+        ppa = self.ftl.translate(lpa)
         # Decide the context-switch hint *before* the fetch mutates the
         # channel queue (the estimate is for the state the request sees).
-        decision = self._pre_read_decision(lpa, line)
+        # A never-written page is zero-filled: no flash, no hint.
+        if ppa is not None and self.trigger.enabled:
+            decision = self.trigger.should_context_switch(ppa)
+            hint, est_ns = decision.trigger, decision.estimated_ns
+        else:
+            hint, est_ns = False, 0.0
         tenant = (
             self.tenant_map.tenant_of_page(lpa) if self._flash_qos else None
         )
-        outcome = self.dram.read(lpa, line, now, tenant)
-        if outcome.hit:
-            # Hit: the common case, with the stats mutators inlined
-            # (skipping the ``+= 0.0`` component adds is exact).
-            stats = self._stats
-            dram_ns = self._dram_ns
-            if stats.enabled:
-                stats.request_counts[SSD_READ_HIT] += 1
-                stats.amat_indexing_ns += outcome.indexing_ns
-                stats.amat_ssd_dram_ns += dram_ns
-                stats.amat_accesses += 1
-            return AccessResult(
-                complete_ns=outcome.ready_ns + dram_ns,
-                request_class=SSD_READ_HIT,
-                breakdown={
-                    "indexing": outcome.indexing_ns,
-                    "ssd_dram": dram_ns,
-                },
-            )
-        self._stats.count_request(SSD_READ_MISS)
-        self._stats.record_amat(
-            indexing=outcome.indexing_ns,
-            flash=outcome.flash_ns,
-            ssd_dram=self._ssd.dram_access_ns,
-        )
-        self._inflight[lpa] = outcome.ready_ns
+        ready = self.dram.fetch(lpa, line, ppa, now + indexing, tenant)
+        flash = max(0.0, ready - now - indexing)
+        stats = self._stats
+        dram_ns = self._dram_ns
+        if stats.enabled:
+            stats.request_counts[SSD_READ_MISS] += 1
+            stats.amat_indexing_ns += indexing
+            stats.amat_ssd_dram_ns += dram_ns
+            stats.amat_flash_ns += flash
+            stats.amat_accesses += 1
+        self._inflight[lpa] = ready
         if not self._lazy_inflight:
-            self._schedule_inflight_cleanup(lpa, outcome.ready_ns)
-        self._maybe_prefetch(lpa, now + outcome.indexing_ns)
+            self._schedule_inflight_cleanup(lpa, ready)
+        self._maybe_prefetch(lpa, now + indexing)
         return AccessResult(
-            complete_ns=outcome.ready_ns + self._ssd.dram_access_ns,
+            complete_ns=ready + dram_ns,
             request_class=SSD_READ_MISS,
-            delay_hint=decision.trigger,
-            est_delay_ns=decision.estimated_ns,
-            breakdown={
-                "indexing": outcome.indexing_ns,
-                "flash": outcome.flash_ns,
-                "ssd_dram": self._ssd.dram_access_ns,
-            },
+            delay_hint=hint,
+            est_delay_ns=est_ns,
+            breakdown={"indexing": indexing, "flash": flash, "ssd_dram": dram_ns},
         )
 
     # -- write path --------------------------------------------------------------------
 
     def _write(self, lpa: int, line: int, now: float) -> AccessResult:
-        if self._stats.enabled:
-            self._stats.host_lines_written += 1
-        self._stats.count_request(SSD_WRITE)
-        outcome = self.dram.write(lpa, line, now)
         stats = self._stats
+        if stats.enabled:
+            stats.host_lines_written += 1
+            stats.request_counts[SSD_WRITE] += 1
+        outcome = self.dram.write(lpa, line, now)
         dram_ns = self._dram_ns
         if stats.enabled:
             stats.amat_indexing_ns += outcome.indexing_ns
@@ -243,12 +230,12 @@ class SkyByteController:
         keeps the baseline's published optimisations (§VI-A's Base-CSSD
         includes "prefetching from flash to SSD DRAM"); only the DRAM
         organisation changes."""
-        for offset in range(1, self._ssd.prefetch_depth + 1):
-            nxt = lpa + offset
+        cache = self.dram.data_cache
+        for nxt in range(lpa + 1, lpa + self._ssd.prefetch_depth + 1):
             inflight = self._inflight.get(nxt)
             if inflight is not None and (not self._lazy_inflight or inflight > now):
                 continue
-            if self.dram.data_cache.peek(nxt) is not None:
+            if cache.peek(nxt) is not None:
                 continue
             ppa = self.ftl.translate(nxt)
             if ppa is None:
@@ -257,34 +244,40 @@ class SkyByteController:
                 self.tenant_map.tenant_of_page(nxt) if self._flash_qos else None
             )
             ready = self.flash.read_page(ppa, now, tenant=tenant)
-            merged = 0
-            for line_offset in self.dram.write_log.lines_for_page(nxt):
-                merged |= 1 << line_offset
-            self.dram.data_cache.fill(nxt, touch_line=None, merged_lines=merged)
+            cache.fill(nxt, None, self.dram.write_log.line_mask(nxt))
             if self._stats.enabled:
                 self._stats.prefetch_issued += 1
             self._inflight[nxt] = ready
             if not self._lazy_inflight:
                 self._schedule_inflight_cleanup(nxt, ready)
 
-    def _pre_read_decision(self, lpa: int, line: int) -> TriggerDecision:
-        """No hint if the read will be served by SSD DRAM (R1 or R2)."""
-        if not self.trigger.enabled:
-            return TriggerDecision(False, 0.0)
-        if self.dram.data_cache.peek(lpa) is not None:
-            return TriggerDecision(False, 0.0)
-        if self.dram.write_log.has_line(lpa, line):
-            return TriggerDecision(False, 0.0)
-        ppa = self.ftl.translate(lpa)
-        if ppa is None:
-            return TriggerDecision(False, 0.0)
-        return self.trigger.should_context_switch(ppa)
-
-    def _mshr_decision(self, remaining_wait: float) -> TriggerDecision:
-        if not self.trigger.enabled:
-            return TriggerDecision(False, remaining_wait)
-        return TriggerDecision(
-            remaining_wait > self.trigger.threshold_ns, remaining_wait
+    def _read_coalesced(
+        self, lpa: int, line: int, now: float, ready: float
+    ) -> AccessResult:
+        """A read of a page whose flash fetch is in flight: it waits out
+        the remaining fetch, and the hint compares that wait itself
+        against the threshold."""
+        indexing = self._miss_index_ns
+        dram_ns = self._dram_ns
+        wait = ready - now
+        flash = max(0.0, wait - indexing)
+        stats = self._stats
+        if stats.enabled:
+            stats.request_counts[SSD_READ_MISS] += 1
+            stats.amat_indexing_ns += indexing
+            stats.amat_ssd_dram_ns += dram_ns
+            stats.amat_flash_ns += flash
+            stats.amat_accesses += 1
+        entry = self.dram.data_cache.peek(lpa)
+        if entry is not None:
+            entry.touch_mask |= 1 << line
+        trigger = self.trigger
+        return AccessResult(
+            complete_ns=ready + dram_ns,
+            request_class=SSD_READ_MISS,
+            delay_hint=trigger.enabled and wait > trigger.threshold_ns,
+            est_delay_ns=wait,
+            breakdown={"indexing": indexing, "flash": flash, "ssd_dram": dram_ns},
         )
 
     def _schedule_inflight_cleanup(self, lpa: int, ready: float) -> None:

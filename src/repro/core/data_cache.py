@@ -42,7 +42,7 @@ class SkyByteDataCache:
 
     def lookup(self, lpa: int, line: int) -> Optional[CacheEntry]:
         """Read-path lookup; marks the line touched on hit."""
-        entry = self._cache.lookup(lpa, touch_line=line)
+        entry = self._cache.lookup(lpa, line)
         if entry is not None and self._stats.enabled:
             self._stats.cache_hits += 1
         return entry
@@ -70,9 +70,7 @@ class SkyByteDataCache:
         write log so the resident copy is up to date.  Returns the evicted
         entry, if any (never written back -- see module docstring).
         """
-        victim = self._cache.insert(lpa, touch_line=touch_line)
-        entry = self._cache.peek(lpa)
-        entry.dirty_mask |= merged_lines
+        victim = self._cache.insert(lpa, touch_line, merged_lines)
         if victim is not None and self._stats.enabled:
             self._stats.cache_evictions += 1
             self._stats.read_locality.record(victim.lines_touched)

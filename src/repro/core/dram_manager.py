@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.config import SSDConfig
 from repro.core.compaction import LogCompactor
@@ -39,7 +39,7 @@ from repro.ssd.ftl import PageFTL
 from repro.ssd.gc import GarbageCollector
 
 
-@dataclass
+@dataclass(slots=True)
 class ReadOutcome:
     """Result of a DRAM-manager read."""
 
@@ -50,7 +50,7 @@ class ReadOutcome:
     flash_ns: float
 
 
-@dataclass
+@dataclass(slots=True)
 class WriteOutcome:
     """Result of a DRAM-manager write."""
 
@@ -98,58 +98,64 @@ class SkyByteDRAMManager:
         self.compactor = LogCompactor(
             config, self.write_log, self.data_cache, ftl, flash, gc, engine, stats
         )
+        # What :meth:`lookup` answers for a hit: the path and its index
+        # latency.  An R3 miss needed both parallel lookups: it pays the
+        # slower one.
+        self._r1 = ("R1", config.cache_index_ns)
+        self._r2 = ("R2", config.log_index_ns)
+        self.miss_index_ns = max(config.cache_index_ns, config.log_index_ns)
 
     # -- read path ------------------------------------------------------------
+
+    def lookup(self, lpa: int, line: int) -> Optional[Tuple[str, float]]:
+        """R1 then R2: ``(path, index latency)`` when SSD DRAM can serve
+        the read, ``None`` on an R3 miss.  A data-cache hit refreshes
+        LRU and marks the line touched."""
+        if self.data_cache.lookup(lpa, line) is not None:
+            # R1 -- resident pages are kept up to date by W2/R3 merges.
+            return self._r1
+        if self.write_log.has_line(lpa, line):
+            # R2 -- newest copy lives in the log.
+            return self._r2
+        return None
 
     def read(
         self, lpa: int, line: int, now: float, tenant: Optional[int] = None
     ) -> ReadOutcome:
-        """Parallel lookup of data cache and write log (R1/R2/R3)."""
-        cache_idx = self._config.cache_index_ns
-        log_idx = self._config.log_index_ns
-        entry = self.data_cache.lookup(lpa, line)
-        if entry is not None:
-            # R1 -- resident pages are kept up to date by W2/R3 merges.
-            return ReadOutcome(
-                hit=True,
-                path="R1",
-                ready_ns=now + cache_idx,
-                indexing_ns=cache_idx,
-                flash_ns=0.0,
-            )
-        if self.write_log.has_line(lpa, line):
-            # R2 -- newest copy lives in the log.
-            return ReadOutcome(
-                hit=True,
-                path="R2",
-                ready_ns=now + log_idx,
-                indexing_ns=log_idx,
-                flash_ns=0.0,
-            )
-        # R3 -- fetch from flash; both lookups were needed to know (pay the
-        # slower of the two parallel lookups).
-        indexing = max(cache_idx, log_idx)
+        """Parallel lookup of data cache and write log (R1/R2/R3).
+
+        The controller calls :meth:`lookup` and :meth:`fetch` itself: it
+        decides Algorithm 1's hint between the two.
+        """
+        hit = self.lookup(lpa, line)
+        if hit is not None:
+            path, indexing = hit
+            return ReadOutcome(True, path, now + indexing, indexing, 0.0)
+        indexing = self.miss_index_ns
+        flash_ready = self.fetch(
+            lpa, line, self._ftl.translate(lpa), now + indexing, tenant
+        )
+        return ReadOutcome(
+            False, "R3", flash_ready, indexing,
+            max(0.0, flash_ready - now - indexing),
+        )
+
+    def fetch(
+        self, lpa: int, line: int, ppa: Optional[int], issue_ns: float,
+        tenant: Optional[int] = None,
+    ) -> float:
+        """R3: read ``ppa`` (the FTL translation of ``lpa``) from flash at
+        ``issue_ns``, merge the logged lines into it and install it in the
+        data cache.  Returns when the page is in SSD DRAM."""
         if self._stats.enabled:
             self._stats.cache_misses += 1
-        ppa = self._ftl.translate(lpa)
         if ppa is None:
             # Never-written page: zero-fill without flash access.
-            flash_ready = now + indexing
+            flash_ready = issue_ns
         else:
-            flash_ready = self._flash.read_page(
-                ppa, now + indexing, tenant=tenant
-            )
-        merged_mask = 0
-        for line_offset in self.write_log.lines_for_page(lpa):
-            merged_mask |= 1 << line_offset
-        self.data_cache.fill(lpa, touch_line=line, merged_lines=merged_mask)
-        return ReadOutcome(
-            hit=False,
-            path="R3",
-            ready_ns=flash_ready,
-            indexing_ns=indexing,
-            flash_ns=max(0.0, flash_ready - now - indexing),
-        )
+            flash_ready = self._flash.read_page(ppa, issue_ns, tenant=tenant)
+        self.data_cache.fill(lpa, line, self.write_log.line_mask(lpa))
+        return flash_ready
 
     #: High-water mark: compaction starts when the active buffer reaches
     #: this fill fraction (waiting for completely full risks stalling
@@ -200,15 +206,8 @@ class SkyByteDRAMManager:
     def warm_read(self, lpa: int, line: int) -> None:
         """Warmup replay of a read: bring the page into the data cache as
         a zero-cost fill so LRU state reaches steady state (§VI-A)."""
-        entry = self.data_cache.lookup(lpa, line)
-        if entry is not None:
-            return
-        if self.write_log.has_line(lpa, line):
-            return
-        merged = 0
-        for line_offset in self.write_log.lines_for_page(lpa):
-            merged |= 1 << line_offset
-        self.data_cache.fill(lpa, touch_line=line, merged_lines=merged)
+        if self.lookup(lpa, line) is None:
+            self.data_cache.fill(lpa, line, self.write_log.line_mask(lpa))
 
     def warm_write(self, lpa: int, line: int) -> None:
         """Warmup replay of a write: append to the log without scheduling

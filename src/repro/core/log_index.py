@@ -34,14 +34,17 @@ class SecondLevelTable:
     factor would hold, for footprint accounting.
     """
 
-    __slots__ = ("entries", "slots")
+    __slots__ = ("entries", "slots", "mask")
 
     def __init__(self) -> None:
         self.entries: Dict[int, int] = {}
         self.slots = SECOND_LEVEL_INITIAL_SLOTS
+        #: Bitmask of the indexed line offsets (the R3 merge mask).
+        self.mask = 0
 
     def insert(self, line_offset: int, log_offset: int) -> None:
         self.entries[line_offset] = log_offset
+        self.mask |= 1 << line_offset
         while len(self.entries) > self.slots * SECOND_LEVEL_LOAD_FACTOR:
             self.slots *= 2
 
@@ -50,6 +53,7 @@ class SecondLevelTable:
 
     def remove(self, line_offset: int) -> None:
         self.entries.pop(line_offset, None)
+        self.mask &= ~(1 << line_offset)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -89,10 +93,19 @@ class LogIndex:
             return None
         return table.lookup(line_offset)
 
+    def has_line(self, lpa: int, line_offset: int) -> bool:
+        table = self._first.get(lpa)
+        return table is not None and line_offset in table.entries
+
     def lines_for_page(self, lpa: int) -> Dict[int, int]:
         """All logged lines of ``lpa``: line offset -> log offset."""
         table = self._first.get(lpa)
         return dict(table.entries) if table is not None else {}
+
+    def line_mask(self, lpa: int) -> int:
+        """Bitmask of the logged lines of ``lpa`` (no dict copy)."""
+        table = self._first.get(lpa)
+        return 0 if table is None else table.mask
 
     def has_page(self, lpa: int) -> bool:
         return lpa in self._first

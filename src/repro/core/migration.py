@@ -133,12 +133,16 @@ class MigrationEngine:
         if not self._controller.contains_page(page):
             self.policy.forget(page)
             return False
+        # A refused promotion forgets the page, so it can earn candidacy
+        # again; left tracked out, it could never be promoted.
         if self._page_table.promoted_count + len(self.plb) >= self.budget_pages:
             self._demote_coldest(now)
             if self._page_table.promoted_count + len(self.plb) >= self.budget_pages:
+                self.policy.forget(page)
                 return False
         entry = self.plb.begin(page, dst_frame=-1)
         if entry is None:  # PLB full: hardware says wait
+            self.policy.forget(page)
             return False
 
         # Timing: MSI-X + OS handling, then the 4 KB copy upstream.

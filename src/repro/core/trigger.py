@@ -20,7 +20,7 @@ from repro.ssd.flash import FlashArray
 from repro.ssd.gc import GarbageCollector
 
 
-@dataclass
+@dataclass(slots=True)
 class TriggerDecision:
     """Outcome of the trigger policy for one request."""
 

@@ -150,17 +150,18 @@ class WriteLog:
         return self.standby.index.lookup(lpa, line_offset)
 
     def has_line(self, lpa: int, line_offset: int) -> bool:
-        return self.lookup(lpa, line_offset) is not None
+        first, second = self.buffers
+        return (first.index.has_line(lpa, line_offset)
+                or second.index.has_line(lpa, line_offset))
 
     def has_page(self, lpa: int) -> bool:
         return self.active.index.has_page(lpa) or self.standby.index.has_page(lpa)
 
-    def lines_for_page(self, lpa: int) -> Dict[int, int]:
-        """Union of logged lines for ``lpa`` across both buffers, with the
-        active buffer's (newer) entries winning."""
-        lines = self.standby.index.lines_for_page(lpa)
-        lines.update(self.active.index.lines_for_page(lpa))
-        return lines
+    def line_mask(self, lpa: int) -> int:
+        """Bitmask of the lines of ``lpa`` logged in either buffer (the
+        R3 merge and promotion's dirty bitmap need no log offsets)."""
+        first, second = self.buffers
+        return first.index.line_mask(lpa) | second.index.line_mask(lpa)
 
     def remove_page(self, lpa: int) -> int:
         """Invalidate all entries of a page in both buffers (promotion)."""
@@ -216,8 +217,8 @@ class PartitionedWriteLog:
     def has_page(self, lpa: int) -> bool:
         return self.log_for(lpa).has_page(lpa)
 
-    def lines_for_page(self, lpa: int) -> Dict[int, int]:
-        return self.log_for(lpa).lines_for_page(lpa)
+    def line_mask(self, lpa: int) -> int:
+        return self.log_for(lpa).line_mask(lpa)
 
     def remove_page(self, lpa: int) -> int:
         return self.log_for(lpa).remove_page(lpa)

@@ -333,6 +333,7 @@ def run_workload(
     stats = system.run(max_ns=max_ns)
     if timeline is not None and system.tracer is not None:
         system.tracer.write(timeline)
+    system.close()
     return RunResult(
         workload=workload,
         variant=variant,

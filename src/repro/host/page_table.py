@@ -14,8 +14,10 @@ the Linux buddy allocator the paper uses).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from operator import attrgetter
+from typing import Dict, Iterator, List, Optional, Tuple
 
 
 class Location:
@@ -25,7 +27,7 @@ class Location:
     HOST = "host"
 
 
-@dataclass
+@dataclass(slots=True)
 class PageTableEntry:
     """One PTE (only the fields the migration mechanism touches)."""
 
@@ -37,6 +39,11 @@ class PageTableEntry:
     #: Last access time, for the LRU-like demotion choice ("finding a
     #: relatively cold page tracked by the active/inactive list").
     last_access_ns: float = 0.0
+    #: Creation ordinal: breaks demotion-victim ties (oldest PTE first).
+    seq: int = 0
+
+
+_SEQ = attrgetter("seq")
 
 
 class PageTable:
@@ -45,12 +52,18 @@ class PageTable:
     def __init__(self) -> None:
         self._entries: Dict[int, PageTableEntry] = {}
         self._next_frame = 0
-        self.promoted_count = 0
+        #: The promoted PTEs in creation (``seq``) order: the
+        #: demotion-victim search scans these instead of every PTE.
+        self._promoted: List[PageTableEntry] = []
+
+    @property
+    def promoted_count(self) -> int:
+        return len(self._promoted)
 
     def entry(self, vpn: int) -> PageTableEntry:
         e = self._entries.get(vpn)
         if e is None:
-            e = PageTableEntry(vpn=vpn)
+            e = PageTableEntry(vpn=vpn, seq=len(self._entries))
             self._entries[vpn] = e
         return e
 
@@ -72,7 +85,7 @@ class PageTable:
         e.host_frame = self._next_frame
         e.dirty_mask = carried_dirty_mask
         self._next_frame += 1
-        self.promoted_count += 1
+        self._promoted.insert(bisect_left(self._promoted, e.seq, key=_SEQ), e)
         return e
 
     def demote(self, vpn: int) -> Tuple[PageTableEntry, int]:
@@ -85,7 +98,7 @@ class PageTable:
         e.location = Location.CXL
         e.host_frame = None
         e.dirty_mask = 0
-        self.promoted_count -= 1
+        del self._promoted[bisect_left(self._promoted, e.seq, key=_SEQ)]
         return e, dirty
 
     def record_host_access(self, vpn: int, line: int, is_write: bool, now: float) -> None:
@@ -95,16 +108,18 @@ class PageTable:
             e.dirty_mask |= 1 << line
 
     def coldest_promoted(self) -> Optional[int]:
-        """The promoted page with the oldest last access (demotion victim)."""
-        best_vpn, best_time = None, None
-        for vpn, e in self._entries.items():
-            if e.location != Location.HOST:
-                continue
-            if best_time is None or e.last_access_ns < best_time:
-                best_vpn, best_time = vpn, e.last_access_ns
-        return best_vpn
+        """The promoted page with the oldest last access (demotion victim),
+        the oldest PTE among equally old ones.
+
+        Host hits store ``last_access_ns`` in place, so there is no order
+        to maintain between calls; the scan is over promoted pages only,
+        in creation order, and ``list.index`` keeps the first minimum.
+        """
+        promoted = self._promoted
+        if not promoted:
+            return None
+        times = [e.last_access_ns for e in promoted]
+        return promoted[times.index(min(times))].vpn
 
     def promoted_pages(self) -> Iterator[int]:
-        for vpn, e in self._entries.items():
-            if e.location == Location.HOST:
-                yield vpn
+        return iter([e.vpn for e in self._promoted])

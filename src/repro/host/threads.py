@@ -9,6 +9,7 @@ memory access" (§III-A, step C4).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -59,9 +60,9 @@ class ThreadContext:
         #: of the ROB/MSHR window starting at trace position ``p`` and
         #: ``_cum[i]`` the total gap instructions of records ``0..i-1``,
         #: both computed for the whole trace in one numpy pass so each
-        #: ``next_window`` is two list lookups and a slice.
-        self._plan: Optional[List[int]] = None
-        self._cum: Optional[List[int]] = None
+        #: ``next_window`` is two array lookups and a slice.
+        self._plan: Optional[array] = None
+        self._cum: Optional[array] = None
         self._plan_key: Optional[Tuple[int, int]] = None
         self._vectorized = fastpath.vectorized()
 
@@ -105,28 +106,45 @@ class ThreadContext:
         The vectorized path slices a whole window out of the trace with
         one searchsorted over the gap prefix sums instead of a
         per-record Python loop; it yields byte-identical windows and is
-        skipped whenever per-record state is live (a replay record or a
-        capture tap).  Squashes and over-budget records rewind the cursor
-        there, so only the window that replays a squashed op takes the
-        per-record loop.
+        skipped whenever per-record state is live (pushed-back records
+        or a capture tap).  Squashes and over-budget records rewind the
+        cursor there, and the window that replays a squashed op is cut
+        from the same plan: the replay record (gap 0) first, then at
+        most ``max_ops - 1`` trace records within the budget.
         """
-        if (
-            self._vectorized
-            and self.replay is None
-            and not self._pushback
-            and self.on_fetch is None
-        ):
+        if self._vectorized and not self._pushback and self.on_fetch is None:
             # O(1) fetch from the precomputed plan (see _build_plan): it
             # fixes, for *every* trace position, how many records the
             # per-record loop would take from there.
             pos = self.pos
             trace = self.trace
+            replay = self.replay
             if pos >= len(trace):
-                return None
+                if replay is None:
+                    # Exhausted: free the plan now.  A finished System is
+                    # cyclic garbage that lives until a full collection.
+                    self._plan = self._cum = self._plan_key = None
+                    return None
+                self.replay = None
+                return Window(0, [replay])
             if self._plan_key != (max_instructions, max_ops):
                 self._build_plan(max_instructions, max_ops)
-            end = pos + self._plan[pos]
+            take = self._plan[pos]
             cum = self._cum
+            if replay is not None:
+                # The replay fills one op slot and none of the budget;
+                # the plan's at-least-one clamp does not apply after it.
+                self.replay = None
+                if take >= max_ops:
+                    take = max_ops - 1
+                elif take == 1 and cum[pos + 1] - cum[pos] > max_instructions:
+                    take = 0
+                end = pos + take
+                self.pos = end
+                ops = [replay]
+                ops.extend(trace[pos:end])
+                return Window(cum[end] - cum[pos], ops)
+            end = pos + take
             self.pos = end
             return Window(cum[end] - cum[pos], list(trace[pos:end]))
         window = Window(instructions=0)
@@ -160,8 +178,10 @@ class ThreadContext:
         unclamped window length at every position is one vectorized
         ``searchsorted(side="right")``; clamping to ``[1, max_ops]``
         mirrors the at-least-one-record rule and the MSHR bound.  The
-        results are kept as plain Python lists: per-window costs stay
-        numpy-free and no ``np.int64`` can leak into stats accounting.
+        results are kept as ``array('q')``: indexing yields plain Python
+        ints (per-window costs stay numpy-free and no ``np.int64`` can
+        leak into stats accounting) at 8 bytes per record instead of one
+        int object per prefix sum.
         """
         n = len(self.trace)
         gaps = np.fromiter((r[0] for r in self.trace), dtype=np.int64, count=n)
@@ -172,8 +192,8 @@ class ThreadContext:
             - 1
             - np.arange(n, dtype=np.int64)
         )
-        self._plan = np.clip(fit, 1, max_ops).tolist()
-        self._cum = cum.tolist()
+        self._plan = array("q", np.clip(fit, 1, max_ops).tobytes())
+        self._cum = array("q", cum.tobytes())
         self._plan_key = (max_instructions, max_ops)
 
     def squash_after(self, index: int, window: Window) -> TraceRecord:

@@ -535,6 +535,26 @@ class System:
             self.stats.engine = engine_stats
         return self.stats
 
+    def close(self) -> None:
+        """Break the reference cycles of a finished run, so the system is
+        freed by reference counting as soon as the caller drops it.
+
+        Cores and the scheduler point at each other and at the system,
+        and the migration and emergency-GC hooks are bound methods of
+        objects their owners hold.  Left to the cyclic collector, dead
+        systems (each with its own FTL, caches and page table) pile up
+        between full collections and inflate a sweep's peak memory.  A
+        closed system cannot run again; its stats stay readable.
+        """
+        self.cores.clear()
+        self.scheduler._waiting_cores.clear()
+        if self.migration is not None:
+            self.controller.on_page_access = None
+            self.migration.on_tlb_shootdown = None
+        ftl = getattr(self.controller, "ftl", None)
+        if ftl is not None:
+            ftl.on_out_of_space = None
+
 
 def run_system(
     config: SimConfig,
@@ -544,4 +564,6 @@ def run_system(
 ) -> SimStats:
     """Convenience one-shot runner."""
     system = System(config, traces, variant)
-    return system.run(max_ns=max_ns)
+    stats = system.run(max_ns=max_ns)
+    system.close()
+    return stats

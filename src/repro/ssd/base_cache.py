@@ -22,7 +22,7 @@ from repro.config import CACHELINES_PER_PAGE
 FULL_MASK = (1 << CACHELINES_PER_PAGE) - 1
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheEntry:
     """Metadata for one resident page."""
 
@@ -38,11 +38,11 @@ class CacheEntry:
 
     @property
     def lines_touched(self) -> int:
-        return bin(self.touch_mask).count("1")
+        return self.touch_mask.bit_count()
 
     @property
     def lines_dirty(self) -> int:
-        return bin(self.dirty_mask).count("1")
+        return self.dirty_mask.bit_count()
 
 
 class SetAssociativePageCache:
@@ -72,7 +72,7 @@ class SetAssociativePageCache:
 
         If ``touch_line`` is given, that cacheline is marked accessed.
         """
-        cache_set = self._set_of(lpa)
+        cache_set = self._sets[lpa % self.num_sets]
         entry = cache_set.get(lpa)
         if entry is None:
             return None
@@ -83,26 +83,30 @@ class SetAssociativePageCache:
 
     def peek(self, lpa: int) -> Optional[CacheEntry]:
         """Lookup without LRU refresh or touch update."""
-        return self._set_of(lpa).get(lpa)
+        return self._sets[lpa % self.num_sets].get(lpa)
 
-    def insert(self, lpa: int, touch_line: Optional[int] = None) -> Optional[CacheEntry]:
+    def insert(
+        self, lpa: int, touch_line: Optional[int] = None, dirty_mask: int = 0
+    ) -> Optional[CacheEntry]:
         """Insert ``lpa`` as most-recently-used.
 
         Returns the evicted :class:`CacheEntry` if the set was full, else
         None.  Inserting an already-resident page refreshes it in place.
+        ``dirty_mask`` is OR-ed into the resident entry's dirty lines.
         """
-        cache_set = self._set_of(lpa)
+        cache_set = self._sets[lpa % self.num_sets]
         existing = cache_set.get(lpa)
         if existing is not None:
             cache_set.move_to_end(lpa)
             if touch_line is not None:
                 existing.touch_mask |= 1 << touch_line
+            existing.dirty_mask |= dirty_mask
             return None
         victim = None
         if len(cache_set) >= self.ways:
             _lpa, victim = cache_set.popitem(last=False)
             self._size -= 1
-        entry = CacheEntry(lpa=lpa)
+        entry = CacheEntry(lpa=lpa, dirty_mask=dirty_mask)
         if touch_line is not None:
             entry.touch_mask |= 1 << touch_line
         cache_set[lpa] = entry

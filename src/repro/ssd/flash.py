@@ -44,7 +44,69 @@ PAGE_TRANSFER_NS = 800.0
 PROGRAM_SUSPEND_NS = 2_000.0
 
 
-class FlashChannel:
+class _QueuedChannel:
+    """Queued-command counters of one channel (what Algorithm 1 reads),
+    shared by the flat and deep channel models.
+
+    Each submit bumps its counter and schedules the bound ``_*_done``
+    completion that drops it again, so no per-command closure is built
+    unless the caller passes an ``on_done``.
+    """
+
+    def __init__(
+        self, index: int, timing: FlashTiming, engine: Engine,
+        transfer_ns: float,
+    ) -> None:
+        self.index = index
+        self._timing = timing
+        self._engine = engine
+        self._transfer_ns = transfer_ns
+        self.queued_reads = 0
+        self.queued_programs = 0
+        self.queued_erases = 0
+
+    @property
+    def queue_depth(self) -> int:
+        """Commands currently in flight on this channel."""
+        return self.queued_reads + self.queued_programs + self.queued_erases
+
+    def busy_ns(self, now: float) -> float:
+        """Remaining time until a new command could start an array op."""
+        return max(0.0, self.free_at - now)
+
+    def estimate_read_fifo_ns(self) -> float:
+        """Algorithm 1 lines 5-6 verbatim (FIFO queue-sum):
+        ``read*(nread+1) + program*nwrite + erase*nerase``."""
+        t = self._timing
+        return (
+            t.read_ns * (self.queued_reads + 1)
+            + t.program_ns * self.queued_programs
+            + t.erase_ns * self.queued_erases
+        )
+
+    def _read_done(self) -> None:
+        self.queued_reads -= 1
+
+    def _program_done(self) -> None:
+        self.queued_programs -= 1
+
+    def _erase_done(self) -> None:
+        self.queued_erases -= 1
+
+    def _track(self, completion: float, done, on_done) -> None:
+        """Run ``done`` (then ``on_done``, if any) at ``completion``."""
+        if on_done is None:
+            self._engine.schedule_at(completion, done)
+            return
+
+        def _complete() -> None:
+            done()
+            on_done()
+
+        self._engine.schedule_at(completion, _complete)
+
+
+class FlashChannel(_QueuedChannel):
     """One flash channel: parallel dies behind a serialising bus.
 
     Reads have priority: an in-flight *program* on the target die is
@@ -70,16 +132,10 @@ class FlashChannel:
         engine: Engine,
         transfer_ns: float = PAGE_TRANSFER_NS,
     ) -> None:
-        self.index = index
+        super().__init__(index, timing, engine, transfer_ns)
         self.dies = max(1, dies)
-        self._timing = timing
-        self._engine = engine
-        self._transfer_ns = transfer_ns
         self._die_free = [0.0] * self.dies
         self._die_read_free = [0.0] * self.dies
-        self.queued_reads = 0
-        self.queued_programs = 0
-        self.queued_erases = 0
 
     @property
     def free_at(self) -> float:
@@ -91,21 +147,7 @@ class FlashChannel:
         """Time at which every queued command will have completed."""
         return max(self._die_free)
 
-    def busy_ns(self, now: float) -> float:
-        """Remaining time until a new command could start a die op."""
-        return max(0.0, self.free_at - now)
-
     # -- latency estimators ---------------------------------------------------
-
-    def estimate_read_fifo_ns(self) -> float:
-        """Algorithm 1 lines 5-6 verbatim (FIFO queue-sum):
-        ``read*(nread+1) + program*nwrite + erase*nerase``."""
-        t = self._timing
-        return (
-            t.read_ns * (self.queued_reads + 1)
-            + t.program_ns * self.queued_programs
-            + t.erase_ns * self.queued_erases
-        )
 
     def estimate_read_ns(self, now: Optional[float] = None) -> float:
         """Die-aware estimate for a *new* read submitted now: queued reads
@@ -161,7 +203,8 @@ class FlashChannel:
         self._die_read_free[die] = array_done
         self._die_free[die] = max(self._die_free[die], array_done)
         completion = array_done + self._transfer_ns
-        self._track(completion, "read", on_done)
+        self.queued_reads += 1
+        self._track(completion, self._read_done, on_done)
         return completion
 
     def submit_program(self, now: float, on_done: Optional[Callable[[], None]] = None) -> float:
@@ -172,7 +215,8 @@ class FlashChannel:
         completion = start + self._timing.program_ns
         self._die_free[die] = completion
         # Reads need not wait for this program (suspendable).
-        self._track(completion, "program", on_done)
+        self.queued_programs += 1
+        self._track(completion, self._program_done, on_done)
         return completion
 
     def submit_erase(self, now: float, on_done: Optional[Callable[[], None]] = None) -> float:
@@ -182,7 +226,8 @@ class FlashChannel:
         completion = start + self._timing.erase_ns
         self._die_free[die] = completion
         self._die_read_free[die] = max(self._die_read_free[die], completion)
-        self._track(completion, "erase", on_done)
+        self.queued_erases += 1
+        self._track(completion, self._erase_done, on_done)
         return completion
 
     def _earliest_die(self, horizon: List[float]) -> int:
@@ -192,29 +237,17 @@ class FlashChannel:
                 best, best_t = i, horizon[i]
         return best
 
-    def _track(self, completion: float, kind: str, on_done) -> None:
-        if kind == "read":
-            self.queued_reads += 1
-        elif kind == "program":
-            self.queued_programs += 1
-        else:
-            self.queued_erases += 1
-
-        def _complete() -> None:
-            if kind == "read":
-                self.queued_reads -= 1
-            elif kind == "program":
-                self.queued_programs -= 1
-            else:
-                self.queued_erases -= 1
-            if on_done is not None:
-                on_done()
-
-        self._engine.schedule_at(completion, _complete)
-
 
 class FlashArray:
-    """The full multi-channel flash array."""
+    """The full multi-channel flash array.
+
+    The one constructor of both device models: the derived geometry is
+    computed once (:class:`~repro.ssd.geometry.GeometryModel`) and its
+    strides hoisted, so no per-op address check or channel lookup
+    re-derives a count from the frozen :class:`FlashGeometry`.  The
+    deep model overrides only :meth:`_make_channel` and the
+    ``_submit_*`` routing hooks.
+    """
 
     def __init__(
         self,
@@ -227,10 +260,15 @@ class FlashArray:
         self.geometry = geometry
         self.timing = timing
         self._stats = stats
-        dies = geometry.chips_per_channel * geometry.dies_per_chip
-        self.channels: List[FlashChannel] = [
-            FlashChannel(i, dies, timing, engine, transfer_ns)
-            for i in range(geometry.channels)
+        self.model = model = GeometryModel(geometry, timing)
+        self._pages_per_channel = model.pages_per_channel
+        self._pages_per_block = model.pages_per_block
+        self._blocks_per_channel = model.blocks_per_channel
+        self._total_pages = model.total_pages
+        self._total_blocks = model.total_blocks
+        self.channels = [
+            self._make_channel(i, engine, transfer_ns)
+            for i in range(model.channels)
         ]
         #: Optional tenant-QoS admission arbiter (see :mod:`repro.qos`).
         #: ``None`` keeps the unarbitrated fast path untouched.
@@ -238,23 +276,29 @@ class FlashArray:
         #: Optional sim-time timeline tracer (see :mod:`repro.obs.timeline`).
         self.tracer = None
 
+    def _make_channel(self, index: int, engine: Engine, transfer_ns: float):
+        return FlashChannel(
+            index, self.model.dies_per_channel, self.timing, engine,
+            transfer_ns,
+        )
+
     # -- address arithmetic ----------------------------------------------------
 
     def channel_of(self, ppa: int) -> int:
-        return ppa // self.geometry.pages_per_channel
+        return ppa // self._pages_per_channel
 
     def block_of(self, ppa: int) -> int:
         """Global block index of a physical page."""
-        return ppa // self.geometry.pages_per_block
+        return ppa // self._pages_per_block
 
     def page_in_block(self, ppa: int) -> int:
-        return ppa % self.geometry.pages_per_block
+        return ppa % self._pages_per_block
 
     def first_ppa_of_block(self, block: int) -> int:
-        return block * self.geometry.pages_per_block
+        return block * self._pages_per_block
 
     def channel_of_block(self, block: int) -> int:
-        return block // self.geometry.blocks_per_channel
+        return block // self._blocks_per_channel
 
     # -- timed operations --------------------------------------------------------
 
@@ -272,18 +316,21 @@ class FlashArray:
         recorded flash latency still runs from the request's ``now`` so
         queueing delay imposed by QoS shows up in the tenant's tail.
         """
-        self._check_ppa(ppa)
-        if self._stats.enabled:
-            self._stats.flash_page_reads += 1
-        index = self.channel_of(ppa)
-        if self.arbiter is not None and tenant is not None:
-            issue = self.arbiter.admit(index, tenant, now)
+        if not 0 <= ppa < self._total_pages:
+            raise ValueError(f"ppa {ppa} out of range")
+        stats = self._stats
+        index = ppa // self._pages_per_channel
+        arbiter = self.arbiter
+        if arbiter is not None and tenant is not None:
+            issue = arbiter.admit(index, tenant, now)
             done = self._submit_read(index, ppa, issue, on_done)
-            self.arbiter.note_completion(index, tenant, done)
+            arbiter.note_completion(index, tenant, done)
         else:
             issue = now
             done = self._submit_read(index, ppa, now, on_done)
-        self._stats.record_flash_read(done - now)
+        if stats.enabled:
+            stats.flash_page_reads += 1
+            stats.flash_read_latency.record(done - now)
         if self.tracer is not None:
             self._trace_op("flash.read", index, now, done, tenant=tenant,
                            pacing_ns=issue - now)
@@ -293,10 +340,11 @@ class FlashArray:
         self, ppa: int, now: float, on_done: Optional[Callable[[], None]] = None
     ) -> float:
         """Submit a page program; returns its completion time."""
-        self._check_ppa(ppa)
+        if not 0 <= ppa < self._total_pages:
+            raise ValueError(f"ppa {ppa} out of range")
         if self._stats.enabled:
             self._stats.flash_page_writes += 1
-        index = self.channel_of(ppa)
+        index = ppa // self._pages_per_channel
         done = self._submit_program(index, ppa, now, on_done)
         if self.tracer is not None:
             self._trace_op("flash.program", index, now, done)
@@ -306,11 +354,11 @@ class FlashArray:
         self, block: int, now: float, on_done: Optional[Callable[[], None]] = None
     ) -> float:
         """Submit a block erase; returns its completion time."""
-        if not 0 <= block < self.geometry.total_blocks:
+        if not 0 <= block < self._total_blocks:
             raise ValueError(f"block {block} out of range")
         if self._stats.enabled:
             self._stats.flash_block_erases += 1
-        index = self.channel_of_block(block)
+        index = block // self._blocks_per_channel
         done = self._submit_erase(index, block, now, on_done)
         if self.tracer is not None:
             self._trace_op("flash.erase", index, now, done)
@@ -336,10 +384,6 @@ class FlashArray:
         stripe compaction writes, §III-B)."""
         best = min(self.channels, key=lambda c: c.free_at)
         return best.index
-
-    def _check_ppa(self, ppa: int) -> None:
-        if not 0 <= ppa < self.geometry.total_pages:
-            raise ValueError(f"ppa {ppa} out of range")
 
     def _trace_op(
         self,
@@ -388,7 +432,7 @@ class _PlaneUnit:
         self.suspends = 0
 
 
-class DeepFlashChannel:
+class DeepFlashChannel(_QueuedChannel):
     """One flash channel of the deep model: explicit (die, plane) units.
 
     Where :class:`FlashChannel` dispatches each command to the earliest
@@ -425,23 +469,18 @@ class DeepFlashChannel:
         plane_parallelism: bool = True,
         schedule_log: Optional[list] = None,
     ) -> None:
-        self.index = index
+        super().__init__(index, timing, engine, transfer_ns)
         self.dies = max(1, dies)
         self.plane_parallelism = plane_parallelism
         self.planes = max(1, planes) if plane_parallelism else 1
         self.units = self.dies * self.planes
-        self._timing = timing
-        self._engine = engine
-        self._transfer_ns = transfer_ns
         self._read_priority = read_priority
         self._max_bypass = max(0, max_read_bypass)
         self._units = [_PlaneUnit() for _ in range(self.units)]
         self.schedule_log = schedule_log
-        self.queued_reads = 0
-        self.queued_programs = 0
-        self.queued_erases = 0
 
     def _unit(self, die: int, plane: int) -> _PlaneUnit:
+        # Without plane parallelism ``planes`` is 1 and a die is one unit.
         if self.plane_parallelism:
             return self._units[die * self.planes + plane]
         return self._units[die]
@@ -456,24 +495,7 @@ class DeepFlashChannel:
         """Time at which every queued command will have completed."""
         return max(u.free for u in self._units)
 
-    def busy_ns(self, now: float) -> float:
-        return max(0.0, self.free_at - now)
-
-    @property
-    def queue_depth(self) -> int:
-        """Commands currently in flight on this channel."""
-        return self.queued_reads + self.queued_programs + self.queued_erases
-
     # -- latency estimators ---------------------------------------------------
-
-    def estimate_read_fifo_ns(self) -> float:
-        """Algorithm 1 lines 5-6 verbatim (FIFO queue-sum)."""
-        t = self._timing
-        return (
-            t.read_ns * (self.queued_reads + 1)
-            + t.program_ns * self.queued_programs
-            + t.erase_ns * self.queued_erases
-        )
 
     def estimate_read_ns(self, now: Optional[float] = None) -> float:
         """Unit-aware heuristic mirroring :meth:`FlashChannel.estimate_read_ns`
@@ -511,7 +533,10 @@ class DeepFlashChannel:
         on_done: Optional[Callable[[], None]] = None,
     ) -> float:
         """Page read on its physical unit: tR then bus transfer out."""
-        u = self._unit(die, plane)
+        if self.plane_parallelism:
+            u = self._units[die * self.planes + plane]
+        else:
+            u = self._units[die]
         start, suspended = self._plan_read(u, now)
         if suspended:
             u.free += self._timing.read_ns + PROGRAM_SUSPEND_NS
@@ -526,7 +551,8 @@ class DeepFlashChannel:
         if self.schedule_log is not None:
             self.schedule_log.append(("read", die, plane, start, array_done))
         completion = array_done + self._transfer_ns
-        self._track(completion, "read", on_done)
+        self.queued_reads += 1
+        self._track(completion, self._read_done, on_done)
         return completion
 
     def submit_program(
@@ -542,7 +568,8 @@ class DeepFlashChannel:
         u.suspends = 0
         if self.schedule_log is not None:
             self.schedule_log.append(("program", die, plane, start, completion))
-        self._track(completion, "program", on_done)
+        self.queued_programs += 1
+        self._track(completion, self._program_done, on_done)
         return completion
 
     def submit_erase(
@@ -558,28 +585,9 @@ class DeepFlashChannel:
         u.suspends = 0
         if self.schedule_log is not None:
             self.schedule_log.append(("erase", die, plane, start, completion))
-        self._track(completion, "erase", on_done)
+        self.queued_erases += 1
+        self._track(completion, self._erase_done, on_done)
         return completion
-
-    def _track(self, completion: float, kind: str, on_done) -> None:
-        if kind == "read":
-            self.queued_reads += 1
-        elif kind == "program":
-            self.queued_programs += 1
-        else:
-            self.queued_erases += 1
-
-        def _complete() -> None:
-            if kind == "read":
-                self.queued_reads -= 1
-            elif kind == "program":
-                self.queued_programs -= 1
-            else:
-                self.queued_erases -= 1
-            if on_done is not None:
-                on_done()
-
-        self._engine.schedule_at(completion, _complete)
 
 
 class DeepFlashArray(FlashArray):
@@ -602,28 +610,29 @@ class DeepFlashArray(FlashArray):
         device: Optional[DeviceModelConfig] = None,
         schedule_log: Optional[list] = None,
     ) -> None:
-        self.geometry = geometry
-        self.timing = timing
-        self._stats = stats
         self.device = device if device is not None else DeviceModelConfig(kind="deep")
-        self.model = GeometryModel(geometry, timing)
-        self.channels: List[DeepFlashChannel] = [
-            DeepFlashChannel(
-                i,
-                self.model.dies_per_channel,
-                self.model.planes_per_die,
-                timing,
-                engine,
-                transfer_ns,
-                read_priority=self.device.read_priority,
-                max_read_bypass=self.device.max_read_bypass,
-                plane_parallelism=self.device.plane_parallelism,
-                schedule_log=schedule_log,
-            )
-            for i in range(geometry.channels)
-        ]
-        self.arbiter = None
-        self.tracer = None
+        self._schedule_log = schedule_log
+        super().__init__(geometry, timing, engine, stats, transfer_ns)
+        model = self.model
+        self._pages_per_die = model.pages_per_die
+        self._pages_per_plane = model.pages_per_plane
+        self._blocks_per_die = model.blocks_per_die
+        self._blocks_per_plane = model.blocks_per_plane
+
+    def _make_channel(self, index: int, engine: Engine, transfer_ns: float):
+        device = self.device
+        return DeepFlashChannel(
+            index,
+            self.model.dies_per_channel,
+            self.model.planes_per_die,
+            self.timing,
+            engine,
+            transfer_ns,
+            read_priority=device.read_priority,
+            max_read_bypass=device.max_read_bypass,
+            plane_parallelism=device.plane_parallelism,
+            schedule_log=self._schedule_log,
+        )
 
     @property
     def units_per_channel(self) -> int:
@@ -637,24 +646,42 @@ class DeepFlashArray(FlashArray):
         return self.channels[channel].preview_read_ns(die, plane, now)
 
     def _sample_depth(self, index: int) -> None:
-        device = self._stats.device
-        if device is not None and self._stats.enabled:
-            device.note_queue_depth(index, self.channels[index].queue_depth)
+        stats = self._stats
+        if stats.enabled and stats.device is not None:
+            stats.device.note_queue_depth(index, self.channels[index].queue_depth)
+
+    # The hooks get a range-checked address and its channel from the
+    # public op, so the (die, plane) split is two divmods on the hoisted
+    # strides rather than a full GeometryModel.decompose.
 
     def _submit_read(self, index: int, ppa: int, now: float, on_done) -> float:
-        _, die, plane, _, _ = self.model.decompose(ppa)
-        done = self.channels[index].submit_read(die, plane, now, on_done)
-        self._sample_depth(index)
+        die, in_die = divmod(ppa % self._pages_per_channel, self._pages_per_die)
+        channel = self.channels[index]
+        done = channel.submit_read(
+            die, in_die // self._pages_per_plane, now, on_done
+        )
+        # _sample_depth inlined: reads are most of the device's commands.
+        stats = self._stats
+        if stats.enabled and stats.device is not None:
+            stats.device.note_queue_depth(
+                index,
+                channel.queued_reads + channel.queued_programs
+                + channel.queued_erases,
+            )
         return done
 
     def _submit_program(self, index: int, ppa: int, now: float, on_done) -> float:
-        _, die, plane, _, _ = self.model.decompose(ppa)
-        done = self.channels[index].submit_program(die, plane, now, on_done)
+        die, in_die = divmod(ppa % self._pages_per_channel, self._pages_per_die)
+        done = self.channels[index].submit_program(
+            die, in_die // self._pages_per_plane, now, on_done
+        )
         self._sample_depth(index)
         return done
 
     def _submit_erase(self, index: int, block: int, now: float, on_done) -> float:
-        _, die, plane, _ = self.model.decompose_block(block)
-        done = self.channels[index].submit_erase(die, plane, now, on_done)
+        die, in_die = divmod(block % self._blocks_per_channel, self._blocks_per_die)
+        done = self.channels[index].submit_erase(
+            die, in_die // self._blocks_per_plane, now, on_done
+        )
         self._sample_depth(index)
         return done

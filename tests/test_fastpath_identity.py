@@ -7,10 +7,16 @@ trace / precondition memos — claims bit-identical results to the scalar
 reference.  This suite pins that claim: each Table I scenario simulates
 under both forced modes and the canonical ``RunResult.to_dict()`` JSON
 must match byte for byte, for every device variant, both device models,
-and colocated (per-tenant attributed, optionally WFQ-scheduled) runs.
+and colocated (per-tenant attributed, optionally QoS-isolated) runs.
+
+The vector output is also checked against a frozen SHA-256 per cell
+(``tests/golden/identity_digests.json``), so the suite still pins exact
+results once the scalar reference path is gone.
 """
 
+import hashlib
 import json
+import os
 
 import pytest
 
@@ -22,6 +28,16 @@ from repro.sim import fastpath
 
 TAB1 = sorted(n for n in scenario_names() if n.startswith("tab1-"))
 RECORDS = 300
+
+_GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
+                       "identity_digests.json")
+with open(_GOLDEN, encoding="utf-8") as _fh:
+    FROZEN = json.load(_fh)["digests"]
+
+
+def _assert_frozen(key, canonical):
+    got = hashlib.sha256(canonical.encode()).hexdigest()
+    assert got == FROZEN[key], f"{key}: result moved from its frozen digest"
 
 
 def _canonical(workload, variant, **kwargs):
@@ -36,6 +52,8 @@ def _both_modes(workload, variant, **kwargs):
         scalar = _canonical(workload, variant, **kwargs)
     with fastpath.forced_mode("vector"):
         vector = _canonical(workload, variant, **kwargs)
+    device_model = kwargs.get("device_model", "flat")
+    _assert_frozen(f"{workload}|{variant}|{device_model}", vector)
     return scalar, vector
 
 
@@ -104,8 +122,11 @@ def _colocated(isolation):
         Tenant(name="web", scenario="web-tier", threads=2, seed=7),
         Tenant(name="ingest", scenario="log-ingest", threads=2, seed=8),
     ]
+    # Unequal priorities, or "priority" isolation would rank no tenant.
+    priorities = (1, 0) if isolation == "priority" else None
     system = run_colocation(tenants, variant="SkyByte-Full",
-                            records_per_thread=RECORDS, isolation=isolation)
+                            records_per_thread=RECORDS, isolation=isolation,
+                            priorities=priorities)
     return json.dumps(
         [system.stats.to_dict()] + [s.to_dict() for s in system.tenant_stats]
         + [system.tenant_end_ns],
@@ -113,12 +134,19 @@ def _colocated(isolation):
     )
 
 
-@pytest.mark.parametrize("isolation", ["none", "wfq"])
+@pytest.mark.parametrize("isolation", [
+    "none", "wfq", "priority",
+    # The controller read path routes through the per-tenant write-log
+    # shares and data-cache quotas.
+    "log-partition", "cache-quota",
+])
 def test_vectorized_identity_colocation(isolation):
-    """Per-tenant attribution (the window loop's access mirror) and
-    weighted host scheduling must match the per-access scalar path."""
+    """Per-tenant attribution (the window loop's access mirror), QoS host
+    scheduling and the partitioned SSD DRAM must match the per-access
+    scalar path."""
     with fastpath.forced_mode("scalar"):
         scalar = _colocated(isolation)
     with fastpath.forced_mode("vector"):
         vector = _colocated(isolation)
     assert scalar == vector, f"colocation ({isolation}) diverged"
+    _assert_frozen(f"colocation|{isolation}", vector)

@@ -47,6 +47,18 @@ class TestLogIndex:
         assert idx.lookup(10, 3) == 2
         assert len(idx) == 1
 
+    def test_line_mask_follows_inserts_and_removes(self):
+        idx = LogIndex()
+        idx.insert(5, 0, 100)
+        idx.insert(5, 7, 101)
+        idx.insert(5, 7, 102)  # coalesced: same line
+        assert idx.line_mask(5) == (1 << 0) | (1 << 7)
+        assert idx.line_mask(6) == 0
+        idx._first[5].remove(0)
+        assert idx.line_mask(5) == 1 << 7
+        idx.remove_page(5)
+        assert idx.line_mask(5) == 0
+
     def test_lines_for_page_groups_by_page(self):
         """Compaction's one-table traversal (the point of two levels)."""
         idx = LogIndex()

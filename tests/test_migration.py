@@ -123,6 +123,14 @@ class TestMigrationEngine:
         engine.run()
         assert pt.is_promoted(0)
         assert not pt.is_promoted(1)
+        # The refusal must not lock page 1 out: once page 0 has been idle
+        # past the hysteresis window, page 1 earns candidacy again and
+        # displaces it.
+        idle = pt.entry(0).last_access_ns + config.os.demote_min_idle_ns + 1.0
+        touch(controller, 1, 2, now=idle)
+        engine.run()
+        assert pt.is_promoted(1)
+        assert not pt.is_promoted(0)
 
     def test_explicit_demote_writes_dirty_back(self):
         config, engine, stats, controller, pt, migration = build(threshold=2)

@@ -1,6 +1,7 @@
 """Tests for the host page table."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.host.page_table import Location, PageTable
 
@@ -81,3 +82,58 @@ def test_frames_unique():
     pt = PageTable()
     frames = {pt.promote(v).host_frame for v in range(10)}
     assert len(frames) == 10
+
+
+def _coldest_by_full_scan(pt):
+    """The reference victim: first PTE in creation order, among promoted
+    ones, with the strictly smallest ``last_access_ns``."""
+    best_vpn, best_time = None, None
+    for vpn, e in pt._entries.items():
+        if e.location != Location.HOST:
+            continue
+        if best_time is None or e.last_access_ns < best_time:
+            best_vpn, best_time = vpn, e.last_access_ns
+    return best_vpn
+
+
+# Few distinct times, 0.0 (never host-accessed) among them: ties are the
+# common case the creation-order tie break has to get right.
+_pt_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["entry", "promote", "demote", "access"]),
+        st.integers(0, 12),
+        st.sampled_from([0.0, 0.0, 5.0, 7.0, 9.0]),
+    ),
+    max_size=120,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_pt_ops)
+def test_coldest_promoted_matches_full_scan(ops):
+    pt = PageTable()
+    for op, vpn, now in ops:
+        if op == "entry":
+            pt.entry(vpn)
+        elif op == "promote" and not pt.is_promoted(vpn):
+            pt.promote(vpn)
+        elif op == "demote" and pt.is_promoted(vpn):
+            pt.demote(vpn)  # a later "promote" re-promotes it
+        elif op == "access" and pt.is_promoted(vpn):
+            pt.record_host_access(vpn, 0, False, now)
+        assert pt.coldest_promoted() == _coldest_by_full_scan(pt)
+        assert list(pt.promoted_pages()) == [
+            v for v, e in pt._entries.items() if e.location == Location.HOST
+        ]
+
+
+def test_coldest_ties_go_to_the_oldest_pte():
+    pt = PageTable()
+    pt.entry(7)  # created first, promoted last
+    pt.promote(3)
+    pt.promote(7)
+    assert pt.coldest_promoted() == 7  # both at 0.0
+    pt.demote(7)
+    assert pt.coldest_promoted() == 3
+    pt.promote(7)
+    assert pt.coldest_promoted() == 7

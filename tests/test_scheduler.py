@@ -1,6 +1,7 @@
 """Tests for the OS scheduler policies."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.host.scheduler import Scheduler
 from repro.host.threads import ThreadContext
@@ -76,6 +77,38 @@ class TestFairness:
         for t in threads:
             s.enqueue(t)
         assert s.pick_next(prefer_not=0).tid == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        threads=st.lists(
+            st.tuples(st.integers(0, 30), st.sampled_from([0.0, 1.0, 2.5])),
+            min_size=1, max_size=12, unique_by=lambda t: t[0],
+        ),
+        requeue=st.lists(st.booleans(), max_size=30),
+    )
+    def test_fair_pick_matches_indexed_reference(self, threads, requeue):
+        """Equal runtimes fall back to the tid; the rest of the queue
+        keeps its order, exactly as popping the minimum index did."""
+        s = Scheduler("FAIRNESS")
+        reference = []
+        for tid, runtime in threads:
+            t = ThreadContext(tid, [(1, False, 0)])
+            t.runtime_ns = runtime
+            s.enqueue(t)
+            reference.append(t)
+        for again in requeue + [False] * len(threads):
+            if not reference:
+                break
+            i = min(range(len(reference)),
+                    key=lambda i: (reference[i].runtime_ns, reference[i].tid))
+            expected = reference.pop(i)
+            assert s.pick_next() is expected
+            if again:  # yielded: charged and runnable again
+                expected.runtime_ns += 1.0
+                s.enqueue(expected)
+                reference.append(expected)
+            assert s._queue == reference
+        assert s.runnable() == len(reference)
 
     def test_cfs_alias(self):
         assert Scheduler("CFS").policy == "FAIRNESS"

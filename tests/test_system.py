@@ -1,8 +1,12 @@
 """Integration tests: full-system runs for every design variant."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.experiments.runner import build_config, run_workload
+from repro.sim.system import System
 from repro.variants import VARIANTS
 
 RECORDS = 600
@@ -117,3 +121,31 @@ def test_drain_accounts_buffered_writes():
 def test_stats_gc_triggers_on_write_heavy_long_run():
     r = run_workload("dlrm", "Base-CSSD", records_per_thread=6000)
     assert r.stats.gc_invocations >= 1
+
+
+@pytest.mark.parametrize("device_model", ["flat", "deep"])
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_finished_run_is_freed_without_the_cycle_collector(
+    monkeypatch, variant, device_model
+):
+    """run_workload closes its System: the system, its controller and FTL
+    are freed by reference counting alone, so a sweep's dead runs never
+    wait for a full collection."""
+    refs = []
+    close = System.close
+
+    def spy(system):
+        close(system)
+        parts = [system, system.controller,
+                 getattr(system.controller, "ftl", None)]
+        refs.extend(weakref.ref(p) for p in parts if p is not None)
+
+    monkeypatch.setattr(System, "close", spy)
+    gc.collect()
+    gc.disable()
+    try:
+        run_workload("bc", variant, records_per_thread=200, seed=3,
+                     device_model=device_model)
+        assert refs and all(ref() is None for ref in refs)
+    finally:
+        gc.enable()

@@ -1,6 +1,6 @@
 """Tests for thread contexts and window building."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.host.threads import ThreadContext
@@ -159,3 +159,44 @@ class TestCursorRewind:
         thread.on_fetch = seen.append
         drive(thread, squashes, max_instructions=150, max_ops=4)
         assert seen == trace
+
+
+class TestResumeWindow:
+    """The window that replays a squashed op is cut from the window plan
+    on the vectorized path; the per-record loop (which a capture tap
+    forces) is its reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        gaps=st.lists(st.integers(0, 120), max_size=30),
+        cut=st.integers(0, 40),
+        max_instructions=st.integers(1, 300),
+        max_ops=st.integers(1, 8),
+    )
+    # max_ops=1: the replay alone fills the window.
+    @example(gaps=[5, 5, 5], cut=1, max_instructions=100, max_ops=1)
+    # The first trace record after the replay exceeds the ROB budget.
+    @example(gaps=[5, 400, 5], cut=1, max_instructions=100, max_ops=4)
+    # The replay is the trace's last op.
+    @example(gaps=[5, 5], cut=2, max_instructions=100, max_ops=4)
+    def test_plan_resume_matches_per_record_loop(
+        self, gaps, cut, max_instructions, max_ops
+    ):
+        trace = [(g, i % 3 == 0, i * 4096) for i, g in enumerate(gaps)]
+        pos = cut % (len(trace) + 1)
+        replay = (0, False, 999 * 4096)
+        planned = context("vector", trace)
+        looped = context("vector", trace)
+        looped.on_fetch = lambda record: None
+        for thread in (planned, looped):
+            thread.pos = pos
+            thread.replay = replay
+        got = planned.next_window(max_instructions, max_ops)
+        want = looped.next_window(max_instructions, max_ops)
+        assert (got.instructions, got.ops) == (want.instructions, want.ops)
+        assert got.ops[0] == replay
+        assert (planned.pos, planned.replay) == (looped.pos, looped.replay)
+        # The plan stays in step afterwards.
+        assert drive(planned, [], max_instructions, max_ops) == drive(
+            looped, [], max_instructions, max_ops
+        )

@@ -87,7 +87,7 @@ class TestWriteLog:
         drained.reset()
         assert log.can_swap()
 
-    def test_lines_for_page_merges_buffers(self):
+    def test_line_mask_merges_buffers(self):
         log = WriteLog(8)
         log.append(5, 0)
         log.append(5, 1)
@@ -95,8 +95,8 @@ class TestWriteLog:
         log.append(0, 1)
         log.swap()
         log.append(5, 2)
-        lines = log.lines_for_page(5)
-        assert set(lines) == {0, 1, 2}
+        assert log.line_mask(5) == 0b111
+        assert log.line_mask(6) == 0
 
     def test_remove_page_hits_both_buffers(self):
         log = WriteLog(8)
