@@ -40,6 +40,7 @@ from __future__ import annotations
 import json
 import os
 import queue
+import select
 import socket
 import threading
 from concurrent.futures import (
@@ -72,6 +73,10 @@ log = get_logger("backends")
 PendingCell = Tuple[str, "SweepJob"]
 FinishFn = Callable[[str, RunResult], None]
 BackendLike = Union["SweepBackend", str, None]
+
+#: Queued behind the last cell of a distributed sweep: the connection
+#: that takes it dismisses its worker and puts it back for the next.
+_SWEEP_DONE = None
 
 
 def default_jobs() -> int:
@@ -360,13 +365,14 @@ class DistributedBackend(SweepBackend):
                           done) -> None:
         """One worker connection: feed it cells until the sweep is done.
 
-        An idle connection polls the queue rather than hanging up the
-        moment it looks empty -- a cell failing elsewhere may be
-        requeued at any time until ``done`` is set, and this worker
-        must be around to absorb it (that is the rebalancing half of
-        the retry story).  A failure mid-cell reports the cell in the
-        ``down`` event (the run loop owns retry accounting, so
-        requeueing happens there).
+        An idle connection blocks on the queue rather than hanging up
+        the moment it looks empty -- a cell failing elsewhere may be
+        requeued at any time until the sweep ends, and this worker must
+        be around to absorb it (that is the rebalancing half of the
+        retry story).  The end of the sweep arrives as :data:`_SWEEP_DONE`
+        on the same queue, so the worker is dismissed at once.  A
+        failure mid-cell reports the cell in the ``down`` event (the
+        run loop owns retry accounting, so requeueing happens there).
 
         Quarantine is keyed on a *stable* worker identity -- the peer
         host plus the pid from the worker's hello -- not the connection
@@ -398,13 +404,12 @@ class DistributedBackend(SweepBackend):
                     done.wait(0.5)
                     send_msg(sock, {"type": "bye"})
                     break
-                if done.is_set():
+                current = job_q.get()
+                if current is _SWEEP_DONE:
+                    job_q.put(_SWEEP_DONE)  # for the next idle connection
+                    current = None
                     send_msg(sock, {"type": "bye"})
                     break
-                try:
-                    current = job_q.get(timeout=0.2)
-                except queue.Empty:
-                    continue
                 if worker_id in quarantined:
                     # Charging a failure quarantines *before* requeueing
                     # the cell, so this re-check reliably keeps a just-
@@ -470,28 +475,34 @@ class DistributedBackend(SweepBackend):
         # Connection threads start with a fresh contextvar context, so
         # the caller's trace context is captured here and handed to them.
         self._trace_parent = current_context()
-        job_q: "queue.Queue[PendingCell]" = queue.Queue()
+        job_q: "queue.Queue[Optional[PendingCell]]" = queue.Queue()
         for cell in pending:
             job_q.put(cell)
         events: "queue.Queue[tuple]" = queue.Queue()
         threads: List[threading.Thread] = []
-        # Set once every cell has finished (or the sweep failed): the
-        # accept loop stops and idle connections dismiss their workers
-        # with "bye".
+        # Set once every cell has finished (or the sweep failed).  The
+        # accept loop wakes on ``wake_r`` and idle connections on the
+        # _SWEEP_DONE sentinel, so the sweep ends with its last cell.
         done = threading.Event()
+        wake_r, wake_w = socket.socketpair()
         # Shared with connection threads: a quarantined worker takes no
         # further cells (checked before each hand-out).
         quarantined: Set[str] = set()
 
         def accept_loop() -> None:
-            listener.settimeout(0.2)
-            while not done.is_set():
+            # Non-blocking, so a dial that vanished between the select
+            # and the accept cannot wedge the loop.
+            listener.setblocking(False)
+            while True:
                 try:
+                    ready, _, _ = select.select([listener, wake_r], [], [])
+                    if wake_r in ready:
+                        return
                     sock, peer = listener.accept()
-                except socket.timeout:
+                except (BlockingIOError, ConnectionAbortedError):
                     continue
-                except OSError:
-                    return
+                except (OSError, ValueError):
+                    return  # the listener was closed under us
                 label = "%s:%d" % peer[:2]
                 thread = threading.Thread(
                     target=self._serve_connection,
@@ -564,9 +575,12 @@ class DistributedBackend(SweepBackend):
                         charge(cell[0], label, worker_id, reason)
         finally:
             done.set()
+            wake_w.close()  # EOF: ``wake_r`` turns readable for good
+            job_q.put(_SWEEP_DONE)
             accept_thread.join(timeout=2.0)
             for thread in threads:
                 thread.join(timeout=2.0)
+            wake_r.close()
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,7 @@ import os
 import queue
 import sqlite3
 import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -239,12 +240,27 @@ class _Connection(sqlite3.Connection):
 
 
 def _connect(path: Union[str, Path]) -> sqlite3.Connection:
-    """A WAL-mode autocommit connection (transactions are explicit)."""
+    """A WAL-mode autocommit connection (transactions are explicit).
+
+    WAL persists in the file, so only the connection that creates it
+    switches the journal mode; every later one just reads it.  The
+    switch takes an exclusive lock that sqlite does not wait for under
+    the busy timeout: a second first-opener racing it (a ``/metrics``
+    scrape against a job's first cache read) gets "database is locked"
+    at once, so it retries until the winner's switch has landed.
+    """
     con = sqlite3.connect(str(path), timeout=30.0, isolation_level=None,
                           factory=_Connection)
-    con.execute("PRAGMA journal_mode=WAL")
     con.execute("PRAGMA synchronous=NORMAL")
     con.execute("PRAGMA busy_timeout=30000")
+    deadline = time.monotonic() + 30.0
+    while con.execute("PRAGMA journal_mode").fetchone()[0] != "wal":
+        try:
+            con.execute("PRAGMA journal_mode=WAL")
+        except sqlite3.OperationalError:
+            if time.monotonic() > deadline:
+                raise
+            time.sleep(0.001)
     return con
 
 

@@ -27,13 +27,17 @@ A cell that raises on the worker is reported back (``ok: false`` plus
 the traceback) and costs the cell one attempt of its retry budget on
 the coordinator; the worker itself survives and keeps serving.
 
-On POSIX hosts each cell runs in a forked child process so it is
-**preemptible**: when the coordinator abandons the cell (its
-``--cell-timeout`` elapsed, or it hung up), the worker kills the child
-and frees the slot immediately instead of simulating the doomed cell
-to completion.  The coordinator signals this with a ``cancel`` wire
-message before closing; an EOF mid-cell means the same thing.  Hosts
-without ``fork`` fall back to in-process execution (no preemption).
+On POSIX hosts cells run in one long-lived forked child process
+(:class:`CellChild`), fed over a pipe, so each cell is **preemptible**:
+when the coordinator abandons the cell (its ``--cell-timeout``
+elapsed, or it hung up), the worker kills the child and frees the slot
+immediately instead of simulating the doomed cell to completion.  The
+coordinator signals this with a ``cancel`` wire message before
+closing; an EOF mid-cell means the same thing.  The next cell forks a
+fresh child.  Otherwise the child serves cell after cell, across
+connections, keeping the trace and precondition memos an in-process
+sweep shares between the variants of one workload.  Hosts without
+``fork`` fall back to in-process execution (no preemption).
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ import multiprocessing
 import os
 import select
 import socket
+import stat
 import sys
 import time
 import traceback
@@ -86,70 +91,130 @@ def _cell_scope(message: Dict[str, object], job):
             deactivate(token)
 
 
-def _cell_child(conn, message: Dict[str, object],
-                sock: Optional[socket.socket] = None) -> None:
-    """Forked child: execute one wire-format job, ship the reply dict."""
-    if sock is not None:
-        # Drop the inherited coordinator connection: were the worker
-        # parent SIGKILLed mid-cell, this orphan's dup would otherwise
-        # hold the connection open and the coordinator would not see
-        # EOF (and so not retry the cell) until the orphan finished.
-        # ``sock.close()`` is not enough: the parent's ``makefile``
-        # reader, inherited by the fork, keeps the descriptor alive.
-        try:
-            os.close(sock.detach())
-        except OSError:
-            pass
-    try:
-        job = backends.job_from_wire(message)
-        result = _execute_job(job)
-        conn.send({"ok": True, "result": result.to_dict()})
-    except Exception:  # noqa: BLE001 - the parent relays it to the coordinator
-        conn.send({"ok": False, "error": traceback.format_exc()})
-    finally:
-        conn.close()
+def _release_inherited_sockets(keep: int) -> None:
+    """Point every inherited socket but ``keep`` at ``/dev/null``.
 
-
-def _execute_preemptible(
-    sock: socket.socket, rfile, message: Dict[str, object]
-) -> Tuple[str, Optional[Dict[str, object]]]:
-    """Run one cell in a killable child, watching the coordinator.
-
-    Returns ``("reply", payload)`` when the cell finished (``payload``
-    has ``ok``/``result`` or ``ok``/``error``), ``("cancelled", None)``
-    when the coordinator sent ``cancel`` (no reply owed -- it already
-    gave up on this cell), or ``("eof", None)`` when the coordinator
-    hung up (the connection is over).  The child is terminated on every
-    non-reply path.
-
-    Selecting on the raw socket next to the buffered reader is safe
-    *here* because the protocol is strictly request/response: at this
-    point the coordinator's ``job`` line has been consumed and it sends
-    nothing further until our reply -- except a ``cancel``/hang-up,
-    which is exactly what the select is watching for.
+    A fork inherits every connection its parent has open -- in a
+    threaded parent, other threads' too -- and a long-lived child would
+    hold each one open for its whole life: a coordinator would not see
+    EOF when a worker is SIGKILLed (and so not retry its cell), and a
+    killed worker's pipe would never read EOF here.  ``dup2`` rather
+    than ``close`` keeps each descriptor number taken, so a stale socket
+    object collected later in this child closes ``/dev/null``, not a
+    descriptor the child has since reused.
     """
-    assert _FORK_CTX is not None
-    parent_conn, child_conn = _FORK_CTX.Pipe(duplex=False)
-    proc = _FORK_CTX.Process(
-        target=_cell_child, args=(child_conn, message, sock), daemon=True
-    )
-    proc.start()
-    child_conn.close()
+    for fd_dir in ("/proc/self/fd", "/dev/fd"):
+        try:
+            fds = [int(name) for name in os.listdir(fd_dir)]
+            break
+        except OSError:
+            continue
+    else:
+        return
+    devnull = os.open(os.devnull, os.O_RDWR)
     try:
-        while True:
-            ready, _, _ = select.select([sock, parent_conn], [], [])
-            if parent_conn in ready:
-                try:
-                    payload = parent_conn.recv()
-                except EOFError:
-                    proc.join(timeout=5.0)
-                    payload = {
-                        "ok": False,
-                        "error": "cell child exited without a result "
-                                 f"(exitcode {proc.exitcode})",
-                    }
-                return ("reply", payload)
-            if sock in ready:
+        for fd in fds:
+            if fd in (keep, devnull):
+                continue
+            try:
+                if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                    os.dup2(devnull, fd)
+            except OSError:
+                pass  # the listing's own descriptor, closed by now
+    finally:
+        os.close(devnull)
+
+
+def _cell_child(conn) -> None:
+    """Forked child: execute wire-format jobs from ``conn`` until the
+    worker goes away, shipping one reply dict per job.
+
+    The child first lets go of every inherited socket, the coordinator
+    connection and the worker's end of this pipe included.  A SIGKILLed
+    worker then turns into an EOF at the child's next read, or a broken
+    pipe at its next reply, and the orphan exits instead of serving on.
+    """
+    _release_inherited_sockets(keep=conn.fileno())
+    while True:
+        try:
+            message = conn.recv()
+        except (EOFError, OSError):
+            return
+        try:
+            job = backends.job_from_wire(message)
+            reply = {"ok": True, "result": _execute_job(job).to_dict()}
+        except Exception:  # noqa: BLE001 - the parent relays it to the coordinator
+            reply = {"ok": False, "error": traceback.format_exc()}
+        try:
+            conn.send(reply)
+        except OSError:
+            return
+
+
+class CellChild:
+    """The worker's one long-lived, killable cell process.
+
+    Forked lazily at the first cell and fed jobs over a duplex pipe, so
+    the runner's trace memo and the FTL's precondition memo carry from
+    cell to cell, and from connection to connection, as they do in an
+    in-process sweep.  It is killed, and forked afresh at the next
+    cell, only when the coordinator cancels or hangs up mid-cell, or
+    when it crashes.
+    """
+
+    def __init__(self) -> None:
+        assert _FORK_CTX is not None
+        self._proc = None
+        self._conn = None
+
+    @property
+    def pid(self) -> Optional[int]:
+        """The live child's pid (None before the first cell)."""
+        return self._proc.pid if self._proc is not None else None
+
+    def execute(
+        self, sock: socket.socket, rfile, message: Dict[str, object]
+    ) -> Tuple[str, Optional[Dict[str, object]]]:
+        """Run one cell in the child, watching the coordinator.
+
+        Returns ``("reply", payload)`` when the cell finished
+        (``payload`` has ``ok``/``result`` or ``ok``/``error``),
+        ``("cancelled", None)`` when the coordinator sent ``cancel`` (no
+        reply owed -- it already gave up on this cell), or ``("eof",
+        None)`` when the coordinator hung up (the connection is over).
+        The child is killed on every path but a reply.
+
+        Selecting on the raw socket next to the buffered reader is safe
+        *here* because the protocol is strictly request/response: at
+        this point the coordinator's ``job`` line has been consumed and
+        it sends nothing further until our reply -- except a
+        ``cancel``/hang-up, which is exactly what the select is
+        watching for.
+        """
+        if self._proc is not None and not self._proc.is_alive():
+            self.close()  # it died between cells
+        if self._proc is None:
+            parent_end, child_end = _FORK_CTX.Pipe()
+            self._proc = _FORK_CTX.Process(
+                target=_cell_child, args=(child_end,), daemon=True)
+            self._proc.start()
+            child_end.close()
+            self._conn = parent_end
+        keep = False
+        try:
+            try:
+                self._conn.send(message)
+            except OSError:
+                return self._crashed()
+            while True:
+                ready, _, _ = select.select([sock, self._conn], [], [])
+                if self._conn in ready:
+                    try:
+                        payload = self._conn.recv()
+                    except (EOFError, OSError):
+                        return self._crashed()
+                    keep = True
+                    return ("reply", payload)
                 note = backends.recv_msg(rfile)
                 if note is None:
                     return ("eof", None)
@@ -158,24 +223,49 @@ def _execute_preemptible(
                 # Anything else mid-cell is a protocol violation from a
                 # confused coordinator; keep simulating, it can only
                 # recover by cancelling or hanging up.
-    finally:
+        finally:
+            if not keep:
+                self.close()
+
+    def _crashed(self) -> Tuple[str, Dict[str, object]]:
+        self._proc.join(timeout=5.0)
+        return ("reply", {
+            "ok": False,
+            "error": "cell child exited without a result "
+                     f"(exitcode {self._proc.exitcode})",
+        })
+
+    def close(self) -> None:
+        """Kill the child, if any; the next cell forks a fresh one."""
+        proc, conn = self._proc, self._conn
+        if proc is None:
+            return
+        self._proc = self._conn = None
         if proc.is_alive():
             proc.terminate()
             proc.join(timeout=5.0)
         if proc.is_alive():  # a child ignoring SIGTERM gets SIGKILL
             proc.kill()
             proc.join(timeout=5.0)
-        parent_conn.close()
+        conn.close()
 
 
 def serve_connection(
     sock: socket.socket,
     cache: Optional[ResultCache] = None,
+    child: Optional[CellChild] = None,
 ) -> Tuple[int, int]:
     """Serve one coordinator connection to completion.
 
+    Cells run in ``child``, the worker's long-lived :class:`CellChild`;
+    without one (and with ``fork``), in a child of this connection's
+    own, killed when the connection ends.
+
     Returns ``(cells_served, cells_answered_from_cache)``.
     """
+    if child is None and _FORK_CTX is not None:
+        with contextlib.closing(CellChild()) as own:
+            return serve_connection(sock, cache, own)
     rfile = sock.makefile("r", encoding="utf-8")
     backends.send_msg(
         sock,
@@ -203,9 +293,8 @@ def serve_connection(
                     from_cache += 1
                     reply.update(ok=True, cached=True,
                                  result=cached.to_dict())
-                elif _FORK_CTX is not None:
-                    outcome, payload = _execute_preemptible(
-                        sock, rfile, message)
+                elif child is not None:
+                    outcome, payload = child.execute(sock, rfile, message)
                     if outcome == "eof":
                         return served, from_cache
                     if outcome == "cancelled":
@@ -214,10 +303,9 @@ def serve_connection(
                         # free again -- serve whatever comes next.
                         continue
                     if payload.get("ok"):
-                        result = backends.RunResult.from_dict(
-                            payload["result"])
                         if cache is not None:
-                            cache.put(job.key(), result)
+                            cache.put(job.key(), backends.RunResult.from_dict(
+                                payload["result"]))
                         reply.update(ok=True, cached=False,
                                      result=payload["result"])
                     else:
@@ -250,50 +338,56 @@ def run_worker(
     connection instead of redialing (handy for smoke tests and CI).
     """
     address = backends.parse_address(connect)
-    connections = 0
-    while True:
-        # Before the first connection the coordinator may not be up yet,
-        # so dial patiently; afterwards, a refused connection means the
-        # coordinator closed its listener -- a clean exit.  (Between two
-        # sweeps the listener is still open: the redial parks in its
-        # backlog and serves the next sweep, so one worker survives a
-        # whole ``figures`` run.)
-        budget = max(1, retries) if connections == 0 else 1
-        sock = None
-        last_error: Optional[OSError] = None
-        for _attempt in range(budget):
+    # One cell child for the worker's whole life, across connections.
+    child = CellChild() if _FORK_CTX is not None else None
+    try:
+        connections = 0
+        while True:
+            # Before the first connection the coordinator may not be up yet,
+            # so dial patiently; afterwards, a refused connection means the
+            # coordinator closed its listener -- a clean exit.  (Between two
+            # sweeps the listener is still open: the redial parks in its
+            # backlog and serves the next sweep, so one worker survives a
+            # whole ``figures`` run.)
+            budget = max(1, retries) if connections == 0 else 1
+            sock = None
+            last_error: Optional[OSError] = None
+            for _attempt in range(budget):
+                try:
+                    sock = socket.create_connection(address)
+                    break
+                except OSError as exc:
+                    last_error = exc
+                    if _attempt + 1 < budget:
+                        time.sleep(retry_delay)
+            if sock is None:
+                if connections:
+                    return 0  # coordinator is gone; work is done
+                log.error("coordinator_unreachable",
+                          address=f"{address[0]}:{address[1]}",
+                          error=str(last_error))
+                return 1
             try:
-                sock = socket.create_connection(address)
-                break
+                with sock:
+                    served, from_cache = serve_connection(sock, cache, child)
             except OSError as exc:
-                last_error = exc
-                if _attempt + 1 < budget:
-                    time.sleep(retry_delay)
-        if sock is None:
-            if connections:
-                return 0  # coordinator is gone; work is done
-            log.error("coordinator_unreachable",
-                      address=f"{address[0]}:{address[1]}",
-                      error=str(last_error))
-            return 1
-        try:
-            with sock:
-                served, from_cache = serve_connection(sock, cache)
-        except OSError as exc:
-            # A reset after a successful dial means the coordinator is
-            # gone: it closed before its first sweep, or the redial
-            # parked in its backlog when it closed.  Clean exit, same as
-            # a refused redial.
-            log.info("coordinator_closed",
-                     address=f"{address[0]}:{address[1]}",
-                     error=str(exc))
-            return 0
-        connections += 1
-        print(
-            f"worker: served {served} cell(s) ({from_cache} from cache) "
-            f"for {address[0]}:{address[1]}",
-            file=out,
-            flush=True,
-        )
-        if once:
-            return 0
+                # A reset after a successful dial means the coordinator is
+                # gone: it closed before its first sweep, or the redial
+                # parked in its backlog when it closed.  Clean exit, same as
+                # a refused redial.
+                log.info("coordinator_closed",
+                         address=f"{address[0]}:{address[1]}",
+                         error=str(exc))
+                return 0
+            connections += 1
+            print(
+                f"worker: served {served} cell(s) ({from_cache} from cache) "
+                f"for {address[0]}:{address[1]}",
+                file=out,
+                flush=True,
+            )
+            if once:
+                return 0
+    finally:
+        if child is not None:
+            child.close()

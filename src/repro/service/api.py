@@ -15,8 +15,8 @@ handler reads and writes JSON.  Endpoints::
     GET  /api/jobs/<id>               full job row (spec, result, error, ...)
     GET  /api/jobs/<id>/events?after=N   events with seq > N
     GET  /api/jobs/<id>/events?after=N&stream=1
-                                      NDJSON: one event per line, long-polled
-                                      until the job reaches a terminal state
+                                      NDJSON: one event per line, pushed as
+                                      written, until the job is terminal
                                       (the final line is a {"event": "state"}
                                       record carrying that state)
     GET  /api/jobs/<id>/result        the stored result payload (e.g. the
@@ -34,7 +34,6 @@ from __future__ import annotations
 import json
 import re
 import threading
-import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
@@ -43,9 +42,6 @@ from repro.obs import REGISTRY
 from repro.obs.spans import SpanContext
 from repro.service.coordinator import SweepService
 from repro.service.store import JOB_STATES, TERMINAL_STATES
-
-#: How long a streaming events request waits between store polls.
-STREAM_POLL_INTERVAL = 0.2
 
 _JOB_PATH = re.compile(r"^/api/jobs/(\d+)(?:/(events|result|cancel))?$")
 
@@ -88,7 +84,8 @@ class ServiceAPI:
         self.server.serve_forever()
 
     def close(self) -> None:
-        self.server.repro_closing = True  # unblocks event streamers
+        self.server.repro_closing = True
+        self.service.store.notify()  # wakes event streamers to see it
         self.server.shutdown()
         self.server.server_close()
         if self._thread is not None:
@@ -225,12 +222,14 @@ class _Handler(BaseHTTPRequestHandler):
     # -- NDJSON streaming ------------------------------------------------
 
     def _stream_events(self, job_id: int, after: int) -> None:
-        """Long-poll the event log, one JSON object per line.
+        """Stream the event log, one JSON object per line.
 
-        Ends when the job reaches a terminal state; the last line is a
-        synthetic ``{"event": "state"}`` record so clients need not
-        re-fetch the job to learn the outcome.  Chunked encoding keeps
-        the HTTP/1.1 connection well-formed without a known length.
+        Each pass blocks on the store's change signal, so an event goes
+        out the moment it is written.  Ends when the job reaches a
+        terminal state; the last line is a synthetic
+        ``{"event": "state"}`` record so clients need not re-fetch the
+        job to learn the outcome.  Chunked encoding keeps the HTTP/1.1
+        connection well-formed without a known length.
         """
         store = self.api.service.store
         self.send_response(200)
@@ -245,6 +244,7 @@ class _Handler(BaseHTTPRequestHandler):
 
         try:
             while not self.server.repro_closing:
+                seen = store.version
                 for event in store.events_after(job_id, after):
                     after = event["seq"]
                     emit(event)
@@ -254,7 +254,8 @@ class _Handler(BaseHTTPRequestHandler):
                           "state": job["state"] if job else "deleted",
                           "error": job.get("error") if job else None})
                     break
-                time.sleep(STREAM_POLL_INTERVAL)
+                if not store.wait_for_change(seen):
+                    break
             self.wfile.write(b"0\r\n\r\n")
             self.wfile.flush()
         except (BrokenPipeError, ConnectionResetError):

@@ -10,6 +10,7 @@ coordinator produces it.
 from __future__ import annotations
 
 import json
+import socket
 import time
 import urllib.error
 import urllib.request
@@ -140,16 +141,23 @@ class ServiceClient:
         finally:
             resp.close()
 
-    def wait(self, job_id: int, timeout: float = 3600.0,
-             poll: float = 0.2) -> Dict[str, object]:
-        """Block until the job is terminal; returns the final job row."""
+    def wait(self, job_id: int, timeout: float = 3600.0) -> Dict[str, object]:
+        """Block until the job is terminal; returns the final job row.
+
+        Follows :meth:`stream` to its terminal line, so the wait ends
+        the moment the job does.  Raises ``ServiceError`` 408 once
+        ``timeout`` seconds pass with the job still live.
+        """
         deadline = time.monotonic() + timeout
-        while True:
-            job = self.job(job_id)
-            if job["state"] in TERMINAL_STATES:
-                return job
-            if time.monotonic() >= deadline:
-                raise ServiceError(
-                    408, f"job {job_id} still {job['state']} "
-                         f"after {timeout:.0f}s")
-            time.sleep(poll)
+        try:
+            for _event in self.stream(job_id, timeout=timeout):
+                if time.monotonic() >= deadline:
+                    break
+        except socket.timeout:
+            pass  # no event for the whole timeout
+        job = self.job(job_id)
+        if job["state"] not in TERMINAL_STATES:
+            raise ServiceError(
+                408, f"job {job_id} still {job['state']} "
+                     f"after {timeout:.0f}s")
+        return job

@@ -146,12 +146,13 @@ class SweepService:
 
     def close(self) -> None:
         self._stop.set()
+        # Closing the store releases schedulers blocked waiting for work.
+        self.store.close()
         for thread in self._schedulers:
             thread.join(timeout=10.0)
         self._schedulers = []
         if self._backend is not None:
             self._backend.close()
-        self.store.close()
         self.cache.close()
 
     @property
@@ -195,11 +196,12 @@ class SweepService:
 
     def _scheduler_loop(self) -> None:
         while not self._stop.is_set():
+            seen = self.store.version
             job = self.store.claim_next()
-            if job is None:
-                self._stop.wait(0.2)
-                continue
-            self._run_job(job)
+            if job is not None:
+                self._run_job(job)
+            elif not self.store.wait_for_change(seen):
+                return
 
     def _run_job(self, job: Dict[str, object]) -> None:
         job_id = int(job["id"])

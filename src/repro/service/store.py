@@ -17,6 +17,14 @@ The store opens one sqlite connection per thread (WAL journal, busy
 timeout) so the HTTP handler threads, the scheduler, and concurrent
 submitter processes can share it without a global lock.  Instances
 must not be shared across ``fork()`` -- each process opens its own.
+
+Every submit, event and cancel request through an instance also moves
+its in-process change signal (:attr:`JobStore.version`,
+:meth:`JobStore.wait_for_change`): the scheduler and the NDJSON event
+streams block on it instead of polling the file, so a submit is
+claimed, and an event streamed, the moment it lands.  The signal is
+per instance: a row another process writes is seen at this instance's
+next change.
 """
 
 from __future__ import annotations
@@ -54,6 +62,9 @@ class JobStore:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._tls = threading.local()
+        self._changed = threading.Condition()
+        self._version = 0
+        self._closed = False
 
     def _db(self) -> sqlite3.Connection:
         con = getattr(self._tls, "con", None)
@@ -132,7 +143,8 @@ class JobStore:
                 (kind, json.dumps(spec, sort_keys=True), submitter,
                  int(priority), time.time()),
             )
-            return int(cur.lastrowid)
+        self.notify()
+        return int(cur.lastrowid)
 
     def get(self, job_id: int) -> Optional[Dict[str, object]]:
         row = self._db().execute(
@@ -275,6 +287,8 @@ class JobStore:
                 )
         if state == "cancelled":
             self.add_event(job_id, {"event": "state", "state": "cancelled"})
+        elif state == "running":
+            self.notify()
         return state
 
     def cancel_requested(self, job_id: int) -> bool:
@@ -299,6 +313,7 @@ class JobStore:
                 (job_id, seq, time.time(),
                  json.dumps(payload, sort_keys=True)),
             )
+        self.notify()
         return seq
 
     def events_after(
@@ -314,8 +329,37 @@ class JobStore:
             for seq, at, payload in rows
         ]
 
+    # -- change signal ---------------------------------------------------
+
+    @property
+    def version(self) -> int:
+        """Bumped by every submit, event and cancel request; read it
+        *before* looking at the store, then pass it to
+        :meth:`wait_for_change` so no change is lost."""
+        return self._version
+
+    def notify(self) -> None:
+        """Wake every :meth:`wait_for_change` caller."""
+        with self._changed:
+            self._version += 1
+            self._changed.notify_all()
+
+    def wait_for_change(self, seen: int) -> bool:
+        """Block until :attr:`version` moves past ``seen``.
+
+        Returns False, without blocking, once the store is closed.
+        """
+        with self._changed:
+            self._changed.wait_for(
+                lambda: self._version != seen or self._closed)
+            return not self._closed
+
     def close(self) -> None:
+        """Close this thread's connection and release every waiter."""
         con = getattr(self._tls, "con", None)
         if con is not None:
             con.close()
             self._tls.con = None
+        with self._changed:
+            self._closed = True
+            self._changed.notify_all()

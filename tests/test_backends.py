@@ -8,6 +8,7 @@ reporting, requeueing cells from dead connections, and preemption.
 
 import io
 import json
+import os
 import select
 import socket
 import struct
@@ -515,12 +516,15 @@ class TestWorkerPreemption:
     worker -- not just stop being awaited (the distributed-path bugfix:
     a timed-out cell used to burn the worker slot to completion)."""
 
-    def _handshake(self, monkeypatch, heartbeat_path):
+    def _handshake(self, monkeypatch, heartbeat_path, child=None):
         """serve_connection in a thread, with cells that heartbeat
-        forever instead of simulating (fork inherits the patch)."""
+        forever instead of simulating (fork inherits the patch).  Each
+        cell appends the pid it runs in to ``<heartbeat_path>.pids``."""
         real_execute = worker_mod._execute_job
 
         def hanging_execute(job):
+            with open(f"{heartbeat_path}.pids", "a") as pids:
+                pids.write(f"{os.getpid()}\n")
             if job.workload == "bc":  # the cell under test hangs...
                 while True:
                     heartbeat_path.write_text(str(time.monotonic()))
@@ -530,16 +534,21 @@ class TestWorkerPreemption:
         monkeypatch.setattr(worker_mod, "_execute_job", hanging_execute)
         coord, worker_side = socket.socketpair()
         thread = threading.Thread(
-            target=worker_mod.serve_connection, args=(worker_side,),
-            daemon=True,
+            target=worker_mod.serve_connection,
+            args=(worker_side, None, child), daemon=True,
         )
         thread.start()
         rfile = coord.makefile("r", encoding="utf-8")
         assert backends.recv_msg(rfile)["type"] == "hello"
         return coord, rfile, thread
 
-    def _send_job(self, coord, seq, workload):
-        job = SweepJob.make(workload, "Base-CSSD", records_per_thread=R)
+    @staticmethod
+    def _executed_in(heartbeat_path):
+        with open(f"{heartbeat_path}.pids") as pids:
+            return [int(line) for line in pids]
+
+    def _send_job(self, coord, seq, workload, variant="Base-CSSD"):
+        job = SweepJob.make(workload, variant, records_per_thread=R)
         message = {"type": "job", "id": seq, "key": job.key()}
         message.update(backends.job_to_wire(job))
         backends.send_msg(coord, message)
@@ -607,24 +616,92 @@ class TestWorkerPreemption:
         job = SweepJob.make("bc", "Base-CSSD", records_per_thread=R)
         message = {"type": "job", "id": 1}
         message.update(backends.job_to_wire(job))
-        parent_conn, child_conn = worker_mod._FORK_CTX.Pipe(duplex=False)
+        parent_conn, child_conn = worker_mod._FORK_CTX.Pipe()
         proc = worker_mod._FORK_CTX.Process(
-            target=worker_mod._cell_child,
-            args=(child_conn, message, worker_side), daemon=True,
+            target=worker_mod._cell_child, args=(child_conn,), daemon=True,
         )
         proc.start()
         try:
             child_conn.close()
+            parent_conn.send(message)  # the child is now mid-cell
             # The worker parent dies: its reader and socket go away.
             rfile.close()
             worker_side.close()
             coord.settimeout(1.0)
             assert coord.recv(1) == b""  # EOF, not a timeout
+            assert proc.is_alive()  # ...from the release, not a crash
         finally:
             proc.kill()
             proc.join(timeout=5)
             parent_conn.close()
             coord.close()
+
+    @pytest.mark.parametrize("mid_cell", [False, True])
+    def test_orphaned_cell_child_exits_at_its_next_pipe_use(
+            self, monkeypatch, mid_cell):
+        """With its worker gone, an idle child reads EOF and a busy one
+        gets a broken pipe for its reply: either way it exits instead
+        of serving on."""
+        job = SweepJob.make("bc", "DRAM-Only", records_per_thread=R)
+        result = worker_mod._execute_job(job)
+
+        def slow_execute(_job):
+            time.sleep(0.3)
+            return result
+
+        monkeypatch.setattr(worker_mod, "_execute_job", slow_execute)
+        parent_conn, child_conn = worker_mod._FORK_CTX.Pipe()
+        proc = worker_mod._FORK_CTX.Process(
+            target=worker_mod._cell_child, args=(child_conn,), daemon=True,
+        )
+        proc.start()
+        try:
+            child_conn.close()
+            if mid_cell:
+                message = {"type": "job", "id": 1}
+                message.update(backends.job_to_wire(job))
+                parent_conn.send(message)
+            parent_conn.close()  # the worker is SIGKILLed
+            proc.join(timeout=10)
+            assert proc.exitcode == 0
+        finally:
+            proc.kill()
+            proc.join(timeout=5)
+
+    def test_cells_share_one_child_until_a_cancel(self, tmp_path,
+                                                  monkeypatch):
+        """Cells on one worker run in the same long-lived child, so the
+        trace memo carries between them; a cancel kills that child and
+        the next cell gets a fresh one."""
+        beat = tmp_path / "beat"
+        child = worker_mod.CellChild()
+        coord, rfile, thread = self._handshake(monkeypatch, beat, child)
+        pids = []
+        for seq, variant in ((1, "Base-CSSD"), (2, "DRAM-Only")):
+            self._send_job(coord, seq, "ycsb", variant)
+            reply = backends.recv_msg(rfile)
+            assert reply["id"] == seq and reply["ok"] is True
+            pids.append(child.pid)
+        assert pids[0] == pids[1] != os.getpid()
+        assert self._executed_in(beat) == pids
+        self._send_job(coord, 3, "bc")
+        deadline = time.monotonic() + 10
+        while not beat.exists() and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert beat.exists(), "hanging cell never started"
+        backends.send_msg(coord, {"type": "cancel", "id": 3})
+        self._assert_heartbeat_stops(beat)
+        self._send_job(coord, 4, "ycsb")
+        reply = backends.recv_msg(rfile)
+        assert reply["id"] == 4 and reply["ok"] is True
+        assert child.pid not in (None, pids[0])
+        assert self._executed_in(beat)[-1] == child.pid
+        backends.send_msg(coord, {"type": "bye"})
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert child.pid is not None  # kept past the connection's end
+        child.close()
+        coord.close()
 
     def test_timed_out_cell_gets_a_cancel_message(self):
         """Coordinator side of the fix: abandoning a cell on timeout

@@ -9,6 +9,7 @@ directory, and ``repro sweep`` and ``repro serve`` sharing one directory.
 import gc
 import json
 import multiprocessing
+import sqlite3
 import sys
 import threading
 import time
@@ -310,6 +311,38 @@ class TestConcurrency:
         assert orchestrator._INHERITED_CONNECTIONS == []
         stats = store.stats()
         assert stats["puts"] == 1 and stats["entries"] == 1
+
+    def test_first_open_waits_out_a_racing_wal_switch(self, tmp_path):
+        """Two first openers of a fresh index race to switch it to WAL
+        (a ``/metrics`` scrape against a job's first cache read).
+        sqlite does not retry a journal-mode switch under the busy
+        timeout, so unless the loser waits it gets "database is locked"
+        at once.  The racer here holds the fresh file in rollback mode
+        for 0.3 s, as the winner does mid-switch; ``stats()`` must wait
+        it out."""
+        held, release = threading.Event(), threading.Event()
+
+        def racer():
+            con = sqlite3.connect(tmp_path / ResultCache.INDEX_DB,
+                                  isolation_level=None)
+            con.execute("BEGIN IMMEDIATE")
+            con.execute("CREATE TABLE racer (x)")
+            held.set()
+            release.wait(0.3)
+            con.execute("COMMIT")
+            con.close()
+
+        thread = threading.Thread(target=racer)
+        thread.start()
+        try:
+            assert held.wait(10)
+            store = ResultCache(tmp_path)
+            assert store.stats()["entries"] == 0
+            mode = store._db().execute("PRAGMA journal_mode").fetchone()[0]
+            assert mode == "wal"
+        finally:
+            release.set()
+            thread.join(10)
 
     def test_concurrent_writers_exact_accounting(self, tmp_path):
         """Unbounded cache: no update may be lost under contention."""

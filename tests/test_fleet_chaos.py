@@ -6,15 +6,21 @@ sweep over such a fleet completes correctly when a worker is killed
 mid-cell (the cell is retried elsewhere within its budget), a cell
 whose budget is exhausted fails the sweep with a clear error, and a
 worker that joins after the sweep started picks up the queued cells.
+A sweep ends with its last cell, not a poll period later, and a
+SIGKILLed worker's idle cell child exits instead of serving on.
 """
 
 import json
+import os
+import signal
 import socket
+import statistics
 import threading
 import time
 
 import pytest
 
+from _worker_utils import wait_for_dial_ins
 from repro.experiments import backends
 from repro.experiments import worker as worker_mod
 from repro.experiments.backends import CellPolicy, DistributedBackend
@@ -56,8 +62,8 @@ def dial_in_worker(address):
     return thread
 
 
-class TestRegistryBackend:
-    def test_sweep_through_registry_matches_serial(self, spawn_worker):
+class TestDialInFleet:
+    def test_dial_in_sweep_matches_serial(self, spawn_worker):
         """Two real ``repro worker --connect`` processes serve a sweep
         byte-identically to the serial path, then exit cleanly when the
         coordinator closes its listener."""
@@ -66,6 +72,7 @@ class TestRegistryBackend:
             address = "%s:%d" % backend.address
             procs = [spawn_worker("--connect", address, "--no-cache")
                      for _ in range(2)]
+            wait_for_dial_ins(backend.address[1], 2)
             results = run_sweep(tiny_jobs(), cache=False, backend=backend)
         assert dumps(results) == dumps(serial)
         for proc in procs:
@@ -147,3 +154,53 @@ class TestRegistryBackend:
             thread.join(timeout=60)
             assert not thread.is_alive()
         assert dumps(results_box["results"]) == dumps(serial)
+
+    def test_sweep_ends_with_its_last_cell(self):
+        """``run`` returns the moment its last cell finishes: the accept
+        loop and the idle connections are woken, not polled (a 0.2 s
+        poll would end each sweep up to 0.2 s late)."""
+        job = tiny_jobs()[1]
+        lags = []
+        with DistributedBackend(listen="127.0.0.1:0") as backend:
+            for _ in range(2):
+                dial_in_worker(backend.address)
+            for _ in range(5):
+                finished = []
+                backend.run([(job.key(), job)],
+                            lambda key, result: finished.append(
+                                time.monotonic()))
+                lags.append(time.monotonic() - finished[-1])
+        assert statistics.median(lags) < 0.1, lags
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="reads the process tree from /proc")
+    def test_sigkilled_worker_leaves_no_cell_child(self, spawn_worker):
+        """The worker keeps one cell child across sweeps; SIGKILL the
+        worker between sweeps and the idle child reads EOF on its pipe
+        and exits rather than living on as an orphan."""
+        with DistributedBackend(listen="127.0.0.1:0") as backend:
+            proc = spawn_worker("--connect", "%s:%d" % backend.address,
+                                "--no-cache")
+            run_sweep(tiny_jobs()[:1], cache=False, backend=backend)
+            children = _children(proc.pid)
+            assert len(children) == 1, children  # the idle cell child
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=10)
+            deadline = time.monotonic() + 10
+            while _running(children[0]) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert not _running(children[0]), "orphaned cell child lives on"
+
+
+def _children(pid):
+    with open(f"/proc/{pid}/task/{pid}/children") as handle:
+        return [int(child) for child in handle.read().split()]
+
+
+def _running(pid):
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False

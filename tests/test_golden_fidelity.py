@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from _worker_utils import free_port
+from _worker_utils import free_port, wait_for_dial_ins
 from repro.experiments.backends import (
     DistributedBackend,
     LocalProcessBackend,
@@ -128,6 +128,7 @@ def test_distributed_backend_matches_golden(spawn_worker):
             spawn_worker("--connect", f"{host}:{port}", "--no-cache")
             for _ in range(2)
         ]
+        wait_for_dial_ins(port, 2)
         results = run_sweep(golden_jobs(), cache=False, backend=backend)
     assert_matches_golden(results)
     for proc in procs:

@@ -323,6 +323,39 @@ class TestSweepService:
             with pytest.raises(ValueError, match="unknown job kind"):
                 svc.submit("bogus", {})
 
+    def test_idle_scheduler_waits_for_a_submit(self, tmp_path):
+        """An idle scheduler blocks on the store's change signal: no
+        claim_next between submits (a polling one claims every 0.2 s),
+        and a submit is claimed at once."""
+        svc = SweepService(state_dir=tmp_path / "s", cache_dir=tmp_path / "c",
+                           jobs=1)
+        claims = []
+        claim_next = svc.store.claim_next
+        svc.store.claim_next = lambda: claims.append(1) or claim_next()
+        with svc:
+            time.sleep(0.5)
+            assert len(claims) <= 1  # the startup claim, then silence
+            jid = svc.submit("sweep", {"workloads": ["bc"],
+                                       "variants": ["DRAM-Only"],
+                                       "records": R})
+            assert wait_for(svc.store, jid)["state"] == "done"
+            time.sleep(0.1)  # the claim that finds the queue empty
+            settled = len(claims)
+            time.sleep(0.5)
+            assert len(claims) == settled
+        assert settled <= 3
+
+    def test_close_releases_a_blocked_scheduler(self, tmp_path):
+        svc = SweepService(state_dir=tmp_path / "s", cache_dir=tmp_path / "c",
+                           jobs=1, max_active=2)
+        svc.start()
+        schedulers = list(svc._schedulers)
+        time.sleep(0.2)  # both are blocked waiting for work
+        start = time.monotonic()
+        svc.close()
+        assert time.monotonic() - start < 5.0
+        assert not any(thread.is_alive() for thread in schedulers)
+
     def test_restart_resumes_claimed_job(self, tmp_path):
         # A coordinator claimed the job, then died without finishing
         # it.  Simulate the aftermath directly in the queue...
@@ -444,6 +477,33 @@ class TestServiceHTTP:
         # terminal line the stream appends).
         polled = client.events(jid)
         assert [e["seq"] for e in polled] == [e["seq"] for e in events[:-1]]
+
+    def test_event_stream_ends_when_the_api_closes(self, tmp_path):
+        """A stream waiting on a job that never runs ends when the API
+        shuts down: closing wakes every streamer."""
+        svc = SweepService(state_dir=tmp_path / "state",
+                           cache_dir=tmp_path / "cache", jobs=1)
+        api = ServiceAPI(svc, port=0)
+        api.start()
+        client = ServiceClient(api.url)
+        jid = svc.store.submit("sweep", {})  # no scheduler: stays queued
+        svc.store.add_event(jid, {"event": "note"})
+        seen = []
+        reader = threading.Thread(
+            target=lambda: seen.extend(client.stream(jid)), daemon=True)
+        try:
+            client.wait_healthy()
+            reader.start()
+            deadline = time.monotonic() + 10
+            while not seen and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert [e["event"] for e in seen] == ["note"]  # stream is open
+        finally:
+            api.close()
+            svc.close()
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert [e["event"] for e in seen] == ["note"]  # no terminal line
 
     def test_cancel_queued_over_http(self, service):
         svc, client = service
