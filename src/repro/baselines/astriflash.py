@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from repro.config import PAGE_SIZE, SimConfig
 from repro.cxl.link import CXLLink
-from repro.cxl.protocol import M2SOpcode, MemRequest
+from repro.cxl.protocol import MemRequest
 from repro.sim.engine import Engine
 from repro.sim.stats import HOST_DRAM, SimStats
 from repro.ssd.base_cache import FULL_MASK, SetAssociativePageCache
@@ -63,11 +63,19 @@ class AstriFlashController:
         return self.inner.flash
 
     def access(self, request: MemRequest, now: float) -> AccessResult:
-        lpa, line = request.page, request.line_offset
+        return self.access_line(
+            request.page, request.line_offset, request.is_write, now
+        )
+
+    def access_line(
+        self, lpa: int, line: int, is_write: bool, now: float
+    ) -> AccessResult:
+        """One 64 B access issued by the host at ``now`` (this controller
+        owns the link, so ``now`` is host time, not device arrival)."""
         dram_ns = self._config.cpu.dram_latency_ns
         entry = self.host_cache.lookup(lpa, touch_line=line)
         if entry is not None:
-            if request.is_write:
+            if is_write:
                 entry.dirty_mask |= 1 << line
                 if self._stats.enabled:
                     self._stats.host_lines_written += 1
@@ -82,13 +90,7 @@ class AstriFlashController:
         # Host DRAM miss: on-demand page fetch from the SSD over CXL.
         # AstriFlash switches threads (user-level) on every such miss.
         arrive_dev = self._link.send_downstream(now, 8)
-        inner_req = MemRequest(
-            opcode=M2SOpcode.MEM_RD,
-            address=request.address,
-            core=request.core,
-            thread=request.thread,
-        )
-        inner_result = self.inner.access(inner_req, arrive_dev)
+        inner_result = self.inner.access_line(lpa, line, False, arrive_dev)
         # The whole 4 KB page crosses the link into the host cache.
         arrive_host = self._link.send_upstream(inner_result.complete_ns, PAGE_SIZE)
         self._stats.add_amat_extra(
@@ -98,7 +100,7 @@ class AstriFlashController:
         if victim is not None and victim.dirty:
             self._writeback_victim(victim, arrive_host)
         entry = self.host_cache.peek(lpa)
-        if request.is_write:
+        if is_write:
             entry.dirty_mask |= 1 << line
             if self._stats.enabled:
                 self._stats.host_lines_written += 1

@@ -1,292 +1,218 @@
-"""Continuous speed benchmarking: ``python -m repro bench``.
+"""Speed gate: ``repro bench``.
 
-Measures end-to-end figure-driver throughput — cells per second and
-engine events per second — in both simulator modes (the vectorized
-default and the scalar reference path, see :mod:`repro.sim.fastpath`)
-and emits ``BENCH_speed.json``, the speed companion to the fidelity
-report's ``BENCH_fidelity.json``.
+Runs the repository benchmark, ``perfbench/run.py --workload W --seed 1
+--trace 0``, on the two in-process workloads (``cells-flat`` and
+``cells-deep-gc``) and writes ``BENCH_speed.json`` (schema 2): each
+workload's result line, its host calibration and timed pass walls, the
+git sha, python and platform.
 
-Protocol
---------
-Each driver runs ``repeats`` times per mode and the *best* wall time
-wins.  The first repetition doubles as warmup: the vectorized path
-memoizes trace synthesis and FTL preconditioning across cells exactly
-like a long ``repro report`` invocation does, so best-of-N measures the
-steady state users actually experience, while the scalar reference —
-which by design shares nothing between runs — measures the old cost.
-All cells execute serially in-process (``jobs=1``, no result cache) so
-the numbers compare across machines with different core counts.
-
-Regression gating
------------------
-Absolute cells/sec depends on the host, so CI gates on the *speedup
-ratio* (vector over scalar on the same host, same process), which is
-machine-independent.  ``compare()`` fails a run when any driver's ratio
-drops more than ``threshold`` (default 25%) below the committed
-baseline ``benchmarks/BENCH_speed.baseline.json``.  Refresh the
-baseline after an intentional change with ``repro bench
---update-baseline`` (or ``REPRO_UPDATE_SPEED_BASELINE=1``), mirroring
-the golden-file flow of ``REPRO_UPDATE_GOLDEN``.
+``--against DIR`` turns the run into a same-host A/B gate.  Each of
+``--pairs`` pairs runs DIR's perfbench and this checkout's side by side,
+each process pinned to its own core (the cores swap every pair), so
+both sides of a pair see the same host state.  The gate fails (exit 1)
+when any run reports ``correct: false`` or ``failed > 0``, or when on
+either workload the median per-pair ``accesses_per_s`` ratio (this tree
+over DIR) falls below :data:`FLOOR`.  Same-host pairs need neither a
+calibration nor a committed baseline; ``docs/PERFORMANCE.md`` records
+the A/A spread the floor was set from.
 """
 
 from __future__ import annotations
 
-import inspect
 import json
-import math
 import os
 import platform
+import statistics
+import subprocess
 import sys
-import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.sim import engine as engine_mod
-from repro.sim import fastpath
-
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 DEFAULT_OUT = "BENCH_speed.json"
-DEFAULT_BASELINE = "benchmarks/BENCH_speed.baseline.json"
-#: A driver regresses when its vector/scalar speedup falls more than
-#: this fraction below the committed baseline's.
-DEFAULT_THRESHOLD = 0.25
-UPDATE_ENV = "REPRO_UPDATE_SPEED_BASELINE"
+DEFAULT_PAIRS = 5
+WORKLOADS = ("cells-flat", "cells-deep-gc")
+#: The gate fails when a workload's median per-pair ``accesses_per_s``
+#: ratio (this tree / the ``--against`` tree) is below this.
+FLOOR = 0.85
+#: The checkout this module belongs to (``src/repro/bench.py``).
+ROOT = Path(__file__).resolve().parents[2]
 
-
-@dataclass(frozen=True)
-class DriverSpec:
-    """One benchmarked figure driver.
-
-    ``cells`` is the static cell count for drivers that do not sweep
-    through the orchestrator (figs. 5/6 replay traces directly and have
-    no progress callback); sweep drivers report their cells live.
-    """
-
-    name: str
-    records: int
-    repeats: int = 3
-    cells: Optional[int] = None
-    kwargs: Dict[str, object] = field(default_factory=dict)
-
-
-#: figs. 5/6: 4 workloads x 4 cache ratios.
-_LOCALITY_CELLS = 16
-
-# The sweep drivers run 5 repetitions: their per-rep wall is small
-# enough that the extra cost is trivial, and a deeper best-of-N keeps
-# the speedup ratio stable on noisy CI runners.
-QUICK_SPECS: Tuple[DriverSpec, ...] = (
-    DriverSpec("fig2", records=250, repeats=5),
-    DriverSpec("fig5", records=1000, cells=_LOCALITY_CELLS),
-    DriverSpec("fig6", records=1000, cells=_LOCALITY_CELLS),
-    DriverSpec("promotion-threshold", records=250, repeats=5),
-    DriverSpec("prefetch-ablation", records=250, repeats=5),
-    # Deep-path coverage: one flat and one deep cell on two workload
-    # shapes, so BENCH_speed tracks the queueing scheduler's cells/sec.
-    DriverSpec("flash-sensitivity", records=250, repeats=3,
-               kwargs={"workloads": ("tab1-bc", "tab1-ycsb"),
-                       "models": ("flat", "deep")}),
-)
-
-FULL_SPECS: Tuple[DriverSpec, ...] = QUICK_SPECS + (
-    DriverSpec("fig9", records=500),
-    DriverSpec("fig14", records=500),
-)
-
-
-def _default_figures() -> Mapping[str, Callable]:
-    # Imported lazily so ``repro.bench`` stays importable for unit tests
-    # that inject a fake registry.
-    from repro.cli import FIGURES
-
-    return FIGURES
-
-
-def _driver_kwargs(
-    fn: Callable,
-    spec: DriverSpec,
-    progress: Callable,
-) -> Tuple[Dict[str, object], bool]:
-    """The subset of bench options ``fn`` understands, plus whether it
-    accepts a progress callback (i.e. reports cells live)."""
-    accepted = inspect.signature(fn).parameters
-    candidates: Dict[str, object] = {
-        "records": spec.records,
-        "jobs": 1,
-        "cache": False,
-        "progress": progress,
-        **spec.kwargs,
-    }
-    kwargs = {k: v for k, v in candidates.items() if k in accepted}
-    return kwargs, "progress" in accepted
+#: ``launch(root, workload, cpu)`` starts one perfbench run (pinned to
+#: ``cpu`` unless it is None) and returns a function that waits for it
+#: and returns its :func:`parse_output` entry.
+Launch = Callable[[Path, str, Optional[int]], Callable[[], Dict[str, object]]]
 
 
 class BenchError(RuntimeError):
-    """A driver spec that cannot be measured (no cell accounting)."""
+    """A perfbench run that failed or printed no result."""
 
 
-def measure_driver(
-    spec: DriverSpec,
-    figures: Optional[Mapping[str, Callable]] = None,
-    clock: Callable[[], float] = time.perf_counter,
-) -> Dict[str, object]:
-    """Benchmark one driver in both simulator modes.
+def perfbench_command(root: Path, workload: str) -> List[str]:
+    return [sys.executable, str(root / "perfbench" / "run.py"),
+            "--workload", workload, "--seed", "1", "--trace", "0"]
 
-    Returns the per-driver entry for ``BENCH_speed.json``:
-    best-of-``repeats`` wall time, cells/sec and events/sec for the
-    vectorized path, the scalar reference numbers, and their ratio.
-    """
-    figures = figures if figures is not None else _default_figures()
-    if spec.name not in figures:
-        raise BenchError(f"unknown figure driver: {spec.name}")
-    fn = figures[spec.name]
 
-    counted = 0
-
-    def progress(job: object, source: str) -> None:
-        nonlocal counted
-        counted += 1
-
-    kwargs, live_cells = _driver_kwargs(fn, spec, progress)
-    if not live_cells and spec.cells is None:
-        raise BenchError(
-            f"driver {spec.name} has no progress callback; "
-            "its spec needs a static `cells` count"
-        )
-
-    # Paired measurement: each repetition times the scalar reference and
-    # the vectorized path back to back, so a contended window on a noisy
-    # host (CI runners especially) skews both sides of the speedup ratio
-    # alike instead of whichever mode it happened to land on.
-    modes: Dict[str, Dict[str, float]] = {
-        mode: {"wall_s": math.inf, "events": 0, "cells": spec.cells or 0}
-        for mode in ("scalar", "vector")
-    }
-    for _rep in range(max(1, spec.repeats)):
-        for mode, best in modes.items():
-            with fastpath.forced_mode(mode):
-                counted = 0
-                events_before = engine_mod.events_processed()
-                t0 = clock()
-                fn(**kwargs)
-                wall = clock() - t0
-                events = engine_mod.events_processed() - events_before
-            if live_cells:
-                best["cells"] = counted
-            if wall < best["wall_s"]:
-                best["wall_s"] = wall
-                best["events"] = events
-    for best in modes.values():
-        wall_s = max(best["wall_s"], 1e-9)
-        best["wall_s"] = wall_s
-        best["cells_per_sec"] = best["cells"] / wall_s
-        best["events_per_sec"] = best["events"] / wall_s
-
-    vector = modes["vector"]
-    scalar = modes["scalar"]
+def parse_output(stdout: str) -> Dict[str, object]:
+    """One workload's entry from perfbench's last two output lines (run
+    context, then the result)."""
+    lines = [line for line in stdout.splitlines() if line.strip()]
+    try:
+        context = json.loads(lines[-2])["context"]
+        result = json.loads(lines[-1])
+    except (IndexError, KeyError, ValueError) as exc:
+        raise BenchError(f"no perfbench result in output: {exc}") from None
     return {
-        "records": spec.records,
-        "repeats": spec.repeats,
-        "cells": vector["cells"],
-        "wall_s": vector["wall_s"],
-        "cells_per_sec": vector["cells_per_sec"],
-        "events": vector["events"],
-        "events_per_sec": vector["events_per_sec"],
-        "scalar": {
-            "wall_s": scalar["wall_s"],
-            "cells_per_sec": scalar["cells_per_sec"],
-            "events": scalar["events"],
-            "events_per_sec": scalar["events_per_sec"],
-        },
-        "speedup": scalar["wall_s"] / vector["wall_s"],
+        "result": result,
+        "host.calibration_s": context.get("host.calibration_s"),
+        "timed_pass_walls_s": context.get("timed_pass_walls_s", []),
     }
+
+
+def launch_perfbench(
+    root: Path, workload: str, cpu: Optional[int]
+) -> Callable[[], Dict[str, object]]:
+    """Start ``root``'s perfbench on ``workload`` in the background."""
+    proc = subprocess.Popen(
+        perfbench_command(root, workload), cwd=root,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    if cpu is not None:
+        os.sched_setaffinity(proc.pid, {cpu})
+
+    def wait() -> Dict[str, object]:
+        stdout, stderr = proc.communicate()
+        if proc.returncode != 0:
+            raise BenchError(f"{root}: perfbench {workload} exited "
+                             f"{proc.returncode}: {stderr.strip()[-500:]}")
+        return parse_output(stdout)
+
+    return wait
+
+
+def accesses_per_s(entry: Mapping[str, object]) -> float:
+    return float(entry["result"]["metrics"]["accesses_per_s"]["value"])
+
+
+def git_sha(root: Path) -> Optional[str]:
+    """``HEAD`` of ``root`` (``-dirty`` when tracked files differ from
+    it), or None outside a git checkout."""
+    def git(*args: str) -> Optional[str]:
+        try:
+            out = subprocess.run(["git", "-C", str(root), *args],
+                                 capture_output=True, text=True, timeout=10)
+        except (OSError, subprocess.SubprocessError):
+            return None
+        return out.stdout.strip() if out.returncode == 0 else None
+
+    sha = git("rev-parse", "HEAD")
+    if not sha:
+        return None
+    return sha + "-dirty" if git("status", "--porcelain",
+                                  "--untracked-files=no") else sha
+
+
+def _run_pair(
+    launch: Launch, workload: str, sides: Sequence[Tuple[Path, int]],
+    side_by_side: bool,
+) -> List[Dict[str, object]]:
+    """Run each ``(root, cpu)`` of ``sides`` on ``workload``: all at once
+    when ``side_by_side``, else one after the other in order."""
+    if side_by_side:
+        waits = [launch(root, workload, cpu) for root, cpu in sides]
+        return [wait() for wait in waits]
+    return [launch(root, workload, cpu)() for root, cpu in sides]
 
 
 def run_bench(
-    specs: Sequence[DriverSpec],
-    figures: Optional[Mapping[str, Callable]] = None,
-    clock: Callable[[], float] = time.perf_counter,
-    quick: bool = False,
-    echo: Optional[Callable[[str], None]] = None,
+    against: Optional[Path] = None,
+    pairs: int = DEFAULT_PAIRS,
+    launch: Launch = launch_perfbench,
+    cpus: Optional[Sequence[int]] = None,
+    root: Path = ROOT,
+    echo: Callable[[str], None] = lambda _line: None,
 ) -> Dict[str, object]:
-    """Run every spec and assemble the ``BENCH_speed.json`` payload."""
-    drivers: Dict[str, Dict[str, object]] = {}
-    for spec in specs:
-        if echo:
-            echo(f"== bench {spec.name} (records={spec.records}, "
-                 f"repeats={spec.repeats})")
-        entry = measure_driver(spec, figures=figures, clock=clock)
-        drivers[spec.name] = entry
-        if echo:
-            echo(f"   {entry['cells']} cells, {entry['wall_s']:.3f}s, "
-                 f"{entry['cells_per_sec']:.1f} cells/s, "
-                 f"speedup {entry['speedup']:.2f}x")
+    """Assemble the ``BENCH_speed.json`` payload.
 
-    total_wall = sum(d["wall_s"] for d in drivers.values())
-    total_cells = sum(d["cells"] for d in drivers.values())
-    total_events = sum(d["events"] for d in drivers.values())
-    speedups = [d["speedup"] for d in drivers.values()]
-    geomean = (
-        math.exp(sum(math.log(s) for s in speedups) / len(speedups))
-        if speedups
-        else 0.0
-    )
-    return {
+    Without ``against`` each workload runs once, unpinned.  With it,
+    each pair pins this tree and ``against`` to two cores of ``cpus``
+    (default: this process's affinity) and swaps them on odd pairs; a
+    host with one usable core runs the two one after the other instead,
+    alternating which goes first.
+    """
+    payload: Dict[str, object] = {
         "schema": SCHEMA_VERSION,
         "kind": "speed",
-        "quick": quick,
-        "backend": "serial",
-        "sim_path_default": fastpath.mode(),
+        "git_sha": git_sha(root),
         "python": platform.python_version(),
         "platform": sys.platform,
-        "drivers": drivers,
-        "overall": {
-            "drivers": len(drivers),
-            "wall_s": total_wall,
-            "cells": total_cells,
-            "cells_per_sec": total_cells / total_wall if total_wall else 0.0,
-            "events": total_events,
-            "events_per_sec": total_events / total_wall if total_wall else 0.0,
-            "speedup_geomean": geomean,
-            "speedup_min": min(speedups) if speedups else 0.0,
+        "command": " ".join(perfbench_command(Path("."), "W")[1:]),
+        "workloads": {},
+    }
+    if against is None:
+        for workload in WORKLOADS:
+            entry = launch(root, workload, None)()
+            payload["workloads"][workload] = entry
+            echo(f"{workload}: {accesses_per_s(entry):,.0f} accesses/s")
+        return payload
+
+    cpus = sorted(os.sched_getaffinity(0)) if cpus is None else list(cpus)
+    side_by_side = len(cpus) >= 2
+    runs: Dict[str, List[Dict[str, object]]] = {w: [] for w in WORKLOADS}
+    for index in range(max(1, pairs)):
+        swap = index % 2 == 1
+        this_cpu, base_cpu = cpus[0], cpus[1 if side_by_side else 0]
+        if swap:
+            this_cpu, base_cpu = base_cpu, this_cpu
+        sides = [(root, this_cpu), (against, base_cpu)]
+        for workload in WORKLOADS:
+            # Odd pairs also start the other side first (which matters
+            # only when the two run one after the other).
+            got = _run_pair(launch, workload, sides[::-1] if swap else sides,
+                            side_by_side)
+            this, base = got[::-1] if swap else got
+            ratio = accesses_per_s(this) / accesses_per_s(base)
+            runs[workload].append({
+                "this": this, "base": base, "ratio": ratio,
+                "cpus": [this_cpu, base_cpu],
+            })
+            payload["workloads"][workload] = this
+            echo(f"pair {index + 1} {workload}: this/base "
+                 f"{accesses_per_s(this):,.0f}/{accesses_per_s(base):,.0f}"
+                 f" accesses/s = {ratio:.3f}")
+    payload["against"] = {
+        "dir": str(against),
+        "git_sha": git_sha(against),
+        "floor": FLOOR,
+        "side_by_side": side_by_side,
+        "workloads": {
+            workload: {
+                "median_ratio": statistics.median(r["ratio"] for r in rs),
+                "pairs": rs,
+            }
+            for workload, rs in runs.items()
         },
     }
+    return payload
 
 
-def compare(
-    current: Mapping[str, object],
-    baseline: Mapping[str, object],
-    threshold: float = DEFAULT_THRESHOLD,
-) -> List[str]:
-    """Regression check against the committed baseline.
-
-    Returns a list of human-readable problems (empty = pass).  Only the
-    machine-independent speedup ratio gates; absolute cells/sec is
-    informational.  Drivers present in the baseline must be present in
-    the current run; new drivers in the current run are fine (they gate
-    once the baseline is refreshed).
-    """
-    problems: List[str] = []
-    base_drivers = baseline.get("drivers", {})
-    cur_drivers = current.get("drivers", {})
-    for name, base in base_drivers.items():
-        cur = cur_drivers.get(name)
-        if cur is None:
-            problems.append(f"{name}: missing from current bench run")
-            continue
-        floor = base["speedup"] * (1.0 - threshold)
-        if cur["speedup"] < floor:
-            problems.append(
-                f"{name}: speedup {cur['speedup']:.2f}x regressed more "
-                f"than {threshold:.0%} below baseline "
-                f"{base['speedup']:.2f}x (floor {floor:.2f}x)"
-            )
-    return problems
-
-
-def load_json(path: os.PathLike) -> Dict[str, object]:
-    return json.loads(Path(path).read_text())
+def compare(payload: Mapping[str, object]) -> List[str]:
+    """Why ``payload`` fails the gate (empty when it passes)."""
+    checks = [(w, e["result"]) for w, e in payload["workloads"].items()]
+    slow: List[str] = []
+    against = payload.get("against") or {"workloads": {}}
+    for workload, data in against["workloads"].items():
+        for index, pair in enumerate(data["pairs"], 1):
+            checks += [(f"{workload} pair {index} {side}", pair[side]["result"])
+                       for side in ("this", "base")]
+        if data["median_ratio"] < against["floor"]:
+            slow.append(f"{workload}: median accesses_per_s ratio "
+                        f"{data['median_ratio']:.3f} is below the floor "
+                        f"{against['floor']:.2f}")
+    wrong = [f"{name}: correct={r.get('correct')} failed={r.get('failed')}"
+             for name, r in checks
+             if r.get("correct") is not True or r.get("failed") != 0]
+    return wrong + slow
 
 
 def write_json(path: os.PathLike, payload: Mapping[str, object]) -> None:
@@ -296,92 +222,48 @@ def write_json(path: os.PathLike, payload: Mapping[str, object]) -> None:
 
 
 def add_arguments(parser) -> None:
-    """Register the bench options (shared by ``repro bench`` and the
-    standalone ``python -m repro.bench`` entry)."""
-    parser.add_argument("--quick", action="store_true",
-                        help="small driver set at low record counts (CI)")
-    parser.add_argument("--names", action="append",
-                        help="benchmark only these drivers (repeat/comma-separate)")
-    parser.add_argument("--repeats", type=int, default=None,
-                        help="override repetitions per mode (default 3)")
     parser.add_argument("--out", default=DEFAULT_OUT,
                         help=f"output path (default {DEFAULT_OUT})")
-    parser.add_argument("--baseline", default=DEFAULT_BASELINE,
-                        help=f"committed baseline (default {DEFAULT_BASELINE})")
-    parser.add_argument("--check", action="store_true",
-                        help="fail (exit 1) on regression vs the baseline")
-    parser.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
-                        help="allowed fractional speedup drop (default 0.25)")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baseline from this run "
-                             f"(also: {UPDATE_ENV}=1)")
+    parser.add_argument("--against", default=None, metavar="DIR",
+                        help="gate this checkout against the checkout in DIR "
+                             "with side-by-side pinned pairs")
+    parser.add_argument("--pairs", type=int, default=DEFAULT_PAIRS,
+                        help=f"A/B pairs with --against (default "
+                             f"{DEFAULT_PAIRS})")
 
 
-def run_from_args(
-    args,
-    figures: Optional[Mapping[str, Callable]] = None,
-    clock: Callable[[], float] = time.perf_counter,
-) -> int:
+def run_from_args(args, launch: Launch = launch_perfbench,
+                  cpus: Optional[Sequence[int]] = None) -> int:
     """Execute a parsed bench invocation; returns the exit code."""
-    specs: Sequence[DriverSpec] = QUICK_SPECS if args.quick else FULL_SPECS
-    if args.names:
-        wanted = []
-        for value in args.names:
-            wanted.extend(part for part in value.split(",") if part)
-        known = {s.name for s in specs}
-        unknown = [n for n in wanted if n not in known]
-        if unknown:
-            print(f"unknown bench driver(s): {', '.join(unknown)}; "
-                  f"available: {', '.join(sorted(known))}", file=sys.stderr)
+    against = None
+    if args.against is not None:
+        against = Path(args.against).resolve()
+        if not (against / "perfbench" / "run.py").is_file():
+            print(f"--against {args.against}: no perfbench/run.py there",
+                  file=sys.stderr)
             return 2
-        specs = [s for s in specs if s.name in wanted]
-    if args.repeats is not None:
-        specs = [
-            DriverSpec(s.name, s.records, max(1, args.repeats), s.cells,
-                       dict(s.kwargs))
-            for s in specs
-        ]
-
-    payload = run_bench(specs, figures=figures, clock=clock,
-                        quick=args.quick, echo=print)
+    if args.pairs < 1:
+        print("--pairs must be at least 1", file=sys.stderr)
+        return 2
+    try:
+        payload = run_bench(against, args.pairs, launch=launch, cpus=cpus,
+                            echo=lambda line: print(line, flush=True))
+    except BenchError as exc:
+        print(f"bench: {exc}", file=sys.stderr)
+        return 1
+    found = compare(payload)
+    payload["passed"] = not found
     write_json(args.out, payload)
     print(f"wrote {args.out}")
-
-    update = args.update_baseline or os.environ.get(UPDATE_ENV, "") not in ("", "0")
-    if update:
-        write_json(args.baseline, payload)
-        print(f"updated baseline {args.baseline}")
-        return 0
-
-    if args.check:
-        baseline_path = Path(args.baseline)
-        if not baseline_path.exists():
-            print(f"no baseline at {baseline_path}; commit one with "
-                  "--update-baseline", file=sys.stderr)
-            return 1
-        problems = compare(payload, load_json(baseline_path),
-                           threshold=args.threshold)
-        if problems:
-            print("speed regression detected:", file=sys.stderr)
-            for problem in problems:
-                print(f"  - {problem}", file=sys.stderr)
-            return 1
-        print(f"speed check passed ({len(payload['drivers'])} drivers, "
-              f"threshold {args.threshold:.0%})")
+    if found:
+        print("speed gate failed:", file=sys.stderr)
+        for problem in found:
+            print(f"  - {problem}", file=sys.stderr)
+        return 1
+    if against is not None:
+        medians = ", ".join(
+            f"{w} {d['median_ratio']:.3f}"
+            for w, d in payload["against"]["workloads"].items())
+        print(f"speed gate passed: median ratios {medians} "
+              f"(floor {FLOOR:.2f})")
     return 0
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Standalone entry point: ``python -m repro.bench``."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="repro bench",
-        description="measure figure-driver throughput and emit BENCH_speed.json",
-    )
-    add_arguments(parser)
-    return run_from_args(parser.parse_args(argv))
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -318,9 +318,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _bad_backend(exc)
     if args.timeline:
-        # Timeline tracing forces the scalar engine path and records
-        # per-request spans, so the cell runs in-process and uncached to
-        # keep cache contents timing-model-pure.
+        # A timelined cell records per-request spans, so it runs
+        # in-process and uncached (its result carries the trace config
+        # and engine counters, which cached results do not).
         result = run_workload(job.workload, job.variant,
                               timeline=args.timeline, **dict(job.params))
         print(f"{result.workload} / {result.variant} "
@@ -648,8 +648,8 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """Speed benchmarking: emit BENCH_speed.json, optionally gate on the
-    committed baseline (see :mod:`repro.bench`)."""
+    """Speed gate: run perfbench, emit BENCH_speed.json, optionally A/B
+    against another checkout (see :mod:`repro.bench`)."""
     return bench_mod.run_from_args(args)
 
 
@@ -925,8 +925,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--json", default=None, help="write RunResult JSON here")
     p_run.add_argument("--timeline", default=None, metavar="OUT.json",
                        help="write a sim-time Chrome-trace-event/Perfetto "
-                            "timeline of the run here (forces the scalar "
-                            "engine path and bypasses the result cache; "
+                            "timeline of the run here (same results; "
+                            "bypasses the result cache; "
                             "see docs/OBSERVABILITY.md)")
     _add_device_model_option(p_run)
     _add_common_run_options(p_run)
@@ -1096,7 +1096,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser(
         "bench",
-        help="measure figure-driver throughput and emit BENCH_speed.json",
+        help="run perfbench's cells workloads and emit BENCH_speed.json; "
+             "--against DIR gates on side-by-side A/B pairs",
     )
     bench_mod.add_arguments(p_bench)
     p_bench.set_defaults(func=cmd_bench)

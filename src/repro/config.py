@@ -152,10 +152,6 @@ class SSDConfig:
         return self.dram_bytes - self.write_log_bytes
 
     @property
-    def data_cache_pages(self) -> int:
-        return self.data_cache_bytes // self.geometry.page_size
-
-    @property
     def write_log_entries(self) -> int:
         return self.write_log_bytes // CACHELINE_SIZE
 
@@ -353,9 +349,9 @@ class TraceConfig:
 
     Disabled by default and serialisation-invisible: a default block is
     omitted from :meth:`SimConfig.to_dict`, so cache keys and golden
-    digests are unchanged unless tracing is switched on.  Tracing also
-    forces the scalar engine path so recorded timings are the exact
-    event-by-event ones.
+    digests are unchanged unless tracing is switched on.  A traced run
+    takes the same simulator path as an untraced one, so its stats are
+    the same apart from this block and the engine counters.
     """
 
     #: Record a timeline for this run.
@@ -459,9 +455,6 @@ class SimConfig:
 
     def with_skybyte(self, **kwargs) -> "SimConfig":
         return self.replace(skybyte=dataclasses.replace(self.skybyte, **kwargs))
-
-    def with_qos(self, **kwargs) -> "SimConfig":
-        return self.replace(qos=dataclasses.replace(self.qos, **kwargs))
 
     def with_device(self, **kwargs) -> "SimConfig":
         return self.replace(

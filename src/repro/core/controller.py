@@ -20,7 +20,6 @@ from repro.core.dram_manager import SkyByteDRAMManager
 from repro.core.trigger import ContextSwitchTrigger
 from repro.cxl.protocol import MemRequest
 from repro.qos import FlashPacingArbiter, build_tenant_map
-from repro.sim import fastpath
 from repro.sim.engine import Engine
 from repro.sim.stats import SimStats, SSD_READ_HIT, SSD_READ_MISS, SSD_WRITE
 from repro.ssd.factory import arbiter_slots, build_flash_subsystem
@@ -39,7 +38,6 @@ class SkyByteController:
     ) -> None:
         self._config = config
         self._ssd = config.ssd
-        self._engine = engine
         self._stats = stats
         self.ftl, self.flash, self.gc = build_flash_subsystem(config, engine, stats)
         # Tenant QoS (docs/QOS.md): attribution map from the config, the
@@ -69,11 +67,6 @@ class SkyByteController:
         self._miss_index_ns = self.dram.miss_index_ns
         # Controller MSHRs: lpa -> completion time of the in-flight fetch.
         self._inflight: Dict[int, float] = {}
-        # Lazy MSHR retirement (vectorized path): stale entries are
-        # detected by value (``ready > now``) at every lookup instead of
-        # being removed by a scheduled cleanup event, halving the event
-        # count of read-heavy runs with identical coalescing decisions.
-        self._lazy_inflight = fastpath.vectorized()
         #: Hook for the migration engine (page, is_write, now).
         self.on_page_access = None
 
@@ -87,8 +80,8 @@ class SkyByteController:
     def access_line(
         self, lpa: int, line: int, is_write: bool, now: float
     ) -> AccessResult:
-        """Direct entry taking the decoded address: the vectorized host
-        path calls this without materialising a :class:`MemRequest`."""
+        """Direct entry taking the decoded address: the host window loop
+        calls this without materialising a :class:`MemRequest`."""
         if self.on_page_access is not None:
             self.on_page_access(lpa, is_write, now)
         if is_write:
@@ -188,8 +181,6 @@ class SkyByteController:
             stats.amat_flash_ns += flash
             stats.amat_accesses += 1
         self._inflight[lpa] = ready
-        if not self._lazy_inflight:
-            self._schedule_inflight_cleanup(lpa, ready)
         self._maybe_prefetch(lpa, now + indexing)
         return AccessResult(
             complete_ns=ready + dram_ns,
@@ -233,7 +224,7 @@ class SkyByteController:
         cache = self.dram.data_cache
         for nxt in range(lpa + 1, lpa + self._ssd.prefetch_depth + 1):
             inflight = self._inflight.get(nxt)
-            if inflight is not None and (not self._lazy_inflight or inflight > now):
+            if inflight is not None and inflight > now:
                 continue
             if cache.peek(nxt) is not None:
                 continue
@@ -248,8 +239,6 @@ class SkyByteController:
             if self._stats.enabled:
                 self._stats.prefetch_issued += 1
             self._inflight[nxt] = ready
-            if not self._lazy_inflight:
-                self._schedule_inflight_cleanup(nxt, ready)
 
     def _read_coalesced(
         self, lpa: int, line: int, now: float, ready: float
@@ -279,10 +268,3 @@ class SkyByteController:
             est_delay_ns=wait,
             breakdown={"indexing": indexing, "flash": flash, "ssd_dram": dram_ns},
         )
-
-    def _schedule_inflight_cleanup(self, lpa: int, ready: float) -> None:
-        def _done() -> None:
-            if self._inflight.get(lpa, 0.0) <= ready:
-                self._inflight.pop(lpa, None)
-
-        self._engine.schedule_at(ready, _done)

@@ -72,9 +72,6 @@ class SkyByteHotnessPolicy:
         self._counts.pop(page, None)
         self._tracked_out.discard(page)
 
-    def access_count(self, page: int) -> int:
-        return self._counts.get(page, 0)
-
 
 @dataclass
 class MigrationRecord:

@@ -25,7 +25,6 @@ from typing import List, Optional
 from repro.config import SimConfig
 from repro.host.scheduler import Scheduler
 from repro.host.threads import ThreadContext, Window
-from repro.sim import fastpath
 from repro.sim.engine import Engine
 from repro.ssd.interface import AccessResult
 
@@ -55,11 +54,9 @@ class Core:
         # dependence-limited parallelism (pointer chasing exposes little).
         self._mlp = max(1, min(cpu.l1_mshrs, getattr(system, "workload_mlp", 8)))
         self.thread: Optional[ThreadContext] = None
-        #: Vectorized device-latency inner loops: a whole window is served
-        #: in one call, from host DRAM (DRAM-only runs have no delay
-        #: hints) or through the system's CXL-SSD window loop.
-        self._dram_fast = config.dram_only and fastpath.vectorized()
-        self._device_fast = system.batched_windows
+        #: A whole window is served in one system call: from host DRAM
+        #: (DRAM-only runs have no delay hints) or through the window loop.
+        self._dram_only = config.dram_only
         self._sched_runtime = 0.0  # time on core since last schedule
         self._parked = False
         #: Pending TLB-shootdown cost to absorb at the next window.
@@ -122,54 +119,22 @@ class Core:
         ops = window.ops
         compute_ns = window.instructions * self._cycle_ns / self._ipc
 
-        if self._dram_fast:
+        if self._dram_only:
             completes = self._system.dram_window_access(ops, now, thread.tid)
             self._retire(thread, window.instructions, completes, compute_ns, now)
             return
-        if self._device_fast:
-            completes, trigger = self._system.window_access(
-                ops, now, thread.tid, just_resumed
-            )
-            if trigger is None:
-                self._retire(
-                    thread, window.instructions, completes, compute_ns, now
-                )
-                return
-            executed_instr = 0
-            for op in ops[: len(completes) + 1]:
-                executed_instr += op[0]
-            self._context_switch(
-                thread, window, completes, trigger, executed_instr, now
-            )
-            return
-
-        # Scalar reference path: one memory_access per op.
-        results: List[AccessResult] = []
-        switch_at: Optional[int] = None
-        executed_instr = 0
-        threshold = self._config.os.cs_threshold_ns
-        for i, (gap, is_write, addr) in enumerate(ops):
-            executed_instr += gap
-            result = self._system.memory_access(
-                self.core_id, thread.tid, is_write, addr, now
-            )
-            results.append(result)
-            if result.delay_hint and self._scheduler.runnable() > 0:
-                if just_resumed and result.est_delay_ns < 4 * threshold:
-                    # The replayed access is almost ready; switching again
-                    # would ping-pong (the CFS quirk §III-A notes).
-                    continue
-                switch_at = i
-                break
-
-        completes = [r.complete_ns for r in results]
-        if switch_at is None:
+        completes, trigger = self._system.window_access(
+            ops, now, self.core_id, thread.tid, just_resumed
+        )
+        if trigger is None:
             self._retire(thread, window.instructions, completes, compute_ns, now)
-        else:
-            self._context_switch(
-                thread, window, completes[:switch_at], results[switch_at],
-                executed_instr, now,
-            )
+            return
+        executed_instr = 0
+        for op in ops[: len(completes) + 1]:
+            executed_instr += op[0]
+        self._context_switch(
+            thread, window, completes, trigger, executed_instr, now
+        )
 
     def _retire(
         self,

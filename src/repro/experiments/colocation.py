@@ -43,7 +43,6 @@ from repro.scenarios.colocate import (
 )
 from repro.sim.stats import HOST_DRAM, SimStats
 from repro.sim.system import System
-from repro.ssd.interface import AccessResult
 from repro.variants import DesignVariant, get_variant
 
 #: The default tenant mix: a latency-sensitive point-lookup tier
@@ -88,7 +87,7 @@ class ColocatedSystem(System):
         breakdown: Dict[str, float],
     ) -> None:
         """Mirror one access into the issuing tenant's stats; called by
-        the batched window loop for every issued access."""
+        the window loop for every issued access."""
         tenant = self.tenant_stats[self.plan.tenant_of_thread[tid]]
         tenant.count_request(request_class)
         tenant.record_offchip(max(1.0, latency))
@@ -96,20 +95,10 @@ class ColocatedSystem(System):
             key: float(breakdown.get(key, 0.0)) for key in _AMAT_KEYS
         })
 
-    def memory_access(
-        self, core_id: int, tid: int, is_write: bool, address: int, now: float
-    ) -> AccessResult:
-        result = super().memory_access(core_id, tid, is_write, address, now)
-        if self.stats.enabled:
-            self._mirror_access(tid, result.request_class,
-                                result.complete_ns - now, result.breakdown)
-        return result
-
     def dram_window_access(self, ops, now, tid: int = -1):
-        """DRAM-only fast path with per-tenant mirroring: the batched
-        window loop stays vectorized (no per-access ``memory_access``
-        fallback); attribution replays the same latency arithmetic on
-        the returned completion times."""
+        """DRAM-only window with per-tenant mirroring: attribution
+        replays the window's latency arithmetic on the returned
+        completion times."""
         completes = super().dram_window_access(ops, now, tid)
         if self.stats.enabled and tid >= 0:
             for complete in completes:

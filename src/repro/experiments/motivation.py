@@ -166,8 +166,8 @@ def _replay_locality(
     """
     model = get_model(workload, scale=scale, seed=seed)
     # One generation per workload: the trace is identical across the
-    # cache ratios, so route it through the runner's memo (vectorized
-    # path) instead of re-synthesising it for every ratio.
+    # cache ratios, so route it through the runner's memo instead of
+    # re-synthesising it for every ratio.
     traces, _mlp = _traces_for(workload, 1, records, scale, seed)
     trace = traces[0]
     cache_pages = max(1, model.pages // cache_ratio)

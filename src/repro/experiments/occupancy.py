@@ -4,9 +4,9 @@ Runs one deep-device-model cell with sim-time tracing enabled
 (``TraceConfig``) and reduces the recorded flash-operation spans to a
 per-channel busy fraction over fixed sim-time windows -- the
 channel/plane contention picture the flat horizon model cannot show and
-end-of-run aggregates hide.  Because tracing forces the scalar engine
-path and bypasses the result cache, this driver always simulates; it is
-deliberately a single small cell.
+end-of-run aggregates hide.  Because a traced run bypasses the result
+cache, this driver always simulates; it is deliberately a single small
+cell.
 """
 
 from __future__ import annotations

@@ -21,7 +21,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.config import DeviceModelConfig, SimConfig, scaled_config
 from repro.scenarios.library import find_scenario
 from repro.scenarios.tracefile import read_meta, read_tracefile, write_tracefile
-from repro.sim import fastpath
 from repro.sim.stats import SimStats
 from repro.sim.system import System
 from repro.variants import DesignVariant, get_variant
@@ -148,8 +147,8 @@ def build_config(
 
 #: Memoized (traces, mlp) per resolved generation key.  Trace synthesis
 #: is deterministic in ``(workload, threads, records, scale, seed)`` and
-#: consumers never mutate the record lists (cursors copy; pushbacks build
-#: new lists), so sweep cells that differ only in design variant share
+#: consumers never mutate the record lists (windows copy slices out of
+#: them), so sweep cells that differ only in design variant share
 #: one generated trace instead of re-running the per-record synthesis.
 _TRACE_MEMO: "OrderedDict[Tuple, Tuple[List[List[TraceRecord]], int]]" = (
     OrderedDict()
@@ -163,11 +162,8 @@ def _traces_for(
     """Per-thread traces and the workload's MLP, for a Table I name
     (seed model) or a scenario name (phase DSL).
 
-    Memoized on the vectorized path (bounded LRU); the scalar path
-    regenerates every time, as the original code did.
+    Memoized (bounded LRU).
     """
-    if not fastpath.vectorized():
-        return _generate_traces(workload, threads, records, scale, seed)
     key = (workload, threads, records, scale, seed)
     hit = _TRACE_MEMO.get(key)
     if hit is not None:
@@ -297,9 +293,9 @@ def run_workload(
 
     ``timeline`` writes a Chrome-trace-event/Perfetto JSON of the run to
     the given path (``docs/OBSERVABILITY.md``).  It enables sim-time
-    tracing on the config, which forces the timing-identical scalar
-    engine path; timelined runs bypass the result cache (the orchestrator
-    never passes ``timeline``), so cache keys are unaffected.
+    tracing on the config, which leaves the simulation itself unchanged;
+    timelined runs bypass the result cache (the orchestrator never
+    passes ``timeline``), so cache keys are unaffected.
     """
     design: DesignVariant = get_variant(variant)
     config, records_per_thread = resolve_run(

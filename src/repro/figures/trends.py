@@ -51,10 +51,19 @@ def trend_row(
         row["cells_run"] = overall.get("cells_run")
         row["cells_cached"] = overall.get("cells_cached")
     if speed:
-        overall = speed.get("overall", {})
-        row["speedup_geomean"] = overall.get("speedup_geomean")
-        row["cells_per_sec"] = overall.get("cells_per_sec")
+        row["accesses_per_s"] = {
+            name: _accesses_per_s(entry)
+            for name, entry in (speed.get("workloads") or {}).items()
+        }
     return row
+
+
+def _accesses_per_s(entry: object) -> Optional[float]:
+    """A ``BENCH_speed.json`` workload entry's perfbench throughput."""
+    try:
+        return _num(entry["result"]["metrics"]["accesses_per_s"]["value"])
+    except (KeyError, TypeError):
+        return None
 
 
 def append_trend(
@@ -117,19 +126,26 @@ def render_markdown(rows: List[Dict[str, object]]) -> List[str]:
     if not rows:
         return []
     recent = rows[-TREND_WINDOW:]
-    fid = [_num(r.get("fidelity_score")) for r in recent]
-    spd = [_num(r.get("speedup_geomean")) for r in recent]
+    series = [("fidelity score",
+               [_num(r.get("fidelity_score")) for r in recent])]
+    throughput = [r.get("accesses_per_s") or {} for r in recent]
+    for name in sorted({n for per in throughput for n in per}):
+        series.append((f"{name} accesses/s",
+                       [_num(per.get(name)) for per in throughput]))
+    # Rows written before the speed gate ran perfbench carry this.
+    speedup = [_num(r.get("speedup_geomean")) for r in recent]
+    if any(v is not None for v in speedup):
+        series.append(("vector/scalar speedup (geomean)", speedup))
     lines = [
         f"Last {len(recent)} report run(s) from `benchmarks/trends.ndjson` "
         f"(oldest left).",
         "",
         "| metric | trend | latest |",
         "| --- | --- | ---: |",
-        f"| fidelity score | `{sparkline(fid) or '-'}` "
-        f"| {_fmt(fid[-1])} |",
-        f"| vector/scalar speedup (geomean) | `{sparkline(spd) or '-'}` "
-        f"| {_fmt(spd[-1])} |",
     ]
+    for label, values in series:
+        lines.append(f"| {label} | `{sparkline(values) or '-'}` "
+                     f"| {_fmt(values[-1])} |")
     return lines
 
 

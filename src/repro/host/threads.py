@@ -15,7 +15,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.sim import fastpath
 
 #: One trace record: (instructions since previous memory op, is_write, addr).
 TraceRecord = Tuple[int, bool, int]
@@ -38,9 +37,6 @@ class ThreadContext:
         self.pos = 0
         #: Memory op to re-issue first on resume (set on context switch).
         self.replay: Optional[TraceRecord] = None
-        #: Records fetched into a window but squashed by a context switch
-        #: (scalar path; the vectorized path rewinds ``pos`` instead).
-        self._pushback: List[TraceRecord] = []
         #: Wall time received on a core (CFS vruntime).
         self.runtime_ns = 0.0
         self.instructions_done = 0
@@ -49,14 +45,14 @@ class ThreadContext:
         #: re-switch on the same access would ping-pong.
         self.just_resumed = False
         #: Trace-capture tap: called once per record the *first* time it
-        #: is fetched from the trace (replays, pushbacks and re-fetches
-        #: after a rewind are not re-reported), so a capture sees exactly
-        #: the consumed stream in order.  ``python -m repro trace
+        #: is fetched from the trace (replays and re-fetches after a
+        #: rewind are not re-reported), so a capture sees exactly the
+        #: consumed stream in order.  ``python -m repro trace
         #: capture`` installs this.
         self.on_fetch: Optional[callable] = None
         #: Trace positions below this were already reported to the tap.
         self._tapped = 0
-        #: Vectorized window plan (lazy): ``_plan[p]`` is the record count
+        #: Window plan (lazy): ``_plan[p]`` is the record count
         #: of the ROB/MSHR window starting at trace position ``p`` and
         #: ``_cum[i]`` the total gap instructions of records ``0..i-1``,
         #: both computed for the whole trace in one numpy pass so each
@@ -64,37 +60,15 @@ class ThreadContext:
         self._plan: Optional[array] = None
         self._cum: Optional[array] = None
         self._plan_key: Optional[Tuple[int, int]] = None
-        self._vectorized = fastpath.vectorized()
 
     @property
     def done(self) -> bool:
-        return (
-            self.pos >= len(self.trace)
-            and self.replay is None
-            and not self._pushback
-        )
+        return self.pos >= len(self.trace) and self.replay is None
 
     @property
     def remaining_records(self) -> int:
-        n = len(self.trace) - self.pos + len(self._pushback)
+        n = len(self.trace) - self.pos
         return n + (1 if self.replay is not None else 0)
-
-    def _next_record(self) -> Optional[TraceRecord]:
-        if self.replay is not None:
-            record = self.replay
-            self.replay = None
-            return record
-        if self._pushback:
-            return self._pushback.pop(0)
-        pos = self.pos
-        if pos < len(self.trace):
-            record = self.trace[pos]
-            self.pos = pos + 1
-            if self.on_fetch is not None and pos >= self._tapped:
-                self._tapped = pos + 1
-                self.on_fetch(record)
-            return record
-        return None
 
     def next_window(self, max_instructions: int, max_ops: int) -> Optional[Window]:
         """Build the next ROB/MSHR-bounded window of records.
@@ -103,81 +77,58 @@ class ThreadContext:
         always included so a record whose gap exceeds the ROB still makes
         progress.
 
-        The vectorized path slices a whole window out of the trace with
-        one searchsorted over the gap prefix sums instead of a
-        per-record Python loop; it yields byte-identical windows and is
-        skipped whenever per-record state is live (pushed-back records
-        or a capture tap).  Squashes and over-budget records rewind the
-        cursor there, and the window that replays a squashed op is cut
-        from the same plan: the replay record (gap 0) first, then at
-        most ``max_ops - 1`` trace records within the budget.
+        A window is sliced out of the trace with two lookups in the
+        precomputed plan (see :meth:`_build_plan`), which fixes for
+        *every* trace position how many records fit from there.
+        Squashes rewind the cursor, and the window that replays a
+        squashed op is cut from the same plan: the replay record (gap 0)
+        first, then at most ``max_ops - 1`` trace records within the
+        budget.
         """
-        if self._vectorized and not self._pushback and self.on_fetch is None:
-            # O(1) fetch from the precomputed plan (see _build_plan): it
-            # fixes, for *every* trace position, how many records the
-            # per-record loop would take from there.
-            pos = self.pos
-            trace = self.trace
-            replay = self.replay
-            if pos >= len(trace):
-                if replay is None:
-                    # Exhausted: free the plan now.  A finished System is
-                    # cyclic garbage that lives until a full collection.
-                    self._plan = self._cum = self._plan_key = None
-                    return None
-                self.replay = None
-                return Window(0, [replay])
-            if self._plan_key != (max_instructions, max_ops):
-                self._build_plan(max_instructions, max_ops)
-            take = self._plan[pos]
-            cum = self._cum
-            if replay is not None:
-                # The replay fills one op slot and none of the budget;
-                # the plan's at-least-one clamp does not apply after it.
-                self.replay = None
-                if take >= max_ops:
-                    take = max_ops - 1
-                elif take == 1 and cum[pos + 1] - cum[pos] > max_instructions:
-                    take = 0
-                end = pos + take
-                self.pos = end
-                ops = [replay]
-                ops.extend(trace[pos:end])
-                return Window(cum[end] - cum[pos], ops)
-            end = pos + take
-            self.pos = end
-            return Window(cum[end] - cum[pos], list(trace[pos:end]))
-        window = Window(instructions=0)
-        while len(window.ops) < max_ops:
-            record = self._next_record()
-            if record is None:
-                break
-            gap = record[0]
-            if window.ops and window.instructions + gap > max_instructions:
-                # Does not fit: leave it for the next window.  Only the
-                # first record (which always fits) can be the replay, so
-                # on the vectorized path, whose pushback stays empty, this
-                # record came from the trace and un-fetching is a rewind.
-                if self._vectorized:
-                    self.pos -= 1
-                else:
-                    self._pushback.insert(0, record)
-                break
-            window.instructions += gap
-            window.ops.append(record)
-        if not window.ops and window.instructions == 0:
-            return None
-        return window
+        pos = self.pos
+        trace = self.trace
+        replay = self.replay
+        if pos >= len(trace):
+            if replay is None:
+                # Exhausted: free the plan now.  A finished System is
+                # cyclic garbage that lives until a full collection.
+                self._plan = self._cum = self._plan_key = None
+                return None
+            self.replay = None
+            return Window(0, [replay])
+        if self._plan_key != (max_instructions, max_ops):
+            self._build_plan(max_instructions, max_ops)
+        take = self._plan[pos]
+        cum = self._cum
+        if replay is not None:
+            # The replay fills one op slot and none of the budget; the
+            # plan's at-least-one clamp does not apply after it.
+            self.replay = None
+            if take >= max_ops:
+                take = max_ops - 1
+            elif take == 1 and cum[pos + 1] - cum[pos] > max_instructions:
+                take = 0
+        end = pos + take
+        self.pos = end
+        if self.on_fetch is not None and end > self._tapped:
+            for record in trace[max(pos, self._tapped):end]:
+                self.on_fetch(record)
+            self._tapped = end
+        if replay is not None:
+            ops = [replay]
+            ops.extend(trace[pos:end])
+            return Window(cum[end] - cum[pos], ops)
+        return Window(cum[end] - cum[pos], list(trace[pos:end]))
 
     def _build_plan(self, max_instructions: int, max_ops: int) -> None:
         """One numpy pass over the whole trace.
 
         With ``G`` the gap prefix sums, record ``j`` fits a window
         starting at ``p`` exactly when ``G[j+1] - G[p] <=
-        max_instructions`` (the scalar loop's budget check), so the
+        max_instructions`` (the ROB budget), so the
         unclamped window length at every position is one vectorized
         ``searchsorted(side="right")``; clamping to ``[1, max_ops]``
-        mirrors the at-least-one-record rule and the MSHR bound.  The
+        applies the at-least-one-record rule and the MSHR bound.  The
         results are kept as ``array('q')``: indexing yields plain Python
         ints (per-window costs stay numpy-free and no ``np.int64`` can
         leak into stats accounting) at 8 bytes per record instead of one
@@ -199,18 +150,14 @@ class ThreadContext:
     def squash_after(self, index: int, window: Window) -> TraceRecord:
         """Context switch at the ``index``-th op of ``window``: that op is
         saved for replay (with its compute gap already consumed) and every
-        later op is pushed back untouched.  Returns the replay record.
+        later op goes back to the trace.  Returns the replay record.
 
-        The vectorized path rewinds the cursor instead of pushing back:
-        every op after a window's first is fetched from the trace in
-        order (pushback being empty there), so the squashed ops are the
-        trace slice just before ``pos``.
+        Every op after a window's first came from the trace in order, so
+        the squashed ops are the trace slice just before ``pos`` and
+        rewinding the cursor puts them back.
         """
         triggering = window.ops[index]
         # Its gap instructions were executed before the exception retired.
         self.replay = (0, triggering[1], triggering[2])
-        if self._vectorized:
-            self.pos -= len(window.ops) - index - 1
-        else:
-            self._pushback = list(window.ops[index + 1 :]) + self._pushback
+        self.pos -= len(window.ops) - index - 1
         return self.replay

@@ -1,10 +1,9 @@
 """Portable, versioned, compressed trace files (``.sbt``).
 
-The ``.npz`` helpers in :mod:`repro.workloads.trace` are fine for local
-snapshots, but a trace that travels -- between hosts, backends, CI jobs
-and commits -- needs a real format: self-describing, streaming, and
-**able to say no** to truncated or corrupt input instead of silently
-replaying a prefix.  Layout::
+A trace that travels -- between hosts, backends, CI jobs and commits --
+needs a real format: self-describing, streaming, and **able to say no**
+to truncated or corrupt input instead of silently replaying a prefix.
+Layout::
 
     "SBTF"  u8 version=1
     u32be meta_len, gzip(JSON metadata)

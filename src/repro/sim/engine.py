@@ -13,10 +13,8 @@ import heapq
 import warnings
 from typing import Callable, List, Optional, Tuple
 
-from repro.sim import fastpath
-
 #: Process-wide count of events executed by every :class:`Engine` in this
-#: process.  ``repro.bench`` samples it around a run to report events/sec;
+#: process.  perfbench samples it around a run to report events per pass;
 #: it is never reset (callers diff two samples).
 EVENTS_PROCESSED = 0
 
@@ -117,44 +115,15 @@ class Engine:
 
         Returns the simulation time when the loop exited.
 
-        The vectorized path coalesces same-epoch events: the clock is
-        advanced once per distinct timestamp and every event queued for
-        that instant drains in one inner loop, still strictly in
-        insertion (seq) order -- new events scheduled *for the current
-        instant* by a running callback join the same batch after every
-        older same-time event, exactly as the scalar loop orders them.
-        """
-        if fastpath.vectorized():
-            return self._run_batched(until)
-        return self._run_scalar(until)
-
-    def _run_scalar(self, until: Optional[float]) -> float:
-        """Reference event loop: one heap pop per event."""
-        self._stopped = False
-        queue = self._queue
-        processed = 0
-        try:
-            while queue and not self._stopped:
-                when, _seq, callback = queue[0]
-                if until is not None and when > until:
-                    self._now = until
-                    break
-                heapq.heappop(queue)
-                self._now = when
-                processed += 1
-                callback()
-        finally:
-            self._count(processed)
-        return self._now
-
-    def _run_batched(self, until: Optional[float]) -> float:
-        """Same-epoch coalescing loop (byte-identical event order).
-
-        Scheduling can never produce an event earlier than ``now`` (both
+        Same-epoch events are coalesced: the clock is advanced once per
+        distinct timestamp and every event queued for that instant drains
+        in one inner loop, still strictly in (time, seq) order.
+        Scheduling never produces an event earlier than ``now`` (both
         :meth:`schedule` and :meth:`schedule_at` clamp), so while the
-        clock sits at one timestamp the heap minimum stays >= that
-        timestamp and popping every head with an equal timestamp yields
-        the exact global (time, seq) order of the scalar loop.
+        clock sits at one timestamp the heap minimum stays >= it; an
+        event a running callback schedules *for the current instant*
+        joins the same batch after every older same-time event, exactly
+        where a one-pop-per-event loop would run it.
         """
         self._stopped = False
         queue = self._queue

@@ -511,10 +511,6 @@ class SimStats:
         if self.enabled:
             self.offchip_latency.record(latency_ns)
 
-    def record_flash_read(self, latency_ns: float) -> None:
-        if self.enabled:
-            self.flash_read_latency.record(latency_ns)
-
     def record_amat(
         self,
         host_dram: float = 0.0,
@@ -642,13 +638,6 @@ class SimStats:
         if self.execution_ns <= 0:
             return 0.0
         return self.instructions / self.execution_ns
-
-    @property
-    def cxl_bandwidth_bytes_per_ns(self) -> float:
-        """Average CXL link bandwidth used over the measured window."""
-        if self.execution_ns <= 0:
-            return 0.0
-        return self.cxl_bytes / self.execution_ns
 
     def request_breakdown(self) -> Dict[str, float]:
         """Fractions per request class (Fig. 16)."""

@@ -25,13 +25,11 @@ from repro.core.migration import MigrationEngine, SkyByteHotnessPolicy
 from repro.cpu.core import Core
 from repro.cpu.dram import HostDRAM
 from repro.cxl.link import CXLLink
-from repro.cxl.protocol import M2SOpcode, MemRequest
 from repro.host.page_table import Location, PageTable
 from repro.host.scheduler import Scheduler
 from repro.host.threads import ThreadContext
 from repro.obs.timeline import TimelineTracer
 from repro.qos import build_tenant_map
-from repro.sim import fastpath
 from repro.sim.engine import Engine
 from repro.sim.stats import HOST_DRAM, EngineStats, SimStats
 from repro.ssd.base_controller import BaseCSSDController
@@ -64,17 +62,9 @@ class System:
             self.tracer = TimelineTracer(
                 max_events=self.config.trace.max_events
             )
-        #: Cores hand whole ROB windows to :meth:`window_access`: every
-        #: CXL-SSD variant on the vector path except AstriFlash-CXL, whose
-        #: controller owns the link.  Tracing keeps per-access
-        #: :meth:`memory_access`: the window loop skips the per-request
-        #: structures the tracer annotates, and both paths are
-        #: timing-identical (pinned in test_fastpath_identity.py).
-        self.batched_windows = (
-            fastpath.vectorized()
-            and self.tracer is None
-            and not variant.astriflash
-            and not variant.dram_only
+        #: Tracer of the per-request spans :meth:`window_access` emits.
+        self._request_tracer = (
+            self.tracer if self.config.trace.requests else None
         )
         self.engine = Engine()
         self.stats = SimStats()
@@ -195,42 +185,6 @@ class System:
 
     # -- the host memory path -----------------------------------------------------------
 
-    def memory_access(
-        self, core_id: int, tid: int, is_write: bool, address: int, now: float
-    ) -> AccessResult:
-        """One 64 B access from a core; returns its timing and hint."""
-        if self.config.dram_only:
-            complete = self.host_dram.access(now)
-            self.stats.count_request(HOST_DRAM)
-            latency = complete - now
-            self.stats.record_amat(host_dram=latency)
-            if is_write and self.stats.enabled:
-                self.stats.host_lines_written += 1
-            elif self.stats.enabled:
-                self.stats.host_lines_read += 1
-            return AccessResult(
-                complete_ns=complete,
-                request_class=HOST_DRAM,
-                breakdown={"host_dram": latency},
-            )
-
-        request = MemRequest(
-            opcode=M2SOpcode.MEM_WR if is_write else M2SOpcode.MEM_RD,
-            address=address,
-            core=core_id,
-            thread=tid,
-            issue_ns=now,
-        )
-
-        if self.variant.astriflash:
-            return self.controller.access(request, now)
-
-        page = request.page
-        if self.page_table.is_promoted(page):
-            # H-R/W: the page was promoted; served by host DRAM.
-            return self._host_dram_hit(page, request.line_offset, is_write, now)
-        return self._cxl_access(request, is_write, now)
-
     def dram_window_access(
         self, ops: Sequence[TraceRecord], now: float, tid: int = -1
     ) -> List[float]:
@@ -239,14 +193,11 @@ class System:
         ``tid`` identifies the issuing thread so multi-tenant subclasses
         can attribute the window to a tenant; the base loop ignores it.
 
-        Replays ``len(ops)`` host-DRAM accesses issued at the same
-        ``now`` in one float loop, replicating :meth:`memory_access`'s
-        arithmetic and stats updates operation-for-operation (same
-        values, same order per field) without materialising a
-        :class:`MemRequest`/:class:`AccessResult` per access.  Skipping
-        the four ``+= 0.0`` AMAT component adds is exact: the sums start
-        at ``+0.0`` and ``x + 0.0 == x`` bitwise for every non-negative
-        float.  Only taken on the vectorized path.
+        Serves ``len(ops)`` host-DRAM accesses issued at the same
+        ``now`` in one float loop, with no request or result object per
+        access.  The other four AMAT components are never added to: they
+        would be ``+= 0.0``, and ``x + 0.0 == x`` bitwise for every
+        non-negative float.
         """
         stats = self.stats
         dram = self.host_dram
@@ -274,25 +225,6 @@ class System:
         dram.accesses += len(completes)
         return completes
 
-    def _host_dram_hit(
-        self, page: int, line: int, is_write: bool, now: float
-    ) -> AccessResult:
-        """H-R/W: the page was promoted; served by host DRAM."""
-        self.page_table.record_host_access(page, line, is_write, now)
-        complete = self.host_dram.access(now)
-        latency = complete - now
-        self.stats.count_request(HOST_DRAM)
-        self.stats.record_amat(host_dram=latency)
-        if self.stats.enabled:
-            self.stats.promoted_hits += 1
-            if is_write:
-                self.stats.host_lines_written += 1
-        return AccessResult(
-            complete_ns=complete,
-            request_class=HOST_DRAM,
-            breakdown={"host_dram": latency},
-        )
-
     #: Per-access tenant attribution hook of :meth:`window_access`:
     #: ``(tid, request_class, latency_ns, breakdown)``.  Multi-tenant
     #: subclasses override it; ``None`` skips the call.
@@ -302,29 +234,34 @@ class System:
         self,
         ops: Sequence[TraceRecord],
         now: float,
+        core_id: int,
         tid: int,
         just_resumed: bool,
     ) -> Tuple[List[float], Optional[AccessResult]]:
-        """Serve a whole ROB window of CXL-SSD accesses issued at ``now``.
+        """Serve a whole ROB window of accesses issued at ``now`` by
+        thread ``tid`` on core ``core_id``: every variant but DRAM-Only
+        (:meth:`dram_window_access`).
 
-        The vectorized device path (see :attr:`batched_windows`):
-        :meth:`memory_access` and the core's hint test, op by op, in one
-        loop.  Promoted pages are served inline from host DRAM (one
-        page-table lookup, no request or result object) and CXL
-        accesses run the arithmetic of ``CXLLink.send_downstream`` /
-        ``send_upstream`` inline (same operand order, hoisted constant
-        serialisation delays) around the controller's decoded-address
-        entry.  Skipped ``+= 0.0`` AMAT adds are exact because those
-        sums never hold ``-0.0``.
+        Promoted pages are served inline from host DRAM (one page-table
+        lookup, no request or result object).  CXL accesses run the
+        arithmetic of ``CXLLink.send_downstream`` / ``send_upstream``
+        inline (same operand order, hoisted constant serialisation
+        delays) around the controller's decoded-address entry.  AMAT
+        components an access does not touch are never added to: they
+        would be ``+= 0.0``, which is exact because those sums never hold
+        ``-0.0``.  AstriFlash-CXL, whose controller owns the link, takes
+        :meth:`_host_cache_window`.
 
         Returns the completion times of the ops that retire and the
         :class:`AccessResult` of the op whose ``SkyByte-Delay`` hint the
         core acts on, or ``None`` when the whole window retires; ops
-        after that one are never issued.  As in the scalar core loop,
-        ``scheduler.runnable()`` is consulted only when a hint arrives,
-        and a just-resumed thread ignores hints estimated below four
-        switch thresholds (the replay is almost ready).
+        after that one are never issued.  ``scheduler.runnable()`` is
+        consulted only when a hint arrives, and a just-resumed thread
+        ignores hints estimated below four switch thresholds (the replay
+        is almost ready).
         """
+        if self.variant.astriflash:
+            return self._host_cache_window(ops, now, tid, just_resumed)
         stats = self.stats
         enabled = stats.enabled
         counts = stats.request_counts
@@ -338,6 +275,7 @@ class System:
         ndr_ser = wire[True][3]  # a write's reply is itself an NDR
         access_line = self.controller.access_line
         mirror = self._mirror_access if enabled else None
+        tracer = self._request_tracer
         guard_ns = 4 * self.config.os.cs_threshold_ns
         completes: List[float] = []
         append = completes.append
@@ -386,6 +324,10 @@ class System:
                 stats.amat_protocol_ns += protocol
                 if not is_write:
                     stats.host_lines_read += 1
+            if tracer is not None:
+                self._trace_request(core_id, tid, is_write, now, arrive_dev,
+                                    result.request_class, device_done,
+                                    complete)
             if mirror is not None or result.delay_hint:
                 result.breakdown["protocol"] = protocol
                 result.complete_ns = complete
@@ -407,57 +349,62 @@ class System:
             append(complete)
         return completes, None
 
-    def _cxl_access(
-        self, request: MemRequest, is_write: bool, now: float
-    ) -> AccessResult:
-        # CXL path: downstream request, device access, upstream response.
-        down_bytes = REQ_BYTES + (CACHELINE_SIZE if is_write else 0)
-        arrive_dev = self.link.send_downstream(now, down_bytes)
-        result = self.controller.access(request, arrive_dev)
-        up_bytes = NDR_BYTES if is_write else DATA_BYTES
-        arrive_host = self.link.send_upstream(result.complete_ns, up_bytes)
-        protocol = (arrive_dev - now) + (arrive_host - result.complete_ns)
-        self.stats.add_amat_extra(protocol=protocol)
-        result.breakdown["protocol"] = protocol
-        if self.tracer is not None and self.config.trace.requests:
-            self._trace_request(request, is_write, now, arrive_dev,
-                                result, arrive_host)
-        if result.delay_hint:
-            # The SkyByte-Delay NDR races ahead of the data.
-            decision_ns = result.breakdown.get("indexing", 0.0)
-            result.hint_arrival_ns = self.link.send_upstream(
-                arrive_dev + decision_ns, NDR_BYTES
-            )
-        result.complete_ns = arrive_host
-        if not is_write and self.stats.enabled:
-            self.stats.host_lines_read += 1
-        return result
+    def _host_cache_window(
+        self,
+        ops: Sequence[TraceRecord],
+        now: float,
+        tid: int,
+        just_resumed: bool,
+    ) -> Tuple[List[float], Optional[AccessResult]]:
+        """AstriFlash-CXL's window: its controller owns the host-DRAM page
+        cache and the link, so each op is one ``access_line`` at ``now``
+        and every host-cache miss carries a (user-level) switch hint."""
+        access_line = self.controller.access_line
+        mirror = self._mirror_access if self.stats.enabled else None
+        guard_ns = 4 * self.config.os.cs_threshold_ns
+        completes: List[float] = []
+        for _gap, is_write, address in ops:
+            result = access_line(address >> 12, (address >> 6) & 0x3F,
+                                 is_write, now)
+            if mirror is not None:
+                mirror(tid, result.request_class, result.complete_ns - now,
+                       result.breakdown)
+            if (
+                result.delay_hint
+                and self.scheduler.runnable() > 0
+                and not (just_resumed and result.est_delay_ns < guard_ns)
+            ):
+                return completes, result
+            completes.append(result.complete_ns)
+        return completes, None
 
     def _trace_request(
         self,
-        request: MemRequest,
+        core_id: int,
+        tid: int,
         is_write: bool,
         now: float,
         arrive_dev: float,
-        result: AccessResult,
+        request_class: str,
+        device_done: float,
         arrive_host: float,
     ) -> None:
         """Per-request spans: whole request plus its link/device phases,
         on the issuing core's lane."""
-        thread = f"core {request.core}"
+        tracer = self._request_tracer
+        thread = f"core {core_id}"
         name = "mem.write" if is_write else "mem.read"
-        device_done = result.complete_ns
-        self.tracer.complete(
+        tracer.complete(
             name, "requests", thread, int(now), int(arrive_host),
-            args={"class": result.request_class, "thread": request.thread},
+            args={"class": request_class, "thread": tid},
         )
-        self.tracer.complete(
+        tracer.complete(
             "cxl.down", "requests", thread, int(now), int(arrive_dev))
-        self.tracer.complete(
+        tracer.complete(
             "device", "requests", thread, int(arrive_dev), int(device_done),
-            args={"class": result.request_class},
+            args={"class": request_class},
         )
-        self.tracer.complete(
+        tracer.complete(
             "cxl.up", "requests", thread, int(device_done), int(arrive_host))
 
     # -- progress callbacks --------------------------------------------------------------

@@ -136,10 +136,3 @@ class SetAssociativePageCache:
 
     def dirty_entries(self) -> List[CacheEntry]:
         return [e for e in self.entries() if e.dirty]
-
-    def lru_victim_candidate(self, lpa: int) -> Optional[CacheEntry]:
-        """The entry that would be evicted if ``lpa`` were inserted now."""
-        cache_set = self._set_of(lpa)
-        if lpa in cache_set or len(cache_set) < self.ways:
-            return None
-        return next(iter(cache_set.values()))

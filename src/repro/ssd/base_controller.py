@@ -18,7 +18,6 @@ from repro.config import SimConfig
 from repro.cxl.protocol import MemRequest
 from repro.core.trigger import ContextSwitchTrigger
 from repro.qos import FlashPacingArbiter, build_tenant_map
-from repro.sim import fastpath
 from repro.sim.engine import Engine
 from repro.sim.stats import SimStats, SSD_READ_HIT, SSD_READ_MISS, SSD_WRITE
 from repro.ssd.base_cache import SetAssociativePageCache
@@ -38,7 +37,6 @@ class BaseCSSDController:
     ) -> None:
         self._config = config
         self._ssd = config.ssd
-        self._engine = engine
         self._stats = stats
         self.ftl, self.flash, self.gc = build_flash_subsystem(config, engine, stats)
         # Tenant QoS: the baseline supports the flash admission arbiter
@@ -66,11 +64,6 @@ class BaseCSSDController:
         self._dram_ns = self._ssd.dram_access_ns
         # Controller MSHRs: lpa -> time its in-flight fetch completes.
         self._inflight: Dict[int, float] = {}
-        # Lazy MSHR retirement (vectorized path): stale entries are
-        # detected by value (``ready > now``) at every lookup instead of
-        # being removed by a scheduled cleanup event -- same coalescing
-        # decisions, roughly half the engine events on miss-heavy runs.
-        self._lazy_inflight = fastpath.vectorized()
         #: Hook the migration engine installs to observe page accesses.
         self.on_page_access = None
         self._last_flush_scan = 0.0
@@ -85,8 +78,8 @@ class BaseCSSDController:
     def access_line(
         self, lpa: int, line: int, is_write: bool, now: float
     ) -> AccessResult:
-        """Direct entry taking the decoded address: the vectorized host
-        path calls this without materialising a :class:`MemRequest`."""
+        """Direct entry taking the decoded address: the host window loop
+        calls this without materialising a :class:`MemRequest`."""
         if self.on_page_access is not None:
             self.on_page_access(lpa, is_write, now)
         self._periodic_persistence(now)
@@ -313,8 +306,6 @@ class BaseCSSDController:
             if victim.dirty:
                 self._writeback(victim, now)
         self._inflight[lpa] = ready
-        if not self._lazy_inflight:
-            self._schedule_inflight_cleanup(lpa, ready)
         return ready
 
     def _writeback(self, entry, now: float) -> float:
@@ -335,7 +326,7 @@ class BaseCSSDController:
             if nxt in self.cache:
                 continue
             inflight = self._inflight.get(nxt)
-            if inflight is not None and (not self._lazy_inflight or inflight > now):
+            if inflight is not None and inflight > now:
                 continue
             ppa = self.ftl.translate(nxt)
             if ppa is None:
@@ -354,8 +345,6 @@ class BaseCSSDController:
                 if victim.dirty:
                     self._writeback(victim, now)
             self._inflight[nxt] = ready
-            if not self._lazy_inflight:
-                self._schedule_inflight_cleanup(nxt, ready)
 
     def _run_gc_check(self, ppa: int, now: float) -> None:
         channel = self.flash.channel_of(ppa)
@@ -377,10 +366,3 @@ class BaseCSSDController:
         if not self.trigger.enabled:
             return TriggerDecision(False, default_est)
         return TriggerDecision(default_est > self.trigger.threshold_ns, default_est)
-
-    def _schedule_inflight_cleanup(self, lpa: int, ready: float) -> None:
-        def _done() -> None:
-            if self._inflight.get(lpa, 0.0) <= ready:
-                self._inflight.pop(lpa, None)
-
-        self._engine.schedule_at(ready, _done)

@@ -70,10 +70,6 @@ class _QueuedChannel:
         """Commands currently in flight on this channel."""
         return self.queued_reads + self.queued_programs + self.queued_erases
 
-    def busy_ns(self, now: float) -> float:
-        """Remaining time until a new command could start an array op."""
-        return max(0.0, self.free_at - now)
-
     def estimate_read_fifo_ns(self) -> float:
         """Algorithm 1 lines 5-6 verbatim (FIFO queue-sum):
         ``read*(nread+1) + program*nwrite + erase*nerase``."""
@@ -633,11 +629,6 @@ class DeepFlashArray(FlashArray):
             plane_parallelism=device.plane_parallelism,
             schedule_log=self._schedule_log,
         )
-
-    @property
-    def units_per_channel(self) -> int:
-        """Independent array units behind one channel (arbiter slots)."""
-        return self.channels[0].units
 
     def preview_read_ns(self, ppa: int, now: float) -> float:
         """Exact latency a read of ``ppa`` submitted at ``now`` would be

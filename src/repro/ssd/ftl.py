@@ -16,7 +16,6 @@ import random
 from typing import Dict, List, Optional
 
 from repro.config import FlashGeometry
-from repro.sim import fastpath
 
 #: Memoized post-precondition FTL state per
 #: ``(geometry, seed, logical_pages, target_free_blocks)``.  Aging a
@@ -51,10 +50,6 @@ class Block:
     @property
     def valid_count(self) -> int:
         return len(self.live)
-
-    def invalid_count(self, pages_per_block: int) -> int:
-        """Written-but-stale pages (only meaningful once pages were written)."""
-        return self.next_page - len(self.live)
 
 
 class OutOfSpaceError(RuntimeError):
@@ -106,12 +101,6 @@ class PageFTL:
 
     def free_blocks_in_channel(self, channel: int) -> int:
         return len(self._free_blocks[channel])
-
-    def channel_of_lpa(self, lpa: int) -> Optional[int]:
-        ppa = self.translate(lpa)
-        if ppa is None:
-            return None
-        return ppa // self.geometry.pages_per_channel
 
     # -- allocation / write path ----------------------------------------------
 
@@ -241,7 +230,7 @@ class PageFTL:
         if target_free_blocks_per_channel is None:
             target_free_blocks_per_channel = max(3, geo.blocks_per_channel // 20)
         memo_key: Optional[tuple] = None
-        if fastpath.vectorized() and self._is_pristine():
+        if self._is_pristine():
             memo_key = (
                 geo,
                 self._seed,

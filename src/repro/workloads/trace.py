@@ -7,18 +7,16 @@ fast interval model replays (on-chip cache hits are folded into the gap /
 IPC term), the same level at which the paper's Table I characterises its
 workloads via LLC MPKI.
 
-Traces can be saved/loaded as compact ``.npz`` files so experiments are
-reproducible without regeneration.
+Traces travel as ``.sbt`` files (:mod:`repro.scenarios.tracefile`).
 """
 
 from __future__ import annotations
 
-import zipfile
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.config import CACHELINE_SIZE, PAGE_SIZE
+from repro.config import PAGE_SIZE
 
 TraceRecord = Tuple[int, bool, int]
 
@@ -64,78 +62,3 @@ def trace_mpki(trace: Sequence[TraceRecord]) -> float:
     if instructions == 0:
         return 0.0
     return 1000.0 * len(trace) / instructions
-
-
-def save_traces(path: str, traces: Sequence[Sequence[TraceRecord]]) -> None:
-    """Persist per-thread traces to one compressed .npz file."""
-    arrays = {}
-    for i, trace in enumerate(traces):
-        arr = np.array(trace, dtype=np.int64)
-        arrays[f"thread_{i}"] = arr
-    np.savez_compressed(path, **arrays)
-
-
-def load_traces(path: str) -> List[List[TraceRecord]]:
-    """Inverse of :func:`save_traces`, with validation.
-
-    Rejects (with :class:`TraceFormatError`) truncated/corrupt archives,
-    non-contiguous thread numbering (``thread_0 .. thread_{n-1}`` must
-    all be present, so a missing thread cannot silently shift the
-    others), malformed record arrays, and negative gaps -- instead of
-    ending the trace early at whatever loaded.
-    """
-    try:
-        data = np.load(path)
-    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
-        raise TraceFormatError(
-            f"unreadable trace archive {path!r}: {exc}"
-        ) from exc
-    with data:
-        indices = []
-        for key in data.files:
-            prefix, _, suffix = key.partition("_")
-            if prefix != "thread" or not suffix.isdigit():
-                raise TraceFormatError(
-                    f"unexpected array {key!r} in trace archive {path!r}"
-                )
-            indices.append(int(suffix))
-        if sorted(indices) != list(range(len(indices))):
-            raise TraceFormatError(
-                f"trace archive {path!r} has non-contiguous thread ids "
-                f"{sorted(indices)}; expected thread_0..thread_{{n-1}}"
-            )
-        traces: List[List[TraceRecord]] = []
-        for i in range(len(indices)):
-            try:
-                arr = data[f"thread_{i}"]
-            except (ValueError, EOFError, zipfile.BadZipFile, OSError) as exc:
-                raise TraceFormatError(
-                    f"truncated trace archive {path!r}: thread_{i} "
-                    f"unreadable: {exc}"
-                ) from exc
-            if arr.size == 0:
-                traces.append([])
-                continue
-            if arr.ndim != 2 or arr.shape[1] != 3:
-                raise TraceFormatError(
-                    f"thread_{i} in {path!r} has shape {arr.shape}; "
-                    f"expected (records, 3)"
-                )
-            if (arr[:, 0] < 0).any():
-                raise TraceFormatError(
-                    f"thread_{i} in {path!r} contains negative gaps"
-                )
-            if (arr[:, 2] < 0).any():
-                raise TraceFormatError(
-                    f"thread_{i} in {path!r} contains negative addresses"
-                )
-            traces.append([(int(g), bool(w), int(a)) for g, w, a in arr])
-    return traces
-
-
-def line_address(address: int) -> int:
-    return address // CACHELINE_SIZE
-
-
-def page_of(address: int) -> int:
-    return address // PAGE_SIZE

@@ -1,9 +1,8 @@
-"""Unit tests for the speed-benchmark harness (:mod:`repro.bench`).
+"""Unit tests for the speed gate (:mod:`repro.bench`).
 
-All timing goes through an injectable clock and a fake figure registry,
-so these tests pin the *accounting* — cells/sec, events/sec,
-best-of-repeats, schema shape, comparator thresholds — without running
-a single simulation.
+Every perfbench run goes through an injectable ``launch``, so these
+tests pin the pairing, core pinning, payload schema and gate decisions
+without running the benchmark.
 """
 
 import argparse
@@ -12,262 +11,193 @@ import json
 import pytest
 
 from repro import bench
-from repro.sim import engine as engine_mod
-from repro.sim import fastpath
 
 
-class FakeClock:
-    """Deterministic perf_counter: advances only when told to."""
-
-    def __init__(self):
-        self.t = 0.0
-
-    def __call__(self):
-        return self.t
-
-    def advance(self, dt):
-        self.t += dt
-
-
-def make_driver(clock, cells=3, scalar_s=4.0, vector_s=1.0, events=0):
-    """A fake figure driver: reports ``cells`` via the progress callback
-    and burns fake time depending on the active simulator mode."""
-
-    def driver(records=None, jobs=None, cache=None, progress=None):
-        for _ in range(cells):
-            progress(None, "run")
-        engine_mod.EVENTS_PROCESSED += events
-        clock.advance(vector_s if fastpath.vectorized() else scalar_s)
-
-    return driver
-
-
-def test_cells_per_sec_from_fake_clock():
-    clock = FakeClock()
-    figures = {"figX": make_driver(clock, cells=3, scalar_s=4.0, vector_s=1.0)}
-    spec = bench.DriverSpec("figX", records=100, repeats=2)
-    entry = bench.measure_driver(spec, figures=figures, clock=clock)
-    assert entry["cells"] == 3
-    assert entry["wall_s"] == pytest.approx(1.0)
-    assert entry["cells_per_sec"] == pytest.approx(3.0)
-    assert entry["scalar"]["wall_s"] == pytest.approx(4.0)
-    assert entry["scalar"]["cells_per_sec"] == pytest.approx(0.75)
-    assert entry["speedup"] == pytest.approx(4.0)
-
-
-def test_events_per_sec_accounting():
-    clock = FakeClock()
-    figures = {"figX": make_driver(clock, cells=2, scalar_s=2.0, vector_s=0.5,
-                                   events=10)}
-    spec = bench.DriverSpec("figX", records=100, repeats=1)
-    entry = bench.measure_driver(spec, figures=figures, clock=clock)
-    assert entry["events"] == 10
-    assert entry["events_per_sec"] == pytest.approx(20.0)
-    assert entry["scalar"]["events"] == 10
-    assert entry["scalar"]["events_per_sec"] == pytest.approx(5.0)
-
-
-def test_best_of_repeats_takes_fastest():
-    clock = FakeClock()
-    walls = iter([5.0, 2.0, 3.0])
-
-    def driver(records=None, progress=None):
-        progress(None, "run")
-        clock.advance(next(walls) if fastpath.vectorized() else 1.0)
-
-    spec = bench.DriverSpec("figX", records=10, repeats=3)
-    entry = bench.measure_driver(spec, figures={"figX": driver}, clock=clock)
-    assert entry["wall_s"] == pytest.approx(2.0)
-
-
-def test_static_cells_fallback_for_replay_drivers():
-    clock = FakeClock()
-
-    def replay_driver(records=None):
-        clock.advance(2.0 if fastpath.vectorized() else 4.0)
-
-    spec = bench.DriverSpec("fig5ish", records=10, repeats=1, cells=16)
-    entry = bench.measure_driver(spec, figures={"fig5ish": replay_driver},
-                                 clock=clock)
-    assert entry["cells"] == 16
-    assert entry["cells_per_sec"] == pytest.approx(8.0)
-
-
-def test_driver_without_cell_accounting_rejected():
-    def opaque(records=None):
-        pass
-
-    spec = bench.DriverSpec("opaque", records=10)
-    with pytest.raises(bench.BenchError):
-        bench.measure_driver(spec, figures={"opaque": opaque},
-                             clock=FakeClock())
-
-
-def test_unknown_driver_rejected():
-    with pytest.raises(bench.BenchError):
-        bench.measure_driver(bench.DriverSpec("nope", records=10),
-                             figures={}, clock=FakeClock())
-
-
-def _fake_payload(tmp_path, speedups):
-    """Run a fake bench with one driver per (name, speedup) pair."""
-    clock = FakeClock()
-    figures = {
-        name: make_driver(clock, cells=2, scalar_s=s, vector_s=1.0)
-        for name, s in speedups.items()
+def entry(accesses_per_s, correct=True, failed=0):
+    """A parsed perfbench result, as :func:`bench.parse_output` builds."""
+    return {
+        "result": {"correct": correct, "attempted": 10, "failed": failed,
+                   "metrics": {"accesses_per_s": {"value": accesses_per_s,
+                                                  "unit": "1/s"}}},
+        "host.calibration_s": 0.03,
+        "timed_pass_walls_s": [1.0, 1.1],
     }
-    specs = [bench.DriverSpec(name, records=50, repeats=2)
-             for name in speedups]
-    return bench.run_bench(specs, figures=figures, clock=clock)
 
 
-def test_schema_round_trip(tmp_path):
-    payload = _fake_payload(tmp_path, {"figA": 4.0, "figB": 2.0})
-    path = tmp_path / "BENCH_speed.json"
-    bench.write_json(path, payload)
-    loaded = bench.load_json(path)
-    assert loaded == json.loads(json.dumps(payload))  # plain-JSON clean
-    assert loaded["schema"] == bench.SCHEMA_VERSION
-    assert loaded["kind"] == "speed"
-    assert loaded["backend"] == "serial"
-    for entry in loaded["drivers"].values():
-        for key in ("cells", "wall_s", "cells_per_sec", "events",
-                    "events_per_sec", "scalar", "speedup", "records",
-                    "repeats"):
-            assert key in entry
-    overall = loaded["overall"]
-    assert overall["drivers"] == 2
-    assert overall["speedup_min"] == pytest.approx(2.0)
-    assert overall["speedup_geomean"] == pytest.approx((4.0 * 2.0) ** 0.5)
+class FakeLaunch:
+    """Records ``start``/``wait`` events; ``speed[root]`` sets each
+    tree's accesses/s (a list is consumed one run at a time)."""
+
+    def __init__(self, speed, failed=None):
+        self.speed = speed
+        self.failed = failed or {}
+        self.events = []
+
+    def __call__(self, root, workload, cpu):
+        self.events.append(("start", root, workload, cpu))
+        speed = self.speed[root]
+        value = speed.pop(0) if isinstance(speed, list) else speed
+
+        def wait():
+            self.events.append(("wait", root, workload, cpu))
+            return entry(value, failed=self.failed.get(root, 0))
+
+        return wait
 
 
-def test_compare_passes_within_threshold(tmp_path):
-    baseline = _fake_payload(tmp_path, {"figA": 4.0})
-    current = _fake_payload(tmp_path, {"figA": 3.2})  # -20% > floor
-    assert bench.compare(current, baseline, threshold=0.25) == []
+@pytest.fixture
+def trees(tmp_path):
+    this, base = tmp_path / "this", tmp_path / "base"
+    for root in (this, base):
+        (root / "perfbench").mkdir(parents=True)
+        (root / "perfbench" / "run.py").write_text("")
+    return this, base
 
 
-def test_compare_fails_beyond_threshold(tmp_path):
-    baseline = _fake_payload(tmp_path, {"figA": 4.0})
-    current = _fake_payload(tmp_path, {"figA": 2.9})  # below 4.0 * 0.75
-    problems = bench.compare(current, baseline, threshold=0.25)
-    assert len(problems) == 1
-    assert "figA" in problems[0]
-
-
-def test_compare_flags_missing_driver(tmp_path):
-    baseline = _fake_payload(tmp_path, {"figA": 4.0, "figB": 4.0})
-    current = _fake_payload(tmp_path, {"figA": 4.0})
-    problems = bench.compare(current, baseline)
-    assert problems == ["figB: missing from current bench run"]
-
-
-def test_compare_ignores_new_drivers(tmp_path):
-    baseline = _fake_payload(tmp_path, {"figA": 4.0})
-    current = _fake_payload(tmp_path, {"figA": 4.0, "figNew": 1.0})
-    assert bench.compare(current, baseline) == []
-
-
-def _parse(tmp_path, *extra):
+def parse(*argv):
     parser = argparse.ArgumentParser()
     bench.add_arguments(parser)
-    return parser.parse_args([
-        "--quick",
-        "--out", str(tmp_path / "BENCH_speed.json"),
-        "--baseline", str(tmp_path / "baseline.json"),
-        *extra,
-    ])
+    return parser.parse_args(list(argv))
 
 
-def test_cli_update_then_check_gate(tmp_path, monkeypatch, capsys):
-    """The documented regen flow: --update-baseline commits a baseline,
-    --check passes against it, and a regression then fails the gate."""
-    monkeypatch.setattr(
-        bench, "QUICK_SPECS",
-        (bench.DriverSpec("figA", records=50, repeats=2),),
-    )
-    clock = FakeClock()
-    figures = {"figA": make_driver(clock, scalar_s=4.0, vector_s=1.0)}
+def against_payload(ratios, floor=bench.FLOOR):
+    def pairs():
+        return [{"ratio": r, "cpus": [0, 1], "this": entry(r),
+                 "base": entry(1.0)}
+                for r in ratios]
 
-    args = _parse(tmp_path, "--update-baseline")
-    assert bench.run_from_args(args, figures=figures, clock=clock) == 0
-    assert (tmp_path / "baseline.json").exists()
-    assert (tmp_path / "BENCH_speed.json").exists()
-
-    args = _parse(tmp_path, "--check")
-    assert bench.run_from_args(args, figures=figures, clock=clock) == 0
-
-    slow = {"figA": make_driver(clock, scalar_s=4.0, vector_s=2.0)}
-    args = _parse(tmp_path, "--check")
-    assert bench.run_from_args(args, figures=slow, clock=clock) == 1
-    assert "regression" in capsys.readouterr().err
+    return {
+        "workloads": {w: entry(1.0) for w in bench.WORKLOADS},
+        "against": {"floor": floor, "workloads": {
+            w: {"median_ratio": sorted(ratios)[len(ratios) // 2],
+                "pairs": pairs()}
+            for w in bench.WORKLOADS}},
+    }
 
 
-def test_cli_check_without_baseline_fails(tmp_path, monkeypatch):
-    monkeypatch.setattr(
-        bench, "QUICK_SPECS",
-        (bench.DriverSpec("figA", records=50, repeats=1),),
-    )
-    clock = FakeClock()
-    figures = {"figA": make_driver(clock)}
-    args = _parse(tmp_path, "--check")
-    assert bench.run_from_args(args, figures=figures, clock=clock) == 1
+def test_schema_round_trip(tmp_path, trees):
+    this, _ = trees
+    launch = FakeLaunch({this: 1000.0})
+    payload = bench.run_bench(launch=launch, root=this)
+    assert payload["schema"] == 2
+    assert payload["kind"] == "speed"
+    assert {"git_sha", "python", "platform", "command"} <= set(payload)
+    assert "--seed 1 --trace 0" in payload["command"]
+    assert list(payload["workloads"]) == list(bench.WORKLOADS)
+    for data in payload["workloads"].values():
+        assert bench.accesses_per_s(data) == 1000.0
+        assert data["host.calibration_s"] == 0.03
+        assert data["timed_pass_walls_s"] == [1.0, 1.1]
+    # Without --against nothing is pinned.
+    assert {cpu for _, _, _, cpu in launch.events} == {None}
+    path = tmp_path / "BENCH_speed.json"
+    bench.write_json(path, payload)
+    assert json.loads(path.read_text()) == json.loads(json.dumps(payload))
 
 
-def test_cli_env_update_flow(tmp_path, monkeypatch):
-    """REPRO_UPDATE_SPEED_BASELINE=1 mirrors REPRO_UPDATE_GOLDEN."""
-    monkeypatch.setattr(
-        bench, "QUICK_SPECS",
-        (bench.DriverSpec("figA", records=50, repeats=1),),
-    )
-    monkeypatch.setenv(bench.UPDATE_ENV, "1")
-    clock = FakeClock()
-    figures = {"figA": make_driver(clock)}
-    args = _parse(tmp_path)
-    assert bench.run_from_args(args, figures=figures, clock=clock) == 0
-    assert (tmp_path / "baseline.json").exists()
+def test_compare_passes_within_threshold():
+    assert bench.compare(against_payload([0.80, 0.86, 1.2])) == []
+    assert bench.compare(against_payload([bench.FLOOR] * 3)) == []
 
 
-def test_cli_names_filter_and_repeats(tmp_path, monkeypatch):
-    monkeypatch.setattr(
-        bench, "QUICK_SPECS",
-        (bench.DriverSpec("figA", records=50, repeats=2),
-         bench.DriverSpec("figB", records=50, repeats=2)),
-    )
-    clock = FakeClock()
-    calls = {"n": 0}
-
-    def driver(records=None, progress=None):
-        calls["n"] += 1
-        progress(None, "run")
-        clock.advance(1.0)
-
-    args = _parse(tmp_path, "--names", "figA", "--repeats", "5")
-    assert bench.run_from_args(args, figures={"figA": driver,
-                                              "figB": driver},
-                               clock=clock) == 0
-    # 5 repeats x 2 modes, figB untouched.
-    assert calls["n"] == 10
-    payload = bench.load_json(tmp_path / "BENCH_speed.json")
-    assert list(payload["drivers"]) == ["figA"]
-    assert payload["drivers"]["figA"]["repeats"] == 5
+def test_compare_fails_beyond_threshold():
+    found = bench.compare(against_payload([0.70, 0.84, 1.2]))
+    assert len(found) == len(bench.WORKLOADS)
+    assert all("below the floor" in problem for problem in found)
 
 
-def test_cli_unknown_name_rejected(tmp_path):
-    args = _parse(tmp_path, "--names", "not-a-driver")
-    assert bench.run_from_args(args, figures={}, clock=FakeClock()) == 2
+def test_incorrect_run_fails_gate():
+    payload = against_payload([1.0, 1.0, 1.0])
+    payload["against"]["workloads"]["cells-flat"]["pairs"][1]["base"][
+        "result"]["failed"] = 2
+    assert bench.compare(payload) == [
+        "cells-flat pair 2 base: correct=True failed=2"]
+    payload = against_payload([1.0])
+    payload["workloads"]["cells-deep-gc"]["result"]["correct"] = False
+    assert bench.compare(payload) == [
+        "cells-deep-gc: correct=False failed=0"]
 
 
-def test_quick_specs_are_a_subset_of_full():
-    quick = {s.name for s in bench.QUICK_SPECS}
-    full = {s.name for s in bench.FULL_SPECS}
-    assert quick <= full
+def test_pairs_run_side_by_side_on_swapped_cores(trees):
+    this, base = trees
+    launch = FakeLaunch({this: 900.0, base: 1000.0})
+    payload = bench.run_bench(base, pairs=3, launch=launch, cpus=[3, 5],
+                              root=this)
+    flat = [e for e in launch.events if e[2] == "cells-flat"]
+    # Both sides start before either is waited for, on different cores,
+    # and the cores swap every pair.
+    assert [e[0] for e in flat] == ["start", "start", "wait", "wait"] * 3
+    starts = [(root, cpu) for kind, root, _, cpu in flat if kind == "start"]
+    assert starts == [(this, 3), (base, 5), (base, 3), (this, 5),
+                      (this, 3), (base, 5)]
+    data = payload["against"]["workloads"]["cells-flat"]
+    assert [p["cpus"] for p in data["pairs"]] == [[3, 5], [5, 3], [3, 5]]
+    assert data["median_ratio"] == pytest.approx(0.9)
+    assert payload["against"]["side_by_side"] is True
+    assert bench.compare(payload) == []
 
 
-def test_committed_baseline_matches_quick_specs():
-    """The committed baseline must cover exactly the quick drivers CI
-    runs, or the missing-driver check would misfire."""
-    baseline = bench.load_json(bench.DEFAULT_BASELINE)
-    assert set(baseline["drivers"]) == {s.name for s in bench.QUICK_SPECS}
-    for entry in baseline["drivers"].values():
-        assert entry["speedup"] > 1.0
+def test_one_core_runs_pairs_in_alternating_order(trees):
+    this, base = trees
+    launch = FakeLaunch({this: 1000.0, base: 1000.0})
+    payload = bench.run_bench(base, pairs=2, launch=launch, cpus=[7],
+                              root=this)
+    flat = [e for e in launch.events if e[2] == "cells-flat"]
+    assert [(kind, root) for kind, root, _, _ in flat] == [
+        ("start", this), ("wait", this), ("start", base), ("wait", base),
+        ("start", base), ("wait", base), ("start", this), ("wait", this),
+    ]
+    assert {cpu for _, _, _, cpu in flat} == {7}
+    assert payload["against"]["side_by_side"] is False
+
+
+def test_cli_gate_exit_codes(tmp_path, trees, capsys):
+    this, base = bench.ROOT, trees[1]
+    out = tmp_path / "out.json"
+    args = parse("--against", str(base), "--pairs", "3", "--out", str(out))
+
+    fast = FakeLaunch({this: 1000.0, base: 1000.0})
+    assert bench.run_from_args(args, launch=fast, cpus=[0, 1]) == 0
+    assert json.loads(out.read_text())["passed"] is True
+    assert "speed gate passed" in capsys.readouterr().out
+
+    slow = FakeLaunch({this: 700.0, base: 1000.0})
+    assert bench.run_from_args(args, launch=slow, cpus=[0, 1]) == 1
+    assert json.loads(out.read_text())["passed"] is False
+    assert "below the floor" in capsys.readouterr().err
+
+    broken = FakeLaunch({this: 1000.0, base: 1000.0}, failed={this: 1})
+    assert bench.run_from_args(args, launch=broken, cpus=[0, 1]) == 1
+
+
+def test_cli_rejects_bad_against_and_pairs(tmp_path, trees):
+    this, base = trees
+    launch = FakeLaunch({})
+    args = parse("--against", str(tmp_path / "nowhere"))
+    assert bench.run_from_args(args, launch=launch) == 2
+    args = parse("--against", str(base), "--pairs", "0")
+    assert bench.run_from_args(args, launch=launch) == 2
+    assert launch.events == []
+
+
+def test_cli_has_only_out_against_pairs():
+    assert vars(parse()) == {"out": bench.DEFAULT_OUT, "against": None,
+                             "pairs": bench.DEFAULT_PAIRS}
+    for removed in ("--quick", "--check", "--update-baseline"):
+        with pytest.raises(SystemExit):
+            parse(removed)
+
+
+def test_parse_output_reads_context_and_result_lines():
+    stdout = "\n".join([
+        "log line",
+        json.dumps({"context": {"host.calibration_s": 0.04,
+                                "timed_pass_walls_s": [2.0]}}),
+        json.dumps(entry(5.0)["result"]),
+    ]) + "\n"
+    parsed = bench.parse_output(stdout)
+    assert bench.accesses_per_s(parsed) == 5.0
+    assert parsed["host.calibration_s"] == 0.04
+    assert parsed["timed_pass_walls_s"] == [2.0]
+    with pytest.raises(bench.BenchError):
+        bench.parse_output("perfbench: crashed\n")

@@ -202,3 +202,34 @@ class TestSkyByte:
         assert ctrl.dram.data_cache.peek(5) is not None
         assert ctrl.dram.write_log.has_line(6, 1)
         assert stats.flash_page_reads == 0
+
+
+class TestPrefetchInflightRule:
+    """A prefetch skips a page whose fetch is still in flight at *device*
+    time: an in-flight entry with ``ready <= now`` has landed, even while
+    engine time is still below ``ready`` (requests reach the device ahead
+    of engine time, e.g. behind AstriFlash's 4 KB writebacks)."""
+
+    @staticmethod
+    def _prefetch_after(build, ready, now):
+        ctrl, engine, stats, config = build()
+        lpa = 40
+        nxt = lpa + 1
+        assert ctrl.ftl.translate(nxt) is not None
+        assert not ctrl.contains_page(nxt)
+        ctrl._inflight[nxt] = ready
+        assert engine.now < ready
+        ctrl._maybe_prefetch(lpa, now)
+        return stats.prefetch_issued, ctrl._inflight[nxt], config.ssd.prefetch_depth
+
+    def test_landed_entry_is_not_in_flight(self):
+        for build in (build_base, build_skybyte):
+            issued, ready, depth = self._prefetch_after(build, 100.0, 100.0)
+            assert issued == depth
+            assert ready > 100.0  # a new fetch replaced the landed one
+
+    def test_pending_entry_is_in_flight(self):
+        for build in (build_base, build_skybyte):
+            issued, ready, depth = self._prefetch_after(build, 500.0, 100.0)
+            assert ready == 500.0  # no second fetch of the same page
+            assert issued == depth - 1

@@ -4,7 +4,6 @@ exercised through small end-to-end systems."""
 import pytest
 
 from repro.config import scaled_config
-from repro.sim import fastpath
 from repro.sim.system import System
 from repro.variants import get_variant
 
@@ -91,15 +90,13 @@ class TestContextSwitching:
 WINDOW = [(10, False, (100 + i) * 4096) for i in range(4)]
 
 
-def one_slice(mode, hint_ops, runnable=True, just_resumed=False,
-              est_ns=None):
+def one_slice(hint_ops, runnable=True, just_resumed=False, est_ns=None):
     """Run one window of thread 0 on core 0 of a SkyByte-C system whose
     controller answers exactly the ops at ``hint_ops`` with a
     ``SkyByte-Delay`` hint.  Returns (system, thread 0, pages issued)."""
     traces = [list(WINDOW), [(10, False, (900 + i) * 4096) for i in range(4)]]
     config = scaled_config(scale=512, threads=2).replace(warmup_fraction=0.0)
-    with fastpath.forced_mode(mode):
-        system = System(config, traces, get_variant("SkyByte-C"))
+    system = System(config, traces, get_variant("SkyByte-C"))
     hint_pages = {WINDOW[i][2] >> 12 for i in hint_ops}
     threshold = system.config.os.cs_threshold_ns
     issued = []
@@ -127,42 +124,49 @@ def one_slice(mode, hint_ops, runnable=True, just_resumed=False,
     return system, thread, issued
 
 
+def assert_slice_stats(stats, issued, retired, switches):
+    """The stats of one window whose first ``retired`` ops retire: the
+    rest of the issued ops (the trigger) is squashed out of AMAT and the
+    request classes, but its gap instructions ran and its line was read."""
+    assert stats.instructions == sum(op[0] for op in WINDOW[:len(issued)])
+    assert stats.amat_accesses == retired
+    assert sum(stats.request_counts.values()) == retired
+    assert stats.offchip_latency.count == retired
+    assert stats.host_lines_read == len(issued)
+    assert stats.context_switches == switches
+
+
 class TestWindowLoop:
-    """The batched window loop must act on hints exactly like the
-    per-access scalar loop: same switch point, same squash, same stats."""
+    """The window loop acts on a hint at the op that carries it: ops
+    after it are never issued, it is squashed and replayed first, and
+    only the older ops retire."""
 
     @pytest.mark.parametrize("switch_at", [0, 1, 3])
     def test_switch_at_first_middle_last_op(self, switch_at):
-        out = {}
-        for mode in ("scalar", "vector"):
-            system, thread, issued = one_slice(mode, [switch_at])
-            page = WINDOW[switch_at][2]
-            # Ops after the trigger are never issued.
-            assert issued == [op[2] >> 12 for op in WINDOW[:switch_at + 1]]
-            assert thread.replay == (0, False, page)
-            assert thread.just_resumed
-            assert system.stats.context_switches == 1
-            assert system.cores[0].thread is system.threads[1]
-            resumed = thread.next_window(10_000, 8)
-            assert resumed.ops == [(0, False, page)] + WINDOW[switch_at + 1:]
-            out[mode] = system.stats.to_dict()
-        assert out["scalar"] == out["vector"]
+        system, thread, issued = one_slice([switch_at])
+        page = WINDOW[switch_at][2]
+        # Ops after the trigger are never issued.
+        assert issued == [op[2] >> 12 for op in WINDOW[:switch_at + 1]]
+        assert thread.replay == (0, False, page)
+        assert thread.just_resumed
+        assert system.cores[0].thread is system.threads[1]
+        assert_slice_stats(system.stats, issued, retired=switch_at,
+                           switches=1)
+        assert system.stats.context_switch_ns == (
+            system.config.os.context_switch_ns)
+        resumed = thread.next_window(10_000, 8)
+        assert resumed.ops == [(0, False, page)] + WINDOW[switch_at + 1:]
 
     def test_rewind_leaves_cursor_at_squashed_ops(self):
-        _, thread, _ = one_slice("vector", [1])
+        _, thread, _ = one_slice([1])
         assert thread.pos == 2
-        assert thread._pushback == []
 
     def test_hint_ignored_without_runnable_threads(self):
-        out = {}
-        for mode in ("scalar", "vector"):
-            system, thread, issued = one_slice(mode, [1], runnable=False)
-            assert len(issued) == len(WINDOW)
-            assert thread.replay is None
-            assert system.stats.context_switches == 0
-            assert system.stats.instructions == sum(op[0] for op in WINDOW)
-            out[mode] = system.stats.to_dict()
-        assert out["scalar"] == out["vector"]
+        system, thread, issued = one_slice([1], runnable=False)
+        assert len(issued) == len(WINDOW)
+        assert thread.replay is None
+        assert_slice_stats(system.stats, issued, retired=len(WINDOW),
+                           switches=0)
 
     @pytest.mark.parametrize("near", [True, False])
     def test_just_resumed_guard(self, near):
@@ -170,15 +174,12 @@ class TestWindowLoop:
         switch thresholds, and acts on one at or above it."""
         threshold = scaled_config(scale=512).os.cs_threshold_ns
         est = 4 * threshold * (0.5 if near else 1.0)
-        out = {}
-        for mode in ("scalar", "vector"):
-            system, thread, issued = one_slice(
-                mode, [1], just_resumed=True, est_ns=est)
-            switched = system.stats.context_switches == 1
-            assert switched is not near
-            assert len(issued) == (len(WINDOW) if near else 2)
-            out[mode] = system.stats.to_dict()
-        assert out["scalar"] == out["vector"]
+        system, thread, issued = one_slice([1], just_resumed=True,
+                                           est_ns=est)
+        assert len(issued) == (len(WINDOW) if near else 2)
+        assert_slice_stats(system.stats, issued,
+                           retired=len(WINDOW) if near else 1,
+                           switches=0 if near else 1)
 
 
 class TestMLPModel:

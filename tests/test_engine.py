@@ -1,11 +1,11 @@
 """Tests for the discrete-event engine."""
 
+import heapq
 import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import fastpath
 from repro.sim.engine import Engine, PastEventWarning
 
 
@@ -198,8 +198,8 @@ def test_determinism_across_instances():
 # single inner loop.  The property it must preserve: events with equal
 # timestamps execute strictly in insertion order, *including* events a
 # running callback schedules for the current instant (they join the same
-# batch after every older same-time event).  The scalar loop is the
-# reference semantics; any divergence is a bug.
+# batch after every older same-time event).  A one-pop-per-event heap
+# loop is the reference semantics; any divergence is a bug.
 
 _event_plan = st.lists(
     st.tuples(
@@ -213,29 +213,48 @@ _event_plan = st.lists(
 )
 
 
-def _execute(plan, mode):
-    with fastpath.forced_mode(mode):
-        engine = Engine()
-        order = []
-        tags = iter(range(10_000))
+class _OnePopEngine:
+    """Reference event loop: one heap pop per event, in (time, seq)
+    order."""
 
-        def make(tag, spawn):
-            def callback():
-                order.append((engine.now, tag))
-                if spawn:
-                    engine.schedule(0.0, make(next(tags), False))
-            return callback
+    def __init__(self):
+        self._queue = []
+        self._seq = 0
+        self.now = 0.0
 
-        for delay, spawn in plan:
-            engine.schedule(delay, make(next(tags), spawn))
-        engine.run()
+    def schedule(self, delay, callback):
+        self._seq += 1
+        heapq.heappush(self._queue,
+                       (self.now + max(delay, 0.0), self._seq, callback))
+
+    def run(self):
+        while self._queue:
+            self.now, _seq, callback = heapq.heappop(self._queue)
+            callback()
+
+
+def _execute(plan, engine_cls=Engine):
+    engine = engine_cls()
+    order = []
+    tags = iter(range(10_000))
+
+    def make(tag, spawn):
+        def callback():
+            order.append((engine.now, tag))
+            if spawn:
+                engine.schedule(0.0, make(next(tags), False))
+        return callback
+
+    for delay, spawn in plan:
+        engine.schedule(delay, make(next(tags), spawn))
+    engine.run()
     return order
 
 
 @settings(max_examples=200, deadline=None)
 @given(_event_plan)
 def test_coalesced_batches_preserve_same_timestamp_fifo(plan):
-    order = _execute(plan, "vector")
+    order = _execute(plan)
     # Time never goes backwards, and within one timestamp the insertion
     # order (tags are handed out in schedule() call order) is preserved.
     times = [t for t, _tag in order]
@@ -252,4 +271,4 @@ def test_coalesced_batches_preserve_same_timestamp_fifo(plan):
 @settings(max_examples=200, deadline=None)
 @given(_event_plan)
 def test_coalesced_run_matches_scalar_reference(plan):
-    assert _execute(plan, "vector") == _execute(plan, "scalar")
+    assert _execute(plan) == _execute(plan, _OnePopEngine)

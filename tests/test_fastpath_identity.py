@@ -1,17 +1,16 @@
-"""The vectorized hot path must be an *exact* optimization.
+"""Every simulator result is pinned to a frozen digest.
 
-Every fast path behind :mod:`repro.sim.fastpath` — same-epoch event
-coalescing, window-plan precomputation with cursor rewind, the batched
-DRAM-only and CXL-SSD window loops, lazy MSHR retirement, and the
-trace / precondition memos — claims bit-identical results to the scalar
-reference.  This suite pins that claim: each Table I scenario simulates
-under both forced modes and the canonical ``RunResult.to_dict()`` JSON
-must match byte for byte, for every device variant, both device models,
-and colocated (per-tenant attributed, optionally QoS-isolated) runs.
+``tests/golden/identity_digests.json`` holds the SHA-256 of the
+canonical ``RunResult.to_dict()`` JSON of all 154 Table I cells (7
+scenarios x 11 design variants x {flat, deep} device model) and of five
+colocated (per-tenant attributed, optionally QoS-isolated) runs.  The
+digests were recorded while a per-access scalar reference path still ran
+next to the window path and agreed with it (the file's ``about`` names
+the two cells where they did not, and why), so a change to the one hot
+path that moves any result fails here.
 
-The vector output is also checked against a frozen SHA-256 per cell
-(``tests/golden/identity_digests.json``), so the suite still pins exact
-results once the scalar reference path is gone.
+The named tests below are the cells pinned first; ``test_frozen_digest``
+covers every other Table I cell.
 """
 
 import hashlib
@@ -24,7 +23,7 @@ from repro.experiments.colocation import run_colocation
 from repro.experiments.runner import run_workload
 from repro.scenarios import scenario_names
 from repro.scenarios.colocate import Tenant
-from repro.sim import fastpath
+from repro.variants import VARIANTS
 
 TAB1 = sorted(n for n in scenario_names() if n.startswith("tab1-"))
 RECORDS = 300
@@ -34,52 +33,63 @@ _GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
 with open(_GOLDEN, encoding="utf-8") as _fh:
     FROZEN = json.load(_fh)["digests"]
 
+#: Table I cells with a named test below.
+_NAMED = (
+    {f"{s}|{v}|flat" for s in TAB1 for v in ("Base-CSSD", "DRAM-Only")}
+    | {f"{s}|{v}|flat" for s in ("tab1-ycsb", "tab1-srad")
+       for v in ("SkyByte-Full", "SkyByte-C", "SkyByte-CP", "SkyByte-WP",
+                 "AstriFlash-CXL")}
+    | {f"{s}|{v}|deep" for s in ("tab1-bc", "tab1-ycsb")
+       for v in ("SkyByte-Full", "Base-CSSD")}
+)
+_OTHER = sorted(
+    f"{s}|{v}|{m}" for s in TAB1 for v in VARIANTS for m in ("flat", "deep")
+    if f"{s}|{v}|{m}" not in _NAMED
+)
+
 
 def _assert_frozen(key, canonical):
     got = hashlib.sha256(canonical.encode()).hexdigest()
     assert got == FROZEN[key], f"{key}: result moved from its frozen digest"
 
 
-def _canonical(workload, variant, **kwargs):
+def _check(workload, variant, device_model="flat"):
     result = run_workload(workload, variant, records_per_thread=RECORDS,
-                          seed=42, **kwargs)
-    return json.dumps(result.to_dict(), sort_keys=True,
-                      separators=(",", ":"))
-
-
-def _both_modes(workload, variant, **kwargs):
-    with fastpath.forced_mode("scalar"):
-        scalar = _canonical(workload, variant, **kwargs)
-    with fastpath.forced_mode("vector"):
-        vector = _canonical(workload, variant, **kwargs)
-    device_model = kwargs.get("device_model", "flat")
-    _assert_frozen(f"{workload}|{variant}|{device_model}", vector)
-    return scalar, vector
+                          seed=42, device_model=device_model)
+    canonical = json.dumps(result.to_dict(), sort_keys=True,
+                           separators=(",", ":"))
+    _assert_frozen(f"{workload}|{variant}|{device_model}", canonical)
 
 
 def test_all_seven_table1_scenarios_present():
     assert len(TAB1) == 7, TAB1
+    assert len(_NAMED) + len(_OTHER) == 154
+    assert set(_NAMED) | set(_OTHER) == {
+        k for k in FROZEN if not k.startswith("colocation|")
+    }
+
+
+@pytest.mark.parametrize("key", _OTHER)
+def test_frozen_digest(key):
+    _check(*key.split("|"))
 
 
 @pytest.mark.parametrize("scenario", TAB1)
 def test_vectorized_identity_base_cssd(scenario):
-    scalar, vector = _both_modes(scenario, "Base-CSSD")
-    assert scalar == vector, f"{scenario}: vectorized run diverged"
+    _check(scenario, "Base-CSSD")
 
 
 @pytest.mark.parametrize("scenario", TAB1)
 def test_vectorized_identity_dram_only(scenario):
-    """DRAM-Only exercises the batched window inner loop."""
-    scalar, vector = _both_modes(scenario, "DRAM-Only")
-    assert scalar == vector, f"{scenario}: vectorized run diverged"
+    """DRAM-Only runs the host-DRAM window loop."""
+    _check(scenario, "DRAM-Only")
 
 
 @pytest.mark.parametrize("scenario", ["tab1-ycsb", "tab1-srad"])
 def test_vectorized_identity_skybyte_full(scenario):
-    """SkyByte-Full exercises the device trigger, write log, and lazy
-    MSHR retirement on top of the batched window loop."""
-    scalar, vector = _both_modes(scenario, "SkyByte-Full")
-    assert scalar == vector, f"{scenario}: vectorized run diverged"
+    """SkyByte-Full exercises the device trigger, the write log and the
+    controller's in-flight fetch table on the window loop."""
+    _check(scenario, "SkyByte-Full")
 
 
 @pytest.mark.parametrize("variant", [
@@ -91,29 +101,24 @@ def test_vectorized_identity_skybyte_full(scenario):
     "SkyByte-CP",
     # Write log and promotion, no switching.
     "SkyByte-WP",
-    # Stays on per-access memory_access (its controller owns the link).
+    # Its controller owns the link and the host-DRAM page cache.
     "AstriFlash-CXL",
 ])
 @pytest.mark.parametrize("scenario", ["tab1-ycsb", "tab1-srad"])
 def test_vectorized_identity_device_variants(scenario, variant):
-    scalar, vector = _both_modes(scenario, variant)
-    assert scalar == vector, f"{scenario} x {variant}: vectorized run diverged"
+    _check(scenario, variant)
 
 
 @pytest.mark.parametrize("scenario", ["tab1-bc", "tab1-ycsb"])
 def test_vectorized_identity_deep_device_model(scenario):
-    """The deep device model (geometry routing, plane queues, background
-    GC) must stay bit-identical under vectorization too -- its flash
-    completions feed the same event stream both modes coalesce."""
-    scalar, vector = _both_modes(scenario, "SkyByte-Full",
-                                 device_model="deep")
-    assert scalar == vector, f"{scenario}: deep-model vectorized run diverged"
+    """The deep device model: geometry routing, plane queues and
+    background GC feed the same event stream."""
+    _check(scenario, "SkyByte-Full", "deep")
 
 
 @pytest.mark.parametrize("scenario", ["tab1-bc", "tab1-ycsb"])
 def test_vectorized_identity_deep_base_cssd(scenario):
-    scalar, vector = _both_modes(scenario, "Base-CSSD", device_model="deep")
-    assert scalar == vector, f"{scenario}: deep-model vectorized run diverged"
+    _check(scenario, "Base-CSSD", "deep")
 
 
 def _colocated(isolation):
@@ -142,11 +147,5 @@ def _colocated(isolation):
 ])
 def test_vectorized_identity_colocation(isolation):
     """Per-tenant attribution (the window loop's access mirror), QoS host
-    scheduling and the partitioned SSD DRAM must match the per-access
-    scalar path."""
-    with fastpath.forced_mode("scalar"):
-        scalar = _colocated(isolation)
-    with fastpath.forced_mode("vector"):
-        vector = _colocated(isolation)
-    assert scalar == vector, f"colocation ({isolation}) diverged"
-    _assert_frozen(f"colocation|{isolation}", vector)
+    scheduling and the partitioned SSD DRAM."""
+    _assert_frozen(f"colocation|{isolation}", _colocated(isolation))

@@ -579,3 +579,21 @@ class TestTrends:
         assert "| fidelity score |" in text
         assert "0.9" in text
         assert render_markdown([]) == []
+
+    def test_speed_rows_read_perfbench_throughput(self, tmp_path):
+        """Schema-2 ``BENCH_speed.json`` rows carry per-workload
+        ``accesses_per_s``; rows from the retired ratio bench still
+        render next to them."""
+        from repro.figures.trends import append_trend, render_markdown
+        speed = tmp_path / "BENCH_speed.json"
+        speed.write_text(json.dumps({"schema": 2, "workloads": {
+            "cells-flat": {"result": {"metrics": {
+                "accesses_per_s": {"value": 1.5e5, "unit": "1/s"}}}},
+        }}))
+        row = append_trend(tmp_path / "trends.ndjson", speed_path=speed)
+        assert row["accesses_per_s"] == {"cells-flat": 1.5e5}
+        text = "\n".join(render_markdown([
+            {"fidelity_score": 0.5, "speedup_geomean": 2.0}, row]))
+        assert "| cells-flat accesses/s |" in text
+        assert "1.5e+05" in text
+        assert "| vector/scalar speedup (geomean) |" in text

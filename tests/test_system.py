@@ -1,11 +1,13 @@
 """Integration tests: full-system runs for every design variant."""
 
 import gc
+import hashlib
+import json
 import weakref
 
 import pytest
 
-from repro.experiments.runner import build_config, run_workload
+from repro.experiments.runner import build_config, capture_workload, run_workload
 from repro.sim.system import System
 from repro.variants import VARIANTS
 
@@ -149,3 +151,53 @@ def test_finished_run_is_freed_without_the_cycle_collector(
         assert refs and all(ref() is None for ref in refs)
     finally:
         gc.enable()
+
+
+# -- one hot path: tracing and capture ride on the window loop -------------
+
+
+def _canonical(result, drop_trace=False):
+    data = result.to_dict()
+    if drop_trace:
+        # Kept only on traced runs: the trace block and engine counters.
+        data["config"].pop("trace")
+        data["stats"].pop("engine")
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("model", ["flat", "deep"])
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_timeline_traced_run_equals_untraced_twin(tmp_path, variant, model):
+    kwargs = dict(records_per_thread=120, seed=42, device_model=model)
+    timeline = tmp_path / "timeline.json"
+    traced = run_workload("tab1-ycsb", variant, timeline=str(timeline),
+                          **kwargs)
+    untraced = run_workload("tab1-ycsb", variant, **kwargs)
+    assert traced.stats.engine is not None
+    assert _canonical(traced, drop_trace=True) == _canonical(untraced)
+    spans = {e["name"] for e in json.loads(timeline.read_text())["traceEvents"]
+             if e.get("ph") == "X"}
+    if variant not in ("DRAM-Only", "AstriFlash-CXL"):
+        # Per-request spans come from the window loop, on core lanes.
+        assert {"cxl.down", "device", "cxl.up"} <= spans
+        assert spans & {"mem.read", "mem.write"}
+
+
+#: SHA-256 of the ``.sbt`` bytes ``capture_workload("tab1-ycsb",
+#: "SkyByte-Full", records_per_thread=300, seed=42)`` wrote when the
+#: per-record window loop still fed the capture tap.
+CAPTURE_SHA256 = (
+    "4b7941b826d4d73aaa97c00722869507f5959c5b19f8e03f8c765bb793afff2d"
+)
+
+
+def test_capture_of_switching_variant_is_frozen_and_replays(tmp_path):
+    """Context switches squash and rewind windows; the tap on the window
+    plan still writes every consumed record once, in order."""
+    path = tmp_path / "ycsb.sbt"
+    captured = capture_workload("tab1-ycsb", "SkyByte-Full", str(path),
+                                records_per_thread=300, seed=42)
+    assert captured.stats.context_switches > 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CAPTURE_SHA256
+    replayed = run_workload("tab1-ycsb", "SkyByte-Full", trace=str(path))
+    assert replayed.stats.to_dict() == captured.stats.to_dict()

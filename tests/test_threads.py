@@ -3,8 +3,7 @@
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.host.threads import ThreadContext
-from repro.sim import fastpath
+from repro.host.threads import ThreadContext, Window
 
 
 def make_trace(n=10, gap=5):
@@ -101,9 +100,52 @@ class TestSquashReplay:
         assert t.done
 
 
-def context(mode, trace):
-    with fastpath.forced_mode(mode):
-        return ThreadContext(0, trace)
+class PushbackReference:
+    """Reference window builder: records are fetched one at a time and a
+    squash pushes the younger ops back onto a list, where
+    :class:`ThreadContext` slices windows out of a precomputed plan and
+    rewinds its cursor."""
+
+    def __init__(self, trace):
+        self.trace = trace
+        self.pos = 0
+        self.replay = None
+        self.pushback = []
+
+    @property
+    def done(self):
+        return (self.pos >= len(self.trace) and self.replay is None
+                and not self.pushback)
+
+    def _next_record(self):
+        if self.replay is not None:
+            record, self.replay = self.replay, None
+            return record
+        if self.pushback:
+            return self.pushback.pop(0)
+        if self.pos < len(self.trace):
+            self.pos += 1
+            return self.trace[self.pos - 1]
+        return None
+
+    def next_window(self, max_instructions, max_ops):
+        window = Window(instructions=0)
+        while len(window.ops) < max_ops:
+            record = self._next_record()
+            if record is None:
+                break
+            if window.ops and window.instructions + record[0] > max_instructions:
+                self.pushback.insert(0, record)  # does not fit: next window
+                break
+            window.instructions += record[0]
+            window.ops.append(record)
+        return window if window.ops else None
+
+    def squash_after(self, index, window):
+        triggering = window.ops[index]
+        self.replay = (0, triggering[1], triggering[2])
+        self.pushback = list(window.ops[index + 1:]) + self.pushback
+        return self.replay
 
 
 def drive(thread, squashes, max_instructions, max_ops):
@@ -122,7 +164,7 @@ def drive(thread, squashes, max_instructions, max_ops):
 
 
 class TestCursorRewind:
-    """The vectorized path squashes by rewinding ``pos``; the scalar path
+    """:class:`ThreadContext` squashes by rewinding ``pos``; the reference
     pushes records back.  Both must hand the core the same windows."""
 
     @settings(max_examples=150, deadline=None)
@@ -137,24 +179,24 @@ class TestCursorRewind:
         self, gaps, squashes, max_instructions, max_ops
     ):
         trace = [(g, i % 3 == 0, i * 4096) for i, g in enumerate(gaps)]
-        reference = context("scalar", trace)
-        rewound = context("vector", trace)
+        reference = PushbackReference(trace)
+        rewound = ThreadContext(0, trace)
         expected = drive(reference, squashes, max_instructions, max_ops)
         assert drive(rewound, squashes, max_instructions, max_ops) == expected
         assert rewound.done and reference.done
         assert rewound.remaining_records == 0
-        assert rewound._pushback == []
 
     @settings(max_examples=100, deadline=None)
     @given(
         gaps=st.lists(st.integers(0, 120), min_size=1, max_size=40),
         squashes=st.lists(st.one_of(st.none(), st.integers(0, 7)),
                           max_size=60),
-        mode=st.sampled_from(["scalar", "vector"]),
     )
-    def test_capture_tap_sees_every_record_once(self, gaps, squashes, mode):
+    def test_capture_tap_sees_every_record_once(self, gaps, squashes):
+        """The tap reports each window's slice past the records it
+        already saw, so squashes and rewinds report nothing twice."""
         trace = [(g, False, i * 4096) for i, g in enumerate(gaps)]
-        thread = context(mode, trace)
+        thread = ThreadContext(0, trace)
         seen = []
         thread.on_fetch = seen.append
         drive(thread, squashes, max_instructions=150, max_ops=4)
@@ -162,9 +204,8 @@ class TestCursorRewind:
 
 
 class TestResumeWindow:
-    """The window that replays a squashed op is cut from the window plan
-    on the vectorized path; the per-record loop (which a capture tap
-    forces) is its reference."""
+    """The window that replays a squashed op is cut from the window plan;
+    the per-record reference builds it record by record."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -185,9 +226,8 @@ class TestResumeWindow:
         trace = [(g, i % 3 == 0, i * 4096) for i, g in enumerate(gaps)]
         pos = cut % (len(trace) + 1)
         replay = (0, False, 999 * 4096)
-        planned = context("vector", trace)
-        looped = context("vector", trace)
-        looped.on_fetch = lambda record: None
+        planned = ThreadContext(0, trace)
+        looped = PushbackReference(trace)
         for thread in (planned, looped):
             thread.pos = pos
             thread.replay = replay
@@ -195,7 +235,9 @@ class TestResumeWindow:
         want = looped.next_window(max_instructions, max_ops)
         assert (got.instructions, got.ops) == (want.instructions, want.ops)
         assert got.ops[0] == replay
-        assert (planned.pos, planned.replay) == (looped.pos, looped.replay)
+        # A record that did not fit went back to the reference's list.
+        assert (planned.pos, planned.replay) == (
+            looped.pos - len(looped.pushback), looped.replay)
         # The plan stays in step afterwards.
         assert drive(planned, [], max_instructions, max_ops) == drive(
             looped, [], max_instructions, max_ops

@@ -1,13 +1,10 @@
-"""Tests for trace helpers and persistence."""
+"""Tests for the trace record helpers."""
 
 import numpy as np
 import pytest
 
 from repro.workloads.trace import (
-    TraceFormatError,
-    load_traces,
     make_trace,
-    save_traces,
     trace_footprint_pages,
     trace_instructions,
     trace_mpki,
@@ -48,59 +45,3 @@ def test_write_ratio():
 def test_mpki():
     trace = [(999, False, 0)]
     assert trace_mpki(trace) == pytest.approx(1.0)
-
-
-def test_save_load_roundtrip(tmp_path):
-    traces = [sample_trace(), [(1, True, 64)]]
-    path = str(tmp_path / "traces.npz")
-    save_traces(path, traces)
-    loaded = load_traces(path)
-    assert loaded == traces
-
-
-def test_load_rejects_truncated_archive(tmp_path):
-    """A short read must raise, not silently end the trace early."""
-    path = tmp_path / "traces.npz"
-    save_traces(str(path), [[(i, False, 64 * i) for i in range(500)]])
-    blob = path.read_bytes()
-    for cut in (10, len(blob) // 2, len(blob) - 4):
-        path.write_bytes(blob[:cut])
-        with pytest.raises(TraceFormatError):
-            load_traces(str(path))
-
-
-def test_load_rejects_noncontiguous_thread_ids(tmp_path):
-    """thread_0..thread_{n-1} must all be present: a missing index would
-    silently renumber the remaining threads on replay."""
-    path = str(tmp_path / "traces.npz")
-    arr = np.array([(1, 0, 64)], dtype=np.int64)
-    np.savez_compressed(path, thread_0=arr, thread_2=arr)
-    with pytest.raises(TraceFormatError, match="non-contiguous"):
-        load_traces(path)
-
-
-def test_load_rejects_foreign_arrays(tmp_path):
-    path = str(tmp_path / "traces.npz")
-    np.savez_compressed(path, bogus=np.array([1, 2, 3]))
-    with pytest.raises(TraceFormatError, match="unexpected array"):
-        load_traces(path)
-
-
-def test_load_rejects_malformed_records(tmp_path):
-    path = str(tmp_path / "traces.npz")
-    np.savez_compressed(path, thread_0=np.array([[1, 0], [2, 1]]))
-    with pytest.raises(TraceFormatError, match="expected \\(records, 3\\)"):
-        load_traces(path)
-
-
-def test_load_rejects_negative_gaps(tmp_path):
-    path = str(tmp_path / "traces.npz")
-    np.savez_compressed(path, thread_0=np.array([[-5, 0, 64]]))
-    with pytest.raises(TraceFormatError, match="negative gaps"):
-        load_traces(path)
-
-
-def test_load_accepts_empty_threads(tmp_path):
-    path = str(tmp_path / "traces.npz")
-    save_traces(path, [[], [(1, True, 64)]])
-    assert load_traces(path) == [[], [(1, True, 64)]]
