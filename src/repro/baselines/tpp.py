@@ -31,6 +31,8 @@ class TPPHotnessPolicy:
     ) -> None:
         if not 0.0 < sample_rate <= 1.0:
             raise ValueError("sample_rate must be in (0, 1]")
+        if not epoch_ns > 0.0:
+            raise ValueError("epoch_ns must be positive")
         self.sample_rate = sample_rate
         self.epoch_ns = epoch_ns
         self._rng = random.Random(seed)
@@ -40,19 +42,22 @@ class TPPHotnessPolicy:
         self._epoch_start = 0.0
         self._pending: List[int] = []
 
-    def record_access(self, page: int, is_write: bool, now: float) -> None:
+    def record_access(self, page: int, is_write: bool, now: float) -> bool:
+        """Observe one access; returns True exactly when a promotion
+        candidate is pending.  Only an epoch roll makes candidates, and
+        a :meth:`take_candidates` at the same ``now`` rolls nothing more
+        (``epoch_ns > 0``)."""
         self._roll_epoch(now)
-        if page in self._promoted_out:
-            return
-        if self._rng.random() >= self.sample_rate:
-            return  # unsampled: invisible to TPP
-        if page in self._active:
-            return
-        if page in self._inactive:
-            self._inactive.discard(page)
-            self._active.add(page)
-        else:
-            self._inactive.add(page)
+        if page not in self._promoted_out and (
+            self._rng.random() < self.sample_rate  # else invisible to TPP
+            and page not in self._active
+        ):
+            if page in self._inactive:
+                self._inactive.discard(page)
+                self._active.add(page)
+            else:
+                self._inactive.add(page)
+        return bool(self._pending)
 
     def take_candidates(self, now: float) -> List[int]:
         self._roll_epoch(now)

@@ -809,7 +809,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     api = ServiceAPI(service, host=host, port=port)
     # SIGTERM (plain ``kill``, supervisors) takes the same shutdown path
     # as Ctrl-C, so the cache and job-store connections get closed.
+    # SIGINT is mapped too: a shell that starts us in the background
+    # hands down SIG_IGN for it.
     signal.signal(signal.SIGTERM, signal.default_int_handler)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     print(f"serve: listening on http://{api.address[0]}:{api.address[1]} "
           f"(backend: {service.backend_label}, state: {service.state_dir})",
           flush=True)
@@ -820,6 +823,33 @@ def cmd_serve(args: argparse.Namespace) -> int:
     finally:
         api.close()
         service.close()
+    return 0
+
+
+def cmd_profile(args: argparse.Namespace) -> int:
+    """Profile one cell in process: self time per package, then the
+    functions with the most self time (docs/PERFORMANCE.md)."""
+    if args.top < 0:
+        print("error: --top must be >= 0", file=sys.stderr)
+        return 2
+    try:
+        job = SweepJob.make(
+            args.workload,
+            args.variant,
+            records_per_thread=args.records,
+            seed=args.seed,
+            device_model=args.device_model,
+        )
+    except KeyError as exc:
+        return _bad_name(exc)
+    from repro.obs.profile import profile_cell, render_profile
+
+    result, stats = profile_cell(job.workload, job.variant, **job.kwargs())
+    print(f"profile: {result.workload} / {result.variant} "
+          f"({result.threads} threads, seed {result.config.seed}, "
+          f"{result.config.device_model.kind} device model; second run, "
+          f"{stats.total_calls:,} calls)")
+    print(render_profile(stats, args.top))
     return 0
 
 
@@ -1128,6 +1158,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--cell-timeout", type=float, default=None)
     p_serve.add_argument("--retry-budget", type=int, default=None)
     p_serve.set_defaults(func=cmd_serve)
+
+    p_prof = sub.add_parser(
+        "profile",
+        help="profile one cell in process: self time per repro package "
+             "and the top functions",
+    )
+    p_prof.add_argument("workload", help=f"one of {', '.join(WORKLOAD_NAMES)}")
+    p_prof.add_argument("variant", help=f"one of {', '.join(VARIANTS)}")
+    p_prof.add_argument("--records", type=int, default=None,
+                        help="trace records per thread (default REPRO_RECORDS)")
+    p_prof.add_argument("--seed", type=int, default=None)
+    _add_device_model_option(p_prof)
+    p_prof.add_argument("--top", type=int, default=25, metavar="K",
+                        help="functions to list by self time (default 25)")
+    p_prof.set_defaults(func=cmd_profile)
 
     p_job = sub.add_parser(
         "job", help="submit to / inspect a running serve coordinator"

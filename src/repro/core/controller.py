@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.config import SimConfig
+from repro.core.data_cache import SkyByteDataCache
 from repro.core.dram_manager import SkyByteDRAMManager
 from repro.core.trigger import ContextSwitchTrigger
 from repro.cxl.protocol import MemRequest
@@ -65,6 +66,17 @@ class SkyByteController:
         # Hoisted per-access constants (config is settled by now).
         self._dram_ns = self._ssd.dram_access_ns
         self._miss_index_ns = self.dram.miss_index_ns
+        self._r1_index_ns = self._ssd.cache_index_ns
+        self._r2_index_ns = self._ssd.log_index_ns
+        self._write_log = self.dram.write_log
+        # The read path looks R1 up in the data cache's sets itself; the
+        # per-tenant quota cache is asked through the DRAM manager.
+        cache = self.dram.data_cache
+        if isinstance(cache, SkyByteDataCache):
+            self._r1_sets = cache._cache._sets
+            self._r1_num_sets = cache._cache.num_sets
+        else:
+            self._r1_sets = None
         # Controller MSHRs: lpa -> completion time of the in-flight fetch.
         self._inflight: Dict[int, float] = {}
         #: Hook for the migration engine (page, is_write, now).
@@ -78,15 +90,22 @@ class SkyByteController:
         )
 
     def access_line(
-        self, lpa: int, line: int, is_write: bool, now: float
-    ) -> AccessResult:
+        self, lpa: int, line: int, is_write: bool, now: float,
+        float_hits: bool = False,
+    ):
         """Direct entry taking the decoded address: the host window loop
-        calls this without materialising a :class:`MemRequest`."""
+        calls this without materialising a :class:`MemRequest`.
+
+        With ``float_hits`` an access that cannot carry a hint (an R1/R2
+        read hit, any write) returns its completion time as a bare
+        float; every other access returns an :class:`AccessResult`.  The
+        stats are the same either way.
+        """
         if self.on_page_access is not None:
             self.on_page_access(lpa, is_write, now)
         if is_write:
-            return self._write(lpa, line, now)
-        return self._read(lpa, line, now)
+            return self._write(lpa, line, now, float_hits)
+        return self._read(lpa, line, now, float_hits)
 
     def drain(self, now: float) -> float:
         """Flush both log buffers so end-of-run flash traffic is complete."""
@@ -129,26 +148,44 @@ class SkyByteController:
 
     # -- read path ------------------------------------------------------------------
 
-    def _read(self, lpa: int, line: int, now: float) -> AccessResult:
+    def _read(self, lpa: int, line: int, now: float, float_hits: bool):
         inflight_ready = self._inflight.get(lpa)
         if inflight_ready is not None and inflight_ready > now:
             # Coalesce on the controller MSHR: the page is on its way.
             return self._read_coalesced(lpa, line, now, inflight_ready)
 
         # R1 then R2, each looked up once; only an R3 miss goes on.
-        hit = self.dram.lookup(lpa, line)
-        if hit is None:
-            return self._read_miss(lpa, line, now)
-        indexing = hit[1]
+        stats = self._stats
+        sets = self._r1_sets
+        if sets is None:
+            hit = self.dram.lookup(lpa, line)
+            if hit is None:
+                return self._read_miss(lpa, line, now)
+            indexing = hit[1]
+        else:
+            cache_set = sets[lpa % self._r1_num_sets]
+            entry = cache_set.get(lpa)
+            if entry is not None:
+                # R1: refresh LRU and mark the line touched.
+                cache_set.move_to_end(lpa)
+                entry.touch_mask |= 1 << line
+                if stats.enabled:
+                    stats.cache_hits += 1
+                indexing = self._r1_index_ns
+            elif self._write_log.has_line(lpa, line):
+                indexing = self._r2_index_ns
+            else:
+                return self._read_miss(lpa, line, now)
         # Hit: the common case, with the stats mutators inlined
         # (skipping the ``+= 0.0`` component adds is exact).
-        stats = self._stats
         dram_ns = self._dram_ns
         if stats.enabled:
             stats.request_counts[SSD_READ_HIT] += 1
             stats.amat_indexing_ns += indexing
             stats.amat_ssd_dram_ns += dram_ns
             stats.amat_accesses += 1
+        if float_hits:
+            return now + indexing + dram_ns
         return AccessResult(
             complete_ns=now + indexing + dram_ns,
             request_class=SSD_READ_HIT,
@@ -192,7 +229,7 @@ class SkyByteController:
 
     # -- write path --------------------------------------------------------------------
 
-    def _write(self, lpa: int, line: int, now: float) -> AccessResult:
+    def _write(self, lpa: int, line: int, now: float, float_hits: bool):
         stats = self._stats
         if stats.enabled:
             stats.host_lines_written += 1
@@ -204,6 +241,8 @@ class SkyByteController:
             stats.amat_ssd_dram_ns += dram_ns
             stats.amat_flash_ns += outcome.stalled_ns
             stats.amat_accesses += 1
+        if float_hits:
+            return outcome.ready_ns + dram_ns
         return AccessResult(
             complete_ns=outcome.ready_ns + dram_ns,
             request_class=SSD_WRITE,

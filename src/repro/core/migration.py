@@ -32,7 +32,9 @@ from repro.sim.stats import SimStats
 class HotnessPolicy(Protocol):
     """Decides which pages are hot enough to promote."""
 
-    def record_access(self, page: int, is_write: bool, now: float) -> None:
+    def record_access(self, page: int, is_write: bool, now: float) -> bool:
+        """Observe one access; returns True exactly when a promotion
+        candidate is pending (so :meth:`take_candidates` has work)."""
         ...
 
     def take_candidates(self, now: float) -> List[int]:
@@ -55,14 +57,16 @@ class SkyByteHotnessPolicy:
         self._pending: List[int] = []
         self._tracked_out: set = set()
 
-    def record_access(self, page: int, is_write: bool, now: float) -> None:
+    def record_access(self, page: int, is_write: bool, now: float) -> bool:
         if page in self._tracked_out:
-            return
+            return bool(self._pending)
         count = self._counts.get(page, 0) + 1
         self._counts[page] = count
         if count == self.threshold:
             self._pending.append(page)
             self._tracked_out.add(page)
+            return True
+        return bool(self._pending)
 
     def take_candidates(self, now: float) -> List[int]:
         pending, self._pending = self._pending, []
@@ -116,9 +120,9 @@ class MigrationEngine:
 
     def on_page_access(self, page: int, is_write: bool, now: float) -> None:
         """Installed as the controller's page-access observer."""
-        self.policy.record_access(page, is_write, now)
-        for candidate in self.policy.take_candidates(now):
-            self._try_promote(candidate, now)
+        if self.policy.record_access(page, is_write, now):
+            for candidate in self.policy.take_candidates(now):
+                self._try_promote(candidate, now)
 
     # -- promotion ----------------------------------------------------------------
 

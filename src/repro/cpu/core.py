@@ -20,11 +20,12 @@ excluded from AMAT, as in the paper.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from heapq import heappush
+from typing import List, Optional, Sequence
 
 from repro.config import SimConfig
 from repro.host.scheduler import Scheduler
-from repro.host.threads import ThreadContext, Window
+from repro.host.threads import ThreadContext, TraceRecord
 from repro.sim.engine import Engine
 from repro.ssd.interface import AccessResult
 
@@ -53,6 +54,8 @@ class Core:
         # Per-window MLP: bounded by the L1 MSHRs and by the workload's
         # dependence-limited parallelism (pointer chasing exposes little).
         self._mlp = max(1, min(cpu.l1_mshrs, getattr(system, "workload_mlp", 8)))
+        #: The plan key of this core's windows (see ThreadContext).
+        self._window_key = (self._rob_instructions, self._mlp)
         self.thread: Optional[ThreadContext] = None
         #: A whole window is served in one system call: from host DRAM
         #: (DRAM-only runs have no delay hints) or through the window loop.
@@ -96,96 +99,109 @@ class Core:
     # -- execution -------------------------------------------------------------
 
     def _run_slice(self) -> None:
+        """Serve one window: cut it, issue its accesses, retire it and
+        queue the next slice, in one call.
+
+        The common window (the plan is built, no replay is pending, no
+        capture tap) is cut here with two plan lookups; every other case
+        goes through :meth:`ThreadContext.next_window`.  The retire is
+        one pass over the completion times
+        (:meth:`LatencyHistogram.record_window` also returns the longest
+        latency), and the next slice is pushed onto the engine heap with
+        the key :meth:`Engine.schedule_at` would queue: ``end >= now``,
+        so there is nothing to clamp.
+        """
         thread = self.thread
         if thread is None:
             self._park()
             return
-        now = self._engine.now
+        engine = self._engine
+        now = engine._now
 
         if self._pending_shootdown_ns > 0.0:
             cost = self._pending_shootdown_ns
             self._pending_shootdown_ns = 0.0
             self._system.stats.add_memory_stall(cost)
-            self._engine.schedule(cost, self._run_slice)
+            engine.schedule(cost, self._run_slice)
             return
 
-        window = thread.next_window(self._rob_instructions, self._mlp)
-        if window is None:
-            self._finish_thread(thread)
-            return
+        plan = thread._plan
+        pos = thread.pos
+        if (
+            plan is not None
+            and pos < len(plan)
+            and thread.replay is None
+            and thread.on_fetch is None
+            and thread._plan_key == self._window_key
+        ):
+            end = pos + plan[pos]
+            cum = thread._cum
+            instructions = cum[end] - cum[pos]
+            ops = thread.trace[pos:end]
+            thread.pos = end
+        else:
+            window = thread.next_window(self._rob_instructions, self._mlp)
+            if window is None:
+                self._finish_thread(thread)
+                return
+            instructions, ops = window
 
         just_resumed = thread.just_resumed
         thread.just_resumed = False
-        ops = window.ops
-        compute_ns = window.instructions * self._cycle_ns / self._ipc
-
+        compute_ns = instructions * self._cycle_ns / self._ipc
+        system = self._system
         if self._dram_only:
-            completes = self._system.dram_window_access(ops, now, thread.tid)
-            self._retire(thread, window.instructions, completes, compute_ns, now)
-            return
-        completes, trigger = self._system.window_access(
-            ops, now, self.core_id, thread.tid, just_resumed
-        )
-        if trigger is None:
-            self._retire(thread, window.instructions, completes, compute_ns, now)
-            return
-        executed_instr = 0
-        for op in ops[: len(completes) + 1]:
-            executed_instr += op[0]
-        self._context_switch(
-            thread, window, completes, trigger, executed_instr, now
-        )
+            completes = system.dram_window_access(ops, now, thread.tid)
+        else:
+            completes, trigger = system.window_access(
+                ops, now, self.core_id, thread.tid, just_resumed
+            )
+            if trigger is not None:
+                self._context_switch(thread, ops, completes, trigger, now)
+                return
 
-    def _retire(
-        self,
-        thread: ThreadContext,
-        instructions: int,
-        completes: List[float],
-        compute_ns: float,
-        now: float,
-    ) -> None:
-        """Retire a whole window whose accesses complete at ``completes``.
-
-        Every completion is later than ``now``, so the window's wall time
-        is ``max(compute_ns, slowest - now)``; the comparisons are spelled
-        out inline (ties pick equal floats, so this is ``max`` exactly).
-        """
+        # Retire: every completion is later than ``now``, so the wall is
+        # ``max(compute_ns, slowest - now)`` (ties pick equal floats).
+        stats = system.stats
         wall = compute_ns
-        for complete in completes:
-            if complete - now > wall:
-                wall = complete - now
-        stats = self._system.stats
         if stats.enabled:
+            longest = stats.offchip_latency.record_window(completes, now)
+            if longest > wall:
+                wall = longest
             stats.instructions += instructions
             stats.compute_ns += compute_ns
             stats.memory_stall_ns += wall - compute_ns
-            stats.offchip_latency.record_window(completes, now)
+        else:
+            for complete in completes:
+                if complete - now > wall:
+                    wall = complete - now
         thread.runtime_ns += wall
         thread.instructions_done += instructions
         self._sched_runtime += wall
-        end = now + wall
+        end_ns = now + wall
 
         # Quantum preemption keeps oversubscribed runs fair even when the
         # device never asks for a switch.
-        if (
-            self._sched_runtime >= self._quantum_ns
-            and self._scheduler.runnable() > 0
-        ):
-            self._yield_thread(thread, end, self._config.os.context_switch_ns)
+        if self._sched_runtime >= self._quantum_ns and self._scheduler._queue:
+            self._yield_thread(thread, end_ns, self._config.os.context_switch_ns)
             return
-        self._engine.schedule_at(end, self._run_slice)
+        engine._seq = seq = engine._seq + 1
+        heappush(engine._queue, (now + (end_ns - now), seq, self._run_slice))
 
     def _context_switch(
         self,
         thread: ThreadContext,
-        window: Window,
+        ops: Sequence[TraceRecord],
         completes: List[float],
         triggering: AccessResult,
-        executed_instr: int,
         now: float,
     ) -> None:
-        """Take the Long Delay Exception at op ``len(completes)`` of
-        ``window``; ``completes`` are the older ops' completion times."""
+        """Take the Long Delay Exception at op ``len(completes)`` of the
+        window ``ops``; ``completes`` are the older ops' completion
+        times."""
+        executed_instr = 0
+        for op in ops[: len(completes) + 1]:
+            executed_instr += op[0]
         compute_ns = executed_instr * self._cycle_ns / self._ipc
         # In-order retirement: the exception fires after every older op in
         # the window has completed and the NDR hint has arrived.
@@ -201,7 +217,7 @@ class Core:
         # The triggering access is squashed: reverse its AMAT accounting.
         stats.unrecord_access(triggering.request_class, triggering.breakdown)
 
-        thread.squash_after(len(completes), window)
+        thread.squash_after(len(completes), ops)
         thread.instructions_done += executed_instr
         thread.runtime_ns += exception_ns - now
         thread.just_resumed = True

@@ -10,22 +10,13 @@ memory access" (§III-A, step C4).
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 
 #: One trace record: (instructions since previous memory op, is_write, addr).
 TraceRecord = Tuple[int, bool, int]
-
-
-@dataclass(slots=True)
-class Window:
-    """A ROB-bounded batch of work handed to the core model."""
-
-    instructions: int
-    ops: List[TraceRecord] = field(default_factory=list)
 
 
 class ThreadContext:
@@ -55,8 +46,9 @@ class ThreadContext:
         #: Window plan (lazy): ``_plan[p]`` is the record count
         #: of the ROB/MSHR window starting at trace position ``p`` and
         #: ``_cum[i]`` the total gap instructions of records ``0..i-1``,
-        #: both computed for the whole trace in one numpy pass so each
-        #: ``next_window`` is two array lookups and a slice.
+        #: both computed for the whole trace in one numpy pass so a
+        #: window is two array lookups and a slice.  The core cuts the
+        #: common window (no replay, no tap) from them itself.
         self._plan: Optional[array] = None
         self._cum: Optional[array] = None
         self._plan_key: Optional[Tuple[int, int]] = None
@@ -70,8 +62,11 @@ class ThreadContext:
         n = len(self.trace) - self.pos
         return n + (1 if self.replay is not None else 0)
 
-    def next_window(self, max_instructions: int, max_ops: int) -> Optional[Window]:
-        """Build the next ROB/MSHR-bounded window of records.
+    def next_window(
+        self, max_instructions: int, max_ops: int
+    ) -> Optional[Tuple[int, Sequence[TraceRecord]]]:
+        """Build the next ROB/MSHR-bounded window of records as
+        ``(gap instructions, ops)``.
 
         Returns None when the trace is exhausted.  At least one record is
         always included so a record whose gap exceeds the ROB still makes
@@ -79,11 +74,14 @@ class ThreadContext:
 
         A window is sliced out of the trace with two lookups in the
         precomputed plan (see :meth:`_build_plan`), which fixes for
-        *every* trace position how many records fit from there.
-        Squashes rewind the cursor, and the window that replays a
-        squashed op is cut from the same plan: the replay record (gap 0)
-        first, then at most ``max_ops - 1`` trace records within the
-        budget.
+        *every* trace position how many records fit from there.  The
+        core cuts that common window itself once the plan is built
+        (:meth:`Core._run_slice <repro.cpu.core.Core._run_slice>`) and
+        calls this for the rest: the first window, a replay, a capture
+        tap and exhaustion.  Squashes rewind the cursor, and the window
+        that replays a squashed op is cut from the same plan: the replay
+        record (gap 0) first, then at most ``max_ops - 1`` trace records
+        within the budget.
         """
         pos = self.pos
         trace = self.trace
@@ -95,7 +93,7 @@ class ThreadContext:
                 self._plan = self._cum = self._plan_key = None
                 return None
             self.replay = None
-            return Window(0, [replay])
+            return 0, [replay]
         if self._plan_key != (max_instructions, max_ops):
             self._build_plan(max_instructions, max_ops)
         take = self._plan[pos]
@@ -117,8 +115,8 @@ class ThreadContext:
         if replay is not None:
             ops = [replay]
             ops.extend(trace[pos:end])
-            return Window(cum[end] - cum[pos], ops)
-        return Window(cum[end] - cum[pos], list(trace[pos:end]))
+            return cum[end] - cum[pos], ops
+        return cum[end] - cum[pos], trace[pos:end]
 
     def _build_plan(self, max_instructions: int, max_ops: int) -> None:
         """One numpy pass over the whole trace.
@@ -147,17 +145,18 @@ class ThreadContext:
         self._cum = array("q", cum.tobytes())
         self._plan_key = (max_instructions, max_ops)
 
-    def squash_after(self, index: int, window: Window) -> TraceRecord:
-        """Context switch at the ``index``-th op of ``window``: that op is
-        saved for replay (with its compute gap already consumed) and every
-        later op goes back to the trace.  Returns the replay record.
+    def squash_after(self, index: int, ops: Sequence[TraceRecord]) -> TraceRecord:
+        """Context switch at op ``index`` of the window ``ops``: that op
+        is saved for replay (with its compute gap already consumed) and
+        every later op goes back to the trace.  Returns the replay
+        record.
 
         Every op after a window's first came from the trace in order, so
         the squashed ops are the trace slice just before ``pos`` and
         rewinding the cursor puts them back.
         """
-        triggering = window.ops[index]
+        triggering = ops[index]
         # Its gap instructions were executed before the exception retired.
         self.replay = (0, triggering[1], triggering[2])
-        self.pos -= len(window.ops) - index - 1
+        self.pos -= len(ops) - index - 1
         return self.replay

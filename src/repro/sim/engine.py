@@ -10,6 +10,7 @@ engines) schedules work through a single :class:`Engine`.
 from __future__ import annotations
 
 import heapq
+import math
 import warnings
 from typing import Callable, List, Optional, Tuple
 
@@ -37,7 +38,11 @@ class PastEventWarning(RuntimeWarning):
 
 
 class Engine:
-    """A deterministic discrete-event simulator clock."""
+    """A deterministic discrete-event simulator clock.
+
+    ``Core._run_slice`` queues its next slice by pushing the key
+    :meth:`schedule_at` would push straight onto ``_queue`` (see there).
+    """
 
     #: Slack (ns) below ``now`` that :meth:`schedule_at` absorbs silently.
     #: Callers compute absolute completion times incrementally, so a few
@@ -115,31 +120,33 @@ class Engine:
 
         Returns the simulation time when the loop exited.
 
-        Same-epoch events are coalesced: the clock is advanced once per
-        distinct timestamp and every event queued for that instant drains
-        in one inner loop, still strictly in (time, seq) order.
-        Scheduling never produces an event earlier than ``now`` (both
-        :meth:`schedule` and :meth:`schedule_at` clamp), so while the
-        clock sits at one timestamp the heap minimum stays >= it; an
-        event a running callback schedules *for the current instant*
-        joins the same batch after every older same-time event, exactly
-        where a one-pop-per-event loop would run it.
+        One heap pop per event: the popped event runs unless its time is
+        past ``until``, in which case it goes back on the heap (its
+        ``(time, seq)`` key is unique, so the order is unchanged) and
+        the clock stops at ``until``.  Events run strictly in
+        ``(time, seq)`` order: scheduling never produces an event earlier
+        than ``now`` (both :meth:`schedule` and :meth:`schedule_at`
+        clamp), so an event a running callback queues for the current
+        instant runs after every older same-time event.
         """
         self._stopped = False
         queue = self._queue
         pop = heapq.heappop
+        limit = math.inf if until is None else until
         processed = 0
         try:
-            while queue and not self._stopped:
-                when = queue[0][0]
-                if until is not None and when > until:
+            while queue:
+                event = pop(queue)
+                when = event[0]
+                if when > limit:
+                    heapq.heappush(queue, event)
                     self._now = until
                     break
                 self._now = when
-                while queue and queue[0][0] == when and not self._stopped:
-                    callback = pop(queue)[2]
-                    processed += 1
-                    callback()
+                processed += 1
+                event[2]()
+                if self._stopped:
+                    break
         finally:
             self._count(processed)
         return self._now

@@ -71,17 +71,25 @@ class LatencyHistogram:
         if latency_ns < self._min:
             self._min = latency_ns
 
-    def record_window(self, completes: List[float], now: float) -> None:
+    def record_window(self, completes: List[float], now: float) -> float:
         """:meth:`record` of ``c - now`` for every ``c`` in ``completes``,
         in order: the same clamp, bucket cache and summation order, with
-        the running fields kept in locals for the whole window."""
+        the running fields kept in locals for the whole window.
+
+        Returns the longest raw ``c - now`` (before the clamp), or
+        ``-inf`` for an empty window: the core's window wall is that or
+        its compute time, whichever is longer.
+        """
         cache = self._bucket_cache
         counts = self._counts
         total = self._sum
         high = self._max
         low = self._min
+        longest = -math.inf
         for complete in completes:
             latency_ns = complete - now
+            if latency_ns > longest:
+                longest = latency_ns
             if latency_ns < 1.0:
                 latency_ns = 1.0
             bucket = cache.get(latency_ns)
@@ -99,6 +107,7 @@ class LatencyHistogram:
         self._sum = total
         self._max = high
         self._min = low
+        return longest
 
     @property
     def count(self) -> int:

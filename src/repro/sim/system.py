@@ -37,6 +37,9 @@ from repro.ssd.interface import AccessResult
 from repro.variants import DesignVariant
 from repro.workloads.trace import TraceRecord
 
+#: Where a promoted page's entry says it lives.
+_HOST = Location.HOST
+
 #: Wire sizes: request header, and a data flit (64 B line + header).
 REQ_BYTES = 8
 DATA_BYTES = CACHELINE_SIZE + 4
@@ -136,10 +139,6 @@ class System:
         ]
 
         self._threads_done = 0
-        self._total_instructions = sum(
-            sum(r[0] for r in t) + len(t) for t in traces
-        )
-        self._finished = False
         self._traces = traces
 
     # -- construction helpers ----------------------------------------------------
@@ -230,6 +229,31 @@ class System:
     #: subclasses override it; ``None`` skips the call.
     _mirror_access = None
 
+    #: Per-run constants of :meth:`window_access`, built on its first call.
+    _window_constants: Optional[tuple] = None
+
+    def _build_window_constants(self) -> tuple:
+        dram = self.host_dram
+        return (
+            self.stats,
+            self.page_table._entries,
+            dram,
+            dram._latency_ns,
+            CACHELINE_SIZE / dram._bytes_per_ns,
+            self.link,
+            self._protocol_ns,
+            self._wire,
+            self._wire[True][3],  # a write's reply is itself an NDR
+            self.controller.access_line,
+            self._mirror_access,
+            self._request_tracer,
+            4 * self.config.os.cs_threshold_ns,
+            # Bare float completion times from ``access_line`` for hits
+            # that carry no hint, unless a request tracer or a tenant
+            # mirror needs each access's class and breakdown.
+            self._request_tracer is None and self._mirror_access is None,
+        )
+
     def window_access(
         self,
         ops: Sequence[TraceRecord],
@@ -246,10 +270,15 @@ class System:
         lookup, no request or result object).  CXL accesses run the
         arithmetic of ``CXLLink.send_downstream`` / ``send_upstream``
         inline (same operand order, hoisted constant serialisation
-        delays) around the controller's decoded-address entry.  AMAT
-        components an access does not touch are never added to: they
-        would be ``+= 0.0``, which is exact because those sums never hold
-        ``-0.0``.  AstriFlash-CXL, whose controller owns the link, takes
+        delays) around the controller's decoded-address entry, which
+        answers a hit that carries no hint with its bare float
+        completion time (see ``access_line``).  AMAT components an
+        access does not touch are never added to: they would be ``+=
+        0.0``, which is exact because those sums never hold ``-0.0``.
+        The host-DRAM counters and the link-side sums are kept in locals
+        and written back once per window: no callee reads or writes them
+        (``+= 0.0`` aside), so each ends bit-identical to adding in
+        place.  AstriFlash-CXL, whose controller owns the link, takes
         :meth:`_host_cache_window`.
 
         Returns the completion times of the ops that retire and the
@@ -262,44 +291,39 @@ class System:
         """
         if self.variant.astriflash:
             return self._host_cache_window(ops, now, tid, just_resumed)
-        stats = self.stats
+        constants = self._window_constants
+        if constants is None:
+            constants = self._window_constants = (
+                self._build_window_constants()
+            )
+        (stats, entries, dram, dram_latency, dram_inc, link, protocol_ns,
+         wire, ndr_ser, access_line, mirror, tracer, guard_ns,
+         float_hits) = constants
         enabled = stats.enabled
-        counts = stats.request_counts
-        entries = self.page_table._entries
-        dram = self.host_dram
-        dram_latency = dram._latency_ns
-        dram_inc = CACHELINE_SIZE / dram._bytes_per_ns
-        link = self.link
-        protocol_ns = self._protocol_ns
-        wire = self._wire
-        ndr_ser = wire[True][3]  # a write's reply is itself an NDR
-        access_line = self.controller.access_line
-        mirror = self._mirror_access if enabled else None
-        tracer = self._request_tracer
-        guard_ns = 4 * self.config.os.cs_threshold_ns
+        if not enabled:
+            mirror = None
+        dram_free = dram._free_at
+        host_hits = host_writes = lines_read = cxl_bytes = 0
+        host_ns = stats.amat_host_dram_ns
+        protocol_sum = stats.amat_protocol_ns
+        trigger = None
         completes: List[float] = []
         append = completes.append
         for _gap, is_write, address in ops:
             page = address >> 12
             line = (address >> 6) & 0x3F
             entry = entries.get(page)
-            if entry is not None and entry.location == Location.HOST:
+            if entry is not None and entry.location == _HOST:
                 # H-R/W: the page was promoted; served by host DRAM.
                 entry.last_access_ns = now
                 if is_write:
                     entry.dirty_mask |= 1 << line
-                free = dram._free_at
-                start = free if free > now else now
-                dram._free_at = start + dram_inc
-                dram.accesses += 1
+                    host_writes += 1
+                start = dram_free if dram_free > now else now
+                dram_free = start + dram_inc
                 complete = start + dram_latency
-                if enabled:
-                    counts[HOST_DRAM] += 1
-                    stats.amat_host_dram_ns += complete - now
-                    stats.amat_accesses += 1
-                    stats.promoted_hits += 1
-                    if is_write:
-                        stats.host_lines_written += 1
+                host_hits += 1
+                host_ns += complete - now
                 if mirror is not None:
                     latency = complete - now
                     mirror(tid, HOST_DRAM, latency, {"host_dram": latency})
@@ -313,17 +337,19 @@ class System:
             new_free = start + down_ser
             link._down_free_at = new_free
             arrive_dev = new_free + protocol_ns
-            if enabled:
-                stats.cxl_bytes += down_bytes
-            result = access_line(page, line, is_write, arrive_dev)
+            cxl_bytes += down_bytes + up_bytes
+            if not is_write:
+                lines_read += 1
+            result = access_line(page, line, is_write, arrive_dev, float_hits)
+            if result.__class__ is float:
+                complete = result + up_ser + protocol_ns
+                protocol_sum += (arrive_dev - now) + (complete - result)
+                append(complete)
+                continue
             device_done = result.complete_ns
             complete = device_done + up_ser + protocol_ns
             protocol = (arrive_dev - now) + (complete - device_done)
-            if enabled:
-                stats.cxl_bytes += up_bytes
-                stats.amat_protocol_ns += protocol
-                if not is_write:
-                    stats.host_lines_read += 1
+            protocol_sum += protocol
             if tracer is not None:
                 self._trace_request(core_id, tid, is_write, now, arrive_dev,
                                     result.request_class, device_done,
@@ -337,17 +363,30 @@ class System:
             if result.delay_hint:
                 # The SkyByte-Delay NDR races ahead of the data.
                 decision_ns = result.breakdown.get("indexing", 0.0)
-                if enabled:
-                    stats.cxl_bytes += NDR_BYTES + CXLLink.FLIT_OVERHEAD
+                cxl_bytes += NDR_BYTES + CXLLink.FLIT_OVERHEAD
                 result.hint_arrival_ns = (
                     arrive_dev + decision_ns + ndr_ser + protocol_ns
                 )
                 if self.scheduler.runnable() > 0 and not (
                     just_resumed and result.est_delay_ns < guard_ns
                 ):
-                    return completes, result
+                    trigger = result
+                    break
             append(complete)
-        return completes, None
+        if host_hits:
+            dram._free_at = dram_free
+            dram.accesses += host_hits
+            if enabled:
+                stats.request_counts[HOST_DRAM] += host_hits
+                stats.amat_accesses += host_hits
+                stats.promoted_hits += host_hits
+                stats.host_lines_written += host_writes
+                stats.amat_host_dram_ns = host_ns
+        if cxl_bytes and enabled:
+            stats.cxl_bytes += cxl_bytes
+            stats.host_lines_read += lines_read
+            stats.amat_protocol_ns = protocol_sum
+        return completes, trigger
 
     def _host_cache_window(
         self,
@@ -413,7 +452,6 @@ class System:
         self._threads_done += 1
         if self._threads_done >= len(self.threads):
             self.stats.end_ns = self.engine.now
-            self._finished = True
 
     # -- running -------------------------------------------------------------------------
 
@@ -443,6 +481,11 @@ class System:
         # Round-robin across threads to approximate concurrent interleaving.
         indices = [0] * len(cursors)
         live = set(range(len(cursors)))
+        migrate = (
+            self.migration.warm_access if self.migration is not None else None
+        )
+        is_promoted = self.page_table.is_promoted
+        warm_access = self.controller.warm_access
         while live:
             for t in list(live):
                 trace = cursors[t]
@@ -453,12 +496,11 @@ class System:
                 _gap, is_write, address = trace[i]
                 indices[t] = i + 1
                 page = address >> 12
-                line = (address >> 6) & 0x3F
-                if self.migration is not None:
-                    self.migration.warm_access(page, is_write)
-                if self.page_table.is_promoted(page):
+                if migrate is not None:
+                    migrate(page, is_write)
+                if is_promoted(page):
                     continue
-                self.controller.warm_access(page, line, is_write)
+                warm_access(page, (address >> 6) & 0x3F, is_write)
         self.stats.enabled = True
 
     def run(self, max_ns: Optional[float] = None) -> SimStats:
@@ -495,6 +537,7 @@ class System:
         """
         self.cores.clear()
         self.scheduler._waiting_cores.clear()
+        self._window_constants = None
         if self.migration is not None:
             self.controller.on_page_access = None
             self.migration.on_tlb_shootdown = None

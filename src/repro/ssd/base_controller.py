@@ -12,6 +12,7 @@ write log removes.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional
 
 from repro.config import SimConfig
@@ -62,6 +63,11 @@ class BaseCSSDController:
         # Hoisted per-access constants (config is settled by now).
         self._index_ns = self._ssd.cache_index_ns
         self._dram_ns = self._ssd.dram_access_ns
+        self._sets = self.cache._sets
+        self._num_sets = self.cache.num_sets
+        # Periodic persistence scans at most every quarter interval.
+        interval = self._ssd.dirty_flush_interval_ns
+        self._flush_scan_ns = interval / 4 if interval > 0 else math.inf
         # Controller MSHRs: lpa -> time its in-flight fetch completes.
         self._inflight: Dict[int, float] = {}
         #: Hook the migration engine installs to observe page accesses.
@@ -76,16 +82,24 @@ class BaseCSSDController:
         )
 
     def access_line(
-        self, lpa: int, line: int, is_write: bool, now: float
-    ) -> AccessResult:
+        self, lpa: int, line: int, is_write: bool, now: float,
+        float_hits: bool = False,
+    ):
         """Direct entry taking the decoded address: the host window loop
-        calls this without materialising a :class:`MemRequest`."""
+        calls this without materialising a :class:`MemRequest`.
+
+        With ``float_hits`` an access that cannot carry a hint (a read
+        hit, any write) returns its completion time as a bare float;
+        every other access returns an :class:`AccessResult`.  The stats
+        are the same either way.
+        """
         if self.on_page_access is not None:
             self.on_page_access(lpa, is_write, now)
-        self._periodic_persistence(now)
+        if now - self._last_flush_scan >= self._flush_scan_ns:
+            self._periodic_persistence(now)
         if is_write:
-            return self._write(lpa, line, now)
-        return self._read(lpa, line, now)
+            return self._write(lpa, line, now, float_hits)
+        return self._read(lpa, line, now, float_hits)
 
     def _periodic_persistence(self, now: float) -> None:
         """Write back dirty pages older than the persistence interval.
@@ -164,10 +178,14 @@ class BaseCSSDController:
 
     # -- read path ---------------------------------------------------------------
 
-    def _read(self, lpa: int, line: int, now: float) -> AccessResult:
+    def _read(self, lpa: int, line: int, now: float, float_hits: bool):
         index_ns = self._index_ns
-        entry = self.cache.lookup(lpa, touch_line=line)
+        cache_set = self._sets[lpa % self._num_sets]
+        entry = cache_set.get(lpa)
         if entry is not None:
+            # ``cache.lookup`` inlined: refresh LRU, mark the line touched.
+            cache_set.move_to_end(lpa)
+            entry.touch_mask |= 1 << line
             ready = self._inflight.get(lpa, 0.0)
             if ready > now + index_ns:
                 # Page is resident-in-name but the fetch is still on the
@@ -199,6 +217,8 @@ class BaseCSSDController:
                 stats.amat_indexing_ns += index_ns
                 stats.amat_ssd_dram_ns += dram_ns
                 stats.amat_accesses += 1
+            if float_hits:
+                return now + index_ns + dram_ns
             return AccessResult(
                 complete_ns=now + index_ns + dram_ns,
                 request_class=SSD_READ_HIT,
@@ -229,7 +249,7 @@ class BaseCSSDController:
 
     # -- write path -----------------------------------------------------------------
 
-    def _write(self, lpa: int, line: int, now: float) -> AccessResult:
+    def _write(self, lpa: int, line: int, now: float, float_hits: bool):
         if self._stats.enabled:
             self._stats.host_lines_written += 1
         self._stats.count_request(SSD_WRITE)
@@ -246,6 +266,8 @@ class BaseCSSDController:
                 ssd_dram=self._ssd.dram_access_ns,
                 flash=max(0.0, ready - now - index_ns),
             )
+            if float_hits:
+                return base + self._ssd.dram_access_ns
             return AccessResult(
                 complete_ns=base + self._ssd.dram_access_ns,
                 request_class=SSD_WRITE,
@@ -267,6 +289,8 @@ class BaseCSSDController:
         self._stats.record_amat(
             indexing=index_ns, flash=flash_ns, ssd_dram=self._ssd.dram_access_ns
         )
+        if float_hits:
+            return ready + self._ssd.dram_access_ns
         return AccessResult(
             complete_ns=ready + self._ssd.dram_access_ns,
             request_class=SSD_WRITE,

@@ -6,6 +6,14 @@ cacheline request and receives an :class:`AccessResult` describing when the
 data is ready, how the latency decomposes for AMAT accounting (Fig. 17),
 which request class it belongs to (Fig. 16), and whether the device would
 answer with a ``SkyByte-Delay`` NDR (the context-switch hint of Fig. 7).
+
+The host window loop calls the decoded-address entry
+``access_line(lpa, line, is_write, now, float_hits=False)`` instead.
+With ``float_hits`` the Base-CSSD and SkyByte controllers answer an
+access that cannot carry a hint (an SSD DRAM read hit, any write) with
+its completion time as a bare ``float``; every other access, and every
+access without ``float_hits``, gets an :class:`AccessResult`.  The stats
+are the same either way.
 """
 
 from __future__ import annotations

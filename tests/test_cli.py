@@ -418,3 +418,34 @@ def test_records_env_default(capsys, monkeypatch, tmp_path):
 def test_bad_invocations_exit_nonzero(argv):
     with pytest.raises(SystemExit):
         main(argv)
+
+
+def _profile_rows(out):
+    """``{package: self seconds}`` from ``repro profile``'s table."""
+    rows = {}
+    for line in out.splitlines():
+        parts = line.split()
+        if len(parts) == 3 and (parts[0].startswith("repro")
+                                or parts[0] in ("other", "total")):
+            rows[parts[0]] = float(parts[1])
+    return rows
+
+
+def test_profile_package_rows_sum_to_total(capsys):
+    rc = main(["profile", "tab1-ycsb", "SkyByte-Full", "--records", "300",
+               "--top", "5"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert out.startswith("profile: tab1-ycsb / SkyByte-Full")
+    rows = _profile_rows(out)
+    total = rows.pop("total")
+    assert {"repro.sim", "repro.ssd", "repro.cpu"} <= set(rows)
+    assert abs(sum(rows.values()) - total) <= 0.01 * total
+    assert "top 5 functions by self time:" in out
+    assert len(out.split("top 5 functions by self time:")[1]
+               .strip().splitlines()) == 6  # header + 5
+
+
+def test_profile_unknown_variant_fails_cleanly(capsys):
+    assert main(["profile", "bc", "nope", "--records", R]) == 2
+    assert "unknown" in capsys.readouterr().err

@@ -1,5 +1,9 @@
 """Tests for the Base-CSSD and SkyByte controllers (device behaviour)."""
 
+import random
+
+import pytest
+
 from repro.config import scaled_config
 from repro.core.controller import SkyByteController
 from repro.cxl.protocol import M2SOpcode, MemRequest
@@ -233,3 +237,49 @@ class TestPrefetchInflightRule:
             issued, ready, depth = self._prefetch_after(build, 500.0, 100.0)
             assert ready == 500.0  # no second fetch of the same page
             assert issued == depth - 1
+
+
+class TestFloatHits:
+    """With ``float_hits`` an access that cannot carry a hint (an SSD
+    DRAM read hit, any write) returns its bare completion time; the
+    :class:`AccessResult` path (``access()``) gives the same time and
+    leaves identical stats."""
+
+    @staticmethod
+    def _build(cls, model):
+        config = scaled_config(scale=512).with_device(kind=model)
+        engine = Engine()
+        stats = SimStats()
+        ctrl = cls(config, engine, stats, ctx_switch_enabled=True)
+        ctrl.ftl.precondition(512)
+        return ctrl, engine, stats
+
+    @pytest.mark.parametrize("model", ["flat", "deep"])
+    @pytest.mark.parametrize("cls", [BaseCSSDController, SkyByteController])
+    def test_float_and_result_paths_agree(self, cls, model):
+        rng = random.Random(11)
+        bare, bare_engine, bare_stats = self._build(cls, model)
+        full, full_engine, full_stats = self._build(cls, model)
+        now = 0.0
+        floats = results = 0
+        for _ in range(1500):
+            page, line = rng.randrange(400), rng.randrange(64)
+            is_write = rng.random() < 0.3
+            now += rng.choice([5.0, 60.0, 4000.0])
+            got = bare.access_line(page, line, is_write, now, True)
+            request = (write_req if is_write else read_req)(page, line)
+            want = full.access(request, now)
+            if isinstance(got, float):
+                floats += 1
+                assert got == want.complete_ns
+                assert not want.delay_hint
+                assert want.request_class == (
+                    SSD_WRITE if is_write else SSD_READ_HIT)
+            else:
+                results += 1
+                assert got == want
+                assert got.request_class == SSD_READ_MISS
+            bare_engine.run(until=now)
+            full_engine.run(until=now)
+        assert floats > 300 and results > 100, (floats, results)
+        assert bare_stats.to_dict() == full_stats.to_dict()

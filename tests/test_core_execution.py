@@ -102,7 +102,8 @@ def one_slice(hint_ops, runnable=True, just_resumed=False, est_ns=None):
     issued = []
     real_access_line = system.controller.access_line
 
-    def access_line(lpa, line, is_write, now):
+    def access_line(lpa, line, is_write, now, float_hits=False):
+        # Always an AccessResult, so the hint can be set on it.
         issued.append(lpa)
         result = real_access_line(lpa, line, is_write, now)
         result.delay_hint = lpa in hint_pages
@@ -154,8 +155,8 @@ class TestWindowLoop:
                            switches=1)
         assert system.stats.context_switch_ns == (
             system.config.os.context_switch_ns)
-        resumed = thread.next_window(10_000, 8)
-        assert resumed.ops == [(0, False, page)] + WINDOW[switch_at + 1:]
+        _, resumed = thread.next_window(10_000, 8)
+        assert resumed == [(0, False, page)] + WINDOW[switch_at + 1:]
 
     def test_rewind_leaves_cursor_at_squashed_ops(self):
         _, thread, _ = one_slice([1])

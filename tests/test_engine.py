@@ -192,14 +192,13 @@ def test_determinism_across_instances():
     assert build() == build()
 
 
-# -- same-epoch coalescing: FIFO ordering property ---------------------------
+# -- FIFO ordering property ------------------------------------------------------
 #
-# The batched run loop drains every event queued for one timestamp in a
-# single inner loop.  The property it must preserve: events with equal
-# timestamps execute strictly in insertion order, *including* events a
-# running callback schedules for the current instant (they join the same
-# batch after every older same-time event).  A one-pop-per-event heap
-# loop is the reference semantics; any divergence is a bug.
+# Events with equal timestamps execute strictly in insertion order,
+# *including* events a running callback schedules for the current instant
+# (they run after every older same-time event).  A plain
+# one-pop-per-event heap loop is the reference semantics; any divergence
+# is a bug.
 
 _event_plan = st.lists(
     st.tuples(
@@ -272,3 +271,87 @@ def test_coalesced_batches_preserve_same_timestamp_fifo(plan):
 @given(_event_plan)
 def test_coalesced_run_matches_scalar_reference(plan):
     assert _execute(plan) == _execute(plan, _OnePopEngine)
+
+
+# -- the run loop's edges ------------------------------------------------------
+
+
+def test_until_equal_to_event_time_runs_that_event():
+    engine = Engine()
+    fired = []
+    engine.schedule(10, lambda: fired.append(1))
+    engine.schedule(20, lambda: fired.append(2))
+    assert engine.run(until=10) == 10
+    assert fired == [1]
+    assert engine.pending() == 1
+
+
+def test_overrun_event_goes_back_in_order():
+    """The event past ``until`` is pushed back once; it and its
+    same-time successors later run in their original order, ahead of
+    a same-time event scheduled after the first run."""
+    engine = Engine()
+    fired = []
+    engine.schedule(5, lambda: fired.append("a"))
+    engine.schedule(30, lambda: fired.append("b"))
+    engine.schedule(30, lambda: fired.append("c"))
+    engine.run(until=20)
+    assert (fired, engine.now, engine.pending()) == (["a"], 20, 2)
+    engine.schedule_at(30, lambda: fired.append("d"))
+    engine.run()
+    assert fired == ["a", "b", "c", "d"]
+    assert engine.now == 30
+
+
+def test_stop_mid_instant_keeps_the_rest_queued():
+    engine = Engine()
+    fired = []
+
+    def stopper():
+        fired.append("stop")
+        engine.stop()
+
+    engine.schedule(3, lambda: fired.append(1))
+    engine.schedule(3, stopper)
+    engine.schedule(3, lambda: fired.append(2))
+    engine.schedule(4, lambda: fired.append(3))
+    engine.run()
+    assert fired == [1, "stop"]
+    assert engine.now == 3
+    assert engine.processed == 2
+    engine.run()
+    assert fired == [1, "stop", 2, 3]
+
+
+def test_equal_times_run_fifo_across_schedule_and_schedule_at():
+    engine = Engine()
+    fired = []
+    engine.schedule_at(7.0, lambda: fired.append(1))
+    engine.schedule(7.0, lambda: fired.append(2))
+    engine.schedule_at(7.0, lambda: fired.append(3))
+    engine.run()
+    assert fired == [1, 2, 3]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_event_plan, st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0]))
+def test_run_split_at_until_matches_reference(plan, until):
+    """Running to ``until`` and then on leaves the same order as one
+    uninterrupted reference run."""
+    engine = Engine()
+    order = []
+    tags = iter(range(10_000))
+
+    def make(tag, spawn):
+        def callback():
+            order.append((engine.now, tag))
+            if spawn:
+                engine.schedule(0.0, make(next(tags), False))
+        return callback
+
+    for delay, spawn in plan:
+        engine.schedule(delay, make(next(tags), spawn))
+    engine.run(until=until)
+    assert all(t <= until for t, _tag in order)
+    engine.run()
+    assert order == _execute(plan, _OnePopEngine)

@@ -10,7 +10,9 @@ the two cells where they did not, and why), so a change to the one hot
 path that moves any result fails here.
 
 The named tests below are the cells pinned first; ``test_frozen_digest``
-covers every other Table I cell.
+covers every other Table I cell.  ``test_oversubscribed_digest`` pins
+24-thread runs: the Base-CSSD ones are the cells that reach the core's
+quantum-preemption branch (24 times each).
 """
 
 import hashlib
@@ -65,7 +67,8 @@ def test_all_seven_table1_scenarios_present():
     assert len(TAB1) == 7, TAB1
     assert len(_NAMED) + len(_OTHER) == 154
     assert set(_NAMED) | set(_OTHER) == {
-        k for k in FROZEN if not k.startswith("colocation|")
+        k for k in FROZEN
+        if not k.startswith(("colocation|", "oversubscribed|"))
     }
 
 
@@ -119,6 +122,29 @@ def test_vectorized_identity_deep_device_model(scenario):
 @pytest.mark.parametrize("scenario", ["tab1-bc", "tab1-ycsb"])
 def test_vectorized_identity_deep_base_cssd(scenario):
     _check(scenario, "Base-CSSD", "deep")
+
+
+_OVERSUBSCRIBED = sorted(k for k in FROZEN if k.startswith("oversubscribed|"))
+
+
+def test_oversubscribed_cells_present():
+    assert len(_OVERSUBSCRIBED) == 4, _OVERSUBSCRIBED
+
+
+@pytest.mark.parametrize("key", _OVERSUBSCRIBED)
+def test_oversubscribed_digest(key):
+    """24 threads on the default cores: Base-CSSD never switches on a
+    device hint, so each of its context switches is a quantum
+    preemption; SkyByte-Full switches on hints thousands of times."""
+    _, workload, variant, device_model = key.split("|")
+    result = run_workload(workload, variant, threads=24,
+                          records_per_thread=3000, seed=42,
+                          device_model=device_model)
+    if variant == "Base-CSSD":
+        assert result.stats.context_switches == 24
+    canonical = json.dumps(result.to_dict(), sort_keys=True,
+                           separators=(",", ":"))
+    _assert_frozen(key, canonical)
 
 
 def _colocated(isolation):

@@ -1,6 +1,7 @@
 """Tests for the adaptive page migration engine and hotness policies."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.baselines.tpp import TPPHotnessPolicy
 from repro.config import scaled_config
@@ -205,3 +206,45 @@ class TestTPPHotness:
     def test_invalid_sample_rate(self):
         with pytest.raises(ValueError):
             TPPHotnessPolicy(sample_rate=0.0)
+
+
+class TestRecordAccessReturn:
+    """``record_access`` returns True exactly when a candidate is
+    pending, so the migration hook asks for candidates only then."""
+
+    @staticmethod
+    def _check(policy, accesses):
+        now = 0.0
+        for page, is_write, step in accesses:
+            now += step
+            pending = policy.record_access(page, is_write, now)
+            taken = policy.take_candidates(now)
+            assert pending == bool(taken)
+            for page in taken:
+                if page % 3 == 0:  # some promotions end in a demotion
+                    policy.forget(page)
+
+    @settings(max_examples=100, deadline=None)
+    @given(accesses=st.lists(
+        st.tuples(st.integers(0, 7), st.booleans(), st.sampled_from([0.0, 1.0])),
+        max_size=80,
+    ))
+    def test_skybyte_policy(self, accesses):
+        self._check(SkyByteHotnessPolicy(threshold=3), accesses)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        accesses=st.lists(
+            st.tuples(st.integers(0, 7), st.booleans(),
+                      st.sampled_from([0.0, 1.0, 4.0, 25.0])),
+            max_size=80,
+        ),
+        seed=st.integers(0, 3),
+    )
+    def test_tpp_policy(self, accesses, seed):
+        self._check(TPPHotnessPolicy(sample_rate=0.5, epoch_ns=10.0,
+                                     seed=seed), accesses)
+
+    def test_tpp_rejects_non_positive_epoch(self):
+        with pytest.raises(ValueError):
+            TPPHotnessPolicy(epoch_ns=0.0)

@@ -524,13 +524,13 @@ class TestServiceHTTP:
 # repro serve process lifecycle (the acceptance scenario)
 
 
-def _serve_proc(tmp_path, extra=()):
+def _serve_proc(tmp_path, extra=(), preexec_fn=None):
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--http", "127.0.0.1:0",
          "--state-dir", str(tmp_path / "state"),
          "--cache-dir", str(tmp_path / "cache"), "--jobs", "1", *extra],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-        env=worker_env(),
+        env=worker_env(), preexec_fn=preexec_fn,
     )
     # On restart the requeue announcement precedes the listen line.
     for line in proc.stdout:
@@ -582,16 +582,30 @@ class TestServeProcess:
             proc2.wait(timeout=10)
 
     @staticmethod
-    def _assert_signal_shuts_down(tmp_path, sig):
-        proc, url = _serve_proc(tmp_path)
-        client = ServiceClient(url)
-        client.wait_healthy()
-        proc.send_signal(sig)
-        assert proc.wait(timeout=15) == 0
-        assert "shutting down" in proc.stdout.read()
+    def _assert_signal_shuts_down(tmp_path, sig, preexec_fn=None):
+        proc, url = _serve_proc(tmp_path, preexec_fn=preexec_fn)
+        try:
+            client = ServiceClient(url)
+            client.wait_healthy()
+            proc.send_signal(sig)
+            assert proc.wait(timeout=15) == 0
+            assert "shutting down" in proc.stdout.read()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait(timeout=10)
+            proc.stdout.close()
 
     def test_sigint_exits_cleanly(self, tmp_path):
         self._assert_signal_shuts_down(tmp_path, signal.SIGINT)
+
+    def test_sigint_exits_cleanly_when_started_ignoring_it(self, tmp_path):
+        """A shell that starts ``serve`` in the background hands it
+        SIGINT set to SIG_IGN; Ctrl-C still shuts it down."""
+        self._assert_signal_shuts_down(
+            tmp_path, signal.SIGINT,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+        )
 
     def test_sigterm_exits_cleanly(self, tmp_path):
         """A plain ``kill`` runs the same shutdown path as Ctrl-C."""

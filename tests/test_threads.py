@@ -3,7 +3,7 @@
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.host.threads import ThreadContext, Window
+from repro.host.threads import ThreadContext
 
 
 def make_trace(n=10, gap=5):
@@ -13,26 +13,26 @@ def make_trace(n=10, gap=5):
 class TestWindowBuilding:
     def test_window_bounded_by_ops(self):
         t = ThreadContext(0, make_trace(10))
-        window = t.next_window(max_instructions=1000, max_ops=4)
-        assert len(window.ops) == 4
-        assert window.instructions == 20
+        instructions, ops = t.next_window(max_instructions=1000, max_ops=4)
+        assert len(ops) == 4
+        assert instructions == 20
 
     def test_window_bounded_by_instructions(self):
         t = ThreadContext(0, make_trace(10, gap=100))
-        window = t.next_window(max_instructions=250, max_ops=8)
-        assert len(window.ops) == 2
-        assert window.instructions == 200
+        instructions, ops = t.next_window(max_instructions=250, max_ops=8)
+        assert len(ops) == 2
+        assert instructions == 200
 
     def test_oversized_gap_still_progresses(self):
         t = ThreadContext(0, [(1000, False, 0)])
-        window = t.next_window(max_instructions=100, max_ops=8)
-        assert len(window.ops) == 1
+        _, ops = t.next_window(max_instructions=100, max_ops=8)
+        assert len(ops) == 1
 
     def test_pushback_preserved_across_windows(self):
         t = ThreadContext(0, make_trace(5, gap=100))
         t.next_window(max_instructions=250, max_ops=8)  # takes 2
-        w2 = t.next_window(max_instructions=250, max_ops=8)
-        assert w2.ops[0][2] == 2 * 4096  # third record, not skipped
+        _, ops = t.next_window(max_instructions=250, max_ops=8)
+        assert ops[0][2] == 2 * 4096  # third record, not skipped
 
     def test_exhaustion_returns_none(self):
         t = ThreadContext(0, make_trace(3))
@@ -50,8 +50,8 @@ class TestWindowBuilding:
 class TestSquashReplay:
     def test_squash_after_sets_replay(self):
         t = ThreadContext(0, make_trace(8))
-        window = t.next_window(10_000, 8)
-        replay = t.squash_after(2, window)
+        _, ops = t.next_window(10_000, 8)
+        replay = t.squash_after(2, ops)
         # The triggering op replays with a zero gap (its compute already
         # retired before the exception).
         assert replay == (0, False, 2 * 4096)
@@ -59,42 +59,43 @@ class TestSquashReplay:
 
     def test_replay_comes_first_on_resume(self):
         t = ThreadContext(0, make_trace(8))
-        window = t.next_window(10_000, 8)
-        t.squash_after(2, window)
-        w2 = t.next_window(10_000, 8)
-        assert w2.ops[0] == (0, False, 2 * 4096)
+        _, ops = t.next_window(10_000, 8)
+        t.squash_after(2, ops)
+        _, ops = t.next_window(10_000, 8)
+        assert ops[0] == (0, False, 2 * 4096)
 
     def test_younger_ops_pushed_back_intact(self):
         t = ThreadContext(0, make_trace(8))
-        window = t.next_window(10_000, 4)
-        t.squash_after(1, window)
-        w2 = t.next_window(10_000, 8)
-        addrs = [op[2] for op in w2.ops]
+        _, ops = t.next_window(10_000, 4)
+        t.squash_after(1, ops)
+        _, ops = t.next_window(10_000, 8)
+        addrs = [op[2] for op in ops]
         # replay of op 1, then ops 2, 3 (squashed), then 4...
         assert addrs[:3] == [1 * 4096, 2 * 4096, 3 * 4096]
         # gaps of squashed ops are preserved (not re-zeroed).
-        assert w2.ops[1][0] == 5
+        assert ops[1][0] == 5
 
     def test_no_record_lost_through_squash(self):
         t = ThreadContext(0, make_trace(20))
         seen = []
         while True:
-            w = t.next_window(10_000, 4)
-            if w is None:
+            window = t.next_window(10_000, 4)
+            if window is None:
                 break
-            if len(w.ops) >= 2 and len(seen) < 6:
-                seen.extend(op[2] for op in w.ops[:1])
-                t.squash_after(1, w)
-                seen.append(w.ops[1][2])  # will replay later too
+            _, ops = window
+            if len(ops) >= 2 and len(seen) < 6:
+                seen.extend(op[2] for op in ops[:1])
+                t.squash_after(1, ops)
+                seen.append(ops[1][2])  # will replay later too
             else:
-                seen.extend(op[2] for op in w.ops)
+                seen.extend(op[2] for op in ops)
         # every address observed at least once
         assert {op[2] for op in make_trace(20)} <= set(seen)
 
     def test_done_accounts_for_replay(self):
         t = ThreadContext(0, make_trace(2))
-        w = t.next_window(10_000, 8)
-        t.squash_after(0, w)
+        _, ops = t.next_window(10_000, 8)
+        t.squash_after(0, ops)
         assert not t.done
         t.next_window(10_000, 8)
         assert t.done
@@ -129,22 +130,22 @@ class PushbackReference:
         return None
 
     def next_window(self, max_instructions, max_ops):
-        window = Window(instructions=0)
-        while len(window.ops) < max_ops:
+        instructions, ops = 0, []
+        while len(ops) < max_ops:
             record = self._next_record()
             if record is None:
                 break
-            if window.ops and window.instructions + record[0] > max_instructions:
+            if ops and instructions + record[0] > max_instructions:
                 self.pushback.insert(0, record)  # does not fit: next window
                 break
-            window.instructions += record[0]
-            window.ops.append(record)
-        return window if window.ops else None
+            instructions += record[0]
+            ops.append(record)
+        return (instructions, ops) if ops else None
 
-    def squash_after(self, index, window):
-        triggering = window.ops[index]
+    def squash_after(self, index, ops):
+        triggering = ops[index]
         self.replay = (0, triggering[1], triggering[2])
-        self.pushback = list(window.ops[index + 1:]) + self.pushback
+        self.pushback = list(ops[index + 1:]) + self.pushback
         return self.replay
 
 
@@ -157,10 +158,11 @@ def drive(thread, squashes, max_instructions, max_ops):
         window = thread.next_window(max_instructions, max_ops)
         if window is None:
             return windows
-        windows.append((window.instructions, list(window.ops)))
+        instructions, ops = window
+        windows.append((instructions, list(ops)))
         k = len(windows) - 1
         if k < len(squashes) and squashes[k] is not None:
-            thread.squash_after(squashes[k] % len(window.ops), window)
+            thread.squash_after(squashes[k] % len(ops), ops)
 
 
 class TestCursorRewind:
@@ -233,8 +235,8 @@ class TestResumeWindow:
             thread.replay = replay
         got = planned.next_window(max_instructions, max_ops)
         want = looped.next_window(max_instructions, max_ops)
-        assert (got.instructions, got.ops) == (want.instructions, want.ops)
-        assert got.ops[0] == replay
+        assert got == want
+        assert got[1][0] == replay
         # A record that did not fit went back to the reference's list.
         assert (planned.pos, planned.replay) == (
             looped.pos - len(looped.pushback), looped.replay)
