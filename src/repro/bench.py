@@ -1,10 +1,10 @@
 """Speed gate: ``repro bench``.
 
-Runs the repository benchmark, ``perfbench/run.py --workload W --seed 1
---trace 0``, on the two in-process workloads (``cells-flat`` and
-``cells-deep-gc``) and writes ``BENCH_speed.json`` (schema 2): each
-workload's result line, its host calibration and timed pass walls, the
-git sha, python and platform.
+Runs the repository benchmark, ``perfbench/run.py --workload W --seed N
+--trace 0`` (``--seed``, default 1), on the two in-process workloads
+(``cells-flat`` and ``cells-deep-gc``) and writes ``BENCH_speed.json``
+(schema 2): each workload's result line, its host calibration and timed
+pass walls, the seed, git sha, python and platform.
 
 ``--against DIR`` turns the run into a same-host A/B gate.  Each of
 ``--pairs`` pairs runs DIR's perfbench and this checkout's side by side,
@@ -12,7 +12,9 @@ each process pinned to its own core (the cores swap every pair), so
 both sides of a pair see the same host state.  The gate fails (exit 1)
 when any run reports ``correct: false`` or ``failed > 0``, or when on
 either workload the median per-pair ``accesses_per_s`` ratio (this tree
-over DIR) falls below :data:`FLOOR`.  Same-host pairs need neither a
+over DIR) falls below :data:`FLOOR` or the median per-pair
+``peak_rss_mb`` ratio rises above :data:`RSS_CEILING`.  Same-host pairs
+need neither a
 calibration nor a committed baseline; ``docs/PERFORMANCE.md`` records
 the A/A spread the floor was set from.
 """
@@ -31,26 +33,32 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 SCHEMA_VERSION = 2
 DEFAULT_OUT = "BENCH_speed.json"
 DEFAULT_PAIRS = 5
+DEFAULT_SEED = 1
 WORKLOADS = ("cells-flat", "cells-deep-gc")
 #: The gate fails when a workload's median per-pair ``accesses_per_s``
 #: ratio (this tree / the ``--against`` tree) is below this.
 FLOOR = 0.85
+#: The gate fails when a workload's median per-pair ``peak_rss_mb``
+#: ratio (this tree / the ``--against`` tree) is above this.
+RSS_CEILING = 1.10
 #: The checkout this module belongs to (``src/repro/bench.py``).
 ROOT = Path(__file__).resolve().parents[2]
 
-#: ``launch(root, workload, cpu)`` starts one perfbench run (pinned to
-#: ``cpu`` unless it is None) and returns a function that waits for it
+#: ``launch(root, workload, cpu, seed)`` starts one perfbench run (pinned
+#: to ``cpu`` unless it is None) and returns a function that waits for it
 #: and returns its :func:`parse_output` entry.
-Launch = Callable[[Path, str, Optional[int]], Callable[[], Dict[str, object]]]
+Launch = Callable[[Path, str, Optional[int], int],
+                  Callable[[], Dict[str, object]]]
 
 
 class BenchError(RuntimeError):
     """A perfbench run that failed or printed no result."""
 
 
-def perfbench_command(root: Path, workload: str) -> List[str]:
+def perfbench_command(root: Path, workload: str,
+                      seed: int = DEFAULT_SEED) -> List[str]:
     return [sys.executable, str(root / "perfbench" / "run.py"),
-            "--workload", workload, "--seed", "1", "--trace", "0"]
+            "--workload", workload, "--seed", str(seed), "--trace", "0"]
 
 
 def parse_output(stdout: str) -> Dict[str, object]:
@@ -70,11 +78,11 @@ def parse_output(stdout: str) -> Dict[str, object]:
 
 
 def launch_perfbench(
-    root: Path, workload: str, cpu: Optional[int]
+    root: Path, workload: str, cpu: Optional[int], seed: int = DEFAULT_SEED
 ) -> Callable[[], Dict[str, object]]:
     """Start ``root``'s perfbench on ``workload`` in the background."""
     proc = subprocess.Popen(
-        perfbench_command(root, workload), cwd=root,
+        perfbench_command(root, workload, seed), cwd=root,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
     if cpu is not None:
@@ -90,8 +98,16 @@ def launch_perfbench(
     return wait
 
 
+def metric(entry: Mapping[str, object], name: str) -> float:
+    return float(entry["result"]["metrics"][name]["value"])
+
+
 def accesses_per_s(entry: Mapping[str, object]) -> float:
-    return float(entry["result"]["metrics"]["accesses_per_s"]["value"])
+    return metric(entry, "accesses_per_s")
+
+
+def peak_rss_mb(entry: Mapping[str, object]) -> float:
+    return metric(entry, "peak_rss_mb")
 
 
 def git_sha(root: Path) -> Optional[str]:
@@ -114,14 +130,14 @@ def git_sha(root: Path) -> Optional[str]:
 
 def _run_pair(
     launch: Launch, workload: str, sides: Sequence[Tuple[Path, int]],
-    side_by_side: bool,
+    side_by_side: bool, seed: int,
 ) -> List[Dict[str, object]]:
     """Run each ``(root, cpu)`` of ``sides`` on ``workload``: all at once
     when ``side_by_side``, else one after the other in order."""
     if side_by_side:
-        waits = [launch(root, workload, cpu) for root, cpu in sides]
+        waits = [launch(root, workload, cpu, seed) for root, cpu in sides]
         return [wait() for wait in waits]
-    return [launch(root, workload, cpu)() for root, cpu in sides]
+    return [launch(root, workload, cpu, seed)() for root, cpu in sides]
 
 
 def run_bench(
@@ -131,6 +147,7 @@ def run_bench(
     cpus: Optional[Sequence[int]] = None,
     root: Path = ROOT,
     echo: Callable[[str], None] = lambda _line: None,
+    seed: int = DEFAULT_SEED,
 ) -> Dict[str, object]:
     """Assemble the ``BENCH_speed.json`` payload.
 
@@ -146,12 +163,13 @@ def run_bench(
         "git_sha": git_sha(root),
         "python": platform.python_version(),
         "platform": sys.platform,
-        "command": " ".join(perfbench_command(Path("."), "W")[1:]),
+        "command": " ".join(perfbench_command(Path("."), "W", seed)[1:]),
+        "seed": seed,
         "workloads": {},
     }
     if against is None:
         for workload in WORKLOADS:
-            entry = launch(root, workload, None)()
+            entry = launch(root, workload, None, seed)()
             payload["workloads"][workload] = entry
             echo(f"{workload}: {accesses_per_s(entry):,.0f} accesses/s")
         return payload
@@ -169,25 +187,31 @@ def run_bench(
             # Odd pairs also start the other side first (which matters
             # only when the two run one after the other).
             got = _run_pair(launch, workload, sides[::-1] if swap else sides,
-                            side_by_side)
+                            side_by_side, seed)
             this, base = got[::-1] if swap else got
             ratio = accesses_per_s(this) / accesses_per_s(base)
+            rss_ratio = peak_rss_mb(this) / peak_rss_mb(base)
             runs[workload].append({
                 "this": this, "base": base, "ratio": ratio,
-                "cpus": [this_cpu, base_cpu],
+                "rss_ratio": rss_ratio, "cpus": [this_cpu, base_cpu],
             })
             payload["workloads"][workload] = this
             echo(f"pair {index + 1} {workload}: this/base "
                  f"{accesses_per_s(this):,.0f}/{accesses_per_s(base):,.0f}"
-                 f" accesses/s = {ratio:.3f}")
+                 f" accesses/s = {ratio:.3f}, "
+                 f"{peak_rss_mb(this):.1f}/{peak_rss_mb(base):.1f}"
+                 f" peak MB = {rss_ratio:.3f}")
     payload["against"] = {
         "dir": str(against),
         "git_sha": git_sha(against),
         "floor": FLOOR,
+        "rss_ceiling": RSS_CEILING,
         "side_by_side": side_by_side,
         "workloads": {
             workload: {
                 "median_ratio": statistics.median(r["ratio"] for r in rs),
+                "median_rss_ratio": statistics.median(
+                    r["rss_ratio"] for r in rs),
                 "pairs": rs,
             }
             for workload, rs in runs.items()
@@ -209,6 +233,10 @@ def compare(payload: Mapping[str, object]) -> List[str]:
             slow.append(f"{workload}: median accesses_per_s ratio "
                         f"{data['median_ratio']:.3f} is below the floor "
                         f"{against['floor']:.2f}")
+        if data["median_rss_ratio"] > against["rss_ceiling"]:
+            slow.append(f"{workload}: median peak_rss_mb ratio "
+                        f"{data['median_rss_ratio']:.3f} is above the "
+                        f"ceiling {against['rss_ceiling']:.2f}")
     wrong = [f"{name}: correct={r.get('correct')} failed={r.get('failed')}"
              for name, r in checks
              if r.get("correct") is not True or r.get("failed") != 0]
@@ -230,6 +258,8 @@ def add_arguments(parser) -> None:
     parser.add_argument("--pairs", type=int, default=DEFAULT_PAIRS,
                         help=f"A/B pairs with --against (default "
                              f"{DEFAULT_PAIRS})")
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                        help=f"perfbench panel seed (default {DEFAULT_SEED})")
 
 
 def run_from_args(args, launch: Launch = launch_perfbench,
@@ -247,7 +277,8 @@ def run_from_args(args, launch: Launch = launch_perfbench,
         return 2
     try:
         payload = run_bench(against, args.pairs, launch=launch, cpus=cpus,
-                            echo=lambda line: print(line, flush=True))
+                            echo=lambda line: print(line, flush=True),
+                            seed=args.seed)
     except BenchError as exc:
         print(f"bench: {exc}", file=sys.stderr)
         return 1
@@ -262,8 +293,8 @@ def run_from_args(args, launch: Launch = launch_perfbench,
         return 1
     if against is not None:
         medians = ", ".join(
-            f"{w} {d['median_ratio']:.3f}"
+            f"{w} {d['median_ratio']:.3f} (peak MB {d['median_rss_ratio']:.3f})"
             for w, d in payload["against"]["workloads"].items())
         print(f"speed gate passed: median ratios {medians} "
-              f"(floor {FLOOR:.2f})")
+              f"(floor {FLOOR:.2f}, peak MB ceiling {RSS_CEILING:.2f})")
     return 0

@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence
 
 from repro.config import SimConfig
 from repro.host.scheduler import Scheduler
-from repro.host.threads import ThreadContext, TraceRecord
+from repro.host.threads import ThreadContext
 from repro.sim.engine import Engine
 from repro.ssd.interface import AccessResult
 
@@ -137,9 +137,11 @@ class Core:
             end = pos + plan[pos]
             cum = thread._cum
             instructions = cum[end] - cum[pos]
-            ops = thread.trace[pos:end]
+            ops = thread._ops[pos:end]
             thread.pos = end
+            replayed = False
         else:
+            replayed = thread.replay is not None
             window = thread.next_window(self._rob_instructions, self._mlp)
             if window is None:
                 self._finish_thread(thread)
@@ -157,7 +159,8 @@ class Core:
                 ops, now, self.core_id, thread.tid, just_resumed
             )
             if trigger is not None:
-                self._context_switch(thread, ops, completes, trigger, now)
+                self._context_switch(thread, ops, completes, trigger, now,
+                                     replayed)
                 return
 
         # Retire: every completion is later than ``now``, so the wall is
@@ -191,17 +194,25 @@ class Core:
     def _context_switch(
         self,
         thread: ThreadContext,
-        ops: Sequence[TraceRecord],
+        ops: Sequence[int],
         completes: List[float],
         triggering: AccessResult,
         now: float,
+        replayed: bool,
     ) -> None:
         """Take the Long Delay Exception at op ``len(completes)`` of the
         window ``ops``; ``completes`` are the older ops' completion
-        times."""
-        executed_instr = 0
-        for op in ops[: len(completes) + 1]:
-            executed_instr += op[0]
+        times.  ``replayed`` says the window opens with the replayed op
+        of the previous switch.
+
+        The window's trace records end at ``thread.pos``, so the gaps of
+        the ops up to the trigger are one prefix-sum difference: ops
+        ``0..len(completes)``, without the replay (gap 0)."""
+        first = thread.pos - len(ops)
+        cum = thread._cum
+        executed_instr = (
+            cum[first + len(completes) + 1] - cum[first + replayed]
+        )
         compute_ns = executed_instr * self._cycle_ns / self._ipc
         # In-order retirement: the exception fires after every older op in
         # the window has completed and the NDR hint has arrived.

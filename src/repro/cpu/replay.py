@@ -59,7 +59,9 @@ def filter_trace(
     exactly how an interval model accounts for on-chip work.
 
     Args:
-        trace: (gap, is_write, address) records at reference granularity.
+        trace: (gap, is_write, address) records at reference granularity
+            (a compact :class:`~repro.workloads.trace.Trace` iterates as
+            these).
         config: CPU configuration (cache shapes/MSHRs); default Table II.
         core: which core's private L1/L2 to use.
         hierarchy: optionally share one hierarchy across calls (e.g. to

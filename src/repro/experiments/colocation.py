@@ -80,7 +80,7 @@ class ColocatedSystem(System):
         # so tenant time-per-instruction is directly comparable to the
         # solo baseline's stats.instructions.
         for trace, owner in zip(plan.traces, plan.tenant_of_thread):
-            self.tenant_stats[owner].instructions += sum(r[0] for r in trace)
+            self.tenant_stats[owner].instructions += trace.cum[-1]
 
     def _mirror_access(
         self, tid: int, request_class: str, latency: float,

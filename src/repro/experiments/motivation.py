@@ -180,7 +180,7 @@ def _replay_locality(
         if entry.dirty:
             writes.record(entry.lines_dirty)
 
-    for _gap, is_write, address in trace:
+    for _gap, is_write, address in trace.records():
         page = address // PAGE_SIZE
         line = (address // 64) % CACHELINES_PER_PAGE
         entry = cache.lookup(page, touch_line=line)

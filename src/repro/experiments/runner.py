@@ -14,9 +14,10 @@ All benchmarks, examples and figure drivers go through
 from __future__ import annotations
 
 import os
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import DeviceModelConfig, SimConfig, scaled_config
 from repro.scenarios.library import find_scenario
@@ -25,7 +26,7 @@ from repro.sim.stats import SimStats
 from repro.sim.system import System
 from repro.variants import DesignVariant, get_variant
 from repro.workloads.suites import canonical_workload, get_model
-from repro.workloads.trace import TraceRecord
+from repro.workloads.trace import Trace, TraceRecord
 
 DEFAULT_SCALE = 512
 
@@ -145,40 +146,60 @@ def build_config(
     return config
 
 
-#: Memoized (traces, mlp) per resolved generation key.  Trace synthesis
-#: is deterministic in ``(workload, threads, records, scale, seed)`` and
-#: consumers never mutate the record lists (windows copy slices out of
-#: them), so sweep cells that differ only in design variant share
-#: one generated trace instead of re-running the per-record synthesis.
-_TRACE_MEMO: "OrderedDict[Tuple, Tuple[List[List[TraceRecord]], int]]" = (
-    OrderedDict()
-)
+#: Memoized per-thread traces and MLP per generation key.  Trace
+#: synthesis is deterministic in ``(workload, records, scale, seed, tid)``
+#: and, when the footprint is partitioned, the thread count; traces are
+#: never mutated (windows slice their packed ops), so sweep cells that
+#: differ only in design variant or thread count share one generated
+#: copy, along with the window plans cached on it.  An entry keeps the
+#: traces of threads ``0..n-1``; a request for more threads generates
+#: only the missing ones.
+_TRACE_MEMO: "OrderedDict[Tuple, Tuple[List[Trace], int]]" = OrderedDict()
 _TRACE_MEMO_MAX = 16
+#: Guards the memo's check-then-act updates (thread-backend sweeps run
+#: cells on threads); generation runs outside it, and two threads that
+#: generate the same key produce equal traces.
+_TRACE_MEMO_LOCK = threading.Lock()
 
 
 def _traces_for(
     workload: str, threads: int, records: int, scale: int, seed: int
-) -> Tuple[List[List[TraceRecord]], int]:
+) -> Tuple[List[Trace], int]:
     """Per-thread traces and the workload's MLP, for a Table I name
     (seed model) or a scenario name (phase DSL).
 
-    Memoized (bounded LRU).
+    Memoized (bounded LRU).  Thread ``t``'s trace is the same at every
+    thread count unless the workload partitions its footprint (``radix``,
+    ``analytics-scan``, ``tab1-radix``), so only those are keyed by the
+    thread count.
     """
-    key = (workload, threads, records, scale, seed)
-    hit = _TRACE_MEMO.get(key)
-    if hit is not None:
+    generate, mlp, partitioned = _trace_source(workload, scale, seed)
+    key = (workload, records, scale, seed, threads if partitioned else None)
+    with _TRACE_MEMO_LOCK:
+        hit = _TRACE_MEMO.get(key)
+    traces = hit[0] if hit is not None else []
+    if len(traces) < threads:
+        # A new list, not an in-place extend: another thread may be
+        # reading the cached one.
+        traces = traces + generate(
+            threads, records, range(len(traces), threads)
+        )
+    with _TRACE_MEMO_LOCK:
+        cached = _TRACE_MEMO.get(key)
+        if cached is None or len(cached[0]) < len(traces):
+            _TRACE_MEMO[key] = (traces, mlp)
         _TRACE_MEMO.move_to_end(key)
-        return hit
-    generated = _generate_traces(workload, threads, records, scale, seed)
-    _TRACE_MEMO[key] = generated
-    while len(_TRACE_MEMO) > _TRACE_MEMO_MAX:
-        _TRACE_MEMO.popitem(last=False)
-    return generated
+        while len(_TRACE_MEMO) > _TRACE_MEMO_MAX:
+            _TRACE_MEMO.popitem(last=False)
+    return traces[:threads], mlp
 
 
-def _generate_traces(
-    workload: str, threads: int, records: int, scale: int, seed: int
-) -> Tuple[List[List[TraceRecord]], int]:
+def _trace_source(
+    workload: str, scale: int, seed: int
+) -> Tuple[Callable[[int, int, Sequence[int]], List[Trace]], int, bool]:
+    """``(generate(threads, records, tids), mlp, partitioned)`` for a
+    Table I name or a scenario name.  Generation goes through
+    :meth:`WorkloadModel.generate` or :meth:`Scenario.generate`."""
     try:
         name = canonical_workload(workload)
     except KeyError:
@@ -191,10 +212,15 @@ def _generate_traces(
                 f"unknown workload or scenario {workload!r}; workloads: "
                 f"{sorted(TABLE_I)}; scenarios: {scenario_names()}"
             ) from None
-        traces = scenario.generate(threads, records, scale=scale, seed=seed)
-        return traces, scenario.mlp
+
+        def generate_scenario(threads, records, tids):
+            return scenario.generate(threads, records, scale=scale,
+                                     seed=seed, tids=tids)
+
+        return (generate_scenario, scenario.mlp,
+                scenario.depends_on_thread_count)
     model = get_model(name, scale=scale, seed=seed)
-    return model.generate(threads, records), model.spec.mlp
+    return model.generate, model.spec.mlp, model.spec.partitioned
 
 
 def resolve_run(

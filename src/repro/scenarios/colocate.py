@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.config import PAGE_SIZE
 from repro.scenarios.library import get_scenario
 from repro.scenarios.phases import Scenario
-from repro.workloads.trace import TraceRecord
+from repro.workloads.trace import Trace
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class ColocationPlan:
 
     tenants: List[Tenant]
     scenarios: List[Scenario]
-    traces: List[List[TraceRecord]]
+    traces: List[Trace]
     #: Global thread id -> tenant index.
     tenant_of_thread: List[int]
     #: Per tenant: (base_page, pages) of its address partition.
@@ -142,7 +142,7 @@ def build_colocation(
     if not tenants:
         raise ValueError("colocation needs at least one tenant")
     scenarios = [get_scenario(t.scenario) for t in tenants]
-    traces: List[List[TraceRecord]] = []
+    traces: List[Trace] = []
     tenant_of_thread: List[int] = []
     partitions: List[Tuple[int, int]] = []
     base_page = 0
@@ -153,7 +153,7 @@ def build_colocation(
         for trace in scenario.generate(
             tenant.threads, records, scale=scale, seed=tenant.seed
         ):
-            traces.append([(g, w, a + offset) for g, w, a in trace])
+            traces.append(trace.shifted(offset))
             tenant_of_thread.append(index)
         partitions.append((base_page, pages))
         base_page += pages

@@ -30,12 +30,13 @@ provenance and how the sweep cache keys scenario cells.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, List, Tuple, Type
+from functools import lru_cache
+from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
 from repro.config import CACHELINE_SIZE, CACHELINES_PER_PAGE, PAGE_SIZE
-from repro.workloads.trace import TraceRecord
+from repro.workloads.trace import Trace
 
 
 @dataclass(frozen=True)
@@ -61,17 +62,21 @@ class Phase:
     Subclasses are frozen dataclasses with a ``kind`` class attribute
     (the serialization tag) and a ``weight`` field (its share of the
     scenario's records).  ``generate`` must be deterministic given
-    ``(ctx, rng)`` and return ``records`` trace records (the synthesis
-    primitives are exact; :class:`TableIPhase` inherits the seed
-    models' best-effort count, which can land a few records short).
+    ``(ctx, rng)`` and return a :class:`~repro.workloads.trace.Trace` of
+    ``records`` records (the synthesis primitives are exact;
+    :class:`TableIPhase` inherits the seed models' best-effort count,
+    which can land a few records short).
     """
 
     kind: str = ""
     weight: float = 1.0
+    #: Whether a thread's records depend on the thread count even when
+    #: the scenario itself is not partitioned.
+    partitioned: bool = False
 
     def generate(
         self, ctx: PhaseContext, rng: np.random.Generator, records: int
-    ) -> List[TraceRecord]:
+    ) -> Trace:
         raise NotImplementedError
 
     # -- serialization (shared by every primitive) -------------------------
@@ -83,8 +88,13 @@ class Phase:
         return data
 
 
-def _addr(page: int, line: int) -> int:
-    return page * PAGE_SIZE + line * CACHELINE_SIZE
+def _op(page: int, line: int, is_write: bool) -> int:
+    """The packed op ``(address << 1) | is_write`` of one access."""
+    return ((page * PAGE_SIZE + line * CACHELINE_SIZE) << 1) | is_write
+
+
+#: A phase asked for no records.
+_EMPTY = Trace.from_parts([], [])
 
 
 def _gaps(rng: np.random.Generator, mpki: float, n: int) -> np.ndarray:
@@ -131,24 +141,24 @@ class ZipfPhase(Phase):
 
     def generate(
         self, ctx: PhaseContext, rng: np.random.Generator, records: int
-    ) -> List[TraceRecord]:
-        out: List[TraceRecord] = []
+    ) -> Trace:
         if records <= 0:
-            return out
+            return _EMPTY
+        out: List[int] = []
         mean_burst = max(1.0, self.burst_mean)
         sample = _zipf_sampler(rng, self.alpha, ctx.pages)
-        gaps = _gaps(rng, self.mpki, records)
+        gaps = _gaps(rng, self.mpki, records).tolist()
         # Outer loop refills visit batches until the exact count is met
         # (a fixed visit estimate can undershoot when bursts run long).
         while len(out) < records:
             batch = max(1, int((records - len(out)) / mean_burst) + 8)
-            bursts = _bursts(rng, mean_burst, batch)
-            pages = sample(batch)
+            bursts = _bursts(rng, mean_burst, batch).tolist()
+            pages = sample(batch).tolist()
             for v in range(batch):
                 if len(out) >= records:
                     break
-                page = ctx.base_page + int(pages[v])
-                burst = int(bursts[v])
+                page = ctx.base_page + pages[v]
+                burst = bursts[v]
                 if self.in_page_sequential:
                     start = int(rng.integers(0, CACHELINES_PER_PAGE))
                     lines = [(start + i) % CACHELINES_PER_PAGE
@@ -159,13 +169,12 @@ class ZipfPhase(Phase):
                         size=min(burst, CACHELINES_PER_PAGE),
                         replace=False,
                     ).tolist()
-                writes = rng.random(len(lines)) < self.write_ratio
+                writes = (rng.random(len(lines)) < self.write_ratio).tolist()
                 for i, line in enumerate(lines):
-                    out.append((int(gaps[len(out)]), bool(writes[i]),
-                                _addr(page, int(line))))
+                    out.append(_op(page, line, writes[i]))
                     if len(out) >= records:
                         break
-        return out
+        return Trace.from_parts(gaps, out)
 
 
 @dataclass(frozen=True)
@@ -183,24 +192,23 @@ class ScanPhase(Phase):
 
     def generate(
         self, ctx: PhaseContext, rng: np.random.Generator, records: int
-    ) -> List[TraceRecord]:
-        out: List[TraceRecord] = []
+    ) -> Trace:
         if records <= 0:
-            return out
+            return _EMPTY
+        out: List[int] = []
         lines_per_page = max(1, min(self.lines_per_page, CACHELINES_PER_PAGE))
         stride = max(1, self.stride_pages)
         cursor = int(rng.integers(0, ctx.pages))
-        gaps = _gaps(rng, self.mpki, records)
-        writes = rng.random(records) < self.write_ratio
+        gaps = _gaps(rng, self.mpki, records).tolist()
+        writes = (rng.random(records) < self.write_ratio).tolist()
         while len(out) < records:
             page = ctx.base_page + (cursor % ctx.pages)
             cursor += stride
             for line in range(lines_per_page):
-                i = len(out)
-                out.append((int(gaps[i]), bool(writes[i]), _addr(page, line)))
+                out.append(_op(page, line, writes[len(out)]))
                 if len(out) >= records:
                     break
-        return out
+        return Trace.from_parts(gaps, out)
 
 
 @dataclass(frozen=True)
@@ -221,20 +229,19 @@ class PointerChasePhase(Phase):
 
     def generate(
         self, ctx: PhaseContext, rng: np.random.Generator, records: int
-    ) -> List[TraceRecord]:
-        out: List[TraceRecord] = []
+    ) -> Trace:
         if records <= 0:
-            return out
-        perm = rng.permutation(ctx.pages)
+            return _EMPTY
+        perm = rng.permutation(ctx.pages).tolist()
         start = int(rng.integers(0, ctx.pages))
-        gaps = _gaps(rng, self.mpki, records)
-        writes = rng.random(records) < self.write_ratio
-        lines = rng.integers(0, CACHELINES_PER_PAGE, size=records)
-        for i in range(records):
-            page = int(perm[(start + i) % ctx.pages])
-            out.append((int(gaps[i]), bool(writes[i]),
-                        _addr(ctx.base_page + page, int(lines[i]))))
-        return out
+        gaps = _gaps(rng, self.mpki, records).tolist()
+        writes = (rng.random(records) < self.write_ratio).tolist()
+        lines = rng.integers(0, CACHELINES_PER_PAGE, size=records).tolist()
+        base, pages = ctx.base_page, ctx.pages
+        return Trace.from_parts(gaps, [
+            _op(base + perm[(start + i) % pages], lines[i], writes[i])
+            for i in range(records)
+        ])
 
 
 @dataclass(frozen=True)
@@ -259,30 +266,31 @@ class BurstyWritePhase(Phase):
 
     def generate(
         self, ctx: PhaseContext, rng: np.random.Generator, records: int
-    ) -> List[TraceRecord]:
-        out: List[TraceRecord] = []
+    ) -> Trace:
         if records <= 0:
-            return out
+            return _EMPTY
+        gaps: List[int] = []
+        out: List[int] = []
         frac = min(max(self.region_fraction, 1.0 / max(ctx.pages, 1)), 1.0)
         region_pages = max(1, int(ctx.pages * frac))
         region_base = ctx.base_page + ctx.pages - region_pages
         burst = max(1, self.burst_lines)
         cursor = int(rng.integers(0, region_pages * CACHELINES_PER_PAGE))
         idle = rng.exponential(max(1.0, self.idle_gap_mean),
-                               size=records).astype(np.int64)
+                               size=records).astype(np.int64).tolist()
         inner = rng.exponential(max(1.0, self.inner_gap_mean),
-                                size=records).astype(np.int64)
+                                size=records).astype(np.int64).tolist()
         while len(out) < records:
             for b in range(burst):
                 i = len(out)
-                gap = int(idle[i]) if b == 0 else int(inner[i])
+                gaps.append(idle[i] if b == 0 else inner[i])
                 page = region_base + (cursor // CACHELINES_PER_PAGE) % region_pages
                 line = cursor % CACHELINES_PER_PAGE
                 cursor += 1
-                out.append((gap, True, _addr(page, line)))
+                out.append(_op(page, line, True))
                 if len(out) >= records:
                     break
-        return out
+        return Trace.from_parts(gaps, out)
 
 
 @dataclass(frozen=True)
@@ -304,39 +312,38 @@ class DriftPhase(Phase):
 
     def generate(
         self, ctx: PhaseContext, rng: np.random.Generator, records: int
-    ) -> List[TraceRecord]:
-        out: List[TraceRecord] = []
+    ) -> Trace:
         if records <= 0:
-            return out
+            return _EMPTY
+        out: List[int] = []
         window = max(1, int(ctx.pages * min(max(self.window_fraction, 0.0), 1.0)))
         mean_burst = max(1.0, self.burst_mean)
         sample = _zipf_sampler(rng, self.alpha, window)
-        gaps = _gaps(rng, self.mpki, records)
+        gaps = _gaps(rng, self.mpki, records).tolist()
         origin = float(rng.integers(0, ctx.pages))
         # Refill visit batches until the exact count is met; the window
         # origin keeps drifting across batches.
         while len(out) < records:
             batch = max(1, int((records - len(out)) / mean_burst) + 8)
-            bursts = _bursts(rng, mean_burst, batch)
-            offsets = sample(batch)
+            bursts = _bursts(rng, mean_burst, batch).tolist()
+            offsets = sample(batch).tolist()
             for v in range(batch):
                 if len(out) >= records:
                     break
-                page = ctx.base_page + (int(origin) + int(offsets[v])) % ctx.pages
+                page = ctx.base_page + (int(origin) + offsets[v]) % ctx.pages
                 origin += self.drift_per_visit
-                burst = int(bursts[v])
+                burst = bursts[v]
                 lines = rng.choice(
                     CACHELINES_PER_PAGE,
                     size=min(burst, CACHELINES_PER_PAGE),
                     replace=False,
                 ).tolist()
-                writes = rng.random(len(lines)) < self.write_ratio
+                writes = (rng.random(len(lines)) < self.write_ratio).tolist()
                 for i, line in enumerate(lines):
-                    out.append((int(gaps[len(out)]), bool(writes[i]),
-                                _addr(page, int(line))))
+                    out.append(_op(page, line, writes[i]))
                     if len(out) >= records:
                         break
-        return out
+        return Trace.from_parts(gaps, out)
 
 
 @dataclass(frozen=True)
@@ -353,18 +360,31 @@ class TableIPhase(Phase):
     workload: str = "bc"
     weight: float = 1.0
 
-    def generate(
-        self, ctx: PhaseContext, rng: np.random.Generator, records: int
-    ) -> List[TraceRecord]:
-        # Local import: repro.workloads.suites must stay importable
-        # without this package (it is lower in the layer map).
-        from repro.workloads.models import WorkloadModel
+    @property
+    def partitioned(self) -> bool:  # type: ignore[override]
         from repro.workloads.suites import get_spec
 
+        return get_spec(self.workload).partitioned
+
+    def generate(
+        self, ctx: PhaseContext, rng: np.random.Generator, records: int
+    ) -> Trace:
         del rng  # the model derives its own generators from (seed, tid)
-        model = WorkloadModel(get_spec(self.workload), scale=ctx.scale,
-                              seed=ctx.seed)
+        model = _table1_model(self.workload, ctx.scale, ctx.seed)
         return model.generate_thread(ctx.tid, ctx.threads, records)
+
+
+@lru_cache(maxsize=32)
+def _table1_model(workload: str, scale: int, seed: int):
+    """One :class:`~repro.workloads.models.WorkloadModel` per ``(workload,
+    scale, seed)``, so its Zipf CDF, page permutation and hot-write set
+    are built once for all of a scenario's threads."""
+    # Local import: repro.workloads.suites must stay importable
+    # without this package (it is lower in the layer map).
+    from repro.workloads.models import WorkloadModel
+    from repro.workloads.suites import get_spec
+
+    return WorkloadModel(get_spec(workload), scale=scale, seed=seed)
 
 
 #: Serialization tag -> primitive class.
@@ -421,6 +441,12 @@ class Scenario:
         counts[-1] += records - sum(counts)
         return counts
 
+    @property
+    def depends_on_thread_count(self) -> bool:
+        """Whether thread ``t``'s trace changes with the thread count: the
+        scenario or one of its phases partitions the footprint."""
+        return self.partitioned or any(p.partitioned for p in self.phases)
+
     def generate_thread(
         self,
         tid: int,
@@ -428,7 +454,7 @@ class Scenario:
         records: int,
         scale: int = 1,
         seed: int = 42,
-    ) -> List[TraceRecord]:
+    ) -> Trace:
         """One thread's trace: each phase contributes its weighted share."""
         if not self.phases:
             raise ValueError(f"scenario {self.name!r} has no phases")
@@ -440,7 +466,7 @@ class Scenario:
         else:
             base_page = 0
             local_pages = pages
-        out: List[TraceRecord] = []
+        parts: List[Trace] = []
         for index, (phase, count) in enumerate(
             zip(self.phases, self._record_split(records))
         ):
@@ -455,8 +481,8 @@ class Scenario:
                 tid=tid,
                 threads=threads,
             )
-            out.extend(phase.generate(ctx, rng, count))
-        return out
+            parts.append(phase.generate(ctx, rng, count))
+        return Trace.concat(parts)
 
     def generate(
         self,
@@ -464,12 +490,16 @@ class Scenario:
         records_per_thread: int,
         scale: int = 1,
         seed: int = 42,
-    ) -> List[List[TraceRecord]]:
-        """Per-thread traces (the :class:`WorkloadModel.generate` shape)."""
+        tids: Optional[Sequence[int]] = None,
+    ) -> List[Trace]:
+        """Per-thread traces for thread ids ``tids`` (default: all
+        ``threads``; the :class:`WorkloadModel.generate` shape)."""
+        if tids is None:
+            tids = range(threads)
         return [
             self.generate_thread(tid, threads, records_per_thread,
                                  scale=scale, seed=seed)
-            for tid in range(threads)
+            for tid in tids
         ]
 
     # -- serialization -----------------------------------------------------

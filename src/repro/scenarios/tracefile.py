@@ -167,6 +167,9 @@ class TraceFileWriter:
         self._sha.update(data)
 
     def write_thread(self, records: Sequence[TraceRecord]) -> None:
+        """Append one thread's frame: a record list or a compact
+        :class:`~repro.workloads.trace.Trace` (written in its tuple
+        form, :meth:`~repro.workloads.trace.Trace.records`)."""
         frame = gzip.compress(encode_records(records), mtime=0)
         self._emit(bytes([THREAD_MARKER]))
         self._emit(struct.pack(">II", len(records), len(frame)))
@@ -333,7 +336,11 @@ class TraceFileReader:
 def read_tracefile(
     path: PathLike,
 ) -> Tuple[Dict[str, object], List[List[TraceRecord]]]:
-    """Read a whole ``.sbt`` file; digest-verified, truncation-checked."""
+    """Read a whole ``.sbt`` file; digest-verified, truncation-checked.
+
+    Threads come back as record lists; a simulation converts and
+    validates them once when it builds its threads
+    (:meth:`~repro.workloads.trace.Trace.from_records`)."""
     with TraceFileReader(path) as reader:
         traces = list(reader.iter_threads())
         return reader.meta, traces

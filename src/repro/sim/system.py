@@ -15,7 +15,7 @@ bypass host DRAM".
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.baselines.astriflash import AstriFlashController
 from repro.baselines.tpp import TPPHotnessPolicy
@@ -35,7 +35,7 @@ from repro.sim.stats import HOST_DRAM, EngineStats, SimStats
 from repro.ssd.base_controller import BaseCSSDController
 from repro.ssd.interface import AccessResult
 from repro.variants import DesignVariant
-from repro.workloads.trace import TraceRecord
+from repro.workloads.trace import Trace, TraceRecord
 
 #: Where a promoted page's entry says it lives.
 _HOST = Location.HOST
@@ -52,7 +52,7 @@ class System:
     def __init__(
         self,
         config: SimConfig,
-        traces: Sequence[Sequence[TraceRecord]],
+        traces: Sequence[Union[Trace, Sequence[TraceRecord]]],
         variant: DesignVariant,
         workload_mlp: int = 8,
     ) -> None:
@@ -89,20 +89,21 @@ class System:
         cxl = self.config.cxl
         fo = CXLLink.FLIT_OVERHEAD
         self._protocol_ns = cxl.protocol_ns
-        self._wire = {
-            False: (
+        # Indexed by a packed op's write bit.
+        self._wire = (
+            (
                 REQ_BYTES + fo,
                 cxl.transfer_ns(REQ_BYTES + fo),
                 DATA_BYTES + fo,
                 cxl.transfer_ns(DATA_BYTES + fo),
             ),
-            True: (
+            (
                 REQ_BYTES + CACHELINE_SIZE + fo,
                 cxl.transfer_ns(REQ_BYTES + CACHELINE_SIZE + fo),
                 NDR_BYTES + fo,
                 cxl.transfer_ns(NDR_BYTES + fo),
             ),
-        }
+        )
 
         self.controller = self._build_controller()
         if self.tracer is not None and self.controller is not None:
@@ -130,6 +131,7 @@ class System:
             if self.tracer is not None:
                 self.migration.tracer = self.tracer
 
+        # Record lists are converted (and validated) once, here.
         self.threads = [
             ThreadContext(tid, trace) for tid, trace in enumerate(traces)
         ]
@@ -139,7 +141,6 @@ class System:
         ]
 
         self._threads_done = 0
-        self._traces = traces
 
     # -- construction helpers ----------------------------------------------------
 
@@ -185,14 +186,15 @@ class System:
     # -- the host memory path -----------------------------------------------------------
 
     def dram_window_access(
-        self, ops: Sequence[TraceRecord], now: float, tid: int = -1
+        self, ops: Sequence[int], now: float, tid: int = -1
     ) -> List[float]:
         """Batched DRAM-only window: the device-latency inner loop.
 
         ``tid`` identifies the issuing thread so multi-tenant subclasses
         can attribute the window to a tenant; the base loop ignores it.
 
-        Serves ``len(ops)`` host-DRAM accesses issued at the same
+        Serves the ``len(ops)`` packed ops (``(address << 1) |
+        is_write``) as host-DRAM accesses issued at the same
         ``now`` in one float loop, with no request or result object per
         access.  The other four AMAT components are never added to: they
         would be ``+= 0.0``, and ``x + 0.0 == x`` bitwise for every
@@ -207,7 +209,7 @@ class System:
         counts = stats.request_counts
         completes: List[float] = []
         append = completes.append
-        for _gap, is_write, _addr in ops:
+        for op in ops:
             start = free if free > now else now
             free = start + inc
             complete = start + latency_ns
@@ -215,7 +217,7 @@ class System:
                 counts[HOST_DRAM] += 1
                 stats.amat_host_dram_ns += complete - now
                 stats.amat_accesses += 1
-                if is_write:
+                if op & 1:
                     stats.host_lines_written += 1
                 else:
                     stats.host_lines_read += 1
@@ -243,7 +245,7 @@ class System:
             self.link,
             self._protocol_ns,
             self._wire,
-            self._wire[True][3],  # a write's reply is itself an NDR
+            self._wire[1][3],  # a write's reply is itself an NDR
             self.controller.access_line,
             self._mirror_access,
             self._request_tracer,
@@ -256,7 +258,7 @@ class System:
 
     def window_access(
         self,
-        ops: Sequence[TraceRecord],
+        ops: Sequence[int],
         now: float,
         core_id: int,
         tid: int,
@@ -264,7 +266,9 @@ class System:
     ) -> Tuple[List[float], Optional[AccessResult]]:
         """Serve a whole ROB window of accesses issued at ``now`` by
         thread ``tid`` on core ``core_id``: every variant but DRAM-Only
-        (:meth:`dram_window_access`).
+        (:meth:`dram_window_access`).  Each op is packed as ``(address
+        << 1) | is_write``, so ``op >> 13`` is its page and ``(op >> 7)
+        & 0x3F`` its line.
 
         Promoted pages are served inline from host DRAM (one page-table
         lookup, no request or result object).  CXL accesses run the
@@ -309,9 +313,10 @@ class System:
         trigger = None
         completes: List[float] = []
         append = completes.append
-        for _gap, is_write, address in ops:
-            page = address >> 12
-            line = (address >> 6) & 0x3F
+        for op in ops:
+            page = op >> 13
+            line = (op >> 7) & 0x3F
+            is_write = op & 1
             entry = entries.get(page)
             if entry is not None and entry.location == _HOST:
                 # H-R/W: the page was promoted; served by host DRAM.
@@ -390,7 +395,7 @@ class System:
 
     def _host_cache_window(
         self,
-        ops: Sequence[TraceRecord],
+        ops: Sequence[int],
         now: float,
         tid: int,
         just_resumed: bool,
@@ -402,9 +407,8 @@ class System:
         mirror = self._mirror_access if self.stats.enabled else None
         guard_ns = 4 * self.config.os.cs_threshold_ns
         completes: List[float] = []
-        for _gap, is_write, address in ops:
-            result = access_line(address >> 12, (address >> 6) & 0x3F,
-                                 is_write, now)
+        for op in ops:
+            result = access_line(op >> 13, (op >> 7) & 0x3F, op & 1, now)
             if mirror is not None:
                 mirror(tid, result.request_class, result.complete_ns - now,
                        result.breakdown)
@@ -476,7 +480,8 @@ class System:
             return
         self.stats.enabled = False
         cursors = [
-            trace[: int(len(trace) * fraction)] for trace in self._traces
+            thread._ops[: int(len(thread._ops) * fraction)]
+            for thread in self.threads
         ]
         # Round-robin across threads to approximate concurrent interleaving.
         indices = [0] * len(cursors)
@@ -493,14 +498,15 @@ class System:
                 if i >= len(trace):
                     live.discard(t)
                     continue
-                _gap, is_write, address = trace[i]
+                op = trace[i]
                 indices[t] = i + 1
-                page = address >> 12
+                page = op >> 13
+                is_write = op & 1
                 if migrate is not None:
                     migrate(page, is_write)
                 if is_promoted(page):
                     continue
-                warm_access(page, (address >> 6) & 0x3F, is_write)
+                warm_access(page, (op >> 7) & 0x3F, is_write)
         self.stats.enabled = True
 
     def run(self, max_ns: Optional[float] = None) -> SimStats:
@@ -548,7 +554,7 @@ class System:
 
 def run_system(
     config: SimConfig,
-    traces: Sequence[Sequence[TraceRecord]],
+    traces: Sequence[Union[Trace, Sequence[TraceRecord]]],
     variant: DesignVariant,
     max_ns: Optional[float] = None,
 ) -> SimStats:

@@ -27,12 +27,12 @@ seeded NumPy generator, so every run is reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.config import CACHELINE_SIZE, CACHELINES_PER_PAGE, PAGE_SIZE
-from repro.workloads.trace import TraceRecord
+from repro.workloads.trace import Trace
 
 
 @dataclass(frozen=True)
@@ -102,6 +102,7 @@ class WorkloadModel:
         self.pages = spec.footprint_pages(scale)
         self._zipf_cdf: Optional[np.ndarray] = None
         self._page_perm: Optional[np.ndarray] = None
+        self._hot_writes: Optional[List[int]] = None
 
     # -- page popularity --------------------------------------------------------
 
@@ -113,9 +114,11 @@ class WorkloadModel:
         if self._zipf_cdf is None:
             ranks = np.arange(1, self.pages + 1, dtype=np.float64)
             weights = ranks ** (-self.spec.zipf_alpha)
-            self._zipf_cdf = np.cumsum(weights) / weights.sum()
             rng = np.random.default_rng(self.seed ^ 0x5EED)
+            # The permutation is stored first: a model shared across
+            # threads is ready once ``_zipf_cdf`` is set.
             self._page_perm = rng.permutation(self.pages)
+            self._zipf_cdf = np.cumsum(weights) / weights.sum()
         return self._zipf_cdf
 
     def _sample_pages(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -126,15 +129,28 @@ class WorkloadModel:
 
     # -- trace generation ----------------------------------------------------------
 
-    def generate(self, threads: int, records_per_thread: int) -> List[List[TraceRecord]]:
-        """Per-thread traces, each about ``records_per_thread`` records."""
+    def generate(
+        self,
+        threads: int,
+        records_per_thread: int,
+        tids: Optional[Sequence[int]] = None,
+    ) -> List[Trace]:
+        """Per-thread traces, each about ``records_per_thread`` records,
+        for thread ids ``tids`` (default: all ``threads``).  Thread
+        ``t``'s trace depends on ``threads`` only when the spec is
+        partitioned."""
+        if tids is None:
+            tids = range(threads)
         return [
             self.generate_thread(tid, threads, records_per_thread)
-            for tid in range(threads)
+            for tid in tids
         ]
 
     def _hot_write_set(self) -> List[int]:
-        """Shared hot-write line addresses (same for every thread)."""
+        """Shared hot-write line addresses (same for every thread; drawn
+        once per model)."""
+        if self._hot_writes is not None:
+            return self._hot_writes
         spec = self.spec
         rng = np.random.default_rng((self.seed ^ 0xB00C) & 0x7FFFFFFF)
         count = min(spec.hot_write_lines, self.pages * 4)
@@ -147,11 +163,10 @@ class WorkloadModel:
             page = int(hot_pages[i % len(hot_pages)])
             line = int(rng.integers(0, CACHELINES_PER_PAGE))
             addrs.append(page * PAGE_SIZE + line * CACHELINE_SIZE)
+        self._hot_writes = addrs
         return addrs
 
-    def generate_thread(
-        self, tid: int, threads: int, records: int
-    ) -> List[TraceRecord]:
+    def generate_thread(self, tid: int, threads: int, records: int) -> Trace:
         spec = self.spec
         rng = np.random.default_rng((self.seed * 1_000_003 + tid) & 0x7FFFFFFF)
         hot_writes = self._hot_write_set()
@@ -172,8 +187,9 @@ class WorkloadModel:
         bursts = rng.geometric(p_geom, size=est_visits)
         np.clip(bursts, 1, CACHELINES_PER_PAGE, out=bursts)
 
-        seq_mask = rng.random(est_visits) < spec.seq_fraction
-        zipf_pages = self._sample_pages(rng, est_visits)
+        seq_mask = (rng.random(est_visits) < spec.seq_fraction).tolist()
+        zipf_pages = self._sample_pages(rng, est_visits).tolist()
+        bursts = bursts.tolist()
         scan_pos = int(rng.integers(0, local_pages))
         # Write-only output region: the top quarter of this thread's pages.
         out_base = base_page + (local_pages * 3) // 4
@@ -182,19 +198,19 @@ class WorkloadModel:
 
         gap_mean = max(1.0, 1000.0 / spec.mpki)
 
+        # Per record: its gap and its packed op ``(address << 1) |
+        # is_write``; each visit's numpy draws become lists once.
         gaps_out: List[int] = []
-        writes_out: List[bool] = []
-        addrs_out: List[int] = []
-        total = 0
+        ops_out: List[int] = []
         for v in range(est_visits):
-            if total >= records:
+            if len(ops_out) >= records:
                 break
-            burst = int(bursts[v])
+            burst = bursts[v]
             if seq_mask[v]:
                 page = base_page + (scan_pos % local_pages)
                 scan_pos += 1
             else:
-                page = int(zipf_pages[v]) % self.pages
+                page = zipf_pages[v] % self.pages
                 if spec.partitioned and threads > 1:
                     page = base_page + page % local_pages
             if spec.in_page_sequential:
@@ -205,10 +221,11 @@ class WorkloadModel:
                     CACHELINES_PER_PAGE, size=min(burst, CACHELINES_PER_PAGE),
                     replace=False,
                 ).tolist()
-            line_writes = rng.random(len(lines)) < spec.write_ratio
-            gaps = rng.exponential(gap_mean, size=len(lines)).astype(np.int64)
+            line_writes = (rng.random(len(lines)) < spec.write_ratio).tolist()
+            gaps = rng.exponential(gap_mean, size=len(lines)).astype(
+                np.int64).tolist()
             for i, line in enumerate(lines):
-                is_write = bool(line_writes[i])
+                is_write = line_writes[i]
                 if is_write and rng.random() < spec.hot_write_fraction:
                     # Rewrite of hot shared state (coalescable).
                     addr = hot_writes[int(rng.integers(0, len(hot_writes)))]
@@ -221,11 +238,9 @@ class WorkloadModel:
                 else:
                     if is_write and spec.sparse_writes:
                         line = int(rng.integers(0, CACHELINES_PER_PAGE))
-                    addr = int(page) * PAGE_SIZE + int(line) * CACHELINE_SIZE
-                gaps_out.append(int(gaps[i]))
-                writes_out.append(is_write)
-                addrs_out.append(addr)
-                total += 1
-                if total >= records:
+                    addr = page * PAGE_SIZE + line * CACHELINE_SIZE
+                gaps_out.append(gaps[i])
+                ops_out.append((addr << 1) | is_write)
+                if len(ops_out) >= records:
                     break
-        return list(zip(gaps_out, writes_out, addrs_out))
+        return Trace.from_parts(gaps_out, ops_out)

@@ -13,34 +13,41 @@ import pytest
 from repro import bench
 
 
-def entry(accesses_per_s, correct=True, failed=0):
+def entry(accesses_per_s, correct=True, failed=0, peak_rss_mb=100.0):
     """A parsed perfbench result, as :func:`bench.parse_output` builds."""
     return {
         "result": {"correct": correct, "attempted": 10, "failed": failed,
                    "metrics": {"accesses_per_s": {"value": accesses_per_s,
-                                                  "unit": "1/s"}}},
+                                                  "unit": "1/s"},
+                               "peak_rss_mb": {"value": peak_rss_mb,
+                                               "unit": "MB"}}},
         "host.calibration_s": 0.03,
         "timed_pass_walls_s": [1.0, 1.1],
     }
 
 
 class FakeLaunch:
-    """Records ``start``/``wait`` events; ``speed[root]`` sets each
-    tree's accesses/s (a list is consumed one run at a time)."""
+    """Records ``start``/``wait`` events and the seed of each run;
+    ``speed[root]`` sets each tree's accesses/s (a list is consumed one
+    run at a time) and ``rss[root]`` its peak MB."""
 
-    def __init__(self, speed, failed=None):
+    def __init__(self, speed, failed=None, rss=None):
         self.speed = speed
         self.failed = failed or {}
+        self.rss = rss or {}
         self.events = []
+        self.seeds = []
 
-    def __call__(self, root, workload, cpu):
+    def __call__(self, root, workload, cpu, seed):
         self.events.append(("start", root, workload, cpu))
+        self.seeds.append(seed)
         speed = self.speed[root]
         value = speed.pop(0) if isinstance(speed, list) else speed
 
         def wait():
             self.events.append(("wait", root, workload, cpu))
-            return entry(value, failed=self.failed.get(root, 0))
+            return entry(value, failed=self.failed.get(root, 0),
+                         peak_rss_mb=self.rss.get(root, 100.0))
 
         return wait
 
@@ -60,18 +67,20 @@ def parse(*argv):
     return parser.parse_args(list(argv))
 
 
-def against_payload(ratios, floor=bench.FLOOR):
+def against_payload(ratios, floor=bench.FLOOR, rss_ratio=1.0):
     def pairs():
-        return [{"ratio": r, "cpus": [0, 1], "this": entry(r),
-                 "base": entry(1.0)}
+        return [{"ratio": r, "rss_ratio": rss_ratio, "cpus": [0, 1],
+                 "this": entry(r), "base": entry(1.0)}
                 for r in ratios]
 
     return {
         "workloads": {w: entry(1.0) for w in bench.WORKLOADS},
-        "against": {"floor": floor, "workloads": {
-            w: {"median_ratio": sorted(ratios)[len(ratios) // 2],
-                "pairs": pairs()}
-            for w in bench.WORKLOADS}},
+        "against": {"floor": floor, "rss_ceiling": bench.RSS_CEILING,
+                    "workloads": {
+                        w: {"median_ratio": sorted(ratios)[len(ratios) // 2],
+                            "median_rss_ratio": rss_ratio,
+                            "pairs": pairs()}
+                        for w in bench.WORKLOADS}},
     }
 
 
@@ -83,6 +92,7 @@ def test_schema_round_trip(tmp_path, trees):
     assert payload["kind"] == "speed"
     assert {"git_sha", "python", "platform", "command"} <= set(payload)
     assert "--seed 1 --trace 0" in payload["command"]
+    assert payload["seed"] == 1 and set(launch.seeds) == {1}
     assert list(payload["workloads"]) == list(bench.WORKLOADS)
     for data in payload["workloads"].values():
         assert bench.accesses_per_s(data) == 1000.0
@@ -182,7 +192,8 @@ def test_cli_rejects_bad_against_and_pairs(tmp_path, trees):
 
 def test_cli_has_only_out_against_pairs():
     assert vars(parse()) == {"out": bench.DEFAULT_OUT, "against": None,
-                             "pairs": bench.DEFAULT_PAIRS}
+                             "pairs": bench.DEFAULT_PAIRS,
+                             "seed": bench.DEFAULT_SEED}
     for removed in ("--quick", "--check", "--update-baseline"):
         with pytest.raises(SystemExit):
             parse(removed)
@@ -201,3 +212,51 @@ def test_parse_output_reads_context_and_result_lines():
     assert parsed["timed_pass_walls_s"] == [2.0]
     with pytest.raises(bench.BenchError):
         bench.parse_output("perfbench: crashed\n")
+
+
+def test_cli_seed_reaches_every_run_and_the_payload(tmp_path, trees):
+    this, base = bench.ROOT, trees[1]
+    out = tmp_path / "out.json"
+    args = parse("--against", str(base), "--pairs", "2", "--seed", "2",
+                 "--out", str(out))
+    launch = FakeLaunch({this: 1000.0, base: 1000.0})
+    assert bench.run_from_args(args, launch=launch, cpus=[0, 1]) == 0
+    assert launch.seeds == [2] * 2 * 2 * len(bench.WORKLOADS)
+    written = json.loads(out.read_text())
+    assert written["seed"] == 2
+    assert "--seed 2 --trace 0" in written["command"]
+    assert bench.perfbench_command(base, "cells-flat", 2)[-4:] == [
+        "--seed", "2", "--trace", "0"]
+
+
+def test_cli_memory_gate(tmp_path, trees, capsys):
+    """The median per-pair peak_rss_mb ratio is printed beside
+    accesses_per_s and fails the gate above the ceiling."""
+    this, base = bench.ROOT, trees[1]
+    out = tmp_path / "out.json"
+    args = parse("--against", str(base), "--pairs", "3", "--out", str(out))
+
+    lean = FakeLaunch({this: 1000.0, base: 1000.0},
+                      rss={this: 70.0, base: 100.0})
+    assert bench.run_from_args(args, launch=lean, cpus=[0, 1]) == 0
+    printed = capsys.readouterr().out
+    assert "70.0/100.0 peak MB = 0.700" in printed
+    assert "peak MB 0.700" in printed
+    data = json.loads(out.read_text())["against"]
+    assert data["rss_ceiling"] == bench.RSS_CEILING
+    assert data["workloads"]["cells-flat"]["median_rss_ratio"] == (
+        pytest.approx(0.7))
+
+    fat = FakeLaunch({this: 1000.0, base: 1000.0},
+                     rss={this: 115.0, base: 100.0})
+    assert bench.run_from_args(args, launch=fat, cpus=[0, 1]) == 1
+    assert json.loads(out.read_text())["passed"] is False
+    err = capsys.readouterr().err
+    assert "median peak_rss_mb ratio 1.150 is above the ceiling 1.10" in err
+
+
+def test_compare_rss_ceiling_is_inclusive():
+    assert bench.compare(against_payload([1.0], rss_ratio=1.10)) == []
+    found = bench.compare(against_payload([1.0], rss_ratio=1.11))
+    assert len(found) == len(bench.WORKLOADS)
+    assert all("above the ceiling" in problem for problem in found)

@@ -148,7 +148,8 @@ class TestWindowLoop:
         page = WINDOW[switch_at][2]
         # Ops after the trigger are never issued.
         assert issued == [op[2] >> 12 for op in WINDOW[:switch_at + 1]]
-        assert thread.replay == (0, False, page)
+        # The replay is the packed op (a packed op carries no gap).
+        assert thread.replay == page << 1
         assert thread.just_resumed
         assert system.cores[0].thread is system.threads[1]
         assert_slice_stats(system.stats, issued, retired=switch_at,
@@ -156,7 +157,8 @@ class TestWindowLoop:
         assert system.stats.context_switch_ns == (
             system.config.os.context_switch_ns)
         _, resumed = thread.next_window(10_000, 8)
-        assert resumed == [(0, False, page)] + WINDOW[switch_at + 1:]
+        assert list(resumed) == [page << 1] + [
+            address << 1 for _, _, address in WINDOW[switch_at + 1:]]
 
     def test_rewind_leaves_cursor_at_squashed_ops(self):
         _, thread, _ = one_slice([1])

@@ -10,6 +10,18 @@ def make_trace(n=10, gap=5):
     return [(gap, False, i * 4096) for i in range(n)]
 
 
+def pack(record):
+    """A record's packed op: windows carry ``(address << 1) | is_write``."""
+    _gap, is_write, address = record
+    return (address << 1) | is_write
+
+
+def packed(window):
+    """A reference window ``(instructions, records)`` in packed form."""
+    instructions, ops = window
+    return instructions, [pack(op) for op in ops]
+
+
 class TestWindowBuilding:
     def test_window_bounded_by_ops(self):
         t = ThreadContext(0, make_trace(10))
@@ -32,7 +44,7 @@ class TestWindowBuilding:
         t = ThreadContext(0, make_trace(5, gap=100))
         t.next_window(max_instructions=250, max_ops=8)  # takes 2
         _, ops = t.next_window(max_instructions=250, max_ops=8)
-        assert ops[0][2] == 2 * 4096  # third record, not skipped
+        assert ops[0] == pack((0, False, 2 * 4096))  # third, not skipped
 
     def test_exhaustion_returns_none(self):
         t = ThreadContext(0, make_trace(3))
@@ -52,9 +64,9 @@ class TestSquashReplay:
         t = ThreadContext(0, make_trace(8))
         _, ops = t.next_window(10_000, 8)
         replay = t.squash_after(2, ops)
-        # The triggering op replays with a zero gap (its compute already
-        # retired before the exception).
-        assert replay == (0, False, 2 * 4096)
+        # The triggering op replays as its packed op: no gap (its
+        # compute already retired before the exception).
+        assert replay == pack((0, False, 2 * 4096))
         assert not t.done
 
     def test_replay_comes_first_on_resume(self):
@@ -62,18 +74,19 @@ class TestSquashReplay:
         _, ops = t.next_window(10_000, 8)
         t.squash_after(2, ops)
         _, ops = t.next_window(10_000, 8)
-        assert ops[0] == (0, False, 2 * 4096)
+        assert ops[0] == pack((0, False, 2 * 4096))
 
     def test_younger_ops_pushed_back_intact(self):
         t = ThreadContext(0, make_trace(8))
         _, ops = t.next_window(10_000, 4)
         t.squash_after(1, ops)
-        _, ops = t.next_window(10_000, 8)
-        addrs = [op[2] for op in ops]
+        instructions, ops = t.next_window(10_000, 8)
+        addrs = [op >> 1 for op in ops]
         # replay of op 1, then ops 2, 3 (squashed), then 4...
         assert addrs[:3] == [1 * 4096, 2 * 4096, 3 * 4096]
-        # gaps of squashed ops are preserved (not re-zeroed).
-        assert ops[1][0] == 5
+        # gaps of squashed ops are preserved (not re-zeroed); the replay
+        # adds none.
+        assert instructions == 5 * (len(ops) - 1)
 
     def test_no_record_lost_through_squash(self):
         t = ThreadContext(0, make_trace(20))
@@ -84,11 +97,11 @@ class TestSquashReplay:
                 break
             _, ops = window
             if len(ops) >= 2 and len(seen) < 6:
-                seen.extend(op[2] for op in ops[:1])
+                seen.extend(op >> 1 for op in ops[:1])
                 t.squash_after(1, ops)
-                seen.append(ops[1][2])  # will replay later too
+                seen.append(ops[1] >> 1)  # will replay later too
             else:
-                seen.extend(op[2] for op in ops)
+                seen.extend(op >> 1 for op in ops)
         # every address observed at least once
         assert {op[2] for op in make_trace(20)} <= set(seen)
 
@@ -105,7 +118,7 @@ class PushbackReference:
     """Reference window builder: records are fetched one at a time and a
     squash pushes the younger ops back onto a list, where
     :class:`ThreadContext` slices windows out of a precomputed plan and
-    rewinds its cursor."""
+    rewinds its cursor (and hands out packed ops)."""
 
     def __init__(self, trace):
         self.trace = trace
@@ -184,7 +197,8 @@ class TestCursorRewind:
         reference = PushbackReference(trace)
         rewound = ThreadContext(0, trace)
         expected = drive(reference, squashes, max_instructions, max_ops)
-        assert drive(rewound, squashes, max_instructions, max_ops) == expected
+        assert drive(rewound, squashes, max_instructions, max_ops) == [
+            packed(window) for window in expected]
         assert rewound.done and reference.done
         assert rewound.remaining_records == 0
 
@@ -232,15 +246,16 @@ class TestResumeWindow:
         looped = PushbackReference(trace)
         for thread in (planned, looped):
             thread.pos = pos
-            thread.replay = replay
+        planned.replay = pack(replay)
+        looped.replay = replay
         got = planned.next_window(max_instructions, max_ops)
         want = looped.next_window(max_instructions, max_ops)
-        assert got == want
-        assert got[1][0] == replay
+        assert (got[0], list(got[1])) == packed(want)
+        assert got[1][0] == pack(replay)
         # A record that did not fit went back to the reference's list.
         assert (planned.pos, planned.replay) == (
             looped.pos - len(looped.pushback), looped.replay)
         # The plan stays in step afterwards.
-        assert drive(planned, [], max_instructions, max_ops) == drive(
-            looped, [], max_instructions, max_ops
-        )
+        assert drive(planned, [], max_instructions, max_ops) == [
+            packed(window)
+            for window in drive(looped, [], max_instructions, max_ops)]
