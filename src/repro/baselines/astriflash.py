@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from repro.config import PAGE_SIZE, SimConfig
 from repro.cxl.link import CXLLink
-from repro.cxl.protocol import MemRequest
 from repro.sim.engine import Engine
 from repro.sim.stats import HOST_DRAM, SimStats
 from repro.ssd.base_cache import FULL_MASK, SetAssociativePageCache
@@ -61,11 +60,6 @@ class AstriFlashController:
     @property
     def flash(self):
         return self.inner.flash
-
-    def access(self, request: MemRequest, now: float) -> AccessResult:
-        return self.access_line(
-            request.page, request.line_offset, request.is_write, now
-        )
 
     def access_line(
         self, lpa: int, line: int, is_write: bool, now: float

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 from repro.config import SSDConfig
 from repro.core.data_cache import SkyByteDataCache
-from repro.core.write_log import LogBuffer, WriteLog
+from repro.core.write_log import LogBuffer
 from repro.sim.engine import Engine
 from repro.sim.stats import SimStats
 from repro.ssd.flash import FlashArray
@@ -38,7 +38,6 @@ class LogCompactor:
     def __init__(
         self,
         config: SSDConfig,
-        write_log: WriteLog,
         data_cache: SkyByteDataCache,
         ftl: PageFTL,
         flash: FlashArray,
@@ -47,7 +46,6 @@ class LogCompactor:
         stats: SimStats,
     ) -> None:
         self._config = config
-        self._log = write_log
         self._cache = data_cache
         self._ftl = ftl
         self._flash = flash
@@ -55,10 +53,6 @@ class LogCompactor:
         self._engine = engine
         self._stats = stats
         self.active_until = 0.0
-
-    @property
-    def busy(self) -> bool:
-        return any(b.draining for b in self._log.buffers)
 
     def compact(
         self,

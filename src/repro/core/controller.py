@@ -19,7 +19,6 @@ from repro.config import SimConfig
 from repro.core.data_cache import SkyByteDataCache
 from repro.core.dram_manager import SkyByteDRAMManager
 from repro.core.trigger import ContextSwitchTrigger
-from repro.cxl.protocol import MemRequest
 from repro.qos import FlashPacingArbiter, build_tenant_map
 from repro.sim.engine import Engine
 from repro.sim.stats import SimStats, SSD_READ_HIT, SSD_READ_MISS, SSD_WRITE
@@ -84,17 +83,12 @@ class SkyByteController:
 
     # -- public API ---------------------------------------------------------------
 
-    def access(self, request: MemRequest, now: float) -> AccessResult:
-        return self.access_line(
-            request.page, request.line_offset, request.is_write, now
-        )
-
     def access_line(
         self, lpa: int, line: int, is_write: bool, now: float,
         float_hits: bool = False,
     ):
-        """Direct entry taking the decoded address: the host window loop
-        calls this without materialising a :class:`MemRequest`.
+        """Serve one 64 B access to line ``line`` of page ``lpa``
+        arriving at the device at ``now``: the one device entry point.
 
         With ``float_hits`` an access that cannot carry a hint (an R1/R2
         read hit, any write) returns its completion time as a bare

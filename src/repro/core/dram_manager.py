@@ -96,7 +96,7 @@ class SkyByteDRAMManager:
                 cache_pages, config.cache_ways, stats
             )
         self.compactor = LogCompactor(
-            config, self.write_log, self.data_cache, ftl, flash, gc, engine, stats
+            config, self.data_cache, ftl, flash, gc, engine, stats
         )
         # What :meth:`lookup` answers for a hit: the path and its index
         # latency.  An R3 miss needed both parallel lookups: it pays the
@@ -246,7 +246,3 @@ class SkyByteDRAMManager:
 
     def contains_page(self, lpa: int) -> bool:
         return lpa in self.data_cache or self.write_log.has_page(lpa)
-
-    @property
-    def index_memory_bytes(self) -> int:
-        return self.write_log.memory_bytes

@@ -137,10 +137,6 @@ class LogIndex:
         return self._entry_count
 
     @property
-    def page_count(self) -> int:
-        return len(self._first)
-
-    @property
     def memory_bytes(self) -> int:
         """DRAM footprint under the paper's sizing model."""
         first = len(self._first) * FIRST_LEVEL_ENTRY_BYTES

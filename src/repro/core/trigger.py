@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import FlashTiming
 from repro.ssd.flash import FlashArray
 from repro.ssd.gc import GarbageCollector
 
@@ -53,15 +52,3 @@ class ContextSwitchTrigger:
         if self._gc.is_active(channel):
             return TriggerDecision(True, estimated)
         return TriggerDecision(estimated > self.threshold_ns, estimated)
-
-    @staticmethod
-    def estimate_from_counters(
-        timing: FlashTiming, num_read: int, num_write: int, num_erase: int
-    ) -> float:
-        """Pure form of Algorithm 1 lines 5-6 (used in unit tests):
-        ``read*(n_read+1) + program*n_write + erase*n_erase``."""
-        return (
-            timing.read_ns * (num_read + 1)
-            + timing.program_ns * num_write
-            + timing.erase_ns * num_erase
-        )

@@ -103,14 +103,6 @@ class WriteLog:
     def standby(self) -> LogBuffer:
         return self.buffers[1 - self._active]
 
-    @property
-    def capacity_entries(self) -> int:
-        return sum(b.capacity for b in self.buffers)
-
-    @property
-    def used_entries(self) -> int:
-        return sum(b.used for b in self.buffers)
-
     def append(self, lpa: int, line_offset: int) -> bool:
         """Append a write to the active buffer.
 
@@ -167,16 +159,6 @@ class WriteLog:
         """Invalidate all entries of a page in both buffers (promotion)."""
         return self.active.index.remove_page(lpa) + self.standby.index.remove_page(lpa)
 
-    @property
-    def memory_bytes(self) -> int:
-        """Index footprint under the paper's sizing model."""
-        return sum(b.index.memory_bytes for b in self.buffers)
-
-    def all_logs(self):
-        """Every underlying :class:`WriteLog` (one here; N when
-        partitioned)."""
-        return (self,)
-
 
 class PartitionedWriteLog:
     """Per-tenant write-log shares ("log-partition" isolation).
@@ -202,9 +184,6 @@ class PartitionedWriteLog:
     def log_for(self, lpa: int) -> WriteLog:
         tenant = self._map.tenant_of_page(lpa)
         return self.logs[tenant if tenant is not None else 0]
-
-    def all_logs(self):
-        return tuple(self.logs)
 
     # -- routed queries -----------------------------------------------------
 
@@ -236,15 +215,3 @@ class PartitionedWriteLog:
     @property
     def coalesced_appends(self) -> int:
         return sum(log.coalesced_appends for log in self.logs)
-
-    @property
-    def capacity_entries(self) -> int:
-        return sum(log.capacity_entries for log in self.logs)
-
-    @property
-    def used_entries(self) -> int:
-        return sum(log.used_entries for log in self.logs)
-
-    @property
-    def memory_bytes(self) -> int:
-        return sum(log.memory_bytes for log in self.logs)

@@ -1,1 +1,1 @@
-"""Host CPU models: interval cores, cache hierarchy, MSHRs, host DRAM."""
+"""Host CPU models: interval cores and host DRAM."""

@@ -61,7 +61,6 @@ class Core:
         #: (DRAM-only runs have no delay hints) or through the window loop.
         self._dram_only = config.dram_only
         self._sched_runtime = 0.0  # time on core since last schedule
-        self._parked = False
         #: Pending TLB-shootdown cost to absorb at the next window.
         self._pending_shootdown_ns = 0.0
 
@@ -75,26 +74,16 @@ class Core:
         else:
             self._engine.schedule(0.0, self._run_slice)
 
-    def wake(self) -> None:
-        """Called by the scheduler when work appears for a parked core."""
-        if not self._parked:
-            return
-        self._parked = False
-        self.thread = self._scheduler.pick_next()
-        if self.thread is None:
-            self._park()
-        else:
-            self._engine.schedule(0.0, self._run_slice)
-
     def add_tlb_shootdown(self, cost_ns: float) -> None:
         """Migration completions interrupt every core briefly (§V: "a TLB
         shootdown for all cores when a page finishes migration")."""
         self._pending_shootdown_ns += cost_ns
 
     def _park(self) -> None:
-        self._parked = True
+        """Idle for the rest of the run.  Threads only ever leave the run
+        queue (a switched-out thread goes back in and one comes out), so
+        an empty queue never refills and no parked core is woken."""
         self.thread = None
-        self._scheduler.park_core(self)
 
     # -- execution -------------------------------------------------------------
 

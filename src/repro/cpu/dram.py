@@ -21,10 +21,6 @@ class HostDRAM:
         self._free_at = 0.0
         self.accesses = 0
 
-    @property
-    def latency_ns(self) -> float:
-        return self._latency_ns
-
     def access(self, now: float, nbytes: int = CACHELINE_SIZE) -> float:
         """Returns the completion time of a ``nbytes`` access at ``now``."""
         start = max(now, self._free_at)

@@ -1,1 +1,1 @@
-"""CXL.mem protocol messages and link timing."""
+"""CXL link timing."""

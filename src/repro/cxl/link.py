@@ -56,13 +56,6 @@ class CXLLink:
         self._stats.add_cxl_bytes(nbytes)
         return ready_ns + self._config.transfer_ns(nbytes) + self._config.protocol_ns
 
-    def round_trip_ns(self, now: float, request_bytes: int, response_bytes: int) -> float:
-        """Convenience: latency of a request/response pair starting at
-        ``now`` (both directions' queuing included)."""
-        arrive_dev = self.send_downstream(now, request_bytes)
-        arrive_host = self.send_upstream(arrive_dev, response_bytes)
-        return arrive_host - now
-
     def _transfer(self, now: float, payload_bytes: int, free_at: float):
         nbytes = payload_bytes + self.FLIT_OVERHEAD
         start = max(now, free_at)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 
 class Location:
@@ -120,6 +120,3 @@ class PageTable:
             return None
         times = [e.last_access_ns for e in promoted]
         return promoted[times.index(min(times))].vpn
-
-    def promoted_pages(self) -> Iterator[int]:
-        return iter([e.vpn for e in self._promoted])

@@ -6,11 +6,11 @@ FlatFlash): 64 entries, each recording source/destination page addresses
 (8 B each), a 64-bit migrated-cacheline bitmap (8 B) and a valid bit --
 24 B per entry.  Reads to a page under promotion are served from the SSD
 DRAM; writes go to the host copy iff the line's migrated bit is set.
+The simulator copies a page as one transfer, so an entry's bitmap goes
+from empty to full when the promotion completes and routes no access.
 
-§IV extends the PLB to 2 MB huge pages with a two-level scheme: a
-first-level entry holds a 64 B bitmap marking which 4 KB chunks have
-migrated, and a single second-level entry tracks the cachelines of the
-chunk currently in flight.  :class:`HugePagePLB` implements that variant.
+§IV's two-level PLB for 2 MB huge pages is not modelled: no simulation
+promotes huge pages.
 """
 
 from __future__ import annotations
@@ -18,13 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.config import CACHELINES_PER_PAGE
-
 PLB_ENTRIES = 64
 PLB_ENTRY_BYTES = 24  # 8 B src + 8 B dst + 8 B bitmap (+ valid bit)
-
-HUGE_PAGE_CHUNKS = 512  # 2 MB / 4 KB
-FIRST_LEVEL_BITMAP_BYTES = 64  # 512 bits -> one bit per 4 KB chunk
 
 
 @dataclass
@@ -35,16 +30,6 @@ class PLBEntry:
     dst_frame: int  # host DRAM frame
     migrated_mask: int = 0  # bit i set => cacheline i already copied
     valid: bool = True
-
-    def mark_migrated(self, line: int) -> None:
-        self.migrated_mask |= 1 << line
-
-    def is_migrated(self, line: int) -> bool:
-        return bool(self.migrated_mask >> line & 1)
-
-    @property
-    def complete(self) -> bool:
-        return self.migrated_mask == (1 << CACHELINES_PER_PAGE) - 1
 
 
 class PromotionLookasideBuffer:
@@ -76,14 +61,6 @@ class PromotionLookasideBuffer:
     def is_migrating(self, src_page: int) -> bool:
         return src_page in self._by_src
 
-    def route_write(self, src_page: int, line: int) -> str:
-        """Where a write to a page under promotion must go: ``"host"`` if
-        the line already migrated, else ``"ssd"``."""
-        entry = self._by_src.get(src_page)
-        if entry is None:
-            raise KeyError(f"page {src_page} is not under promotion")
-        return "host" if entry.is_migrated(line) else "ssd"
-
     def complete(self, src_page: int) -> PLBEntry:
         """Retire the entry once the OS acknowledges the migration."""
         entry = self._by_src.pop(src_page, None)
@@ -95,73 +72,3 @@ class PromotionLookasideBuffer:
     @property
     def memory_bytes(self) -> int:
         return self.capacity * PLB_ENTRY_BYTES
-
-
-@dataclass
-class HugePLBEntry:
-    """One in-flight 2 MB promotion (two-level tracking, §IV)."""
-
-    src_page: int  # first 4 KB chunk's page address
-    dst_frame: int
-    chunk_mask: int = 0  # bit c set => 4 KB chunk c fully migrated
-    current_chunk: int = -1  # chunk in flight, -1 when none
-    current_lines: int = 0  # cacheline bitmap of the in-flight chunk
-
-    def start_chunk(self, chunk: int) -> None:
-        if self.current_chunk >= 0:
-            raise ValueError("a chunk is already in flight")
-        self.current_chunk = chunk
-        self.current_lines = 0
-
-    def mark_line(self, line: int) -> None:
-        if self.current_chunk < 0:
-            raise ValueError("no chunk in flight")
-        self.current_lines |= 1 << line
-
-    def finish_chunk(self) -> None:
-        if self.current_lines != (1 << CACHELINES_PER_PAGE) - 1:
-            raise ValueError("chunk finished before all lines migrated")
-        self.chunk_mask |= 1 << self.current_chunk
-        self.current_chunk = -1
-        self.current_lines = 0
-
-    def is_line_migrated(self, chunk: int, line: int) -> bool:
-        if self.chunk_mask >> chunk & 1:
-            return True
-        if chunk == self.current_chunk:
-            return bool(self.current_lines >> line & 1)
-        return False
-
-    @property
-    def complete(self) -> bool:
-        return self.chunk_mask == (1 << HUGE_PAGE_CHUNKS) - 1
-
-
-class HugePagePLB:
-    """PLB variant migrating 2 MB pages chunk-by-chunk (§IV)."""
-
-    def __init__(self, entries: int = PLB_ENTRIES) -> None:
-        self.capacity = entries
-        self._by_src: Dict[int, HugePLBEntry] = {}
-
-    def begin(self, src_page: int, dst_frame: int) -> Optional[HugePLBEntry]:
-        if len(self._by_src) >= self.capacity or src_page in self._by_src:
-            return None
-        entry = HugePLBEntry(src_page=src_page, dst_frame=dst_frame)
-        self._by_src[src_page] = entry
-        return entry
-
-    def lookup(self, src_page: int) -> Optional[HugePLBEntry]:
-        return self._by_src.get(src_page)
-
-    def complete(self, src_page: int) -> HugePLBEntry:
-        entry = self._by_src.pop(src_page, None)
-        if entry is None:
-            raise KeyError(f"huge page {src_page} is not under promotion")
-        return entry
-
-    @property
-    def entry_tracking_bytes(self) -> int:
-        """Per-entry tracking state: 64 B chunk bitmap + 8 B line bitmap,
-        versus the naive 4 KB bitmap §IV rejects."""
-        return FIRST_LEVEL_BITMAP_BYTES + 8

@@ -42,7 +42,6 @@ class Scheduler:
         self.policy = policy
         self._rng = random.Random(seed)
         self._queue: List[ThreadContext] = []
-        self._waiting_cores: List = []  # cores parked for lack of work
         self._tenant_map = None  # set via set_tenant_qos
 
     def set_tenant_qos(self, tenant_map) -> None:
@@ -112,15 +111,3 @@ class Scheduler:
         # queue order; ``remove`` finds it by identity.
         self._queue.remove(best)
         return best
-
-    # -- core parking (idle cores wait for work) -----------------------------
-
-    def park_core(self, core) -> None:
-        if core not in self._waiting_cores:
-            self._waiting_cores.append(core)
-
-    def wake_one_core(self) -> None:
-        """Kick one parked core if there is work for it."""
-        while self._waiting_cores and self._queue:
-            core = self._waiting_cores.pop(0)
-            core.wake()

@@ -67,11 +67,6 @@ class ThreadContext:
     def done(self) -> bool:
         return self.pos >= len(self._ops) and self.replay is None
 
-    @property
-    def remaining_records(self) -> int:
-        n = len(self._ops) - self.pos
-        return n + (1 if self.replay is not None else 0)
-
     def next_window(
         self, max_instructions: int, max_ops: int
     ) -> Optional[Tuple[int, Sequence[int]]]:

@@ -64,9 +64,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
 
 class Histogram:
     """Cumulative-bucket histogram (Prometheus classic shape)."""
@@ -93,9 +90,6 @@ class _NoopInstrument:
     __slots__ = ()
 
     def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
         pass
 
     def set(self, value: float) -> None:

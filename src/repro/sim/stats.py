@@ -495,14 +495,6 @@ class SimStats:
 
     # -- mutators (no-ops during warmup) ------------------------------------
 
-    def add_instructions(self, n: int) -> None:
-        if self.enabled:
-            self.instructions += n
-
-    def add_compute(self, ns: float) -> None:
-        if self.enabled:
-            self.compute_ns += ns
-
     def add_memory_stall(self, ns: float) -> None:
         if self.enabled:
             self.memory_stall_ns += ns

@@ -534,15 +534,14 @@ class System:
         """Break the reference cycles of a finished run, so the system is
         freed by reference counting as soon as the caller drops it.
 
-        Cores and the scheduler point at each other and at the system,
-        and the migration and emergency-GC hooks are bound methods of
-        objects their owners hold.  Left to the cyclic collector, dead
+        Cores point at the system that holds them, and the migration
+        and emergency-GC hooks are bound methods of objects their owners
+        hold.  Left to the cyclic collector, dead
         systems (each with its own FTL, caches and page table) pile up
         between full collections and inflate a sweep's peak memory.  A
         closed system cannot run again; its stats stay readable.
         """
         self.cores.clear()
-        self.scheduler._waiting_cores.clear()
         self._window_constants = None
         if self.migration is not None:
             self.controller.on_page_access = None

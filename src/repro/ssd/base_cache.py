@@ -113,14 +113,6 @@ class SetAssociativePageCache:
         self._size += 1
         return victim
 
-    def mark_dirty(self, lpa: int, line: int) -> bool:
-        """Mark one cacheline dirty; returns False if ``lpa`` not resident."""
-        entry = self.lookup(lpa, touch_line=line)
-        if entry is None:
-            return False
-        entry.dirty_mask |= 1 << line
-        return True
-
     def evict(self, lpa: int) -> Optional[CacheEntry]:
         """Remove ``lpa`` from the cache, returning its entry."""
         cache_set = self._set_of(lpa)

@@ -16,7 +16,6 @@ import math
 from typing import Dict, Optional
 
 from repro.config import SimConfig
-from repro.cxl.protocol import MemRequest
 from repro.core.trigger import ContextSwitchTrigger
 from repro.qos import FlashPacingArbiter, build_tenant_map
 from repro.sim.engine import Engine
@@ -76,17 +75,12 @@ class BaseCSSDController:
 
     # -- public API -------------------------------------------------------------
 
-    def access(self, request: MemRequest, now: float) -> AccessResult:
-        return self.access_line(
-            request.page, request.line_offset, request.is_write, now
-        )
-
     def access_line(
         self, lpa: int, line: int, is_write: bool, now: float,
         float_hits: bool = False,
     ):
-        """Direct entry taking the decoded address: the host window loop
-        calls this without materialising a :class:`MemRequest`.
+        """Serve one 64 B access to line ``line`` of page ``lpa``
+        arriving at the device at ``now``: the one device entry point.
 
         With ``float_hits`` an access that cannot carry a hint (a read
         hit, any write) returns its completion time as a bare float;

@@ -22,7 +22,7 @@ Physical page addresses (PPAs) are dense integers laid out channel-major::
     ppa = channel * pages_per_channel + block_in_channel * pages_per_block
           + page_in_block
 
-so ``channel_of`` and ``block_of`` are pure arithmetic.
+so ``channel_of`` is pure arithmetic.
 """
 
 from __future__ import annotations
@@ -137,11 +137,6 @@ class FlashChannel(_QueuedChannel):
     def free_at(self) -> float:
         """Earliest time a new command could start on some die."""
         return min(self._die_free)
-
-    @property
-    def drained_at(self) -> float:
-        """Time at which every queued command will have completed."""
-        return max(self._die_free)
 
     # -- latency estimators ---------------------------------------------------
 
@@ -258,7 +253,6 @@ class FlashArray:
         self._stats = stats
         self.model = model = GeometryModel(geometry, timing)
         self._pages_per_channel = model.pages_per_channel
-        self._pages_per_block = model.pages_per_block
         self._blocks_per_channel = model.blocks_per_channel
         self._total_pages = model.total_pages
         self._total_blocks = model.total_blocks
@@ -282,19 +276,6 @@ class FlashArray:
 
     def channel_of(self, ppa: int) -> int:
         return ppa // self._pages_per_channel
-
-    def block_of(self, ppa: int) -> int:
-        """Global block index of a physical page."""
-        return ppa // self._pages_per_block
-
-    def page_in_block(self, ppa: int) -> int:
-        return ppa % self._pages_per_block
-
-    def first_ppa_of_block(self, block: int) -> int:
-        return block * self._pages_per_block
-
-    def channel_of_block(self, block: int) -> int:
-        return block // self._blocks_per_channel
 
     # -- timed operations --------------------------------------------------------
 
@@ -374,12 +355,6 @@ class FlashArray:
     def estimate_read_ns(self, ppa: int) -> float:
         """Algorithm 1's latency estimate for a new read of ``ppa``."""
         return self.channels[self.channel_of(ppa)].estimate_read_ns()
-
-    def least_loaded_channel(self, now: float) -> int:
-        """Channel where a new command would start earliest (used to
-        stripe compaction writes, §III-B)."""
-        best = min(self.channels, key=lambda c: c.free_at)
-        return best.index
 
     def _trace_op(
         self,
@@ -485,11 +460,6 @@ class DeepFlashChannel(_QueuedChannel):
     def free_at(self) -> float:
         """Earliest time a new command could start on some unit."""
         return min(u.free for u in self._units)
-
-    @property
-    def drained_at(self) -> float:
-        """Time at which every queued command will have completed."""
-        return max(u.free for u in self._units)
 
     # -- latency estimators ---------------------------------------------------
 

@@ -92,13 +92,6 @@ class PageFTL:
         """LPA -> PPA, or None if the page was never written."""
         return self._mapping.get(lpa)
 
-    def is_mapped(self, lpa: int) -> bool:
-        return lpa in self._mapping
-
-    @property
-    def mapped_pages(self) -> int:
-        return len(self._mapping)
-
     def free_blocks_in_channel(self, channel: int) -> int:
         return len(self._free_blocks[channel])
 
@@ -169,12 +162,6 @@ class PageFTL:
     def relocate(self, lpa: int, channel: int) -> int:
         """GC relocation: channel-local and allowed to use the reserve."""
         return self.write(lpa, channel, for_gc=True)
-
-    def trim(self, lpa: int) -> None:
-        """Drop the mapping for ``lpa`` (page deleted / migrated away)."""
-        old = self._mapping.pop(lpa, None)
-        if old is not None:
-            self._drop_live(old)
 
     def _drop_live(self, ppa: int) -> None:
         block = self.blocks[ppa // self.geometry.pages_per_block]

@@ -111,20 +111,6 @@ class GeometryModel:
             + page
         )
 
-    def unit_of(self, ppa: int) -> Tuple[int, int, int]:
-        """``ppa`` -> ``(channel, die, plane)`` without the block split."""
-        channel, die, plane, _, _ = self.decompose(ppa)
-        return channel, die, plane
-
-    def decompose_block(self, block: int) -> Tuple[int, int, int, int]:
-        """Global block index -> ``(channel, die, plane, block_in_plane)``."""
-        if not 0 <= block < self.total_blocks:
-            raise ValueError(f"block {block} out of range")
-        channel, in_channel = divmod(block, self.blocks_per_channel)
-        die, in_die = divmod(in_channel, self.blocks_per_die)
-        plane, block_in_plane = divmod(in_die, self.blocks_per_plane)
-        return channel, die, plane, block_in_plane
-
     def to_dict(self) -> Dict[str, int]:
         """Derived counts as a plain dict (diagnostics / docs)."""
         return {

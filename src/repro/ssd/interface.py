@@ -1,27 +1,25 @@
 """Common interface between the host-facing simulator and SSD controllers.
 
 Every device personality (Base-CSSD, SkyByte, the AstriFlash host-cache
-organisation) implements :class:`SSDController`: the host submits one
-cacheline request and receives an :class:`AccessResult` describing when the
-data is ready, how the latency decomposes for AMAT accounting (Fig. 17),
-which request class it belongs to (Fig. 16), and whether the device would
-answer with a ``SkyByte-Delay`` NDR (the context-switch hint of Fig. 7).
+organisation) has one entry point,
+``access_line(lpa, line, is_write, now)``: the host submits one
+cacheline access by page and line, and receives an :class:`AccessResult`
+describing when the data is ready, how the latency decomposes for AMAT
+accounting (Fig. 17), which request class it belongs to (Fig. 16), and
+whether the device would answer with a ``SkyByte-Delay`` NDR (the
+context-switch hint of Fig. 7).
 
-The host window loop calls the decoded-address entry
-``access_line(lpa, line, is_write, now, float_hits=False)`` instead.
-With ``float_hits`` the Base-CSSD and SkyByte controllers answer an
-access that cannot carry a hint (an SSD DRAM read hit, any write) with
-its completion time as a bare ``float``; every other access, and every
-access without ``float_hits``, gets an :class:`AccessResult`.  The stats
-are the same either way.
+The host window loop passes ``float_hits=True``: the Base-CSSD and
+SkyByte controllers then answer an access that cannot carry a hint (an
+SSD DRAM read hit, any write) with its completion time as a bare
+``float``; every other access, and every access without ``float_hits``,
+gets an :class:`AccessResult`.  The stats are the same either way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Protocol
-
-from repro.cxl.protocol import MemRequest
+from typing import Dict
 
 
 @dataclass(slots=True)
@@ -51,19 +49,3 @@ class AccessResult:
     #: the system's link wrapper when ``delay_hint`` is True); the Long
     #: Delay Exception cannot retire before this.
     hint_arrival_ns: float = 0.0
-
-
-class SSDController(Protocol):
-    """Protocol implemented by every device personality."""
-
-    def access(self, request: MemRequest, now: float) -> AccessResult:
-        """Serve one 64-byte request arriving at the device at ``now``."""
-        ...
-
-    def drain(self, now: float) -> float:
-        """Flush device-buffered dirty state; returns completion time.
-
-        Used at end of simulation so flash-traffic accounting includes
-        buffered-but-unflushed writes on an equal footing across designs.
-        """
-        ...

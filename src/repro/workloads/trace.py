@@ -26,8 +26,6 @@ from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.config import PAGE_SIZE
-
 TraceRecord = Tuple[int, bool, int]
 
 #: Largest address a packed op holds: ``(address << 1) | 1`` must fit a
@@ -208,11 +206,6 @@ class Trace:
 def trace_instructions(trace: Sequence[TraceRecord]) -> int:
     """Total instruction count a trace represents (gaps + 1 memory op each)."""
     return sum(r[0] for r in trace) + len(trace)
-
-
-def trace_footprint_pages(trace: Sequence[TraceRecord]) -> int:
-    """Number of distinct 4 KB pages the trace touches."""
-    return len({r[2] // PAGE_SIZE for r in trace})
 
 
 def trace_write_ratio(trace: Sequence[TraceRecord]) -> float:

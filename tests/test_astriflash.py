@@ -5,7 +5,6 @@ import pytest
 from repro.baselines.astriflash import AstriFlashController
 from repro.config import scaled_config
 from repro.cxl.link import CXLLink
-from repro.cxl.protocol import M2SOpcode, MemRequest
 from repro.sim.engine import Engine
 from repro.sim.stats import HOST_DRAM, SimStats
 
@@ -23,17 +22,23 @@ def build(budget_pages=16):
 
 
 def read_req(page, line=0):
-    return MemRequest(opcode=M2SOpcode.MEM_RD, address=page * 4096 + line * 64)
+    return page, line, False
 
 
 def write_req(page, line=0):
-    return MemRequest(opcode=M2SOpcode.MEM_WR, address=page * 4096 + line * 64)
+    return page, line, True
+
+
+def access(ctrl, request, now):
+    """Serve a ``(page, line, is_write)`` request through ``access_line``."""
+    page, line, is_write = request
+    return ctrl.access_line(page, line, is_write, now)
 
 
 def test_host_hit_is_dram_speed_no_switch():
     ctrl, engine, stats, config = build()
     ctrl.warm_access(3, 0, False)
-    result = ctrl.access(read_req(3, 1), 0.0)
+    result = access(ctrl, read_req(3, 1), 0.0)
     assert result.request_class == HOST_DRAM
     assert not result.delay_hint
     assert result.complete_ns == pytest.approx(config.cpu.dram_latency_ns)
@@ -42,16 +47,16 @@ def test_host_hit_is_dram_speed_no_switch():
 def test_host_miss_always_switches():
     """AstriFlash switches (user-level) on every host DRAM miss."""
     ctrl, engine, stats, config = build()
-    result = ctrl.access(read_req(7), 0.0)
+    result = access(ctrl, read_req(7), 0.0)
     assert result.delay_hint
     assert result.est_delay_ns > 0
 
 
 def test_miss_fills_host_cache():
     ctrl, engine, stats, config = build()
-    ctrl.access(read_req(7), 0.0)
+    access(ctrl, read_req(7), 0.0)
     assert 7 in ctrl.host_cache
-    hit = ctrl.access(read_req(7, 5), 1e9)
+    hit = access(ctrl, read_req(7, 5), 1e9)
     assert hit.request_class == HOST_DRAM
 
 
@@ -61,11 +66,11 @@ def test_page_granular_writeback_on_dirty_eviction():
     ctrl, engine, stats, config = build(budget_pages=8)
     ways = ctrl.host_cache.ways
     sets = ctrl.host_cache.num_sets
-    ctrl.access(write_req(0), 0.0)
+    access(ctrl, write_req(0), 0.0)
     engine.run()
     # Evict page 0 by filling its set with conflicting pages.
     for k in range(1, ways + 1):
-        ctrl.access(read_req(k * sets), engine.now)
+        access(ctrl, read_req(k * sets), engine.now)
         engine.run()
     entry = ctrl.inner.cache.peek(0)
     assert entry is not None
@@ -74,7 +79,7 @@ def test_page_granular_writeback_on_dirty_eviction():
 
 def test_writes_counted():
     ctrl, engine, stats, config = build()
-    ctrl.access(write_req(1), 0.0)
+    access(ctrl, write_req(1), 0.0)
     assert stats.host_lines_written == 1
 
 
@@ -85,7 +90,7 @@ def test_handles_link_flag():
 
 def test_drain_flushes_host_dirty():
     ctrl, engine, stats, config = build()
-    ctrl.access(write_req(1), 0.0)
+    access(ctrl, write_req(1), 0.0)
     ctrl.drain(engine.now)
     assert not ctrl.host_cache.dirty_entries()
 

@@ -6,20 +6,23 @@ import pytest
 
 from repro.config import scaled_config
 from repro.core.controller import SkyByteController
-from repro.cxl.protocol import M2SOpcode, MemRequest
 from repro.sim.engine import Engine
 from repro.sim.stats import SimStats, SSD_READ_HIT, SSD_READ_MISS, SSD_WRITE
 from repro.ssd.base_controller import BaseCSSDController
 
 
-def read_req(page, line=0, core=0):
-    return MemRequest(opcode=M2SOpcode.MEM_RD, address=page * 4096 + line * 64,
-                      core=core)
+def read_req(page, line=0):
+    return page, line, False
 
 
-def write_req(page, line=0, core=0):
-    return MemRequest(opcode=M2SOpcode.MEM_WR, address=page * 4096 + line * 64,
-                      core=core)
+def write_req(page, line=0):
+    return page, line, True
+
+
+def access(ctrl, request, now):
+    """Serve a ``(page, line, is_write)`` request through ``access_line``."""
+    page, line, is_write = request
+    return ctrl.access_line(page, line, is_write, now)
 
 
 def build_base(ctx=False):
@@ -43,11 +46,11 @@ def build_skybyte(ctx=True):
 class TestBaseCSSD:
     def test_read_miss_then_hit(self):
         ctrl, engine, stats, config = build_base()
-        miss = ctrl.access(read_req(0), 0.0)
+        miss = access(ctrl, read_req(0), 0.0)
         assert miss.request_class == SSD_READ_MISS
         assert miss.complete_ns >= config.ssd.timing.read_ns
         engine.run()
-        hit = ctrl.access(read_req(0, line=1), engine.now)
+        hit = access(ctrl, read_req(0, line=1), engine.now)
         assert hit.request_class == SSD_READ_HIT
         assert hit.complete_ns - engine.now < 1000
 
@@ -56,51 +59,51 @@ class TestBaseCSSD:
         non-resident page costs a whole-page flash read."""
         ctrl, engine, stats, config = build_base()
         reads_before = stats.flash_page_reads
-        result = ctrl.access(write_req(3), 0.0)
+        result = access(ctrl, write_req(3), 0.0)
         assert result.request_class == SSD_WRITE
         assert stats.flash_page_reads == reads_before + 1
         assert result.complete_ns >= config.ssd.timing.read_ns
 
     def test_dirty_eviction_writes_whole_page(self):
         ctrl, engine, stats, config = build_base()
-        ctrl.access(write_req(0), 0.0)
+        access(ctrl, write_req(0), 0.0)
         engine.run()
         # Conflict-evict page 0 by filling its set.
         sets = ctrl.cache.num_sets
         ways = ctrl.cache.ways
         writes_before = stats.flash_page_writes
         for k in range(1, ways + 2):
-            ctrl.access(read_req(k * sets), engine.now)
+            access(ctrl, read_req(k * sets), engine.now)
             engine.run()
         assert stats.flash_page_writes > writes_before
 
     def test_mshr_coalescing_no_duplicate_fetch(self):
         ctrl, engine, stats, config = build_base()
-        ctrl.access(read_req(0, line=0, core=0), 0.0)
+        access(ctrl, read_req(0, line=0), 0.0)
         reads_after_first = stats.flash_page_reads
-        second = ctrl.access(read_req(0, line=1, core=1), 10.0)
+        second = access(ctrl, read_req(0, line=1), 10.0)
         assert stats.flash_page_reads == reads_after_first
         assert second.request_class == SSD_READ_MISS  # still pays the wait
 
     def test_prefetch_next_page(self):
         ctrl, engine, stats, config = build_base()
-        ctrl.access(read_req(10), 0.0)
+        access(ctrl, read_req(10), 0.0)
         assert stats.prefetch_issued >= 1
         assert ctrl.contains_page(11)
 
     def test_periodic_persistence_flushes_old_dirty(self):
         ctrl, engine, stats, config = build_base()
-        ctrl.access(write_req(0), 0.0)
+        access(ctrl, write_req(0), 0.0)
         engine.run()
         writes_before = stats.flash_page_writes
         # Advance past the persistence interval via a later access.
         later = config.ssd.dirty_flush_interval_ns * 2
-        ctrl.access(read_req(1), later)
+        access(ctrl, read_req(1), later)
         assert stats.flash_page_writes > writes_before
 
     def test_invalidate_returns_dirty_mask(self):
         ctrl, engine, stats, config = build_base()
-        ctrl.access(write_req(2, line=5), 0.0)
+        access(ctrl, write_req(2, line=5), 0.0)
         engine.run()
         mask = ctrl.invalidate_page(2)
         assert mask & (1 << 5)
@@ -114,19 +117,19 @@ class TestBaseCSSD:
 
     def test_drain_flushes_all_dirty(self):
         ctrl, engine, stats, config = build_base()
-        ctrl.access(write_req(1), 0.0)
+        access(ctrl, write_req(1), 0.0)
         engine.run()
         ctrl.drain(engine.now)
         assert not ctrl.cache.dirty_entries()
 
     def test_delay_hint_when_ctx_enabled(self):
         ctrl, engine, stats, config = build_base(ctx=True)
-        result = ctrl.access(read_req(0), 0.0)
+        result = access(ctrl, read_req(0), 0.0)
         assert result.delay_hint  # 3us read > 2us threshold
 
     def test_no_hint_when_ctx_disabled(self):
         ctrl, engine, stats, config = build_base(ctx=False)
-        result = ctrl.access(read_req(0), 0.0)
+        result = access(ctrl, read_req(0), 0.0)
         assert not result.delay_hint
 
 
@@ -135,7 +138,7 @@ class TestSkyByte:
         """§III-A: writes are buffered in the log, no switch needed."""
         ctrl, engine, stats, config = build_skybyte()
         reads_before = stats.flash_page_reads
-        result = ctrl.access(write_req(3), 0.0)
+        result = access(ctrl, write_req(3), 0.0)
         assert result.request_class == SSD_WRITE
         assert not result.delay_hint
         assert stats.flash_page_reads == reads_before
@@ -143,36 +146,36 @@ class TestSkyByte:
 
     def test_read_hit_from_log(self):
         ctrl, engine, stats, config = build_skybyte()
-        ctrl.access(write_req(3, line=7), 0.0)
-        result = ctrl.access(read_req(3, line=7), 100.0)
+        access(ctrl, write_req(3, line=7), 0.0)
+        result = access(ctrl, read_req(3, line=7), 100.0)
         assert result.request_class == SSD_READ_HIT
         assert not result.delay_hint
 
     def test_read_miss_hints(self):
         ctrl, engine, stats, config = build_skybyte()
-        result = ctrl.access(read_req(0), 0.0)
+        result = access(ctrl, read_req(0), 0.0)
         assert result.request_class == SSD_READ_MISS
         assert result.delay_hint
 
     def test_replay_after_fetch_is_hit(self):
         """Step C4: the replayed instruction hits in SSD DRAM."""
         ctrl, engine, stats, config = build_skybyte()
-        ctrl.access(read_req(0), 0.0)
+        access(ctrl, read_req(0), 0.0)
         engine.run()
-        replay = ctrl.access(read_req(0), engine.now)
+        replay = access(ctrl, read_req(0), engine.now)
         assert replay.request_class == SSD_READ_HIT
 
     def test_mshr_coalesced_read_no_new_fetch(self):
         ctrl, engine, stats, config = build_skybyte()
-        ctrl.access(read_req(0, core=0), 0.0)
+        access(ctrl, read_req(0), 0.0)
         before = stats.flash_page_reads
-        second = ctrl.access(read_req(0, line=2, core=1), 1.0)
+        second = access(ctrl, read_req(0, line=2), 1.0)
         assert stats.flash_page_reads == before
         assert second.request_class == SSD_READ_MISS
 
     def test_invalidate_carries_log_dirty_lines(self):
         ctrl, engine, stats, config = build_skybyte()
-        ctrl.access(write_req(4, line=9), 0.0)
+        access(ctrl, write_req(4, line=9), 0.0)
         mask = ctrl.invalidate_page(4)
         assert mask & (1 << 9)
         assert not ctrl.contains_page(4)
@@ -187,14 +190,14 @@ class TestSkyByte:
 
     def test_drain_empties_log(self):
         ctrl, engine, stats, config = build_skybyte()
-        ctrl.access(write_req(1), 0.0)
+        access(ctrl, write_req(1), 0.0)
         ctrl.drain(10.0)
         engine.run()
-        assert ctrl.dram.write_log.used_entries == 0
+        assert sum(b.used for b in ctrl.dram.write_log.buffers) == 0
 
     def test_prefetch_on_read_miss(self):
         ctrl, engine, stats, config = build_skybyte()
-        ctrl.access(read_req(20), 0.0)
+        access(ctrl, read_req(20), 0.0)
         assert stats.prefetch_issued >= 1
 
     def test_warm_access_populates_without_flash(self):
@@ -242,8 +245,8 @@ class TestPrefetchInflightRule:
 class TestFloatHits:
     """With ``float_hits`` an access that cannot carry a hint (an SSD
     DRAM read hit, any write) returns its bare completion time; the
-    :class:`AccessResult` path (``access()``) gives the same time and
-    leaves identical stats."""
+    :class:`AccessResult` path (without ``float_hits``) gives the same
+    time and leaves identical stats."""
 
     @staticmethod
     def _build(cls, model):
@@ -267,8 +270,7 @@ class TestFloatHits:
             is_write = rng.random() < 0.3
             now += rng.choice([5.0, 60.0, 4000.0])
             got = bare.access_line(page, line, is_write, now, True)
-            request = (write_req if is_write else read_req)(page, line)
-            want = full.access(request, now)
+            want = full.access_line(page, line, is_write, now)
             if isinstance(got, float):
                 floats += 1
                 assert got == want.complete_ns

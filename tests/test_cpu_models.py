@@ -1,136 +1,9 @@
-"""Tests for the CPU-side models: caches, MSHRs, hierarchy, host DRAM."""
+"""Tests for the host DRAM model."""
 
 import pytest
 
 from repro.config import CPUConfig
-from repro.cpu.cache import CpuCache
 from repro.cpu.dram import HostDRAM
-from repro.cpu.hierarchy import CacheHierarchy
-from repro.cpu.mshr import MSHRFile
-
-
-class TestCpuCache:
-    def test_hit_after_fill(self):
-        c = CpuCache("L1", 1024, 2, 1.0)
-        assert not c.lookup(5, False)
-        c.fill(5)
-        assert c.lookup(5, False)
-        assert c.hits == 1
-        assert c.misses == 1
-
-    def test_lru_within_set(self):
-        c = CpuCache("L1", 2 * 64, 2, 1.0)  # 1 set, 2 ways
-        c.fill(0)
-        c.fill(1)
-        c.lookup(0, False)
-        victim = c.fill(2)
-        assert victim.line_address == 1
-
-    def test_write_sets_dirty(self):
-        c = CpuCache("L1", 1024, 2, 1.0)
-        c.fill(5)
-        c.lookup(5, True)
-        victim = None
-        set_size = c.ways
-        # conflict-evict line 5
-        for k in range(1, set_size + 1):
-            v = c.fill(5 + k * c.num_sets)
-            victim = v or victim
-        assert victim is not None and victim.dirty
-
-    def test_invalidate(self):
-        c = CpuCache("L1", 1024, 2, 1.0)
-        c.fill(5)
-        assert c.invalidate(5) is not None
-        assert 5 not in c
-
-
-class TestMSHR:
-    def test_allocate_and_release(self):
-        m = MSHRFile(2)
-        assert m.allocate(1, 0.0) is not None
-        assert len(m) == 1
-        m.release(1)
-        assert len(m) == 0
-
-    def test_coalescing_same_line(self):
-        m = MSHRFile(1)
-        e1 = m.allocate(1, 0.0, waiter=("c0", 1))
-        e2 = m.allocate(1, 1.0, waiter=("c1", 2))
-        assert e1 is e2
-        assert m.coalesced == 1
-        assert len(e1.waiters) == 2
-
-    def test_capacity_rejection(self):
-        m = MSHRFile(1)
-        m.allocate(1, 0.0)
-        assert m.allocate(2, 0.0) is None
-        assert m.rejected == 1
-
-    def test_squash_waiter_release(self):
-        """SkyByte frees MSHR entries as soon as an instruction squashes,
-        preventing exhaustion during long flash waits (§III-A)."""
-        m = MSHRFile(1)
-        m.allocate(1, 0.0, waiter=("c0", 1))
-        m.allocate(1, 0.0, waiter=("c0", 2))
-        assert m.release_waiter(1, ("c0", 1)) is True
-        assert len(m) == 1  # one waiter left
-        assert m.release_waiter(1, ("c0", 2)) is True
-        assert len(m) == 0  # last waiter freed the entry
-
-
-class TestHierarchy:
-    def cfg(self):
-        return CPUConfig(cores=2)
-
-    def test_miss_goes_off_chip_then_hits(self):
-        h = CacheHierarchy(self.cfg())
-        r = h.access(0, 100, False)
-        assert r.hit_level is None
-        h.fill_from_memory(0, 100)
-        r2 = h.access(0, 100, False)
-        assert r2.hit_level == "L1"
-
-    def test_l3_shared_between_cores(self):
-        h = CacheHierarchy(self.cfg())
-        h.access(0, 100, False)
-        h.fill_from_memory(0, 100)
-        r = h.access(1, 100, False)
-        assert r.hit_level == "L3"
-
-    def test_latency_accumulates_down_levels(self):
-        h = CacheHierarchy(self.cfg())
-        h.access(0, 100, False)
-        h.fill_from_memory(0, 100)
-        l1 = h.access(0, 100, False).latency_ns
-        l3 = h.access(1, 100, False).latency_ns
-        assert l3 > l1
-
-    def test_mshr_exhaustion_stalls(self):
-        cfg = CPUConfig(cores=1, l1_mshrs=2)
-        h = CacheHierarchy(cfg)
-        assert not h.access(0, 1, False).mshr_stall
-        assert not h.access(0, 2, False).mshr_stall
-        assert h.access(0, 3, False).mshr_stall
-
-    def test_squash_frees_mshr(self):
-        cfg = CPUConfig(cores=1, l1_mshrs=1)
-        h = CacheHierarchy(cfg)
-        h.access(0, 1, False)
-        h.squash(0, 1)
-        assert not h.access(0, 2, False).mshr_stall
-
-    def test_fill_releases_mshrs(self):
-        cfg = CPUConfig(cores=1, l1_mshrs=1)
-        h = CacheHierarchy(cfg)
-        h.access(0, 1, False)
-        h.fill_from_memory(0, 1)
-        assert h.outstanding_misses(0) == 0
-
-    def test_invalid_core_rejected(self):
-        h = CacheHierarchy(self.cfg())
-        with pytest.raises(ValueError):
-            h.access(5, 0, False)
 
 
 class TestHostDRAM:

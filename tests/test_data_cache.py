@@ -36,7 +36,7 @@ class TestSetAssociativePageCache:
     def test_touch_and_dirty_masks(self):
         c = SetAssociativePageCache(4, ways=4)
         c.insert(1, touch_line=3)
-        c.mark_dirty(1, 7)
+        c.insert(1, touch_line=7, dirty_mask=1 << 7)
         entry = c.peek(1)
         assert entry.touch_mask & (1 << 3)
         assert entry.touch_mask & (1 << 7)
@@ -64,7 +64,7 @@ class TestSetAssociativePageCache:
         c = SetAssociativePageCache(8, ways=2)
         c.insert(1)
         c.insert(2)
-        c.mark_dirty(2, 0)
+        c.insert(2, touch_line=0, dirty_mask=1 << 0)
         dirty = c.dirty_entries()
         assert [e.lpa for e in dirty] == [2]
 

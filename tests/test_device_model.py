@@ -111,9 +111,7 @@ class TestGeometryModel:
         ppa = data.draw(st.integers(0, model.total_pages - 1))
         channel, die, plane, block_in_plane, page = model.decompose(ppa)
         assert channel == array.channel_of(ppa)
-        assert page == array.page_in_block(ppa)
-        block = array.block_of(ppa)
-        assert model.decompose_block(block) == (channel, die, plane, block_in_plane)
+        assert page == ppa % geometry.pages_per_block
 
     @settings(max_examples=60, deadline=None)
     @given(geometry=geometry_st)
@@ -159,19 +157,12 @@ class TestGeometryModel:
         }
         assert seen == set(range(model.total_pages))
 
-    def test_unit_of(self):
-        model = GeometryModel(small_geometry(), ULL)
-        ppa = model.compose(1, 1, 1, 2, 3)
-        assert model.unit_of(ppa) == (1, 1, 1)
-
     def test_out_of_range_rejected(self):
         model = GeometryModel(small_geometry(), ULL)
         with pytest.raises(ValueError):
             model.decompose(model.total_pages)
         with pytest.raises(ValueError):
             model.decompose(-1)
-        with pytest.raises(ValueError):
-            model.decompose_block(model.total_blocks)
         with pytest.raises(ValueError):
             model.compose(0, model.dies_per_channel, 0, 0, 0)
         with pytest.raises(ValueError):

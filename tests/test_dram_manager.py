@@ -159,7 +159,7 @@ class TestMaintenance:
         dram.write(2, 0, 0.0)
         dram.flush_all(10.0)
         engine.run()
-        assert dram.write_log.used_entries == 0
+        assert sum(b.used for b in dram.write_log.buffers) == 0
         assert stats.flash_page_writes >= 2
 
     def test_invalidate_page_clears_both_structures(self):
@@ -170,9 +170,3 @@ class TestMaintenance:
         assert 4 not in dram.data_cache
         assert not dram.write_log.has_page(4)
         assert not dram.contains_page(4)
-
-    def test_index_memory_accounting(self):
-        config, engine, stats, ftl, flash, dram = build()
-        assert dram.index_memory_bytes == 0
-        dram.write(1, 0, 0.0)
-        assert dram.index_memory_bytes > 0

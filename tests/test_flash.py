@@ -38,16 +38,6 @@ class TestGeometry:
         geo = array.geometry
         ppa = geo.pages_per_channel + 3  # second channel, page 3
         assert array.channel_of(ppa) == 1
-        assert array.block_of(ppa) == geo.blocks_per_channel
-        assert array.page_in_block(ppa) == 3
-
-    def test_block_channel_roundtrip(self):
-        array, _, _ = make_array()
-        geo = array.geometry
-        for block in range(geo.total_blocks):
-            ppa = array.first_ppa_of_block(block)
-            assert array.block_of(ppa) == block
-            assert array.channel_of(ppa) == array.channel_of_block(block)
 
 
 class TestChannelTiming:
@@ -171,8 +161,3 @@ class TestArrayAccounting:
             array.read_page(array.geometry.total_pages, 0.0)
         with pytest.raises(ValueError):
             array.erase_block(array.geometry.total_blocks, 0.0)
-
-    def test_least_loaded_channel(self):
-        array, _, _ = make_array()
-        array.read_page(0, 0.0)  # busy channel 0
-        assert array.least_loaded_channel(0.0) != 0 or array.channels[0].free_at == 0

@@ -26,13 +26,11 @@ class TestTranslation:
     def test_unmapped_is_none(self):
         ftl = make_ftl()
         assert ftl.translate(0) is None
-        assert not ftl.is_mapped(0)
 
     def test_write_maps(self):
         ftl = make_ftl()
         ppa = ftl.write(5)
         assert ftl.translate(5) == ppa
-        assert ftl.mapped_pages == 1
 
     def test_overwrite_moves_page(self):
         ftl = make_ftl()
@@ -47,13 +45,6 @@ class TestTranslation:
         ftl.write(5, channel=0)
         block = ftl.blocks[first // 4]
         assert first % 4 not in block.live
-
-    def test_trim_unmaps(self):
-        ftl = make_ftl()
-        ftl.write(7)
-        ftl.trim(7)
-        assert ftl.translate(7) is None
-        ftl.check_invariants()
 
 
 class TestAllocation:
@@ -152,7 +143,7 @@ class TestPrecondition:
     def test_fills_logical_space(self):
         ftl = make_ftl()
         ftl.precondition(32)
-        assert ftl.mapped_pages == 32
+        assert all(ftl.translate(lpa) is not None for lpa in range(32))
         ftl.check_invariants()
 
     def test_leaves_target_free_blocks(self):
@@ -173,21 +164,21 @@ class TestPrecondition:
 @settings(max_examples=50, deadline=None)
 @given(
     st.lists(
-        st.tuples(st.sampled_from(["write", "trim"]), st.integers(0, 15)),
+        st.tuples(st.sampled_from(["write", "relocate"]), st.integers(0, 15)),
         min_size=1,
         max_size=60,
     )
 )
 def test_invariants_hold_under_random_ops(ops):
-    """Property: any interleaving of writes and trims keeps the mapping
-    and per-block liveness mutually consistent."""
+    """Property: any interleaving of host writes and GC relocations keeps
+    the mapping and per-block liveness mutually consistent."""
     ftl = make_ftl()
     for op, lpa in ops:
         try:
             if op == "write":
                 ftl.write(lpa)
             else:
-                ftl.trim(lpa)
+                ftl.relocate(lpa, channel=lpa % 2)
         except OutOfSpaceError:
             break
     ftl.check_invariants()

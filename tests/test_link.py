@@ -46,8 +46,9 @@ def test_bytes_metered_both_directions():
 
 def test_round_trip_includes_both_directions():
     link, _ = make_link()
-    rt = link.round_trip_ns(0.0, 8, 68)
-    assert rt > 2 * 40.0
+    arrive_device = link.send_downstream(0.0, 8)
+    arrive_host = link.send_upstream(arrive_device, 68)
+    assert arrive_host > 2 * 40.0
 
 
 def test_transfer_ns_scales_with_bytes():

@@ -90,7 +90,6 @@ class TestLogIndex:
         for page in (3, 1, 2):
             idx.insert(page, 0, page)
         assert sorted(idx.pages()) == [1, 2, 3]
-        assert idx.page_count == 3
 
     def test_clear(self):
         idx = LogIndex()

@@ -69,15 +69,6 @@ def test_coldest_none_when_nothing_promoted():
     assert pt.coldest_promoted() is None
 
 
-def test_promoted_pages_iteration():
-    pt = PageTable()
-    pt.promote(1)
-    pt.promote(9)
-    pt.promote(4)
-    pt.demote(9)
-    assert sorted(pt.promoted_pages()) == [1, 4]
-
-
 def test_frames_unique():
     pt = PageTable()
     frames = {pt.promote(v).host_frame for v in range(10)}
@@ -122,9 +113,6 @@ def test_coldest_promoted_matches_full_scan(ops):
         elif op == "access" and pt.is_promoted(vpn):
             pt.record_host_access(vpn, 0, False, now)
         assert pt.coldest_promoted() == _coldest_by_full_scan(pt)
-        assert list(pt.promoted_pages()) == [
-            v for v, e in pt._entries.items() if e.location == Location.HOST
-        ]
 
 
 def test_coldest_ties_go_to_the_oldest_pte():

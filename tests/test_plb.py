@@ -1,12 +1,8 @@
-"""Tests for the Promotion Look-aside Buffer (4 KB and huge-page)."""
+"""Tests for the Promotion Look-aside Buffer."""
 
 import pytest
 
-from repro.config import CACHELINES_PER_PAGE
 from repro.host.plb import (
-    FIRST_LEVEL_BITMAP_BYTES,
-    HugePagePLB,
-    HUGE_PAGE_CHUNKS,
     PLB_ENTRIES,
     PLB_ENTRY_BYTES,
     PromotionLookasideBuffer,
@@ -39,21 +35,6 @@ class TestPLB:
         assert plb.begin(3, 0) is None
         assert plb.full
 
-    def test_write_routing_by_migrated_bit(self):
-        """§III-C: reads during promotion hit SSD DRAM; writes go to the
-        host iff the line's migrated bit is set."""
-        plb = PromotionLookasideBuffer()
-        entry = plb.begin(5, 0)
-        assert plb.route_write(5, 3) == "ssd"
-        entry.mark_migrated(3)
-        assert plb.route_write(5, 3) == "host"
-        assert plb.route_write(5, 4) == "ssd"
-
-    def test_route_unknown_page_raises(self):
-        plb = PromotionLookasideBuffer()
-        with pytest.raises(KeyError):
-            plb.route_write(5, 0)
-
     def test_complete_frees_entry(self):
         plb = PromotionLookasideBuffer(entries=1)
         plb.begin(5, 0)
@@ -66,60 +47,3 @@ class TestPLB:
         plb = PromotionLookasideBuffer()
         with pytest.raises(KeyError):
             plb.complete(5)
-
-    def test_entry_completion_detection(self):
-        plb = PromotionLookasideBuffer()
-        entry = plb.begin(5, 0)
-        for line in range(CACHELINES_PER_PAGE):
-            entry.mark_migrated(line)
-        assert entry.complete
-
-
-class TestHugePagePLB:
-    def test_two_level_sizing(self):
-        """§IV: 64 B chunk bitmap + 8 B line bitmap instead of a 4 KB
-        bitmap per entry."""
-        plb = HugePagePLB()
-        assert FIRST_LEVEL_BITMAP_BYTES == 64
-        assert HUGE_PAGE_CHUNKS == 512
-        assert plb.entry_tracking_bytes == 72
-        assert plb.entry_tracking_bytes < 4096
-
-    def test_chunk_by_chunk_migration(self):
-        plb = HugePagePLB()
-        entry = plb.begin(0, 0)
-        entry.start_chunk(0)
-        assert not entry.is_line_migrated(0, 5)
-        entry.mark_line(5)
-        assert entry.is_line_migrated(0, 5)
-        for line in range(CACHELINES_PER_PAGE):
-            entry.mark_line(line)
-        entry.finish_chunk()
-        assert entry.is_line_migrated(0, 63)
-        assert not entry.is_line_migrated(1, 0)
-
-    def test_single_chunk_in_flight(self):
-        plb = HugePagePLB()
-        entry = plb.begin(0, 0)
-        entry.start_chunk(0)
-        with pytest.raises(ValueError):
-            entry.start_chunk(1)
-
-    def test_finish_requires_all_lines(self):
-        plb = HugePagePLB()
-        entry = plb.begin(0, 0)
-        entry.start_chunk(0)
-        entry.mark_line(0)
-        with pytest.raises(ValueError):
-            entry.finish_chunk()
-
-    def test_full_migration_complete(self):
-        plb = HugePagePLB()
-        entry = plb.begin(0, 0)
-        for chunk in range(HUGE_PAGE_CHUNKS):
-            entry.start_chunk(chunk)
-            for line in range(CACHELINES_PER_PAGE):
-                entry.mark_line(line)
-            entry.finish_chunk()
-        assert entry.complete
-        assert plb.complete(0) is entry

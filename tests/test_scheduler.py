@@ -128,21 +128,3 @@ class TestQueueMechanics:
     def test_empty_queue_returns_none(self):
         s = Scheduler("RR")
         assert s.pick_next() is None
-
-    def test_park_and_wake(self):
-        s = Scheduler("RR")
-
-        class FakeCore:
-            woken = False
-
-            def wake(self):
-                self.woken = True
-
-        core = FakeCore()
-        s.park_core(core)
-        s.wake_one_core()  # nothing runnable yet
-        assert not core.woken
-        s.park_core(core)
-        s.enqueue(make_threads(1)[0])
-        s.wake_one_core()
-        assert core.woken

@@ -187,12 +187,8 @@ class TestSimStats:
     def test_warmup_gating(self):
         s = SimStats()
         s.enabled = False
-        s.add_instructions(100)
-        s.add_compute(5.0)
         s.count_request(SSD_WRITE)
         s.record_amat(flash=100.0)
-        assert s.instructions == 0
-        assert s.compute_ns == 0
         assert s.request_counts[SSD_WRITE] == 0
         assert s.amat_accesses == 0
 
@@ -205,7 +201,7 @@ class TestSimStats:
 
     def test_boundedness_fractions_sum_to_one(self):
         s = SimStats()
-        s.add_compute(30.0)
+        s.compute_ns += 30.0
         s.add_memory_stall(60.0)
         s.add_context_switch(10.0)
         bd = s.boundedness()
@@ -257,8 +253,8 @@ class TestSimStats:
 class TestSimStatsMerge:
     def test_scalars_sum_and_window_unions(self):
         a, b = SimStats(), SimStats()
-        a.add_instructions(100)
-        b.add_instructions(50)
+        a.instructions += 100
+        b.instructions += 50
         a.count_request(SSD_READ_HIT)
         b.count_request(SSD_READ_HIT)
         b.count_request(HOST_DRAM)

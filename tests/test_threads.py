@@ -52,12 +52,6 @@ class TestWindowBuilding:
         assert t.next_window(10_000, 8) is None
         assert t.done
 
-    def test_remaining_records(self):
-        t = ThreadContext(0, make_trace(6))
-        assert t.remaining_records == 6
-        t.next_window(10_000, 4)
-        assert t.remaining_records == 2
-
 
 class TestSquashReplay:
     def test_squash_after_sets_replay(self):
@@ -200,7 +194,6 @@ class TestCursorRewind:
         assert drive(rewound, squashes, max_instructions, max_ops) == [
             packed(window) for window in expected]
         assert rewound.done and reference.done
-        assert rewound.remaining_records == 0
 
     @settings(max_examples=100, deadline=None)
     @given(

@@ -26,7 +26,6 @@ from repro.workloads.trace import (
     MAX_ADDRESS,
     MAX_GAP_TOTAL,
     Trace,
-    trace_footprint_pages,
     trace_instructions,
     trace_mpki,
     trace_write_ratio,
@@ -48,10 +47,6 @@ def sample_trace():
 def test_instruction_count():
     assert trace_instructions(sample_trace()) == 15 + 3
     assert trace_instructions(Trace.from_records(sample_trace())) == 15 + 3
-
-
-def test_footprint_pages():
-    assert trace_footprint_pages(sample_trace()) == 3
 
 
 def test_write_ratio():

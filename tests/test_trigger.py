@@ -30,8 +30,17 @@ def build(threshold_ns=2000.0, enabled=True):
 
 
 def test_algorithm1_formula_exact():
-    """Lines 5-6 of Algorithm 1, verbatim."""
-    est = ContextSwitchTrigger.estimate_from_counters(ULL, 2, 1, 1)
+    """Lines 5-6 of Algorithm 1, verbatim, on a channel holding 2 queued
+    reads, 1 program and 1 erase."""
+    _, flash, _, _, _ = build()
+    channel = flash.channels[0]
+    channel.submit_read(0.0)
+    channel.submit_read(0.0)
+    channel.submit_program(0.0)
+    channel.submit_erase(0.0)
+    assert (channel.queued_reads, channel.queued_programs,
+            channel.queued_erases) == (2, 1, 1)
+    est = channel.estimate_read_fifo_ns()
     assert est == pytest.approx(ULL.read_ns * 3 + ULL.program_ns + ULL.erase_ns)
 
 

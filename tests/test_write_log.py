@@ -37,7 +37,6 @@ class TestWriteLog:
         log = WriteLog(100)
         assert log.active.capacity == 50
         assert log.standby.capacity == 50
-        assert log.capacity_entries == 100
 
     def test_append_fills_active(self):
         log = WriteLog(4)
@@ -108,12 +107,6 @@ class TestWriteLog:
         dropped = log.remove_page(5)
         assert dropped == 2
         assert not log.has_page(5)
-
-    def test_memory_bytes_from_both_indexes(self):
-        log = WriteLog(8)
-        assert log.memory_bytes == 0
-        log.append(0, 0)
-        assert log.memory_bytes > 0
 
 
 @settings(max_examples=50, deadline=None)
