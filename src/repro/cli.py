@@ -842,13 +842,14 @@ def cmd_profile(args: argparse.Namespace) -> int:
         )
     except KeyError as exc:
         return _bad_name(exc)
-    from repro.obs.profile import profile_cell, render_profile
+    from repro.obs.profile import profile_cell, render_counts, render_profile
 
-    result, stats = profile_cell(job.workload, job.variant, **job.kwargs())
+    result, stats, events = profile_cell(
+        job.workload, job.variant, **job.kwargs())
     print(f"profile: {result.workload} / {result.variant} "
           f"({result.threads} threads, seed {result.config.seed}, "
-          f"{result.config.device_model.kind} device model; second run, "
-          f"{stats.total_calls:,} calls)")
+          f"{result.config.device_model.kind} device model; second run)")
+    print(render_counts(stats, events, result.stats.amat_accesses))
     print(render_profile(stats, args.top))
     return 0
 

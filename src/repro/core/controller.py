@@ -19,9 +19,11 @@ from repro.config import SimConfig
 from repro.core.data_cache import SkyByteDataCache
 from repro.core.dram_manager import SkyByteDRAMManager
 from repro.core.trigger import ContextSwitchTrigger
+from repro.core.write_log import WriteLog
 from repro.qos import FlashPacingArbiter, build_tenant_map
 from repro.sim.engine import Engine
 from repro.sim.stats import SimStats, SSD_READ_HIT, SSD_READ_MISS, SSD_WRITE
+from repro.ssd.base_cache import CacheEntry
 from repro.ssd.factory import arbiter_slots, build_flash_subsystem
 from repro.ssd.interface import AccessResult
 
@@ -60,7 +62,7 @@ class SkyByteController:
         if ctx_switch_enabled is None:
             ctx_switch_enabled = config.skybyte.device_triggered_ctx_swt
         self.trigger = ContextSwitchTrigger(
-            config.os.cs_threshold_ns, self.flash, self.gc, enabled=ctx_switch_enabled
+            config.os.cs_threshold_ns, enabled=ctx_switch_enabled
         )
         # Hoisted per-access constants (config is settled by now).
         self._dram_ns = self._ssd.dram_access_ns
@@ -68,18 +70,34 @@ class SkyByteController:
         self._r1_index_ns = self._ssd.cache_index_ns
         self._r2_index_ns = self._ssd.log_index_ns
         self._write_log = self.dram.write_log
-        # The read path looks R1 up in the data cache's sets itself; the
-        # per-tenant quota cache is asked through the DRAM manager.
+        self._prefetch_depth = self._ssd.prefetch_depth
+        self._pages_per_channel = self.flash.model.pages_per_channel
+        self._gc_active = self.gc.active
+        # The read path looks R1 up in (and fills) the data cache's sets
+        # itself; the per-tenant quota cache is asked through the DRAM
+        # manager.  Likewise it reads the logged-line masks of a single
+        # write log from its two buffers' first-level index tables (each
+        # cleared in place on reset); per-tenant log shares route.
         cache = self.dram.data_cache
         if isinstance(cache, SkyByteDataCache):
+            self._r1_cache = cache._cache
             self._r1_sets = cache._cache._sets
             self._r1_num_sets = cache._cache.num_sets
         else:
             self._r1_sets = None
+        log = self._write_log
+        if isinstance(log, WriteLog):
+            self._log_tables = tuple(b.index._first for b in log.buffers)
+        else:
+            self._log_tables = None
         # Controller MSHRs: lpa -> completion time of the in-flight fetch.
         self._inflight: Dict[int, float] = {}
-        #: Hook for the migration engine (page, is_write, now).
+        #: Migration hooks (see MigrationEngine.install): the hotness
+        #: policy's ``record_access(page, is_write, now)``, true when
+        #: promotion candidates are pending, and the engine's
+        #: ``promote_candidates(now)``.
         self.on_page_access = None
+        self.on_promotion_candidates = None
 
     # -- public API ---------------------------------------------------------------
 
@@ -95,8 +113,9 @@ class SkyByteController:
         float; every other access returns an :class:`AccessResult`.  The
         stats are the same either way.
         """
-        if self.on_page_access is not None:
-            self.on_page_access(lpa, is_write, now)
+        record = self.on_page_access
+        if record is not None and record(lpa, is_write, now):
+            self.on_promotion_candidates(now)
         if is_write:
             return self._write(lpa, line, now, float_hits)
         return self._read(lpa, line, now, float_hits)
@@ -143,19 +162,52 @@ class SkyByteController:
     # -- read path ------------------------------------------------------------------
 
     def _read(self, lpa: int, line: int, now: float, float_hits: bool):
-        inflight_ready = self._inflight.get(lpa)
-        if inflight_ready is not None and inflight_ready > now:
-            # Coalesce on the controller MSHR: the page is on its way.
-            return self._read_coalesced(lpa, line, now, inflight_ready)
-
-        # R1 then R2, each looked up once; only an R3 miss goes on.
+        """A read, in one body: an MSHR-coalesced read of a page whose
+        fetch is in flight, an R1/R2 hit, or an R3 miss with Algorithm
+        1's hint, the flash fetch and the sequential prefetch."""
         stats = self._stats
         sets = self._r1_sets
+        inflight = self._inflight
+        inflight_ready = inflight.get(lpa)
+        if inflight_ready is not None and inflight_ready > now:
+            # Coalesce on the controller MSHR: the page is on its way.
+            # The read waits out the remaining fetch, and the hint
+            # compares that wait itself against the threshold.
+            indexing = self._miss_index_ns
+            dram_ns = self._dram_ns
+            wait = inflight_ready - now
+            flash = max(0.0, wait - indexing)
+            if stats.enabled:
+                stats.request_counts[SSD_READ_MISS] += 1
+                stats.amat_indexing_ns += indexing
+                stats.amat_ssd_dram_ns += dram_ns
+                stats.amat_flash_ns += flash
+                stats.amat_accesses += 1
+            if sets is None:
+                entry = self.dram.data_cache.peek(lpa)
+            else:
+                entry = sets[lpa % self._r1_num_sets].get(lpa)
+            if entry is not None:
+                entry.touch_mask |= 1 << line
+            trigger = self.trigger
+            return AccessResult(
+                complete_ns=inflight_ready + dram_ns,
+                request_class=SSD_READ_MISS,
+                delay_hint=trigger.enabled and wait > trigger.threshold_ns,
+                est_delay_ns=wait,
+                breakdown={"indexing": indexing, "flash": flash,
+                           "ssd_dram": dram_ns},
+            )
+
+        # R1 then R2, each looked up once; only an R3 miss goes on.  The
+        # R2 test reads the page's logged-line mask, which an R3 fill
+        # merges in.
+        log_tables = self._log_tables
+        write_log = self._write_log
         if sets is None:
             hit = self.dram.lookup(lpa, line)
-            if hit is None:
-                return self._read_miss(lpa, line, now)
-            indexing = hit[1]
+            indexing = None if hit is None else hit[1]
+            logged = None
         else:
             cache_set = sets[lpa % self._r1_num_sets]
             entry = cache_set.get(lpa)
@@ -166,53 +218,137 @@ class SkyByteController:
                 if stats.enabled:
                     stats.cache_hits += 1
                 indexing = self._r1_index_ns
-            elif self._write_log.has_line(lpa, line):
-                indexing = self._r2_index_ns
             else:
-                return self._read_miss(lpa, line, now)
-        # Hit: the common case, with the stats mutators inlined
-        # (skipping the ``+= 0.0`` component adds is exact).
+                if log_tables is None:
+                    logged = write_log.line_mask(lpa)
+                else:
+                    first, second = log_tables
+                    table = first.get(lpa)
+                    logged = 0 if table is None else table.mask
+                    table = second.get(lpa)
+                    if table is not None:
+                        logged |= table.mask
+                indexing = self._r2_index_ns if logged >> line & 1 else None
         dram_ns = self._dram_ns
-        if stats.enabled:
-            stats.request_counts[SSD_READ_HIT] += 1
-            stats.amat_indexing_ns += indexing
-            stats.amat_ssd_dram_ns += dram_ns
-            stats.amat_accesses += 1
-        if float_hits:
-            return now + indexing + dram_ns
-        return AccessResult(
-            complete_ns=now + indexing + dram_ns,
-            request_class=SSD_READ_HIT,
-            breakdown={"indexing": indexing, "ssd_dram": dram_ns},
-        )
+        if indexing is not None:
+            # Hit: the common case, with the stats mutators inlined
+            # (skipping the ``+= 0.0`` component adds is exact).
+            if stats.enabled:
+                stats.request_counts[SSD_READ_HIT] += 1
+                stats.amat_indexing_ns += indexing
+                stats.amat_ssd_dram_ns += dram_ns
+                stats.amat_accesses += 1
+            if float_hits:
+                return now + indexing + dram_ns
+            return AccessResult(
+                complete_ns=now + indexing + dram_ns,
+                request_class=SSD_READ_HIT,
+                breakdown={"indexing": indexing, "ssd_dram": dram_ns},
+            )
 
-    def _read_miss(self, lpa: int, line: int, now: float) -> AccessResult:
-        """R3: Algorithm 1's hint, then the flash fetch."""
+        # R3: both lookups were needed to see the miss, so it pays the
+        # slower one; the fetch issues once they are done.
         indexing = self._miss_index_ns
-        ppa = self.ftl.translate(lpa)
-        # Decide the context-switch hint *before* the fetch mutates the
-        # channel queue (the estimate is for the state the request sees).
+        issue = now + indexing
+        ftl = self.ftl
+        flash_array = self.flash
+        ppa = ftl.translate(lpa)
+        # Algorithm 1 decides the hint *before* the fetch mutates the
+        # channel queue (the estimate is for the state the request
+        # sees): a GC campaign on the channel triggers at once ("as GCs
+        # typically last for milliseconds", §III-A), otherwise the
+        # channel's queue estimate is compared against the threshold.
         # A never-written page is zero-filled: no flash, no hint.
-        if ppa is not None and self.trigger.enabled:
-            decision = self.trigger.should_context_switch(ppa)
-            hint, est_ns = decision.trigger, decision.estimated_ns
+        trigger = self.trigger
+        if ppa is not None and trigger.enabled:
+            channel = ppa // self._pages_per_channel
+            est_ns = flash_array.channels[channel].estimate_read_ns()
+            hint = self._gc_active[channel] or est_ns > trigger.threshold_ns
         else:
             hint, est_ns = False, 0.0
-        tenant = (
-            self.tenant_map.tenant_of_page(lpa) if self._flash_qos else None
-        )
-        ready = self.dram.fetch(lpa, line, ppa, now + indexing, tenant)
+        qos = self.tenant_map if self._flash_qos else None
+        if stats.enabled:
+            stats.cache_misses += 1
+        if ppa is None:
+            ready = issue
+        else:
+            tenant = None if qos is None else qos.tenant_of_page(lpa)
+            ready = flash_array.read_page(ppa, issue, tenant=tenant)
+        # Install the page with the newer logged lines merged in.
+        cache = self.dram.data_cache
+        if sets is None:
+            cache.fill(lpa, line, write_log.line_mask(lpa))
+        else:
+            # ``SetAssociativePageCache.insert`` of an absent page (nothing
+            # since the R1 miss touched the cache), with the eviction
+            # accounting of ``SkyByteDataCache.fill``.
+            r1_cache = self._r1_cache
+            ways = r1_cache.ways
+            victim = None
+            if len(cache_set) >= ways:
+                _, victim = cache_set.popitem(last=False)
+                r1_cache._size -= 1
+            cache_set[lpa] = CacheEntry(lpa, 1 << line, logged)
+            r1_cache._size += 1
+            if victim is not None and stats.enabled:
+                stats.cache_evictions += 1
+                locality = stats.read_locality
+                locality._counts[victim.touch_mask.bit_count()] += 1
+                locality._total += 1
         flash = max(0.0, ready - now - indexing)
-        stats = self._stats
-        dram_ns = self._dram_ns
         if stats.enabled:
             stats.request_counts[SSD_READ_MISS] += 1
             stats.amat_indexing_ns += indexing
             stats.amat_ssd_dram_ns += dram_ns
             stats.amat_flash_ns += flash
             stats.amat_accesses += 1
-        self._inflight[lpa] = ready
-        self._maybe_prefetch(lpa, now + indexing)
+        inflight[lpa] = ready
+
+        # Sequential next-page prefetch into the data cache.  SkyByte
+        # keeps the baseline's published optimisations (§VI-A's
+        # Base-CSSD includes "prefetching from flash to SSD DRAM"); only
+        # the DRAM organisation changes.
+        for nxt in range(lpa + 1, lpa + self._prefetch_depth + 1):
+            pending = inflight.get(nxt)
+            if pending is not None and pending > issue:
+                continue
+            if sets is None:
+                if cache.peek(nxt) is not None:
+                    continue
+            else:
+                nxt_set = sets[nxt % self._r1_num_sets]
+                if nxt in nxt_set:
+                    continue
+            nxt_ppa = ftl.translate(nxt)
+            if nxt_ppa is None:
+                continue
+            tenant = None if qos is None else qos.tenant_of_page(nxt)
+            nxt_ready = flash_array.read_page(nxt_ppa, issue, tenant=tenant)
+            if sets is None:
+                cache.fill(nxt, None, write_log.line_mask(nxt))
+            else:
+                if log_tables is None:
+                    merged = write_log.line_mask(nxt)
+                else:
+                    table = first.get(nxt)
+                    merged = 0 if table is None else table.mask
+                    table = second.get(nxt)
+                    if table is not None:
+                        merged |= table.mask
+                victim = None
+                if len(nxt_set) >= ways:
+                    _, victim = nxt_set.popitem(last=False)
+                    r1_cache._size -= 1
+                nxt_set[nxt] = CacheEntry(nxt, 0, merged)
+                r1_cache._size += 1
+                if victim is not None and stats.enabled:
+                    stats.cache_evictions += 1
+                    locality = stats.read_locality
+                    locality._counts[victim.touch_mask.bit_count()] += 1
+                    locality._total += 1
+            if stats.enabled:
+                stats.prefetch_issued += 1
+            inflight[nxt] = nxt_ready
         return AccessResult(
             complete_ns=ready + dram_ns,
             request_class=SSD_READ_MISS,
@@ -245,59 +381,4 @@ class SkyByteController:
                 "ssd_dram": dram_ns,
                 "flash": outcome.stalled_ns,
             },
-        )
-
-    # -- internals ----------------------------------------------------------------------
-
-    def _maybe_prefetch(self, lpa: int, now: float) -> None:
-        """Sequential next-page prefetch into the data cache.  SkyByte
-        keeps the baseline's published optimisations (§VI-A's Base-CSSD
-        includes "prefetching from flash to SSD DRAM"); only the DRAM
-        organisation changes."""
-        cache = self.dram.data_cache
-        for nxt in range(lpa + 1, lpa + self._ssd.prefetch_depth + 1):
-            inflight = self._inflight.get(nxt)
-            if inflight is not None and inflight > now:
-                continue
-            if cache.peek(nxt) is not None:
-                continue
-            ppa = self.ftl.translate(nxt)
-            if ppa is None:
-                continue
-            tenant = (
-                self.tenant_map.tenant_of_page(nxt) if self._flash_qos else None
-            )
-            ready = self.flash.read_page(ppa, now, tenant=tenant)
-            cache.fill(nxt, None, self.dram.write_log.line_mask(nxt))
-            if self._stats.enabled:
-                self._stats.prefetch_issued += 1
-            self._inflight[nxt] = ready
-
-    def _read_coalesced(
-        self, lpa: int, line: int, now: float, ready: float
-    ) -> AccessResult:
-        """A read of a page whose flash fetch is in flight: it waits out
-        the remaining fetch, and the hint compares that wait itself
-        against the threshold."""
-        indexing = self._miss_index_ns
-        dram_ns = self._dram_ns
-        wait = ready - now
-        flash = max(0.0, wait - indexing)
-        stats = self._stats
-        if stats.enabled:
-            stats.request_counts[SSD_READ_MISS] += 1
-            stats.amat_indexing_ns += indexing
-            stats.amat_ssd_dram_ns += dram_ns
-            stats.amat_flash_ns += flash
-            stats.amat_accesses += 1
-        entry = self.dram.data_cache.peek(lpa)
-        if entry is not None:
-            entry.touch_mask |= 1 << line
-        trigger = self.trigger
-        return AccessResult(
-            complete_ns=ready + dram_ns,
-            request_class=SSD_READ_MISS,
-            delay_hint=trigger.enabled and wait > trigger.threshold_ns,
-            est_delay_ns=wait,
-            breakdown={"indexing": indexing, "flash": flash, "ssd_dram": dram_ns},
         )

@@ -40,17 +40,6 @@ from repro.ssd.gc import GarbageCollector
 
 
 @dataclass(slots=True)
-class ReadOutcome:
-    """Result of a DRAM-manager read."""
-
-    hit: bool  # served without flash (R1 or R2)
-    path: str  # "R1", "R2" or "R3"
-    ready_ns: float  # absolute time the line is in SSD DRAM
-    indexing_ns: float
-    flash_ns: float
-
-
-@dataclass(slots=True)
 class WriteOutcome:
     """Result of a DRAM-manager write."""
 
@@ -73,15 +62,10 @@ class SkyByteDRAMManager:
         qos=None,
     ) -> None:
         self._config = config
-        self._ftl = ftl
-        self._flash = flash
-        self._gc = gc
-        self._engine = engine
         self._stats = stats
         # ``qos`` is a repro.qos.TenantMap (or None).  It selects the
         # write-log / data-cache organisation; the flash arbiter is
         # installed by the controller.
-        self._qos = qos
         if qos is not None and qos.log_partitioning:
             self.write_log = PartitionedWriteLog(config.write_log_entries, qos)
         else:
@@ -110,7 +94,15 @@ class SkyByteDRAMManager:
     def lookup(self, lpa: int, line: int) -> Optional[Tuple[str, float]]:
         """R1 then R2: ``(path, index latency)`` when SSD DRAM can serve
         the read, ``None`` on an R3 miss.  A data-cache hit refreshes
-        LRU and marks the line touched."""
+        LRU and marks the line touched.
+
+        The controller serves the read itself
+        (:meth:`SkyByteController._read
+        <repro.core.controller.SkyByteController._read>`): it looks R1
+        and R2 up in the structures directly unless the data cache is
+        split into tenant quotas, and it fetches an R3 miss from flash,
+        merges the logged lines into it (:meth:`WriteLog.line_mask`) and
+        installs it, deciding Algorithm 1's hint before the fetch."""
         if self.data_cache.lookup(lpa, line) is not None:
             # R1 -- resident pages are kept up to date by W2/R3 merges.
             return self._r1
@@ -118,44 +110,6 @@ class SkyByteDRAMManager:
             # R2 -- newest copy lives in the log.
             return self._r2
         return None
-
-    def read(
-        self, lpa: int, line: int, now: float, tenant: Optional[int] = None
-    ) -> ReadOutcome:
-        """Parallel lookup of data cache and write log (R1/R2/R3).
-
-        The controller calls :meth:`lookup` and :meth:`fetch` itself: it
-        decides Algorithm 1's hint between the two.
-        """
-        hit = self.lookup(lpa, line)
-        if hit is not None:
-            path, indexing = hit
-            return ReadOutcome(True, path, now + indexing, indexing, 0.0)
-        indexing = self.miss_index_ns
-        flash_ready = self.fetch(
-            lpa, line, self._ftl.translate(lpa), now + indexing, tenant
-        )
-        return ReadOutcome(
-            False, "R3", flash_ready, indexing,
-            max(0.0, flash_ready - now - indexing),
-        )
-
-    def fetch(
-        self, lpa: int, line: int, ppa: Optional[int], issue_ns: float,
-        tenant: Optional[int] = None,
-    ) -> float:
-        """R3: read ``ppa`` (the FTL translation of ``lpa``) from flash at
-        ``issue_ns``, merge the logged lines into it and install it in the
-        data cache.  Returns when the page is in SSD DRAM."""
-        if self._stats.enabled:
-            self._stats.cache_misses += 1
-        if ppa is None:
-            # Never-written page: zero-fill without flash access.
-            flash_ready = issue_ns
-        else:
-            flash_ready = self._flash.read_page(ppa, issue_ns, tenant=tenant)
-        self.data_cache.fill(lpa, line, self.write_log.line_mask(lpa))
-        return flash_ready
 
     #: High-water mark: compaction starts when the active buffer reaches
     #: this fill fraction (waiting for completely full risks stalling

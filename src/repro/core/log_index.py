@@ -30,23 +30,37 @@ SECOND_LEVEL_LOAD_FACTOR = 0.75
 class SecondLevelTable:
     """Per-page table: cacheline offset -> log offset.
 
-    Tracks the number of *slots* a resizable open hash table of this load
-    factor would hold, for footprint accounting.
+    Keeps its peak entry count, from which :attr:`slots` derives the
+    slots a resizable open hash table of this load factor would hold,
+    for footprint accounting.
     """
 
-    __slots__ = ("entries", "slots", "mask")
+    __slots__ = ("entries", "peak", "mask")
 
     def __init__(self) -> None:
         self.entries: Dict[int, int] = {}
-        self.slots = SECOND_LEVEL_INITIAL_SLOTS
+        #: Most entries the table has held (it never shrinks its slots).
+        self.peak = 0
         #: Bitmask of the indexed line offsets (the R3 merge mask).
         self.mask = 0
 
     def insert(self, line_offset: int, log_offset: int) -> None:
-        self.entries[line_offset] = log_offset
+        entries = self.entries
+        entries[line_offset] = log_offset
         self.mask |= 1 << line_offset
-        while len(self.entries) > self.slots * SECOND_LEVEL_LOAD_FACTOR:
-            self.slots *= 2
+        count = len(entries)
+        if count > self.peak:
+            self.peak = count
+
+    @property
+    def slots(self) -> int:
+        """Slots of a table that starts at four and doubles whenever an
+        insert pushes it past the load factor: a function of the peak
+        entry count alone, since slots never shrink."""
+        slots = SECOND_LEVEL_INITIAL_SLOTS
+        while self.peak > slots * SECOND_LEVEL_LOAD_FACTOR:
+            slots *= 2
+        return slots
 
     def lookup(self, line_offset: int) -> Optional[int]:
         return self.entries.get(line_offset)

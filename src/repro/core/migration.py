@@ -116,13 +116,19 @@ class MigrationEngine:
         #: Optional sim-time timeline tracer (see :mod:`repro.obs.timeline`).
         self.tracer = None
 
-    # -- SSD-side hook ---------------------------------------------------------
+    # -- SSD-side hooks ---------------------------------------------------------
 
-    def on_page_access(self, page: int, is_write: bool, now: float) -> None:
-        """Installed as the controller's page-access observer."""
-        if self.policy.record_access(page, is_write, now):
-            for candidate in self.policy.take_candidates(now):
-                self._try_promote(candidate, now)
+    def install(self, controller) -> None:
+        """Observe ``controller``'s page accesses: it calls the hotness
+        policy's ``record_access`` itself and, when that reports pending
+        candidates, :meth:`promote_candidates`."""
+        controller.on_page_access = self.policy.record_access
+        controller.on_promotion_candidates = self.promote_candidates
+
+    def promote_candidates(self, now: float) -> None:
+        """Try to promote every pending candidate of the hotness policy."""
+        for candidate in self.policy.take_candidates(now):
+            self._try_promote(candidate, now)
 
     # -- promotion ----------------------------------------------------------------
 

@@ -16,6 +16,13 @@ order retirement), the triggering op is saved for replay, younger ops are
 squashed back into the trace, the OS scheduler picks the next thread, and
 the core pays the measured 2 us switch overhead.  Squashed accesses are
 excluded from AMAT, as in the paper.
+
+Both run in one call each: :meth:`Core._run_slice` cuts a window from
+the trace's window plan (the replay window included), issues it and
+retires it, and :meth:`Core._context_switch` takes the exception --
+retire, squash (a rewind of the thread's trace cursor), AMAT reversal,
+switch accounting and re-queue -- leaving only the pick of the next
+thread to :meth:`Scheduler.pick_next`.
 """
 
 from __future__ import annotations
@@ -51,6 +58,8 @@ class Core:
         self._ipc = cpu.peak_ipc
         self._rob_instructions = cpu.rob_entries
         self._quantum_ns = config.os.quantum_ns
+        #: Kernel switch for SkyByte designs, user-level for AstriFlash.
+        self._switch_cost_ns = system.switch_cost_ns
         # Per-window MLP: bounded by the L1 MSHRs and by the workload's
         # dependence-limited parallelism (pointer chasing exposes little).
         self._mlp = max(1, min(cpu.l1_mshrs, getattr(system, "workload_mlp", 8)))
@@ -91,10 +100,14 @@ class Core:
         """Serve one window: cut it, issue its accesses, retire it and
         queue the next slice, in one call.
 
-        The common window (the plan is built, no replay is pending, no
-        capture tap) is cut here with two plan lookups; every other case
-        goes through :meth:`ThreadContext.next_window`.  The retire is
-        one pass over the completion times
+        Once the plan is built and no capture tap is installed, the
+        window is cut here from the trace's window plan: the common
+        window with two plan lookups, and the window that replays a
+        squashed op with the replay op first, then at most ``mlp - 1``
+        trace records within the ROB budget (the plan's at-least-one
+        clamp does not apply after a replay).  The first window, a tap
+        and exhaustion go through :meth:`ThreadContext.next_window`.
+        The retire is one pass over the completion times
         (:meth:`LatencyHistogram.record_window` also returns the longest
         latency), and the next slice is pushed onto the engine heap with
         the key :meth:`Engine.schedule_at` would queue: ``end >= now``,
@@ -108,29 +121,49 @@ class Core:
         now = engine._now
 
         if self._pending_shootdown_ns > 0.0:
+            # Absorb the shootdowns as a stall of their own slice (the
+            # stats and engine calls inlined: the cost is positive).
             cost = self._pending_shootdown_ns
             self._pending_shootdown_ns = 0.0
-            self._system.stats.add_memory_stall(cost)
-            engine.schedule(cost, self._run_slice)
+            stats = self._system.stats
+            if stats.enabled:
+                stats.memory_stall_ns += cost
+            engine._seq = seq = engine._seq + 1
+            heappush(engine._queue, (now + cost, seq, self._run_slice))
             return
 
         plan = thread._plan
         pos = thread.pos
+        replay = thread.replay
         if (
             plan is not None
             and pos < len(plan)
-            and thread.replay is None
             and thread.on_fetch is None
             and thread._plan_key == self._window_key
         ):
-            end = pos + plan[pos]
+            take = plan[pos]
             cum = thread._cum
+            if replay is None:
+                end = pos + take
+                ops = thread._ops[pos:end]
+                replayed = False
+            else:
+                thread.replay = None
+                if take >= self._mlp:
+                    take = self._mlp - 1
+                elif (
+                    take == 1
+                    and cum[pos + 1] - cum[pos] > self._rob_instructions
+                ):
+                    take = 0
+                end = pos + take
+                ops = [replay]
+                ops.extend(thread._ops[pos:end])
+                replayed = True
             instructions = cum[end] - cum[pos]
-            ops = thread._ops[pos:end]
             thread.pos = end
-            replayed = False
         else:
-            replayed = thread.replay is not None
+            replayed = replay is not None
             window = thread.next_window(self._rob_instructions, self._mlp)
             if window is None:
                 self._finish_thread(thread)
@@ -168,7 +201,6 @@ class Core:
                 if complete - now > wall:
                     wall = complete - now
         thread.runtime_ns += wall
-        thread.instructions_done += instructions
         self._sched_runtime += wall
         end_ns = now + wall
 
@@ -190,39 +222,75 @@ class Core:
         replayed: bool,
     ) -> None:
         """Take the Long Delay Exception at op ``len(completes)`` of the
-        window ``ops``; ``completes`` are the older ops' completion
-        times.  ``replayed`` says the window opens with the replayed op
-        of the previous switch.
+        window ``ops``, in one body: retire the older ops, squash the
+        rest, reverse the triggering access's AMAT accounting, charge
+        the switch and hand the core to the next thread.  ``completes``
+        are the older ops' completion times; ``replayed`` says the
+        window opens with the replayed op of the previous switch.
 
         The window's trace records end at ``thread.pos``, so the gaps of
         the ops up to the trigger are one prefix-sum difference: ops
         ``0..len(completes)``, without the replay (gap 0)."""
+        issued = len(completes)
         first = thread.pos - len(ops)
         cum = thread._cum
-        executed_instr = (
-            cum[first + len(completes) + 1] - cum[first + replayed]
-        )
+        executed_instr = cum[first + issued + 1] - cum[first + replayed]
         compute_ns = executed_instr * self._cycle_ns / self._ipc
         # In-order retirement: the exception fires after every older op in
-        # the window has completed and the NDR hint has arrived.
-        older_done = max(completes, default=now)
-        exception_ns = max(now + compute_ns, older_done, triggering.hint_arrival_ns)
+        # the window has completed and the NDR hint has arrived (with no
+        # older op, ``now`` never beats ``now + compute_ns``).
+        exception_ns = now + compute_ns
+        if triggering.hint_arrival_ns > exception_ns:
+            exception_ns = triggering.hint_arrival_ns
+        if issued:
+            older_done = max(completes)
+            if older_done > exception_ns:
+                exception_ns = older_done
 
+        switch_cost = self._switch_cost_ns
         stats = self._system.stats
         if stats.enabled:
             stats.instructions += executed_instr
             stats.compute_ns += compute_ns
             stats.memory_stall_ns += max(0.0, exception_ns - now - compute_ns)
             stats.offchip_latency.record_window(completes, now)
-        # The triggering access is squashed: reverse its AMAT accounting.
-        stats.unrecord_access(triggering.request_class, triggering.breakdown)
+            # The triggering access is squashed: reverse its AMAT
+            # accounting (the device-side effects really happened).
+            counts = stats.request_counts
+            request_class = triggering.request_class
+            if counts.get(request_class, 0) > 0:
+                counts[request_class] -= 1
+            breakdown = triggering.breakdown
+            stats.amat_host_dram_ns -= breakdown.get("host_dram", 0.0)
+            stats.amat_protocol_ns -= breakdown.get("protocol", 0.0)
+            stats.amat_indexing_ns -= breakdown.get("indexing", 0.0)
+            stats.amat_ssd_dram_ns -= breakdown.get("ssd_dram", 0.0)
+            stats.amat_flash_ns -= breakdown.get("flash", 0.0)
+            if stats.amat_accesses > 0:
+                stats.amat_accesses -= 1
+            stats.context_switch_ns += switch_cost
+            stats.context_switches += 1
 
-        thread.squash_after(len(completes), ops)
-        thread.instructions_done += executed_instr
+        # Squash: the triggering op is saved for replay and every younger
+        # op goes back to the trace (they are the slice just before
+        # ``pos``, fetched in order).
+        thread.replay = ops[issued]
+        thread.pos -= len(ops) - issued - 1
         thread.runtime_ns += exception_ns - now
+        thread.runtime_ns += switch_cost
         thread.just_resumed = True
-        switch_cost = self._system.switch_cost_ns
-        self._yield_thread(thread, exception_ns, switch_cost)
+
+        # Re-queue: a squashed thread has its replay pending, so it is
+        # never done and always goes back on the run queue, which is
+        # therefore never empty for the pick.
+        scheduler = self._scheduler
+        scheduler._queue.append(thread)
+        self.thread = scheduler.pick_next(prefer_not=thread.tid)
+        self._sched_runtime = 0.0
+        engine = self._engine
+        engine._seq = seq = engine._seq + 1
+        heappush(engine._queue, (
+            now + (exception_ns + switch_cost - now), seq, self._run_slice))
 
     def _yield_thread(self, thread: ThreadContext, at_ns: float, switch_cost: float) -> None:
         stats = self._system.stats

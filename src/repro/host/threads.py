@@ -2,9 +2,10 @@
 
 A :class:`ThreadContext` wraps one per-thread instruction trace and the
 replay cursor the coordinated context switch needs: when a load triggers
-the Long Delay Exception, its address is saved "such that when the thread
-is switched back, it will resume from this instruction and re-issue this
-memory access" (§III-A, step C4).
+the Long Delay Exception, the core saves its op in ``replay`` "such that
+when the thread is switched back, it will resume from this instruction
+and re-issue this memory access" (§III-A, step C4), and rewinds ``pos``
+over the squashed younger ops.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ class ThreadContext:
         self.replay: Optional[int] = None
         #: Wall time received on a core (CFS vruntime).
         self.runtime_ns = 0.0
-        self.instructions_done = 0
         #: True right after a context switch brought this thread back:
         #: its first window replays the squashed access, and an immediate
         #: re-switch on the same access would ping-pong.
@@ -58,8 +58,8 @@ class ThreadContext:
         #: trace, see :meth:`Trace.plan`): ``_plan[p]`` is the record
         #: count of the ROB/MSHR window starting at trace position ``p``,
         #: so with the prefix sums a window is two array lookups and a
-        #: slice.  The core cuts the common window (no replay, no tap)
-        #: from them itself.
+        #: slice.  Once it is fetched, the core cuts every window without
+        #: a tap from them itself.
         self._plan: Optional[array] = None
         self._plan_key: Optional[Tuple[int, int]] = None
 
@@ -79,14 +79,14 @@ class ThreadContext:
 
         A window is sliced out of the trace with two lookups in the
         trace's window plan (:meth:`Trace.plan`), which fixes for
-        *every* trace position how many records fit from there.  The
-        core cuts that common window itself once the plan is fetched
-        (:meth:`Core._run_slice <repro.cpu.core.Core._run_slice>`) and
-        calls this for the rest: the first window, a replay, a capture
-        tap and exhaustion.  Squashes rewind the cursor, and the window
-        that replays a squashed op is cut from the same plan: the replay
-        op (gap 0) first, then at most ``max_ops - 1`` trace records
-        within the budget.
+        *every* trace position how many records fit from there.  Squashes
+        rewind the cursor, and the window that replays a squashed op is
+        cut from the same plan: the replay op (gap 0) first, then at most
+        ``max_ops - 1`` trace records within the budget.  Once the plan
+        is fetched, the core cuts both kinds of window itself
+        (:meth:`Core._run_slice <repro.cpu.core.Core._run_slice>`, with
+        the same rules) and calls this for the rest: the first window, a
+        capture tap and exhaustion.
         """
         pos = self.pos
         ops = self._ops
@@ -120,17 +120,3 @@ class ThreadContext:
             window.extend(ops[pos:end])
             return cum[end] - cum[pos], window
         return cum[end] - cum[pos], ops[pos:end]
-
-    def squash_after(self, index: int, ops: Sequence[int]) -> int:
-        """Context switch at op ``index`` of the window ``ops``: that op
-        is saved for replay (its compute gap was already consumed, and a
-        packed op carries none) and every later op goes back to the
-        trace.  Returns the replay op.
-
-        Every op after a window's first came from the trace in order, so
-        the squashed ops are the trace slice just before ``pos`` and
-        rewinding the cursor puts them back.
-        """
-        self.replay = ops[index]
-        self.pos -= len(ops) - index - 1
-        return self.replay

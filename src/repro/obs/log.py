@@ -25,6 +25,19 @@ _lock = threading.Lock()
 _loggers: Dict[str, "JsonLinesLogger"] = {}
 
 
+def _fresh_lock_after_fork() -> None:
+    global _lock
+    _lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    # Every span's end takes the lock (``get_logger``), on worker and
+    # coordinator threads alike, so a fork can catch another thread
+    # inside it.  A worker's cell child ends spans too and would block
+    # on its copy forever; it starts with a fresh lock.
+    os.register_at_fork(after_in_child=_fresh_lock_after_fork)
+
+
 def _threshold() -> int:
     name = os.environ.get("REPRO_LOG", "info").strip().lower()
     return LEVELS.get(name, 20)

@@ -3,10 +3,13 @@
 The first run of a cell fills the trace and FTL preconditioning memos
 (see :mod:`repro.experiments.runner`), so :func:`profile_cell` profiles
 a *second* run, on the calling thread, and shows the steady state the
-later cells of a sweep see.  :func:`render_profile` sums self time per
-``repro.<package>`` (everything outside ``repro``, such as builtins, the
-standard library and numpy, is one ``other`` row) and lists the
-functions with the most self time.
+later cells of a sweep see.  :func:`render_counts` states the run's
+exact counts: Python calls and engine events, each also per simulated
+access.  They do not depend on the host's speed, so two commits compare
+by them where wall times are too noisy.  :func:`render_profile` sums
+self time per ``repro.<package>`` (everything outside ``repro``, such
+as builtins, the standard library and numpy, is one ``other`` row) and
+lists the functions with the most self time.
 """
 
 from __future__ import annotations
@@ -34,17 +37,30 @@ def package_of(filename: str) -> str:
 
 def profile_cell(workload: str, variant: str, **kwargs):
     """Run the cell once, then profile a second run of it; returns that
-    run's ``RunResult`` and its ``pstats.Stats``."""
+    run's ``RunResult``, its ``pstats.Stats`` and the engine events it
+    executed."""
     from repro.experiments.runner import run_workload
+    from repro.sim.engine import events_processed
 
     run_workload(workload, variant, **kwargs)
     profiler = cProfile.Profile()
+    before = events_processed()
     profiler.enable()
     try:
         result = run_workload(workload, variant, **kwargs)
     finally:
         profiler.disable()
-    return result, pstats.Stats(profiler)
+    return result, pstats.Stats(profiler), events_processed() - before
+
+
+def render_counts(stats: pstats.Stats, events: int, accesses: int) -> str:
+    """The profiled run's exact counts: calls (``total_calls``) and
+    engine events, each also per simulated access."""
+    per = max(accesses, 1)
+    return (f"counts: {stats.total_calls:,} calls "
+            f"({stats.total_calls / per:.2f} per access), {events:,} "
+            f"engine events ({events / per:.3f} per access), "
+            f"{accesses:,} simulated accesses")
 
 
 def package_table(stats: pstats.Stats) -> List[Tuple[str, float]]:

@@ -495,10 +495,6 @@ class SimStats:
 
     # -- mutators (no-ops during warmup) ------------------------------------
 
-    def add_memory_stall(self, ns: float) -> None:
-        if self.enabled:
-            self.memory_stall_ns += ns
-
     def add_context_switch(self, ns: float) -> None:
         if self.enabled:
             self.context_switch_ns += ns
@@ -547,27 +543,6 @@ class SimStats:
         self.amat_indexing_ns += indexing
         self.amat_ssd_dram_ns += ssd_dram
         self.amat_flash_ns += flash
-
-    def unrecord_access(self, request_class: str, breakdown: Dict[str, float]) -> None:
-        """Reverse the AMAT/request-class accounting of one access.
-
-        The paper excludes squashed instructions: "a memory access
-        triggering a context switch is excluded from calculating AMAT
-        since this instruction is squashed.  The replayed instruction that
-        eventually retires is included."  Device-side effects (the flash
-        fetch, cache fills) are *not* reversed -- they really happened.
-        """
-        if not self.enabled:
-            return
-        if self.request_counts.get(request_class, 0) > 0:
-            self.request_counts[request_class] -= 1
-        self.amat_host_dram_ns -= breakdown.get("host_dram", 0.0)
-        self.amat_protocol_ns -= breakdown.get("protocol", 0.0)
-        self.amat_indexing_ns -= breakdown.get("indexing", 0.0)
-        self.amat_ssd_dram_ns -= breakdown.get("ssd_dram", 0.0)
-        self.amat_flash_ns -= breakdown.get("flash", 0.0)
-        if self.amat_accesses > 0:
-            self.amat_accesses -= 1
 
     def add_cxl_bytes(self, n: int) -> None:
         if self.enabled:

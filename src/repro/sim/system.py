@@ -126,7 +126,7 @@ class System:
                 self.stats,
                 policy=policy,
             )
-            self.controller.on_page_access = self.migration.on_page_access
+            self.migration.install(self.controller)
             self.migration.on_tlb_shootdown = self._broadcast_shootdown
             if self.tracer is not None:
                 self.migration.tracer = self.tracer
@@ -254,6 +254,9 @@ class System:
             # that carry no hint, unless a request tracer or a tenant
             # mirror needs each access's class and breakdown.
             self._request_tracer is None and self._mirror_access is None,
+            # The scheduler's run queue (a hint is acted on only when
+            # another thread is runnable).
+            self.scheduler._queue,
         )
 
     def window_access(
@@ -288,7 +291,7 @@ class System:
         Returns the completion times of the ops that retire and the
         :class:`AccessResult` of the op whose ``SkyByte-Delay`` hint the
         core acts on, or ``None`` when the whole window retires; ops
-        after that one are never issued.  ``scheduler.runnable()`` is
+        after that one are never issued.  The scheduler's run queue is
         consulted only when a hint arrives, and a just-resumed thread
         ignores hints estimated below four switch thresholds (the replay
         is almost ready).
@@ -302,7 +305,7 @@ class System:
             )
         (stats, entries, dram, dram_latency, dram_inc, link, protocol_ns,
          wire, ndr_ser, access_line, mirror, tracer, guard_ns,
-         float_hits) = constants
+         float_hits, run_queue) = constants
         enabled = stats.enabled
         if not enabled:
             mirror = None
@@ -372,7 +375,7 @@ class System:
                 result.hint_arrival_ns = (
                     arrive_dev + decision_ns + ndr_ser + protocol_ns
                 )
-                if self.scheduler.runnable() > 0 and not (
+                if run_queue and not (
                     just_resumed and result.est_delay_ns < guard_ns
                 ):
                     trigger = result
@@ -545,6 +548,7 @@ class System:
         self._window_constants = None
         if self.migration is not None:
             self.controller.on_page_access = None
+            self.controller.on_promotion_candidates = None
             self.migration.on_tlb_shootdown = None
         ftl = getattr(self.controller, "ftl", None)
         if ftl is not None:

@@ -20,7 +20,7 @@ from repro.core.trigger import ContextSwitchTrigger
 from repro.qos import FlashPacingArbiter, build_tenant_map
 from repro.sim.engine import Engine
 from repro.sim.stats import SimStats, SSD_READ_HIT, SSD_READ_MISS, SSD_WRITE
-from repro.ssd.base_cache import SetAssociativePageCache
+from repro.ssd.base_cache import CacheEntry, SetAssociativePageCache
 from repro.ssd.factory import arbiter_slots, build_flash_subsystem
 from repro.ssd.interface import AccessResult
 
@@ -57,20 +57,27 @@ class BaseCSSDController:
         cache_pages = max(1, self._ssd.dram_bytes // self._ssd.geometry.page_size)
         self.cache = SetAssociativePageCache(cache_pages, self._ssd.cache_ways)
         self.trigger = ContextSwitchTrigger(
-            config.os.cs_threshold_ns, self.flash, self.gc, enabled=ctx_switch_enabled
+            config.os.cs_threshold_ns, enabled=ctx_switch_enabled
         )
         # Hoisted per-access constants (config is settled by now).
         self._index_ns = self._ssd.cache_index_ns
         self._dram_ns = self._ssd.dram_access_ns
         self._sets = self.cache._sets
         self._num_sets = self.cache.num_sets
+        self._prefetch_depth = self._ssd.prefetch_depth
+        self._pages_per_channel = self.flash.model.pages_per_channel
+        self._gc_active = self.gc.active
         # Periodic persistence scans at most every quarter interval.
         interval = self._ssd.dirty_flush_interval_ns
         self._flush_scan_ns = interval / 4 if interval > 0 else math.inf
         # Controller MSHRs: lpa -> time its in-flight fetch completes.
         self._inflight: Dict[int, float] = {}
-        #: Hook the migration engine installs to observe page accesses.
+        #: Migration hooks (see MigrationEngine.install): the hotness
+        #: policy's ``record_access(page, is_write, now)``, true when
+        #: promotion candidates are pending, and the engine's
+        #: ``promote_candidates(now)``.
         self.on_page_access = None
+        self.on_promotion_candidates = None
         self._last_flush_scan = 0.0
 
     # -- public API -------------------------------------------------------------
@@ -87,8 +94,9 @@ class BaseCSSDController:
         every other access returns an :class:`AccessResult`.  The stats
         are the same either way.
         """
-        if self.on_page_access is not None:
-            self.on_page_access(lpa, is_write, now)
+        record = self.on_page_access
+        if record is not None and record(lpa, is_write, now):
+            self.on_promotion_candidates(now)
         if now - self._last_flush_scan >= self._flush_scan_ns:
             self._periodic_persistence(now)
         if is_write:
@@ -173,8 +181,16 @@ class BaseCSSDController:
     # -- read path ---------------------------------------------------------------
 
     def _read(self, lpa: int, line: int, now: float, float_hits: bool):
+        """A read, in one body: a hit, a hit on a page whose fetch is
+        still in flight (coalesced on the controller MSHR), or a miss
+        with Algorithm 1's hint, the page fetch and the sequential
+        prefetch."""
         index_ns = self._index_ns
-        cache_set = self._sets[lpa % self._num_sets]
+        dram_ns = self._dram_ns
+        stats = self._stats
+        sets = self._sets
+        num_sets = self._num_sets
+        cache_set = sets[lpa % num_sets]
         entry = cache_set.get(lpa)
         if entry is not None:
             # ``cache.lookup`` inlined: refresh LRU, mark the line touched.
@@ -183,28 +199,31 @@ class BaseCSSDController:
             ready = self._inflight.get(lpa, 0.0)
             if ready > now + index_ns:
                 # Page is resident-in-name but the fetch is still on the
-                # wire: coalesce onto the controller MSHR (no new flash op).
-                self._stats.count_request(SSD_READ_MISS)
+                # wire: coalesce onto the controller MSHR (no new flash
+                # op).  The hint compares the remaining wait itself
+                # against the threshold.
                 flash_wait = ready - now - index_ns
-                self._stats.record_amat(indexing=index_ns, flash=flash_wait,
-                                        ssd_dram=self._ssd.dram_access_ns)
-                complete = ready + self._ssd.dram_access_ns
-                decision = self._decide_switch(lpa, default_est=flash_wait)
+                if stats.enabled:
+                    stats.request_counts[SSD_READ_MISS] += 1
+                    stats.amat_indexing_ns += index_ns
+                    stats.amat_ssd_dram_ns += dram_ns
+                    stats.amat_flash_ns += flash_wait
+                    stats.amat_accesses += 1
+                trigger = self.trigger
                 return AccessResult(
-                    complete_ns=complete,
+                    complete_ns=ready + dram_ns,
                     request_class=SSD_READ_MISS,
-                    delay_hint=decision.trigger,
-                    est_delay_ns=decision.estimated_ns,
+                    delay_hint=(trigger.enabled
+                                and flash_wait > trigger.threshold_ns),
+                    est_delay_ns=flash_wait,
                     breakdown={
                         "indexing": index_ns,
                         "flash": flash_wait,
-                        "ssd_dram": self._ssd.dram_access_ns,
+                        "ssd_dram": dram_ns,
                     },
                 )
             # Hit: the common case, with the stats mutators inlined
             # (skipping the ``+= 0.0`` component adds is exact).
-            stats = self._stats
-            dram_ns = self._dram_ns
             if stats.enabled:
                 stats.cache_hits += 1
                 stats.request_counts[SSD_READ_HIT] += 1
@@ -218,26 +237,102 @@ class BaseCSSDController:
                 request_class=SSD_READ_HIT,
                 breakdown={"indexing": index_ns, "ssd_dram": dram_ns},
             )
-        # Miss: fetch the whole page from flash.
-        if self._stats.enabled:
-            self._stats.cache_misses += 1
-        self._stats.count_request(SSD_READ_MISS)
-        decision = self._decide_switch_before_fetch(lpa)
-        ready = self._fetch_page(lpa, now + index_ns, touch_line=line)
+
+        # Miss: fetch the whole page from flash once the index lookup is
+        # done.  Nothing below touches the cache before the fill, so the
+        # page is still absent when it is inserted.
+        issue = now + index_ns
+        if stats.enabled:
+            stats.cache_misses += 1
+            stats.request_counts[SSD_READ_MISS] += 1
+        ftl = self.ftl
+        flash_array = self.flash
+        qos = self.tenant_map if self._flash_qos else None
+        ppa = ftl.translate(lpa)
+        if ppa is None:
+            # First-touch of a never-written page: no hint, and a mapping
+            # is materialised (zero-fill) at the cost of an allocation
+            # but no flash read.
+            hint, est_ns = False, 0.0
+            ppa = ftl.write(lpa)
+            self.gc.maybe_collect(flash_array.channel_of(ppa), issue)
+            ready = issue
+        else:
+            # Algorithm 1, decided before the fetch mutates the channel
+            # queue (see SkyByteController._read).
+            trigger = self.trigger
+            channel = ppa // self._pages_per_channel
+            est_ns = flash_array.channels[channel].estimate_read_ns()
+            hint = trigger.enabled and (
+                self._gc_active[channel] or est_ns > trigger.threshold_ns)
+            tenant = None if qos is None else qos.tenant_of_page(lpa)
+            ready = flash_array.read_page(ppa, issue, tenant=tenant)
+        # ``cache.insert`` of an absent page, inlined.
+        cache = self.cache
+        ways = cache.ways
+        victim = None
+        if len(cache_set) >= ways:
+            _, victim = cache_set.popitem(last=False)
+            cache._size -= 1
+        cache_set[lpa] = CacheEntry(lpa, 1 << line)
+        cache._size += 1
+        if victim is not None:
+            if stats.enabled:
+                stats.cache_evictions += 1
+                locality = stats.read_locality
+                locality._counts[victim.touch_mask.bit_count()] += 1
+                locality._total += 1
+            if victim.dirty_mask:
+                self._writeback(victim, issue)
+        inflight = self._inflight
+        inflight[lpa] = ready
         flash_ns = max(0.0, ready - now - index_ns)
-        self._stats.record_amat(
-            indexing=index_ns, flash=flash_ns, ssd_dram=self._ssd.dram_access_ns
-        )
-        self._maybe_prefetch(lpa, now + index_ns)
+        if stats.enabled:
+            stats.amat_indexing_ns += index_ns
+            stats.amat_ssd_dram_ns += dram_ns
+            stats.amat_flash_ns += flash_ns
+            stats.amat_accesses += 1
+
+        # Sequential next-page prefetch (one of the baseline's published
+        # optimisations).
+        for nxt in range(lpa + 1, lpa + self._prefetch_depth + 1):
+            nxt_set = sets[nxt % num_sets]
+            if nxt in nxt_set:
+                continue
+            pending = inflight.get(nxt)
+            if pending is not None and pending > issue:
+                continue
+            nxt_ppa = ftl.translate(nxt)
+            if nxt_ppa is None:
+                continue
+            tenant = None if qos is None else qos.tenant_of_page(nxt)
+            nxt_ready = flash_array.read_page(nxt_ppa, issue, tenant=tenant)
+            victim = None
+            if len(nxt_set) >= ways:
+                _, victim = nxt_set.popitem(last=False)
+                cache._size -= 1
+            nxt_set[nxt] = CacheEntry(nxt)
+            cache._size += 1
+            if stats.enabled:
+                stats.prefetch_issued += 1
+            if victim is not None:
+                if stats.enabled:
+                    stats.cache_evictions += 1
+                    locality = stats.read_locality
+                    locality._counts[victim.touch_mask.bit_count()] += 1
+                    locality._total += 1
+                if victim.dirty_mask:
+                    self._writeback(victim, issue)
+            inflight[nxt] = nxt_ready
         return AccessResult(
-            complete_ns=ready + self._ssd.dram_access_ns,
+            complete_ns=ready + dram_ns,
             request_class=SSD_READ_MISS,
-            delay_hint=decision.trigger,
-            est_delay_ns=decision.estimated_ns,
+            delay_hint=hint,
+            est_delay_ns=est_ns,
             breakdown={
                 "indexing": index_ns,
                 "flash": flash_ns,
-                "ssd_dram": self._ssd.dram_access_ns,
+                "ssd_dram": dram_ns,
             },
         )
 
@@ -336,51 +431,6 @@ class BaseCSSDController:
         self._run_gc_check(ppa, now)
         return done
 
-    def _maybe_prefetch(self, lpa: int, now: float) -> None:
-        """Sequential next-page prefetch (one of the baseline's published
-        optimisations)."""
-        for offset in range(1, self._ssd.prefetch_depth + 1):
-            nxt = lpa + offset
-            if nxt in self.cache:
-                continue
-            inflight = self._inflight.get(nxt)
-            if inflight is not None and inflight > now:
-                continue
-            ppa = self.ftl.translate(nxt)
-            if ppa is None:
-                continue
-            tenant = (
-                self.tenant_map.tenant_of_page(nxt) if self._flash_qos else None
-            )
-            ready = self.flash.read_page(ppa, now, tenant=tenant)
-            victim = self.cache.insert(nxt)
-            if self._stats.enabled:
-                self._stats.prefetch_issued += 1
-            if victim is not None:
-                if self._stats.enabled:
-                    self._stats.cache_evictions += 1
-                    self._stats.read_locality.record(victim.lines_touched)
-                if victim.dirty:
-                    self._writeback(victim, now)
-            self._inflight[nxt] = ready
-
     def _run_gc_check(self, ppa: int, now: float) -> None:
         channel = self.flash.channel_of(ppa)
         self.gc.maybe_collect(channel, now)
-
-    def _decide_switch_before_fetch(self, lpa: int):
-        ppa = self.ftl.translate(lpa)
-        if ppa is None:
-            from repro.core.trigger import TriggerDecision
-
-            return TriggerDecision(False, 0.0)
-        return self.trigger.should_context_switch(ppa)
-
-    def _decide_switch(self, lpa: int, default_est: float):
-        """Decision for MSHR-coalesced requests: base it on the remaining
-        wait rather than the channel queue."""
-        from repro.core.trigger import TriggerDecision
-
-        if not self.trigger.enabled:
-            return TriggerDecision(False, default_est)
-        return TriggerDecision(default_est > self.trigger.threshold_ns, default_est)

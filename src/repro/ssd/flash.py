@@ -27,6 +27,8 @@ so ``channel_of`` is pure arithmetic.
 
 from __future__ import annotations
 
+import math
+from heapq import heappush
 from typing import Callable, List, Optional
 
 from repro.config import DeviceModelConfig, FlashGeometry, FlashTiming
@@ -236,8 +238,8 @@ class FlashArray:
     computed once (:class:`~repro.ssd.geometry.GeometryModel`) and its
     strides hoisted, so no per-op address check or channel lookup
     re-derives a count from the frozen :class:`FlashGeometry`.  The
-    deep model overrides only :meth:`_make_channel` and the
-    ``_submit_*`` routing hooks.
+    deep model overrides :meth:`_make_channel`, :meth:`read_page` and
+    the ``_submit_*`` routing hooks of programs and erases.
     """
 
     def __init__(
@@ -300,11 +302,11 @@ class FlashArray:
         arbiter = self.arbiter
         if arbiter is not None and tenant is not None:
             issue = arbiter.admit(index, tenant, now)
-            done = self._submit_read(index, ppa, issue, on_done)
+            done = self.channels[index].submit_read(issue, on_done)
             arbiter.note_completion(index, tenant, done)
         else:
             issue = now
-            done = self._submit_read(index, ppa, now, on_done)
+            done = self.channels[index].submit_read(now, on_done)
         if stats.enabled:
             stats.flash_page_reads += 1
             stats.flash_read_latency.record(done - now)
@@ -342,9 +344,6 @@ class FlashArray:
         return done
 
     # -- routing hooks (overridden by :class:`DeepFlashArray`) -------------------
-
-    def _submit_read(self, index: int, ppa: int, now: float, on_done) -> float:
-        return self.channels[index].submit_read(now, on_done)
 
     def _submit_program(self, index: int, ppa: int, now: float, on_done) -> float:
         return self.channels[index].submit_program(now, on_done)
@@ -475,7 +474,7 @@ class DeepFlashChannel(_QueuedChannel):
 
     def _plan_read(self, u: _PlaneUnit, now: float) -> tuple:
         """``(start, suspended)`` for a read on ``u`` at ``now``, without
-        mutating -- shared by :meth:`submit_read` and
+        mutating -- shared by :meth:`DeepFlashArray.read_page` and
         :meth:`preview_read_ns` so preview equals charge by construction.
         """
         start = max(now, u.read_free)
@@ -490,36 +489,10 @@ class DeepFlashChannel(_QueuedChannel):
         return u.free, False
 
     def preview_read_ns(self, die: int, plane: int, now: float) -> float:
-        """Exact latency :meth:`submit_read` would charge at ``now``."""
+        """Exact latency :meth:`DeepFlashArray.read_page` would charge
+        for a read on unit ``(die, plane)`` at ``now``."""
         start, _ = self._plan_read(self._unit(die, plane), now)
         return start + self._timing.read_ns + self._transfer_ns - now
-
-    def submit_read(
-        self, die: int, plane: int, now: float,
-        on_done: Optional[Callable[[], None]] = None,
-    ) -> float:
-        """Page read on its physical unit: tR then bus transfer out."""
-        if self.plane_parallelism:
-            u = self._units[die * self.planes + plane]
-        else:
-            u = self._units[die]
-        start, suspended = self._plan_read(u, now)
-        if suspended:
-            u.free += self._timing.read_ns + PROGRAM_SUSPEND_NS
-            u.suspends += 1
-        elif u.free <= start:
-            # Unit idle at issue: any old program finished; the next one
-            # gets a fresh bypass budget.
-            u.suspends = 0
-        array_done = start + self._timing.read_ns
-        u.read_free = array_done
-        u.free = max(u.free, array_done)
-        if self.schedule_log is not None:
-            self.schedule_log.append(("read", die, plane, start, array_done))
-        completion = array_done + self._transfer_ns
-        self.queued_reads += 1
-        self._track(completion, self._read_done, on_done)
-        return completion
 
     def submit_program(
         self, die: int, plane: int, now: float,
@@ -561,9 +534,9 @@ class DeepFlashArray(FlashArray):
 
     Public API (``read_page`` / ``program_page`` / ``erase_block`` /
     ``channel_of`` / estimators / ``arbiter``) is identical to
-    :class:`FlashArray`; only the routing hooks differ, so every
-    consumer -- controllers, compaction, DRAM manager, the QoS
-    admission arbiter -- works unmodified.
+    :class:`FlashArray`; only the routing differs, so every consumer --
+    controllers, compaction, DRAM manager, the QoS admission arbiter --
+    works unmodified.
     """
 
     def __init__(
@@ -579,6 +552,8 @@ class DeepFlashArray(FlashArray):
         self.device = device if device is not None else DeviceModelConfig(kind="deep")
         self._schedule_log = schedule_log
         super().__init__(geometry, timing, engine, stats, transfer_ns)
+        self._engine = engine
+        self._read_ns = timing.read_ns
         model = self.model
         self._pages_per_die = model.pages_per_die
         self._pages_per_plane = model.pages_per_plane
@@ -606,30 +581,126 @@ class DeepFlashArray(FlashArray):
         channel, die, plane, _, _ = self.model.decompose(ppa)
         return self.channels[channel].preview_read_ns(die, plane, now)
 
+    def read_page(
+        self,
+        ppa: int,
+        now: float,
+        on_done: Optional[Callable[[], None]] = None,
+        tenant: Optional[int] = None,
+    ) -> float:
+        """Page read on the (die, plane) unit ``ppa`` lives on: tR, then
+        the transfer out over the bus.  Returns its completion time.
+
+        One body from the address to the unit: the read is planned by
+        :meth:`DeepFlashChannel._plan_read`, as :meth:`preview_read_ns`
+        plans it, so the preview equals the charge by construction.  The
+        queue-depth sample, the latency record and the completion event
+        that drops the channel's queued-read count are inline; the
+        admission arbiter, an ``on_done`` callback and the timeline
+        tracer are branches of the same body, with the semantics of
+        :meth:`FlashArray.read_page`.
+        """
+        if not 0 <= ppa < self._total_pages:
+            raise ValueError(f"ppa {ppa} out of range")
+        index, in_channel = divmod(ppa, self._pages_per_channel)
+        die, in_die = divmod(in_channel, self._pages_per_die)
+        plane = in_die // self._pages_per_plane
+        channel = self.channels[index]
+        arbiter = self.arbiter
+        if arbiter is not None and tenant is not None:
+            issue = arbiter.admit(index, tenant, now)
+        else:
+            issue = now
+        # Without plane parallelism a die is one unit.
+        if channel.plane_parallelism:
+            u = channel._units[die * channel.planes + plane]
+        else:
+            u = channel._units[die]
+        start, suspended = channel._plan_read(u, issue)
+        read_ns = self._read_ns
+        if suspended:
+            u.free += read_ns + PROGRAM_SUSPEND_NS
+            u.suspends += 1
+        elif u.free <= start:
+            # Unit idle at issue: any old program finished; the next one
+            # gets a fresh bypass budget.
+            u.suspends = 0
+        array_done = start + read_ns
+        u.read_free = array_done
+        if array_done > u.free:
+            u.free = array_done
+        if channel.schedule_log is not None:
+            channel.schedule_log.append(("read", die, plane, start, array_done))
+        done = array_done + channel._transfer_ns
+        channel.queued_reads += 1
+
+        # The completion, queued with the key Engine.schedule_at would
+        # push (a time before the engine clock takes its clamp path).
+        if on_done is None:
+            callback = channel._read_done
+        else:
+            def callback() -> None:
+                channel._read_done()
+                on_done()
+        engine = self._engine
+        clock = engine._now
+        if done >= clock:
+            engine._seq = seq = engine._seq + 1
+            heappush(engine._queue, (clock + (done - clock), seq, callback))
+        else:
+            engine.schedule_at(done, callback)
+
+        stats = self._stats
+        if stats.enabled and stats.device is not None:
+            depth = (channel.queued_reads + channel.queued_programs
+                     + channel.queued_erases)
+            device = stats.device
+            peak = device.queue_depth_peak
+            if index < len(peak):
+                if depth > peak[index]:
+                    peak[index] = depth
+                device.queue_depth_sum += depth
+                device.queue_depth_samples += 1
+            else:
+                device.note_queue_depth(index, depth)
+        if arbiter is not None and tenant is not None:
+            arbiter.note_completion(index, tenant, done)
+        if stats.enabled:
+            stats.flash_page_reads += 1
+            # LatencyHistogram.record of the read's latency.
+            histogram = stats.flash_read_latency
+            latency = done - now
+            if latency < 1.0:
+                latency = 1.0
+            cache = histogram._bucket_cache
+            bucket = cache.get(latency)
+            if bucket is None:
+                bucket = int(math.log10(latency)
+                             * histogram.BUCKETS_PER_DECADE)
+                if len(cache) < histogram._BUCKET_CACHE_MAX:
+                    cache[latency] = bucket
+            counts = histogram._counts
+            counts[bucket] = counts.get(bucket, 0) + 1
+            histogram._total += 1
+            histogram._sum += latency
+            if latency > histogram._max:
+                histogram._max = latency
+            if latency < histogram._min:
+                histogram._min = latency
+        if self.tracer is not None:
+            self._trace_op("flash.read", index, now, done, tenant=tenant,
+                           pacing_ns=issue - now)
+        return done
+
     def _sample_depth(self, index: int) -> None:
         stats = self._stats
         if stats.enabled and stats.device is not None:
             stats.device.note_queue_depth(index, self.channels[index].queue_depth)
 
-    # The hooks get a range-checked address and its channel from the
-    # public op, so the (die, plane) split is two divmods on the hoisted
-    # strides rather than a full GeometryModel.decompose.
-
-    def _submit_read(self, index: int, ppa: int, now: float, on_done) -> float:
-        die, in_die = divmod(ppa % self._pages_per_channel, self._pages_per_die)
-        channel = self.channels[index]
-        done = channel.submit_read(
-            die, in_die // self._pages_per_plane, now, on_done
-        )
-        # _sample_depth inlined: reads are most of the device's commands.
-        stats = self._stats
-        if stats.enabled and stats.device is not None:
-            stats.device.note_queue_depth(
-                index,
-                channel.queued_reads + channel.queued_programs
-                + channel.queued_erases,
-            )
-        return done
+    # The program and erase hooks get a range-checked address and its
+    # channel from the public op, so the (die, plane) split is two
+    # divmods on the hoisted strides rather than a full
+    # GeometryModel.decompose.
 
     def _submit_program(self, index: int, ppa: int, now: float, on_done) -> float:
         die, in_die = divmod(ppa % self._pages_per_channel, self._pages_per_die)

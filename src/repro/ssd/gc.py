@@ -50,7 +50,9 @@ class GarbageCollector:
         self.blocks_per_campaign = max(
             1, int(blocks_per_channel * config.gc_free_fraction)
         )
-        self._active = [False] * config.geometry.channels
+        #: Per channel: a GC campaign currently occupies it (a read
+        #: miss there triggers a context switch at once, §III-A).
+        self.active = [False] * config.geometry.channels
         self._in_emergency = False
         # Emergency reclamation when an allocation finds the channel dry:
         # run a campaign immediately, regardless of any in-flight one
@@ -60,12 +62,8 @@ class GarbageCollector:
     def needs_collection(self, channel: int) -> bool:
         return (
             self._ftl.free_blocks_in_channel(channel) <= self.reserve_blocks
-            and not self._active[channel]
+            and not self.active[channel]
         )
-
-    def is_active(self, channel: int) -> bool:
-        """Whether a GC campaign currently occupies ``channel``."""
-        return self._active[channel]
 
     def _emergency_collect(self, channel: int) -> None:
         """Reentrancy-guarded campaign for allocation-time starvation
@@ -92,7 +90,7 @@ class GarbageCollector:
 
     def collect(self, channel: int, now: float) -> float:
         """Unconditionally run one campaign on ``channel``."""
-        self._active[channel] = True
+        self.active[channel] = True
         if self._stats.enabled:
             self._stats.gc_invocations += 1
         completion = now
@@ -115,7 +113,7 @@ class GarbageCollector:
         self._trace_campaign(channel, now, completion, freed, "sync")
 
         def _finish() -> None:
-            self._active[channel] = False
+            self.active[channel] = False
 
         self._engine.schedule_at(completion, _finish)
         return completion
@@ -178,14 +176,14 @@ class BackgroundGarbageCollector(GarbageCollector):
     def needs_collection(self, channel: int) -> bool:
         return (
             self._ftl.free_blocks_in_channel(channel) <= self.watermark
-            and not self._active[channel]
+            and not self.active[channel]
         )
 
     def maybe_collect(self, channel: int, now: float) -> Optional[float]:
         """Defer a campaign to an engine event instead of running inline."""
         if not self.needs_collection(channel):
             return None
-        self._active[channel] = True
+        self.active[channel] = True
         self._engine.schedule_at(now, lambda: self._campaign(channel))
         return None
 
@@ -197,7 +195,7 @@ class BackgroundGarbageCollector(GarbageCollector):
 
     def collect(self, channel: int, now: float) -> float:
         """One paced campaign; returns the erase-complete time."""
-        self._active[channel] = True
+        self.active[channel] = True
         if self._stats.enabled:
             self._stats.gc_invocations += 1
         device = self._stats.device
@@ -228,12 +226,12 @@ class BackgroundGarbageCollector(GarbageCollector):
         self._trace_campaign(channel, now, completion, freed, "background")
 
         def _finish() -> None:
-            self._active[channel] = False
+            self.active[channel] = False
             if (
                 made_progress
                 and self._ftl.free_blocks_in_channel(channel) <= self.watermark
             ):
-                self._active[channel] = True
+                self.active[channel] = True
                 self._engine.schedule_at(
                     self._engine.now + self.idle_ns,
                     lambda: self._campaign(channel),

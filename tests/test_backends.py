@@ -743,3 +743,35 @@ class TestWorkerPreemption:
         assert dumps(results) == dumps(
             run_sweep(tiny_jobs()[:1], jobs=1, cache=False)
         )
+
+
+def test_cell_child_forked_while_a_thread_logs():
+    """The worker forks its cell child while other threads run; one of
+    them may be inside the log module's lock (every span's end takes it,
+    on worker and coordinator threads alike).  The child's cell ends a
+    span too, so it must not inherit that lock held: with the lock held
+    across the fork, the cell still completes."""
+    from repro.obs import log as obs_log
+
+    child = worker_mod.CellChild()
+    ours, theirs = socket.socketpair()
+    message = {"type": "job", **backends.job_to_wire(tiny_jobs()[1])}
+    outcome = []
+    try:
+        with ours, theirs, ours.makefile("r", encoding="utf-8") as rfile:
+            with obs_log._lock:
+                runner = threading.Thread(
+                    target=lambda: outcome.append(
+                        child.execute(ours, rfile, message)),
+                    daemon=True)
+                runner.start()
+                # Hold the lock until the child exists.
+                deadline = time.monotonic() + 30
+                while child.pid is None and time.monotonic() < deadline:
+                    time.sleep(0.01)
+            runner.join(timeout=30)
+            assert not runner.is_alive(), "cell child hung on the log lock"
+    finally:
+        child.close()
+    kind, payload = outcome[0]
+    assert kind == "reply" and payload["ok"], payload

@@ -1,6 +1,7 @@
 """Tests for the ``python -m repro`` command line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -444,6 +445,23 @@ def test_profile_package_rows_sum_to_total(capsys):
     assert "top 5 functions by self time:" in out
     assert len(out.split("top 5 functions by self time:")[1]
                .strip().splitlines()) == 6  # header + 5
+
+
+def _profile_counts(capsys):
+    assert main(["profile", "graph-walk", "SkyByte-Full", "--records", "200",
+                 "--device-model", "deep", "--top", "0"]) == 0
+    return next(line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("counts: "))
+
+
+def test_profile_counts_are_exact(capsys):
+    """Calls and engine events of the profiled run do not depend on the
+    host: two profiles of one deep cell print the same counts."""
+    first = _profile_counts(capsys)
+    assert re.fullmatch(
+        r"counts: [\d,]+ calls \([\d.]+ per access\), [\d,]+ engine events "
+        r"\([\d.]+ per access\), [\d,]+ simulated accesses", first), first
+    assert _profile_counts(capsys) == first
 
 
 def test_profile_unknown_variant_fails_cleanly(capsys):

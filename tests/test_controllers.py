@@ -226,7 +226,13 @@ class TestPrefetchInflightRule:
         assert not ctrl.contains_page(nxt)
         ctrl._inflight[nxt] = ready
         assert engine.now < ready
-        ctrl._maybe_prefetch(lpa, now)
+        # A read miss of ``lpa`` prefetches once its index lookup is
+        # done: arriving that much before ``now``, it prefetches at
+        # ``now`` (exactly, for these integral times).
+        index_ns = max(config.ssd.cache_index_ns, config.ssd.log_index_ns) \
+            if isinstance(ctrl, SkyByteController) else config.ssd.cache_index_ns
+        result = ctrl.access_line(lpa, 0, False, now - index_ns)
+        assert result.request_class == SSD_READ_MISS
         return stats.prefetch_issued, ctrl._inflight[nxt], config.ssd.prefetch_depth
 
     def test_landed_entry_is_not_in_flight(self):

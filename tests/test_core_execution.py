@@ -100,12 +100,15 @@ def one_slice(hint_ops, runnable=True, just_resumed=False, est_ns=None):
     hint_pages = {WINDOW[i][2] >> 12 for i in hint_ops}
     threshold = system.config.os.cs_threshold_ns
     issued = []
+    #: The issued accesses' AMAT breakdowns, in order.
+    system.breakdowns = []
     real_access_line = system.controller.access_line
 
     def access_line(lpa, line, is_write, now, float_hits=False):
         # Always an AccessResult, so the hint can be set on it.
         issued.append(lpa)
         result = real_access_line(lpa, line, is_write, now)
+        system.breakdowns.append(dict(result.breakdown))
         result.delay_hint = lpa in hint_pages
         result.est_delay_ns = threshold if est_ns is None else est_ns
         return result
@@ -159,6 +162,20 @@ class TestWindowLoop:
         _, resumed = thread.next_window(10_000, 8)
         assert list(resumed) == [page << 1] + [
             address << 1 for _, _, address in WINDOW[switch_at + 1:]]
+
+    def test_squashed_access_leaves_no_amat_trace(self):
+        """The trigger's device-side AMAT components are reversed: the
+        sums are the retired accesses' alone (up to rounding)."""
+        system, _, _ = one_slice([2])
+        stats = system.stats
+        retired = system.breakdowns[:2]
+        assert len(system.breakdowns) == 3
+        for key, total in (("indexing", stats.amat_indexing_ns),
+                           ("ssd_dram", stats.amat_ssd_dram_ns),
+                           ("flash", stats.amat_flash_ns)):
+            assert total == pytest.approx(
+                sum(b.get(key, 0.0) for b in retired), abs=1e-6)
+        assert stats.amat_host_dram_ns == 0.0
 
     def test_rewind_leaves_cursor_at_squashed_ops(self):
         _, thread, _ = one_slice([1])

@@ -7,8 +7,8 @@ Pins the deep device model (``device_model="deep"``, see
   round trips, capacity accounting, derived-value consistency;
 * the queueing scheduler -- no command overlaps on an array unit,
   read-priority policies, bounded starvation of programs;
-* estimator consistency -- ``preview_read_ns`` equals what
-  ``submit_read`` actually charges, on both models;
+* estimator consistency -- ``preview_read_ns`` equals what a read
+  actually charges, on both models;
 * background GC -- mapping conservation across campaigns, erases only
   after full migration, the engine always drains;
 
@@ -37,7 +37,6 @@ from repro.ssd.flash import (
     PAGE_TRANSFER_NS,
     PROGRAM_SUSPEND_NS,
     DeepFlashArray,
-    DeepFlashChannel,
     FlashArray,
     FlashChannel,
 )
@@ -81,7 +80,7 @@ tape_st = st.lists(op_st, min_size=1, max_size=40)
 
 
 def play_deep(channel, tape):
-    """Feed a command tape to a DeepFlashChannel; returns completions."""
+    """Feed a command tape to a deep channel; returns completions."""
     now, done = 0.0, []
     for kind, die, plane, dt in tape:
         now += dt
@@ -176,13 +175,33 @@ class TestGeometryModel:
         assert data["dies_per_channel"] == model.dies_per_channel
 
 
-def deep_channel(dies=2, planes=2, **kwargs):
+class UnitPort:
+    """Channel 0 of a one-channel :class:`DeepFlashArray`, commanded by
+    (die, plane) unit.  Reads go through the array's one read entry,
+    :meth:`DeepFlashArray.read_page`, at a page of that unit; programs,
+    erases and every other attribute are the channel's own."""
+
+    def __init__(self, array):
+        self.array = array
+        self.channel = array.channels[0]
+
+    def submit_read(self, die, plane, now):
+        return self.array.read_page(
+            self.array.model.compose(0, die, plane, 0, 0), now)
+
+    def __getattr__(self, name):
+        return getattr(self.channel, name)
+
+
+def deep_channel(dies=2, planes=2, **knobs):
     engine = Engine()
     log = []
-    channel = DeepFlashChannel(
-        0, dies, planes, ULL, engine, schedule_log=log, **kwargs
+    geometry = small_geometry(channels=1, dies=dies, planes=planes)
+    array = DeepFlashArray(
+        geometry, ULL, engine, SimStats(),
+        device=DeviceModelConfig(kind="deep", **knobs), schedule_log=log,
     )
-    return channel, engine, log
+    return UnitPort(array), engine, log
 
 
 class TestDeepScheduler:
@@ -386,6 +405,21 @@ class TestEstimatorConsistency:
         done = array.read_page(ppa, 100.0)
         assert done - 100.0 == pytest.approx(previewed)
 
+    def test_deep_read_completion_callback_fires(self):
+        """``on_done`` runs at the read's completion, after its channel
+        dropped the queued read."""
+        engine = Engine()
+        array = DeepFlashArray(small_geometry(), ULL, engine, SimStats())
+        ppa = array.model.compose(1, 0, 1, 2, 3)
+        channel = array.channels[1]
+        fired = []
+        done = array.read_page(
+            ppa, 0.0,
+            on_done=lambda: fired.append((engine.now, channel.queued_reads)))
+        assert channel.queued_reads == 1
+        engine.run()
+        assert fired == [(done, 0)]
+
 
 class TestFlatDeepDifferential:
     @settings(max_examples=60, deadline=None)
@@ -479,7 +513,7 @@ class TestBackgroundGC:
             churn(ftl, lpas, 1)
         assert gc.needs_collection(0)
         assert gc.maybe_collect(0, 0.0) is None  # deferred, not inline
-        assert gc.is_active(0)
+        assert gc.active[0]
         assert stats.gc_invocations == 0  # nothing ran yet
         engine.run()
         assert stats.gc_invocations >= 1
@@ -535,7 +569,7 @@ class TestBackgroundGC:
         churn(ftl, list(range(6)), 12)
         gc.maybe_collect(0, 0.0)
         engine.run()  # would hang forever if campaigns self-rescheduled
-        assert not gc.is_active(0)
+        assert not gc.active[0]
 
     def test_campaigns_chain_while_below_watermark(self):
         _, engine, stats, ftl, flash, gc = build_deep(blocks=8, pages=4)
@@ -545,7 +579,7 @@ class TestBackgroundGC:
         assert stats.device.background_campaigns >= 1
         # After draining, the channel is at or recovering toward the
         # watermark and no campaign is pending.
-        assert not gc.needs_collection(0) or not gc.is_active(0)
+        assert not gc.needs_collection(0) or not gc.active[0]
 
     def test_gc_counters_account_every_op(self):
         _, engine, stats, ftl, flash, gc = build_deep(blocks=8, pages=4)

@@ -68,7 +68,7 @@ def test_all_seven_table1_scenarios_present():
     assert len(_NAMED) + len(_OTHER) == 154
     assert set(_NAMED) | set(_OTHER) == {
         k for k in FROZEN
-        if not k.startswith(("colocation|", "oversubscribed|"))
+        if not k.startswith(("colocation|", "oversubscribed|", "fallback|"))
     }
 
 
@@ -175,3 +175,118 @@ def test_vectorized_identity_colocation(isolation):
     """Per-tenant attribution (the window loop's access mirror), QoS host
     scheduling and the partitioned SSD DRAM."""
     _assert_frozen(f"colocation|{isolation}", _colocated(isolation))
+
+
+# -- deep-model fallback branches ------------------------------------------
+#
+# The deep model's hint switch and flash read each run in one body, with
+# the rarer cases as branches inside it: a scheduler that is not CFS, the
+# sim-time flash tracer, the tenant admission arbiter and the deep
+# channel's policy knobs.  Each cell below reaches one of those branches;
+# its digest was frozen before the bodies were fused.
+
+
+def _deep_cell(workload, variant="SkyByte-Full", device_model="deep",
+               **kwargs):
+    result = run_workload(workload, variant, records_per_thread=RECORDS,
+                          seed=42, device_model=device_model, **kwargs)
+    return result, json.dumps(result.to_dict(), sort_keys=True,
+                              separators=(",", ":"))
+
+
+def _fallback_policy(policy):
+    result, canonical = _deep_cell("tab1-ycsb", t_policy=policy)
+    assert result.stats.context_switches > 0
+    return canonical
+
+
+def _fallback_timeline(tmp_path):
+    """A traced deep cell: flash spans on the timeline and
+    ``EngineStats`` in the result, both pinned."""
+    path = tmp_path / "timeline.json"
+    result, canonical = _deep_cell("tab1-bc", timeline=str(path))
+    assert result.stats.engine is not None
+    spans = path.read_text(encoding="utf-8")
+    assert '"flash.read"' in spans
+    return canonical + hashlib.sha256(spans.encode()).hexdigest()
+
+
+def _fallback_arbiter(variant, records, threads):
+    """A 2-tenant "wfq" colocation on the deep model: every flash read
+    passes the admission arbiter.  The sizes are ones where its pacing
+    moves the result (with ``note_completion`` dropped, the digest
+    changes)."""
+    from repro.config import DeviceModelConfig, scaled_config
+    from repro.experiments.colocation import ColocatedSystem
+    from repro.experiments.runner import DEFAULT_SCALE
+    from repro.scenarios.colocate import build_colocation
+    from repro.variants import get_variant
+
+    tenants = [
+        Tenant(name="web", scenario="web-tier", threads=threads, seed=7),
+        Tenant(name="ingest", scenario="log-ingest", threads=threads, seed=8),
+    ]
+    plan = build_colocation(tenants, scale=DEFAULT_SCALE,
+                            records_per_thread=records)
+    config = scaled_config(
+        scale=DEFAULT_SCALE, threads=len(plan.traces), seed=42
+    ).replace(
+        warmup_fraction=0.1,
+        qos=plan.qos_config("wfq"),
+        device_model=DeviceModelConfig(kind="deep"),
+    )
+    system = ColocatedSystem(config, plan, get_variant(variant))
+    assert system.controller.flash.arbiter is not None
+    system.run()
+    return json.dumps(
+        [system.stats.to_dict()] + [s.to_dict() for s in system.tenant_stats]
+        + [system.tenant_end_ns],
+        sort_keys=True, separators=(",", ":"),
+    )
+
+
+def _fallback_knob(planes=1, **knobs):
+    """A deep-channel policy knob, on a cell where it moves the result
+    (with ``planes`` planes per die and the same capacity)."""
+    import dataclasses
+
+    from repro.config import DeviceModelConfig
+    from repro.experiments.runner import resolve_run
+
+    overrides = None
+    if planes > 1:
+        geometry = resolve_run("tab1-bfs-dense", "SkyByte-Full")[0].ssd.geometry
+        overrides = {"geometry": dataclasses.replace(
+            geometry, planes_per_die=planes,
+            blocks_per_plane=geometry.blocks_per_plane // planes)}
+    _, canonical = _deep_cell(
+        "tab1-bfs-dense", ssd_overrides=overrides,
+        device_model=DeviceModelConfig(kind="deep", **knobs))
+    return canonical
+
+
+_FALLBACK = {
+    "fallback|t_policy-RR": lambda tmp: _fallback_policy("RR"),
+    "fallback|t_policy-RANDOM": lambda tmp: _fallback_policy("RANDOM"),
+    "fallback|timeline": _fallback_timeline,
+    "fallback|arbiter-wfq": lambda tmp: _fallback_arbiter(
+        "SkyByte-Full", records=600, threads=4),
+    "fallback|arbiter-wfq-base": lambda tmp: _fallback_arbiter(
+        "Base-CSSD", records=600, threads=2),
+    "fallback|read_priority-off": lambda tmp: _fallback_knob(
+        read_priority=False),
+    "fallback|max_read_bypass-2": lambda tmp: _fallback_knob(
+        max_read_bypass=2),
+    "fallback|plane_parallelism-off": lambda tmp: _fallback_knob(
+        planes=2, plane_parallelism=False),
+}
+
+
+def test_fallback_cells_present():
+    assert sorted(_FALLBACK) == sorted(
+        k for k in FROZEN if k.startswith("fallback|"))
+
+
+@pytest.mark.parametrize("key", sorted(_FALLBACK))
+def test_fallback_digest(key, tmp_path):
+    _assert_frozen(key, _FALLBACK[key](tmp_path))

@@ -98,9 +98,9 @@ def test_is_active_window():
     for i in range(4):
         ftl.write(i, channel=0)
     done = gc.collect(0, 0.0)
-    assert gc.is_active(0)
+    assert gc.active[0]
     engine.run()
-    assert not gc.is_active(0)
+    assert not gc.active[0]
     assert engine.now >= done
 
 

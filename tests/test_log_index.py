@@ -1,13 +1,14 @@
 """Tests for the two-level hash log index (Fig. 12)."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.log_index import (
     FIRST_LEVEL_ENTRY_BYTES,
     LogIndex,
     SECOND_LEVEL_ENTRY_BYTES,
     SECOND_LEVEL_INITIAL_SLOTS,
+    SECOND_LEVEL_LOAD_FACTOR,
     SecondLevelTable,
 )
 
@@ -23,6 +24,26 @@ class TestSecondLevelTable:
             t.insert(i, i)
         # 4 entries > 4*0.75 -> doubled (possibly twice).
         assert t.slots >= 8
+
+    @settings(max_examples=100, deadline=None)
+    @given(ops=st.lists(st.tuples(st.booleans(), st.integers(0, 7)),
+                        max_size=40))
+    # Four inserts double the slots; removes and a re-insert keep them.
+    @example(ops=[(True, 0), (True, 1), (True, 2), (True, 3), (False, 0),
+                  (False, 1), (True, 1)])
+    def test_slots_match_per_insert_doubling(self, ops):
+        """Slots derived from the peak entry count equal those of a table
+        that re-checks its load factor on every insert."""
+        t = SecondLevelTable()
+        slots = SECOND_LEVEL_INITIAL_SLOTS
+        for is_insert, line in ops:
+            if is_insert:
+                t.insert(line, 0)
+                while len(t.entries) > slots * SECOND_LEVEL_LOAD_FACTOR:
+                    slots *= 2
+            else:
+                t.remove(line)
+            assert t.slots == slots
 
     def test_memory_bytes_tracks_slots(self):
         t = SecondLevelTable()

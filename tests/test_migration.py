@@ -25,14 +25,21 @@ def build(threshold=4, budget_pages=8):
     migration = MigrationEngine(
         config, controller, page_table, link, engine, stats
     )
-    controller.on_page_access = migration.on_page_access
+    migration.install(controller)
     return config, engine, stats, controller, page_table, migration
 
 
+def observe(controller, page, is_write, now):
+    """One page access through the controller's migration hooks, as
+    ``access_line`` reports it."""
+    if controller.on_page_access(page, is_write, now):
+        controller.on_promotion_candidates(now)
+
+
 def touch(controller, page, times, now=0.0):
-    """Drive page accesses through the controller hook."""
+    """Drive page accesses through the controller hooks."""
     for i in range(times):
-        controller.on_page_access(page, False, now + i)
+        observe(controller, page, False, now + i)
 
 
 class TestSkyByteHotness:
@@ -92,9 +99,9 @@ class TestMigrationEngine:
     def test_dirty_log_lines_carried_to_host(self):
         config, engine, stats, controller, pt, migration = build(threshold=2)
         controller.warm_access(3, 0, False)
-        controller.on_page_access(3, True, 0.0)
+        observe(controller, 3, True, 0.0)
         controller.dram.write(3, 9, 0.0)
-        controller.on_page_access(3, False, 1.0)
+        observe(controller, 3, False, 1.0)
         engine.run()
         assert pt.is_promoted(3)
         assert pt.entry(3).dirty_mask & (1 << 9)

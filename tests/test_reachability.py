@@ -47,9 +47,9 @@ ALLOWED = {
     "ssd/flash.py:FlashChannel.preview_read_ns":
         "test oracle: the exact latency submit_read charges",
     "ssd/flash.py:DeepFlashChannel.preview_read_ns":
-        "test oracle: the exact latency submit_read charges",
+        "test oracle: the exact latency DeepFlashArray.read_page charges",
     "ssd/flash.py:DeepFlashArray.preview_read_ns":
-        "test oracle: the exact latency submit_read charges",
+        "test oracle: the exact latency DeepFlashArray.read_page charges",
     "ssd/flash.py:FlashChannel.free_at":
         "test oracle: the deep single-unit channel's horizon matches it",
     "ssd/flash.py:DeepFlashChannel.free_at":

@@ -10,7 +10,6 @@ from repro.sim.stats import (
     REQUEST_CLASSES,
     SimStats,
     SSD_READ_HIT,
-    SSD_READ_MISS,
     SSD_WRITE,
 )
 
@@ -202,7 +201,7 @@ class TestSimStats:
     def test_boundedness_fractions_sum_to_one(self):
         s = SimStats()
         s.compute_ns += 30.0
-        s.add_memory_stall(60.0)
+        s.memory_stall_ns += 60.0
         s.add_context_switch(10.0)
         bd = s.boundedness()
         assert sum(bd.values()) == pytest.approx(1.0)
@@ -217,17 +216,6 @@ class TestSimStats:
         assert sum(bd.values()) == pytest.approx(1.0)
         assert bd[SSD_READ_HIT] == pytest.approx(0.75)
         assert set(bd) == set(REQUEST_CLASSES)
-
-    def test_unrecord_reverses_access(self):
-        s = SimStats()
-        s.count_request(SSD_READ_MISS)
-        s.record_amat(indexing=72.0, flash=3000.0, ssd_dram=95.0)
-        s.unrecord_access(
-            SSD_READ_MISS, {"indexing": 72.0, "flash": 3000.0, "ssd_dram": 95.0}
-        )
-        assert s.amat_accesses == 0
-        assert s.request_counts[SSD_READ_MISS] == 0
-        assert s.amat_flash_ns == pytest.approx(0.0)
 
     def test_write_amplification(self):
         s = SimStats()

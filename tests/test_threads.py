@@ -3,7 +3,13 @@
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.config import scaled_config
+from repro.cpu.core import Core
+from repro.host.scheduler import Scheduler
 from repro.host.threads import ThreadContext
+from repro.sim.engine import Engine
+from repro.sim.stats import SSD_READ_MISS, SimStats
+from repro.ssd.interface import AccessResult
 
 
 def make_trace(n=10, gap=5):
@@ -53,28 +59,78 @@ class TestWindowBuilding:
         assert t.done
 
 
+class WindowRecorder:
+    """Stands in for the system under one :class:`Core`: it records
+    every window the core issues and answers the ``k``-th with a
+    ``SkyByte-Delay`` hint at op ``squashes[k] % len(ops)`` (``None``:
+    the whole window retires).  ``counted`` holds ``stats.instructions``
+    before each window, so its steps are each window's retired gaps."""
+
+    switch_cost_ns = 0.0
+
+    def __init__(self, squashes, max_ops):
+        self.workload_mlp = max_ops
+        self.stats = SimStats()
+        self.squashes = squashes
+        self.windows = []
+        self.counted = []
+        self.finished = []
+
+    def window_access(self, ops, now, core_id, tid, just_resumed):
+        k = len(self.windows)
+        self.windows.append(list(ops))
+        self.counted.append(self.stats.instructions)
+        cut = self.squashes[k] if k < len(self.squashes) else None
+        if cut is None:
+            return [now + 1.0] * len(ops), None
+        hint = AccessResult(complete_ns=now + 1.0,
+                            request_class=SSD_READ_MISS, delay_hint=True,
+                            hint_arrival_ns=now + 1.0)
+        return [now + 1.0] * (cut % len(ops)), hint
+
+    def on_thread_done(self, thread):
+        self.finished.append(thread)
+
+
+def drive_core(trace, squashes, max_instructions, max_ops, on_fetch=None):
+    """Run ``trace`` to the end on one core under a :class:`WindowRecorder`;
+    returns ``(instructions retired, packed ops)`` per window and the
+    thread."""
+    config = scaled_config(scale=512, threads=1).with_cpu(
+        rob_entries=max_instructions, l1_mshrs=max_ops)
+    engine = Engine()
+    scheduler = Scheduler("RR")
+    system = WindowRecorder(squashes, max_ops)
+    thread = ThreadContext(0, trace)
+    thread.on_fetch = on_fetch
+    scheduler.enqueue(thread)
+    Core(0, config, engine, scheduler, system).start()
+    engine.run()
+    assert system.finished == [thread]
+    counted = system.counted + [system.stats.instructions]
+    steps = [b - a for a, b in zip(counted, counted[1:])]
+    return list(zip(steps, system.windows)), thread
+
+
 class TestSquashReplay:
+    """A hint squashes the window at the triggering op: the op replays
+    first on resume and the younger ops go back to the trace."""
+
     def test_squash_after_sets_replay(self):
-        t = ThreadContext(0, make_trace(8))
-        _, ops = t.next_window(10_000, 8)
-        replay = t.squash_after(2, ops)
+        windows, _ = drive_core(make_trace(8), [2], 10_000, 8)
         # The triggering op replays as its packed op: no gap (its
         # compute already retired before the exception).
-        assert replay == pack((0, False, 2 * 4096))
-        assert not t.done
+        assert windows[1][1][0] == pack((0, False, 2 * 4096))
+        assert windows[0][0] == 3 * 5  # ops 0..2 retired their gaps
 
     def test_replay_comes_first_on_resume(self):
-        t = ThreadContext(0, make_trace(8))
-        _, ops = t.next_window(10_000, 8)
-        t.squash_after(2, ops)
-        _, ops = t.next_window(10_000, 8)
-        assert ops[0] == pack((0, False, 2 * 4096))
+        windows, _ = drive_core(make_trace(8), [2], 10_000, 8)
+        assert [op >> 1 for op in windows[1][1]] == [
+            i * 4096 for i in range(2, 8)]
 
     def test_younger_ops_pushed_back_intact(self):
-        t = ThreadContext(0, make_trace(8))
-        _, ops = t.next_window(10_000, 4)
-        t.squash_after(1, ops)
-        instructions, ops = t.next_window(10_000, 8)
+        windows, _ = drive_core(make_trace(8), [1], 10_000, 4)
+        instructions, ops = windows[1]
         addrs = [op >> 1 for op in ops]
         # replay of op 1, then ops 2, 3 (squashed), then 4...
         assert addrs[:3] == [1 * 4096, 2 * 4096, 3 * 4096]
@@ -83,29 +139,19 @@ class TestSquashReplay:
         assert instructions == 5 * (len(ops) - 1)
 
     def test_no_record_lost_through_squash(self):
-        t = ThreadContext(0, make_trace(20))
-        seen = []
-        while True:
-            window = t.next_window(10_000, 4)
-            if window is None:
-                break
-            _, ops = window
-            if len(ops) >= 2 and len(seen) < 6:
-                seen.extend(op >> 1 for op in ops[:1])
-                t.squash_after(1, ops)
-                seen.append(ops[1] >> 1)  # will replay later too
-            else:
-                seen.extend(op >> 1 for op in ops)
-        # every address observed at least once
-        assert {op[2] for op in make_trace(20)} <= set(seen)
+        trace = make_trace(20)
+        windows, _ = drive_core(trace, [1, 0, 3, None, 2, 1], 10_000, 4)
+        seen = {op >> 1 for _, ops in windows for op in ops}
+        assert {record[2] for record in trace} <= seen
+        # every gap retires exactly once
+        assert sum(step for step, _ in windows) == sum(r[0] for r in trace)
 
     def test_done_accounts_for_replay(self):
-        t = ThreadContext(0, make_trace(2))
-        _, ops = t.next_window(10_000, 8)
-        t.squash_after(0, ops)
-        assert not t.done
-        t.next_window(10_000, 8)
-        assert t.done
+        windows, thread = drive_core(make_trace(2), [0], 10_000, 8)
+        # The squash at op 0 rewinds past op 1: both run again.
+        assert [ops for _, ops in windows] == [
+            [pack(r) for r in make_trace(2)]] * 2
+        assert thread.done
 
 
 class PushbackReference:
@@ -156,25 +202,41 @@ class PushbackReference:
         return self.replay
 
 
-def drive(thread, squashes, max_instructions, max_ops):
-    """Fetch windows to exhaustion, squashing the ``k``-th window at op
-    ``squashes[k] % len(ops)`` when ``squashes[k]`` is not None; returns
-    the window sequence."""
+def drive(reference, squashes, max_instructions, max_ops):
+    """Fetch the reference's windows to exhaustion, squashing the
+    ``k``-th window at op ``squashes[k] % len(ops)`` when ``squashes[k]``
+    is not None; returns ``(instructions retired, packed ops)`` per
+    window, where a squashed window retires the gaps of its ops up to
+    the trigger."""
+    windows = []
+    while True:
+        window = reference.next_window(max_instructions, max_ops)
+        if window is None:
+            return windows
+        instructions, ops = window
+        k = len(windows)
+        if k < len(squashes) and squashes[k] is not None:
+            index = squashes[k] % len(ops)
+            instructions = sum(op[0] for op in ops[:index + 1])
+            reference.squash_after(index, ops)
+        windows.append((instructions, [pack(op) for op in ops]))
+
+
+def fetch_all(thread, max_instructions, max_ops):
+    """:meth:`ThreadContext.next_window` to exhaustion."""
     windows = []
     while True:
         window = thread.next_window(max_instructions, max_ops)
         if window is None:
             return windows
-        instructions, ops = window
-        windows.append((instructions, list(ops)))
-        k = len(windows) - 1
-        if k < len(squashes) and squashes[k] is not None:
-            thread.squash_after(squashes[k] % len(ops), ops)
+        windows.append((window[0], list(window[1])))
 
 
 class TestCursorRewind:
-    """:class:`ThreadContext` squashes by rewinding ``pos``; the reference
-    pushes records back.  Both must hand the core the same windows."""
+    """The core squashes by rewinding the thread's ``pos`` and cuts the
+    replay window from the trace's window plan; the reference pushes
+    records back and builds every window record by record.  Both must
+    issue the same windows and retire the same instructions."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -189,10 +251,9 @@ class TestCursorRewind:
     ):
         trace = [(g, i % 3 == 0, i * 4096) for i, g in enumerate(gaps)]
         reference = PushbackReference(trace)
-        rewound = ThreadContext(0, trace)
         expected = drive(reference, squashes, max_instructions, max_ops)
-        assert drive(rewound, squashes, max_instructions, max_ops) == [
-            packed(window) for window in expected]
+        got, rewound = drive_core(trace, squashes, max_instructions, max_ops)
+        assert got == expected
         assert rewound.done and reference.done
 
     @settings(max_examples=100, deadline=None)
@@ -205,11 +266,12 @@ class TestCursorRewind:
         """The tap reports each window's slice past the records it
         already saw, so squashes and rewinds report nothing twice."""
         trace = [(g, False, i * 4096) for i, g in enumerate(gaps)]
-        thread = ThreadContext(0, trace)
         seen = []
-        thread.on_fetch = seen.append
-        drive(thread, squashes, max_instructions=150, max_ops=4)
+        tapped, _ = drive_core(trace, squashes, 150, 4, on_fetch=seen.append)
         assert seen == trace
+        # The tap moves every window to ``next_window``; the windows are
+        # the ones the core cuts from the plan without it.
+        assert tapped == drive_core(trace, squashes, 150, 4)[0]
 
 
 class TestResumeWindow:
@@ -249,6 +311,6 @@ class TestResumeWindow:
         assert (planned.pos, planned.replay) == (
             looped.pos - len(looped.pushback), looped.replay)
         # The plan stays in step afterwards.
-        assert drive(planned, [], max_instructions, max_ops) == [
+        assert fetch_all(planned, max_instructions, max_ops) == [
             packed(window)
-            for window in drive(looped, [], max_instructions, max_ops)]
+            for window in fetch_all(looped, max_instructions, max_ops)]

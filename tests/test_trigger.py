@@ -1,39 +1,50 @@
-"""Tests for the context-switch trigger policy (Algorithm 1)."""
+"""Tests for the context-switch trigger policy (Algorithm 1), through
+the read-miss path of both controllers' one entry, ``access_line``."""
 
 import pytest
 
-from repro.config import FLASH_TIMINGS, FlashGeometry, SSDConfig
-from repro.core.trigger import ContextSwitchTrigger
+from repro.config import FLASH_TIMINGS, FlashGeometry, SimConfig, SSDConfig
+from repro.core.controller import SkyByteController
 from repro.sim.engine import Engine
-from repro.sim.stats import SimStats
-from repro.ssd.flash import FlashArray
-from repro.ssd.ftl import PageFTL
-from repro.ssd.gc import GarbageCollector
+from repro.sim.stats import SSD_READ_MISS, SimStats
+from repro.ssd.base_controller import BaseCSSDController
 
 ULL = FLASH_TIMINGS["ULL"]
 
+#: Both controllers decide Algorithm 1's hint on a read miss.
+CONTROLLERS = (SkyByteController, BaseCSSDController)
 
-def build(threshold_ns=2000.0, enabled=True):
+
+def build(cls=SkyByteController, threshold_ns=2000.0, enabled=True):
     geometry = FlashGeometry(
         channels=2, chips_per_channel=1, dies_per_chip=2, planes_per_die=1,
         blocks_per_plane=8, pages_per_block=4,
     )
-    config = SSDConfig(geometry=geometry, dram_bytes=64 * 1024,
-                       write_log_bytes=8 * 1024)
-    engine = Engine()
-    stats = SimStats()
-    ftl = PageFTL(geometry, seed=0)
-    flash = FlashArray(geometry, ULL, engine, stats)
-    gc = GarbageCollector(config, ftl, flash, engine, stats)
-    trigger = ContextSwitchTrigger(threshold_ns, flash, gc, enabled=enabled)
-    return trigger, flash, gc, ftl, engine
+    config = SimConfig(
+        ssd=SSDConfig(geometry=geometry, dram_bytes=64 * 1024,
+                      write_log_bytes=8 * 1024),
+        seed=0,
+    ).with_os(cs_threshold_ns=threshold_ns)
+    return cls(config, Engine(), SimStats(), ctx_switch_enabled=enabled)
+
+
+def miss(ctrl, lpa, channel):
+    """A read miss of ``lpa``, first mapped to a page of ``channel``."""
+    ctrl.ftl.write(lpa, channel=channel)
+    return miss_mapped(ctrl, lpa, channel)
+
+
+def miss_mapped(ctrl, lpa, channel):
+    assert ctrl.flash.channel_of(ctrl.ftl.translate(lpa)) == channel
+    result = ctrl.access_line(lpa, 0, False, 0.0)
+    assert result.request_class == SSD_READ_MISS
+    return result
 
 
 def test_algorithm1_formula_exact():
     """Lines 5-6 of Algorithm 1, verbatim, on a channel holding 2 queued
     reads, 1 program and 1 erase."""
-    _, flash, _, _, _ = build()
-    channel = flash.channels[0]
+    channel = build().flash.channels[0]
     channel.submit_read(0.0)
     channel.submit_read(0.0)
     channel.submit_program(0.0)
@@ -47,53 +58,52 @@ def test_algorithm1_formula_exact():
 def test_triggers_when_estimate_exceeds_threshold():
     """The paper's default: flash read (3 us) > threshold (2 us), so even
     an idle channel's read triggers a switch."""
-    trigger, flash, gc, ftl, _ = build(threshold_ns=2000.0)
-    decision = trigger.should_context_switch(0)
-    assert decision.trigger
-    assert decision.estimated_ns >= ULL.read_ns
+    for cls in CONTROLLERS:
+        result = miss(build(cls, threshold_ns=2000.0), 0, 0)
+        assert result.delay_hint
+        assert result.est_delay_ns >= ULL.read_ns
 
 
 def test_no_trigger_with_high_threshold():
-    trigger, flash, gc, ftl, _ = build(threshold_ns=80_000.0)
-    decision = trigger.should_context_switch(0)
-    assert not decision.trigger
+    for cls in CONTROLLERS:
+        assert not miss(build(cls, threshold_ns=80_000.0), 0, 0).delay_hint
 
 
 def test_trigger_scales_with_queue_depth():
-    trigger, flash, gc, ftl, _ = build(threshold_ns=50_000.0)
-    channel = flash.channels[0]
-    for _ in range(40):
-        channel.submit_read(0.0)
-    decision = trigger.should_context_switch(0)
-    assert decision.trigger
+    for cls in CONTROLLERS:
+        ctrl = build(cls, threshold_ns=50_000.0)
+        for _ in range(40):
+            ctrl.flash.channels[0].submit_read(0.0)
+        assert miss(ctrl, 0, 0).delay_hint
 
 
 def test_gc_active_triggers_immediately():
     """§III-A: "If a request is blocked by an ongoing garbage collection,
     SkyByte will immediately trigger a context switch"."""
-    trigger, flash, gc, ftl, engine = build(threshold_ns=1e12)
-    for i in range(4):
-        ftl.write(i, channel=0)
-    for i in range(4):
-        ftl.write(i, channel=0)
-    gc.collect(0, 0.0)
-    assert gc.is_active(0)
-    decision = trigger.should_context_switch(0)
-    assert decision.trigger
+    for cls in CONTROLLERS:
+        ctrl = build(cls, threshold_ns=1e12)
+        for i in range(4):
+            ctrl.ftl.write(i, channel=0)
+        for i in range(4):
+            ctrl.ftl.write(i, channel=0)
+        ctrl.gc.collect(0, 0.0)
+        assert ctrl.gc.active[0]
+        assert miss_mapped(ctrl, 0, 0).delay_hint
 
 
 def test_disabled_never_triggers():
-    trigger, flash, gc, ftl, _ = build(enabled=False)
-    decision = trigger.should_context_switch(0)
-    assert not decision.trigger
-    assert decision.estimated_ns > 0  # estimate still computed
+    for cls in CONTROLLERS:
+        result = miss(build(cls, enabled=False), 0, 0)
+        assert not result.delay_hint
+        if cls is BaseCSSDController:
+            assert result.est_delay_ns > 0  # the estimate is still reported
 
 
 def test_channel_selection_by_ppa():
-    trigger, flash, gc, ftl, _ = build(threshold_ns=50_000.0)
-    # Load only channel 1's queue.
-    busy_ppa = flash.geometry.pages_per_channel  # first page of channel 1
-    for _ in range(40):
-        flash.channels[1].submit_read(0.0)
-    assert not trigger.should_context_switch(0).trigger
-    assert trigger.should_context_switch(busy_ppa).trigger
+    for cls in CONTROLLERS:
+        ctrl = build(cls, threshold_ns=50_000.0)
+        # Load only channel 1's queue.
+        for _ in range(40):
+            ctrl.flash.channels[1].submit_read(0.0)
+        assert not miss(ctrl, 0, 0).delay_hint
+        assert miss(ctrl, 1, 1).delay_hint
