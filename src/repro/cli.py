@@ -7,11 +7,11 @@ Subcommands
     Simulate one (workload, variant) cell and print its headline stats.
 ``sweep``
     Run a workload x variant grid through the parallel orchestrator
-    (``--jobs N`` worker processes, on-disk result cache) and write the
-    per-run stats as JSON.  ``--backend`` picks the execution backend
-    (``local`` process pool or ``thread`` pool); ``--listen [HOST:]PORT``
-    instead coordinates TCP workers that dial in (``repro worker
-    --connect HOST:PORT``).  ``--scenario NAME``
+    (``--jobs N`` kept cell processes, on-disk result cache) and write
+    the per-run stats as JSON.  ``--backend`` picks the execution
+    backend (``local`` or ``serial``); ``--listen [HOST:]PORT`` instead
+    coordinates TCP workers that dial in (``repro worker --connect
+    HOST:PORT``).  ``--scenario NAME``
     adds phase-DSL scenarios (see ``docs/SCENARIOS.md``) to the grid
     alongside (or instead of) Table I workloads.
 ``trace``
@@ -86,6 +86,7 @@ from repro.experiments import qos, sensitivity
 from repro.experiments.backends import (
     CellPolicy,
     DistributedBackend,
+    SweepBackend,
     parse_address,
     resolve_backend,
 )
@@ -188,12 +189,13 @@ def _policy_from_args(args: argparse.Namespace) -> Optional[CellPolicy]:
     )
 
 
-def _backend_from_args(args: argparse.Namespace) -> object:
-    """The backend for run_sweep, or None for the environment default.
+def _backend_from_args(args: argparse.Namespace) -> SweepBackend:
+    """The one backend a command runs all its sweeps on.
 
     ``--listen`` builds a coordinator workers dial in to
     (``repro worker --connect``); ``--backend`` names a local backend
-    (``distributed`` needs ``--listen``).
+    (``distributed`` needs ``--listen``); without either,
+    ``REPRO_BENCH_BACKEND`` decides.  The command closes it at its end.
     """
     listen = getattr(args, "listen", None)
     spec = getattr(args, "backend", None)
@@ -205,8 +207,6 @@ def _backend_from_args(args: argparse.Namespace) -> object:
                 f"incompatible with --backend {spec}"
             )
         return DistributedBackend(listen=listen, policy=policy)
-    if spec is None:
-        return None  # let run_sweep apply REPRO_BENCH_BACKEND / local
     return resolve_backend(spec, jobs=getattr(args, "jobs", None),
                            policy=policy)
 
@@ -252,13 +252,26 @@ def _add_device_model_option(parser: argparse.ArgumentParser) -> None:
                              "flat; see docs/DEVICE_MODEL.md)")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for ``--jobs``: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def _add_common_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--records", type=int, default=None,
                         help="trace records per thread (default REPRO_RECORDS)")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes (default REPRO_JOBS or 1)")
+    parser.add_argument("--jobs", type=_positive_int, default=None,
+                        help="cell processes, kept for the whole command "
+                             "(default REPRO_JOBS or 1: in process)")
     parser.add_argument("--backend", default=None,
-                        choices=["local", "thread", "serial", "distributed"],
+                        choices=["local", "serial", "distributed"],
                         help="execution backend (default REPRO_BENCH_BACKEND "
                              "or local; distributed needs --listen)")
     parser.add_argument("--listen", default=None, metavar="[HOST:]PORT",
@@ -317,27 +330,23 @@ def cmd_run(args: argparse.Namespace) -> int:
         backend = _backend_from_args(args)
     except ValueError as exc:
         return _bad_backend(exc)
-    if args.timeline:
-        # A timelined cell records per-request spans, so it runs
-        # in-process and uncached (its result carries the trace config
-        # and engine counters, which cached results do not).
-        result = run_workload(job.workload, job.variant,
-                              timeline=args.timeline, **dict(job.params))
-        print(f"{result.workload} / {result.variant} "
-              f"({result.threads} threads, "
-              f"{result.config.ssd.timing.name} flash)")
-        _print_kv(result.stats.summary())
-        print(f"wrote timeline {args.timeline} "
-              f"(load in https://ui.perfetto.dev or chrome://tracing)")
-        if args.json:
-            Path(args.json).write_text(json.dumps(result.to_dict(), indent=2))
-            print(f"wrote {args.json}")
-        return 0
-    result = run_sweep([job], jobs=args.jobs or 1, cache=_cache_from_args(args),
-                       backend=backend, policy=_policy_from_args(args))[0]
+    with backend:
+        if args.timeline:
+            # A timelined cell records per-request spans, so it runs
+            # in-process and uncached (its result carries the trace
+            # config and engine counters, which cached results do not).
+            result = run_workload(job.workload, job.variant,
+                                  timeline=args.timeline, **dict(job.params))
+        else:
+            result = run_sweep([job], cache=_cache_from_args(args),
+                               backend=backend,
+                               policy=_policy_from_args(args))[0]
     print(f"{result.workload} / {result.variant} "
           f"({result.threads} threads, {result.config.ssd.timing.name} flash)")
     _print_kv(result.stats.summary())
+    if args.timeline:
+        print(f"wrote timeline {args.timeline} "
+              f"(load in https://ui.perfetto.dev or chrome://tracing)")
     if args.json:
         Path(args.json).write_text(json.dumps(result.to_dict(), indent=2))
         print(f"wrote {args.json}")
@@ -359,10 +368,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return _bad_name(exc)
     try:
         backend = _backend_from_args(args)
+        jobs = args.jobs if args.jobs is not None else default_jobs()
     except ValueError as exc:
         return _bad_backend(exc)
     records = args.records or default_records()
-    jobs = args.jobs if args.jobs is not None else default_jobs()
     store = _cache_from_args(args)
     specs = sweep_product(
         workloads,
@@ -374,7 +383,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         seed=args.seed,
         device_model=args.device_model,
     )
-    backend_label = backend.describe() if backend is not None else "default"
+    backend_label = backend.describe()
     print(f"sweep: {len(workloads)} workload(s) x {len(variants)} variant(s) "
           f"= {len(specs)} cell(s), {records} records/thread, jobs={jobs}, "
           f"backend={backend_label}", flush=True)
@@ -404,8 +413,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                                 progress=_progress_printer(not args.quiet),
                                 policy=policy)
     finally:
-        if backend is not None:
-            backend.close()
+        backend.close()
 
     header = f"{'workload':<12}{'variant':<16}{'threads':>8}" \
              f"{'exec_ms':>12}{'ipns':>10}{'ctx_sw':>8}"
@@ -482,7 +490,8 @@ def cmd_figures(args: argparse.Namespace) -> int:
               f"available: {', '.join(sorted(FIGURES))}", file=sys.stderr)
         return 2
     # One backend for all figures: a --listen coordinator binds its port
-    # exactly once, and bad backend arguments fail before any simulation.
+    # exactly once, kept cell processes serve every figure, and bad
+    # backend arguments fail before any simulation.
     try:
         backend = _backend_from_args(args)
     except ValueError as exc:
@@ -499,8 +508,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
             path.write_text(json.dumps(data, indent=2, default=str))
             print(f"   wrote {path}")
     finally:
-        if backend is not None:
-            backend.close()
+        backend.close()
     return 0
 
 
@@ -560,8 +568,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             rendered = ", ".join(f for f, _svg in builder.svg_files[name])
             print(f"   rendered {rendered or 'report section'}")
     finally:
-        if backend is not None:
-            backend.close()
+        backend.close()
         builder.render()
     if not args.no_trends:
         trends_path = Path(args.trends or os.environ.get("REPRO_TRENDS")
@@ -756,15 +763,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
         variant = args.variant or meta.get("variant") or "Base-CSSD"
         job = SweepJob.make(str(meta.get("workload") or "trace"), variant,
                             trace=args.file)
-        backend = _backend_from_args(args)
-        try:
+        with _backend_from_args(args) as backend:
             result = run_sweep(
-                [job], jobs=args.jobs or 1, cache=_cache_from_args(args),
+                [job], cache=_cache_from_args(args),
                 backend=backend, policy=_policy_from_args(args),
             )[0]
-        finally:
-            if backend is not None:
-                backend.close()
         print(f"replayed {args.file}: {result.workload} / {result.variant} "
               f"({result.threads} thread(s))")
         _print_kv(result.stats.summary())
@@ -797,7 +800,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             cache_dir=args.cache_dir,
             cache_max_bytes=args.cache_max_bytes,
             listen=args.listen,
-            jobs=args.jobs,
+            jobs=args.jobs if args.jobs is not None else default_jobs(),
             policy=_policy_from_args(args),
             max_active=args.max_active,
             log=sys.stdout,
@@ -1148,8 +1151,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--cache-dir", default=None,
                          help="result cache directory (sqlite-indexed)")
     p_serve.add_argument("--cache-max-bytes", type=int, default=None)
-    p_serve.add_argument("--jobs", type=int, default=None,
-                         help="local worker processes per sweep "
+    p_serve.add_argument("--jobs", type=_positive_int, default=None,
+                         help="local cell processes per job "
                               "(default REPRO_JOBS or 1)")
     p_serve.add_argument("--listen", default=None, metavar="[HOST:]PORT",
                          help="accept dial-in workers "
@@ -1201,7 +1204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--timing", default=None,
                           choices=["ULL", "ULL2", "SLC", "MLC"])
     p_submit.add_argument("--seed", type=int, default=None)
-    p_submit.add_argument("--jobs", type=int, default=None)
+    p_submit.add_argument("--jobs", type=_positive_int, default=None)
     p_submit.add_argument("--priority", type=int, default=0,
                           help="higher runs first (default 0)")
     p_submit.add_argument("--submitter", default=None,

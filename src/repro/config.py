@@ -248,7 +248,7 @@ class QoSConfig:
 
     Everything a backend needs to attribute traffic to tenants travels
     inside the config -- partitions, thread ownership, weights -- so a
-    trace replayed on any backend (process pool, distributed service)
+    trace replayed on any backend (local cell process, distributed service)
     reconstructs the exact same QoS behaviour from the embedded config
     alone, with no side-channel plan object.
 

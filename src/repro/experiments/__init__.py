@@ -2,7 +2,7 @@
 
 All drivers route their independent simulation cells through
 :mod:`repro.experiments.orchestrator`, which provides pluggable
-execution backends (``backend=``: process pool, thread pool, or
+execution backends (``backend=``: kept local cell processes or
 dial-in TCP workers -- see :mod:`repro.experiments.backends`) and a
 size-capped, concurrency-safe on-disk result cache.
 """
@@ -12,7 +12,6 @@ from repro.experiments.backends import (
     DistributedBackend,
     LocalProcessBackend,
     SweepBackend,
-    ThreadBackend,
     resolve_backend,
 )
 from repro.experiments.orchestrator import (
@@ -35,7 +34,6 @@ __all__ = [
     "RunResult",
     "SweepBackend",
     "SweepJob",
-    "ThreadBackend",
     "resolve_backend",
     "run_pairs",
     "run_sweep",

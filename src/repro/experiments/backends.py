@@ -1,4 +1,4 @@
-"""Pluggable sweep execution backends (local / threaded / distributed).
+"""Pluggable sweep execution backends (local / distributed).
 
 :func:`~repro.experiments.orchestrator.run_sweep` separates *what* to
 simulate (the deduplicated list of pending cells) from *where* it runs.
@@ -6,31 +6,34 @@ A backend receives the pending ``(key, SweepJob)`` cells plus a
 ``finish(key, result)`` callback and must invoke the callback exactly
 once per cell, always from the caller's thread:
 
-* :class:`LocalProcessBackend` -- a ``ProcessPoolExecutor`` over
-  ``jobs`` workers; with one worker (or one cell) it runs in-process.
-  This is the default and reproduces the pre-backend behaviour exactly.
-* :class:`ThreadBackend` -- a ``ThreadPoolExecutor``.  The simulator is
-  pure Python so threads do not add CPU parallelism, but they skip
-  process spawn/import costs, which wins for tiny smoke sweeps.
+* :class:`LocalProcessBackend` -- this host.  With one job it runs
+  cells in process; with ``jobs`` > 1 it runs them in up to ``jobs``
+  :class:`~repro.experiments.worker.CellChild` processes, forked at
+  first use and kept until :meth:`~SweepBackend.close`, so the trace
+  and FTL-precondition memos carry from cell to cell and from sweep to
+  sweep.  This is the default.
 * :class:`DistributedBackend` -- fans cells out to worker processes
   (possibly on other hosts) over a newline-delimited TCP/JSON protocol.
   The coordinator listens (``listen=``) and workers dial in with
   ``python -m repro worker --connect HOST:PORT`` (see
   :mod:`repro.experiments.worker`), joining or leaving at any time.
+  Each worker runs its cells in a ``CellChild`` of its own.
 
 Fault tolerance on the distributed backend is governed by a per-cell
 :class:`CellPolicy`: each cell attempt has a configurable timeout
 (``REPRO_CELL_TIMEOUT``), a cell is retried on failure up to a bounded
 retry budget (``REPRO_RETRY_BUDGET``) before the sweep fails with a
 clear error, and a worker that keeps failing cells is quarantined (no
-further cells) for the rest of the sweep.
+further cells) for the rest of the sweep.  A local cell that fails, or
+whose child dies, fails the sweep at once.
 
-Every backend funnels results through ``RunResult.to_dict()`` /
+Every out-of-process cell comes back through ``RunResult.to_dict()`` /
 ``from_dict()`` -- the same lossless serialization the result cache
 uses -- so results are byte-identical no matter where a cell ran.
 
-Environment knobs: ``REPRO_BENCH_BACKEND`` selects the default backend
-(``local``, ``thread``, ``serial``, or ``distributed:[HOST:]PORT``, the
+Environment knobs: ``REPRO_JOBS`` the local backend's width (a
+positive integer; default 1), ``REPRO_BENCH_BACKEND`` the default
+backend (``local``, ``serial``, or ``distributed:[HOST:]PORT``, the
 address a coordinator listens on), and ``REPRO_CELL_TIMEOUT`` /
 ``REPRO_RETRY_BUDGET`` the reliability policy.
 """
@@ -43,12 +46,6 @@ import queue
 import select
 import socket
 import threading
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -58,6 +55,7 @@ from repro.obs.spans import SpanContext, current_context
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle is runtime-lazy
     from repro.experiments.orchestrator import SweepJob
+    from repro.experiments.worker import CellChild
 
 JOBS_ENV = "REPRO_JOBS"
 BACKEND_ENV = "REPRO_BENCH_BACKEND"
@@ -80,11 +78,19 @@ _SWEEP_DONE = None
 
 
 def default_jobs() -> int:
-    """Worker count when a sweep does not specify one (REPRO_JOBS, min 1)."""
+    """Worker count when a sweep does not specify one (REPRO_JOBS or 1).
+
+    Raises ``ValueError`` naming the variable unless it is a positive
+    integer: it sets how many cell processes a local backend keeps.
+    """
+    raw = os.environ.get(JOBS_ENV, "").strip() or "1"
     try:
-        return max(1, int(os.environ.get(JOBS_ENV, "1")))
+        jobs = int(raw)
     except ValueError:
-        return 1
+        jobs = 0
+    if jobs < 1:
+        raise ValueError(f"{JOBS_ENV} must be a positive integer, not {raw!r}")
+    return jobs
 
 
 @dataclass(frozen=True)
@@ -230,60 +236,76 @@ class SweepBackend:
         self.close()
 
 
-def _drain_pool(pool, pending: Sequence[PendingCell], finish: FinishFn) -> None:
-    """Submit every cell to an executor, finishing them as they land."""
-    from repro.experiments import orchestrator as orch
-
-    futures = {
-        pool.submit(orch._execute_job_dict, job): key for key, job in pending
-    }
-    not_done = set(futures)
-    while not_done:
-        done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
-        for future in done:
-            finish(futures[future], RunResult.from_dict(future.result()))
-
-
 class LocalProcessBackend(SweepBackend):
-    """Today's default: a process pool on this host (serial when jobs=1)."""
+    """This host: in process when ``jobs`` is 1, else kept cell children.
+
+    With ``jobs`` > 1 every cell runs in one of up to ``jobs``
+    :class:`~repro.experiments.worker.CellChild` processes, forked when
+    a sweep first needs them and kept until :meth:`close`.  A cell that
+    raises, or a child that dies, fails the sweep with the cell's
+    traceback or the child's exit code; cells still in flight are then
+    killed with their children, and the next sweep forks fresh ones.
+    Hosts without ``fork`` run every cell in process.
+    """
 
     name = "local"
 
     def __init__(self, jobs: Optional[int] = None) -> None:
-        self.jobs = max(1, int(jobs if jobs is not None else default_jobs()))
+        self.jobs = default_jobs() if jobs is None else int(jobs)
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, not {self.jobs}")
+        self._children: List["CellChild"] = []
+        #: Orders :meth:`close` against a fork in :meth:`run`, which
+        #: runs on a sweep's driver thread: no child outlives a close.
+        self._lock = threading.Lock()
+        self._closed = False
 
     def describe(self) -> str:
         return f"local[jobs={self.jobs}]"
 
     def run(self, pending: Sequence[PendingCell], finish: FinishFn) -> None:
-        from repro.experiments import orchestrator as orch
+        from repro.experiments import worker
+        from repro.experiments.orchestrator import _execute_job
 
-        if self.jobs == 1 or len(pending) <= 1:
+        if self.jobs == 1 or worker._FORK_CTX is None:
             for key, job in pending:
-                finish(key, orch._execute_job(job))
+                finish(key, _execute_job(job))
             return
-        with ProcessPoolExecutor(max_workers=min(self.jobs, len(pending))) as pool:
-            _drain_pool(pool, pending, finish)
+        with self._lock:
+            while len(self._children) < min(self.jobs, len(pending)):
+                self._children.append(worker.CellChild())
+            idle = list(self._children)
+        cells = list(reversed(pending))
+        busy: Dict["CellChild", str] = {}
+        try:
+            while cells or busy:
+                while cells and idle:
+                    key, job = cells.pop()
+                    child = idle.pop()
+                    with self._lock:
+                        if self._closed:
+                            raise RuntimeError("local backend is closed")
+                        child.send(job_to_wire(job))
+                    busy[child] = key
+                for child in select.select(list(busy), [], [])[0]:
+                    key = busy.pop(child)
+                    reply = child.recv()
+                    if not reply["ok"]:
+                        raise RuntimeError(
+                            f"cell {key} failed: {reply['error']}")
+                    idle.append(child)
+                    finish(key, RunResult.from_dict(reply["result"]))
+        finally:
+            for child in busy:
+                child.close()
 
-
-class ThreadBackend(SweepBackend):
-    """A thread pool: no spawn/import cost, ideal for tiny smoke sweeps.
-
-    Each job still round-trips through ``to_dict``/``from_dict`` so the
-    result invariants match the process and distributed paths.
-    """
-
-    name = "thread"
-
-    def __init__(self, jobs: Optional[int] = None) -> None:
-        self.jobs = max(1, int(jobs if jobs is not None else default_jobs()))
-
-    def describe(self) -> str:
-        return f"thread[jobs={self.jobs}]"
-
-    def run(self, pending: Sequence[PendingCell], finish: FinishFn) -> None:
-        with ThreadPoolExecutor(max_workers=min(self.jobs, len(pending))) as pool:
-            _drain_pool(pool, pending, finish)
+    def close(self) -> None:
+        """Kill the kept children; a closed backend forks no more."""
+        with self._lock:
+            self._closed = True
+            children, self._children = self._children, []
+        for child in children:
+            child.close()
 
 
 class DistributedBackend(SweepBackend):
@@ -309,8 +331,8 @@ class DistributedBackend(SweepBackend):
     it gets no further cells and each redial is dismissed -- so one
     sick host cannot eat every retry.  All ``finish`` callbacks happen
     on the thread that called :meth:`run`, exactly once per cell -- the
-    per-cell progress contract ``run_sweep`` exposes holds here like on
-    the local backends.
+    per-cell progress contract ``run_sweep`` exposes holds here as on
+    the local backend.
 
     Workers may answer a cell from their own result cache
     (``--cache-dir``); such replies are tallied in
@@ -587,7 +609,7 @@ class DistributedBackend(SweepBackend):
 # Resolution
 # ---------------------------------------------------------------------------
 
-_BACKEND_NAMES = ("local", "thread", "serial", "distributed")
+_BACKEND_NAMES = ("local", "serial", "distributed")
 
 
 def resolve_backend(
@@ -598,10 +620,9 @@ def resolve_backend(
     """Normalise a backend argument to a :class:`SweepBackend`.
 
     ``None`` consults ``REPRO_BENCH_BACKEND`` (default ``local``).
-    Strings accept ``local``/``process``, ``thread``/``threads``,
-    ``serial`` (local with one worker), and ``distributed:[HOST:]PORT``,
-    which binds a coordinator on that address for workers to
-    ``--connect`` to.  An explicit ``policy`` overrides the backend's
+    Strings accept ``local``, ``serial`` (local with one job), and
+    ``distributed:[HOST:]PORT``, which binds a coordinator on that
+    address for workers to ``--connect`` to.  An explicit ``policy`` overrides the backend's
     cell policy, including on an already-built instance.
     """
     if isinstance(backend, SweepBackend):
@@ -614,10 +635,8 @@ def resolve_backend(
         spec = str(backend).strip()
     name, _, rest = spec.partition(":")
     name = name.lower()
-    if name in ("local", "process", "processes"):
+    if name == "local":
         return LocalProcessBackend(jobs)
-    if name in ("thread", "threads"):
-        return ThreadBackend(jobs)
     if name == "serial":
         return LocalProcessBackend(1)
     if name == "distributed":

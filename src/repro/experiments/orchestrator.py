@@ -8,9 +8,10 @@ go through:
 * :class:`SweepJob` -- a hashable, picklable description of one
   :func:`~repro.experiments.runner.run_workload` call;
 * :func:`run_sweep` -- executes a list of jobs on a pluggable
-  :class:`~repro.experiments.backends.SweepBackend` (process pool,
-  thread pool, or distributed TCP workers) while preserving input
-  order, deduplicating identical cells, and consulting the result cache;
+  :class:`~repro.experiments.backends.SweepBackend` (in process, kept
+  local cell processes, or distributed TCP workers) while preserving
+  input order, deduplicating identical cells, and consulting the
+  result cache;
 * :func:`stream_sweep` -- the streaming core ``run_sweep`` is built on:
   an iterator of :class:`CellUpdate` events, one per distinct cell, in
   completion order -- cache-served cells first, then simulated cells as
@@ -32,7 +33,7 @@ Determinism: each job builds its own :class:`~repro.sim.system.System`
 from its own seeds, so a parallel sweep is numerically identical to the
 serial loop it replaces -- worker results round-trip through
 ``RunResult.to_dict()`` (lossless for finite floats) whether they come
-from a pool worker, a thread, a remote worker, the cache, or an
+from a local cell process, a remote worker, the cache, or an
 in-process run.
 
 Environment knobs: ``REPRO_JOBS`` (default worker count),
@@ -73,6 +74,7 @@ from typing import (
 from repro.experiments.backends import (
     BackendLike,
     CellPolicy,
+    SweepBackend,
     default_jobs,
     resolve_backend,
 )
@@ -114,9 +116,9 @@ class SweepJob:
     """One (workload, variant, parameters) simulation cell.
 
     ``params`` holds :func:`run_workload` keyword arguments as a sorted
-    tuple of pairs so jobs are hashable (for dedup) and picklable (for
-    the process pool).  Build via :meth:`make`, which canonicalises
-    names and drops ``None`` values.
+    tuple of pairs so jobs are hashable (for dedup) and serializable
+    (:func:`~repro.experiments.backends.job_to_wire`).  Build via
+    :meth:`make`, which canonicalises names and drops ``None`` values.
     """
 
     workload: str
@@ -220,9 +222,10 @@ class _Connection(sqlite3.Connection):
     """A connection that a forked child never closes.
 
     A sqlite connection is only freed by the cyclic garbage collector
-    (it and its statement cache reference each other), so a process
-    pool child forked from a threaded parent -- ``repro serve`` runs
-    every job, and every HTTP request, on its own thread -- may collect
+    (it and its statement cache reference each other), so a cell child
+    (:class:`~repro.experiments.worker.CellChild`) forked from a
+    threaded parent -- ``repro serve`` runs every job, and every HTTP
+    request, on its own thread -- may collect
     connections the parent's dead threads left behind.  Closing one
     there calls into sqlite, whose mutexes another parent thread may
     have held at the moment of the fork: the child deadlocks.  The
@@ -675,17 +678,6 @@ def _execute_job(job: SweepJob) -> RunResult:
         return run_workload(job.workload, job.variant, **job.kwargs())
 
 
-def _execute_job_dict(job: SweepJob) -> Dict[str, object]:
-    """Backend entry point: run one job, return its dict form.
-
-    Dicts (not live RunResults) cross the process/thread/network
-    boundary so every backend reconstructs results through exactly the
-    same path the cache uses -- one serialization format, one set of
-    invariants.
-    """
-    return _execute_job(job).to_dict()
-
-
 @dataclass(frozen=True)
 class CellUpdate:
     """One completed sweep cell, as :func:`stream_sweep` yields them.
@@ -725,23 +717,35 @@ def stream_sweep(
 
     The backend executes on a helper thread while the caller iterates;
     an error on any cell (or in the backend itself) is re-raised from
-    the iterator after in-flight results drain.  Abandoning the
-    iterator early leaves the helper thread draining in the background
-    (it is a daemon and, as above, still feeds the cache); consume it
-    fully -- or use :func:`run_sweep` -- when you need the barrier
-    semantics.
+    the iterator after in-flight results drain.  A backend given by
+    name or left to the default is built here and closed when the
+    iterator ends, however it ends, so no local cell process outlives
+    the call: abandoning the iterator early kills the cells still in
+    flight (an in-process cell finishes in the background, on the
+    daemon helper thread).  Cells already finished are in the cache
+    either way.  A :class:`~repro.experiments.backends.SweepBackend`
+    instance stays open for its owner to reuse and close.
 
     ``policy`` is the distributed backend's per-cell reliability policy
     (timeout / retry budget / quarantine); see
-    :class:`~repro.experiments.backends.CellPolicy`.  Local and thread
-    backends ignore it.
+    :class:`~repro.experiments.backends.CellPolicy`.  The local backend
+    ignores it.
     """
     specs = [_as_job(item) for item in jobs_or_pairs]
-    if jobs is None:
-        jobs = default_jobs()
-    jobs = max(1, int(jobs))
     store = resolve_cache(cache)
     executor = resolve_backend(backend, jobs=jobs, policy=policy)
+    with contextlib.ExitStack() as owned:
+        if executor is not backend:
+            owned.callback(executor.close)
+        yield from _stream_cells(specs, store, executor)
+
+
+def _stream_cells(
+    specs: List[SweepJob],
+    store: Optional[ResultCache],
+    executor: SweepBackend,
+) -> Iterator[CellUpdate]:
+    """The body of :func:`stream_sweep`, on an already-resolved backend."""
 
     # Deduplicate: one simulation per distinct cache key, results shared.
     key_order: List[str] = []
@@ -842,8 +846,8 @@ def run_sweep(
     Args:
         jobs_or_pairs: :class:`SweepJob` objects or ``(workload,
             variant)`` pairs; results come back in the same order.
-        jobs: worker count for the local/thread backends (1 = run
-            in-process; default ``REPRO_JOBS`` or 1).
+        jobs: cell processes for the local backend (1 = run in
+            process; default ``REPRO_JOBS`` or 1).
         cache: see :func:`resolve_cache`.
         progress: optional callback invoked per completed cell with the
             job and its source (``"cache"`` or ``"run"``).  The contract
@@ -853,11 +857,13 @@ def run_sweep(
             Incremental consumers -- the figure drivers thread this
             through to ``python -m repro report``, which rewrites the
             report after each cell -- need no locking.
-        backend: a :class:`~repro.experiments.backends.SweepBackend`, a
-            backend name (``local``/``thread``/``serial``/
-            ``distributed``/``registry``), or None for the
-            ``REPRO_BENCH_BACKEND`` default; see
-            :func:`~repro.experiments.backends.resolve_backend`.
+        backend: a :class:`~repro.experiments.backends.SweepBackend`
+            (left open for the caller to reuse and close), a backend
+            name (``local``/``serial``/``distributed:[HOST:]PORT``), or
+            None for the ``REPRO_BENCH_BACKEND`` default; see
+            :func:`~repro.experiments.backends.resolve_backend`.  A
+            backend built from a name or the default is closed before
+            this returns.
         policy: per-cell reliability policy for the distributed backend
             (:class:`~repro.experiments.backends.CellPolicy`; defaults
             to ``REPRO_CELL_TIMEOUT`` / ``REPRO_RETRY_BUDGET``).

@@ -156,9 +156,12 @@ def build_config(
 #: only the missing ones.
 _TRACE_MEMO: "OrderedDict[Tuple, Tuple[List[Trace], int]]" = OrderedDict()
 _TRACE_MEMO_MAX = 16
-#: Guards the memo's check-then-act updates (thread-backend sweeps run
-#: cells on threads); generation runs outside it, and two threads that
-#: generate the same key produce equal traces.
+#: Guards the memo's check-then-act updates: ``repro serve --max-active
+#: N`` at the default ``--jobs 1`` runs N jobs' cells in process, on N
+#: driver threads, and report jobs also call :func:`_traces_for` on
+#: their job threads from the fig5/fig6 and channel-occupancy drivers.
+#: Generation runs outside it, and two threads that generate the same
+#: key produce equal traces.
 _TRACE_MEMO_LOCK = threading.Lock()
 
 

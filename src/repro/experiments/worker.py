@@ -49,6 +49,7 @@ import select
 import socket
 import stat
 import sys
+import threading
 import time
 import traceback
 from typing import Dict, Optional, TextIO, Tuple
@@ -152,45 +153,39 @@ def _cell_child(conn) -> None:
 
 
 class CellChild:
-    """The worker's one long-lived, killable cell process.
+    """A long-lived, killable cell process: where every cell that runs
+    out of process runs.
 
-    Forked lazily at the first cell and fed jobs over a duplex pipe, so
-    the runner's trace memo and the FTL's precondition memo carry from
-    cell to cell, and from connection to connection, as they do in an
-    in-process sweep.  It is killed, and forked afresh at the next
-    cell, only when the coordinator cancels or hangs up mid-cell, or
-    when it crashes.
+    Forked at the first :meth:`send` and fed wire-format jobs over a
+    duplex pipe, so the trace and FTL-precondition memos carry from cell
+    to cell as in an in-process sweep.  A worker keeps one across
+    connections, a :class:`~repro.experiments.backends.LocalProcessBackend`
+    up to ``jobs`` across sweeps; each ``select``s on it (:meth:`fileno`)
+    next to whatever else it waits for.  It is killed, and forked afresh
+    at the next cell, only when its owner gives up on a cell or it dies.
     """
 
     def __init__(self) -> None:
         assert _FORK_CTX is not None
         self._proc = None
         self._conn = None
+        #: A local backend's close may race its sweep's own cleanup;
+        #: whichever close comes second waits until the child is reaped.
+        self._closing = threading.Lock()
 
     @property
     def pid(self) -> Optional[int]:
         """The live child's pid (None before the first cell)."""
         return self._proc.pid if self._proc is not None else None
 
-    def execute(
-        self, sock: socket.socket, rfile, message: Dict[str, object]
-    ) -> Tuple[str, Optional[Dict[str, object]]]:
-        """Run one cell in the child, watching the coordinator.
+    def fileno(self) -> int:
+        """The reply pipe's descriptor: readable once the cell is done."""
+        return self._conn.fileno()
 
-        Returns ``("reply", payload)`` when the cell finished
-        (``payload`` has ``ok``/``result`` or ``ok``/``error``),
-        ``("cancelled", None)`` when the coordinator sent ``cancel`` (no
-        reply owed -- it already gave up on this cell), or ``("eof",
-        None)`` when the coordinator hung up (the connection is over).
-        The child is killed on every path but a reply.
-
-        Selecting on the raw socket next to the buffered reader is safe
-        *here* because the protocol is strictly request/response: at
-        this point the coordinator's ``job`` line has been consumed and
-        it sends nothing further until our reply -- except a
-        ``cancel``/hang-up, which is exactly what the select is
-        watching for.
-        """
+    def send(self, message: Dict[str, object]) -> None:
+        """Start one wire-format job in the child, forking it first if
+        there is none (or it died between cells).  A child that is gone
+        by now shows as a readable pipe, reported by :meth:`recv`."""
         if self._proc is not None and not self._proc.is_alive():
             self.close()  # it died between cells
         if self._proc is None:
@@ -200,54 +195,68 @@ class CellChild:
             self._proc.start()
             child_end.close()
             self._conn = parent_end
-        keep = False
         try:
-            try:
-                self._conn.send(message)
-            except OSError:
-                return self._crashed()
-            while True:
-                ready, _, _ = select.select([sock, self._conn], [], [])
-                if self._conn in ready:
-                    try:
-                        payload = self._conn.recv()
-                    except (EOFError, OSError):
-                        return self._crashed()
-                    keep = True
-                    return ("reply", payload)
-                note = backends.recv_msg(rfile)
-                if note is None:
-                    return ("eof", None)
-                if note.get("type") in ("cancel", "bye"):
-                    return ("cancelled", None)
-                # Anything else mid-cell is a protocol violation from a
-                # confused coordinator; keep simulating, it can only
-                # recover by cancelling or hanging up.
-        finally:
-            if not keep:
-                self.close()
+            self._conn.send(message)
+        except OSError:
+            pass
 
-    def _crashed(self) -> Tuple[str, Dict[str, object]]:
-        self._proc.join(timeout=5.0)
-        return ("reply", {
-            "ok": False,
-            "error": "cell child exited without a result "
-                     f"(exitcode {self._proc.exitcode})",
-        })
+    def recv(self) -> Dict[str, object]:
+        """The cell's reply: ``ok`` plus ``result`` or ``error``.  A child
+        that died mid-cell is reaped and reported by its exit code."""
+        try:
+            return self._conn.recv()
+        except (EOFError, OSError):
+            self._proc.join(timeout=5.0)
+            exitcode = self._proc.exitcode
+            self.close()
+            return {"ok": False,
+                    "error": "cell child exited without a result "
+                             f"(exitcode {exitcode})"}
 
     def close(self) -> None:
         """Kill the child, if any; the next cell forks a fresh one."""
-        proc, conn = self._proc, self._conn
-        if proc is None:
-            return
-        self._proc = self._conn = None
-        if proc.is_alive():
-            proc.terminate()
-            proc.join(timeout=5.0)
-        if proc.is_alive():  # a child ignoring SIGTERM gets SIGKILL
-            proc.kill()
-            proc.join(timeout=5.0)
-        conn.close()
+        with self._closing:
+            proc, conn = self._proc, self._conn
+            if proc is None:
+                return
+            self._proc = self._conn = None
+            if proc.is_alive():
+                proc.terminate()
+                proc.join(timeout=5.0)
+            if proc.is_alive():  # a child ignoring SIGTERM gets SIGKILL
+                proc.kill()
+                proc.join(timeout=5.0)
+            conn.close()
+
+
+def _run_in_child(
+    sock: socket.socket, rfile, child: CellChild, message: Dict[str, object]
+) -> Optional[Dict[str, object]]:
+    """Run one cell in ``child``, watching the coordinator meanwhile.
+
+    Returns the child's reply (``ok`` plus ``result`` or ``error``), or
+    None when the coordinator sent ``cancel`` or hung up: it owes no
+    reply and the child is killed.  Selecting on the raw socket next to
+    the buffered reader is safe *here* because the protocol is strictly
+    request/response: the coordinator sends nothing mid-cell but a
+    ``cancel`` or a hang-up, which is what the select watches for.
+    """
+    child.send(message)
+    try:
+        while True:
+            ready, _, _ = select.select([sock, child], [], [])
+            if child in ready:
+                return child.recv()
+            note = backends.recv_msg(rfile)
+            if note is None or note.get("type") in ("cancel", "bye"):
+                child.close()
+                return None
+            # Anything else mid-cell is a protocol violation from a
+            # confused coordinator; keep simulating, it can only
+            # recover by cancelling or hanging up.
+    except BaseException:
+        child.close()
+        raise
 
 
 def serve_connection(
@@ -294,13 +303,11 @@ def serve_connection(
                     reply.update(ok=True, cached=True,
                                  result=cached.to_dict())
                 elif child is not None:
-                    outcome, payload = child.execute(sock, rfile, message)
-                    if outcome == "eof":
-                        return served, from_cache
-                    if outcome == "cancelled":
-                        # The coordinator abandoned this cell; it expects
-                        # no reply and has retried elsewhere.  The slot is
-                        # free again -- serve whatever comes next.
+                    payload = _run_in_child(sock, rfile, child, message)
+                    if payload is None:
+                        # The coordinator abandoned this cell and expects
+                        # no reply; the slot is free again -- serve what
+                        # comes next (after a hang-up, the EOF ends it).
                         continue
                     if payload.get("ok"):
                         if cache is not None:

@@ -6,8 +6,9 @@ Multi-tenant QoS needs two ingredients that are deliberately decoupled:
   :class:`~repro.config.QoSConfig` embedded in a :class:`SimConfig`, it
   answers "which tenant owns this page / this thread" and carries the
   per-tenant weights and priorities.  Because everything it needs lives
-  in the config, a trace replayed on any backend (thread pool, process
-  pool, distributed service) reconstructs identical attribution.
+  in the config, a trace replayed on any backend (in process, local
+  cell processes, distributed service) reconstructs identical
+  attribution.
 
 * :class:`FlashPacingArbiter` -- the flash-queue scheduling mechanism
   ("wfq" / "priority" isolation).  The flash model completes commands

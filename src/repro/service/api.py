@@ -245,10 +245,12 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             while not self.server.repro_closing:
                 seen = store.version
+                # The state before the events: a terminal state commits
+                # with its ``state`` event, so this pass then emits it.
+                job = store.get(job_id)
                 for event in store.events_after(job_id, after):
                     after = event["seq"]
                     emit(event)
-                job = store.get(job_id)
                 if job is None or job["state"] in TERMINAL_STATES:
                     emit({"event": "state", "seq": after,
                           "state": job["state"] if job else "deleted",

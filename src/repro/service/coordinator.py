@@ -45,7 +45,11 @@ import traceback
 from pathlib import Path
 from typing import Dict, List, Optional, TextIO, Union
 
-from repro.experiments.backends import CellPolicy, DistributedBackend
+from repro.experiments.backends import (
+    CellPolicy,
+    DistributedBackend,
+    LocalProcessBackend,
+)
 from repro.experiments.orchestrator import (
     ResultCache,
     default_jobs,
@@ -74,8 +78,9 @@ class SweepService:
     directories; ``cache_dir`` the result cache shared by every job
     (and by any ``repro sweep`` on this host pointed at the same
     directory).  ``listen`` binds one shared :class:`DistributedBackend`
-    for dial-in workers; without it, cells run on the local process pool
-    (``jobs``).
+    for dial-in workers; without it, each job runs its cells on a
+    :class:`LocalProcessBackend` of its own (``jobs`` kept cell
+    processes, or in process at 1), closed when the job ends.
     """
 
     def __init__(
@@ -374,10 +379,11 @@ class SweepService:
             self._check_cancel(job_id)
 
         failures: List[str] = []
-        backend = self._backend
-        lock = self._backend_lock if backend is not None else None
-        if lock is not None:
-            lock.acquire()
+        if self._backend is not None:
+            backend = self._backend
+            self._backend_lock.acquire()
+        else:
+            backend = LocalProcessBackend(args.jobs)
         try:
             for name in names:
                 self._check_cancel(job_id)
@@ -401,8 +407,10 @@ class SweepService:
                     "state": "failed" if name in failures else "done",
                 })
         finally:
-            if lock is not None:
-                lock.release()
+            if backend is self._backend:
+                self._backend_lock.release()
+            else:
+                backend.close()
             builder.render()
         if failures:
             raise RuntimeError(

@@ -236,6 +236,8 @@ class JobStore:
 
     def _finish(self, job_id: int, state: str, error: Optional[str],
                 result: Optional[Dict[str, object]]) -> None:
+        """The terminal state and its ``state`` event, in one
+        transaction: a reader that sees the state sees the event."""
         con = self._db()
         with _txn(con):
             con.execute(
@@ -246,8 +248,10 @@ class JobStore:
                  else None,
                  job_id),
             )
-        self.add_event(job_id, {"event": "state", "state": state,
-                                **({"error": error} if error else {})})
+            self._insert_event(con, job_id, {
+                "event": "state", "state": state,
+                **({"error": error} if error else {})})
+        self.notify()
 
     def finish(self, job_id: int, result: Dict[str, object]) -> None:
         self._finish(job_id, "done", None, result)
@@ -279,15 +283,15 @@ class JobStore:
                     " WHERE id = ?",
                     (time.time(), job_id),
                 )
+                self._insert_event(con, job_id, {"event": "state",
+                                                 "state": "cancelled"})
                 state = "cancelled"
             elif state == "running":
                 con.execute(
                     "UPDATE jobs SET cancel_requested = 1 WHERE id = ?",
                     (job_id,),
                 )
-        if state == "cancelled":
-            self.add_event(job_id, {"event": "state", "state": "cancelled"})
-        elif state == "running":
+        if state in ("cancelled", "running"):
             self.notify()
         return state
 
@@ -302,18 +306,24 @@ class JobStore:
     def add_event(self, job_id: int, payload: Dict[str, object]) -> int:
         con = self._db()
         with _txn(con):
-            seq = con.execute(
-                "SELECT COALESCE(MAX(seq), 0) + 1 FROM job_events"
-                " WHERE job_id = ?",
-                (job_id,),
-            ).fetchone()[0]
-            con.execute(
-                "INSERT INTO job_events (job_id, seq, at, payload)"
-                " VALUES (?, ?, ?, ?)",
-                (job_id, seq, time.time(),
-                 json.dumps(payload, sort_keys=True)),
-            )
+            seq = self._insert_event(con, job_id, payload)
         self.notify()
+        return seq
+
+    @staticmethod
+    def _insert_event(con: sqlite3.Connection, job_id: int,
+                      payload: Dict[str, object]) -> int:
+        """Append one event inside the caller's transaction."""
+        seq = con.execute(
+            "SELECT COALESCE(MAX(seq), 0) + 1 FROM job_events"
+            " WHERE job_id = ?",
+            (job_id,),
+        ).fetchone()[0]
+        con.execute(
+            "INSERT INTO job_events (job_id, seq, at, payload)"
+            " VALUES (?, ?, ?, ?)",
+            (job_id, seq, time.time(), json.dumps(payload, sort_keys=True)),
+        )
         return seq
 
     def events_after(

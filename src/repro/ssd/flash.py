@@ -621,10 +621,6 @@ class DeepFlashArray(FlashArray):
         if suspended:
             u.free += read_ns + PROGRAM_SUSPEND_NS
             u.suspends += 1
-        elif u.free <= start:
-            # Unit idle at issue: any old program finished; the next one
-            # gets a fresh bypass budget.
-            u.suspends = 0
         array_done = start + read_ns
         u.read_free = array_done
         if array_done > u.free:

@@ -13,6 +13,7 @@ channel-major layout of :mod:`repro.ssd.flash`.
 from __future__ import annotations
 
 import random
+import threading
 from typing import Dict, List, Optional
 
 from repro.config import FlashGeometry
@@ -25,6 +26,11 @@ from repro.config import FlashGeometry
 #: snapshot instead of replaying the whole RNG-driven fill.
 _PRECONDITION_MEMO: Dict[tuple, tuple] = {}
 _PRECONDITION_MEMO_MAX = 4
+#: Guards the memo's lookup and its check-then-act eviction: ``repro
+#: serve --max-active N`` at the default ``--jobs 1`` runs N jobs' cells
+#: in process, on N driver threads.  Aging runs outside it; two threads
+#: aging one key store equal states.
+_PRECONDITION_MEMO_LOCK = threading.Lock()
 
 
 class BlockState:
@@ -224,7 +230,8 @@ class PageFTL:
                 logical_pages,
                 target_free_blocks_per_channel,
             )
-            cached = _PRECONDITION_MEMO.get(memo_key)
+            with _PRECONDITION_MEMO_LOCK:
+                cached = _PRECONDITION_MEMO.get(memo_key)
             if cached is not None:
                 self._restore_state(cached)
                 return
@@ -259,9 +266,11 @@ class PageFTL:
                         except OutOfSpaceError:
                             break
         if memo_key is not None and not self._oos_hook_fired:
-            while len(_PRECONDITION_MEMO) >= _PRECONDITION_MEMO_MAX:
-                _PRECONDITION_MEMO.pop(next(iter(_PRECONDITION_MEMO)))
-            _PRECONDITION_MEMO[memo_key] = self._snapshot_state()
+            snapshot = self._snapshot_state()
+            with _PRECONDITION_MEMO_LOCK:
+                while len(_PRECONDITION_MEMO) >= _PRECONDITION_MEMO_MAX:
+                    _PRECONDITION_MEMO.pop(next(iter(_PRECONDITION_MEMO)))
+                _PRECONDITION_MEMO[memo_key] = snapshot
 
     # -- preconditioning snapshots ------------------------------------------------
 

@@ -1,15 +1,18 @@
 """Tests for the pluggable sweep execution backends.
 
 Covers backend resolution (names, env knobs, listen addresses), the
-thread backend's byte-identical results, and the distributed backend's
+local backend's kept cell children (byte-identical results, reuse
+across sweeps, failures), and the distributed backend's
 TCP/JSON protocol with dial-in workers: shared caches, worker failure
 reporting, requeueing cells from dead connections, and preemption.
 """
 
 import io
 import json
+import multiprocessing
 import os
 import select
+import signal
 import socket
 import struct
 import threading
@@ -17,14 +20,13 @@ import time
 
 import pytest
 
-from repro.experiments import backends
+from repro.experiments import backends, orchestrator
 from repro.experiments import worker as worker_mod
 from repro.experiments.backends import (
     CellPolicy,
     DistributedBackend,
     LocalProcessBackend,
     SweepBackend,
-    ThreadBackend,
     parse_address,
     resolve_backend,
 )
@@ -54,18 +56,22 @@ class TestResolution:
 
     def test_names(self):
         assert isinstance(resolve_backend("local", jobs=2), LocalProcessBackend)
-        assert isinstance(resolve_backend("thread", jobs=2), ThreadBackend)
         serial = resolve_backend("serial", jobs=8)
         assert isinstance(serial, LocalProcessBackend)
         assert serial.jobs == 1
+        for retired in ("thread", "threads", "process", "processes"):
+            with pytest.raises(ValueError, match="unknown sweep backend"):
+                resolve_backend(retired)
 
     def test_instance_passes_through(self):
-        backend = ThreadBackend(2)
-        assert resolve_backend(backend) is backend
+        backend = LocalProcessBackend(2)
+        assert resolve_backend(backend, jobs=5) is backend
 
     def test_env_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(backends.BACKEND_ENV, "thread")
-        assert isinstance(resolve_backend(None, jobs=2), ThreadBackend)
+        monkeypatch.setenv(backends.BACKEND_ENV, "serial")
+        backend = resolve_backend(None, jobs=2)
+        assert isinstance(backend, LocalProcessBackend)
+        assert backend.jobs == 1
 
     def test_env_supplies_workers(self, monkeypatch):
         """REPRO_BENCH_BACKEND=distributed:HOST:PORT binds the address
@@ -88,7 +94,7 @@ class TestResolution:
 
     def test_explicit_workers_beat_env_backend(self, monkeypatch):
         """A typed fleet address must not lose to an ambient env default."""
-        monkeypatch.setenv(backends.BACKEND_ENV, "thread")
+        monkeypatch.setenv(backends.BACKEND_ENV, "serial")
         with resolve_backend("distributed:127.0.0.1:0") as backend:
             assert isinstance(backend, DistributedBackend)
 
@@ -114,7 +120,6 @@ class TestResolution:
 
     def test_describe(self):
         assert LocalProcessBackend(4).describe() == "local[jobs=4]"
-        assert ThreadBackend(2).describe() == "thread[jobs=2]"
         assert SweepBackend().describe() == "abstract"
 
     def test_policy_reaches_instances_and_specs(self):
@@ -164,18 +169,109 @@ class TestCellPolicy:
         assert CellPolicy(retry_budget=5, quarantine_after=2).quarantine_after == 2
 
 
-class TestThreadBackend:
+class TestJobs:
+    def test_repro_jobs_sets_the_default(self, monkeypatch):
+        monkeypatch.setenv(backends.JOBS_ENV, "3")
+        assert backends.default_jobs() == 3
+        assert LocalProcessBackend().jobs == 3
+        monkeypatch.delenv(backends.JOBS_ENV)
+        assert backends.default_jobs() == 1
+
+    @pytest.mark.parametrize("value", ["0", "-2", "two", "1.5"])
+    def test_bad_repro_jobs_is_rejected_naming_it(self, monkeypatch, value):
+        """It sets how many cell processes a backend keeps: garbage must
+        not quietly turn into one."""
+        monkeypatch.setenv(backends.JOBS_ENV, value)
+        with pytest.raises(ValueError, match="REPRO_JOBS"):
+            backends.default_jobs()
+        with pytest.raises(ValueError, match="REPRO_JOBS"):
+            run_sweep(tiny_jobs()[:1], cache=False)
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_is_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            LocalProcessBackend(jobs)
+
+
+@pytest.mark.skipif(worker_mod._FORK_CTX is None,
+                    reason="cell children need the fork start method")
+class TestKeptChildren:
     def test_matches_serial_byte_identical(self):
         serial = run_sweep(tiny_jobs(), jobs=1, cache=False)
-        threaded = run_sweep(tiny_jobs(), jobs=3, cache=False, backend="thread")
-        assert dumps(serial) == dumps(threaded)
+        children = run_sweep(tiny_jobs(), jobs=3, cache=False)
+        assert dumps(serial) == dumps(children)
 
     def test_uses_cache(self, tmp_path):
         store = ResultCache(tmp_path)
-        run_sweep(tiny_jobs(), jobs=2, cache=store, backend=ThreadBackend(2))
-        assert store.misses == 3
-        run_sweep(tiny_jobs(), jobs=2, cache=store, backend=ThreadBackend(2))
-        assert store.hits == 3
+        with LocalProcessBackend(2) as backend:
+            run_sweep(tiny_jobs(), cache=store, backend=backend)
+            assert store.misses == 3
+            run_sweep(tiny_jobs(), cache=store, backend=backend)
+            assert store.hits == 3
+
+    def test_children_are_kept_across_sweeps(self):
+        """Two sweeps on one backend run on the same two children, so
+        the memos a child built for the first serve the second."""
+        serial = run_sweep(tiny_jobs(), jobs=1, cache=False)
+        with LocalProcessBackend(2) as backend:
+            first = run_sweep(tiny_jobs(), cache=False, backend=backend)
+            pids = sorted(child.pid for child in backend._children)
+            second = run_sweep(tiny_jobs(), cache=False, backend=backend)
+            assert sorted(child.pid for child in backend._children) == pids
+        assert len(set(pids)) == 2 and os.getpid() not in pids
+        assert dumps(first) == dumps(serial) == dumps(second)
+        assert multiprocessing.active_children() == []
+
+    def test_a_backend_it_built_is_closed_on_return(self):
+        run_sweep(tiny_jobs(), jobs=2, cache=False)
+        assert multiprocessing.active_children() == []
+        stream = orchestrator.stream_sweep(tiny_jobs(), jobs=2, cache=False)
+        next(stream)
+        stream.close()  # abandoned mid-sweep
+        assert multiprocessing.active_children() == []
+
+    def test_a_raising_cell_fails_the_sweep_with_its_traceback(
+            self, monkeypatch):
+        real_execute = worker_mod._execute_job
+
+        def execute(job):
+            if job.workload == "ycsb":
+                raise RuntimeError("boom in the child")
+            return real_execute(job)
+
+        monkeypatch.setattr(worker_mod, "_execute_job", execute)
+        with LocalProcessBackend(2) as backend:
+            with pytest.raises(RuntimeError, match="(?s)Traceback.*boom"):
+                run_sweep(tiny_jobs(), cache=False, backend=backend)
+
+    def test_a_killed_child_fails_the_sweep_and_is_replaced(
+            self, monkeypatch, tmp_path):
+        real_execute = worker_mod._execute_job
+        killed = tmp_path / "killed"
+
+        def execute(job):
+            if job.variant == "SkyByte-Full":
+                killed.write_text(str(os.getpid()))
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_execute(job)
+
+        monkeypatch.setattr(worker_mod, "_execute_job", execute)
+        survivors = tiny_jobs()[:2]
+        with LocalProcessBackend(2) as backend:
+            with pytest.raises(RuntimeError, match="exitcode -9"):
+                run_sweep(tiny_jobs(), cache=False, backend=backend)
+            results = run_sweep(survivors, cache=False, backend=backend)
+            pids = [child.pid for child in backend._children]
+            assert None not in pids and int(killed.read_text()) not in pids
+        assert dumps(results) == dumps(run_sweep(survivors, jobs=1,
+                                                 cache=False))
+
+    def test_a_closed_backend_runs_no_more_cells(self):
+        backend = LocalProcessBackend(2)
+        backend.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            run_sweep(tiny_jobs(), cache=False, backend=backend)
+        assert multiprocessing.active_children() == []
 
 
 def start_inprocess_worker(address, cache=None):
@@ -754,24 +850,20 @@ def test_cell_child_forked_while_a_thread_logs():
     from repro.obs import log as obs_log
 
     child = worker_mod.CellChild()
-    ours, theirs = socket.socketpair()
     message = {"type": "job", **backends.job_to_wire(tiny_jobs()[1])}
-    outcome = []
     try:
-        with ours, theirs, ours.makefile("r", encoding="utf-8") as rfile:
-            with obs_log._lock:
-                runner = threading.Thread(
-                    target=lambda: outcome.append(
-                        child.execute(ours, rfile, message)),
-                    daemon=True)
-                runner.start()
-                # Hold the lock until the child exists.
-                deadline = time.monotonic() + 30
-                while child.pid is None and time.monotonic() < deadline:
-                    time.sleep(0.01)
-            runner.join(timeout=30)
-            assert not runner.is_alive(), "cell child hung on the log lock"
+        with obs_log._lock:
+            runner = threading.Thread(target=child.send, args=(message,),
+                                      daemon=True)
+            runner.start()
+            # Hold the lock until the child exists.
+            deadline = time.monotonic() + 30
+            while child.pid is None and time.monotonic() < deadline:
+                time.sleep(0.01)
+        runner.join(timeout=30)
+        ready, _, _ = select.select([child], [], [], 30)
+        assert ready, "cell child hung on the log lock"
+        payload = child.recv()
     finally:
         child.close()
-    kind, payload = outcome[0]
-    assert kind == "reply" and payload["ok"], payload
+    assert payload["ok"], payload

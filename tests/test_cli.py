@@ -256,19 +256,60 @@ def test_cache_stats_path_and_clear(capsys, tmp_path):
     assert "entries:   0" in capsys.readouterr().out
 
 
-def test_sweep_thread_backend_matches_local(capsys, tmp_path):
-    out_local = tmp_path / "local.json"
-    out_thread = tmp_path / "thread.json"
+def test_sweep_kept_children_match_in_process(capsys, tmp_path):
+    out_serial = tmp_path / "serial.json"
+    out_children = tmp_path / "children.json"
     base = ["sweep", "--workloads", "bc", "--variants", "Base-CSSD,DRAM-Only",
             "--records", R, "--no-cache", "--quiet"]
-    assert main(base + ["--backend", "local", "--output", str(out_local)]) == 0
-    assert main(base + ["--backend", "thread", "--jobs", "2",
-                        "--output", str(out_thread)]) == 0
+    assert main(base + ["--jobs", "1", "--output", str(out_serial)]) == 0
+    assert main(base + ["--jobs", "2", "--output", str(out_children)]) == 0
     capsys.readouterr()
-    local = json.loads(out_local.read_text())
-    threaded = json.loads(out_thread.read_text())
-    assert local["results"] == threaded["results"]
-    assert threaded["backend"] == "thread[jobs=2]"
+    serial = json.loads(out_serial.read_text())
+    children = json.loads(out_children.read_text())
+    assert serial["results"] == children["results"]
+    assert serial["backend"] == "local[jobs=1]"
+    assert children["backend"] == "local[jobs=2]"
+
+
+@pytest.mark.parametrize("backend", ["thread", "threads", "process",
+                                     "processes"])
+def test_retired_backend_names_are_argparse_errors(capsys, backend):
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--workloads", "bc", "--records", R, "--no-cache",
+              "--backend", backend])
+    assert info.value.code == 2
+    assert "--backend" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "bc", "Base-CSSD"],
+    ["sweep"],
+    ["figures", "fig2"],
+    ["report", "fig2"],
+    ["trace", "replay", "missing.sbt"],
+    ["serve"],
+    ["job", "submit"],
+])
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_jobs_below_one_exits_2_naming_the_option(capsys, argv, jobs):
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--jobs", jobs])
+    assert info.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "bc", "Base-CSSD", "--records", R, "--no-cache"],
+    ["sweep", "--workloads", "bc", "--records", R, "--no-cache"],
+    ["figures", "fig2", "--workloads", "bc", "--records", R, "--no-cache"],
+])
+@pytest.mark.parametrize("value", ["0", "-1", "lots"])
+def test_bad_repro_jobs_is_rejected_naming_it(capsys, monkeypatch, tmp_path,
+                                              argv, value):
+    monkeypatch.setenv("REPRO_JOBS", value)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert "REPRO_JOBS" in capsys.readouterr().err
 
 
 def test_sweep_distributed_backend_matches_local(capsys, tmp_path, spawn_worker):
@@ -359,7 +400,7 @@ def test_cache_prune_evicts_lru(capsys, tmp_path):
 def test_listen_conflicts_with_non_distributed_backend(capsys):
     rc = main(["sweep", "--workloads", "bc", "--variants", "Base-CSSD",
                "--records", R, "--no-cache", "--quiet",
-               "--listen", "127.0.0.1:0", "--backend", "thread"])
+               "--listen", "127.0.0.1:0", "--backend", "serial"])
     assert rc == 2
     assert "incompatible" in capsys.readouterr().err
 

@@ -151,13 +151,14 @@ def test_colocation_trace_replay_identical_across_backends(tmp_path):
     _write_colocation_trace(path, plan)
     job = SweepJob.make("coloc-test", "SkyByte-Full", trace=str(path))
     local = run_sweep([job], jobs=1, cache=False)[0]
-    threaded = run_sweep([job], jobs=2, cache=False, backend="thread")[0]
-    assert canonical_stats(local.stats) == canonical_stats(threaded.stats)
+    child = run_sweep([job], jobs=2, cache=False)[0]
+    assert canonical_stats(local.stats) == canonical_stats(child.stats)
 
 
 def test_capture_replays_bit_exactly_on_all_backends(tmp_path, spawn_worker):
-    """The acceptance pin: a captured trace replays bit-exactly on the
-    local, thread, and distributed (real worker subprocess) backends."""
+    """The acceptance pin: a captured trace replays bit-exactly in
+    process, in a local cell child, and on the distributed (real worker
+    subprocess) backend."""
     from repro.experiments.backends import DistributedBackend
     from repro.experiments.runner import capture_workload
 
@@ -167,7 +168,7 @@ def test_capture_replays_bit_exactly_on_all_backends(tmp_path, spawn_worker):
     job = SweepJob.make("bc", "SkyByte-Full", trace=str(path))
 
     local = run_sweep([job], jobs=1, cache=False)[0]
-    threaded = run_sweep([job], jobs=2, cache=False, backend="thread")[0]
+    child = run_sweep([job], jobs=2, cache=False)[0]
     with DistributedBackend(listen="127.0.0.1:0") as backend:
         host, port = backend.address
         proc = spawn_worker("--connect", f"{host}:{port}", "--no-cache")
@@ -176,7 +177,7 @@ def test_capture_replays_bit_exactly_on_all_backends(tmp_path, spawn_worker):
 
     reference = canonical_stats(captured.stats)
     assert canonical_stats(local.stats) == reference
-    assert canonical_stats(threaded.stats) == reference
+    assert canonical_stats(child.stats) == reference
     assert canonical_stats(distributed.stats) == reference
 
 

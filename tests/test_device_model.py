@@ -275,6 +275,41 @@ class TestDeepScheduler:
         gaps = [b - a for a, b in zip(reads[2:], reads[3:])]
         assert all(g == pytest.approx(ULL.read_ns) for g in gaps)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        bypass=st.integers(1, 3),
+        tape=st.lists(
+            st.tuples(
+                st.sampled_from(["read", "read", "read", "program"]),
+                st.integers(0, 1),
+                st.floats(0.0, 250_000.0, allow_nan=False,
+                          allow_infinity=False),
+            ),
+            min_size=1, max_size=40,
+        ),
+    )
+    def test_no_program_absorbs_more_than_its_bypass_budget(self, bypass,
+                                                            tape):
+        """Reads and programs issued out of time order: no program is
+        suspended more than ``max_read_bypass`` times.  A read counts
+        as a suspension of the unit's last logged program when its
+        array time starts before that program's horizon, which each
+        suspension pushes out by tR + tSuspend."""
+        ch, _, log = deep_channel(dies=1, planes=2, max_read_bypass=bypass)
+        for kind, plane, at in tape:
+            getattr(ch, f"submit_{kind}")(0, plane, at)
+        horizon, absorbed = {}, {}
+        for kind, _die, plane, start, end in log:
+            if kind == "program":
+                horizon[plane], absorbed[plane] = end, 0
+            elif plane in horizon and start < horizon[plane]:
+                absorbed[plane] += 1
+                assert absorbed[plane] <= bypass
+                horizon[plane] = max(
+                    horizon[plane] + ULL.read_ns + PROGRAM_SUSPEND_NS, end)
+            elif plane in horizon:
+                horizon[plane] = max(horizon[plane], end)
+
     def test_unbounded_bypass_matches_flat_semantics(self):
         """max_read_bypass=0 means every read re-suspends the in-flight
         program -- the flat channel's read-priority semantics, where each

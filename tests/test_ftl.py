@@ -1,9 +1,13 @@
 """Tests for the page-level FTL."""
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import FlashGeometry
+from repro.ssd import ftl as ftl_mod
 from repro.ssd.ftl import BlockState, OutOfSpaceError, PageFTL
 
 
@@ -197,3 +201,44 @@ def test_latest_write_wins(lpas):
             break
     for lpa, ppa in last.items():
         assert ftl.translate(lpa) == ppa
+
+
+def test_precondition_memo_shared_by_threads_stays_consistent(monkeypatch):
+    """More threads than cores age FTLs through one small memo with
+    more keys than it holds, so evictions race; every FTL ends in the
+    serial state, and no eviction raises."""
+    monkeypatch.setattr(ftl_mod, "_PRECONDITION_MEMO", {})
+    monkeypatch.setattr(ftl_mod, "_PRECONDITION_MEMO_MAX", 2)
+    keys = [(seed, pages) for seed in (1, 2, 3) for pages in (16, 24)]
+
+    def aged(seed, pages):
+        ftl = PageFTL(small_geometry(), seed=seed)
+        ftl.precondition(pages)
+        return ftl._snapshot_state()
+
+    want = {key: aged(*key) for key in keys}
+    failures = []
+
+    def worker(offset):
+        try:
+            for i in range(60):
+                key = keys[(i * 5 + offset) % len(keys)]
+                if aged(*key) != want[key]:
+                    failures.append(key)
+        except Exception as exc:  # reported below, with the thread's key
+            failures.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=worker, args=(k,))
+                   for k in range(8)]
+        for thread in workers:
+            thread.start()
+        for thread in workers:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert failures == []
+    assert len(ftl_mod._PRECONDITION_MEMO) <= 2

@@ -3,7 +3,7 @@
 ``tests/golden/`` pins, per (workload, variant) cell, the summary stats
 and a SHA-256 over the canonical ``RunResult.to_dict()`` JSON of a
 short seed-fixed run.  These tests assert that the serial path and
-every execution backend -- process pool, thread pool, and dial-in
+every execution backend -- kept local cell processes and dial-in
 workers on localhost (real ``python -m repro worker`` subprocesses) --
 reproduce those results *byte-identically*.
 
@@ -24,11 +24,7 @@ from pathlib import Path
 import pytest
 
 from _worker_utils import free_port, wait_for_dial_ins
-from repro.experiments.backends import (
-    DistributedBackend,
-    LocalProcessBackend,
-    ThreadBackend,
-)
+from repro.experiments.backends import DistributedBackend, LocalProcessBackend
 from repro.experiments.orchestrator import SweepJob, run_sweep, stream_sweep
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -110,12 +106,8 @@ def test_serial_matches_golden(serial_results):
 
 
 def test_process_backend_matches_golden():
-    results = run_sweep(golden_jobs(), cache=False, backend=LocalProcessBackend(2))
-    assert_matches_golden(results)
-
-
-def test_thread_backend_matches_golden():
-    results = run_sweep(golden_jobs(), cache=False, backend=ThreadBackend(2))
+    with LocalProcessBackend(2) as backend:
+        results = run_sweep(golden_jobs(), cache=False, backend=backend)
     assert_matches_golden(results)
 
 

@@ -103,7 +103,7 @@ def report_argv(out, cache, *extra):
 def test_report_cli_end_to_end_and_cache_warm_rerun(tmp_path, capsys):
     out, cache = tmp_path / "rep", tmp_path / "cache"
     argv = report_argv(out, cache, "--figures", "table3,cost",
-                       "--backend", "thread")
+                       "--jobs", "2")
     assert main(argv) == 0
     first = capsys.readouterr().out
     assert "0 hit(s), 3 miss(es)" in first  # table3: 1 cell, cost: 2 cells

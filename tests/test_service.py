@@ -272,6 +272,41 @@ class TestJobStoreConcurrency:
         assert first_four == {f"user{i}" for i in range(4)}
 
 
+    def test_reader_sees_terminal_state_with_its_event(self, tmp_path):
+        """A job's terminal state and its ``state`` event commit
+        together: a reader that sees the one sees the other, so an event
+        stream that ends on the state cannot miss the event."""
+        store = JobStore(tmp_path / "jobs.sqlite3")
+        ids = [store.submit("sweep", {}) for _ in range(150)]
+        for _ in ids:
+            store.claim_next()
+        current = [ids[0]]
+        torn = []
+        finished = threading.Event()
+
+        def reader():
+            while not finished.is_set():
+                jid = current[0]
+                if store.get(jid)["state"] == "done" and not any(
+                        e["event"] == "state" and e["state"] == "done"
+                        for e in store.events_after(jid)):
+                    torn.append(jid)
+
+        thread = threading.Thread(target=reader, daemon=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            thread.start()
+            for jid in ids:
+                current[0] = jid
+                store.finish(jid, {"ok": True})
+        finally:
+            finished.set()
+            thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert torn == []
+
+
 # ---------------------------------------------------------------------------
 # SweepService
 

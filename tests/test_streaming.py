@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.experiments.backends import ThreadBackend
+from repro.experiments.backends import LocalProcessBackend
 from repro.experiments.orchestrator import (
     ResultCache,
     SweepJob,
@@ -50,11 +50,12 @@ class TestStreamSweep:
         streamed, _ = collect(stream_sweep(tiny_jobs(), jobs=1, cache=False), 3)
         assert dumps(streamed) == dumps(barrier)
 
-    def test_streamed_matches_barrier_on_thread_backend(self):
+    def test_streamed_matches_barrier_on_kept_children(self):
         barrier = run_sweep(tiny_jobs(), jobs=1, cache=False)
-        streamed, seen = collect(
-            stream_sweep(tiny_jobs(), backend=ThreadBackend(3), cache=False), 3
-        )
+        with LocalProcessBackend(3) as backend:
+            streamed, seen = collect(
+                stream_sweep(tiny_jobs(), backend=backend, cache=False), 3
+            )
         assert dumps(streamed) == dumps(barrier)
         assert sorted(u.completed for u in seen) == [1, 2, 3]
         assert all(u.total == 3 for u in seen)
