@@ -17,6 +17,12 @@ over DIR) falls below :data:`FLOOR` or the median per-pair
 need neither a
 calibration nor a committed baseline; ``docs/PERFORMANCE.md`` records
 the A/A spread the floor was set from.
+
+``--workload service-sweep`` runs the fleet workload instead.  It runs
+four processes on two cores, so its pairs run one after the other,
+unpinned, alternating which side goes first; each pair records the
+``job_cold_s`` and ``accesses_per_s`` ratios.  Only its correctness
+checks gate it: it has no floor until its A/A spread is recorded.
 """
 
 from __future__ import annotations
@@ -35,6 +41,9 @@ DEFAULT_OUT = "BENCH_speed.json"
 DEFAULT_PAIRS = 5
 DEFAULT_SEED = 1
 WORKLOADS = ("cells-flat", "cells-deep-gc")
+#: Workloads that run their pairs one after the other, unpinned, and
+#: are gated only on correctness.
+FLEET_WORKLOADS = ("service-sweep",)
 #: The gate fails when a workload's median per-pair ``accesses_per_s``
 #: ratio (this tree / the ``--against`` tree) is below this.
 FLOOR = 0.85
@@ -110,6 +119,10 @@ def peak_rss_mb(entry: Mapping[str, object]) -> float:
     return metric(entry, "peak_rss_mb")
 
 
+def job_cold_s(entry: Mapping[str, object]) -> float:
+    return metric(entry, "job_cold_s")
+
+
 def git_sha(root: Path) -> Optional[str]:
     """``HEAD`` of ``root`` (``-dirty`` when tracked files differ from
     it), or None outside a git checkout."""
@@ -148,14 +161,16 @@ def run_bench(
     root: Path = ROOT,
     echo: Callable[[str], None] = lambda _line: None,
     seed: int = DEFAULT_SEED,
+    workloads: Sequence[str] = WORKLOADS,
 ) -> Dict[str, object]:
     """Assemble the ``BENCH_speed.json`` payload.
 
     Without ``against`` each workload runs once, unpinned.  With it,
     each pair pins this tree and ``against`` to two cores of ``cpus``
     (default: this process's affinity) and swaps them on odd pairs; a
-    host with one usable core runs the two one after the other instead,
-    alternating which goes first.
+    host with one usable core, and a workload of
+    :data:`FLEET_WORKLOADS`, runs the two one after the other instead,
+    unpinned for the latter, alternating which goes first.
     """
     payload: Dict[str, object] = {
         "schema": SCHEMA_VERSION,
@@ -168,7 +183,7 @@ def run_bench(
         "workloads": {},
     }
     if against is None:
-        for workload in WORKLOADS:
+        for workload in workloads:
             entry = launch(root, workload, None, seed)()
             payload["workloads"][workload] = entry
             echo(f"{workload}: {accesses_per_s(entry):,.0f} accesses/s")
@@ -176,48 +191,64 @@ def run_bench(
 
     cpus = sorted(os.sched_getaffinity(0)) if cpus is None else list(cpus)
     side_by_side = len(cpus) >= 2
-    runs: Dict[str, List[Dict[str, object]]] = {w: [] for w in WORKLOADS}
+    runs: Dict[str, List[Dict[str, object]]] = {w: [] for w in workloads}
     for index in range(max(1, pairs)):
         swap = index % 2 == 1
         this_cpu, base_cpu = cpus[0], cpus[1 if side_by_side else 0]
         if swap:
             this_cpu, base_cpu = base_cpu, this_cpu
-        sides = [(root, this_cpu), (against, base_cpu)]
-        for workload in WORKLOADS:
+        for workload in workloads:
+            fleet = workload in FLEET_WORKLOADS
+            sides = ([(root, None), (against, None)] if fleet
+                     else [(root, this_cpu), (against, base_cpu)])
             # Odd pairs also start the other side first (which matters
             # only when the two run one after the other).
             got = _run_pair(launch, workload, sides[::-1] if swap else sides,
-                            side_by_side, seed)
+                            side_by_side and not fleet, seed)
             this, base = got[::-1] if swap else got
             ratio = accesses_per_s(this) / accesses_per_s(base)
             rss_ratio = peak_rss_mb(this) / peak_rss_mb(base)
-            runs[workload].append({
-                "this": this, "base": base, "ratio": ratio,
-                "rss_ratio": rss_ratio, "cpus": [this_cpu, base_cpu],
-            })
+            run = {"this": this, "base": base, "ratio": ratio,
+                   "rss_ratio": rss_ratio,
+                   "cpus": [sides[0][1], sides[1][1]]}
+            line = (f"pair {index + 1} {workload}: this/base "
+                    f"{accesses_per_s(this):,.0f}/{accesses_per_s(base):,.0f}"
+                    f" accesses/s = {ratio:.3f}, "
+                    f"{peak_rss_mb(this):.1f}/{peak_rss_mb(base):.1f}"
+                    f" peak MB = {rss_ratio:.3f}")
+            if fleet:
+                run["job_cold_ratio"] = job_cold_s(this) / job_cold_s(base)
+                line += (f", {job_cold_s(this):.3f}/{job_cold_s(base):.3f}"
+                         f" job_cold_s = {run['job_cold_ratio']:.3f}")
+            runs[workload].append(run)
             payload["workloads"][workload] = this
-            echo(f"pair {index + 1} {workload}: this/base "
-                 f"{accesses_per_s(this):,.0f}/{accesses_per_s(base):,.0f}"
-                 f" accesses/s = {ratio:.3f}, "
-                 f"{peak_rss_mb(this):.1f}/{peak_rss_mb(base):.1f}"
-                 f" peak MB = {rss_ratio:.3f}")
+            echo(line)
     payload["against"] = {
         "dir": str(against),
         "git_sha": git_sha(against),
         "floor": FLOOR,
         "rss_ceiling": RSS_CEILING,
         "side_by_side": side_by_side,
-        "workloads": {
-            workload: {
-                "median_ratio": statistics.median(r["ratio"] for r in rs),
-                "median_rss_ratio": statistics.median(
-                    r["rss_ratio"] for r in rs),
-                "pairs": rs,
-            }
-            for workload, rs in runs.items()
-        },
+        "workloads": {workload: _summary(workload, rs)
+                      for workload, rs in runs.items()},
     }
     return payload
+
+
+def _summary(workload: str, runs: Sequence[Mapping[str, object]]
+             ) -> Dict[str, object]:
+    """One workload's pairs and their median ratios; ``gated`` says
+    whether the floor and ceiling apply to it."""
+    data: Dict[str, object] = {
+        "gated": workload not in FLEET_WORKLOADS,
+        "median_ratio": statistics.median(r["ratio"] for r in runs),
+        "median_rss_ratio": statistics.median(r["rss_ratio"] for r in runs),
+        "pairs": list(runs),
+    }
+    if not data["gated"]:
+        data["median_job_cold_ratio"] = statistics.median(
+            r["job_cold_ratio"] for r in runs)
+    return data
 
 
 def compare(payload: Mapping[str, object]) -> List[str]:
@@ -229,6 +260,8 @@ def compare(payload: Mapping[str, object]) -> List[str]:
         for index, pair in enumerate(data["pairs"], 1):
             checks += [(f"{workload} pair {index} {side}", pair[side]["result"])
                        for side in ("this", "base")]
+        if not data.get("gated", True):
+            continue
         if data["median_ratio"] < against["floor"]:
             slow.append(f"{workload}: median accesses_per_s ratio "
                         f"{data['median_ratio']:.3f} is below the floor "
@@ -260,6 +293,13 @@ def add_arguments(parser) -> None:
                              f"{DEFAULT_PAIRS})")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help=f"perfbench panel seed (default {DEFAULT_SEED})")
+    parser.add_argument("--workload", default=None,
+                        choices=WORKLOADS + FLEET_WORKLOADS,
+                        help="run only this perfbench workload (default: "
+                             f"{' and '.join(WORKLOADS)}); "
+                             f"{', '.join(FLEET_WORKLOADS)} runs its pairs "
+                             "one after the other, gated on correctness "
+                             "only")
 
 
 def run_from_args(args, launch: Launch = launch_perfbench,
@@ -278,7 +318,9 @@ def run_from_args(args, launch: Launch = launch_perfbench,
     try:
         payload = run_bench(against, args.pairs, launch=launch, cpus=cpus,
                             echo=lambda line: print(line, flush=True),
-                            seed=args.seed)
+                            seed=args.seed,
+                            workloads=((args.workload,) if args.workload
+                                       else WORKLOADS))
     except BenchError as exc:
         print(f"bench: {exc}", file=sys.stderr)
         return 1
@@ -293,7 +335,9 @@ def run_from_args(args, launch: Launch = launch_perfbench,
         return 1
     if against is not None:
         medians = ", ".join(
-            f"{w} {d['median_ratio']:.3f} (peak MB {d['median_rss_ratio']:.3f})"
+            f"{w} {d['median_ratio']:.3f} (peak MB {d['median_rss_ratio']:.3f}"
+            + (")" if d["gated"] else
+               f", job_cold_s {d['median_job_cold_ratio']:.3f}, not gated)")
             for w, d in payload["against"]["workloads"].items())
         print(f"speed gate passed: median ratios {medians} "
               f"(floor {FLOOR:.2f}, peak MB ceiling {RSS_CEILING:.2f})")

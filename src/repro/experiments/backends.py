@@ -19,6 +19,10 @@ once per cell, always from the caller's thread:
   :mod:`repro.experiments.worker`), joining or leaving at any time.
   Each worker runs its cells in a ``CellChild`` of its own.
 
+Both hand cells to their runners from one :class:`CellQueue`, which
+groups them by trace key so each runner synthesizes few workloads'
+traces.
+
 Fault tolerance on the distributed backend is governed by a per-cell
 :class:`CellPolicy`: each cell attempt has a configurable timeout
 (``REPRO_CELL_TIMEOUT``), a cell is retried on failure up to a bounded
@@ -40,16 +44,19 @@ address a coordinator listens on), and ``REPRO_CELL_TIMEOUT`` /
 
 from __future__ import annotations
 
+import bisect
 import json
 import os
 import queue
 import select
 import socket
 import threading
+import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import (TYPE_CHECKING, Callable, Dict, Hashable, List, Optional,
+                    Sequence, Set, Tuple, Union)
 
-from repro.experiments.runner import RunResult, default_records
+from repro.experiments.runner import RunResult, cell_trace_key, default_records
 from repro.obs import REGISTRY, get_logger
 from repro.obs.spans import SpanContext, current_context
 
@@ -72,9 +79,10 @@ PendingCell = Tuple[str, "SweepJob"]
 FinishFn = Callable[[str, RunResult], None]
 BackendLike = Union["SweepBackend", str, None]
 
-#: Queued behind the last cell of a distributed sweep: the connection
-#: that takes it dismisses its worker and puts it back for the next.
-_SWEEP_DONE = None
+#: Seconds a distributed sweep waits, once every worker it has seen is
+#: quarantined and none is running a cell, for a new worker to join
+#: before it fails: long enough for a dial already in flight.
+QUARANTINE_GRACE_S = 2.0
 
 
 def default_jobs() -> int:
@@ -206,6 +214,153 @@ def job_from_wire(data: Dict[str, object]) -> "SweepJob":
 
 
 # ---------------------------------------------------------------------------
+# Dispatch
+# ---------------------------------------------------------------------------
+
+
+class CellQueue:
+    """A sweep's pending cells, grouped by trace key, for idle runners.
+
+    A runner runs one cell at a time: a worker of
+    :class:`DistributedBackend` or a kept ``CellChild`` of
+    :class:`LocalProcessBackend`.  :meth:`take` gives an idle runner, in
+    order:
+
+    1. a pending cell of the trace key it ran last (its memo holds
+       those traces);
+    2. else a cell of the first key, in submit order, that no busy
+       runner holds;
+    3. else a cell of the key with the most pending cells.
+
+    The key is :func:`~repro.experiments.runner.cell_trace_key`, the
+    trace memo's own, so a runner that takes a whole group synthesizes
+    its traces once.  Cells of a key keep submit order; a ``.sbt``
+    replay has no key and is never held, so keyless cells go in plain
+    FIFO.  A cell put back after failing on a runner returns to its
+    place in its group and goes to that runner again only when no other
+    runner waiting in :meth:`take` could take it.  Results do not depend
+    on the order: a cell simulates the same wherever it runs.
+    """
+
+    def __init__(self, pending: Sequence[PendingCell]) -> None:
+        self._cond = threading.Condition()
+        self._index = {key: i for i, (key, _job) in enumerate(pending)}
+        self._trace = {key: cell_trace_key(job.workload, job.variant,
+                                           **job.kwargs())
+                       for key, job in pending}
+        self._groups: Dict[Optional[Hashable], List[PendingCell]] = {}
+        for cell in pending:
+            self._groups.setdefault(self._trace[cell[0]], []).append(cell)
+        self._size = len(pending)
+        #: Cell key -> runners it failed on.
+        self._failed_on: Dict[str, Set[Hashable]] = {}
+        #: Busy runner -> trace key of the cell it runs.
+        self._running: Dict[Hashable, Optional[Hashable]] = {}
+        #: Runner -> trace key it ran last.
+        self._last: Dict[Hashable, Hashable] = {}
+        self._waiting: Set[Hashable] = set()
+        self._closed = False
+
+    def __len__(self) -> int:
+        with self._cond:
+            return self._size
+
+    def running(self) -> bool:
+        """Whether a runner holds a cell it took."""
+        with self._cond:
+            return bool(self._running)
+
+    def take(self, runner: Hashable) -> Optional[PendingCell]:
+        """The next cell for idle ``runner``, waiting while none is free
+        for it; None once the queue is closed."""
+        with self._cond:
+            self._running.pop(runner, None)
+            self._waiting.add(runner)
+            try:
+                while not self._closed:
+                    cell = self._pick(runner)
+                    if cell is not None:
+                        return cell
+                    self._cond.wait()
+                return None
+            finally:
+                self._waiting.discard(runner)
+                # A runner that deferred a cell to this one looks again.
+                self._cond.notify_all()
+
+    def put(self, cell: PendingCell, failed_on: Optional[Hashable] = None
+            ) -> None:
+        """Return a taken cell to its group, at its submit position;
+        ``failed_on`` is the runner it failed on."""
+        with self._cond:
+            if failed_on is not None:
+                self._failed_on.setdefault(cell[0], set()).add(failed_on)
+            group = self._groups.setdefault(self._trace[cell[0]], [])
+            bisect.insort(group, cell, key=lambda c: self._index[c[0]])
+            self._size += 1
+            self._cond.notify_all()
+
+    def leave(self, runner: Hashable) -> None:
+        """``runner`` takes no more cells (its connection ended)."""
+        with self._cond:
+            self._running.pop(runner, None)
+            self._cond.notify_all()
+
+    def close(self) -> None:
+        """Wake every runner waiting in :meth:`take`; each gets None."""
+        with self._cond:
+            self._closed = True
+            self._cond.notify_all()
+
+    def _first(self, tkey: Optional[Hashable]) -> int:
+        return self._index[self._groups[tkey][0][0]]
+
+    def _pick(self, runner: Hashable) -> Optional[PendingCell]:
+        # Trace key -> position of its first cell that did not fail on
+        # this runner.
+        choices: Dict[Optional[Hashable], int] = {}
+        for tkey, group in self._groups.items():
+            for at, (key, _job) in enumerate(group):
+                if runner not in self._failed_on.get(key, ()):
+                    choices[tkey] = at
+                    break
+        if choices:
+            tkey = self._last.get(runner)
+            if tkey is None or tkey not in choices:
+                held = set(self._running.values())
+                free = [k for k in choices if k is None or k not in held]
+                if free:
+                    tkey = min(free, key=self._first)
+                else:
+                    tkey = max(choices, key=lambda k: (len(self._groups[k]),
+                                                       -self._first(k)))
+            return self._pop(runner, tkey, choices[tkey])
+        if not self._groups:
+            return None
+        # Every pending cell failed on this runner.  Leave the first to a
+        # waiting runner it did not fail on; without one, retry it here
+        # (a lone worker spends the cell's budget rather than hang).
+        tkey = min(self._groups, key=self._first)
+        key = self._groups[tkey][0][0]
+        if any(other != runner and other not in self._failed_on[key]
+               for other in self._waiting):
+            return None
+        return self._pop(runner, tkey, 0)
+
+    def _pop(self, runner: Hashable, tkey: Optional[Hashable],
+             at: int) -> PendingCell:
+        group = self._groups[tkey]
+        cell = group.pop(at)
+        if not group:
+            del self._groups[tkey]
+        self._size -= 1
+        self._running[runner] = tkey
+        if tkey is not None:
+            self._last[runner] = tkey
+        return cell
+
+
+# ---------------------------------------------------------------------------
 # Backends
 # ---------------------------------------------------------------------------
 
@@ -267,21 +422,22 @@ class LocalProcessBackend(SweepBackend):
         from repro.experiments import worker
         from repro.experiments.orchestrator import _execute_job
 
+        cells = CellQueue(pending)
         if self.jobs == 1 or worker._FORK_CTX is None:
-            for key, job in pending:
+            while cells:
+                key, job = cells.take("in-process")
                 finish(key, _execute_job(job))
             return
         with self._lock:
             while len(self._children) < min(self.jobs, len(pending)):
                 self._children.append(worker.CellChild())
             idle = list(self._children)
-        cells = list(reversed(pending))
         busy: Dict["CellChild", str] = {}
         try:
             while cells or busy:
                 while cells and idle:
-                    key, job = cells.pop()
                     child = idle.pop()
+                    key, job = cells.take(child)
                     with self._lock:
                         if self._closed:
                             raise RuntimeError("local backend is closed")
@@ -313,26 +469,33 @@ class DistributedBackend(SweepBackend):
 
     The coordinator binds ``listen`` (port 0 picks a free one; see
     :attr:`address`) and workers dial in, at any time: a worker that
-    joins mid-sweep takes cells from the shared queue the moment its
-    hello arrives, and a sweep started with no workers waits for the
-    first one.  The listener stays open across :meth:`run` calls, so a
-    worker dismissed after one sweep redials into the next
-    (``repro figures --listen``, ``repro serve --listen``).
+    joins mid-sweep takes cells the moment its hello arrives, and a
+    sweep started with no workers waits for the first one.  The
+    listener stays open across :meth:`run` calls, so a worker dismissed
+    after one sweep redials into the next (``repro figures --listen``,
+    ``repro serve --listen``).
 
     One connection thread per worker keeps a single cell in flight on
-    that worker.  Failures are governed by the per-cell
+    that worker, taken from the sweep's :class:`CellQueue`: a worker
+    gets another cell of the trace key it ran last, else the first key
+    no other worker holds, else a cell of the largest group, so each
+    worker's cell child synthesizes few workloads' traces and the
+    groups run side by side.  Failures are governed by the per-cell
     :class:`CellPolicy` (``policy=``, default
     :meth:`CellPolicy.from_env`): a connection that dies mid-cell, a
     worker that replies with an error, and an attempt that exceeds
     ``cell_timeout`` all consume one unit of that cell's retry budget
-    and the cell is requeued for another worker; a cell whose budget is
-    exhausted fails the sweep with its failure history.  A worker that
-    accumulates ``quarantine_after`` failed attempts is quarantined --
-    it gets no further cells and each redial is dismissed -- so one
-    sick host cannot eat every retry.  All ``finish`` callbacks happen
-    on the thread that called :meth:`run`, exactly once per cell -- the
-    per-cell progress contract ``run_sweep`` exposes holds here as on
-    the local backend.
+    and the cell is requeued, for another worker when one is waiting; a
+    cell whose budget is exhausted fails the sweep with its failure
+    history.  A worker that accumulates ``quarantine_after`` failed
+    attempts is quarantined -- it gets no further cells and each redial
+    is dismissed -- so one sick host cannot eat every retry.  Once every
+    worker the sweep has seen is quarantined and none is running a
+    cell, a sweep that no new worker joins within
+    :data:`QUARANTINE_GRACE_S` fails with every unfinished cell's
+    history.  All ``finish`` callbacks happen on the thread that called
+    :meth:`run`, exactly once per cell -- the per-cell progress contract
+    ``run_sweep`` exposes holds here as on the local backend.
 
     Workers may answer a cell from their own result cache
     (``--cache-dir``); such replies are tallied in
@@ -383,26 +546,29 @@ class DistributedBackend(SweepBackend):
 
     # -- coordinator internals ---------------------------------------------
 
-    def _serve_connection(self, sock, label, job_q, events, quarantined,
+    def _serve_connection(self, sock, label, cells, events, quarantined,
                           done) -> None:
         """One worker connection: feed it cells until the sweep is done.
 
-        An idle connection blocks on the queue rather than hanging up
-        the moment it looks empty -- a cell failing elsewhere may be
-        requeued at any time until the sweep ends, and this worker must
-        be around to absorb it (that is the rebalancing half of the
-        retry story).  The end of the sweep arrives as :data:`_SWEEP_DONE`
-        on the same queue, so the worker is dismissed at once.  A
-        failure mid-cell reports the cell in the ``down`` event (the
-        run loop owns retry accounting, so requeueing happens there).
+        An idle connection waits in :meth:`CellQueue.take` rather than
+        hanging up the moment the queue looks empty -- a cell failing
+        elsewhere may be requeued at any time until the sweep ends, and
+        this worker must be around to absorb it (that is the rebalancing
+        half of the retry story).  The end of the sweep closes the
+        queue, so the worker is dismissed at once.  The connection
+        reports ``joined`` after the hello and ``left`` when it ends; a
+        failure mid-cell reports the cell in the ``down`` event (the run
+        loop owns retry accounting, so requeueing happens there).
 
         Quarantine is keyed on a *stable* worker identity -- the peer
         host plus the pid from the worker's hello -- not the connection
         label: a worker reconnects from a fresh ephemeral port after
-        every dismissal, and must not re-enter with a clean slate.
+        every dismissal, and must not re-enter with a clean slate.  The
+        same identity names the worker in the queue.
         """
         current: Optional[PendingCell] = None
         worker_id = label
+        joined = False
         try:
             rfile = sock.makefile("r", encoding="utf-8")
             sock.settimeout(self.connect_timeout)
@@ -416,6 +582,8 @@ class DistributedBackend(SweepBackend):
                 )
             if hello.get("pid"):
                 worker_id = f"{label.rsplit(':', 1)[0]}#pid{hello['pid']}"
+            events.put(("joined", worker_id))
+            joined = True
             # Per-attempt budget from the cell policy (None = unlimited).
             sock.settimeout(self.policy.cell_timeout)
             seq = 0
@@ -426,17 +594,15 @@ class DistributedBackend(SweepBackend):
                     done.wait(0.5)
                     send_msg(sock, {"type": "bye"})
                     break
-                current = job_q.get()
-                if current is _SWEEP_DONE:
-                    job_q.put(_SWEEP_DONE)  # for the next idle connection
-                    current = None
+                current = cells.take(worker_id)
+                if current is None:  # the sweep is over
                     send_msg(sock, {"type": "bye"})
                     break
                 if worker_id in quarantined:
                     # Charging a failure quarantines *before* requeueing
                     # the cell, so this re-check reliably keeps a just-
                     # quarantined worker from grabbing its own retry.
-                    job_q.put(current)
+                    cells.put(current)
                     current = None
                     send_msg(sock, {"type": "bye"})
                     break
@@ -484,6 +650,9 @@ class DistributedBackend(SweepBackend):
         except Exception as exc:  # noqa: BLE001 - reported via the event queue
             events.put(("down", label, worker_id, repr(exc), current))
         finally:
+            cells.leave(worker_id)
+            if joined:
+                events.put(("left", worker_id))
             try:
                 sock.close()
             except OSError:
@@ -497,14 +666,12 @@ class DistributedBackend(SweepBackend):
         # Connection threads start with a fresh contextvar context, so
         # the caller's trace context is captured here and handed to them.
         self._trace_parent = current_context()
-        job_q: "queue.Queue[Optional[PendingCell]]" = queue.Queue()
-        for cell in pending:
-            job_q.put(cell)
+        cells = CellQueue(pending)
         events: "queue.Queue[tuple]" = queue.Queue()
         threads: List[threading.Thread] = []
         # Set once every cell has finished (or the sweep failed).  The
-        # accept loop wakes on ``wake_r`` and idle connections on the
-        # _SWEEP_DONE sentinel, so the sweep ends with its last cell.
+        # accept loop wakes on ``wake_r`` and idle connections when the
+        # queue closes, so the sweep ends with its last cell.
         done = threading.Event()
         wake_r, wake_w = socket.socketpair()
         # Shared with connection threads: a quarantined worker takes no
@@ -528,7 +695,7 @@ class DistributedBackend(SweepBackend):
                 label = "%s:%d" % peer[:2]
                 thread = threading.Thread(
                     target=self._serve_connection,
-                    args=(sock, label, job_q, events, quarantined, done),
+                    args=(sock, label, cells, events, quarantined, done),
                     name=f"sweep-conn-{label}",
                     daemon=True,
                 )
@@ -544,6 +711,8 @@ class DistributedBackend(SweepBackend):
             cell_for_key: Dict[str, PendingCell] = {k: (k, j) for k, j in pending}
             failures: Dict[str, List[str]] = {}  # key -> attempt errors
             worker_failures: Dict[str, int] = {}
+            seen: Set[str] = set()  # workers that sent a hello this sweep
+            stuck_since: Optional[float] = None
 
             def charge(key: str, label: str, worker_id: str,
                        error: str) -> None:
@@ -568,12 +737,32 @@ class DistributedBackend(SweepBackend):
                         f"retry budget {policy.retry_budget} exhausted: "
                         f"{'; '.join(history)}"
                     )
-                job_q.put(cell_for_key[key])
+                cells.put(cell_for_key[key], failed_on=worker_id)
 
-            # No "every worker is gone" exit: the listener stays open,
-            # so a sweep waits for the next worker to dial in.
+            # With no worker seen yet the sweep waits: the listener stays
+            # open for the next worker to dial in.
             while remaining:
-                event = events.get()
+                timeout = None
+                if seen and seen <= quarantined and not cells.running():
+                    if stuck_since is None:
+                        stuck_since = time.monotonic()
+                    timeout = stuck_since + QUARANTINE_GRACE_S - time.monotonic()
+                    if timeout <= 0:
+                        unfinished = "; ".join(
+                            f"cell {key} ({cell_for_key[key][1].label()}): "
+                            + " | ".join(failures.get(key, ["not attempted"]))
+                            for key in cell_for_key if key in remaining)
+                        raise RuntimeError(
+                            f"every worker of this sweep is quarantined "
+                            f"({', '.join(sorted(seen))}) and none is running "
+                            f"a cell; {len(remaining)} cell(s) unfinished: "
+                            f"{unfinished}")
+                else:
+                    stuck_since = None
+                try:
+                    event = events.get(timeout=timeout)
+                except queue.Empty:
+                    continue
                 kind = event[0]
                 if kind == "ok":
                     _, key, payload, was_cached = event
@@ -590,15 +779,18 @@ class DistributedBackend(SweepBackend):
                 elif kind == "fail":
                     _, label, worker_id, cell, error = event
                     charge(cell[0], label, worker_id, f"worker error: {error}")
-                else:  # "down"
+                elif kind == "down":
                     _, label, worker_id, reason, cell = event
                     log.warning("worker_dropped", worker=label, reason=reason)
                     if cell is not None and cell[0] in remaining:
                         charge(cell[0], label, worker_id, reason)
+                elif kind == "joined":
+                    seen.add(event[1])
+                # "left" only wakes the loop to look at the workers again.
         finally:
             done.set()
             wake_w.close()  # EOF: ``wake_r`` turns readable for good
-            job_q.put(_SWEEP_DONE)
+            cells.close()
             accept_thread.join(timeout=2.0)
             for thread in threads:
                 thread.join(timeout=2.0)

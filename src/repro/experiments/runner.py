@@ -176,8 +176,8 @@ def _traces_for(
     ``analytics-scan``, ``tab1-radix``), so only those are keyed by the
     thread count.
     """
-    generate, mlp, partitioned = _trace_source(workload, scale, seed)
-    key = (workload, records, scale, seed, threads if partitioned else None)
+    generate, mlp, _ = _trace_source(workload, scale, seed)
+    key = trace_key(workload, threads, records, scale, seed)
     with _TRACE_MEMO_LOCK:
         hit = _TRACE_MEMO.get(key)
     traces = hit[0] if hit is not None else []
@@ -195,6 +195,33 @@ def _traces_for(
         while len(_TRACE_MEMO) > _TRACE_MEMO_MAX:
             _TRACE_MEMO.popitem(last=False)
     return traces[:threads], mlp
+
+
+def trace_key(
+    workload: str, threads: int, records: int, scale: int, seed: int
+) -> Tuple:
+    """The trace memo's key for one run's traces.
+
+    ``threads`` is part of it only when the workload partitions its
+    footprint; otherwise runs at every thread count share one entry.
+    Sweep dispatch groups cells by it
+    (:class:`~repro.experiments.backends.CellQueue`), so a runner that
+    takes a whole group synthesizes its traces once.
+    """
+    partitioned = _trace_source(workload, scale, seed)[2]
+    return (workload, records, scale, seed, threads if partitioned else None)
+
+
+def cell_trace_key(workload: str, variant: str, **kwargs: object
+                   ) -> Optional[Tuple]:
+    """:func:`trace_key` of the run :func:`run_workload` makes with these
+    arguments; None for a ``.sbt`` replay, which reads no memo."""
+    if kwargs.get("trace") is not None:
+        return None
+    config, records = resolve_run(workload, variant, **kwargs)
+    return trace_key(workload, config.threads, records,
+                     int(kwargs.get("scale", DEFAULT_SCALE)),
+                     int(kwargs.get("seed", 42)))
 
 
 def _trace_source(

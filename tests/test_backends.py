@@ -1,10 +1,12 @@
 """Tests for the pluggable sweep execution backends.
 
 Covers backend resolution (names, env knobs, listen addresses), the
-local backend's kept cell children (byte-identical results, reuse
-across sweeps, failures), and the distributed backend's
-TCP/JSON protocol with dial-in workers: shared caches, worker failure
-reporting, requeueing cells from dead connections, and preemption.
+cell queue both backends dispatch from (trace-key groups, requeues,
+close), the local backend's kept cell children (byte-identical results,
+reuse across sweeps, one synthesis per trace key, failures), and the
+distributed backend's TCP/JSON protocol with dial-in workers: shared
+caches, worker failure reporting, requeueing cells from dead
+connections, quarantine, and preemption.
 """
 
 import io
@@ -20,10 +22,13 @@ import time
 
 import pytest
 
-from repro.experiments import backends, orchestrator
+from collections import OrderedDict
+
+from repro.experiments import backends, orchestrator, runner
 from repro.experiments import worker as worker_mod
 from repro.experiments.backends import (
     CellPolicy,
+    CellQueue,
     DistributedBackend,
     LocalProcessBackend,
     SweepBackend,
@@ -45,6 +50,104 @@ def tiny_jobs():
 
 def dumps(results):
     return [json.dumps(r.to_dict(), sort_keys=True) for r in results]
+
+
+def cell(name, workload, variant="Base-CSSD", **params):
+    """A pending ``(key, SweepJob)`` cell under a readable key."""
+    params.setdefault("records_per_thread", R)
+    return (name, SweepJob.make(workload, variant, **params))
+
+
+def names(queue, *runners):
+    """The cell key each runner takes, one take after the other."""
+    return [queue.take(r)[0] for r in runners]
+
+
+class TestCellQueue:
+    def test_own_key_then_a_free_key_then_the_largest_group(self):
+        queue = CellQueue([
+            cell("a1", "bc"), cell("a2", "bc", "SkyByte-Full"),
+            cell("a3", "bc", "DRAM-Only"), cell("b1", "ycsb"),
+            cell("c1", "tpcc"), cell("c2", "tpcc", "SkyByte-Full"),
+        ])
+        # Fresh runners take the first key no busy runner holds.
+        assert names(queue, "x", "y", "z") == ["a1", "b1", "c1"]
+        # y's key is used up and every other key is held: it takes from
+        # the group with the most pending cells.  x and z keep theirs.
+        assert names(queue, "y", "x", "z") == ["a2", "a3", "c2"]
+        assert len(queue) == 0
+
+    def test_cells_of_a_key_share_one_trace_key(self):
+        """Variants at 8 and 24 threads share a key; a workload that
+        partitions its footprint is keyed by thread count too."""
+        key = runner.cell_trace_key
+        assert key("bc", "Base-CSSD", records_per_thread=R) == key(
+            "bc", "SkyByte-Full", records_per_thread=R)
+        assert key("radix", "Base-CSSD", records_per_thread=R) != key(
+            "radix", "SkyByte-Full", records_per_thread=R)
+        assert key("bc", "Base-CSSD", records_per_thread=R, seed=1) != key(
+            "bc", "Base-CSSD", records_per_thread=R, seed=2)
+        assert key("x", "SkyByte-Full", trace="x.sbt") is None
+
+    def test_replay_cells_go_in_plain_fifo(self):
+        queue = CellQueue([
+            cell("r1", "replay", trace="r.sbt"), cell("a1", "bc"),
+            cell("r2", "replay", trace="r.sbt"), cell("a2", "bc", "DRAM-Only"),
+        ])
+        # A keyless cell is never held and never a runner's own key.
+        assert names(queue, "x", "y", "x", "y") == ["r1", "a1", "r2", "a2"]
+
+    def test_a_failed_cell_returns_to_its_group_for_another_runner(self):
+        a1, a2, b1 = (cell("a1", "bc"), cell("a2", "bc", "SkyByte-Full"),
+                      cell("b1", "ycsb"))
+        queue = CellQueue([a1, a2, b1])
+        assert names(queue, "x") == ["a1"]
+        queue.put(a1, failed_on="x")
+        # x moves on to the rest of its group; the failed cell keeps its
+        # place at the head of the group for the next runner.
+        assert names(queue, "x", "y", "y") == ["a2", "b1", "a1"]
+
+    def test_a_lone_runner_retries_its_failed_cell(self):
+        a1 = cell("a1", "bc")
+        queue = CellQueue([a1])
+        assert names(queue, "x") == ["a1"]
+        queue.put(a1, failed_on="x")
+        assert names(queue, "x") == ["a1"]
+
+    def test_a_runner_put_back_unrun_keeps_submit_order(self):
+        cells = [cell("a1", "bc"), cell("a2", "bc", "SkyByte-Full")]
+        queue = CellQueue(cells)
+        taken = [queue.take("x"), queue.take("x")]
+        queue.put(taken[1])
+        queue.put(taken[0])
+        assert names(queue, "y", "y") == ["a1", "a2"]
+
+    def test_close_wakes_every_waiting_runner_with_none(self):
+        queue = CellQueue([])
+        got = []
+        waiters = [threading.Thread(target=lambda r=r: got.append(
+            queue.take(r))) for r in ("x", "y", "z")]
+        for thread in waiters:
+            thread.start()
+        deadline = time.monotonic() + 10
+        while len(queue._waiting) < 3 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        queue.close()
+        for thread in waiters:
+            thread.join(timeout=5)
+        assert got == [None, None, None]
+        assert not any(thread.is_alive() for thread in waiters)
+
+    def test_a_put_wakes_a_waiting_runner(self):
+        a1 = cell("a1", "bc")
+        queue = CellQueue([a1])
+        queue.take("x")
+        got = []
+        waiter = threading.Thread(target=lambda: got.append(queue.take("y")))
+        waiter.start()
+        queue.put(a1, failed_on="x")
+        waiter.join(timeout=5)
+        assert got == [a1]
 
 
 class TestResolution:
@@ -200,6 +303,44 @@ class TestKeptChildren:
         serial = run_sweep(tiny_jobs(), jobs=1, cache=False)
         children = run_sweep(tiny_jobs(), jobs=3, cache=False)
         assert dumps(serial) == dumps(children)
+
+    def test_each_trace_key_is_synthesized_in_one_child(
+            self, monkeypatch, tmp_path):
+        """Two children, two workloads x two variants: each child takes
+        one workload's cells, so each trace key is synthesized in
+        exactly one child, and the results match in process."""
+        log = tmp_path / "syntheses"
+        real_source = runner._trace_source
+
+        def counted_source(workload, scale, seed):
+            generate, mlp, partitioned = real_source(workload, scale, seed)
+
+            def counted(threads, records, tids):
+                with open(log, "a") as handle:
+                    handle.write(f"{os.getpid()} {workload}\n")
+                return generate(threads, records, tids)
+
+            return counted, mlp, partitioned
+
+        # Forked children inherit the wrapper and an empty memo.
+        monkeypatch.setattr(runner, "_trace_source", counted_source)
+        monkeypatch.setattr(runner, "_TRACE_MEMO", OrderedDict())
+        records = R + 7  # a key no other test has synthesized
+        jobs = [SweepJob.make(w, v, records_per_thread=records)
+                for w in ("bc", "ycsb")
+                for v in ("Base-CSSD", "SkyByte-Full")]
+        with LocalProcessBackend(2) as backend:
+            children = run_sweep(jobs, cache=False, backend=backend)
+        pids_by_key = {}
+        for line in log.read_text().splitlines():
+            pid, workload = line.split()
+            pids_by_key.setdefault(workload, set()).add(int(pid))
+        assert sorted(pids_by_key) == ["bc", "ycsb"]
+        assert all(len(pids) == 1 for pids in pids_by_key.values())
+        assert pids_by_key["bc"] != pids_by_key["ycsb"]
+        assert os.getpid() not in set.union(*pids_by_key.values())
+        log.unlink()
+        assert dumps(children) == dumps(run_sweep(jobs, jobs=1, cache=False))
 
     def test_uses_cache(self, tmp_path):
         store = ResultCache(tmp_path)
@@ -435,6 +576,104 @@ class TestDistributedBackend:
         assert dumps(results) == dumps(
             run_sweep(tiny_jobs()[:1], jobs=1, cache=False)
         )
+
+    def test_a_sweep_whose_workers_are_all_quarantined_fails(self):
+        """Two redialing workers that fail every cell are quarantined
+        before any cell spends its budget: the sweep fails naming every
+        unfinished cell's history instead of dismissing them forever."""
+        policy = CellPolicy(retry_budget=10, quarantine_after=3)
+        jobs = [SweepJob.make(w, v, records_per_thread=R)
+                for w in ("bc", "ycsb", "tpcc")
+                for v in ("Base-CSSD", "SkyByte-Full")]
+        stop = threading.Event()
+
+        def failing_worker(address, pid):
+            while not stop.is_set():  # redials like ``repro worker``
+                try:
+                    sock = socket.create_connection(address)
+                except OSError:
+                    return
+                with sock:
+                    rfile = sock.makefile("r", encoding="utf-8")
+                    try:
+                        backends.send_msg(sock, {
+                            "type": "hello", "pid": pid,
+                            "version": backends.PROTOCOL_VERSION})
+                        while True:
+                            msg = backends.recv_msg(rfile)
+                            if msg is None or msg.get("type") != "job":
+                                break
+                            backends.send_msg(sock, {
+                                "type": "result", "id": msg["id"],
+                                "ok": False, "error": "always fails"})
+                    except OSError:
+                        pass
+
+        outcome = []
+
+        def sweep(backend):
+            try:
+                run_sweep(jobs, cache=False, backend=backend)
+                outcome.append(None)
+            except RuntimeError as exc:
+                outcome.append(str(exc))
+
+        with DistributedBackend(listen="127.0.0.1:0", policy=policy) as backend:
+            for pid in (101, 102):
+                threading.Thread(target=failing_worker,
+                                 args=(backend.address, pid),
+                                 daemon=True).start()
+            driver = threading.Thread(target=sweep, args=(backend,),
+                                      daemon=True)
+            driver.start()
+            driver.join(timeout=30)
+            stop.set()
+            assert not driver.is_alive(), "the sweep hung"
+        message = outcome[0]
+        assert message.startswith("every worker of this sweep is quarantined")
+        assert "#pid101" in message and "#pid102" in message
+        for job in jobs:
+            assert f"({job.label()}): " in message
+        assert "always fails" in message
+
+    def test_the_end_of_a_sweep_sends_every_idle_worker_bye(self):
+        """Closing the queue wakes every connection waiting for a cell,
+        and each dismisses its worker with ``bye``."""
+        last_message = []
+
+        def worker(address):
+            sock = socket.create_connection(address)
+            with sock:
+                rfile = sock.makefile("r", encoding="utf-8")
+                backends.send_msg(sock, {"type": "hello",
+                                         "version": backends.PROTOCOL_VERSION})
+                while True:
+                    msg = backends.recv_msg(rfile)
+                    if msg is None or msg.get("type") != "job":
+                        last_message.append(msg and msg.get("type"))
+                        return
+                    result = orchestrator._execute_job(
+                        backends.job_from_wire(msg))
+                    time.sleep(0.3)  # the others are waiting meanwhile
+                    backends.send_msg(sock, {
+                        "type": "result", "id": msg["id"], "ok": True,
+                        "result": result.to_dict()})
+
+        from _worker_utils import wait_for_dial_ins
+
+        with DistributedBackend(listen="127.0.0.1:0") as backend:
+            threads = [threading.Thread(target=worker,
+                                        args=(backend.address,), daemon=True)
+                       for _ in range(3)]
+            for thread in threads:
+                thread.start()
+            wait_for_dial_ins(backend.address[1], 3)
+            results = run_sweep(tiny_jobs()[:1], cache=False, backend=backend)
+            for thread in threads:
+                thread.join(timeout=10)
+        assert last_message == ["bye", "bye", "bye"]
+        assert dumps(results) == dumps(
+            run_sweep(tiny_jobs()[:1], jobs=1, cache=False))
 
     def test_all_attempts_dead_exhausts_retry_budget(self):
         """A worker that keeps dying mid-cell (and dialing back in) burns

@@ -13,14 +13,17 @@ import pytest
 from repro import bench
 
 
-def entry(accesses_per_s, correct=True, failed=0, peak_rss_mb=100.0):
+def entry(accesses_per_s, correct=True, failed=0, peak_rss_mb=100.0,
+          job_cold_s=1.0):
     """A parsed perfbench result, as :func:`bench.parse_output` builds."""
     return {
         "result": {"correct": correct, "attempted": 10, "failed": failed,
                    "metrics": {"accesses_per_s": {"value": accesses_per_s,
                                                   "unit": "1/s"},
                                "peak_rss_mb": {"value": peak_rss_mb,
-                                               "unit": "MB"}}},
+                                               "unit": "MB"},
+                               "job_cold_s": {"value": job_cold_s,
+                                              "unit": "s"}}},
         "host.calibration_s": 0.03,
         "timed_pass_walls_s": [1.0, 1.1],
     }
@@ -31,10 +34,11 @@ class FakeLaunch:
     ``speed[root]`` sets each tree's accesses/s (a list is consumed one
     run at a time) and ``rss[root]`` its peak MB."""
 
-    def __init__(self, speed, failed=None, rss=None):
+    def __init__(self, speed, failed=None, rss=None, cold=None):
         self.speed = speed
         self.failed = failed or {}
         self.rss = rss or {}
+        self.cold = cold or {}
         self.events = []
         self.seeds = []
 
@@ -47,7 +51,8 @@ class FakeLaunch:
         def wait():
             self.events.append(("wait", root, workload, cpu))
             return entry(value, failed=self.failed.get(root, 0),
-                         peak_rss_mb=self.rss.get(root, 100.0))
+                         peak_rss_mb=self.rss.get(root, 100.0),
+                         job_cold_s=self.cold.get(root, 1.0))
 
         return wait
 
@@ -193,7 +198,7 @@ def test_cli_rejects_bad_against_and_pairs(tmp_path, trees):
 def test_cli_has_only_out_against_pairs():
     assert vars(parse()) == {"out": bench.DEFAULT_OUT, "against": None,
                              "pairs": bench.DEFAULT_PAIRS,
-                             "seed": bench.DEFAULT_SEED}
+                             "seed": bench.DEFAULT_SEED, "workload": None}
     for removed in ("--quick", "--check", "--update-baseline"):
         with pytest.raises(SystemExit):
             parse(removed)
@@ -260,3 +265,48 @@ def test_compare_rss_ceiling_is_inclusive():
     found = bench.compare(against_payload([1.0], rss_ratio=1.11))
     assert len(found) == len(bench.WORKLOADS)
     assert all("above the ceiling" in problem for problem in found)
+
+
+def test_service_sweep_pairs_run_unpinned_one_after_the_other(tmp_path,
+                                                              trees):
+    """``--workload service-sweep`` runs only that workload, each pair's
+    two sides one after the other, unpinned, alternating which goes
+    first, and records the job_cold_s ratio beside accesses_per_s."""
+    this, base = bench.ROOT, trees[1]
+    out = tmp_path / "out.json"
+    args = parse("--against", str(base), "--pairs", "2", "--workload",
+                 "service-sweep", "--out", str(out))
+    launch = FakeLaunch({this: 1100.0, base: 1000.0},
+                        cold={this: 0.9, base: 1.0})
+    assert bench.run_from_args(args, launch=launch, cpus=[0, 1]) == 0
+    assert [(kind, root, cpu) for kind, root, _, cpu in launch.events] == [
+        ("start", this, None), ("wait", this, None),
+        ("start", base, None), ("wait", base, None),
+        ("start", base, None), ("wait", base, None),
+        ("start", this, None), ("wait", this, None),
+    ]
+    assert {workload for _, _, workload, _ in launch.events} == {
+        "service-sweep"}
+    data = json.loads(out.read_text())["against"]["workloads"]
+    assert list(data) == ["service-sweep"]
+    sweep = data["service-sweep"]
+    assert sweep["gated"] is False
+    assert [p["job_cold_ratio"] for p in sweep["pairs"]] == [
+        pytest.approx(0.9)] * 2
+    assert sweep["median_job_cold_ratio"] == pytest.approx(0.9)
+    assert sweep["median_ratio"] == pytest.approx(1.1)
+
+
+def test_service_sweep_is_gated_on_correctness_only(tmp_path, trees, capsys):
+    this, base = bench.ROOT, trees[1]
+    out = tmp_path / "out.json"
+    args = parse("--against", str(base), "--pairs", "1", "--workload",
+                 "service-sweep", "--out", str(out))
+    slow = FakeLaunch({this: 500.0, base: 1000.0},
+                      rss={this: 150.0, base: 100.0})
+    assert bench.run_from_args(args, launch=slow, cpus=[0, 1]) == 0
+    assert "not gated" in capsys.readouterr().out
+    broken = FakeLaunch({this: 1000.0, base: 1000.0}, failed={base: 1})
+    assert bench.run_from_args(args, launch=broken, cpus=[0, 1]) == 1
+    assert "service-sweep pair 1 base: correct=True failed=1" in (
+        capsys.readouterr().err)
