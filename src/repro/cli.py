@@ -1,88 +1,35 @@
-"""Unified command line interface: ``python -m repro <subcommand>``.
+"""Command line interface: ``python -m repro <subcommand>``.
 
-Subcommands
-===========
+``run``/``sweep``/``profile`` simulate cells, ``trace`` writes, inspects
+and replays ``.sbt`` trace files, ``figures``/``report`` regenerate the
+paper's figures (``report`` also renders REPORT.md/REPORT.html),
+``worker`` serves cells to a ``--listen`` coordinator, ``serve`` runs
+the HTTP job service and ``job`` talks to it, ``cache`` and ``bench``
+manage the result cache and the speed gate.  ``python -m repro CMD
+--help`` lists each verb's options; README.md has the verb table.
 
-``run``
-    Simulate one (workload, variant) cell and print its headline stats.
-``sweep``
-    Run a workload x variant grid through the parallel orchestrator
-    (``--jobs N`` kept cell processes, on-disk result cache) and write
-    the per-run stats as JSON.  ``--backend`` picks the execution
-    backend (``local`` or ``serial``); ``--listen [HOST:]PORT`` instead
-    coordinates TCP workers that dial in (``repro worker --connect
-    HOST:PORT``).  ``--scenario NAME``
-    adds phase-DSL scenarios (see ``docs/SCENARIOS.md``) to the grid
-    alongside (or instead of) Table I workloads.
-``trace``
-    Portable trace files (``.sbt``): ``gen`` synthesizes a scenario or
-    workload trace (several names build a multi-tenant colocation
-    trace), ``capture`` records the stream a live simulation consumes,
-    ``inspect`` prints a file's metadata and shape, and ``replay``
-    re-simulates a file bit-exactly -- on any execution backend,
-    through the same orchestrator/cache pipeline as ``sweep``.
-``figures``
-    Regenerate the paper's evaluation figures/tables through the shared
-    orchestrator, one JSON file per figure.  The registered figure ids
-    are the keys of :data:`FIGURES` (run ``repro figures --help`` for
-    the list; ``docs/FIGURES.md`` documents each one).
-``report``
-    Run figure drivers and render their results: per-figure SVG charts
-    (dependency-free renderer, no matplotlib) assembled with a
-    reproduced-vs-paper fidelity table into ``REPORT.md`` and
-    ``REPORT.html``.  The report is rewritten atomically after every
-    finished simulation cell, so a long sweep can be watched by
-    refreshing the file; a cache-warm re-run rebuilds it without
-    re-simulating.
-``worker``
-    Serve sweep cells to a coordinator over TCP: ``--connect HOST:PORT``
-    dials a ``sweep``/``figures``/``report``/``trace replay``/``serve``
-    started with ``--listen``.  Workers may join and leave mid-sweep
-    (see ``docs/DISTRIBUTED.md``).
-``cache``
-    Inspect (``stats``), bound (``prune``), locate (``path``) or empty
-    (``clear``) the result cache.
-``serve``
-    Run the always-on sweep coordinator: an HTTP/JSON job API backed by
-    a persistent sqlite queue and a sqlite-indexed result cache.
-    Submitted sweep/scenario/report jobs survive coordinator restarts
-    and are scheduled priority-first with fair share across submitters
-    (see ``docs/DISTRIBUTED.md``).
-``job``
-    Client verbs for a running ``serve`` coordinator: ``submit``,
-    ``list``, ``show``, ``events`` (``--follow`` streams NDJSON),
-    ``result``, ``wait``, ``cancel``.  The server address comes from
-    ``--server`` or ``REPRO_SERVICE``.
-
-Trace length per thread follows ``REPRO_RECORDS`` unless ``--records``
-is given; ``REPRO_JOBS`` sets the default worker count;
-``REPRO_BENCH_BACKEND`` the default backend;
-``REPRO_CELL_TIMEOUT``/``REPRO_RETRY_BUDGET`` (or
-``--cell-timeout``/``--retry-budget``) the distributed per-cell
-reliability policy; the cache lives in ``.repro_cache/``
-(``REPRO_CACHE_DIR`` or ``--cache-dir`` override) and is size-capped by
-``REPRO_CACHE_MAX_BYTES`` / ``--cache-max-bytes`` (0 = unbounded).
-The CLI enables the result cache by default -- ``--no-cache`` opts out.
-``sweep --stream`` emits one JSON line per completed cell (NDJSON) as
-long sweeps progress instead of waiting for the final table.
+The cell options are declared once, from
+:data:`~repro.experiments.jobspec.CELL_FIELDS`, and ``sweep``,
+``figures``, ``report`` and ``job submit`` build one job spec from argv
+(:func:`_spec_from_args`), checked by the parser the service uses.
+Environment defaults: ``REPRO_RECORDS``, ``REPRO_JOBS``,
+``REPRO_BENCH_BACKEND``, ``REPRO_CELL_TIMEOUT``/``REPRO_RETRY_BUDGET``,
+``REPRO_CACHE_DIR`` (default ``.repro_cache/``) and
+``REPRO_CACHE_MAX_BYTES``.  The CLI caches results by default;
+``--no-cache`` opts out.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import signal
 import sys
-import traceback
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro import bench as bench_mod
-from repro.experiments import ablation, colocation, cost, design, migration_study
-from repro.experiments import flash_sensitivity, motivation, occupancy, overall
-from repro.experiments import qos, sensitivity
 from repro.experiments.backends import (
     CellPolicy,
     DistributedBackend,
@@ -90,13 +37,26 @@ from repro.experiments.backends import (
     parse_address,
     resolve_backend,
 )
+from repro.experiments.jobspec import (
+    CELL_FIELDS,
+    FIGURES,
+    GRID_KEYS,
+    JOBS,
+    Field,
+    SpecError,
+    cell_event,
+    cell_kwargs,
+    parse_spec,
+    plan_sweep,
+    run_figures,
+    sweep_payload,
+)
 from repro.experiments.orchestrator import (
     ResultCache,
     SweepJob,
     default_jobs,
+    drain_sweep,
     run_sweep,
-    stream_sweep,
-    sweep_product,
 )
 from repro.experiments.runner import (
     DEFAULT_SCALE,
@@ -111,7 +71,6 @@ from repro.figures.trends import append_trend, load_trends
 from repro.obs import REGISTRY
 from repro.scenarios import (
     build_colocation,
-    canonical_scenario,
     get_scenario,
     inspect_tracefile,
     read_meta,
@@ -119,38 +78,8 @@ from repro.scenarios import (
     tenants_from_names,
     write_tracefile,
 )
-from repro.variants import MAIN_VARIANTS, VARIANTS, canonical_variant
-from repro.workloads.suites import WORKLOAD_NAMES, canonical_workload
-
-#: Figure/table drivers reachable from ``python -m repro figures``.
-FIGURES: Dict[str, Callable] = {
-    "fig2": motivation.fig2_dram_vs_cssd,
-    "fig3": motivation.fig3_latency_distribution,
-    "fig4": motivation.fig4_boundedness,
-    "fig5": motivation.fig5_read_locality,
-    "fig6": motivation.fig6_write_locality,
-    "fig9": design.fig9_threshold_sweep,
-    "fig10": design.fig10_scheduling_policies,
-    "fig14": overall.fig14_overall,
-    "fig15": overall.fig15_thread_scaling,
-    "fig16": overall.fig16_request_breakdown,
-    "fig17": overall.fig17_amat,
-    "fig18": overall.fig18_write_traffic,
-    "fig19": sensitivity.fig19_log_size_performance,
-    "fig20": sensitivity.fig20_log_size_traffic,
-    "fig21": sensitivity.fig21_dram_size,
-    "fig22": sensitivity.fig22_flash_latency,
-    "fig23": migration_study.fig23_migration_mechanisms,
-    "table3": overall.table3_flash_read_latency,
-    "colocation": colocation.colocation_study,
-    "qos": qos.qos_slo_study,
-    "flash-sensitivity": flash_sensitivity.flash_sensitivity_study,
-    "cost": cost.cost_effectiveness,
-    "prefetch-ablation": ablation.prefetch_ablation,
-    "promotion-threshold": ablation.promotion_threshold_sweep,
-    "persistence-interval": ablation.persistence_interval_sweep,
-    "channel-occupancy": occupancy.channel_occupancy_study,
-}
+from repro.variants import VARIANTS
+from repro.workloads.suites import WORKLOAD_NAMES
 
 
 def _split_names(values: Optional[Sequence[str]]) -> Optional[List[str]]:
@@ -244,36 +173,42 @@ def _progress_printer(verbose: bool) -> Optional[Callable[[SweepJob, str], None]
     return report
 
 
-def _add_device_model_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--device-model", dest="device_model", default=None,
-                        choices=["flat", "deep"],
-                        help="flash device model: flat horizon estimates or "
-                             "the deep geometry/scheduler/GC model (default "
-                             "flat; see docs/DEVICE_MODEL.md)")
+def _add_spec_option(parser: argparse.ArgumentParser, spec_field: Field,
+                     default: object = None) -> None:
+    """One spec field as ``--name``; a number goes through the field's
+    own check, so argv and HTTP reject the same values."""
+
+    def number(text: str) -> object:
+        try:
+            return spec_field.check(int(text))
+        except SpecError as exc:
+            raise argparse.ArgumentTypeError(exc.reason) from None
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+
+    help_text = spec_field.help
+    if default is not None:
+        help_text = f"{help_text.split(' (default')[0]} (default {default})"
+    parser.add_argument(
+        "--" + spec_field.name.replace("_", "-"), dest=spec_field.name,
+        default=default, help=help_text, choices=spec_field.choices or None,
+        type=number if spec_field.type is int else None)
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for ``--jobs``: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
-    return value
+def _add_cell_options(parser: argparse.ArgumentParser,
+                      names: Sequence[str] = (),
+                      **defaults: object) -> None:
+    """The cell options (``--records --threads --scale --timing --seed
+    --device-model``), or only ``names``; ``defaults`` override a
+    field's default."""
+    for spec_field in CELL_FIELDS:
+        if not names or spec_field.name in names:
+            _add_spec_option(parser, spec_field,
+                             defaults.get(spec_field.name))
 
 
-def _add_common_run_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--records", type=int, default=None,
-                        help="trace records per thread (default REPRO_RECORDS)")
-    parser.add_argument("--jobs", type=_positive_int, default=None,
-                        help="cell processes, kept for the whole command "
-                             "(default REPRO_JOBS or 1: in process)")
-    parser.add_argument("--backend", default=None,
-                        choices=["local", "serial", "distributed"],
-                        help="execution backend (default REPRO_BENCH_BACKEND "
-                             "or local; distributed needs --listen)")
+def _add_fleet_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--listen", default=None, metavar="[HOST:]PORT",
                         help="coordinate distributed workers that dial in "
                              "(started with: repro worker --connect HOST:PORT); "
@@ -285,51 +220,81 @@ def _add_common_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--retry-budget", type=int, default=None, metavar="N",
                         help="attempts per cell before the sweep fails "
                              "(default REPRO_RETRY_BUDGET or 3)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="do not read or write the result cache")
+
+
+def _add_cache_options(parser: argparse.ArgumentParser,
+                       no_cache: bool = True) -> None:
+    if no_cache:
+        parser.add_argument("--no-cache", action="store_true",
+                            help="do not read or write the result cache")
     parser.add_argument("--cache-dir", default=None,
-                        help="result cache directory (default .repro_cache)")
+                        help="result cache directory (default .repro_cache; "
+                             "processes on one host may share one)")
     parser.add_argument("--cache-max-bytes", type=int, default=None,
                         help="evict LRU cache entries beyond this size "
                              "(default REPRO_CACHE_MAX_BYTES; 0 = unbounded)")
+
+
+def _add_grid_options(parser: argparse.ArgumentParser,
+                      keys: Sequence[str]) -> None:
+    """Name-list spec options, comma-separated or repeated."""
+    helps = {
+        "workloads": "Table I workloads (sweep default: all; figures: "
+                     "restrict their sweeps to these)",
+        "scenarios": "phase-DSL scenarios to sweep alongside (or instead "
+                     "of) Table I workloads; see docs/SCENARIOS.md",
+        "variants": "design variants (default: the Fig. 14 set)",
+        "figures": "figure ids (default all; alternative to the "
+                   "positional list)",
+    }
+    for key in keys:
+        option = "--scenario" if key == "scenarios" else f"--{key}"
+        parser.add_argument(option, dest=key, action="append", default=None,
+                            metavar="NAME,...", help=helps[key])
+
+
+def _add_common_run_options(parser: argparse.ArgumentParser) -> None:
+    _add_spec_option(parser, JOBS)
+    parser.add_argument("--backend", default=None,
+                        choices=["local", "serial", "distributed"],
+                        help="execution backend (default REPRO_BENCH_BACKEND "
+                             "or local; distributed needs --listen)")
+    _add_fleet_options(parser)
+    _add_cache_options(parser)
     parser.add_argument("--quiet", action="store_true",
                         help="suppress per-cell progress lines")
 
 
-def _bad_name(exc: KeyError) -> int:
-    """Report an unknown workload/variant name and return exit code 2.
-
-    Only name lookups are caught this way -- a KeyError escaping from
-    deeper in a driver is a bug and must traceback, not masquerade as
-    bad user input.
-    """
-    print(f"error: {exc.args[0]}", file=sys.stderr)
+def _bad_input(exc: Exception) -> int:
+    """Report bad user input and return exit code 2.  Catch only name
+    lookups and input checks with it: a KeyError from deep in a driver
+    is a bug and must traceback."""
+    message = exc.args[0] if isinstance(exc, KeyError) else exc
+    print(f"error: {message}", file=sys.stderr)
     return 2
 
 
-def _bad_backend(exc: ValueError) -> int:
-    print(f"error: {exc}", file=sys.stderr)
-    return 2
+def _spec_from_args(kind: str, args: argparse.Namespace) -> Dict[str, object]:
+    """The job spec an argv describes: what ``repro sweep|figures|report``
+    run locally and ``repro job submit`` sends (see
+    :func:`~repro.experiments.jobspec.parse_spec`)."""
+    values = vars(args)
+    spec = {key: _split_names(values.get(key)) for key in GRID_KEYS}
+    names = _split_names(values.get("names"))
+    if names:  # positional: figure ids for a report, else scenarios
+        key = "figures" if kind == "report" else "names"
+        spec[key] = names + (spec.get(key) or [])
+    spec.update((f.name, values.get(f.name)) for f in CELL_FIELDS + (JOBS,))
+    return {key: value for key, value in spec.items() if value is not None}
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     try:
-        job = SweepJob.make(
-            args.workload,
-            args.variant,
-            records_per_thread=args.records,
-            threads=args.threads,
-            scale=args.scale,
-            timing=args.timing,
-            seed=args.seed,
-            device_model=args.device_model,
-        )
-    except KeyError as exc:
-        return _bad_name(exc)
-    try:
+        job = SweepJob.make(args.workload, args.variant,
+                            **cell_kwargs(vars(args)))
         backend = _backend_from_args(args)
-    except ValueError as exc:
-        return _bad_backend(exc)
+    except (KeyError, ValueError) as exc:
+        return _bad_input(exc)
     with backend:
         if args.timeline:
             # A timelined cell records per-request spans, so it runs
@@ -355,65 +320,30 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     try:
-        scenarios = [canonical_scenario(s)
-                     for s in (_split_names(args.scenario) or [])]
-        named = _split_names(args.workloads)
-        workloads = [canonical_workload(w) for w in (named or [])]
-        if not workloads and not scenarios:
-            workloads = list(WORKLOAD_NAMES)
-        workloads += scenarios
-        variants = [canonical_variant(v)
-                    for v in (_split_names(args.variants) or MAIN_VARIANTS)]
-    except KeyError as exc:
-        return _bad_name(exc)
-    try:
+        spec = parse_spec("sweep", _spec_from_args("sweep", args))
+        jobs = spec.jobs if spec.jobs is not None else default_jobs()
         backend = _backend_from_args(args)
-        jobs = args.jobs if args.jobs is not None else default_jobs()
     except ValueError as exc:
-        return _bad_backend(exc)
-    records = args.records or default_records()
+        return _bad_input(exc)
+    cells = plan_sweep(spec)
     store = _cache_from_args(args)
-    specs = sweep_product(
-        workloads,
-        variants,
-        records_per_thread=records,
-        threads=args.threads,
-        scale=args.scale,
-        timing=args.timing,
-        seed=args.seed,
-        device_model=args.device_model,
-    )
     backend_label = backend.describe()
-    print(f"sweep: {len(workloads)} workload(s) x {len(variants)} variant(s) "
-          f"= {len(specs)} cell(s), {records} records/thread, jobs={jobs}, "
+    print(f"sweep: {len(spec.workloads)} workload(s) x "
+          f"{len(spec.variants)} variant(s) = {len(cells)} cell(s), "
+          f"{spec.cell['records']} records/thread, jobs={jobs}, "
           f"backend={backend_label}", flush=True)
-    policy = _policy_from_args(args)
-    try:
+
+    def on_cell(update) -> None:
         if args.stream:
-            # Streaming mode: one JSON line per completed cell (NDJSON), in
-            # completion order, so long sweeps can be tailed/piped live.
-            results = [None] * len(specs)
-            for update in stream_sweep(specs, jobs=jobs, cache=store,
-                                       backend=backend, policy=policy):
-                for i in update.positions:
-                    results[i] = update.result
-                r = update.result
-                print(json.dumps({
-                    "event": "cell",
-                    "workload": r.workload,
-                    "variant": r.variant,
-                    "source": update.source,
-                    "completed": update.completed,
-                    "total": update.total,
-                    "exec_ms": r.stats.execution_ns / 1e6,
-                    "ipns": r.stats.throughput_ipns,
-                }, sort_keys=True), flush=True)
-        else:
-            results = run_sweep(specs, jobs=jobs, cache=store, backend=backend,
-                                progress=_progress_printer(not args.quiet),
-                                policy=policy)
-    finally:
-        backend.close()
+            # One JSON line per completed cell (NDJSON), in completion
+            # order, so long sweeps can be tailed/piped live.
+            print(json.dumps(cell_event(update), sort_keys=True), flush=True)
+        elif not args.quiet:
+            print(f"  [{update.source:>5}] {update.job.label()}", flush=True)
+
+    with backend:
+        results = drain_sweep(cells, on_cell, jobs=jobs, cache=store,
+                              backend=backend, policy=_policy_from_args(args))
 
     header = f"{'workload':<12}{'variant':<16}{'threads':>8}" \
              f"{'exec_ms':>12}{'ipns':>10}{'ctx_sw':>8}"
@@ -427,148 +357,49 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _print_cache_summary(store, backend)
 
     if args.output:
-        payload = {
-            "workloads": workloads,
-            "variants": variants,
-            "records_per_thread": records,
-            "jobs": jobs,
-            "backend": backend_label,
-            "results": [r.to_dict() for r in results],
-        }
-        if isinstance(store, ResultCache):
-            payload["cache"] = {"hits": store.hits, "misses": store.misses,
-                                "dir": str(store.root)}
+        payload = sweep_payload(spec, jobs, backend_label, results, store)
         Path(args.output).write_text(json.dumps(payload, indent=2))
         print(f"wrote {args.output}")
     return 0
 
 
-def _figure_kwargs(
-    fn: Callable,
-    args: argparse.Namespace,
-    backend: object,
-    cache: object = None,
-    progress: Optional[Callable[[SweepJob, str], None]] = None,
-) -> Dict[str, object]:
-    """The subset of CLI options this figure driver understands.
-
-    ``cache`` lets a multi-figure command share one store (so its
-    hit/miss counters cover the whole run); ``progress`` reaches every
-    driver that sweeps through the orchestrator (the replay-based
-    figures 5/6 have no cells to report).
-    """
-    accepted = inspect.signature(fn).parameters
-    candidates: Dict[str, object] = {
-        "workloads": _split_names(args.workloads),
-        "records": args.records,
-        "jobs": args.jobs,
-        # False (from --no-cache) must reach the driver explicitly,
-        # otherwise resolve_cache would fall back to REPRO_CACHE.
-        "cache": cache if cache is not None else _cache_from_args(args),
-        "backend": backend,
-        "progress": progress,
-        "policy": _policy_from_args(args),
-    }
-    return {
-        name: value
-        for name, value in candidates.items()
-        if name in accepted and value is not None
-    }
-
-
 def cmd_figures(args: argparse.Namespace) -> int:
-    try:
-        if args.workloads:
-            args.workloads = [canonical_workload(w)
-                              for w in _split_names(args.workloads)]
-    except KeyError as exc:
-        return _bad_name(exc)
-    names = _split_names(args.names) or sorted(FIGURES)
-    unknown = [n for n in names if n not in FIGURES]
-    if unknown:
-        print(f"unknown figure(s): {', '.join(unknown)}; "
-              f"available: {', '.join(sorted(FIGURES))}", file=sys.stderr)
-        return 2
     # One backend for all figures: a --listen coordinator binds its port
     # exactly once, kept cell processes serve every figure, and bad
     # backend arguments fail before any simulation.
     try:
+        spec = parse_spec("report", _spec_from_args("report", args))
         backend = _backend_from_args(args)
     except ValueError as exc:
-        return _bad_backend(exc)
+        return _bad_input(exc)
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    progress = _progress_printer(not args.quiet)
-    try:
-        for name in names:
-            fn = FIGURES[name]
-            print(f"== {name}: {fn.__module__.rsplit('.', 1)[-1]}.{fn.__name__}")
-            data = fn(**_figure_kwargs(fn, args, backend, progress=progress))
-            path = out_dir / f"{name}.json"
-            path.write_text(json.dumps(data, indent=2, default=str))
-            print(f"   wrote {path}")
-    finally:
-        backend.close()
+    with backend:
+        for _ in run_figures(spec, out_dir, verbose=True, backend=backend,
+                             cache=_cache_from_args(args),
+                             policy=_policy_from_args(args),
+                             progress=_progress_printer(not args.quiet)):
+            pass
     return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
     """Render figures to SVG and assemble the paper-fidelity report."""
     try:
-        if args.workloads:
-            args.workloads = [canonical_workload(w)
-                              for w in _split_names(args.workloads)]
-    except KeyError as exc:
-        return _bad_name(exc)
-    names = (_split_names(args.names) or []) + (_split_names(args.figures) or [])
-    names = list(dict.fromkeys(names)) or sorted(FIGURES)
-    unknown = [n for n in names if n not in FIGURES]
-    if unknown:
-        print(f"unknown figure(s): {', '.join(unknown)}; "
-              f"available: {', '.join(sorted(FIGURES))}", file=sys.stderr)
-        return 2
-    try:
+        spec = parse_spec("report", _spec_from_args("report", args))
         backend = _backend_from_args(args)
     except ValueError as exc:
-        return _bad_backend(exc)
+        return _bad_input(exc)
     out_dir = Path(args.output)
-    builder = ReportBuilder(out_dir, names)
-    printer = _progress_printer(not args.quiet)
-
-    def progress(job: SweepJob, source: str) -> None:
-        if printer is not None:
-            printer(job, source)
-        builder.cell_completed(job, source)
-
+    builder = ReportBuilder(out_dir, list(spec.figures))
     store = _cache_from_args(args)
-    failures: List[str] = []
     try:
-        for name in names:
-            fn = FIGURES[name]
-            print(f"== {name}: {fn.__module__.rsplit('.', 1)[-1]}.{fn.__name__}")
-            builder.figure_started(name)
-            kwargs = _figure_kwargs(fn, args, backend, cache=store,
-                                    progress=progress)
-            # One umbrella per figure: a failure anywhere -- driver,
-            # JSON write, shaping, SVG render, fidelity scoring -- is
-            # recorded as that figure's FAILED section and the report
-            # moves on to the next figure.
-            try:
-                data = fn(**kwargs)
-                (out_dir / f"{name}.json").write_text(
-                    json.dumps(data, indent=2, default=str)
-                )
-                builder.figure_finished(name, data)
-            except Exception:  # noqa: BLE001 - recorded, reported, non-zero exit
-                builder.figure_failed(name, traceback.format_exc())
-                failures.append(name)
-                print(f"   FAILED (see {out_dir / 'REPORT.md'})",
-                      file=sys.stderr)
-                continue
-            rendered = ", ".join(f for f, _svg in builder.svg_files[name])
-            print(f"   rendered {rendered or 'report section'}")
+        with backend:
+            failures = [name for name, failed in run_figures(
+                spec, out_dir, builder, verbose=True, backend=backend,
+                cache=store, policy=_policy_from_args(args),
+                progress=_progress_printer(not args.quiet)) if failed]
     finally:
-        backend.close()
         builder.render()
     if not args.no_trends:
         trends_path = Path(args.trends or os.environ.get("REPRO_TRENDS")
@@ -597,22 +428,13 @@ def cmd_worker(args: argparse.Namespace) -> int:
     # Workers on one host share a content-addressed cache when pointed
     # at the same directory; a remote worker keeps its own (the sqlite
     # index needs shared memory, so no network filesystems).
-    cache = (
-        None
-        if args.no_cache
-        else ResultCache(args.cache_dir, max_bytes=args.cache_max_bytes)
-    )
     try:
-        return run_worker(
-            connect=args.connect,
-            cache=cache,
-            retries=args.retry,
-            retry_delay=args.retry_delay,
-            once=args.once,
-        )
+        return run_worker(connect=args.connect,
+                          cache=_cache_from_args(args) or None,
+                          retries=args.retry, retry_delay=args.retry_delay,
+                          once=args.once)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _bad_input(exc)
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
@@ -654,64 +476,47 @@ def cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Speed gate: run perfbench, emit BENCH_speed.json, optionally A/B
-    against another checkout (see :mod:`repro.bench`)."""
-    return bench_mod.run_from_args(args)
-
-
-def _trace_gen_meta(names: Sequence[str], args: argparse.Namespace,
-                    threads_per_tenant: int):
+def _trace_gen_meta(names: Sequence[str], args: argparse.Namespace):
     """Build (traces, meta) for ``trace gen``: one name is a solo trace,
-    several names become colocated tenants in disjoint partitions."""
+    several names become colocated tenants in disjoint partitions
+    (``--threads`` is then per tenant)."""
     records = args.records or default_records()
     scale = args.scale or DEFAULT_SCALE
     seed = args.seed if args.seed is not None else 42
-    qos_mode = getattr(args, "qos", None)
-    if qos_mode and len(names) == 1:
+    if args.qos and len(names) == 1:
         raise ValueError("--qos needs a multi-tenant (colocation) trace; "
                          "pass several scenario names")
-    device_model = getattr(args, "device_model", None)
     if len(names) == 1:
         scenario = get_scenario(names[0])
-        threads = threads_per_tenant
-        traces = scenario.generate(threads, records, scale=scale, seed=seed)
-        config = build_config(scale=scale, seed=seed, threads=threads,
-                              device_model=device_model)
-        meta = {
-            "kind": "scenario",
-            "workload": scenario.name,
-            "scenario": scenario.to_dict(),
-            "seed": seed,
-            "scale": scale,
-            "threads": threads,
-            "records_per_thread": records,
-            "mlp": scenario.mlp,
-            "config": config.to_dict(),
-        }
-        return traces, meta
-    tenants = tenants_from_names(names, threads=threads_per_tenant, seed=seed)
-    plan = build_colocation(tenants, scale=scale, records_per_thread=records)
-    config = build_config(scale=scale, seed=seed, threads=len(plan.traces),
-                          device_model=device_model)
-    if qos_mode:
+        traces = scenario.generate(args.threads, records, scale=scale,
+                                   seed=seed)
+        meta = {"kind": "scenario", "workload": scenario.name,
+                "scenario": scenario.to_dict(), "seed": seed, "scale": scale,
+                "threads": args.threads, "records_per_thread": records,
+                "mlp": scenario.mlp}
+    else:
+        tenants = tenants_from_names(names, threads=args.threads, seed=seed)
+        plan = build_colocation(tenants, scale=scale,
+                                records_per_thread=records)
+        traces = plan.traces
+        meta = {"kind": "colocation", "seed": seed,
+                "workload": "+".join(t.name for t in tenants), **plan.meta()}
+    config = build_config(scale=scale, timing=args.timing or "ULL", seed=seed,
+                          threads=len(traces), device_model=args.device_model)
+    if args.qos:
         # Bake the QoS knobs into the embedded config: replay then
         # reconstructs the exact same isolation behaviour on any backend
         # (the qos-smoke CI job byte-compares local vs distributed).
-        config = config.replace(qos=plan.qos_config(qos_mode))
-    meta = {"kind": "colocation",
-            "workload": "+".join(t.name for t in tenants),
-            "seed": seed,
-            "config": config.to_dict()}
-    meta.update(plan.meta())
-    return plan.traces, meta
+        config = config.replace(qos=plan.qos_config(args.qos))
+    meta["config"] = config.to_dict()
+    return traces, meta
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
     try:
         if args.trace_cmd == "gen":
             names = _split_names(args.names)
-            traces, meta = _trace_gen_meta(names, args, args.threads)
+            traces, meta = _trace_gen_meta(names, args)
             write_tracefile(args.output, traces, meta)
             records = sum(len(t) for t in traces)
             print(f"wrote {args.output}: {meta['workload']} "
@@ -741,17 +546,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
                       f"{row['write_ratio']:>9.3f}{row['pages']:>8}")
             return 0
         if args.trace_cmd == "capture":
-            options = {
-                "records_per_thread": args.records,
-                "threads": args.threads,
-                "scale": args.scale,
-                "seed": args.seed,
-                "device_model": getattr(args, "device_model", None),
-            }
-            result = capture_workload(
-                args.workload, args.variant, args.output,
-                **{k: v for k, v in options.items() if v is not None},
-            )
+            result = capture_workload(args.workload, args.variant,
+                                      args.output, **cell_kwargs(vars(args)))
             print(f"captured {args.output} from live run "
                   f"{result.workload}/{result.variant} "
                   f"({result.threads} thread(s))")
@@ -777,11 +573,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
             )
             print(f"wrote {args.json}")
         return 0
-    except KeyError as exc:
-        return _bad_name(exc)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (KeyError, ValueError, OSError) as exc:
+        return _bad_input(exc)
 
 
 #: Default ``repro serve`` bind / ``repro job`` dial address.
@@ -836,15 +629,10 @@ def cmd_profile(args: argparse.Namespace) -> int:
         print("error: --top must be >= 0", file=sys.stderr)
         return 2
     try:
-        job = SweepJob.make(
-            args.workload,
-            args.variant,
-            records_per_thread=args.records,
-            seed=args.seed,
-            device_model=args.device_model,
-        )
+        job = SweepJob.make(args.workload, args.variant,
+                            **cell_kwargs(vars(args)))
     except KeyError as exc:
-        return _bad_name(exc)
+        return _bad_input(exc)
     from repro.obs.profile import profile_cell, render_counts, render_profile
 
     result, stats, events = profile_cell(
@@ -874,22 +662,7 @@ def cmd_job(args: argparse.Namespace) -> int:
 def _run_job_verb(client: object, args: argparse.Namespace) -> int:
     verb = args.job_cmd
     if verb == "submit":
-        spec: Dict[str, object] = {}
-        if args.kind == "report":
-            if args.figures:
-                spec["figures"] = _split_names(args.figures)
-        elif args.kind == "scenario":
-            spec["names"] = _split_names(args.names) or []
-        if args.workloads:
-            spec["workloads"] = _split_names(args.workloads)
-        if args.kind == "sweep" and args.scenario:
-            spec["scenarios"] = _split_names(args.scenario)
-        if args.variants:
-            spec["variants"] = _split_names(args.variants)
-        for knob in ("records", "threads", "scale", "timing", "seed", "jobs"):
-            value = getattr(args, knob, None)
-            if value is not None:
-                spec[knob] = value
+        spec = _spec_from_args(args.kind, args)
         submitter = (args.submitter or os.environ.get("USER")
                      or "anonymous")
         job = client.submit(args.kind, spec, submitter=submitter,
@@ -951,44 +724,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="simulate one (workload, variant) cell")
     p_run.add_argument("workload", help=f"one of {', '.join(WORKLOAD_NAMES)}")
     p_run.add_argument("variant", help=f"one of {', '.join(VARIANTS)}")
-    p_run.add_argument("--threads", type=int, default=None)
-    p_run.add_argument("--scale", type=int, default=None)
-    p_run.add_argument("--timing", default=None,
-                       choices=["ULL", "ULL2", "SLC", "MLC"])
-    p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--json", default=None, help="write RunResult JSON here")
     p_run.add_argument("--timeline", default=None, metavar="OUT.json",
                        help="write a sim-time Chrome-trace-event/Perfetto "
                             "timeline of the run here (same results; "
                             "bypasses the result cache; "
                             "see docs/OBSERVABILITY.md)")
-    _add_device_model_option(p_run)
+    _add_cell_options(p_run)
     _add_common_run_options(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser(
         "sweep", help="run a workload x variant grid in parallel"
     )
-    p_sweep.add_argument("--workloads", action="append", default=None,
-                         help="comma-separated or repeated (default: all)")
-    p_sweep.add_argument("--scenario", action="append", default=None,
-                         metavar="NAME,...",
-                         help="phase-DSL scenarios to sweep alongside (or "
-                              "instead of) Table I workloads; see "
-                              "docs/SCENARIOS.md for the registry")
-    p_sweep.add_argument("--variants", action="append", default=None,
-                         help="comma-separated or repeated (default: Fig.14 set)")
-    p_sweep.add_argument("--threads", type=int, default=None)
-    p_sweep.add_argument("--scale", type=int, default=None)
-    p_sweep.add_argument("--timing", default=None,
-                         choices=["ULL", "ULL2", "SLC", "MLC"])
-    p_sweep.add_argument("--seed", type=int, default=None)
+    _add_grid_options(p_sweep, ["workloads", "scenarios", "variants"])
     p_sweep.add_argument("--output", "-o", default=None,
                          help="write results JSON here")
     p_sweep.add_argument("--stream", action="store_true",
                          help="emit one JSON line per completed cell "
                               "(NDJSON), in completion order")
-    _add_device_model_option(p_sweep)
+    _add_cell_options(p_sweep)
     _add_common_run_options(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -998,9 +753,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("names", nargs="*", default=None,
                        help=f"figures to run (default all): "
                             f"{', '.join(sorted(FIGURES))}")
-    p_fig.add_argument("--workloads", action="append", default=None)
+    _add_grid_options(p_fig, ["workloads"])
     p_fig.add_argument("--output", "-o", default="figures_out",
                        help="directory for per-figure JSON (default figures_out)")
+    _add_cell_options(p_fig, ["records"])
     _add_common_run_options(p_fig)
     p_fig.set_defaults(func=cmd_figures)
 
@@ -1012,13 +768,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("names", nargs="*", default=None,
                        help=f"figures to include (default all): "
                             f"{', '.join(sorted(FIGURES))}")
-    p_rep.add_argument("--figures", action="append", default=None,
-                       metavar="NAME,...",
-                       help="comma-separated figure ids (alternative to "
-                            "the positional list)")
-    p_rep.add_argument("--workloads", action="append", default=None,
-                       help="restrict sweeps to these workloads "
-                            "(comma-separated or repeated)")
+    _add_grid_options(p_rep, ["figures", "workloads"])
     p_rep.add_argument("--output", "-o", default="report_out",
                        help="directory for REPORT.md/REPORT.html, SVGs and "
                             "per-figure JSON (default report_out)")
@@ -1028,6 +778,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "benchmarks/trends.ndjson)")
     p_rep.add_argument("--no-trends", action="store_true",
                        help="skip appending to the trend history")
+    _add_cell_options(p_rep, ["records"])
     _add_common_run_options(p_rep)
     p_rep.set_defaults(func=cmd_report)
 
@@ -1036,11 +787,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_worker.add_argument("--connect", required=True, metavar="HOST:PORT",
                           help="dial a coordinator started with --listen")
-    p_worker.add_argument("--cache-dir", default=None,
-                          help="share this result cache directory")
-    p_worker.add_argument("--cache-max-bytes", type=int, default=None)
-    p_worker.add_argument("--no-cache", action="store_true",
-                          help="run every cell, even if cached")
+    _add_cache_options(p_worker)
     p_worker.add_argument("--once", action="store_true",
                           help="exit after serving one coordinator connection")
     p_worker.add_argument("--retry", type=int, default=40,
@@ -1052,6 +799,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace",
         help="generate, capture, inspect and replay portable .sbt traces",
     )
+    p_trace.set_defaults(func=cmd_trace)
     trace_sub = p_trace.add_subparsers(dest="trace_cmd", required=True)
 
     p_gen = trace_sub.add_parser(
@@ -1063,20 +811,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"scenario or workload name(s); scenarios: "
                             f"{', '.join(scenario_names())}")
     p_gen.add_argument("--output", "-o", required=True, metavar="FILE.sbt")
-    p_gen.add_argument("--threads", type=int, default=2,
-                       help="threads (per tenant when colocating; default 2)")
-    p_gen.add_argument("--records", type=int, default=None,
-                       help="records per thread (default REPRO_RECORDS)")
-    p_gen.add_argument("--scale", type=int, default=None)
-    p_gen.add_argument("--seed", type=int, default=None)
+    # --threads is per tenant when colocating.
+    _add_cell_options(p_gen, threads=2)
     p_gen.add_argument("--qos", default=None, metavar="MODE",
                        choices=("wfq", "priority", "log-partition",
                                 "cache-quota"),
                        help="embed a tenant-QoS config in the colocation "
                             "trace (wfq, priority, log-partition, "
                             "cache-quota; see docs/QOS.md)")
-    _add_device_model_option(p_gen)
-    p_gen.set_defaults(func=cmd_trace)
 
     p_inspect = trace_sub.add_parser(
         "inspect", help="print a tracefile's metadata and per-thread shape"
@@ -1084,7 +826,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_inspect.add_argument("file")
     p_inspect.add_argument("--json", action="store_true",
                            help="emit the full inspection as JSON")
-    p_inspect.set_defaults(func=cmd_trace)
 
     p_capture = trace_sub.add_parser(
         "capture",
@@ -1093,12 +834,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_capture.add_argument("workload", help="workload or scenario name")
     p_capture.add_argument("variant", help=f"one of {', '.join(VARIANTS)}")
     p_capture.add_argument("--output", "-o", required=True, metavar="FILE.sbt")
-    p_capture.add_argument("--records", type=int, default=None)
-    p_capture.add_argument("--threads", type=int, default=None)
-    p_capture.add_argument("--scale", type=int, default=None)
-    p_capture.add_argument("--seed", type=int, default=None)
-    _add_device_model_option(p_capture)
-    p_capture.set_defaults(func=cmd_trace)
+    _add_cell_options(p_capture)
 
     p_replay = trace_sub.add_parser(
         "replay",
@@ -1111,7 +847,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_replay.add_argument("--json", default=None,
                           help="write the RunResult JSON here")
     _add_common_run_options(p_replay)
-    p_replay.set_defaults(func=cmd_trace)
 
     p_cache = sub.add_parser(
         "cache", help="inspect, bound, or clear the result cache"
@@ -1134,7 +869,7 @@ def build_parser() -> argparse.ArgumentParser:
              "--against DIR gates on side-by-side A/B pairs",
     )
     bench_mod.add_arguments(p_bench)
-    p_bench.set_defaults(func=cmd_bench)
+    p_bench.set_defaults(func=bench_mod.run_from_args)
 
     p_serve = sub.add_parser(
         "serve",
@@ -1148,19 +883,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--state-dir", default=".repro_service",
                          help="job queue + artifacts directory "
                               "(default .repro_service)")
-    p_serve.add_argument("--cache-dir", default=None,
-                         help="result cache directory (sqlite-indexed)")
-    p_serve.add_argument("--cache-max-bytes", type=int, default=None)
-    p_serve.add_argument("--jobs", type=_positive_int, default=None,
-                         help="local cell processes per job "
-                              "(default REPRO_JOBS or 1)")
-    p_serve.add_argument("--listen", default=None, metavar="[HOST:]PORT",
-                         help="accept dial-in workers "
-                              "(repro worker --connect)")
+    _add_cache_options(p_serve, no_cache=False)
+    _add_spec_option(p_serve, JOBS)
+    _add_fleet_options(p_serve)
     p_serve.add_argument("--max-active", type=int, default=1,
                          help="jobs run concurrently (default 1)")
-    p_serve.add_argument("--cell-timeout", type=float, default=None)
-    p_serve.add_argument("--retry-budget", type=int, default=None)
     p_serve.set_defaults(func=cmd_serve)
 
     p_prof = sub.add_parser(
@@ -1170,10 +897,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_prof.add_argument("workload", help=f"one of {', '.join(WORKLOAD_NAMES)}")
     p_prof.add_argument("variant", help=f"one of {', '.join(VARIANTS)}")
-    p_prof.add_argument("--records", type=int, default=None,
-                        help="trace records per thread (default REPRO_RECORDS)")
-    p_prof.add_argument("--seed", type=int, default=None)
-    _add_device_model_option(p_prof)
+    _add_cell_options(p_prof)
     p_prof.add_argument("--top", type=int, default=25, metavar="K",
                         help="functions to list by self time (default 25)")
     p_prof.set_defaults(func=cmd_profile)
@@ -1184,45 +908,33 @@ def build_parser() -> argparse.ArgumentParser:
     p_job.add_argument("--server", default=None, metavar="URL",
                        help=f"coordinator address (default REPRO_SERVICE "
                             f"or {DEFAULT_SERVICE_ADDR})")
+    p_job.set_defaults(func=cmd_job)
     job_sub = p_job.add_subparsers(dest="job_cmd", required=True)
 
     p_submit = job_sub.add_parser("submit", help="queue a job")
     p_submit.add_argument("kind", nargs="?", default="sweep",
                           choices=["sweep", "scenario", "report"])
     p_submit.add_argument("names", nargs="*", default=None,
-                          help="scenario names (kind=scenario)")
-    p_submit.add_argument("--workloads", action="append", default=None)
-    p_submit.add_argument("--scenario", action="append", default=None,
-                          help="scenarios to sweep alongside workloads "
-                               "(kind=sweep)")
-    p_submit.add_argument("--variants", action="append", default=None)
-    p_submit.add_argument("--figures", action="append", default=None,
-                          help="figure ids (kind=report; default all)")
-    p_submit.add_argument("--records", type=int, default=None)
-    p_submit.add_argument("--threads", type=int, default=None)
-    p_submit.add_argument("--scale", type=int, default=None)
-    p_submit.add_argument("--timing", default=None,
-                          choices=["ULL", "ULL2", "SLC", "MLC"])
-    p_submit.add_argument("--seed", type=int, default=None)
-    p_submit.add_argument("--jobs", type=_positive_int, default=None)
+                          help="scenario names (kind=scenario) or figure "
+                               "ids (kind=report)")
+    _add_grid_options(p_submit, GRID_KEYS)
+    _add_cell_options(p_submit)
+    _add_spec_option(p_submit, JOBS)
     p_submit.add_argument("--priority", type=int, default=0,
                           help="higher runs first (default 0)")
     p_submit.add_argument("--submitter", default=None,
                           help="fair-share identity (default $USER)")
     p_submit.add_argument("--follow", action="store_true",
                           help="stream events until the job finishes")
-    p_submit.set_defaults(func=cmd_job)
 
     p_jlist = job_sub.add_parser("list", help="list jobs")
     p_jlist.add_argument("--state", default=None,
                          choices=["queued", "running", "done", "failed",
                                   "cancelled"])
     p_jlist.add_argument("--submitter", default=None)
-    p_jlist.set_defaults(func=cmd_job)
 
     p_jshow = job_sub.add_parser("show", help="print one job as JSON")
     p_jshow.add_argument("id", type=int)
-    p_jshow.set_defaults(func=cmd_job)
 
     p_jev = job_sub.add_parser("events", help="print a job's event log")
     p_jev.add_argument("id", type=int)
@@ -1230,21 +942,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="only events with seq > N")
     p_jev.add_argument("--follow", action="store_true",
                        help="stream NDJSON until the job finishes")
-    p_jev.set_defaults(func=cmd_job)
 
     p_jres = job_sub.add_parser("result", help="fetch a done job's payload")
     p_jres.add_argument("id", type=int)
     p_jres.add_argument("--output", "-o", default=None)
-    p_jres.set_defaults(func=cmd_job)
 
     p_jwait = job_sub.add_parser("wait", help="block until a job finishes")
     p_jwait.add_argument("id", type=int)
     p_jwait.add_argument("--timeout", type=float, default=3600.0)
-    p_jwait.set_defaults(func=cmd_job)
 
     p_jcancel = job_sub.add_parser("cancel", help="cancel a job")
     p_jcancel.add_argument("id", type=int)
-    p_jcancel.set_defaults(func=cmd_job)
 
     return parser
 

@@ -871,16 +871,36 @@ def run_sweep(
     Identical jobs are simulated once and fanned back out to every
     position that requested them.  This is a thin barrier over
     :func:`stream_sweep` -- callers that want cells as they complete
-    should iterate that instead.
+    should iterate that instead, or use :func:`drain_sweep`.
     """
-    specs = [_as_job(item) for item in jobs_or_pairs]
-    results: List[Optional[RunResult]] = [None] * len(specs)
-    for update in stream_sweep(specs, jobs=jobs, cache=cache,
-                               backend=backend, policy=policy):
-        for i in update.positions:
-            results[i] = update.result
+
+    def on_update(update: CellUpdate) -> None:
         if progress is not None:
             progress(update.job, update.source)
+
+    return drain_sweep(jobs_or_pairs, on_update, jobs=jobs, cache=cache,
+                       backend=backend, policy=policy)
+
+
+def drain_sweep(
+    jobs_or_pairs: Iterable[JobLike],
+    on_update: Callable[[CellUpdate], None],
+    **stream_options: object,
+) -> List[RunResult]:
+    """Run cells through :func:`stream_sweep` (options pass through),
+    calling ``on_update`` per finished cell; returns the results in job
+    order.  An exception from ``on_update`` stops the sweep: the cells
+    in flight are abandoned, finished ones are already cached."""
+    specs = [_as_job(item) for item in jobs_or_pairs]
+    results: List[Optional[RunResult]] = [None] * len(specs)
+    stream = stream_sweep(specs, **stream_options)
+    try:
+        for update in stream:
+            for i in update.positions:
+                results[i] = update.result
+            on_update(update)
+    finally:
+        stream.close()
     return results  # type: ignore[return-value]  # every slot is filled
 
 

@@ -284,7 +284,8 @@ def resolve_run(
 
     ``trace`` replays a ``.sbt`` tracefile: the configuration embedded at
     capture/generation time is authoritative (so replay is bit-exact) and
-    the other configuration arguments are ignored.
+    the other configuration arguments are ignored.  Otherwise
+    ``records_per_thread`` or ``threads`` below 1 is a ``ValueError``.
     """
     del max_ns  # part of the run, not of the config
     if trace is not None:
@@ -300,6 +301,12 @@ def resolve_run(
     design: DesignVariant = get_variant(variant)
     if records_per_thread is None:
         records_per_thread = default_records()
+    # A zero-length or threadless run "succeeds" with execution_ns 0,
+    # and would be cached, served and plotted as a result.
+    for name, value in (("records_per_thread", records_per_thread),
+                        ("threads", threads)):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be at least 1, not {value}")
     base = build_config(
         scale=scale,
         timing=timing,

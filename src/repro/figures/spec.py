@@ -16,8 +16,9 @@ string keys everywhere, no tuples.  That makes rendering from a live
 driver run and from a JSON file on disk byte-identical.
 
 Adding a figure: write the driver, register it in
-``repro.cli.FIGURES``, add a :class:`ChartSpec` here (the registry
-consistency test will insist), document it in ``docs/FIGURES.md``, and
+``repro.experiments.jobspec.FIGURES``, add a :class:`ChartSpec` here
+(the registry consistency test will insist), document it in
+``docs/FIGURES.md``, and
 -- if the paper reports concrete numbers for it -- add expectations in
 :mod:`repro.figures.fidelity`.
 """

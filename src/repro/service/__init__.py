@@ -5,7 +5,8 @@ Submodules:
 * :mod:`repro.service.store` -- sqlite persistence: the
   :class:`~repro.service.store.JobStore` job queue / event log.
 * :mod:`repro.service.coordinator` -- :class:`SweepService`, the
-  scheduler that claims jobs and drives ``stream_sweep`` over them.
+  scheduler that claims jobs and runs them through
+  :mod:`repro.experiments.jobspec`, as the CLI verbs do.
 * :mod:`repro.service.api` -- the HTTP/JSON front end.
 * :mod:`repro.service.client` -- a stdlib-only client used by the
   ``repro job`` CLI verbs and by tests.

@@ -5,28 +5,31 @@ infrastructure: it owns a persistent :class:`~repro.service.store.JobStore`
 (submissions survive coordinator crashes), a shared
 :class:`~repro.experiments.orchestrator.ResultCache`, and -- optionally -- one
 long-lived distributed backend (a listener ``repro worker --connect``
-workers dial in to), then runs submitted jobs through the
-exact ``stream_sweep`` machinery the CLI uses.  Reliability semantics
-are therefore unchanged: the per-cell
+workers dial in to), then runs submitted jobs through the job spec
+module the CLI verbs use (:mod:`repro.experiments.jobspec`).
+Reliability semantics are therefore unchanged: the per-cell
 :class:`~repro.experiments.backends.CellPolicy` (timeouts, retry
 budgets, quarantine) governs service sweeps the same way it governs
 ``repro sweep``.
 
-Job kinds and their ``spec`` objects:
+Job kinds and their JSON ``spec`` keys (all optional unless noted),
+checked at submit by :func:`~repro.experiments.jobspec.parse_spec`: an
+unknown key, a wrong type, an out-of-range value or an unknown name is
+an HTTP 400 naming the field, never a queued job that fails later.
 
 ``sweep``
-    ``{"workloads": [...], "scenarios": [...], "variants": [...],
-    "records": N, "threads": N, "scale": N, "timing": "...",
-    "seed": N}`` -- all optional, defaulted exactly like ``repro
-    sweep``.  The stored result payload matches ``repro sweep
-    --output``'s JSON shape, so artifacts are byte-comparable against
-    local runs.
+    ``workloads``, ``scenarios``, ``variants``; the cell fields
+    ``records``, ``threads``, ``scale`` (at least 1), ``seed`` (at
+    least 0), ``timing`` (``ULL``/``ULL2``/``SLC``/``MLC``) and
+    ``device_model`` (``flat``/``deep``); ``jobs``.  Planned like
+    ``repro sweep``; the result is its ``--output`` JSON, so artifacts
+    are byte-comparable against local runs.
 ``scenario``
-    sugar for a sweep over phase-DSL scenarios only: ``{"names":
-    [...]}`` plus the same optional knobs.
+    ``names`` (required; or ``scenarios``), ``variants``, the cell
+    fields and ``jobs``: a sweep over phase-DSL scenarios only.
 ``report``
-    ``{"figures": [...], "workloads": [...], ...}`` -- renders
-    REPORT.md/REPORT.html + SVGs into the job's artifact directory
+    ``figures``, ``workloads``, ``records``, ``jobs``: ``repro
+    report``'s figures loop, rendered into the job's artifact directory
     under ``<state_dir>/artifacts/``.
 
 Scheduling is the store's: priority first, fair share across
@@ -39,35 +42,33 @@ streams.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import threading
 import traceback
 from pathlib import Path
-from typing import Dict, List, Optional, TextIO, Union
+from typing import Dict, Iterator, List, Optional, TextIO, Union
 
 from repro.experiments.backends import (
     CellPolicy,
     DistributedBackend,
-    LocalProcessBackend,
+    SweepBackend,
+    resolve_backend,
 )
-from repro.experiments.orchestrator import (
-    ResultCache,
-    default_jobs,
-    stream_sweep,
-    sweep_product,
+from repro.experiments.jobspec import (
+    JobCancelled,
+    JobSpec,
+    cell_event,
+    parse_spec,
+    plan_sweep,
+    run_figures,
+    sweep_payload,
 )
-from repro.experiments.runner import default_records
+from repro.experiments.orchestrator import ResultCache, default_jobs, drain_sweep
 from repro.obs import REGISTRY, span
 from repro.obs.log import JsonLinesLogger
 from repro.obs.spans import SpanContext, activate, deactivate
 from repro.service.store import JobStore
-
-#: Job kinds :class:`SweepService` executes.
-JOB_KINDS = ("sweep", "scenario", "report")
-
-
-class JobCancelled(Exception):
-    """Raised inside a job executor when its cancel flag is set."""
 
 
 class SweepService:
@@ -79,8 +80,8 @@ class SweepService:
     (and by any ``repro sweep`` on this host pointed at the same
     directory).  ``listen`` binds one shared :class:`DistributedBackend`
     for dial-in workers; without it, each job runs its cells on a
-    :class:`LocalProcessBackend` of its own (``jobs`` kept cell
-    processes, or in process at 1), closed when the job ends.
+    local backend of its own (``jobs`` kept cell processes, or in
+    process at 1), closed when the job ends.
     """
 
     def __init__(
@@ -176,13 +177,9 @@ class SweepService:
         priority: int = 0,
         trace: Optional[SpanContext] = None,
     ) -> int:
-        if kind not in JOB_KINDS:
-            raise ValueError(
-                f"unknown job kind {kind!r} (expected one of "
-                f"{', '.join(JOB_KINDS)})"
-            )
-        if not isinstance(spec, dict):
-            raise ValueError("job spec must be a JSON object")
+        # Checked here, so a bad spec is a 400 and never a queued job
+        # that fails later; names and ranges only, no per-cell config.
+        parse_spec(kind, spec)
         job_id = self.store.submit(kind, spec, submitter=submitter,
                                    priority=priority)
         if trace is not None:
@@ -221,11 +218,11 @@ class SweepService:
             token = activate(trace)
         try:
             with span("service.job", kind=str(job["kind"]), job=job_id):
-                if job["kind"] in ("sweep", "scenario"):
-                    result = self._run_sweep_job(job_id, job["kind"],
-                                                 job["spec"])
+                spec = parse_spec(str(job["kind"]), job["spec"])
+                if spec.kind == "report":
+                    result = self._run_report_job(job_id, spec)
                 else:
-                    result = self._run_report_job(job_id, job["spec"])
+                    result = self._run_sweep_job(job_id, spec)
         except JobCancelled:
             self.store.mark_cancelled(job_id)
             self._say("job_cancelled", job=job_id)
@@ -251,127 +248,63 @@ class SweepService:
 
     # -- executors -------------------------------------------------------
 
-    def _run_sweep_job(
-        self, job_id: int, kind: str, spec: Dict[str, object]
-    ) -> Dict[str, object]:
-        """One sweep/scenario job, via the CLI's own grid + stream path.
+    @contextlib.contextmanager
+    def _job_backend(self, jobs: int) -> Iterator[SweepBackend]:
+        """The backend one job runs on: the shared listener (one job at
+        a time), else a local backend of its own, closed at its end."""
+        if self._backend is not None:
+            with self._backend_lock:
+                yield self._backend
+            return
+        backend = resolve_backend(None, jobs=jobs, policy=self.policy)
+        try:
+            yield backend
+        finally:
+            backend.close()
+
+    def _run_sweep_job(self, job_id: int, spec: JobSpec) -> Dict[str, object]:
+        """One sweep/scenario job: ``repro sweep``'s planner, runner and
+        payload.
 
         The result payload replicates ``repro sweep --output`` exactly
         (sans the per-process cache counters): the CI smoke compares
         the two byte-for-byte.
         """
-        from repro.scenarios import canonical_scenario
-        from repro.variants import MAIN_VARIANTS, canonical_variant
-        from repro.workloads.suites import WORKLOAD_NAMES, canonical_workload
-
-        if kind == "scenario":
-            names = spec.get("names") or spec.get("scenarios") or []
-            if not names:
-                raise ValueError("scenario job needs names: [...]")
-            workloads = [canonical_scenario(str(s)) for s in names]
-        else:
-            scenarios = [canonical_scenario(str(s))
-                         for s in spec.get("scenarios") or []]
-            workloads = [canonical_workload(str(w))
-                         for w in spec.get("workloads") or []]
-            if not workloads and not scenarios:
-                workloads = list(WORKLOAD_NAMES)
-            workloads += scenarios
-        variants = [canonical_variant(str(v))
-                    for v in spec.get("variants") or MAIN_VARIANTS]
-        records = int(spec.get("records") or default_records())
-        jobs = int(spec["jobs"]) if spec.get("jobs") else (
-            self.jobs if self.jobs is not None else default_jobs())
-        specs = sweep_product(
-            workloads,
-            variants,
-            records_per_thread=records,
-            threads=spec.get("threads"),
-            scale=spec.get("scale"),
-            timing=spec.get("timing"),
-            seed=spec.get("seed"),
-        )
+        cells = plan_sweep(spec)
+        jobs = spec.jobs or self.jobs or default_jobs()
         self.store.add_event(job_id, {
-            "event": "plan", "cells": len(specs), "workloads": workloads,
-            "variants": variants, "records_per_thread": records,
+            "event": "plan", "cells": len(cells),
+            "workloads": list(spec.workloads),
+            "variants": list(spec.variants),
+            "records_per_thread": spec.cell["records"],
             "backend": self.backend_label,
         })
         self._check_cancel(job_id)
-        results = [None] * len(specs)
-        if self._backend is not None:
-            with self._backend_lock:
-                self._stream(job_id, specs, results, self._backend, jobs)
-        else:
-            self._stream(job_id, specs, results, None, jobs)
-        payload = {
-            "workloads": workloads,
-            "variants": variants,
-            "records_per_thread": records,
-            "jobs": jobs,
-            "backend": self.backend_label,
-            "results": [r.to_dict() for r in results],
-        }
+
+        def on_cell(update) -> None:
+            self.store.add_event(job_id, cell_event(update))
+            self._check_cancel(job_id)
+
+        with self._job_backend(jobs) as backend:
+            results = drain_sweep(cells, on_cell, jobs=jobs,
+                                  cache=self.cache, backend=backend,
+                                  policy=self.policy)
+        payload = sweep_payload(spec, jobs, self.backend_label, results)
         artifact = self.artifact_dir(job_id)
         artifact.mkdir(parents=True, exist_ok=True)
         (artifact / "results.json").write_text(json.dumps(payload, indent=2))
         return payload
 
-    def _stream(self, job_id, specs, results, backend, jobs) -> None:
-        """Drain one stream_sweep, recording a ``cell`` event per cell."""
-        stream = stream_sweep(specs, jobs=jobs, cache=self.cache,
-                              backend=backend, policy=self.policy)
-        try:
-            for update in stream:
-                for i in update.positions:
-                    results[i] = update.result
-                r = update.result
-                self.store.add_event(job_id, {
-                    "event": "cell",
-                    "workload": r.workload,
-                    "variant": r.variant,
-                    "source": update.source,
-                    "completed": update.completed,
-                    "total": update.total,
-                    "exec_ms": r.stats.execution_ns / 1e6,
-                    "ipns": r.stats.throughput_ipns,
-                })
-                self._check_cancel(job_id)
-        finally:
-            # On cancel/shutdown: stop consuming; the helper thread
-            # drains in the background and finished cells are already
-            # in the cache (a resubmission fast-forwards through them).
-            stream.close()
+    def _run_report_job(self, job_id: int, spec: JobSpec) -> Dict[str, object]:
+        """One report job: ``repro report``'s figures loop, rendered
+        into the job's artifact directory."""
+        from repro.figures.report import ReportBuilder  # lazy: heavy import
 
-    def _run_report_job(
-        self, job_id: int, spec: Dict[str, object]
-    ) -> Dict[str, object]:
-        """One report job: figure drivers + SVG/markdown rendering."""
-        from repro.cli import FIGURES, _figure_kwargs  # lazy: heavy import
-        from repro.figures.report import ReportBuilder
-        import argparse
-
-        names = [str(n) for n in spec.get("figures") or []] or sorted(FIGURES)
-        unknown = [n for n in names if n not in FIGURES]
-        if unknown:
-            raise ValueError(f"unknown figure(s): {', '.join(unknown)}")
         out_dir = self.artifact_dir(job_id)
         out_dir.mkdir(parents=True, exist_ok=True)
-        builder = ReportBuilder(out_dir, names)
-        args = argparse.Namespace(
-            workloads=[str(w) for w in spec.get("workloads") or []] or None,
-            records=spec.get("records"),
-            jobs=int(spec["jobs"]) if spec.get("jobs") else self.jobs,
-            no_cache=False,
-            cache_dir=None,
-            cache_max_bytes=None,
-            cell_timeout=(self.policy.cell_timeout
-                          if self.policy is not None else None),
-            retry_budget=(self.policy.retry_budget
-                          if self.policy is not None else None),
-        )
+        builder = ReportBuilder(out_dir, list(spec.figures))
 
         def progress(job, source) -> None:
-            builder.cell_completed(job, source)
             self.store.add_event(job_id, {
                 "event": "cell", "workload": job.workload,
                 "variant": job.variant, "source": source,
@@ -379,38 +312,21 @@ class SweepService:
             self._check_cancel(job_id)
 
         failures: List[str] = []
-        if self._backend is not None:
-            backend = self._backend
-            self._backend_lock.acquire()
-        else:
-            backend = LocalProcessBackend(args.jobs)
+        self._check_cancel(job_id)
         try:
-            for name in names:
-                self._check_cancel(job_id)
-                fn = FIGURES[name]
-                builder.figure_started(name)
-                kwargs = _figure_kwargs(fn, args, backend, cache=self.cache,
-                                        progress=progress)
-                try:
-                    data = fn(**kwargs)
-                    (out_dir / f"{name}.json").write_text(
-                        json.dumps(data, indent=2, default=str)
-                    )
-                    builder.figure_finished(name, data)
-                except JobCancelled:
-                    raise
-                except Exception:  # noqa: BLE001 - recorded per figure
-                    builder.figure_failed(name, traceback.format_exc())
-                    failures.append(name)
-                self.store.add_event(job_id, {
-                    "event": "figure", "name": name,
-                    "state": "failed" if name in failures else "done",
-                })
+            with self._job_backend(spec.jobs or self.jobs) as backend:
+                for name, failed in run_figures(
+                        spec, out_dir, builder, backend=backend,
+                        cache=self.cache, policy=self.policy,
+                        progress=progress):
+                    if failed:
+                        failures.append(name)
+                    self.store.add_event(job_id, {
+                        "event": "figure", "name": name,
+                        "state": "failed" if failed else "done",
+                    })
+                    self._check_cancel(job_id)
         finally:
-            if backend is self._backend:
-                self._backend_lock.release()
-            else:
-                backend.close()
             builder.render()
         if failures:
             raise RuntimeError(
@@ -418,7 +334,7 @@ class SweepService:
                 f"(see {out_dir / 'REPORT.md'})"
             )
         return {
-            "figures": names,
+            "figures": list(spec.figures),
             "out_dir": str(out_dir),
             "report_md": str(out_dir / "REPORT.md"),
             "report_html": str(out_dir / "REPORT.html"),

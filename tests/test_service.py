@@ -21,6 +21,7 @@ import time
 import pytest
 
 from _worker_utils import worker_env
+from repro.cli import main
 from repro.experiments.orchestrator import run_sweep, sweep_product
 from repro.service.api import ServiceAPI
 from repro.service.client import ServiceClient, ServiceError
@@ -343,14 +344,27 @@ class TestSweepService:
             assert [e["event"] for e in events if e["event"] == "cell"] \
                 == ["cell", "cell"]
 
-    def test_failed_job_records_traceback(self, tmp_path):
+    def test_failed_job_records_traceback(self, tmp_path, monkeypatch):
+        """A cell that raises while it runs fails its job, and the job
+        keeps the traceback.  (A bad name never gets this far: submit
+        rejects it.)"""
+        from repro.experiments import orchestrator
+
+        def crash(workload, variant, **kwargs):
+            raise RuntimeError(f"cell {workload}/{variant} crashed")
+
+        # jobs=1 runs cells in process, so the patched runner is the
+        # one the job calls.
+        monkeypatch.setattr(orchestrator, "run_workload", crash)
         with SweepService(state_dir=tmp_path / "s", cache_dir=tmp_path / "c",
                           jobs=1) as svc:
-            jid = svc.submit("sweep", {"workloads": ["no-such-workload"],
+            jid = svc.submit("sweep", {"workloads": ["bc"],
+                                       "variants": ["DRAM-Only"],
                                        "records": R})
             job = wait_for(svc.store, jid)
             assert job["state"] == "failed"
-            assert "no-such-workload" in job["error"]
+            assert "cell bc/DRAM-Only crashed" in job["error"]
+            assert "Traceback" in job["error"]
 
     def test_unknown_kind_rejected(self, tmp_path):
         with SweepService(state_dir=tmp_path / "s", cache_dir=tmp_path / "c",
@@ -390,6 +404,24 @@ class TestSweepService:
         svc.close()
         assert time.monotonic() - start < 5.0
         assert not any(thread.is_alive() for thread in schedulers)
+
+    def test_report_job_matches_repro_report(self, tmp_path, monkeypatch):
+        """A report job and ``repro report`` run one figures loop: the
+        figure JSON they write is byte-identical."""
+        monkeypatch.chdir(tmp_path)
+        local = tmp_path / "local"
+        assert main(["report", "fig2", "--workloads", "bc", "--records",
+                     str(R), "--no-cache", "--no-trends", "--quiet",
+                     "-o", str(local)]) == 0
+        with SweepService(state_dir=tmp_path / "s", cache_dir=tmp_path / "c",
+                          jobs=1) as svc:
+            jid = svc.submit("report", {"figures": ["fig2"],
+                                        "workloads": ["bc"], "records": R})
+            job = wait_for(svc.store, jid)
+            assert job["state"] == "done", job.get("error")
+            assert job["result"]["figures"] == ["fig2"]
+            served = svc.artifact_dir(jid) / "fig2.json"
+            assert served.read_bytes() == (local / "fig2.json").read_bytes()
 
     def test_restart_resumes_claimed_job(self, tmp_path):
         # A coordinator claimed the job, then died without finishing
@@ -432,6 +464,38 @@ class TestServiceHTTP:
         status = client.status()
         assert status["jobs"]["queued"] == 0
         assert status["cache"]["index"] == "sqlite"
+
+    @pytest.mark.parametrize("spec, field", [
+        ({"recrods": 200}, "recrods"),
+        ({"threads": 0}, "threads"),
+        ({"workloads": ["no-such-workload"]}, "workloads"),
+        ({"timing": "TLC"}, "timing"),
+    ])
+    def test_bad_spec_is_400_at_submit(self, service, spec, field):
+        """A bad spec never becomes a queued job that fails (or, worse,
+        runs something else) later."""
+        svc, client = service
+        with pytest.raises(ServiceError) as err:
+            client.submit("sweep", spec)
+        assert err.value.status == 400
+        assert f"{field}: " in str(err.value)
+        assert svc.store.list_jobs() == []
+
+    def test_sweep_job_honours_device_model(self, service):
+        _, client = service
+        jid = client.submit("sweep", {"workloads": ["bc"],
+                                      "variants": ["Base-CSSD"],
+                                      "records": R,
+                                      "device_model": "deep"})["id"]
+        final = client.wait(jid, timeout=120)
+        assert final["state"] == "done", final.get("error")
+        got = client.result(jid)["results"]
+        assert got[0]["config"]["device_model"]["kind"] == "deep"
+        local = run_sweep(sweep_product(["bc"], ["Base-CSSD"],
+                                        records_per_thread=R,
+                                        device_model="deep"),
+                          jobs=1, cache=False)
+        assert dumps(got) == dumps(local)
 
     def test_error_paths(self, service):
         _, client = service
