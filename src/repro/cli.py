@@ -173,8 +173,8 @@ def _progress_printer(verbose: bool) -> Optional[Callable[[SweepJob, str], None]
     return report
 
 
-def _add_spec_option(parser: argparse.ArgumentParser, spec_field: Field,
-                     default: object = None) -> None:
+def _add_spec_option(parser: argparse.ArgumentParser,
+                     spec_field: Field) -> None:
     """One spec field as ``--name``; a number goes through the field's
     own check, so argv and HTTP reject the same values."""
 
@@ -187,25 +187,19 @@ def _add_spec_option(parser: argparse.ArgumentParser, spec_field: Field,
             raise argparse.ArgumentTypeError(
                 f"invalid int value: {text!r}") from None
 
-    help_text = spec_field.help
-    if default is not None:
-        help_text = f"{help_text.split(' (default')[0]} (default {default})"
     parser.add_argument(
         "--" + spec_field.name.replace("_", "-"), dest=spec_field.name,
-        default=default, help=help_text, choices=spec_field.choices or None,
+        help=spec_field.help, choices=spec_field.choices or None,
         type=number if spec_field.type is int else None)
 
 
 def _add_cell_options(parser: argparse.ArgumentParser,
-                      names: Sequence[str] = (),
-                      **defaults: object) -> None:
+                      names: Sequence[str] = ()) -> None:
     """The cell options (``--records --threads --scale --timing --seed
-    --device-model``), or only ``names``; ``defaults`` override a
-    field's default."""
+    --device-model``), or only ``names``."""
     for spec_field in CELL_FIELDS:
         if not names or spec_field.name in names:
-            _add_spec_option(parser, spec_field,
-                             defaults.get(spec_field.name))
+            _add_spec_option(parser, spec_field)
 
 
 def _add_fleet_options(parser: argparse.ArgumentParser) -> None:
@@ -501,8 +495,8 @@ def _trace_gen_meta(names: Sequence[str], args: argparse.Namespace):
         traces = plan.traces
         meta = {"kind": "colocation", "seed": seed,
                 "workload": "+".join(t.name for t in tenants), **plan.meta()}
-    config = build_config(scale=scale, timing=args.timing or "ULL", seed=seed,
-                          threads=len(traces), device_model=args.device_model)
+    config = build_config(scale=scale, seed=seed, threads=len(traces),
+                          device_model=args.device_model)
     if args.qos:
         # Bake the QoS knobs into the embedded config: replay then
         # reconstructs the exact same isolation behaviour on any backend
@@ -811,8 +805,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"scenario or workload name(s); scenarios: "
                             f"{', '.join(scenario_names())}")
     p_gen.add_argument("--output", "-o", required=True, metavar="FILE.sbt")
-    # --threads is per tenant when colocating.
-    _add_cell_options(p_gen, threads=2)
+    _add_cell_options(p_gen, ["records", "threads", "scale", "seed",
+                              "device_model"])
+    p_gen.set_defaults(threads=2)  # per tenant when colocating
     p_gen.add_argument("--qos", default=None, metavar="MODE",
                        choices=("wfq", "priority", "log-partition",
                                 "cache-quota"),
@@ -834,7 +829,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_capture.add_argument("workload", help="workload or scenario name")
     p_capture.add_argument("variant", help=f"one of {', '.join(VARIANTS)}")
     p_capture.add_argument("--output", "-o", required=True, metavar="FILE.sbt")
-    _add_cell_options(p_capture)
+    _add_cell_options(p_capture, ["records", "threads", "scale", "seed",
+                                  "device_model"])
 
     p_replay = trace_sub.add_parser(
         "replay",
@@ -897,7 +893,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_prof.add_argument("workload", help=f"one of {', '.join(WORKLOAD_NAMES)}")
     p_prof.add_argument("variant", help=f"one of {', '.join(VARIANTS)}")
-    _add_cell_options(p_prof)
+    _add_cell_options(p_prof, ["records", "seed", "device_model"])
     p_prof.add_argument("--top", type=int, default=25, metavar="K",
                         help="functions to list by self time (default 25)")
     p_prof.set_defaults(func=cmd_profile)

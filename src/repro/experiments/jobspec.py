@@ -80,11 +80,6 @@ class SpecError(ValueError):
         self.reason = reason
 
 
-class JobCancelled(Exception):
-    """Raised from a job's progress callback to stop it; the figures
-    loop lets it through instead of recording a failed figure."""
-
-
 @dataclass(frozen=True)
 class Field:
     """One scalar spec field; the CLI spells it ``--name-with-dashes``."""
@@ -117,7 +112,8 @@ CELL_FIELDS: Tuple[Field, ...] = (
     Field("records", int, 1, kwarg="records_per_thread",
           help="trace records per thread (default REPRO_RECORDS)"),
     Field("threads", int, 1, kwarg="threads",
-          help="simulated threads (default: the variant's rule)"),
+          help="simulated threads (default: the variant's rule; "
+               "trace gen: 2, per tenant when colocating)"),
     Field("scale", int, 1, kwarg="scale",
           help="capacity scale divisor (default 512)"),
     Field("timing", str, choices=tuple(FLASH_TIMINGS), kwarg="timing",
@@ -276,31 +272,42 @@ def sweep_payload(spec: JobSpec, jobs: int, backend: str,
 # -- figures -----------------------------------------------------------------
 
 
-def run_figures(spec: JobSpec, out_dir: Path, builder: object = None,
+class FigureLog:
+    """What :func:`run_figures` tells about each figure and cell.  This
+    one keeps nothing, so a failing driver raises; a ``ReportBuilder``
+    records the failure as that figure's FAILED section."""
+
+    def figure_started(self, figure: str) -> None:
+        pass
+
+    def cell_completed(self, job: SweepJob, source: str) -> None:
+        pass
+
+    def figure_finished(self, figure: str, data: object) -> None:
+        pass
+
+    def figure_failed(self, figure: str, error: str) -> None:
+        raise  # called while handling the driver's exception: re-raise it
+
+
+def run_figures(spec: JobSpec, out_dir: Path, log: object = None,
                 verbose: bool = False,
                 **options: object) -> Iterator[Tuple[str, bool]]:
     """Run a report spec's figure drivers in order, writing
-    ``<out_dir>/<name>.json`` for each; yields ``(name, failed)`` after
-    each figure.
-
-    ``options`` (``backend``, ``cache``, ``progress``, ``policy``) and
-    the spec's workloads, records and jobs reach the drivers that take
-    them.  Without a ``builder`` a failing driver raises.  With a
-    :class:`~repro.figures.report.ReportBuilder`, each figure and cell
-    is also reported to it, and a failure anywhere -- driver, JSON
-    write, shaping, SVG, fidelity scoring -- is recorded as that
-    figure's FAILED section and the loop goes on.  ``verbose`` prints
-    progress lines.
-    """
+    ``<out_dir>/<name>.json`` for each and telling ``log`` (default a
+    :class:`FigureLog`) about each figure, cell and failure; yields
+    ``(name, failed)`` after each figure.  ``options`` (``backend``,
+    ``cache``, ``progress``, ``policy``) and the spec's workloads,
+    records and jobs reach the drivers that take them."""
+    log = FigureLog() if log is None else log
     caller_progress = options.get("progress")
 
     def progress(job: SweepJob, source: str) -> None:
-        builder.cell_completed(job, source)
+        log.cell_completed(job, source)
         if caller_progress is not None:
             caller_progress(job, source)
 
-    candidates = dict(options, jobs=spec.jobs,
-                      progress=caller_progress if builder is None else progress,
+    candidates = dict(options, jobs=spec.jobs, progress=progress,
                       workloads=list(spec.workloads) or None,
                       records=spec.cell.get("records"))
     for name in spec.figures:
@@ -313,24 +320,17 @@ def run_figures(spec: JobSpec, out_dir: Path, builder: object = None,
         kwargs = {k: v for k, v in candidates.items()
                   if k in accepted and v is not None}
         path = out_dir / f"{name}.json"
-        if builder is not None:
-            builder.figure_started(name)
+        log.figure_started(name)
         try:
             data = fn(**kwargs)
             path.write_text(json.dumps(data, indent=2, default=str))
-            if builder is not None:
-                builder.figure_finished(name, data)
-        except Exception as exc:  # noqa: BLE001 - recorded, non-zero exit
-            if builder is None or isinstance(exc, JobCancelled):
-                raise
-            builder.figure_failed(name, traceback.format_exc())
+            log.figure_finished(name, data)
+        except Exception:  # noqa: BLE001 - recorded, non-zero exit
+            log.figure_failed(name, traceback.format_exc())
             if verbose:
                 print(f"   FAILED (see {out_dir / 'REPORT.md'})", file=sys.stderr)
             yield name, True
             continue
-        if verbose and builder is None:
+        if verbose:
             print(f"   wrote {path}")
-        elif verbose:
-            rendered = ", ".join(f for f, _svg in builder.svg_files[name])
-            print(f"   rendered {rendered or 'report section'}")
         yield name, False

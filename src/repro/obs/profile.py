@@ -15,6 +15,7 @@ lists the functions with the most self time.
 from __future__ import annotations
 
 import cProfile
+import gc
 import os
 import pstats
 from typing import Dict, List, Tuple
@@ -43,6 +44,9 @@ def profile_cell(workload: str, variant: str, **kwargs):
     from repro.sim.engine import events_processed
 
     run_workload(workload, variant, **kwargs)
+    # Finalizers of garbage left by earlier work (this run's or the
+    # caller's) would otherwise run, and be counted, inside the profile.
+    gc.collect()
     profiler = cProfile.Profile()
     before = events_processed()
     profiler.enable()

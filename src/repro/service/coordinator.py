@@ -56,7 +56,7 @@ from repro.experiments.backends import (
     resolve_backend,
 )
 from repro.experiments.jobspec import (
-    JobCancelled,
+    KIND_KEYS,
     JobSpec,
     cell_event,
     parse_spec,
@@ -69,6 +69,11 @@ from repro.obs import REGISTRY, span
 from repro.obs.log import JsonLinesLogger
 from repro.obs.spans import SpanContext, activate, deactivate
 from repro.service.store import JobStore
+
+
+class JobCancelled(BaseException):
+    """Raised from a job's progress callback to stop it; not an
+    :class:`Exception`, so no handler takes it for a failed figure."""
 
 
 class SweepService:
@@ -218,7 +223,11 @@ class SweepService:
             token = activate(trace)
         try:
             with span("service.job", kind=str(job["kind"]), job=job_id):
-                spec = parse_spec(str(job["kind"]), job["spec"])
+                # A job queued before submit checked specs may carry
+                # keys its kind ignores; they are dropped.
+                kind = str(job["kind"])
+                spec = parse_spec(kind, {k: v for k, v in job["spec"].items()
+                                         if k in KIND_KEYS.get(kind, ())})
                 if spec.kind == "report":
                     result = self._run_report_job(job_id, spec)
                 else:
@@ -301,8 +310,7 @@ class SweepService:
         from repro.figures.report import ReportBuilder  # lazy: heavy import
 
         out_dir = self.artifact_dir(job_id)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        builder = ReportBuilder(out_dir, list(spec.figures))
+        builder = ReportBuilder(out_dir, list(spec.figures))  # makes out_dir
 
         def progress(job, source) -> None:
             self.store.add_event(job_id, {

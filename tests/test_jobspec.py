@@ -204,9 +204,11 @@ def test_run_workload_rejects_empty_runs(kwargs, name):
     (["sweep", "--workloads", "bc", "--variants", "DRAM-Only",
       "--threads", "-3"], "--threads"),
     (["figures", "fig2", "--workloads", "bc", "--records", "0"], "--records"),
-    (["profile", "bc", "Base-CSSD", "--threads", "0"], "--threads"),
+    (["profile", "bc", "Base-CSSD", "--seed", "-1"], "--seed"),
     (["trace", "gen", "web-tier", "-o", "x.sbt", "--threads", "0"],
      "--threads"),
+    (["trace", "capture", "bc", "Base-CSSD", "-o", "x.sbt", "--scale", "0"],
+     "--scale"),
     (["job", "submit", "sweep", "--records", "0"], "--records"),
 ])
 def test_bad_cell_options_exit_2_naming_the_option(capsys, monkeypatch,
@@ -220,8 +222,3 @@ def test_bad_cell_options_exit_2_naming_the_option(capsys, monkeypatch,
     assert info.value.code == 2
     assert f"argument {option}" in capsys.readouterr().err
 
-
-def test_profile_takes_every_cell_option(capsys):
-    assert main(["profile", "bc", "DRAM-Only", "--records", str(R),
-                 "--threads", "2", "--timing", "SLC", "--top", "0"]) == 0
-    assert "(2 threads," in capsys.readouterr().out

@@ -25,7 +25,8 @@ from repro.cli import main
 from repro.experiments.orchestrator import run_sweep, sweep_product
 from repro.service.api import ServiceAPI
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.coordinator import SweepService
+from repro.experiments.jobspec import parse_spec, run_figures
+from repro.service.coordinator import JobCancelled, SweepService
 from repro.service.store import JobStore, SqliteResultCache
 from test_cache_store import entry_size, fake_result, write_legacy_cache
 
@@ -438,6 +439,43 @@ class TestSweepService:
             job = wait_for(svc.store, jid)
             assert job["state"] == "done", job.get("error")
             assert job["attempts"] == 2
+
+    def test_resumes_jobs_queued_with_keys_their_kind_ignores(self, tmp_path):
+        """Jobs queued before submit checked specs may carry keys their
+        kind ignores (a scenario job's ``workloads``, a report job's
+        ``variants``); they still run after a restart."""
+        pre = JobStore(tmp_path / "s" / "jobs.sqlite3")
+        scenario = pre.submit("scenario", {
+            "names": ["tab1-bc"], "workloads": ["bc"],
+            "variants": ["DRAM-Only"], "records": R})
+        report = pre.submit("report", {
+            "figures": ["fig2"], "workloads": ["bc"],
+            "variants": ["DRAM-Only"], "records": R})
+        pre.close()
+        with SweepService(state_dir=tmp_path / "s", cache_dir=tmp_path / "c",
+                          jobs=1) as svc:
+            for jid in (scenario, report):
+                job = wait_for(svc.store, jid)
+                assert job["state"] == "done", job.get("error")
+
+    def test_cancel_passes_through_the_figures_loop(self, tmp_path):
+        """A report job's cancel is raised from its progress callback
+        inside a driver; the figures loop must not record it as a
+        failed figure."""
+        from repro.figures.report import ReportBuilder
+
+        spec = parse_spec("report", {"figures": ["fig2", "table3"],
+                                     "workloads": ["bc"], "records": R})
+        builder = ReportBuilder(tmp_path, list(spec.figures))
+
+        def progress(job, source):
+            raise JobCancelled("stop")
+
+        with pytest.raises(JobCancelled):
+            list(run_figures(spec, tmp_path, builder, cache=False,
+                             progress=progress))
+        assert not (tmp_path / "fig2.json").exists()
+        assert not (tmp_path / "table3.json").exists()
 
 
 # ---------------------------------------------------------------------------
