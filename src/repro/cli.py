@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro import bench as bench_mod
+from repro.config import ISOLATIONS
 from repro.experiments.backends import (
     CellPolicy,
     DistributedBackend,
@@ -63,6 +64,7 @@ from repro.experiments.runner import (
     build_config,
     capture_workload,
     default_records,
+    resolve_run,
     run_workload,
 )
 from repro.experiments.worker import run_worker
@@ -282,10 +284,17 @@ def _spec_from_args(kind: str, args: argparse.Namespace) -> Dict[str, object]:
     return {key: value for key, value in spec.items() if value is not None}
 
 
+def _planned_job(args: argparse.Namespace) -> SweepJob:
+    """The one cell ``run``/``profile`` name, checked before it runs:
+    a bad config or REPRO_RECORDS is a ``ValueError`` here."""
+    job = SweepJob.make(args.workload, args.variant, **cell_kwargs(vars(args)))
+    resolve_run(job.workload, job.variant, **job.kwargs())
+    return job
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     try:
-        job = SweepJob.make(args.workload, args.variant,
-                            **cell_kwargs(vars(args)))
+        job = _planned_job(args)
         backend = _backend_from_args(args)
     except (KeyError, ValueError) as exc:
         return _bad_input(exc)
@@ -623,9 +632,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
         print("error: --top must be >= 0", file=sys.stderr)
         return 2
     try:
-        job = SweepJob.make(args.workload, args.variant,
-                            **cell_kwargs(vars(args)))
-    except KeyError as exc:
+        job = _planned_job(args)
+    except (KeyError, ValueError) as exc:
         return _bad_input(exc)
     from repro.obs.profile import profile_cell, render_counts, render_profile
 
@@ -809,11 +817,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "device_model"])
     p_gen.set_defaults(threads=2)  # per tenant when colocating
     p_gen.add_argument("--qos", default=None, metavar="MODE",
-                       choices=("wfq", "priority", "log-partition",
-                                "cache-quota"),
-                       help="embed a tenant-QoS config in the colocation "
-                            "trace (wfq, priority, log-partition, "
-                            "cache-quota; see docs/QOS.md)")
+                       choices=ISOLATIONS[1:],
+                       help=f"embed a tenant-QoS config in the colocation "
+                            f"trace ({', '.join(ISOLATIONS[1:])}; see "
+                            f"docs/QOS.md)")
 
     p_inspect = trace_sub.add_parser(
         "inspect", help="print a tracefile's metadata and per-thread shape"

@@ -205,8 +205,11 @@ class Core:
         end_ns = now + wall
 
         # Quantum preemption keeps oversubscribed runs fair even when the
-        # device never asks for a switch.
-        if self._sched_runtime >= self._quantum_ns and self._scheduler._queue:
+        # device never asks for a switch.  A thread whose last window this
+        # was is not preempted: the run queue drops finished threads, so
+        # it would never report done; its next slice finishes it.
+        if (self._sched_runtime >= self._quantum_ns and self._scheduler._queue
+                and not thread.done):
             self._yield_thread(thread, end_ns, self._config.os.context_switch_ns)
             return
         engine._seq = seq = engine._seq + 1

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
+from repro.config import T_POLICIES
 from repro.experiments.orchestrator import SweepJob, run_sweep
 from repro.experiments.runner import default_records
 from repro.workloads.suites import representative_four
@@ -21,9 +22,6 @@ PAPER_EXPECTED = {
 
 #: The thresholds of Fig. 9, in microseconds.
 FIG9_THRESHOLDS_US = (2, 10, 20, 40, 60, 80)
-
-#: The policies of Fig. 10 (paper names RR / Random / CFS).
-FIG10_POLICIES = ("RR", "RANDOM", "FAIRNESS")
 
 
 def fig9_threshold_sweep(
@@ -90,7 +88,7 @@ def fig10_scheduling_policies(
             t_policy=sched_policy,
         )
         for wl in workloads
-        for sched_policy in FIG10_POLICIES
+        for sched_policy in T_POLICIES
     ]
     results = iter(run_sweep(specs, jobs=jobs, cache=cache, backend=backend,
                              progress=progress, policy=policy))
@@ -98,7 +96,7 @@ def fig10_scheduling_policies(
     for wl in workloads:
         rr_ipns = None
         per_policy: Dict[str, Dict[str, float]] = {}
-        for sched_policy in FIG10_POLICIES:
+        for sched_policy in T_POLICIES:
             r = next(results)
             ipns = max(r.stats.throughput_ipns, 1e-12)
             if rr_ipns is None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from repro.config import FLASH_TIMINGS
+from repro.config import FLASH_TIMINGS, rule_of
 from repro.experiments import ablation, colocation, cost, design, migration_study
 from repro.experiments import flash_sensitivity, motivation, occupancy, overall
 from repro.experiments import qos, sensitivity
@@ -108,19 +108,23 @@ class Field:
 
 
 #: The per-cell fields every cell-building verb and job kind shares.
+#: ``threads``, ``seed`` and ``device_model`` take their rule from the
+#: config schema (:mod:`repro.config`); ``records`` and ``scale`` are
+#: run arguments, not config fields.
 CELL_FIELDS: Tuple[Field, ...] = (
     Field("records", int, 1, kwarg="records_per_thread",
           help="trace records per thread (default REPRO_RECORDS)"),
-    Field("threads", int, 1, kwarg="threads",
+    Field("threads", int, rule_of("threads").minimum, kwarg="threads",
           help="simulated threads (default: the variant's rule; "
                "trace gen: 2, per tenant when colocating)"),
     Field("scale", int, 1, kwarg="scale",
           help="capacity scale divisor (default 512)"),
     Field("timing", str, choices=tuple(FLASH_TIMINGS), kwarg="timing",
           help="flash timing preset (default ULL)"),
-    Field("seed", int, 0, kwarg="seed",
+    Field("seed", int, rule_of("seed").minimum, kwarg="seed",
           help="workload synthesis and simulation seed (default 42)"),
-    Field("device_model", str, choices=("flat", "deep"), kwarg="device_model",
+    Field("device_model", str, choices=rule_of("device_model.kind").choices,
+          kwarg="device_model",
           help="flash device model: flat horizon estimates or the deep "
                "geometry/scheduler/GC model (default flat; see "
                "docs/DEVICE_MODEL.md)"),

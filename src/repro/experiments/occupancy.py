@@ -50,7 +50,7 @@ def channel_occupancy_study(
         records_per_thread=records,
         device_model="deep",
     )
-    config = config.with_trace(enabled=True, requests=False)
+    config = config.replace(trace={"enabled": True, "requests": False})
     design = get_variant(variant)
     traces, mlp = _traces_for(
         workload, config.threads, records_per_thread, DEFAULT_SCALE,

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from repro.config import ISOLATIONS
 from repro.experiments.colocation import run_colocation
 from repro.experiments.runner import DEFAULT_SCALE, default_records
 from repro.scenarios.colocate import Tenant
@@ -41,8 +42,6 @@ DEFAULT_MIX = ("web-tier", "analytics-scan", "graph-walk", "log-ingest")
 #: assignment.
 LATENCY_SENSITIVE = ("web-tier", "graph-walk")
 
-#: Isolation mechanisms the sweep compares (order is figure order).
-ISOLATIONS = ("none", "wfq", "priority", "log-partition", "cache-quota")
 
 DEFAULT_TENANT_COUNTS = (2, 8, 32)
 

@@ -19,7 +19,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.config import DeviceModelConfig, SimConfig, scaled_config
+from repro.config import Rule, SimConfig, check_field, scaled_config
 from repro.scenarios.library import find_scenario
 from repro.scenarios.tracefile import read_meta, read_tracefile, write_tracefile
 from repro.sim.stats import SimStats
@@ -29,11 +29,26 @@ from repro.workloads.suites import canonical_workload, get_model
 from repro.workloads.trace import Trace, TraceRecord
 
 DEFAULT_SCALE = 512
+RECORDS_ENV = "REPRO_RECORDS"
+#: A run's simulated-time budget: some time, and a finite amount.
+_MAX_NS = Rule(above=0)
 
 
 def default_records() -> int:
-    """Trace records per thread; override with REPRO_RECORDS."""
-    return int(os.environ.get("REPRO_RECORDS", "3000"))
+    """Trace records per thread: REPRO_RECORDS, or 3000.
+
+    Raises ``ValueError`` naming the variable unless it is a positive
+    integer: a run of no records retires nothing.
+    """
+    raw = os.environ.get(RECORDS_ENV, "").strip() or "3000"
+    try:
+        records = int(raw)
+    except ValueError:
+        records = 0
+    if records < 1:
+        raise ValueError(f"{RECORDS_ENV} must be a positive integer, "
+                         f"not {raw!r}")
+    return records
 
 
 @dataclass
@@ -85,16 +100,6 @@ class RunResult:
         )
 
 
-def resolve_device_model(spec: object) -> DeviceModelConfig:
-    """Normalise a device-model spec: a :class:`DeviceModelConfig`, a
-    kind string (``"deep"``), or a dict of config fields."""
-    if isinstance(spec, DeviceModelConfig):
-        return spec
-    if isinstance(spec, str):
-        return DeviceModelConfig(kind=spec)
-    return DeviceModelConfig.from_dict(dict(spec))
-
-
 def build_config(
     scale: int = DEFAULT_SCALE,
     timing: str = "ULL",
@@ -114,36 +119,33 @@ def build_config(
     ``ssd_overrides`` passes arbitrary :class:`~repro.config.SSDConfig`
     fields (``prefetch_depth``, ``promotion_threshold``, ...) straight
     through, applied after the named shortcuts above.  ``device_model``
-    selects the flash model: a kind string (``"deep"``) or a dict of
-    :class:`~repro.config.DeviceModelConfig` fields; ``None`` keeps the
-    flat default (and the config's serialised form byte-identical).
+    selects the flash model: a kind string (``"deep"``), a
+    :class:`~repro.config.DeviceModelConfig` or a dict of its fields;
+    ``None`` keeps the flat default (and the config's serialised form
+    byte-identical).  Mappings go through :meth:`SimConfig.replace`, so
+    an unknown key is a ``ValueError`` naming its dotted path.
     """
     config = scaled_config(scale=scale, threads=threads, timing=timing, seed=seed)
-    config = config.replace(warmup_fraction=warmup_fraction)
-    ssd_fields: Dict[str, object] = {}
+    ssd: Dict[str, object] = {}
     if dram_bytes is not None:
-        ssd_fields["dram_bytes"] = dram_bytes
+        ssd["dram_bytes"] = dram_bytes
         # Keep the paper's 1:7 log:cache split unless told otherwise.
         if write_log_bytes is None:
-            ssd_fields["write_log_bytes"] = max(dram_bytes // 8, 4096)
+            ssd["write_log_bytes"] = max(dram_bytes // 8, 4096)
     if write_log_bytes is not None:
-        ssd_fields["write_log_bytes"] = write_log_bytes
-    if ssd_overrides:
-        ssd_fields.update(ssd_overrides)
-    if ssd_fields:
-        config = config.with_ssd(**ssd_fields)
-    os_overrides: Dict[str, object] = {}
-    if cs_threshold_ns is not None:
-        os_overrides["cs_threshold_ns"] = cs_threshold_ns
-    if t_policy is not None:
-        os_overrides["t_policy"] = t_policy
-    if os_overrides:
-        config = config.with_os(**os_overrides)
+        ssd["write_log_bytes"] = write_log_bytes
+    ssd.update(ssd_overrides or {})
+    changes: Dict[str, object] = {"warmup_fraction": warmup_fraction,
+                                  "ssd": ssd}
+    os_fields = {"cs_threshold_ns": cs_threshold_ns, "t_policy": t_policy}
+    changes["os"] = {k: v for k, v in os_fields.items() if v is not None}
     if host_budget_bytes is not None:
-        config = config.with_cpu(host_promote_budget_bytes=host_budget_bytes)
+        changes["cpu"] = {"host_promote_budget_bytes": host_budget_bytes}
     if device_model is not None:
-        config = config.replace(device_model=resolve_device_model(device_model))
-    return config
+        changes["device_model"] = ({"kind": device_model}
+                                   if isinstance(device_model, str)
+                                   else device_model)
+    return config.replace(**changes)
 
 
 #: Memoized per-thread traces and MLP per generation key.  Trace
@@ -284,10 +286,15 @@ def resolve_run(
 
     ``trace`` replays a ``.sbt`` tracefile: the configuration embedded at
     capture/generation time is authoritative (so replay is bit-exact) and
-    the other configuration arguments are ignored.  Otherwise
-    ``records_per_thread`` or ``threads`` below 1 is a ``ValueError``.
+    the other configuration arguments are ignored.
+
+    Every cell is checked here, before it is keyed or run: a
+    ``ValueError`` names the bad argument or config field
+    (:meth:`SimConfig.validate`), ``records_per_thread`` below 1 and
+    ``max_ns`` not a finite positive number included.
     """
-    del max_ns  # part of the run, not of the config
+    if max_ns is not None:
+        check_field(max_ns, float, _MAX_NS, "max_ns")
     if trace is not None:
         meta = read_meta(trace)
         if "config" not in meta:
@@ -296,17 +303,20 @@ def resolve_run(
                 f"written by 'repro trace gen/capture' and cannot be "
                 f"replayed as a sweep cell"
             )
-        config = SimConfig.from_dict(meta["config"])
+        try:
+            config = SimConfig.from_dict(meta["config"]).validate()
+        except ValueError as exc:
+            raise ValueError(f"tracefile {trace!r}: embedded config: "
+                             f"{exc}") from None
         return config, int(meta.get("records_per_thread") or 0)
     design: DesignVariant = get_variant(variant)
     if records_per_thread is None:
         records_per_thread = default_records()
-    # A zero-length or threadless run "succeeds" with execution_ns 0,
-    # and would be cached, served and plotted as a result.
-    for name, value in (("records_per_thread", records_per_thread),
-                        ("threads", threads)):
-        if value is not None and value < 1:
-            raise ValueError(f"{name} must be at least 1, not {value}")
+    # A zero-length run "succeeds" with execution_ns 0, and would be
+    # cached, served and plotted as a result.
+    if records_per_thread < 1:
+        raise ValueError(f"records_per_thread must be at least 1, "
+                         f"not {records_per_thread}")
     base = build_config(
         scale=scale,
         timing=timing,
@@ -322,7 +332,7 @@ def resolve_run(
     )
     if threads is None:
         threads = design.default_threads(base.cpu.cores)
-    return base.replace(threads=threads), records_per_thread
+    return base.replace(threads=threads).validate(), records_per_thread
 
 
 def run_workload(
@@ -375,6 +385,7 @@ def run_workload(
         dram_bytes=dram_bytes,
         host_budget_bytes=host_budget_bytes,
         warmup_fraction=warmup_fraction,
+        max_ns=max_ns,
         ssd_overrides=ssd_overrides,
         device_model=device_model,
         trace=trace,
@@ -387,7 +398,7 @@ def run_workload(
             workload, config.threads, records_per_thread, scale, seed
         )
     if timeline is not None:
-        config = config.with_trace(enabled=True)
+        config = config.replace(trace={"enabled": True})
     system = System(config, traces, design, workload_mlp=mlp)
     stats = system.run(max_ns=max_ns)
     if timeline is not None and system.tracer is not None:
@@ -416,8 +427,8 @@ def capture_workload(
     the file reproduces this run's stats bit-exactly.
     """
     design: DesignVariant = get_variant(variant)
-    max_ns = kwargs.pop("max_ns", None)
     config, records_per_thread = resolve_run(workload, variant, **kwargs)
+    max_ns = kwargs.pop("max_ns", None)
     scale = int(kwargs.get("scale", DEFAULT_SCALE))
     seed = int(kwargs.get("seed", 42))
     traces, mlp = _traces_for(

@@ -21,9 +21,8 @@ import random
 from operator import attrgetter
 from typing import List, Optional
 
+from repro.config import T_POLICIES as POLICIES
 from repro.host.threads import ThreadContext
-
-POLICIES = ("RR", "RANDOM", "FAIRNESS")
 
 #: CFS pick key ``(runtime_ns, tid)``, read in C: no Python call per
 #: queued thread.

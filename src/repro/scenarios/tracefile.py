@@ -150,8 +150,6 @@ class TraceFileWriter:
         self.path = Path(path)
         self._fh: Optional[BinaryIO] = open(self.path, "wb")
         self._sha = hashlib.sha256()
-        self.threads_written = 0
-        self.records_written = 0
         header = gzip.compress(
             json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8"),
             mtime=0,
@@ -174,8 +172,6 @@ class TraceFileWriter:
         self._emit(bytes([THREAD_MARKER]))
         self._emit(struct.pack(">II", len(records), len(frame)))
         self._emit(frame)
-        self.threads_written += 1
-        self.records_written += len(records)
 
     def close(self) -> None:
         if self._fh is None:

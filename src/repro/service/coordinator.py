@@ -112,7 +112,6 @@ class SweepService:
         self.jobs = jobs
         self.policy = policy
         self.max_active = max(1, int(max_active))
-        self._log = log
         #: Serializes sweeps onto the shared distributed backend: its
         #: listener is a single-sweep-at-a-time resource.  Local-backend
         #: jobs run without it.

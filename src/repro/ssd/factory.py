@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.config import SimConfig
+from repro.config import DEVICE_KINDS, SimConfig
 from repro.sim.engine import Engine
 from repro.sim.stats import DeviceStats, SimStats
 from repro.ssd.flash import DeepFlashArray, FlashArray
@@ -49,7 +49,8 @@ def build_flash_subsystem(
         gc = GarbageCollector(ssd, ftl, flash, engine, stats)
     else:
         raise ValueError(
-            f"unknown device_model.kind {device.kind!r} (expected 'flat' or 'deep')"
+            f"unknown device_model.kind {device.kind!r} (expected one of "
+            f"{', '.join(DEVICE_KINDS)})"
         )
     return ftl, flash, gc
 

@@ -150,8 +150,8 @@ class BackgroundGarbageCollector(GarbageCollector):
       instead of dumping every op at one instant.
 
     Campaigns chain: while the channel stays below the watermark and the
-    last campaign freed something, the next one is scheduled
-    ``gc_idle_ns`` after completion.  Both conditions are required, so
+    last campaign left more free blocks than it found, the next one is
+    scheduled ``gc_idle_ns`` after completion.  Both conditions are required, so
     the event chain always terminates and the engine cannot hang on a
     self-rescheduling GC.  The allocation-time emergency path is
     inherited unchanged: FTL metadata updates stay synchronous, so the
@@ -201,6 +201,7 @@ class BackgroundGarbageCollector(GarbageCollector):
         device = self._stats.device
         completion = now
         freed = 0
+        free_before = self._ftl.free_blocks_in_channel(channel)
         while freed < self.blocks_per_campaign:
             victim = self._ftl.select_victim(channel)
             if victim is None:
@@ -222,7 +223,9 @@ class BackgroundGarbageCollector(GarbageCollector):
                 device.gc_erases += 1
             self._ftl.release_block(victim)
             freed += 1
-        made_progress = freed > 0
+        # Relocating a victim's live pages takes free pages too: only a
+        # campaign that left more free blocks than it found made progress.
+        made_progress = self._ftl.free_blocks_in_channel(channel) > free_before
         self._trace_campaign(channel, now, completion, freed, "background")
 
         def _finish() -> None:

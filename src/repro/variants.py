@@ -49,15 +49,15 @@ class DesignVariant:
     def apply(self, config: SimConfig) -> SimConfig:
         """Return ``config`` with this variant's knobs set."""
         mechanism = self.migration_mechanism if self.promotion else "none"
-        config = config.replace(dram_only=self.dram_only).with_skybyte(
-            write_log_enable=self.write_log,
-            promotion_enable=self.promotion,
-            device_triggered_ctx_swt=self.ctx_switch,
-            migration_mechanism=mechanism,
-            astriflash=self.astriflash,
-        )
+        config = config.replace(dram_only=self.dram_only, skybyte={
+            "write_log_enable": self.write_log,
+            "promotion_enable": self.promotion,
+            "device_triggered_ctx_swt": self.ctx_switch,
+            "migration_mechanism": mechanism,
+            "astriflash": self.astriflash,
+        })
         if self.device_model:
-            config = config.with_device(kind=self.device_model)
+            config = config.replace(device_model={"kind": self.device_model})
         return config
 
     def default_threads(self, cores: int) -> int:

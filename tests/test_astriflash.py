@@ -10,9 +10,9 @@ from repro.sim.stats import HOST_DRAM, SimStats
 
 
 def build(budget_pages=16):
-    config = scaled_config(scale=512).with_cpu(
+    config = scaled_config(scale=512).replace(cpu=dict(
         host_promote_budget_bytes=budget_pages * 4096
-    )
+    ))
     engine = Engine()
     stats = SimStats()
     link = CXLLink(config.cxl, stats)

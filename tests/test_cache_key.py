@@ -19,20 +19,17 @@ import json
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.config import FLASH_TIMINGS, SimConfig, scaled_config
+from config_strategies import config_st
+from repro.config import FLASH_TIMINGS, T_POLICIES as POLICIES, SimConfig, scaled_config
 from repro.experiments.orchestrator import SweepJob
 
 TIMINGS = sorted(FLASH_TIMINGS)
-POLICIES = ("RR", "RANDOM", "FAIRNESS")
 
 COMMON_SETTINGS = settings(
     max_examples=25,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-
-finite_floats = st.floats(allow_nan=False, allow_infinity=False,
-                          min_value=1e-3, max_value=1e9)
 
 ssd_overrides_st = st.fixed_dictionaries(
     {},
@@ -180,41 +177,8 @@ def test_workload_and_variant_change_key():
 # to_dict / from_dict round-trips are lossless
 # ---------------------------------------------------------------------------
 
-config_st = st.builds(
-    lambda scale, threads, timing, seed, ssd, os_kw, skybyte, warmup: (
-        scaled_config(scale=scale, threads=threads, timing=timing, seed=seed)
-        .with_ssd(**ssd)
-        .with_os(**os_kw)
-        .with_skybyte(**skybyte)
-        .replace(warmup_fraction=warmup)
-    ),
-    scale=st.sampled_from([1, 64, 512, 4096]),
-    threads=st.integers(1, 48),
-    timing=st.sampled_from(TIMINGS),
-    seed=st.integers(0, 2**31 - 1),
-    ssd=ssd_overrides_st,
-    os_kw=st.fixed_dictionaries(
-        {},
-        optional={
-            "t_policy": st.sampled_from(POLICIES),
-            "cs_threshold_ns": finite_floats,
-            "quantum_ns": finite_floats,
-        },
-    ),
-    skybyte=st.fixed_dictionaries(
-        {},
-        optional={
-            "device_triggered_ctx_swt": st.booleans(),
-            "migration_mechanism": st.sampled_from(["skybyte", "tpp", "none"]),
-            "astriflash": st.booleans(),
-        },
-    ),
-    warmup=st.floats(0.0, 1.0),
-)
-
-
 @COMMON_SETTINGS
-@given(config_st)
+@given(config_st())
 def test_simconfig_round_trip_lossless(config):
     data = json.loads(json.dumps(config.to_dict()))
     rebuilt = SimConfig.from_dict(data)

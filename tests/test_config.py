@@ -104,12 +104,12 @@ class TestScaling:
 class TestConfigHelpers:
     def test_replace_helpers_are_functional(self):
         cfg = paper_config()
-        cfg2 = cfg.with_os(cs_threshold_ns=5000.0)
+        cfg2 = cfg.replace(os=dict(cs_threshold_ns=5000.0))
         assert cfg.os.cs_threshold_ns == 2000.0
         assert cfg2.os.cs_threshold_ns == 5000.0
-        cfg3 = cfg.with_ssd(dram_bytes=MB)
+        cfg3 = cfg.replace(ssd=dict(dram_bytes=MB))
         assert cfg3.ssd.dram_bytes == MB
-        cfg4 = cfg.with_skybyte(write_log_enable=False)
+        cfg4 = cfg.replace(skybyte=dict(write_log_enable=False))
         assert not cfg4.skybyte.write_log_enable
 
     def test_geometry_derived_counts(self):

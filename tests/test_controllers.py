@@ -256,7 +256,7 @@ class TestFloatHits:
 
     @staticmethod
     def _build(cls, model):
-        config = scaled_config(scale=512).with_device(kind=model)
+        config = scaled_config(scale=512).replace(device_model=dict(kind=model))
         engine = Engine()
         stats = SimStats()
         ctrl = cls(config, engine, stats, ctx_switch_enabled=True)

@@ -229,3 +229,13 @@ class TestAccounting:
     def test_execution_time_positive_and_finite(self):
         _, stats = run_system("Base-CSSD", [uniform_trace(60, 30)])
         assert 0 < stats.execution_ns < 1e12
+
+    def test_a_thread_preempted_on_its_last_window_still_finishes(self):
+        """With a quantum shorter than any window, every slice ends in a
+        quantum expiry, the last one included: each thread must still
+        report done, or the run never records its end."""
+        traces = [uniform_trace(40, 16) for _ in range(12)]
+        system, stats = run_system("DRAM-Only", traces,
+                                   os={"quantum_ns": 1.0})
+        assert system._threads_done == len(traces)
+        assert stats.execution_ns > 0

@@ -606,6 +606,20 @@ class TestBackgroundGC:
         engine.run()  # would hang forever if campaigns self-rescheduled
         assert not gc.active[0]
 
+    def test_the_chain_stops_when_a_campaign_frees_no_net_block(self):
+        """Relocating a fully valid victim takes as many free pages as
+        erasing it gives back: that campaign made no progress, so the
+        chain must not re-arm (it would re-arm forever)."""
+        _, engine, stats, ftl, flash, gc = build_deep(blocks=8, pages=4)
+        lpa = 0
+        while ftl.free_blocks_in_channel(0) > gc.watermark:
+            ftl.write(lpa, channel=0)  # no overwrite: every page stays valid
+            lpa += 1
+        gc.maybe_collect(0, 0.0)
+        engine.run(until=10_000_000.0)
+        assert not gc.active[0]
+        assert stats.device.background_campaigns == 1
+
     def test_campaigns_chain_while_below_watermark(self):
         _, engine, stats, ftl, flash, gc = build_deep(blocks=8, pages=4)
         churn(ftl, list(range(6)), 12)
@@ -664,7 +678,7 @@ class TestFactory:
         assert isinstance(ftl, PageFTL)
 
     def test_deep_build(self):
-        config = SimConfig().with_device(kind="deep")
+        config = SimConfig().replace(device_model=dict(kind="deep"))
         stats = SimStats()
         ftl, flash, gc = build_flash_subsystem(config, Engine(), stats)
         assert type(flash) is DeepFlashArray
@@ -677,7 +691,7 @@ class TestFactory:
         assert stats.device is None
 
     def test_unknown_kind_rejected(self):
-        config = SimConfig().with_device(kind="bogus")
+        config = SimConfig().replace(device_model=dict(kind="bogus"))
         with pytest.raises(ValueError):
             build_flash_subsystem(config, Engine(), SimStats())
 
@@ -686,11 +700,11 @@ class TestFactory:
         geo = config.ssd.geometry
         dies = geo.chips_per_channel * geo.dies_per_chip
         assert arbiter_slots(config) == dies
-        assert arbiter_slots(config.with_device(kind="deep")) == (
+        assert arbiter_slots(config.replace(device_model=dict(kind="deep"))) == (
             dies * geo.planes_per_die
         )
         assert arbiter_slots(
-            config.with_device(kind="deep", plane_parallelism=False)
+            config.replace(device_model=dict(kind="deep", plane_parallelism=False))
         ) == dies
 
 
@@ -701,13 +715,13 @@ class TestDeviceModelSerialization:
         assert "device_model" not in SimConfig().to_dict()
 
     def test_to_dict_includes_non_default(self):
-        data = SimConfig().with_device(kind="deep").to_dict()
+        data = SimConfig().replace(device_model=dict(kind="deep")).to_dict()
         assert data["device_model"]["kind"] == "deep"
 
     def test_config_roundtrip(self):
-        config = SimConfig().with_device(
+        config = SimConfig().replace(device_model=dict(
             kind="deep", read_priority=False, max_read_bypass=3, gc_idle_ns=7.5
-        )
+        ))
         restored = SimConfig.from_dict(
             json.loads(json.dumps(config.to_dict()))
         )

@@ -14,8 +14,8 @@ from repro.sim.stats import SimStats
 
 
 def build(threshold=4, budget_pages=8):
-    config = scaled_config(scale=512).with_ssd(promotion_threshold=threshold)
-    config = config.with_cpu(host_promote_budget_bytes=budget_pages * 4096)
+    config = scaled_config(scale=512).replace(ssd=dict(promotion_threshold=threshold))
+    config = config.replace(cpu=dict(host_promote_budget_bytes=budget_pages * 4096))
     engine = Engine()
     stats = SimStats()
     controller = SkyByteController(config, engine, stats, ctx_switch_enabled=False)

@@ -251,16 +251,16 @@ class TestTraceConfigSerialisation:
         assert "trace" not in data
 
     def test_non_default_round_trips(self):
-        config = SimConfig().with_trace(enabled=True, max_events=1000)
+        config = SimConfig().replace(trace=dict(enabled=True, max_events=1000))
         data = config.to_dict()
         assert data["trace"]["enabled"] is True
         back = SimConfig.from_dict(json.loads(json.dumps(data)))
         assert back.trace == TraceConfig(enabled=True, max_events=1000)
         assert back.to_dict() == data
 
-    def test_with_trace_does_not_mutate(self):
+    def test_replace_trace_does_not_mutate(self):
         base = SimConfig()
-        traced = base.with_trace(enabled=True)
+        traced = base.replace(trace=dict(enabled=True))
         assert base.trace == TraceConfig()
         assert traced.trace.enabled
 

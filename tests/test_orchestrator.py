@@ -26,7 +26,7 @@ def tiny_job(workload="bc", variant="Base-CSSD", **params):
 class TestSerialization:
     def test_simconfig_round_trip(self):
         config = scaled_config(scale=256, threads=12, timing="MLC", seed=7)
-        config = config.with_ssd(prefetch_depth=3).with_os(t_policy="RR")
+        config = config.replace(ssd=dict(prefetch_depth=3)).replace(os=dict(t_policy="RR"))
         rebuilt = SimConfig.from_dict(json.loads(json.dumps(config.to_dict())))
         assert rebuilt == config
 

@@ -96,8 +96,8 @@ def drive_core(trace, squashes, max_instructions, max_ops, on_fetch=None):
     """Run ``trace`` to the end on one core under a :class:`WindowRecorder`;
     returns ``(instructions retired, packed ops)`` per window and the
     thread."""
-    config = scaled_config(scale=512, threads=1).with_cpu(
-        rob_entries=max_instructions, l1_mshrs=max_ops)
+    config = scaled_config(scale=512, threads=1).replace(cpu=dict(
+        rob_entries=max_instructions, l1_mshrs=max_ops))
     engine = Engine()
     scheduler = Scheduler("RR")
     system = WindowRecorder(squashes, max_ops)

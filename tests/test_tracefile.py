@@ -107,8 +107,8 @@ def test_writer_counts(tmp_path):
     with TraceFileWriter(path, {"n": 1}) as writer:
         writer.write_thread([(1, False, 0), (2, True, 64)])
         writer.write_thread([])
-    assert writer.threads_written == 2
-    assert writer.records_written == 2
+    _, threads = read_tracefile(path)
+    assert [len(t) for t in threads] == [2, 0]
 
 
 def test_inspect_summarises(tmp_path):

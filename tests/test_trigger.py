@@ -24,7 +24,7 @@ def build(cls=SkyByteController, threshold_ns=2000.0, enabled=True):
         ssd=SSDConfig(geometry=geometry, dram_bytes=64 * 1024,
                       write_log_bytes=8 * 1024),
         seed=0,
-    ).with_os(cs_threshold_ns=threshold_ns)
+    ).replace(os=dict(cs_threshold_ns=threshold_ns))
     return cls(config, Engine(), SimStats(), ctx_switch_enabled=enabled)
 
 
