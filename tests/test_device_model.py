@@ -804,7 +804,7 @@ class TestDeviceStats:
         assert a.device is not None
         assert a.device.gc_reads == 5
 
-    def test_simstats_roundtrip_with_device(self):
+    def test_simstats_roundtrip_keeps_device_stats(self):
         stats = SimStats()
         stats.device = self.make()
         restored = SimStats.from_dict(json.loads(json.dumps(stats.to_dict())))
