@@ -5,15 +5,14 @@ costs 15.9x less than the DRAM-only setup, achieves 75% of its
 performance, and so improves cost-effectiveness by 11.8x.
 """
 
-from conftest import bench_cache, bench_jobs, bench_records, print_table
-
-from repro.experiments.cost import cost_effectiveness
+from conftest import bench_records, print_table, run_figure
 
 
 def test_cost_effectiveness(benchmark):
     out = benchmark.pedantic(
-        cost_effectiveness,
-        kwargs={"records": bench_records(), "jobs": bench_jobs(), "cache": bench_cache()},
+        run_figure,
+        args=("cost",),
+        kwargs={"records": bench_records()},
         rounds=1,
         iterations=1,
     )

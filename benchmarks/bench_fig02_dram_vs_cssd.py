@@ -4,15 +4,14 @@ Paper result: workloads run 1.5x-31.4x worse on the naive CXL-SSD than
 in DRAM, because of flash latency exposed through the byte interface.
 """
 
-from conftest import bench_cache, bench_jobs, bench_records, geomean, print_table
-
-from repro.experiments.motivation import fig2_dram_vs_cssd
+from conftest import bench_records, geomean, print_table, run_figure
 
 
 def test_fig02_dram_vs_cssd(benchmark):
     rows = benchmark.pedantic(
-        fig2_dram_vs_cssd,
-        kwargs={"records": bench_records(), "jobs": bench_jobs(), "cache": bench_cache()},
+        run_figure,
+        args=("fig2",),
+        kwargs={"records": bench_records()},
         rounds=1,
         iterations=1,
     )

@@ -5,15 +5,14 @@ DRAM cache, but the tail reaches hundreds of microseconds (flash reads,
 GC) -- orders of magnitude beyond DRAM's tail.
 """
 
-from conftest import bench_cache, bench_jobs, bench_records, print_table
-
-from repro.experiments.motivation import fig3_latency_distribution
+from conftest import bench_records, print_table, run_figure
 
 
 def test_fig03_latency_cdf(benchmark):
     rows = benchmark.pedantic(
-        fig3_latency_distribution,
-        kwargs={"records": bench_records(), "jobs": bench_jobs(), "cache": bench_cache()},
+        run_figure,
+        args=("fig3",),
+        kwargs={"records": bench_records()},
         rounds=1,
         iterations=1,
     )

@@ -4,15 +4,14 @@ Paper result: memory-bounded cycles grow from 62.9-98.7% (DRAM) to
 77-99.8% (CXL-SSD) -- the device turns everything memory-bound.
 """
 
-from conftest import bench_cache, bench_jobs, bench_records, print_table
-
-from repro.experiments.motivation import fig4_boundedness
+from conftest import bench_records, print_table, run_figure
 
 
 def test_fig04_boundedness(benchmark):
     rows = benchmark.pedantic(
-        fig4_boundedness,
-        kwargs={"records": bench_records(), "jobs": bench_jobs(), "cache": bench_cache()},
+        run_figure,
+        args=("fig4",),
+        kwargs={"records": bench_records()},
         rounds=1,
         iterations=1,
     )

@@ -5,14 +5,13 @@ more than 75% of the pages brought into the SSD DRAM cache -- page-
 granular caching wastes most of its capacity.
 """
 
-from conftest import bench_records, print_series
-
-from repro.experiments.motivation import fig5_read_locality
+from conftest import bench_records, print_series, run_figure
 
 
 def test_fig05_read_locality(benchmark):
     rows = benchmark.pedantic(
-        fig5_read_locality,
+        run_figure,
+        args=("fig5",),
         kwargs={"records": bench_records() * 4},
         rounds=1,
         iterations=1,

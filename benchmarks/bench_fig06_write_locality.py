@@ -5,14 +5,13 @@ whole-page writebacks ship mostly-clean data, the write-amplification
 SkyByte's cacheline log removes.
 """
 
-from conftest import bench_records, print_series
-
-from repro.experiments.motivation import fig6_write_locality
+from conftest import bench_records, print_series, run_figure
 
 
 def test_fig06_write_locality(benchmark):
     rows = benchmark.pedantic(
-        fig6_write_locality,
+        run_figure,
+        args=("fig6",),
         kwargs={"records": bench_records() * 4},
         rounds=1,
         iterations=1,

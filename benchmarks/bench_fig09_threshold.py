@@ -5,16 +5,14 @@ is best; raising it toward 80 us forfeits profitable switches and costs
 up to ~2x on switch-sensitive workloads.
 """
 
-from conftest import bench_cache, bench_jobs, bench_records, print_series
-
-from repro.experiments.design import fig9_threshold_sweep
+from conftest import bench_records, print_series, run_figure
 
 
 def test_fig09_threshold(benchmark):
-    thresholds = (2, 10, 40, 80)
     rows = benchmark.pedantic(
-        fig9_threshold_sweep,
-        kwargs={"records": bench_records(), "thresholds_us": thresholds, "jobs": bench_jobs(), "cache": bench_cache()},
+        run_figure,
+        args=("fig9",),
+        kwargs={"records": bench_records()},
         rounds=1,
         iterations=1,
     )

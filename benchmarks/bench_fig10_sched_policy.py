@@ -5,15 +5,14 @@ waiting threads comparable chances to issue SSD requests -- so SkyByte
 defaults to CFS, the standard Linux policy.
 """
 
-from conftest import bench_cache, bench_jobs, bench_records, print_table
-
-from repro.experiments.design import fig10_scheduling_policies
+from conftest import bench_records, print_table, run_figure
 
 
 def test_fig10_sched_policy(benchmark):
     rows = benchmark.pedantic(
-        fig10_scheduling_policies,
-        kwargs={"records": bench_records(), "jobs": bench_jobs(), "cache": bench_cache()},
+        run_figure,
+        args=("fig10",),
+        kwargs={"records": bench_records()},
         rounds=1,
         iterations=1,
     )

@@ -7,9 +7,8 @@ this reproduction's scale the ordering and direction hold with smaller
 magnitudes (see EXPERIMENTS.md).
 """
 
-from conftest import bench_cache, bench_jobs, bench_records, geomean, print_table
+from conftest import bench_records, geomean, print_table, run_figure
 
-from repro.experiments.overall import fig14_overall
 from repro.variants import MAIN_VARIANTS
 
 
@@ -18,8 +17,9 @@ def test_fig14_overall(benchmark):
     # reuse after its warmup to pay off.
     records = max(bench_records(), 3000)
     rows = benchmark.pedantic(
-        fig14_overall,
-        kwargs={"records": records, "jobs": bench_jobs(), "cache": bench_cache()},
+        run_figure,
+        args=("fig14",),
+        kwargs={"records": records},
         rounds=1,
         iterations=1,
     )

@@ -6,22 +6,16 @@ flash latency is already near the switch overhead (bc, dlrm) saturate
 around two threads per core.
 """
 
-from conftest import bench_cache, bench_jobs, bench_records, print_series
+from conftest import bench_records, print_series, run_figure
 
-from repro.experiments.overall import fig15_thread_scaling
 from repro.workloads.suites import representative_four
 
 
 def test_fig15_threads(benchmark):
     rows = benchmark.pedantic(
-        fig15_thread_scaling,
-        kwargs={
-            "jobs": bench_jobs(),
-            "cache": bench_cache(),
-            "records": bench_records(),
-            "workloads": representative_four(),
-            "thread_counts": (8, 16, 24, 48),
-        },
+        run_figure,
+        args=("fig15",),
+        kwargs={"records": bench_records(), "workloads": representative_four()},
         rounds=1,
         iterations=1,
     )

@@ -5,15 +5,14 @@ DRAM hits (S-R-H) dominate the remaining reads, flash-bound misses
 (S-R-M) are a small minority, and writes (S-W) all land in the log.
 """
 
-from conftest import bench_cache, bench_jobs, bench_records, print_table
-
-from repro.experiments.overall import fig16_request_breakdown
+from conftest import bench_records, print_table, run_figure
 
 
 def test_fig16_breakdown(benchmark):
     rows = benchmark.pedantic(
-        fig16_request_breakdown,
-        kwargs={"records": bench_records(), "jobs": bench_jobs(), "cache": bench_cache()},
+        run_figure,
+        args=("fig16",),
+        kwargs={"records": bench_records()},
         rounds=1,
         iterations=1,
     )

@@ -5,15 +5,14 @@ full design's AMAT lands within ~1.4x of the DRAM-Only ideal, with the
 residual dominated by CXL protocol + SSD DRAM time.
 """
 
-from conftest import bench_cache, bench_jobs, bench_records, print_table
-
-from repro.experiments.overall import fig17_amat
+from conftest import bench_records, print_table, run_figure
 
 
 def test_fig17_amat(benchmark):
     rows = benchmark.pedantic(
-        fig17_amat,
-        kwargs={"records": bench_records(), "jobs": bench_jobs(), "cache": bench_cache()},
+        run_figure,
+        args=("fig17",),
+        kwargs={"records": bench_records()},
         rounds=1,
         iterations=1,
     )

@@ -6,15 +6,14 @@ The context switch can add a little traffic back (more concurrent
 threads, more compactions), visible as Full >= WP.
 """
 
-from conftest import bench_cache, bench_jobs, bench_records, geomean, print_table
-
-from repro.experiments.overall import fig18_write_traffic
+from conftest import bench_records, geomean, print_table, run_figure
 
 
 def test_fig18_write_traffic(benchmark):
     rows = benchmark.pedantic(
-        fig18_write_traffic,
-        kwargs={"records": bench_records(), "jobs": bench_jobs(), "cache": bench_cache()},
+        run_figure,
+        args=("fig18",),
+        kwargs={"records": bench_records()},
         rounds=1,
         iterations=1,
     )

@@ -5,23 +5,16 @@ sufficient coalescing window for most workloads; going smaller hurts
 write-heavy / high-locality workloads (srad, tpcc).
 """
 
-from conftest import bench_cache, bench_jobs, bench_records, print_series
+from conftest import bench_records, print_series, run_figure
 
 from repro.config import KB
-from repro.experiments.sensitivity import fig19_log_size_performance
 
 
 def test_fig19_logsize_perf(benchmark):
-    sizes = (16 * KB, 64 * KB, 128 * KB, 256 * KB)
     rows = benchmark.pedantic(
-        fig19_log_size_performance,
-        kwargs={
-            "jobs": bench_jobs(),
-            "cache": bench_cache(),
-            "records": bench_records(),
-            "workloads": ["bc", "srad", "tpcc"],
-            "log_sizes": sizes,
-        },
+        run_figure,
+        args=("fig19",),
+        kwargs={"records": bench_records(), "workloads": ["bc", "srad", "tpcc"]},
         rounds=1,
         iterations=1,
     )

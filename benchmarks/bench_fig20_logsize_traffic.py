@@ -5,23 +5,16 @@ so traffic falls steeply with log size -- especially for workloads with
 strong temporal write locality (srad, tpcc).
 """
 
-from conftest import bench_cache, bench_jobs, bench_records, print_series
+from conftest import bench_records, print_series, run_figure
 
 from repro.config import KB
-from repro.experiments.sensitivity import fig20_log_size_traffic
 
 
 def test_fig20_logsize_traffic(benchmark):
-    sizes = (16 * KB, 64 * KB, 128 * KB, 256 * KB)
     rows = benchmark.pedantic(
-        fig20_log_size_traffic,
-        kwargs={
-            "jobs": bench_jobs(),
-            "cache": bench_cache(),
-            "records": bench_records(),
-            "workloads": ["bc", "srad", "tpcc"],
-            "log_sizes": sizes,
-        },
+        run_figure,
+        args=("fig20",),
+        kwargs={"records": bench_records(), "workloads": ["bc", "srad", "tpcc"]},
         rounds=1,
         iterations=1,
     )

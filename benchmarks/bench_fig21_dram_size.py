@@ -5,23 +5,17 @@ SkyByte device with a small DRAM matches or beats Base-CSSD with a much
 larger one -- the cost argument for the CXL-aware organisation.
 """
 
-from conftest import bench_cache, bench_jobs, bench_records, print_series
+from conftest import bench_records, print_series, run_figure
 
 from repro.config import KB
-from repro.experiments.sensitivity import fig21_dram_size
 
 
 def test_fig21_dram_size(benchmark):
     sizes = (512 * KB, 1024 * KB, 2048 * KB)
     rows = benchmark.pedantic(
-        fig21_dram_size,
-        kwargs={
-            "jobs": bench_jobs(),
-            "cache": bench_cache(),
-            "records": bench_records(),
-            "workloads": ["bc", "tpcc"],
-            "dram_sizes": sizes,
-        },
+        run_figure,
+        args=("fig21",),
+        kwargs={"records": bench_records(), "workloads": ["bc", "tpcc"]},
         rounds=1,
         iterations=1,
     )

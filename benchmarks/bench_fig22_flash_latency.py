@@ -6,23 +6,14 @@ scaling with threads -- making cheap commodity NAND viable for
 parallelizable applications.
 """
 
-from conftest import bench_cache, bench_jobs, bench_records, print_series
-
-from repro.experiments.sensitivity import fig22_flash_latency
+from conftest import bench_records, print_series, run_figure
 
 
 def test_fig22_flash_latency(benchmark):
     rows = benchmark.pedantic(
-        fig22_flash_latency,
-        kwargs={
-            "jobs": bench_jobs(),
-            "cache": bench_cache(),
-            "records": bench_records(),
-            "workloads": ["bc", "srad", "tpcc"],
-            "timings": ("ULL", "SLC", "MLC"),
-            "variants": ["SkyByte-WP"],
-            "thread_counts": (24,),
-        },
+        run_figure,
+        args=("fig22",),
+        kwargs={"records": bench_records(), "workloads": ["bc", "srad", "tpcc"]},
         rounds=1,
         iterations=1,
     )

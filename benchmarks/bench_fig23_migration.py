@@ -7,15 +7,14 @@ set-associative on-demand paging) by ~1.09x; SkyByte-WCT shows the write
 log also composes with TPP; SkyByte-Full is best overall.
 """
 
-from conftest import bench_cache, bench_jobs, bench_records, geomean, print_table
-
-from repro.experiments.migration_study import fig23_migration_mechanisms
+from conftest import bench_records, geomean, print_table, run_figure
 
 
 def test_fig23_migration(benchmark):
     rows = benchmark.pedantic(
-        fig23_migration_mechanisms,
-        kwargs={"records": bench_records(), "jobs": bench_jobs(), "cache": bench_cache()},
+        run_figure,
+        args=("fig23",),
+        kwargs={"records": bench_records()},
         rounds=1,
         iterations=1,
     )

@@ -6,9 +6,8 @@ near the 3 us device latency while queueing and compaction interference
 push others several times higher.
 """
 
-from conftest import bench_cache, bench_jobs, bench_records, print_table
+from conftest import bench_records, print_table, run_figure
 
-from repro.experiments.overall import table3_flash_read_latency
 
 PAPER_US = {
     "bc": 3.5, "bfs-dense": 25.7, "dlrm": 3.4, "radix": 4.9,
@@ -18,8 +17,9 @@ PAPER_US = {
 
 def test_tab03_flash_read_latency(benchmark):
     rows = benchmark.pedantic(
-        table3_flash_read_latency,
-        kwargs={"records": bench_records(), "jobs": bench_jobs(), "cache": bench_cache()},
+        run_figure,
+        args=("table3",),
+        kwargs={"records": bench_records()},
         rounds=1,
         iterations=1,
     )

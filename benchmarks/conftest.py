@@ -5,7 +5,8 @@ evaluation.  Trace length per thread is controlled by REPRO_BENCH_RECORDS
 (default 1500) so the full suite stays laptop-friendly; raise it for
 higher-fidelity numbers.
 
-All drivers submit their cells through the experiment orchestrator:
+Every benchmark makes its figure through the one entry point
+``repro report`` uses (:func:`run_figure`):
 REPRO_BENCH_JOBS sets the worker-process count (default 1 so timing
 numbers stay comparable across machines) and REPRO_BENCH_CACHE=1 turns
 on the on-disk result cache, which makes re-running a figure with
@@ -13,7 +14,11 @@ unchanged parameters near-instant.
 """
 
 import os
-from typing import Mapping
+import tempfile
+from pathlib import Path
+from typing import Mapping, Optional, Sequence
+
+from repro.experiments.jobspec import FigureLog, parse_spec, run_figures
 
 
 def bench_records() -> int:
@@ -32,6 +37,24 @@ def bench_cache():
     return os.environ.get("REPRO_BENCH_CACHE", "").lower() in {
         "1", "true", "yes", "on"
     }
+
+
+class _Payload(FigureLog):
+    def figure_finished(self, figure: str, data: object) -> None:
+        self.data = data
+
+
+def run_figure(name: str, records: Optional[int] = None,
+               workloads: Sequence[str] = ()) -> object:
+    """``name``'s payload, made by :func:`run_figures` like a one-figure
+    ``repro report``; a failing figure raises."""
+    spec = parse_spec("report", {"figures": [name], "records": records,
+                                 "workloads": list(workloads)})
+    log = _Payload()
+    with tempfile.TemporaryDirectory() as out_dir:
+        run_figures(spec, Path(out_dir), log, jobs=bench_jobs(),
+                    cache=bench_cache())
+    return log.data
 
 
 def print_table(title: str, rows: Mapping[str, Mapping[str, object]]) -> None:

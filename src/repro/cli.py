@@ -367,9 +367,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_figures(args: argparse.Namespace) -> int:
-    # One backend for all figures: a --listen coordinator binds its port
-    # exactly once, kept cell processes serve every figure, and bad
-    # backend arguments fail before any simulation.
+    # One sweep on one backend for all figures: a --listen coordinator
+    # binds its port exactly once, kept cell processes serve every
+    # figure, and bad backend arguments fail before any simulation.
     try:
         spec = parse_spec("report", _spec_from_args("report", args))
         backend = _backend_from_args(args)
@@ -378,11 +378,10 @@ def cmd_figures(args: argparse.Namespace) -> int:
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     with backend:
-        for _ in run_figures(spec, out_dir, verbose=True, backend=backend,
-                             cache=_cache_from_args(args),
-                             policy=_policy_from_args(args),
-                             progress=_progress_printer(not args.quiet)):
-            pass
+        run_figures(spec, out_dir, verbose=True, backend=backend,
+                    cache=_cache_from_args(args),
+                    policy=_policy_from_args(args),
+                    progress=_progress_printer(not args.quiet))
     return 0
 
 
@@ -398,10 +397,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     store = _cache_from_args(args)
     try:
         with backend:
-            failures = [name for name, failed in run_figures(
+            failures = run_figures(
                 spec, out_dir, builder, verbose=True, backend=backend,
                 cache=store, policy=_policy_from_args(args),
-                progress=_progress_printer(not args.quiet)) if failed]
+                progress=_progress_printer(not args.quiet))
     finally:
         builder.render()
     if not args.no_trends:

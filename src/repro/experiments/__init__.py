@@ -1,6 +1,9 @@
-"""Per-figure experiment drivers (one module per evaluation section).
+"""The evaluation's figures (one module per evaluation section) and the
+harness that runs their cells.
 
-All drivers route their independent simulation cells through
+Each figure is a :class:`~repro.figures.spec.Figure` record -- its
+cells, their reduction to its payload, its chart -- listed in
+:data:`repro.experiments.jobspec.FIGURES`.  Every cell runs through
 :mod:`repro.experiments.orchestrator`, which provides pluggable
 execution backends (``backend=``: kept local cell processes or
 dial-in TCP workers -- see :mod:`repro.experiments.backends`) and a

@@ -15,74 +15,64 @@ ablated knob), so they parallelise and cache like every other sweep.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.orchestrator import SweepJob, run_sweep
+from repro.experiments.orchestrator import SweepJob
 from repro.experiments.runner import default_records
+from repro.figures.spec import ChartSpec, Figure, fsorted, line, single_bar
+
+#: Promotion hotness thresholds swept on ycsb.
+PROMOTION_THRESHOLDS = (8, 24, 64, 256)
+#: Dirty-flush intervals (us) swept on tpcc; 0 never flushes.
+FLUSH_INTERVALS_US = (50, 100, 500, 0)
 
 
-def prefetch_ablation(
-    workloads: Sequence[str] = ("srad", "bc"),
-    records: Optional[int] = None,
-    jobs: Optional[int] = None,
-    cache: object = None,
-    backend: object = None,
-    progress: object = None,
-    policy: object = None,
-) -> Dict[str, Dict[str, float]]:
+def _prefetch_cells(workloads: Sequence[str], records: Optional[int]) -> List[SweepJob]:
+    records = records or default_records()
+    return [
+        SweepJob.make(
+            wl, "Base-CSSD", records_per_thread=records,
+            ssd_overrides={"prefetch_depth": depth},
+        )
+        for wl in workloads
+        for depth in (1, 0)
+    ]
+
+
+def _prefetch(workloads, _records, results) -> Dict[str, Dict[str, float]]:
     """Base-CSSD with and without next-page prefetch.
 
     Expectation: streaming workloads (srad) lose noticeably without the
     prefetcher; pointer-chasing ones (bc) barely notice.
     """
-    records = records or default_records()
-    specs = []
-    for wl in workloads:
-        for depth in (1, 0):
-            specs.append(SweepJob.make(
-                wl, "Base-CSSD", records_per_thread=records,
-                ssd_overrides={"prefetch_depth": depth},
-            ))
-    sweep = iter(run_sweep(specs, jobs=jobs, cache=cache, backend=backend,
-                           progress=progress, policy=policy))
     rows: Dict[str, Dict[str, float]] = {}
-    for wl in workloads:
-        with_pf = next(sweep).stats
-        without = next(sweep).stats
+    for wl, with_pf, without in zip(workloads, results[::2], results[1::2]):
         rows[wl] = {
-            "with_prefetch_ipns": with_pf.throughput_ipns,
-            "without_prefetch_ipns": without.throughput_ipns,
-            "prefetch_gain": with_pf.throughput_ipns
-            / max(without.throughput_ipns, 1e-12),
+            "with_prefetch_ipns": with_pf.stats.throughput_ipns,
+            "without_prefetch_ipns": without.stats.throughput_ipns,
+            "prefetch_gain": with_pf.stats.throughput_ipns
+            / max(without.stats.throughput_ipns, 1e-12),
         }
     return rows
 
 
-def promotion_threshold_sweep(
-    workload: str = "ycsb",
-    thresholds: Sequence[int] = (8, 24, 64, 256),
-    records: Optional[int] = None,
-    jobs: Optional[int] = None,
-    cache: object = None,
-    backend: object = None,
-    progress: object = None,
-    policy: object = None,
-) -> Dict[int, Dict[str, float]]:
+def _promotion_cells(_workloads, records: Optional[int]) -> List[SweepJob]:
+    records = records or default_records()
+    return [
+        SweepJob.make(
+            "ycsb", "SkyByte-P", records_per_thread=records,
+            ssd_overrides={"promotion_threshold": threshold},
+        )
+        for threshold in PROMOTION_THRESHOLDS
+    ]
+
+
+def _promotion(_workloads, _records, results) -> Dict[int, Dict[str, float]]:
     """How the §III-C hotness threshold trades promotion precision
     against churn: too low promotes lukewarm pages (migration overhead),
     too high leaves hot pages on flash."""
-    records = records or default_records()
-    specs = [
-        SweepJob.make(
-            workload, "SkyByte-P", records_per_thread=records,
-            ssd_overrides={"promotion_threshold": threshold},
-        )
-        for threshold in thresholds
-    ]
-    sweep = run_sweep(specs, jobs=jobs, cache=cache, backend=backend,
-                      progress=progress, policy=policy)
     rows: Dict[int, Dict[str, float]] = {}
-    for threshold, result in zip(thresholds, sweep):
+    for threshold, result in zip(PROMOTION_THRESHOLDS, results):
         stats = result.stats
         rows[threshold] = {
             "ipns": stats.throughput_ipns,
@@ -93,31 +83,23 @@ def promotion_threshold_sweep(
     return rows
 
 
-def persistence_interval_sweep(
-    workload: str = "tpcc",
-    intervals_us: Sequence[float] = (50, 100, 500, 0),
-    records: Optional[int] = None,
-    jobs: Optional[int] = None,
-    cache: object = None,
-    backend: object = None,
-    progress: object = None,
-    policy: object = None,
-) -> Dict[float, Dict[str, float]]:
+def _persistence_cells(_workloads, records: Optional[int]) -> List[SweepJob]:
+    records = records or default_records()
+    return [
+        SweepJob.make(
+            "tpcc", "Base-CSSD", records_per_thread=records,
+            ssd_overrides={"dirty_flush_interval_ns": interval * 1000.0},
+        )
+        for interval in FLUSH_INTERVALS_US
+    ]
+
+
+def _persistence(_workloads, _records, results) -> Dict[float, Dict[str, float]]:
     """The baseline's dirty-flush interval: tighter durability means more
     flash programs (0 disables the flush entirely -- the volatile-cache
     upper bound)."""
-    records = records or default_records()
-    specs = [
-        SweepJob.make(
-            workload, "Base-CSSD", records_per_thread=records,
-            ssd_overrides={"dirty_flush_interval_ns": interval * 1000.0},
-        )
-        for interval in intervals_us
-    ]
-    sweep = run_sweep(specs, jobs=jobs, cache=cache, backend=backend,
-                      progress=progress, policy=policy)
     rows: Dict[float, Dict[str, float]] = {}
-    for interval, result in zip(intervals_us, sweep):
+    for interval, result in zip(FLUSH_INTERVALS_US, results):
         stats = result.stats
         rows[interval] = {
             "ipns": stats.throughput_ipns,
@@ -125,3 +107,63 @@ def persistence_interval_sweep(
             / max(stats.instructions / 1e6, 1e-12),
         }
     return rows
+
+
+# -- charts ------------------------------------------------------------------
+
+
+def _shape_prefetch(data):
+    return [single_bar(
+        "Ablation: baseline sequential prefetch gain",
+        {wl: row["prefetch_gain"] for wl, row in data.items()},
+        "prefetch gain", "throughput ratio (with / without prefetch)",
+    )]
+
+
+def _shape_promotion(data):
+    return [line(
+        "Ablation: promotion hotness threshold",
+        {"throughput": [(float(t), data[t]["ipns"])
+                        for t in fsorted(data)],
+         },
+        "promotion threshold (touches)", "instructions / ns", log_x=True,
+    )]
+
+
+def _shape_persistence(data):
+    # Interval 0 means "never flush"; plot it at the right edge.
+    intervals = fsorted(data)
+    finite = [t for t in intervals if float(t) > 0]
+    edge = 2 * max((float(t) for t in finite), default=1.0)
+
+    def x_of(t: str) -> float:
+        return float(t) if float(t) > 0 else edge
+
+    return [line(
+        "Ablation: baseline dirty-flush interval",
+        {"throughput (ipns)": [(x_of(t), data[t]["ipns"])
+                               for t in intervals]},
+        "flush interval (us; right edge = never)", "instructions / ns",
+    ), line(
+        "Ablation: flush interval vs flash write traffic",
+        {"flash writes / Mi instr": [(x_of(t), data[t]["flash_writes_per_Mi"])
+                                     for t in intervals]},
+        "flush interval (us; right edge = never)",
+        "flash page writes per Mi instructions",
+    )]
+
+
+FIGURES = (
+    Figure(ChartSpec("prefetch-ablation", "Prefetch ablation", "repro DESIGN",
+                     "bar", "This reproduction's baseline prefetcher "
+                     "ablation.", _shape_prefetch),
+           _prefetch, _prefetch_cells, ("srad", "bc")),
+    Figure(ChartSpec("promotion-threshold", "Promotion threshold",
+                     "repro DESIGN", "line", "Hotness threshold sweep of the "
+                     "SS III-C promotion counters.", _shape_promotion),
+           _promotion, _promotion_cells),
+    Figure(ChartSpec("persistence-interval", "Persistence interval",
+                     "repro DESIGN", "line", "The baseline's dirty-flush "
+                     "durability interval.", _shape_persistence),
+           _persistence, _persistence_cells),
+)

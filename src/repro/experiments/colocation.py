@@ -1,6 +1,6 @@
 """Multi-tenant colocation study: who pays when tenants share a device.
 
-The paper's evaluation runs one application per device.  This driver
+The paper's evaluation runs one application per device.  This figure
 answers the question a shared CXL-SSD deployment actually faces: when N
 tenants colocate, how much does each slow down relative to running
 alone, and *where* does the interference land (queueing in front of
@@ -34,8 +34,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.config import SimConfig, scaled_config
-from repro.experiments.orchestrator import SweepJob, run_sweep
-from repro.experiments.runner import DEFAULT_SCALE, default_records
+from repro.experiments.orchestrator import SweepJob
+from repro.experiments.runner import DEFAULT_SCALE, RunResult, default_records
+from repro.figures.spec import AMAT_COMPONENTS, ChartSpec, Figure, single_bar, stacked
 from repro.scenarios.colocate import (
     ColocationPlan,
     Tenant,
@@ -52,6 +53,9 @@ DEFAULT_TENANTS = (
     Tenant(name="web-tier", scenario="web-tier", threads=4, seed=42),
     Tenant(name="log-ingest", scenario="log-ingest", threads=4, seed=43),
 )
+
+#: The design the colocation figure runs.
+VARIANT = "SkyByte-Full"
 
 #: AMAT component keys as :meth:`SimStats.record_amat` spells them.
 _AMAT_KEYS = ("host_dram", "protocol", "indexing", "ssd_dram", "flash")
@@ -152,41 +156,34 @@ def run_colocation(
     return system
 
 
-def colocation_study(
-    tenants: Optional[Sequence[Tenant]] = None,
-    variant: str = "SkyByte-Full",
-    records: Optional[int] = None,
-    jobs: Optional[int] = None,
-    cache: object = None,
-    backend: object = None,
-    progress: object = None,
-    policy: object = None,
-) -> Dict[str, object]:
-    """Per-tenant slowdown and breakdown for a colocated tenant mix.
-
-    Returns ``{"variant", "tenants": {name: {...}}, "device": {...}}``
-    where each tenant row carries its solo/colocated time-per-
-    instruction, the slowdown ratio, and its request-class and AMAT
-    breakdowns from the colocated run.  Solo baselines fan out through
-    :func:`~repro.experiments.orchestrator.run_sweep`; the colocated
-    composition runs in-process (it is a single multi-tenant cell, like
-    the replay-based Figs. 5/6).
-    """
-    tenants = list(tenants or DEFAULT_TENANTS)
-    records = records or default_records()
-    solo_jobs = [
+def solo_cells(tenants: Sequence[Tenant], records: int) -> List[SweepJob]:
+    """Each tenant's solo baseline, as a sweep cell (so it parallelises,
+    caches and distributes like any other cell)."""
+    return [
         SweepJob.make(
             tenant.scenario,
-            variant,
+            VARIANT,
             records_per_thread=tenant.records_per_thread or records,
             threads=tenant.threads,
             seed=tenant.seed,
         )
         for tenant in tenants
     ]
-    solo = run_sweep(solo_jobs, jobs=jobs, cache=cache, backend=backend,
-                     progress=progress, policy=policy)
-    system = run_colocation(tenants, variant=variant,
+
+
+def colocation_payload(tenants: Sequence[Tenant], records: int,
+                       solo: Sequence[RunResult]) -> Dict[str, object]:
+    """Per-tenant slowdown and breakdown for a colocated tenant mix.
+
+    Runs the colocated composition in process (it is a single
+    multi-tenant cell, like the replay-based Figs. 5/6) against the
+    tenants' ``solo`` results (:func:`solo_cells`, in order).  Returns
+    ``{"variant", "tenants": {name: {...}}, "device": {...}}`` where
+    each tenant row carries its solo/colocated time-per-instruction,
+    the slowdown ratio, and its request-class and AMAT breakdowns from
+    the colocated run.
+    """
+    system = run_colocation(tenants, variant=VARIANT,
                             records_per_thread=records)
 
     rows: Dict[str, object] = {}
@@ -208,7 +205,7 @@ def colocation_study(
         }
     device = system.stats
     return {
-        "variant": variant,
+        "variant": VARIANT,
         "records_per_thread": records,
         "tenants": rows,
         "device": {
@@ -220,3 +217,42 @@ def colocation_study(
             "log_appends": device.log_appends,
         },
     }
+
+
+def _shape(data):
+    tenants = data["tenants"]
+    subtitle = (f"{len(tenants)} tenant(s) sharing one device, "
+                f"variant {data.get('variant', '?')}")
+    slowdown = single_bar(
+        "Colocation: per-tenant slowdown",
+        {name: row["slowdown"] for name, row in tenants.items()},
+        "slowdown",
+        "colocated / solo time-per-instruction (1.0 = no interference)",
+        subtitle=subtitle,
+    )
+    requests = stacked(
+        "Colocation: per-tenant request breakdown",
+        {name: row["requests"] for name, row in tenants.items()},
+        "fraction of requests",
+        subtitle="request classes served to each tenant while colocated",
+    )
+    amat = stacked(
+        "Colocation: per-tenant AMAT decomposition",
+        {name: {c: row["amat"].get(c, 0.0) for c in AMAT_COMPONENTS}
+         for name, row in tenants.items()},
+        "AMAT (ns)",
+        subtitle="where each tenant's memory time goes while colocated",
+        series_order=AMAT_COMPONENTS,
+    )
+    return [slowdown, requests, amat]
+
+
+COLOCATION = Figure(
+    ChartSpec("colocation", "Multi-tenant colocation", "repro SCENARIOS",
+              "bar", "Per-tenant slowdown vs solo runs, plus stacked "
+              "request-class and AMAT breakdowns, when N scenario tenants "
+              "share one device (see docs/SCENARIOS.md).", _shape),
+    lambda _workloads, records, results: colocation_payload(
+        DEFAULT_TENANTS, records or default_records(), results),
+    lambda _workloads, records: solo_cells(
+        DEFAULT_TENANTS, records or default_records()))

@@ -10,10 +10,10 @@ measured performance ratio from the simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict
 
-from repro.experiments.orchestrator import run_sweep, sweep_product
-from repro.experiments.runner import default_records
+from repro.experiments.overall import grid_cells
+from repro.figures.spec import ChartSpec, Figure, single_bar
 from repro.workloads.suites import WORKLOAD_NAMES
 
 #: $/GB, from §VI-B.
@@ -68,38 +68,16 @@ class CostModel:
         return self.dram_only_cost / self.skybyte_cost
 
 
-def cost_effectiveness(
-    workloads: Optional[Sequence[str]] = None,
-    records: Optional[int] = None,
-    model: Optional[CostModel] = None,
-    jobs: Optional[int] = None,
-    cache: object = None,
-    backend: object = None,
-    progress: object = None,
-    policy: object = None,
-) -> Dict[str, object]:
+def _cost(workloads, _records, results) -> Dict[str, object]:
     """Measured performance-per-dollar of SkyByte-Full vs DRAM-Only.
 
     Returns the per-workload performance fractions, their geometric mean,
     the cost ratio and the resulting cost-effectiveness multiple.
     """
-    workloads = list(workloads or WORKLOAD_NAMES)
-    records = records or default_records()
-    model = model or CostModel()
-    sweep = iter(run_sweep(
-        sweep_product(workloads, ["DRAM-Only", "SkyByte-Full"],
-                      records_per_thread=records),
-        jobs=jobs,
-        cache=cache,
-        backend=backend,
-        progress=progress,
-        policy=policy,
-    ))
+    model = CostModel()
     fractions: Dict[str, float] = {}
     product = 1.0
-    for wl in workloads:
-        ideal = next(sweep)
-        full = next(sweep)
+    for wl, ideal, full in zip(workloads, results[::2], results[1::2]):
         frac = full.stats.throughput_ipns / max(ideal.stats.throughput_ipns, 1e-12)
         fractions[wl] = frac
         product *= frac
@@ -113,3 +91,24 @@ def cost_effectiveness(
         "dram_only_cost_usd": model.dram_only_cost,
         "skybyte_cost_usd": model.skybyte_cost,
     }
+
+
+def _shape_cost(data):
+    values = dict(data["performance_fraction"])
+    values["geomean"] = data["performance_fraction_geomean"]
+    subtitle = (
+        f"cost ratio {float(data['cost_ratio']):.3g}x -> "
+        f"cost-effectiveness {float(data['cost_effectiveness']):.3g}x"
+    )
+    return [single_bar(
+        "Cost: SkyByte-Full performance fraction of DRAM-Only",
+        values, "performance fraction", "fraction of DRAM-Only throughput",
+        subtitle=subtitle,
+    )]
+
+
+COST = Figure(
+    ChartSpec("cost", "Cost-effectiveness", "SS VI-B", "bar",
+              "Performance fraction and $-ratio arithmetic "
+              "(paper: 11.8x cost-effectiveness).", _shape_cost),
+    _cost, grid_cells(["DRAM-Only", "SkyByte-Full"]), tuple(WORKLOAD_NAMES))

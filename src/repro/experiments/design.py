@@ -6,11 +6,12 @@ Fig. 10 compares the RR / Random / CFS thread scheduling policies.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.config import T_POLICIES
-from repro.experiments.orchestrator import SweepJob, run_sweep
+from repro.experiments.orchestrator import SweepJob
 from repro.experiments.runner import default_records
+from repro.figures.spec import ChartSpec, Figure, bar, fsorted, line
 from repro.workloads.suites import representative_four
 
 #: Paper-reported reference points (SS III-A) for the fidelity report:
@@ -24,65 +25,42 @@ PAPER_EXPECTED = {
 FIG9_THRESHOLDS_US = (2, 10, 20, 40, 60, 80)
 
 
-def fig9_threshold_sweep(
-    workloads: Optional[Sequence[str]] = None,
-    thresholds_us: Sequence[float] = FIG9_THRESHOLDS_US,
-    records: Optional[int] = None,
-    jobs: Optional[int] = None,
-    cache: object = None,
-    backend: object = None,
-    progress: object = None,
-    policy: object = None,
-) -> Dict[str, Dict[float, float]]:
+def _fig9_cells(workloads: Sequence[str], records: Optional[int]) -> List[SweepJob]:
+    records = records or default_records()
+    return [
+        SweepJob.make(
+            wl, "SkyByte-Full", records_per_thread=records,
+            cs_threshold_ns=threshold * 1000.0,
+        )
+        for wl in workloads
+        for threshold in FIG9_THRESHOLDS_US
+    ]
+
+
+def _fig9(workloads, _records, results) -> Dict[str, Dict[float, float]]:
     """Fig. 9: normalized execution time vs trigger threshold.
 
     Returns {workload: {threshold_us: normalized_time}} where 1.0 is the
     2 us (default) threshold.  The paper: 2 us is best; larger thresholds
     forfeit switches and degrade up to ~2x.
     """
-    workloads = list(workloads or representative_four())
-    records = records or default_records()
-    specs = [
-        SweepJob.make(
-            wl, "SkyByte-Full", records_per_thread=records,
-            cs_threshold_ns=threshold * 1000.0,
-        )
-        for wl in workloads
-        for threshold in thresholds_us
-    ]
-    results = iter(run_sweep(specs, jobs=jobs, cache=cache, backend=backend,
-                             progress=progress, policy=policy))
+    sweep = iter(results)
     rows: Dict[str, Dict[float, float]] = {}
     for wl in workloads:
         base_ipns = None
-        sweep: Dict[float, float] = {}
-        for threshold in thresholds_us:
-            ipns = max(next(results).stats.throughput_ipns, 1e-12)
+        per_threshold: Dict[float, float] = {}
+        for threshold in FIG9_THRESHOLDS_US:
+            ipns = max(next(sweep).stats.throughput_ipns, 1e-12)
             if base_ipns is None:
                 base_ipns = ipns
-            sweep[threshold] = base_ipns / ipns  # normalized execution time
-        rows[wl] = sweep
+            per_threshold[threshold] = base_ipns / ipns  # normalized execution time
+        rows[wl] = per_threshold
     return rows
 
 
-def fig10_scheduling_policies(
-    workloads: Optional[Sequence[str]] = None,
-    records: Optional[int] = None,
-    jobs: Optional[int] = None,
-    cache: object = None,
-    backend: object = None,
-    progress: object = None,
-    policy: object = None,
-) -> Dict[str, Dict[str, Dict[str, float]]]:
-    """Fig. 10: execution time and its breakdown under RR/Random/CFS.
-
-    Returns, per workload and policy, normalized execution time (RR = 1)
-    plus the compute/memory/context-switch boundedness fractions.  The
-    paper finds the three policies deliver similar performance.
-    """
-    workloads = list(workloads or ["bc", "radix", "srad", "tpcc"])
+def _fig10_cells(workloads: Sequence[str], records: Optional[int]) -> List[SweepJob]:
     records = records or default_records()
-    specs = [
+    return [
         SweepJob.make(
             wl, "SkyByte-Full", records_per_thread=records,
             t_policy=sched_policy,
@@ -90,14 +68,22 @@ def fig10_scheduling_policies(
         for wl in workloads
         for sched_policy in T_POLICIES
     ]
-    results = iter(run_sweep(specs, jobs=jobs, cache=cache, backend=backend,
-                             progress=progress, policy=policy))
+
+
+def _fig10(workloads, _records, results) -> Dict[str, Dict[str, Dict[str, float]]]:
+    """Fig. 10: execution time and its breakdown under RR/Random/CFS.
+
+    Returns, per workload and policy, normalized execution time (RR = 1)
+    plus the compute/memory/context-switch boundedness fractions.  The
+    paper finds the three policies deliver similar performance.
+    """
+    sweep = iter(results)
     rows: Dict[str, Dict[str, Dict[str, float]]] = {}
     for wl in workloads:
         rr_ipns = None
         per_policy: Dict[str, Dict[str, float]] = {}
         for sched_policy in T_POLICIES:
-            r = next(results)
+            r = next(sweep)
             ipns = max(r.stats.throughput_ipns, 1e-12)
             if rr_ipns is None:
                 rr_ipns = ipns
@@ -111,3 +97,33 @@ def fig10_scheduling_policies(
             }
         rows[wl] = per_policy
     return rows
+
+
+def _shape_fig9(data):
+    return [line(
+        "Fig. 9: context-switch trigger threshold sweep",
+        {wl: [(float(t), row[t]) for t in fsorted(row)]
+         for wl, row in data.items()},
+        "trigger threshold (us)", "normalized execution time (2 us = 1)",
+    )]
+
+
+def _shape_fig10(data):
+    return [bar(
+        "Fig. 10: scheduling policies (RR / Random / CFS)",
+        {wl: {policy: row[policy]["normalized_time"] for policy in row}
+         for wl, row in data.items()},
+        "normalized execution time (RR = 1)",
+    )]
+
+
+FIGURES = (
+    Figure(ChartSpec("fig9", "Context-switch threshold sweep", "SS III-A",
+                     "line", "Normalized execution time vs the Algorithm 1 "
+                     "trigger threshold (paper: 2 us is best).", _shape_fig9),
+           _fig9, _fig9_cells, tuple(representative_four())),
+    Figure(ChartSpec("fig10", "Scheduling policies", "SS III-A", "bar",
+                     "Execution time under the three OS scheduling policies "
+                     "(paper: near-identical).", _shape_fig10),
+           _fig10, _fig10_cells, ("bc", "radix", "srad", "tpcc")),
+)

@@ -1,25 +1,25 @@
 """One job spec for the CLI verbs and the service's jobs.
 
 A job is a grid of simulation cells (kinds ``sweep``, ``scenario``) or
-a list of figure drivers (``report``).  ``repro sweep|figures|report``
+a list of figures (``report``).  ``repro sweep|figures|report``
 build its spec from argv, ``repro job submit`` sends that spec over
 HTTP, and both ends check it with :func:`parse_spec`: a bad value is a
 CLI exit 2 or an HTTP 400 at submit, with an error naming the field.
 Parsing checks types, ranges and names only (no per-cell config is
 resolved).  A parsed spec runs through one sweep planner and payload
-(:func:`plan_sweep`, :func:`sweep_payload`) or one
-figures loop (:func:`run_figures`), whichever door it came in by.
+(:func:`plan_sweep`, :func:`sweep_payload`) or, for a report, one plan
+of every figure's cells run as one sweep (:func:`run_figures`),
+whichever door it came in by.
 """
 
 from __future__ import annotations
 
-import inspect
 import json
 import sys
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.config import FLASH_TIMINGS, rule_of
 from repro.experiments import ablation, colocation, cost, design, migration_study
@@ -29,42 +29,29 @@ from repro.experiments.orchestrator import (
     CellUpdate,
     ResultCache,
     SweepJob,
+    drain_sweep,
     sweep_product,
 )
 from repro.experiments.runner import RunResult, default_records
+from repro.figures.spec import Figure
 from repro.scenarios import canonical_scenario
 from repro.variants import MAIN_VARIANTS, canonical_variant
 from repro.workloads.suites import WORKLOAD_NAMES, canonical_workload
 
-#: Figure/table drivers: ``repro figures``/``report`` ids -> driver.
-FIGURES: Dict[str, Callable] = {
-    "fig2": motivation.fig2_dram_vs_cssd,
-    "fig3": motivation.fig3_latency_distribution,
-    "fig4": motivation.fig4_boundedness,
-    "fig5": motivation.fig5_read_locality,
-    "fig6": motivation.fig6_write_locality,
-    "fig9": design.fig9_threshold_sweep,
-    "fig10": design.fig10_scheduling_policies,
-    "fig14": overall.fig14_overall,
-    "fig15": overall.fig15_thread_scaling,
-    "fig16": overall.fig16_request_breakdown,
-    "fig17": overall.fig17_amat,
-    "fig18": overall.fig18_write_traffic,
-    "fig19": sensitivity.fig19_log_size_performance,
-    "fig20": sensitivity.fig20_log_size_traffic,
-    "fig21": sensitivity.fig21_dram_size,
-    "fig22": sensitivity.fig22_flash_latency,
-    "fig23": migration_study.fig23_migration_mechanisms,
-    "table3": overall.table3_flash_read_latency,
-    "colocation": colocation.colocation_study,
-    "qos": qos.qos_slo_study,
-    "flash-sensitivity": flash_sensitivity.flash_sensitivity_study,
-    "cost": cost.cost_effectiveness,
-    "prefetch-ablation": ablation.prefetch_ablation,
-    "promotion-threshold": ablation.promotion_threshold_sweep,
-    "persistence-interval": ablation.persistence_interval_sweep,
-    "channel-occupancy": occupancy.channel_occupancy_study,
-}
+#: Every figure and table ``repro figures``/``report`` can make, by id.
+FIGURES: Dict[str, Figure] = {figure.name: figure for figure in (
+    *motivation.FIGURES,
+    *design.FIGURES,
+    *overall.FIGURES,
+    *sensitivity.FIGURES,
+    migration_study.FIG23,
+    colocation.COLOCATION,
+    qos.QOS,
+    flash_sensitivity.FLASH_SENSITIVITY,
+    cost.COST,
+    *ablation.FIGURES,
+    occupancy.CHANNEL_OCCUPANCY,
+)}
 
 #: Job kinds :func:`parse_spec` accepts.
 JOB_KINDS = ("sweep", "scenario", "report")
@@ -277,12 +264,9 @@ def sweep_payload(spec: JobSpec, jobs: int, backend: str,
 
 
 class FigureLog:
-    """What :func:`run_figures` tells about each figure and cell.  This
-    one keeps nothing, so a failing driver raises; a ``ReportBuilder``
+    """What :func:`run_figures` tells about each cell and figure.  This
+    one keeps nothing, so a failing figure raises; a ``ReportBuilder``
     records the failure as that figure's FAILED section."""
-
-    def figure_started(self, figure: str) -> None:
-        pass
 
     def cell_completed(self, job: SweepJob, source: str) -> None:
         pass
@@ -291,50 +275,88 @@ class FigureLog:
         pass
 
     def figure_failed(self, figure: str, error: str) -> None:
-        raise  # called while handling the driver's exception: re-raise it
+        raise  # called while handling the figure's exception: re-raise it
 
 
 def run_figures(spec: JobSpec, out_dir: Path, log: object = None,
-                verbose: bool = False,
-                **options: object) -> Iterator[Tuple[str, bool]]:
-    """Run a report spec's figure drivers in order, writing
-    ``<out_dir>/<name>.json`` for each and telling ``log`` (default a
-    :class:`FigureLog`) about each figure, cell and failure; yields
-    ``(name, failed)`` after each figure.  ``options`` (``backend``,
-    ``cache``, ``progress``, ``policy``) and the spec's workloads,
-    records and jobs reach the drivers that take them."""
+                verbose: bool = False, progress: object = None,
+                **sweep_options: object) -> List[str]:
+    """Make a report spec's figures; returns the names of those that
+    failed.
+
+    Plans the cells of every figure, runs them as one sweep
+    (:func:`~repro.experiments.orchestrator.drain_sweep`, which
+    simulates each distinct cell once; ``sweep_options`` are its
+    ``jobs``, ``cache``, ``backend`` and ``policy``) and reduces each
+    figure as soon as its last cell lands -- a figure with no cells
+    first, before the sweep -- writing ``<out_dir>/<name>.json``.
+    ``log`` (default a :class:`FigureLog`) hears of each cell and of
+    each figure written or failed, in completion order; ``progress``
+    also gets each cell.  A reduce that raises fails its own figure; a
+    sweep that raises fails the figures still waiting for cells.
+    """
     log = FigureLog() if log is None else log
-    caller_progress = options.get("progress")
+    records = spec.cell.get("records")
+    failed: List[str] = []
 
-    def progress(job: SweepJob, source: str) -> None:
-        log.cell_completed(job, source)
-        if caller_progress is not None:
-            caller_progress(job, source)
-
-    candidates = dict(options, jobs=spec.jobs, progress=progress,
-                      workloads=list(spec.workloads) or None,
-                      records=spec.cell.get("records"))
-    for name in spec.figures:
-        fn = FIGURES[name]
+    def fail(name: str, error: str) -> None:
+        failed.append(name)
         if verbose:
-            print(f"== {name}: {fn.__module__.rsplit('.', 1)[-1]}.{fn.__name__}")
-        accepted = inspect.signature(fn).parameters
-        # None means "the driver's default"; False (--no-cache) must
-        # reach the driver.
-        kwargs = {k: v for k, v in candidates.items()
-                  if k in accepted and v is not None}
-        path = out_dir / f"{name}.json"
-        log.figure_started(name)
+            print(f"== {name}: FAILED (see {out_dir / 'REPORT.md'})",
+                  file=sys.stderr)
+        log.figure_failed(name, error)
+
+    # The plan: every figure's cells in one list, each figure owning a
+    # slice of it.
+    workloads: Dict[str, List[str]] = {}
+    span: Dict[str, slice] = {}
+    cells: List[SweepJob] = []
+    owner: List[str] = []
+    for name in spec.figures:
+        figure = FIGURES[name]
+        workloads[name] = list(spec.workloads) or list(figure.workloads)
         try:
-            data = fn(**kwargs)
+            jobs = figure.cells(workloads[name], records)
+        except Exception:  # noqa: BLE001 - recorded, non-zero exit
+            fail(name, traceback.format_exc())
+            continue
+        span[name] = slice(len(cells), len(cells) + len(jobs))
+        cells += jobs
+        owner += [name] * len(jobs)
+    waiting = {name: part.stop - part.start for name, part in span.items()}
+    results: List[Optional[RunResult]] = [None] * len(cells)
+
+    def finish(name: str) -> None:
+        path = out_dir / f"{name}.json"
+        try:
+            data = FIGURES[name].reduce(workloads[name], records,
+                                        results[span[name]])
             path.write_text(json.dumps(data, indent=2, default=str))
             log.figure_finished(name, data)
         except Exception:  # noqa: BLE001 - recorded, non-zero exit
-            log.figure_failed(name, traceback.format_exc())
-            if verbose:
-                print(f"   FAILED (see {out_dir / 'REPORT.md'})", file=sys.stderr)
-            yield name, True
-            continue
+            fail(name, traceback.format_exc())
+            return
         if verbose:
-            print(f"   wrote {path}")
-        yield name, False
+            print(f"== {name}: wrote {path}")
+
+    def on_update(update: CellUpdate) -> None:
+        log.cell_completed(update.job, update.source)
+        if progress is not None:
+            progress(update.job, update.source)
+        for i in update.positions:
+            results[i] = update.result
+            waiting[owner[i]] -= 1
+            if not waiting[owner[i]]:
+                finish(owner[i])
+
+    for name, left in waiting.items():
+        if not left:
+            finish(name)
+    try:
+        drain_sweep(cells, on_update, **sweep_options)
+    except Exception:  # noqa: BLE001 - fails the figures it starved
+        error = traceback.format_exc()
+        for name, left in waiting.items():
+            if left:
+                fail(name, error)
+    return failed

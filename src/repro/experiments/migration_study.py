@@ -10,45 +10,27 @@ write log composes with TPP, and Full wins overall.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
-
-from repro.experiments.orchestrator import run_sweep, sweep_product
-from repro.experiments.runner import default_records
+from repro.experiments.overall import grid_cells, normalized_time
+from repro.figures.spec import ChartSpec, Figure, bar
 from repro.variants import MIGRATION_VARIANTS
 from repro.workloads.suites import WORKLOAD_NAMES
 
 
-def fig23_migration_mechanisms(
-    workloads: Optional[Sequence[str]] = None,
-    variants: Optional[Sequence[str]] = None,
-    records: Optional[int] = None,
-    jobs: Optional[int] = None,
-    cache: object = None,
-    backend: object = None,
-    progress: object = None,
-    policy: object = None,
-) -> Dict[str, Dict[str, float]]:
+def _fig23(workloads, _records, results):
     """Fig. 23: normalized execution time, SkyByte-C = 1.0 (lower is
     better)."""
-    workloads = list(workloads or WORKLOAD_NAMES)
-    variants = list(variants or MIGRATION_VARIANTS)
-    records = records or default_records()
-    sweep = iter(run_sweep(
-        sweep_product(workloads, variants, records_per_thread=records),
-        jobs=jobs,
-        cache=cache,
-        backend=backend,
-        progress=progress,
-        policy=policy,
-    ))
-    rows: Dict[str, Dict[str, float]] = {}
-    for wl in workloads:
-        base = None
-        per_variant: Dict[str, float] = {}
-        for variant in variants:
-            r = next(sweep)
-            if base is None:
-                base = r
-            per_variant[variant] = 1.0 / max(r.speedup_over(base), 1e-12)
-        rows[wl] = per_variant
-    return rows
+    return normalized_time(workloads, MIGRATION_VARIANTS, results)
+
+
+def _shape_fig23(data):
+    return [bar(
+        "Fig. 23: page migration mechanisms",
+        data, "normalized execution time (SkyByte-C = 1)",
+    )]
+
+
+FIG23 = Figure(
+    ChartSpec("fig23", "Migration mechanisms", "SS VI-H", "bar",
+              "SkyByte's counter-based promotion vs TPP sampling and "
+              "AstriFlash.", _shape_fig23),
+    _fig23, grid_cells(MIGRATION_VARIANTS), tuple(WORKLOAD_NAMES))

@@ -5,21 +5,26 @@ Runs one deep-device-model cell with sim-time tracing enabled
 per-channel busy fraction over fixed sim-time windows -- the
 channel/plane contention picture the flat horizon model cannot show and
 end-of-run aggregates hide.  Because a traced run bypasses the result
-cache, this driver always simulates; it is deliberately a single small
+cache, this figure always simulates; it is deliberately a single small
 cell.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.experiments.runner import (
     DEFAULT_SCALE,
     _traces_for,
     resolve_run,
 )
+from repro.figures.spec import ChartSpec, Figure, line
 from repro.sim.system import System
 from repro.variants import get_variant
+
+#: The traced cell.
+WORKLOAD = "ycsb"
+VARIANT = "SkyByte-Full"
 
 #: Fixed number of sim-time windows the run is bucketed into.
 WINDOWS = 48
@@ -29,12 +34,7 @@ WINDOWS = 48
 MAX_CHANNEL_SERIES = 7
 
 
-def channel_occupancy_study(
-    workload: str = "ycsb",
-    variant: str = "SkyByte-Full",
-    records: Optional[int] = None,
-    progress=None,
-) -> Dict[str, object]:
+def _reduce(_workloads, records, _results) -> Dict[str, object]:
     """Per-channel flash busy fraction over sim-time windows.
 
     Returns ``{"windows": [...], "channels": {id: [frac...]},
@@ -43,17 +43,16 @@ def channel_occupancy_study(
     divided by the window length (> 1 means multiple dies were busy in
     parallel).
     """
-    del progress  # single direct cell; no orchestrator progress events
     config, records_per_thread = resolve_run(
-        workload,
-        variant,
+        WORKLOAD,
+        VARIANT,
         records_per_thread=records,
         device_model="deep",
     )
     config = config.replace(trace={"enabled": True, "requests": False})
-    design = get_variant(variant)
+    design = get_variant(VARIANT)
     traces, mlp = _traces_for(
-        workload, config.threads, records_per_thread, DEFAULT_SCALE,
+        WORKLOAD, config.threads, records_per_thread, DEFAULT_SCALE,
         config.seed,
     )
     system = System(config, traces, design, workload_mlp=mlp)
@@ -107,8 +106,8 @@ def channel_occupancy_study(
         for ch, lanes in sorted(per_channel.items())
     }
     return {
-        "workload": workload,
-        "variant": variant,
+        "workload": WORKLOAD,
+        "variant": VARIANT,
         "window_ms": window_mid_ms,
         "channels": channels,
         "gc": [round(b / window_us, 4) for b in gc_busy],
@@ -123,3 +122,39 @@ def channel_occupancy_study(
             "gc_invocations": stats.gc_invocations,
         },
     }
+
+
+def _shape(data):
+    """Per-channel busy fraction over sim-time (timeline-derived), with
+    GC campaign occupancy overlaid as its own series."""
+    xs = [float(x) for x in data["window_ms"]]
+    channels = data["channels"]
+    shown = list(channels)[:MAX_CHANNEL_SERIES]
+    series = {
+        f"ch {ch}": list(zip(xs, (float(v) for v in channels[ch])))
+        for ch in shown
+    }
+    if any(float(v) > 0 for v in data.get("gc", [])):
+        series["GC"] = list(zip(xs, (float(v) for v in data["gc"])))
+    dropped = len(channels) - len(shown)
+    subtitle = (
+        f"{data.get('workload', '?')} / {data.get('variant', '?')}, deep "
+        f"device model; busy command-time per window (>1 = die overlap)"
+    )
+    if dropped > 0:
+        subtitle += f"; {dropped} channel(s) omitted for palette"
+    return [line(
+        "Channel occupancy over sim-time (from the timeline trace)",
+        series,
+        "sim-time (ms)", "busy fraction per window",
+        subtitle=subtitle,
+    )]
+
+
+CHANNEL_OCCUPANCY = Figure(
+    ChartSpec("channel-occupancy", "Flash channel occupancy",
+              "repro OBSERVABILITY", "line",
+              "Per-channel flash busy fraction over sim-time windows, "
+              "derived from the Perfetto timeline trace; GC campaign "
+              "occupancy overlaid (see docs/OBSERVABILITY.md).", _shape),
+    _reduce)

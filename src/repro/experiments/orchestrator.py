@@ -111,6 +111,23 @@ def default_cache_max_bytes() -> int:
         return 0
 
 
+class _Frozen(tuple):
+    """A mapping frozen into sorted ``(key, value)`` pairs, so a job
+    holding it hashes; :func:`_thaw` turns it back into a dict."""
+
+
+def _freeze(value: object) -> object:
+    if isinstance(value, dict):
+        return _Frozen(sorted((k, _freeze(v)) for k, v in value.items()))
+    return value
+
+
+def _thaw(value: object) -> object:
+    if isinstance(value, _Frozen):
+        return {k: _thaw(v) for k, v in value}
+    return value
+
+
 @dataclass(frozen=True)
 class SweepJob:
     """One (workload, variant, parameters) simulation cell.
@@ -118,7 +135,9 @@ class SweepJob:
     ``params`` holds :func:`run_workload` keyword arguments as a sorted
     tuple of pairs so jobs are hashable (for dedup) and serializable
     (:func:`~repro.experiments.backends.job_to_wire`).  Build via
-    :meth:`make`, which canonicalises names and drops ``None`` values.
+    :meth:`make`, which canonicalises names, drops ``None`` values and
+    freezes mapping values (``ssd_overrides``, ``device_model``) at
+    every depth.
     """
 
     workload: str
@@ -127,13 +146,7 @@ class SweepJob:
 
     @classmethod
     def make(cls, workload: str, variant: str, **params: object) -> "SweepJob":
-        clean = {k: v for k, v in params.items() if v is not None}
-        overrides = clean.get("ssd_overrides")
-        if isinstance(overrides, dict):
-            clean["ssd_overrides"] = tuple(sorted(overrides.items()))
-        device = clean.get("device_model")
-        if isinstance(device, dict):
-            clean["device_model"] = tuple(sorted(device.items()))
+        clean = {k: _freeze(v) for k, v in params.items() if v is not None}
         return cls(
             workload=cls._canonical_name(workload, "trace" in clean),
             variant=canonical_variant(variant),
@@ -156,14 +169,7 @@ class SweepJob:
 
     def kwargs(self) -> Dict[str, object]:
         """The run_workload keyword arguments this job encodes."""
-        kw = dict(self.params)
-        overrides = kw.get("ssd_overrides")
-        if isinstance(overrides, tuple):
-            kw["ssd_overrides"] = dict(overrides)
-        device = kw.get("device_model")
-        if isinstance(device, tuple):
-            kw["device_model"] = dict(device)
-        return kw
+        return {k: _thaw(v) for k, v in self.params}
 
     def key(self) -> str:
         """Stable cache key for this job (hex digest).
@@ -854,9 +860,7 @@ def run_sweep(
             holds on **every** backend: the callback fires exactly once
             per distinct cell, always from the calling thread, and
             cache-served cells fire before any backend execution starts.
-            Incremental consumers -- the figure drivers thread this
-            through to ``python -m repro report``, which rewrites the
-            report after each cell -- need no locking.
+            Incremental consumers need no locking.
         backend: a :class:`~repro.experiments.backends.SweepBackend`
             (left open for the caller to reuse and close), a backend
             name (``local``/``serial``/``distributed:[HOST:]PORT``), or

@@ -11,19 +11,27 @@ coordinated context switch, 8 otherwise) over per-thread traces, all
 -- exactly the paper's metric once its fixed program section is divided
 out.
 
-Every function fans its independent (workload, variant) cells out
-through :func:`repro.experiments.orchestrator.run_sweep`; pass ``jobs``
-to parallelise, ``cache`` to reuse previously simulated cells, and
-``progress`` to observe every finished cell (the hook ``python -m repro
-report`` uses for incremental reporting).
+Figs. 14, 16, 17, 18 and Table III read overlapping cells of one
+workload x design grid; a report plans every figure's cells together,
+so each distinct cell runs once.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.orchestrator import SweepJob, run_sweep, sweep_product
+from repro.experiments.orchestrator import SweepJob, sweep_product
 from repro.experiments.runner import default_records
+from repro.figures.spec import (
+    AMAT_COMPONENTS,
+    ChartSpec,
+    Figure,
+    bar,
+    fsorted,
+    line,
+    single_bar,
+    stacked,
+)
 from repro.variants import MAIN_VARIANTS
 from repro.workloads.suites import WORKLOAD_NAMES
 
@@ -41,42 +49,35 @@ PAPER_EXPECTED = {
     },
 }
 
+#: SkyByte-Full's thread counts in Fig. 15.
+FIG15_THREADS = (8, 16, 24, 32, 40, 48)
+#: The designs of Fig. 17.
+FIG17_VARIANTS = ("Base-CSSD", "SkyByte-P", "SkyByte-W", "SkyByte-WP",
+                  "SkyByte-Full", "DRAM-Only")
+#: The designs of Fig. 18: DRAM-Only writes no flash.
+FIG18_VARIANTS = tuple(MAIN_VARIANTS[:-1])
 
-def fig14_overall(
-    workloads: Optional[Sequence[str]] = None,
-    variants: Optional[Sequence[str]] = None,
-    records: Optional[int] = None,
-    jobs: Optional[int] = None,
-    cache: object = None,
-    backend: object = None,
-    progress: object = None,
-    policy: object = None,
-) -> Dict[str, Dict[str, float]]:
-    """Fig. 14: normalized execution time of every design vs Base-CSSD.
 
-    Returns {workload: {variant: normalized_time}} (lower is better,
-    Base-CSSD = 1.0).  Paper shape: SkyByte-Full best of the CXL designs
-    (6.11x mean speedup), DRAM-Only the ideal floor, and each mechanism
-    (P, C, W) individually above the baseline.
-    """
-    workloads = list(workloads or WORKLOAD_NAMES)
-    variants = list(variants or MAIN_VARIANTS)
-    records = records or default_records()
-    sweep = run_sweep(
-        sweep_product(workloads, variants, records_per_thread=records),
-        jobs=jobs,
-        cache=cache,
-        backend=backend,
-        progress=progress,
-        policy=policy,
-    )
+def grid_cells(variants: Sequence[str]):
+    """The cells function of a plain workload x ``variants`` grid."""
+
+    def cells(workloads: Sequence[str], records: Optional[int]) -> List[SweepJob]:
+        return sweep_product(workloads, variants,
+                             records_per_thread=records or default_records())
+
+    return cells
+
+
+def normalized_time(workloads, variants, results) -> Dict[str, Dict[str, float]]:
+    """{workload: {variant: time per instruction / the first variant's}}
+    over a workload x variant grid's results."""
+    sweep = iter(results)
     rows: Dict[str, Dict[str, float]] = {}
-    it = iter(sweep)
     for wl in workloads:
         base = None
         per_variant: Dict[str, float] = {}
         for variant in variants:
-            r = next(it)
+            r = next(sweep)
             if base is None:
                 base = r
             per_variant[variant] = 1.0 / max(r.speedup_over(base), 1e-12)
@@ -84,23 +85,18 @@ def fig14_overall(
     return rows
 
 
-def fig15_thread_scaling(
-    workloads: Optional[Sequence[str]] = None,
-    thread_counts: Sequence[int] = (8, 16, 24, 32, 40, 48),
-    records: Optional[int] = None,
-    jobs: Optional[int] = None,
-    cache: object = None,
-    backend: object = None,
-    progress: object = None,
-    policy: object = None,
-) -> Dict[str, Dict[int, Dict[str, float]]]:
-    """Fig. 15: SkyByte-Full throughput and SSD bandwidth vs threads.
+def _fig14(workloads, _records, results) -> Dict[str, Dict[str, float]]:
+    """Fig. 14: normalized execution time of every design vs Base-CSSD.
 
-    Normalized to SkyByte-WP at 8 threads, as in the paper.  Shape:
-    throughput tracks SSD bandwidth utilisation; flash-read-heavy
-    workloads scale further before the switch overhead dominates.
+    Returns {workload: {variant: normalized_time}} (lower is better,
+    Base-CSSD = 1.0).  Paper shape: SkyByte-Full best of the CXL designs
+    (6.11x mean speedup), DRAM-Only the ideal floor, and each mechanism
+    (P, C, W) individually above the baseline.
     """
-    workloads = list(workloads or WORKLOAD_NAMES)
+    return normalized_time(workloads, MAIN_VARIANTS, results)
+
+
+def _fig15_cells(workloads: Sequence[str], records: Optional[int]) -> List[SweepJob]:
     records = records or default_records()
     specs = []
     for wl in workloads:
@@ -111,10 +107,19 @@ def fig15_thread_scaling(
             SweepJob.make(
                 wl, "SkyByte-Full", records_per_thread=records, threads=threads
             )
-            for threads in thread_counts
+            for threads in FIG15_THREADS
         )
-    sweep = iter(run_sweep(specs, jobs=jobs, cache=cache, backend=backend,
-                           progress=progress, policy=policy))
+    return specs
+
+
+def _fig15(workloads, _records, results) -> Dict[str, Dict[int, Dict[str, float]]]:
+    """Fig. 15: SkyByte-Full throughput and SSD bandwidth vs threads.
+
+    Normalized to SkyByte-WP at 8 threads, as in the paper.  Shape:
+    throughput tracks SSD bandwidth utilisation; flash-read-heavy
+    workloads scale further before the switch overhead dominates.
+    """
+    sweep = iter(results)
     rows: Dict[str, Dict[int, Dict[str, float]]] = {}
     for wl in workloads:
         baseline = next(sweep)
@@ -122,7 +127,7 @@ def fig15_thread_scaling(
         base_bw = max(baseline.stats.flash_page_reads
                       / max(baseline.stats.execution_ns, 1.0), 1e-12)
         per_threads: Dict[int, Dict[str, float]] = {}
-        for threads in thread_counts:
+        for threads in FIG15_THREADS:
             r = next(sweep)
             flash_bw = r.stats.flash_page_reads / max(r.stats.execution_ns, 1.0)
             per_threads[threads] = {
@@ -134,66 +139,24 @@ def fig15_thread_scaling(
     return rows
 
 
-def fig16_request_breakdown(
-    workloads: Optional[Sequence[str]] = None,
-    records: Optional[int] = None,
-    variant: str = "SkyByte-Full",
-    jobs: Optional[int] = None,
-    cache: object = None,
-    backend: object = None,
-    progress: object = None,
-    policy: object = None,
-) -> Dict[str, Dict[str, float]]:
+def _fig16(workloads, _records, results) -> Dict[str, Dict[str, float]]:
     """Fig. 16: fraction of requests per class (H-R/W, S-R-H, S-R-M, S-W)
     under the full SkyByte design."""
-    workloads = list(workloads or WORKLOAD_NAMES)
-    records = records or default_records()
-    sweep = run_sweep(
-        sweep_product(workloads, [variant], records_per_thread=records),
-        jobs=jobs,
-        cache=cache,
-        backend=backend,
-        progress=progress,
-        policy=policy,
-    )
-    return {wl: r.stats.request_breakdown() for wl, r in zip(workloads, sweep)}
+    return {wl: r.stats.request_breakdown() for wl, r in zip(workloads, results)}
 
 
-def fig17_amat(
-    workloads: Optional[Sequence[str]] = None,
-    variants: Optional[Sequence[str]] = None,
-    records: Optional[int] = None,
-    jobs: Optional[int] = None,
-    cache: object = None,
-    backend: object = None,
-    progress: object = None,
-    policy: object = None,
-) -> Dict[str, Dict[str, Dict[str, float]]]:
+def _fig17(workloads, _records, results) -> Dict[str, Dict[str, Dict[str, float]]]:
     """Fig. 17: AMAT and its component breakdown per design.
 
     Returns {workload: {variant: {"amat_ns": ..., components...}}}.
     Shape: the flash component shrinks with W (write log) and P
     (promotion); SkyByte-Full approaches DRAM-Only.
     """
-    workloads = list(workloads or WORKLOAD_NAMES)
-    variants = list(
-        variants
-        or ["Base-CSSD", "SkyByte-P", "SkyByte-W", "SkyByte-WP",
-            "SkyByte-Full", "DRAM-Only"]
-    )
-    records = records or default_records()
-    sweep = iter(run_sweep(
-        sweep_product(workloads, variants, records_per_thread=records),
-        jobs=jobs,
-        cache=cache,
-        backend=backend,
-        progress=progress,
-        policy=policy,
-    ))
+    sweep = iter(results)
     rows: Dict[str, Dict[str, Dict[str, float]]] = {}
     for wl in workloads:
         per_variant: Dict[str, Dict[str, float]] = {}
-        for variant in variants:
+        for variant in FIG17_VARIANTS:
             r = next(sweep)
             entry = {"amat_ns": r.stats.amat_ns}
             entry.update(r.stats.amat_breakdown())
@@ -202,16 +165,7 @@ def fig17_amat(
     return rows
 
 
-def fig18_write_traffic(
-    workloads: Optional[Sequence[str]] = None,
-    variants: Optional[Sequence[str]] = None,
-    records: Optional[int] = None,
-    jobs: Optional[int] = None,
-    cache: object = None,
-    backend: object = None,
-    progress: object = None,
-    policy: object = None,
-) -> Dict[str, Dict[str, float]]:
+def _fig18(workloads, _records, results) -> Dict[str, Dict[str, float]]:
     """Fig. 18: flash write traffic normalized to Base-CSSD.
 
     Traffic is measured per instruction so designs running different
@@ -219,22 +173,12 @@ def fig18_write_traffic(
     the most; promotion (P) also helps; context switching adds a little
     back through extra contention.
     """
-    workloads = list(workloads or WORKLOAD_NAMES)
-    variants = list(variants or MAIN_VARIANTS[:-1])  # DRAM-Only writes none
-    records = records or default_records()
-    sweep = iter(run_sweep(
-        sweep_product(workloads, variants, records_per_thread=records),
-        jobs=jobs,
-        cache=cache,
-        backend=backend,
-        progress=progress,
-        policy=policy,
-    ))
+    sweep = iter(results)
     rows: Dict[str, Dict[str, float]] = {}
     for wl in workloads:
         base_rate = None
         per_variant: Dict[str, float] = {}
-        for variant in variants:
+        for variant in FIG18_VARIANTS:
             r = next(sweep)
             rate = r.stats.flash_page_writes / max(r.stats.instructions, 1)
             if base_rate is None:
@@ -244,32 +188,106 @@ def fig18_write_traffic(
     return rows
 
 
-def table3_flash_read_latency(
-    workloads: Optional[Sequence[str]] = None,
-    records: Optional[int] = None,
-    jobs: Optional[int] = None,
-    cache: object = None,
-    backend: object = None,
-    progress: object = None,
-    policy: object = None,
-) -> Dict[str, float]:
+def _table3(workloads, _records, results) -> Dict[str, float]:
     """Table III: average flash read latency (us) under SkyByte-WP.
 
     Paper values: bc 3.5, bfs-dense 25.7, dlrm 3.4, radix 4.9, srad 22.5,
     tpcc 19.6, ycsb 3.3 -- i.e. queueing/compaction interference pushes
     some workloads well above the 3 us device latency.
     """
-    workloads = list(workloads or WORKLOAD_NAMES)
-    records = records or default_records()
-    sweep = run_sweep(
-        sweep_product(workloads, ["SkyByte-WP"], records_per_thread=records),
-        jobs=jobs,
-        cache=cache,
-        backend=backend,
-        progress=progress,
-        policy=policy,
-    )
     return {
         wl: r.stats.flash_read_latency.mean / 1000.0
-        for wl, r in zip(workloads, sweep)
+        for wl, r in zip(workloads, results)
     }
+
+
+# -- charts ------------------------------------------------------------------
+
+
+def _shape_fig14(data):
+    return [bar(
+        "Fig. 14: normalized execution time of every design",
+        data, "normalized execution time (Base-CSSD = 1)",
+    )]
+
+
+def _shape_fig15(data):
+    charts = []
+    for metric, label in (("throughput", "normalized throughput"),
+                          ("ssd_bandwidth", "normalized SSD bandwidth")):
+        charts.append(line(
+            f"Fig. 15: SkyByte-Full {label} vs threads",
+            {wl: [(float(t), row[t][metric]) for t in fsorted(row)]
+             for wl, row in data.items()},
+            "threads", f"{label} (SkyByte-WP@8 = 1)",
+        ))
+    return charts
+
+
+def _shape_fig16(data):
+    return [stacked(
+        "Fig. 16: request class breakdown under SkyByte-Full",
+        data, "fraction of requests",
+        subtitle="stacked per workload: H-R/W + S-R-H + S-R-M + S-W = 1",
+    )]
+
+
+def _shape_fig17(data):
+    """One stacked chart per workload: AMAT decomposed into its
+    components per design, the paper's Fig. 17 encoding."""
+    charts = []
+    for wl, by_variant in data.items():
+        charts.append(stacked(
+            f"Fig. 17 ({wl}): AMAT decomposition per design",
+            {variant: {c: row.get(c, 0.0) for c in AMAT_COMPONENTS}
+             for variant, row in by_variant.items()},
+            "AMAT (ns)",
+            series_order=AMAT_COMPONENTS,
+        ))
+    return charts
+
+
+def _shape_fig18(data):
+    return [bar(
+        "Fig. 18: flash write traffic per design",
+        data, "flash writes per instruction (Base-CSSD = 1)",
+    )]
+
+
+def _shape_table3(data):
+    return [single_bar(
+        "Table III: average flash read latency under SkyByte-WP",
+        data, "flash read latency", "latency (us)",
+    )]
+
+
+_ALL = tuple(WORKLOAD_NAMES)
+
+FIGURES = (
+    Figure(ChartSpec("fig14", "Overall performance", "SS VI-B", "bar",
+                     "Normalized execution time of every design vs "
+                     "Base-CSSD (paper: SkyByte-Full 6.11x mean speedup).",
+                     _shape_fig14),
+           _fig14, grid_cells(MAIN_VARIANTS), _ALL),
+    Figure(ChartSpec("fig15", "Thread scaling", "SS VI-C", "line",
+                     "Throughput and SSD bandwidth vs thread count, "
+                     "normalized to SkyByte-WP at 8 threads.", _shape_fig15),
+           _fig15, _fig15_cells, _ALL),
+    Figure(ChartSpec("fig16", "Request breakdown", "SS VI-C", "stacked",
+                     "Fractions of H-R/W, S-R-H, S-R-M and S-W requests, "
+                     "stacked per workload.", _shape_fig16),
+           _fig16, grid_cells(["SkyByte-Full"]), _ALL),
+    Figure(ChartSpec("fig17", "AMAT decomposition", "SS VI-C", "stacked",
+                     "Average memory access time stacked into its "
+                     "host-DRAM/protocol/indexing/SSD-DRAM/flash components "
+                     "(one chart per workload).", _shape_fig17),
+           _fig17, grid_cells(FIG17_VARIANTS), _ALL),
+    Figure(ChartSpec("fig18", "Flash write traffic", "SS VI-D", "bar",
+                     "Flash writes per instruction normalized to Base-CSSD.",
+                     _shape_fig18),
+           _fig18, grid_cells(FIG18_VARIANTS), _ALL),
+    Figure(ChartSpec("table3", "Flash read latency", "SS VI-C", "bar",
+                     "Average flash read latency in us (paper: 3.3-25.7 us).",
+                     _shape_table3),
+           _table3, grid_cells(["SkyByte-WP"]), _ALL),
+)

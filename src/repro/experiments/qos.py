@@ -1,7 +1,7 @@
 """Tenant QoS at scale: SLO sweep across isolation mechanisms.
 
 The colocation study (PR 5) *measures* interference between a handful of
-tenants; this driver *manages* it.  It sweeps tenant count -- into the
+tenants; this figure *manages* it.  It sweeps tenant count -- into the
 hundreds if asked -- over a scenario mix drawn from
 :mod:`repro.scenarios.library`, once per isolation mechanism
 (``docs/QOS.md``):
@@ -33,6 +33,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.config import ISOLATIONS
 from repro.experiments.colocation import run_colocation
 from repro.experiments.runner import DEFAULT_SCALE, default_records
+from repro.figures.spec import ChartSpec, Figure, line, stacked
 from repro.scenarios.colocate import Tenant
 
 #: Scenario mix cycled across tenants (library composites).
@@ -44,6 +45,9 @@ LATENCY_SENSITIVE = ("web-tier", "graph-walk")
 
 
 DEFAULT_TENANT_COUNTS = (2, 8, 32)
+VARIANT = "SkyByte-Full"
+#: The read SLO a request violates when its latency bucket exceeds it.
+SLO_READ_NS = 20_000.0
 
 
 def mix_tenants(
@@ -78,16 +82,7 @@ def tenant_priorities(tenants: Sequence[Tenant]) -> List[int]:
     return [1 if t.scenario in LATENCY_SENSITIVE else 0 for t in tenants]
 
 
-def qos_slo_study(
-    records: Optional[int] = None,
-    tenant_counts: Optional[Sequence[int]] = None,
-    isolations: Optional[Sequence[str]] = None,
-    mix: Sequence[str] = DEFAULT_MIX,
-    variant: str = "SkyByte-Full",
-    scale: int = DEFAULT_SCALE,
-    seed: int = 42,
-    slo_read_ns: float = 20_000.0,
-) -> Dict[str, object]:
+def _reduce(_workloads, records, _results) -> Dict[str, object]:
     """Tail latency and SLO violations vs tenant count per mechanism.
 
     Returns ``{"sweep": {isolation: {count: row}}}`` where each row has
@@ -97,36 +92,32 @@ def qos_slo_study(
     multi-tenant cell, like the ``colocation`` figure's.
     """
     records = records or default_records()
-    counts = [int(c) for c in (tenant_counts or DEFAULT_TENANT_COUNTS)]
-    mechanisms = list(isolations or ISOLATIONS)
-
     sweep: Dict[str, Dict[str, object]] = {}
-    for isolation in mechanisms:
+    for isolation in ISOLATIONS:
         by_count: Dict[str, object] = {}
-        for count in counts:
-            tenants = mix_tenants(count, mix=mix, seed=seed,
-                                  records_per_thread=records)
+        for count in DEFAULT_TENANT_COUNTS:
+            tenants = mix_tenants(count, records_per_thread=records)
             system = run_colocation(
                 tenants,
-                variant=variant,
-                scale=scale,
+                variant=VARIANT,
+                scale=DEFAULT_SCALE,
                 records_per_thread=records,
-                seed=seed,
+                seed=42,
                 isolation=isolation,
                 weights=tenant_weights(tenants),
                 priorities=tenant_priorities(tenants),
-                slo_read_ns=slo_read_ns,
+                slo_read_ns=SLO_READ_NS,
             )
-            by_count[str(count)] = _row(system, tenants, slo_read_ns)
+            by_count[str(count)] = _row(system, tenants, SLO_READ_NS)
         sweep[isolation] = by_count
 
     return {
-        "variant": variant,
+        "variant": VARIANT,
         "records_per_thread": records,
-        "slo_read_ns": slo_read_ns,
-        "mix": list(mix),
-        "tenant_counts": counts,
-        "isolations": mechanisms,
+        "slo_read_ns": SLO_READ_NS,
+        "mix": list(DEFAULT_MIX),
+        "tenant_counts": list(DEFAULT_TENANT_COUNTS),
+        "isolations": list(ISOLATIONS),
         "sweep": sweep,
     }
 
@@ -165,3 +156,43 @@ def _row(system, tenants: Sequence[Tenant],
         "execution_ns": system.stats.execution_ns,
         "context_switches": system.stats.context_switches,
     }
+
+
+def _shape(data):
+    """SLO-violation stack at the largest tenant count, plus the
+    worst-tenant p99 scaling curve -- the stacked + line pair of the
+    tenant-QoS figure (see docs/QOS.md)."""
+    sweep = data["sweep"]
+    counts = [str(c) for c in data["tenant_counts"]]
+    top = counts[-1] if counts else None
+    slo_us = float(data["slo_read_ns"]) / 1000.0
+    charts = []
+    if top is not None:
+        charts.append(stacked(
+            f"QoS: SLO-violation rate by scenario at {top} tenants",
+            {isolation: dict(
+                sweep[isolation][top]["violation_rate_by_scenario"])
+             for isolation in data["isolations"]},
+            "violation rate per scenario (stacked)",
+            subtitle=f"fraction of requests slower than the "
+                     f"{slo_us:g} us read SLO, per tenant scenario",
+        ))
+    charts.append(line(
+        "QoS: worst-tenant p99 vs tenant count",
+        {isolation: [
+            (float(c), sweep[isolation][c]["worst_p99_ns"])
+            for c in counts]
+         for isolation in data["isolations"]},
+        "tenants", "worst per-tenant p99 off-chip latency (ns)",
+        log_x=True,
+        subtitle=f"variant {data.get('variant', '?')}; "
+                 "lower and flatter is better isolation",
+    ))
+    return charts
+
+
+QOS = Figure(
+    ChartSpec("qos", "Tenant QoS at scale", "repro QOS", "line",
+              "Per-tenant p99 and SLO-violation rate vs tenant count under "
+              "each isolation mechanism (see docs/QOS.md).", _shape),
+    _reduce)

@@ -1,6 +1,6 @@
 """Experiment harness: one function to run (workload, variant) pairs.
 
-All benchmarks, examples and figure drivers go through
+All benchmarks, examples and figures go through
 :func:`run_workload`, so every experiment shares the same scaling rules:
 
 * capacities are scaled by ``scale`` (default 512) with all of the
@@ -161,7 +161,7 @@ _TRACE_MEMO_MAX = 16
 #: Guards the memo's check-then-act updates: ``repro serve --max-active
 #: N`` at the default ``--jobs 1`` runs N jobs' cells in process, on N
 #: driver threads, and report jobs also call :func:`_traces_for` on
-#: their job threads from the fig5/fig6 and channel-occupancy drivers.
+#: their job threads from the fig5/fig6 and channel-occupancy figures.
 #: Generation runs outside it, and two threads that generate the same
 #: key produce equal traces.
 _TRACE_MEMO_LOCK = threading.Lock()

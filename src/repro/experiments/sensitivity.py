@@ -5,18 +5,18 @@ sweeps the SSD DRAM size (host budget and log scaled along, as in the
 paper); Fig. 22 swaps the flash timing between ULL/ULL2/SLC/MLC and
 varies SkyByte-Full's thread count.
 
-All sweeps fan out through the orchestrator (``jobs`` workers, shared
-result cache), so e.g. Fig. 19 and Fig. 20 -- which simulate the same
-(workload, log size) cells -- only pay for them once when cached.
+Fig. 19 and Fig. 20 read the same (workload, log size) cells, so a
+report that runs both simulates them once.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.config import KB
-from repro.experiments.orchestrator import SweepJob, run_sweep
+from repro.experiments.orchestrator import SweepJob
 from repro.experiments.runner import default_records
+from repro.figures.spec import ChartSpec, Figure, bar, fsorted, geomean, kib, line
 from repro.workloads.suites import WORKLOAD_NAMES
 
 #: Scaled-down analogue of Fig. 19/20's 0.5 MB..256 MB sweep.  The
@@ -26,56 +26,44 @@ FIG19_LOG_SIZES = (16 * KB, 32 * KB, 64 * KB, 128 * KB, 256 * KB)
 
 #: Scaled analogue of Fig. 21's 0.125..2 GB SSD DRAM sweep.
 FIG21_DRAM_SIZES = (256 * KB, 512 * KB, 1024 * KB, 2048 * KB, 4096 * KB)
+#: The designs of Fig. 21.
+FIG21_VARIANTS = ("Base-CSSD", "SkyByte-WP", "SkyByte-Full")
 
 FIG22_TIMINGS = ("ULL", "ULL2", "SLC", "MLC")
+#: Fig. 22's designs besides SkyByte-Full, and SkyByte-Full's thread counts.
+FIG22_VARIANTS = ("SkyByte-P", "SkyByte-WP")
+FIG22_THREADS = (16, 24, 32)
 
 
-def _log_size_sweep(
-    workloads: Sequence[str],
-    log_sizes: Sequence[int],
-    records: int,
-    jobs: Optional[int],
-    cache: object,
-    backend: object,
-    progress: object = None,
-    policy: object = None,
-) -> Dict[str, Dict[int, "object"]]:
-    """One SkyByte-Full run per (workload, log size), as a nested dict."""
-    specs = [
+def _log_size_cells(workloads: Sequence[str], records: Optional[int]) -> List[SweepJob]:
+    """One SkyByte-Full run per (workload, log size)."""
+    records = records or default_records()
+    return [
         SweepJob.make(
             wl, "SkyByte-Full", records_per_thread=records, write_log_bytes=size
         )
         for wl in workloads
-        for size in log_sizes
+        for size in FIG19_LOG_SIZES
     ]
-    sweep = iter(run_sweep(specs, jobs=jobs, cache=cache, backend=backend,
-                           progress=progress, policy=policy))
-    return {wl: {size: next(sweep) for size in log_sizes} for wl in workloads}
 
 
-def fig19_log_size_performance(
-    workloads: Optional[Sequence[str]] = None,
-    log_sizes: Sequence[int] = FIG19_LOG_SIZES,
-    records: Optional[int] = None,
-    jobs: Optional[int] = None,
-    cache: object = None,
-    backend: object = None,
-    progress: object = None,
-    policy: object = None,
-) -> Dict[str, Dict[int, float]]:
+def _by_log_size(workloads, results) -> Dict[str, Dict[int, object]]:
+    sweep = iter(results)
+    return {wl: {size: next(sweep) for size in FIG19_LOG_SIZES}
+            for wl in workloads}
+
+
+def _fig19(workloads, _records, results) -> Dict[str, Dict[int, float]]:
     """Fig. 19: SkyByte-Full execution time vs write-log size (total SSD
     DRAM fixed).  Normalized to the largest log.  Paper shape: a log of
     ~1/8 of SSD DRAM already suffices; tiny logs hurt write-heavy
     workloads."""
-    workloads = list(workloads or WORKLOAD_NAMES)
-    records = records or default_records()
-    cells = _log_size_sweep(workloads, log_sizes, records, jobs, cache,
-                            backend, progress, policy)
+    cells = _by_log_size(workloads, results)
     rows: Dict[str, Dict[int, float]] = {}
     for wl in workloads:
         ref_ipns = None
         sweep: Dict[int, float] = {}
-        for size in sorted(log_sizes, reverse=True):
+        for size in sorted(FIG19_LOG_SIZES, reverse=True):
             ipns = max(cells[wl][size].stats.throughput_ipns, 1e-12)
             if ref_ipns is None:
                 ref_ipns = ipns
@@ -84,28 +72,16 @@ def fig19_log_size_performance(
     return rows
 
 
-def fig20_log_size_traffic(
-    workloads: Optional[Sequence[str]] = None,
-    log_sizes: Sequence[int] = FIG19_LOG_SIZES,
-    records: Optional[int] = None,
-    jobs: Optional[int] = None,
-    cache: object = None,
-    backend: object = None,
-    progress: object = None,
-    policy: object = None,
-) -> Dict[str, Dict[int, float]]:
+def _fig20(workloads, _records, results) -> Dict[str, Dict[int, float]]:
     """Fig. 20: flash write traffic vs write-log size, normalized to the
     smallest log.  Paper shape: traffic falls steeply as the log (and so
     the coalescing window) grows."""
-    workloads = list(workloads or WORKLOAD_NAMES)
-    records = records or default_records()
-    cells = _log_size_sweep(workloads, log_sizes, records, jobs, cache,
-                            backend, progress, policy)
+    cells = _by_log_size(workloads, results)
     rows: Dict[str, Dict[int, float]] = {}
     for wl in workloads:
         ref_rate = None
         sweep: Dict[int, float] = {}
-        for size in sorted(log_sizes):
+        for size in sorted(FIG19_LOG_SIZES):
             stats = cells[wl][size].stats
             rate = stats.flash_page_writes / max(stats.instructions, 1)
             if ref_rate is None:
@@ -115,17 +91,30 @@ def fig20_log_size_traffic(
     return rows
 
 
-def fig21_dram_size(
-    workloads: Optional[Sequence[str]] = None,
-    dram_sizes: Sequence[int] = FIG21_DRAM_SIZES,
-    variants: Optional[Sequence[str]] = None,
-    records: Optional[int] = None,
-    jobs: Optional[int] = None,
-    cache: object = None,
-    backend: object = None,
-    progress: object = None,
-    policy: object = None,
-) -> Dict[str, Dict[str, Dict[int, float]]]:
+_FIG21_SIZES = sorted(FIG21_DRAM_SIZES)
+_FIG21_REFERENCE = _FIG21_SIZES[len(_FIG21_SIZES) // 2]
+
+
+def _fig21_cells(workloads: Sequence[str], records: Optional[int]) -> List[SweepJob]:
+    records = records or default_records()
+    specs = []
+    for wl in workloads:
+        specs.append(SweepJob.make(
+            wl, "SkyByte-Full", records_per_thread=records,
+            dram_bytes=_FIG21_REFERENCE, host_budget_bytes=_FIG21_REFERENCE * 4,
+        ))
+        specs.extend(
+            SweepJob.make(
+                wl, variant, records_per_thread=records,
+                dram_bytes=size, host_budget_bytes=size * 4,
+            )
+            for variant in FIG21_VARIANTS
+            for size in _FIG21_SIZES
+        )
+    return specs
+
+
+def _fig21(workloads, _records, results) -> Dict[str, Dict[str, Dict[int, float]]]:
     """Fig. 21: execution time vs SSD DRAM cache size per design.
 
     As in the paper, the host promotion budget keeps its 4:1 ratio to
@@ -133,63 +122,22 @@ def fig21_dram_size(
     SkyByte-Full at the default (middle) size.  Shape: SkyByte-Full wins
     at every size; a small SkyByte beats a much larger Base-CSSD.
     """
-    workloads = list(workloads or WORKLOAD_NAMES)
-    variants = list(variants or ["Base-CSSD", "SkyByte-WP", "SkyByte-Full"])
-    records = records or default_records()
-    sizes = sorted(dram_sizes)
-    reference_size = sizes[len(sizes) // 2]
-    specs = []
-    for wl in workloads:
-        specs.append(SweepJob.make(
-            wl, "SkyByte-Full", records_per_thread=records,
-            dram_bytes=reference_size, host_budget_bytes=reference_size * 4,
-        ))
-        specs.extend(
-            SweepJob.make(
-                wl, variant, records_per_thread=records,
-                dram_bytes=size, host_budget_bytes=size * 4,
-            )
-            for variant in variants
-            for size in sizes
-        )
-    sweep = iter(run_sweep(specs, jobs=jobs, cache=cache, backend=backend,
-                           progress=progress, policy=policy))
+    sweep = iter(results)
     rows: Dict[str, Dict[str, Dict[int, float]]] = {}
     for wl in workloads:
         ref = next(sweep)
         ref_ipns = max(ref.stats.throughput_ipns, 1e-12)
         per_variant: Dict[str, Dict[int, float]] = {}
-        for variant in variants:
+        for variant in FIG21_VARIANTS:
             per_variant[variant] = {
                 size: ref_ipns / max(next(sweep).stats.throughput_ipns, 1e-12)
-                for size in sizes
+                for size in _FIG21_SIZES
             }
         rows[wl] = per_variant
     return rows
 
 
-def fig22_flash_latency(
-    workloads: Optional[Sequence[str]] = None,
-    timings: Sequence[str] = FIG22_TIMINGS,
-    variants: Optional[Sequence[str]] = None,
-    thread_counts: Sequence[int] = (16, 24, 32),
-    records: Optional[int] = None,
-    jobs: Optional[int] = None,
-    cache: object = None,
-    backend: object = None,
-    progress: object = None,
-    policy: object = None,
-) -> Dict[str, Dict[str, Dict[str, float]]]:
-    """Fig. 22: performance with ULL/ULL2/SLC/MLC flash.
-
-    Returns {workload: {timing: {design: normalized_time}}} where designs
-    include SkyByte-P/W/WP and SkyByte-Full at several thread counts,
-    normalized to SkyByte-Full-24 with ULL flash.  Paper shape: slower
-    flash widens SkyByte's advantage, and more threads keep hiding the
-    longer latency.
-    """
-    workloads = list(workloads or WORKLOAD_NAMES)
-    variants = list(variants or ["SkyByte-P", "SkyByte-WP"])
+def _fig22_cells(workloads: Sequence[str], records: Optional[int]) -> List[SweepJob]:
     records = records or default_records()
     specs = []
     for wl in workloads:
@@ -197,33 +145,44 @@ def fig22_flash_latency(
             wl, "SkyByte-Full", records_per_thread=records, threads=24,
             timing="ULL",
         ))
-        for timing in timings:
+        for timing in FIG22_TIMINGS:
             specs.extend(
                 SweepJob.make(
                     wl, variant, records_per_thread=records, timing=timing
                 )
-                for variant in variants
+                for variant in FIG22_VARIANTS
             )
             specs.extend(
                 SweepJob.make(
                     wl, "SkyByte-Full", records_per_thread=records,
                     threads=threads, timing=timing,
                 )
-                for threads in thread_counts
+                for threads in FIG22_THREADS
             )
-    sweep = iter(run_sweep(specs, jobs=jobs, cache=cache, backend=backend,
-                           progress=progress, policy=policy))
+    return specs
+
+
+def _fig22(workloads, _records, results) -> Dict[str, Dict[str, Dict[str, float]]]:
+    """Fig. 22: performance with ULL/ULL2/SLC/MLC flash.
+
+    Returns {workload: {timing: {design: normalized_time}}} where designs
+    include SkyByte-P/WP and SkyByte-Full at several thread counts,
+    normalized to SkyByte-Full-24 with ULL flash.  Paper shape: slower
+    flash widens SkyByte's advantage, and more threads keep hiding the
+    longer latency.
+    """
+    sweep = iter(results)
     rows: Dict[str, Dict[str, Dict[str, float]]] = {}
     for wl in workloads:
         ref = next(sweep)
         ref_ipns = max(ref.stats.throughput_ipns, 1e-12)
         per_timing: Dict[str, Dict[str, float]] = {}
-        for timing in timings:
+        for timing in FIG22_TIMINGS:
             cell: Dict[str, float] = {}
-            for variant in variants:
+            for variant in FIG22_VARIANTS:
                 r = next(sweep)
                 cell[variant] = ref_ipns / max(r.stats.throughput_ipns, 1e-12)
-            for threads in thread_counts:
+            for threads in FIG22_THREADS:
                 r = next(sweep)
                 cell[f"SkyByte-Full-{threads}"] = ref_ipns / max(
                     r.stats.throughput_ipns, 1e-12
@@ -231,3 +190,80 @@ def fig22_flash_latency(
             per_timing[timing] = cell
         rows[wl] = per_timing
     return rows
+
+
+# -- charts ------------------------------------------------------------------
+
+
+def _shape_fig19(data):
+    return [line(
+        "Fig. 19: performance vs write-log size",
+        {wl: [(kib(s), row[s]) for s in fsorted(row)]
+         for wl, row in data.items()},
+        "write log size (KiB)", "normalized execution time (largest log = 1)",
+        log_x=True,
+    )]
+
+
+def _shape_fig20(data):
+    return [line(
+        "Fig. 20: flash write traffic vs write-log size",
+        {wl: [(kib(s), row[s]) for s in fsorted(row)]
+         for wl, row in data.items()},
+        "write log size (KiB)", "normalized flash writes (smallest log = 1)",
+        log_x=True,
+    )]
+
+
+def _shape_fig21(data):
+    charts = []
+    for wl, by_variant in data.items():
+        charts.append(line(
+            f"Fig. 21 ({wl}): performance vs SSD DRAM size",
+            {variant: [(kib(s), sweep[s]) for s in fsorted(sweep)]
+             for variant, sweep in by_variant.items()},
+            "SSD DRAM (KiB)",
+            "normalized execution time (SkyByte-Full @ default = 1)",
+            log_x=True,
+        ))
+    return charts
+
+
+def _shape_fig22(data):
+    workloads = list(data)
+    timings = list(next(iter(data.values()), {}))
+    designs = list(next(iter(data[workloads[0]].values()), {})) \
+        if workloads else []
+    rows = {
+        timing: {
+            design: geomean([data[wl][timing][design] for wl in workloads])
+            for design in designs
+        }
+        for timing in timings
+    }
+    return [bar(
+        "Fig. 22: flash technology sensitivity",
+        rows, "normalized execution time (SkyByte-Full-24 @ ULL = 1)",
+        subtitle="geometric mean across workloads",
+    )]
+
+
+_ALL = tuple(WORKLOAD_NAMES)
+
+FIGURES = (
+    Figure(ChartSpec("fig19", "Write-log size: performance", "SS VI-E",
+                     "line", "Execution time vs log size at fixed total SSD "
+                     "DRAM.", _shape_fig19),
+           _fig19, _log_size_cells, _ALL),
+    Figure(ChartSpec("fig20", "Write-log size: traffic", "SS VI-E", "line",
+                     "Flash write traffic vs log size.", _shape_fig20),
+           _fig20, _log_size_cells, _ALL),
+    Figure(ChartSpec("fig21", "SSD DRAM size", "SS VI-F", "line",
+                     "Execution time vs SSD DRAM capacity (one chart per "
+                     "workload).", _shape_fig21),
+           _fig21, _fig21_cells, _ALL),
+    Figure(ChartSpec("fig22", "Flash technology", "SS VI-G", "bar",
+                     "ULL/ULL2/SLC/MLC flash sensitivity (geomean across "
+                     "workloads).", _shape_fig22),
+           _fig22, _fig22_cells, _ALL),
+)

@@ -1,16 +1,16 @@
 """Figure rendering and paper-fidelity reporting.
 
-This subsystem turns the JSON payloads produced by the drivers in
+This subsystem turns the JSON payloads of the figures in
 :mod:`repro.experiments` into human-readable evaluation artifacts,
 with no dependencies beyond the standard library (CI never needs
 matplotlib):
 
-* :mod:`repro.figures.spec` -- the chart-spec registry: figure id ->
-  paper section, chart form, and a shaper from driver JSON to charts;
+* :mod:`repro.figures.spec` -- the :class:`Figure` record (cells,
+  reduce, chart spec) and the chart helpers the shapers use;
 * :mod:`repro.figures.svg` -- a deterministic SVG renderer for grouped
   bars and lines;
 * :mod:`repro.figures.fidelity` -- reproduced-vs-paper scoring against
-  the ``PAPER_EXPECTED`` annotations embedded in the drivers;
+  the ``PAPER_EXPECTED`` annotations beside the figures;
 * :mod:`repro.figures.report` -- the incremental ``REPORT.md`` /
   ``REPORT.html`` builder behind ``python -m repro report``.
 
@@ -27,7 +27,7 @@ from repro.figures.fidelity import (
     expectations_for,
 )
 from repro.figures.report import ReportBuilder
-from repro.figures.spec import SPECS, ChartSpec, shape_figure
+from repro.figures.spec import ChartSpec, Figure, shape_figure
 from repro.figures.svg import Chart, Series, render_chart
 
 __all__ = [
@@ -35,8 +35,8 @@ __all__ = [
     "ChartSpec",
     "Expectation",
     "FidelityRow",
+    "Figure",
     "ReportBuilder",
-    "SPECS",
     "Series",
     "all_expectations",
     "classify",

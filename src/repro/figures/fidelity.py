@@ -3,10 +3,10 @@
 The paper reports concrete values for several evaluation figures (the
 6.11x mean speedup of Fig. 14, Table III's per-workload flash read
 latencies, the SS VI-B cost arithmetic, ...).  Those values live as
-``PAPER_EXPECTED`` annotations **next to the driver that reproduces
+``PAPER_EXPECTED`` annotations **next to the figure that reproduces
 them** (e.g. :data:`repro.experiments.overall.PAPER_EXPECTED`); this
 module turns them into :class:`Expectation` objects -- paper value +
-an extractor over the driver's JSON payload + tolerance thresholds --
+an extractor over the figure's JSON payload + tolerance thresholds --
 and evaluates them into the report's fidelity table.
 
 Classification is by relative delta ``(reproduced - paper) / |paper|``:
@@ -30,10 +30,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.experiments import cost as cost_mod
-from repro.experiments import design as design_mod
-from repro.experiments import motivation as motivation_mod
-from repro.experiments import overall as overall_mod
 from repro.figures.spec import _norm, geomean
 
 #: Default tolerances: within 25% passes, within 150% is the expected
@@ -92,7 +88,7 @@ def classify(paper: float, reproduced: Optional[float],
 
 
 # ---------------------------------------------------------------------------
-# Extractors (payloads are JSON-normalized driver returns)
+# Extractors (payloads are JSON-normalized figure payloads)
 # ---------------------------------------------------------------------------
 
 
@@ -170,15 +166,18 @@ def _cost(key: str) -> Extractor:
 
 
 # ---------------------------------------------------------------------------
-# The expectation registry (paper values live with the drivers)
+# The expectation registry (paper values live with the figures)
 # ---------------------------------------------------------------------------
 
 
 def _build_expectations() -> List[Expectation]:
-    m = motivation_mod.PAPER_EXPECTED
-    d = design_mod.PAPER_EXPECTED
-    o = overall_mod.PAPER_EXPECTED
-    c = cost_mod.PAPER_EXPECTED
+    # Imported here: the figure modules import this package.
+    from repro.experiments import cost, design, motivation, overall
+
+    m = motivation.PAPER_EXPECTED
+    d = design.PAPER_EXPECTED
+    o = overall.PAPER_EXPECTED
+    c = cost.PAPER_EXPECTED
     rows: List[Expectation] = [
         Expectation("fig2", "min slowdown over DRAM",
                     m["fig2"]["slowdown_min"], _fig2("min"),

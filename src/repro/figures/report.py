@@ -1,15 +1,14 @@
 """Assemble rendered figures + fidelity table into REPORT.md/REPORT.html.
 
-:class:`ReportBuilder` is the consumer of the orchestrator's per-cell
-progress callback: ``python -m repro report`` wires
-:meth:`ReportBuilder.cell_completed` into every figure driver's
-``progress=`` argument, so the report on disk is **rewritten after
-every finished simulation cell** -- a long sweep can be watched by
-refreshing ``REPORT.md`` (the status section counts cells and names
-the figure in flight, finished figures are already rendered, pending
-ones say so).  Both report files are written atomically (tmp + rename),
-so a reader never sees a torn document, no matter which backend is
-executing cells.
+:class:`ReportBuilder` is the log of
+:func:`repro.experiments.jobspec.run_figures`: it counts the cells of
+the report's one sweep as they finish, and the report on disk is
+**rewritten as each figure is written or fails** (and once at the
+end) -- a long report can be watched by refreshing ``REPORT.md`` (the
+status section counts figures and cells, finished figures are already
+rendered, pending ones say so).  Every file is written atomically (tmp
++ rename), so a reader never sees a torn document, no matter which
+backend is executing cells.
 
 Outputs, all under one directory:
 
@@ -21,9 +20,10 @@ Outputs, all under one directory:
   charts themselves, written as each figure finishes;
 * ``BENCH_fidelity.json`` -- the fidelity table in machine-readable
   form: per figure a score in [0, 1] (pass=1, warn=0.5, off=0,
-  averaged over its expectations), its wall time, and the raw rows,
-  plus overall aggregates -- so CI can diff fidelity across commits
-  instead of eyeballing the rendered table.
+  averaged over its expectations), the seconds from the report's start
+  until it was written, and the raw rows, plus overall aggregates
+  (``wall_s`` there is the report's own wall time) -- so CI can diff
+  fidelity across commits instead of eyeballing the rendered table.
 """
 
 from __future__ import annotations
@@ -35,13 +35,12 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.figures.fidelity import FidelityRow, evaluate, expectations_for
-from repro.figures.spec import SPECS, shape_figure
+from repro.figures.spec import shape_figure
 from repro.figures.svg import render_chart
 from repro.figures.trends import render_markdown as render_trend_markdown
 
 _STATE_LABEL = {
     "pending": "pending",
-    "running": "running ...",
     "done": "done",
     "failed": "FAILED",
 }
@@ -77,9 +76,12 @@ class ReportBuilder:
 
     def __init__(self, out_dir, figures: Sequence[str],
                  title: str = "SkyByte reproduction report") -> None:
-        unknown = [f for f in figures if f not in SPECS]
+        from repro.experiments.jobspec import FIGURES  # imports this package
+
+        unknown = [f for f in figures if f not in FIGURES]
         if unknown:
             raise KeyError(f"no chart spec for figure(s): {', '.join(unknown)}")
+        self.charts = {f: FIGURES[f].chart for f in figures}
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.title = title
@@ -90,28 +92,18 @@ class ReportBuilder:
         self.fidelity: Dict[str, List[FidelityRow]] = {}
         self.cells_run = 0
         self.cells_cached = 0
-        self._current: Optional[str] = None
+        self._t0 = time.monotonic()
+        #: Seconds from the start of the report until each figure was
+        #: written (or failed).
         self.figure_wall_s: Dict[str, float] = {}
-        self._figure_t0: Dict[str, float] = {}
         #: Historic trend rows (benchmarks/trends.ndjson), set by the CLI
         #: once the run completes; rendered as a sparkline table.
         self.trend_rows: List[Dict[str, object]] = []
 
     # -- lifecycle hooks ---------------------------------------------------
 
-    def figure_started(self, figure: str) -> None:
-        self.state[figure] = "running"
-        self._current = figure
-        self._figure_t0[figure] = time.monotonic()
-        self.render()
-
-    def _record_wall(self, figure: str) -> None:
-        started = self._figure_t0.pop(figure, None)
-        if started is not None:
-            self.figure_wall_s[figure] = time.monotonic() - started
-
     def figure_finished(self, figure: str, data: object) -> None:
-        self._record_wall(figure)
+        self.figure_wall_s[figure] = time.monotonic() - self._t0
         charts = shape_figure(figure, data)
         files: List[Tuple[str, str]] = []
         for i, chart in enumerate(charts):
@@ -123,25 +115,21 @@ class ReportBuilder:
         self.svg_files[figure] = files
         self.fidelity[figure] = evaluate(figure, data)
         self.state[figure] = "done"
-        if self._current == figure:
-            self._current = None
         self.render()
 
     def figure_failed(self, figure: str, error: str) -> None:
-        self._record_wall(figure)
+        self.figure_wall_s[figure] = time.monotonic() - self._t0
         self.state[figure] = "failed"
         self.errors[figure] = error
-        if self._current == figure:
-            self._current = None
         self.render()
 
     def cell_completed(self, job, source: str) -> None:
-        """``run_sweep`` progress hook: one finished simulation cell."""
+        """One finished simulation cell; counted, shown at the next
+        render."""
         if source == "cache":
             self.cells_cached += 1
         else:
             self.cells_run += 1
-        self.render()
 
     # -- document assembly -------------------------------------------------
 
@@ -158,10 +146,9 @@ class ReportBuilder:
         if self.complete:
             tail = f", {failed} failed" if failed else ""
             return f"Complete: {done}/{total} figure(s) rendered{tail}; {cells}."
-        current = f", now running **{self._current}**" if self._current else ""
-        return (f"In progress: {done}/{total} figure(s) rendered"
-                f"{current}; {cells}. This file is rewritten after every "
-                f"cell -- refresh to watch.")
+        return (f"In progress: {done}/{total} figure(s) rendered; {cells}. "
+                f"This file is rewritten as each figure finishes -- "
+                f"refresh to watch.")
 
     def _fidelity_rows(self) -> List[FidelityRow]:
         rows: List[FidelityRow] = []
@@ -205,7 +192,7 @@ class ReportBuilder:
             lines += render_trend_markdown(self.trend_rows)
         lines += ["", "## Figures", ""]
         for figure in self.figures:
-            spec = SPECS[figure]
+            spec = self.charts[figure]
             state = self.state[figure]
             lines.append(f"### {figure} -- {spec.title} ({spec.section})")
             lines += ["", spec.description, ""]
@@ -268,7 +255,7 @@ class ReportBuilder:
             ) + "</pre>")
         parts.append("<h2>Figures</h2>")
         for figure in self.figures:
-            spec = SPECS[figure]
+            spec = self.charts[figure]
             state = self.state[figure]
             parts.append(
                 f"<h3>{_escape_html(figure)} &mdash; "
@@ -325,7 +312,7 @@ class ReportBuilder:
             "figures": figures,
             "overall": {
                 "score": sum(scores) / len(scores) if scores else None,
-                "wall_s": sum(self.figure_wall_s.values()),
+                "wall_s": time.monotonic() - self._t0,
                 "cells_run": self.cells_run,
                 "cells_cached": self.cells_cached,
                 "statuses": status_counts,

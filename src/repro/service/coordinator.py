@@ -304,35 +304,37 @@ class SweepService:
         return payload
 
     def _run_report_job(self, job_id: int, spec: JobSpec) -> Dict[str, object]:
-        """One report job: ``repro report``'s figures loop, rendered
-        into the job's artifact directory."""
+        """One report job: ``repro report``'s one sweep and figures,
+        rendered into the job's artifact directory."""
         from repro.figures.report import ReportBuilder  # lazy: heavy import
 
-        out_dir = self.artifact_dir(job_id)
-        builder = ReportBuilder(out_dir, list(spec.figures))  # makes out_dir
-
-        def progress(job, source) -> None:
-            self.store.add_event(job_id, {
-                "event": "cell", "workload": job.workload,
-                "variant": job.variant, "source": source,
-            })
+        def event(record: Dict[str, object]) -> None:
+            self.store.add_event(job_id, record)
             self._check_cancel(job_id)
 
-        failures: List[str] = []
+        class JobReport(ReportBuilder):
+            """The report, plus a job event per cell and per figure."""
+
+            def cell_completed(self, job, source: str) -> None:
+                super().cell_completed(job, source)
+                event({"event": "cell", "workload": job.workload,
+                       "variant": job.variant, "source": source})
+
+            def figure_finished(self, figure: str, data: object) -> None:
+                super().figure_finished(figure, data)
+                event({"event": "figure", "name": figure, "state": "done"})
+
+            def figure_failed(self, figure: str, error: str) -> None:
+                super().figure_failed(figure, error)
+                event({"event": "figure", "name": figure, "state": "failed"})
+
+        out_dir = self.artifact_dir(job_id)
+        builder = JobReport(out_dir, list(spec.figures))  # makes out_dir
         self._check_cancel(job_id)
         try:
             with self._job_backend(spec.jobs or self.jobs) as backend:
-                for name, failed in run_figures(
-                        spec, out_dir, builder, backend=backend,
-                        cache=self.cache, policy=self.policy,
-                        progress=progress):
-                    if failed:
-                        failures.append(name)
-                    self.store.add_event(job_id, {
-                        "event": "figure", "name": name,
-                        "state": "failed" if failed else "done",
-                    })
-                    self._check_cancel(job_id)
+                failures = run_figures(spec, out_dir, builder, backend=backend,
+                                       cache=self.cache, policy=self.policy)
         finally:
             builder.render()
         if failures:

@@ -6,7 +6,11 @@ import json
 import pytest
 
 from repro.config import PAGE_SIZE
-from repro.experiments.colocation import colocation_study, run_colocation
+from repro.experiments.colocation import (
+    colocation_payload,
+    run_colocation,
+    solo_cells,
+)
 from repro.experiments.orchestrator import SweepJob, run_sweep
 from repro.experiments.runner import build_config, run_workload
 from repro.figures.spec import shape_figure
@@ -100,8 +104,8 @@ def test_tenant_makespans_bounded_by_device():
 
 
 def test_colocation_study_shape_and_charts():
-    data = colocation_study(tenants=TENANTS, records=RECORDS,
-                            variant="SkyByte-Full")
+    solo = run_sweep(solo_cells(TENANTS, RECORDS))
+    data = colocation_payload(TENANTS, RECORDS, solo)
     assert set(data["tenants"]) == {"web", "ingest"}
     for row in data["tenants"].values():
         assert row["slowdown"] > 0
@@ -112,7 +116,7 @@ def test_colocation_study_shape_and_charts():
 
 
 def test_colocation_solo_baselines_go_through_the_cache(tmp_path):
-    colocation_study(tenants=TENANTS, records=RECORDS, cache=tmp_path)
+    run_sweep(solo_cells(TENANTS, RECORDS), cache=tmp_path)
     cached = [p for p in tmp_path.glob("*.json") if p.name != "index.json"]
     assert len(cached) == len(TENANTS)  # one solo cell per tenant
 

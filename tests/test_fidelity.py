@@ -126,8 +126,8 @@ def test_figures_without_expectations_evaluate_empty():
 
 
 def test_every_expectation_names_a_registered_figure():
-    from repro.figures.spec import SPECS
+    from repro.experiments.jobspec import FIGURES
 
     for exp in all_expectations():
-        assert exp.figure in SPECS
+        assert exp.figure in FIGURES
         assert exp.warn_tol >= exp.pass_tol >= 0.0

@@ -75,6 +75,19 @@ class TestSweepJob:
         hash(job)  # must not raise
         assert job.kwargs()["ssd_overrides"] == {"prefetch_depth": 0}
 
+    def test_nested_overrides_hash_and_round_trip_the_wire(self):
+        from repro.experiments.backends import job_from_wire, job_to_wire
+
+        job = SweepJob.make("bc", "Base-CSSD", records_per_thread=50,
+                            ssd_overrides={"geometry": {"channels": 4}},
+                            device_model={"kind": "deep"})
+        hash(job)  # must not raise
+        assert job.kwargs()["ssd_overrides"] == {"geometry": {"channels": 4}}
+        wire = json.loads(json.dumps(job_to_wire(job)))
+        back = job_from_wire(wire)
+        assert back == job and hash(back) == hash(job)
+        assert back.key() == job.key()
+
     def test_key_stable_across_spellings(self):
         a = SweepJob.make("ycsb-b", "skybyte-full", records_per_thread=R)
         b = SweepJob.make("ycsb", "SkyByte-Full", records_per_thread=R)
@@ -211,23 +224,25 @@ class TestRunSweep:
 
 
 class TestExperimentsThroughOrchestrator:
-    def test_fig14_with_cache_and_jobs(self, tmp_path):
-        from repro.experiments.overall import fig14_overall
+    @staticmethod
+    def figure(name, workloads, **options):
+        from repro.experiments.jobspec import FIGURES
 
+        figure = FIGURES[name]
+        results = run_sweep(figure.cells(workloads, R), **options)
+        return figure.reduce(workloads, R, results)
+
+    def test_fig14_with_cache_and_jobs(self, tmp_path):
         store = ResultCache(tmp_path)
-        kwargs = dict(workloads=["bc"], variants=["Base-CSSD", "DRAM-Only"],
-                      records=R, cache=store)
-        first = fig14_overall(**kwargs)
-        assert store.misses == 2
-        second = fig14_overall(**kwargs)
-        assert store.hits == 2
+        first = self.figure("fig14", ["bc"], cache=store)
+        assert store.misses == 8
+        second = self.figure("fig14", ["bc"], cache=store, jobs=2)
+        assert store.hits == 8
         assert first == second
         assert first["bc"]["Base-CSSD"] == 1.0
 
     def test_ablation_override_matches_plain_run(self):
-        from repro.experiments.ablation import prefetch_ablation
-
-        rows = prefetch_ablation(workloads=("bc",), records=R)
+        rows = self.figure("prefetch-ablation", ["bc"])
         direct = run_workload("bc", "Base-CSSD", records_per_thread=R,
                               ssd_overrides={"prefetch_depth": 1})
         assert rows["bc"]["with_prefetch_ipns"] == pytest.approx(

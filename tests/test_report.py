@@ -1,10 +1,13 @@
 """Tests for the incremental report builder and ``repro report`` CLI."""
 
+import dataclasses
+
 import pytest
 
 from _worker_utils import free_port
 from repro.cli import FIGURES, main
 from repro.figures.report import ReportBuilder
+from repro.figures.spec import no_cells
 
 R = "80"  # records per thread: plumbing-sized
 
@@ -27,13 +30,12 @@ def test_builder_incremental_states(tmp_path):
     assert ("| table3 | flash read latency, bc (us) | 3.5 | - | - "
             "| pending |") in md
 
-    builder.figure_started("fig14")
-    assert "running" in (tmp_path / "REPORT.md").read_text()
+    assert "rewritten as each figure finishes" in md
 
+    # cells are counted but render nothing until a figure finishes
     builder.cell_completed(None, "run")
     builder.cell_completed(None, "cache")
-    md = (tmp_path / "REPORT.md").read_text()
-    assert "2 cell(s) finished (1 from cache)" in md
+    assert "0 cell(s) finished" in (tmp_path / "REPORT.md").read_text()
 
     builder.figure_finished(
         "fig14", {"bc": {"Base-CSSD": 1.0, "SkyByte-Full": 0.2}}
@@ -41,6 +43,7 @@ def test_builder_incremental_states(tmp_path):
     assert (tmp_path / "fig14.svg").is_file()
     md = (tmp_path / "REPORT.md").read_text()
     assert "![fig14](fig14.svg)" in md
+    assert "2 cell(s) finished (1 from cache)" in md
     assert not builder.complete
 
     builder.figure_failed("table3", "Traceback: boom")
@@ -70,7 +73,6 @@ def test_builder_writes_machine_readable_bench(tmp_path):
     import json
 
     builder = ReportBuilder(tmp_path, ["fig14", "table3"])
-    builder.figure_started("fig14")
     builder.figure_finished(
         "fig14", {"bc": {"Base-CSSD": 1.0, "SkyByte-Full": 1.0 / 6.11}}
     )
@@ -78,7 +80,7 @@ def test_builder_writes_machine_readable_bench(tmp_path):
     fig14 = bench["figures"]["fig14"]
     assert fig14["state"] == "done"
     assert fig14["score"] == 1.0  # the one expectation passes exactly
-    assert fig14["wall_s"] >= 0.0
+    assert fig14["wall_s"] >= 0.0  # seconds from the report's start
     assert fig14["expectations"][0]["status"] == "pass"
     # pending figures appear with null score and their state
     assert bench["figures"]["table3"]["state"] == "pending"
@@ -90,6 +92,10 @@ def test_builder_writes_machine_readable_bench(tmp_path):
     bench = json.loads((tmp_path / "BENCH_fidelity.json").read_text())
     assert bench["figures"]["table3"]["state"] == "failed"
     assert bench["overall"]["complete"] is True
+    # the report's own wall time, not a sum over figures
+    assert (bench["overall"]["wall_s"]
+            >= bench["figures"]["table3"]["wall_s"]
+            >= bench["figures"]["fig14"]["wall_s"])
 
 
 # -- CLI end-to-end ---------------------------------------------------------
@@ -137,13 +143,19 @@ def test_report_unknown_figure_fails_cleanly(tmp_path, capsys):
     assert "unknown figure(s): fig999" in capsys.readouterr().err
 
 
+def stub(monkeypatch, figure, reduce):
+    """Replace ``figure``'s record by one with no cells and ``reduce``."""
+    monkeypatch.setitem(FIGURES, figure, dataclasses.replace(
+        FIGURES[figure], cells=no_cells, reduce=reduce))
+
+
 def test_report_records_driver_failure_and_exits_nonzero(
     tmp_path, capsys, monkeypatch
 ):
-    def boom(**_kwargs):
+    def boom(*_args):
         raise RuntimeError("driver exploded")
 
-    monkeypatch.setitem(FIGURES, "table3", boom)
+    stub(monkeypatch, "table3", boom)
     out = tmp_path / "rep"
     rc = main(["report", "--figures", "table3", "--no-cache",
                "-o", str(out), "--quiet"])
@@ -158,19 +170,15 @@ def test_report_records_shaping_failure_and_continues(
     tmp_path, capsys, monkeypatch
 ):
     """A payload the shaper can't handle fails that figure only."""
-    monkeypatch.setitem(FIGURES, "fig2", lambda **_kw: {"bc": "garbage"})
-
-    def table3_stub(**_kwargs):
-        return {"ycsb": 3.3}
-
-    monkeypatch.setitem(FIGURES, "table3", table3_stub)
+    stub(monkeypatch, "fig2", lambda *_args: {"bc": "garbage"})
+    stub(monkeypatch, "table3", lambda *_args: {"ycsb": 3.3})
     out = tmp_path / "rep"
     rc = main(["report", "--figures", "fig2,table3", "--no-cache",
                "-o", str(out), "--quiet"])
     assert rc == 1
     md = (out / "REPORT.md").read_text()
     assert "Complete: 1/2" in md and "1 failed" in md
-    assert (out / "table3.svg").is_file()  # later figures still rendered
+    assert (out / "table3.svg").is_file()  # other figures still rendered
     assert "1 figure(s) failed: fig2" in capsys.readouterr().err
 
 

@@ -460,7 +460,7 @@ class TestSweepService:
 
     def test_cancel_passes_through_the_figures_loop(self, tmp_path):
         """A report job's cancel is raised from its progress callback
-        inside a driver; the figures loop must not record it as a
+        inside the sweep; the figures loop must not record it as a
         failed figure."""
         from repro.figures.report import ReportBuilder
 
@@ -472,8 +472,8 @@ class TestSweepService:
             raise JobCancelled("stop")
 
         with pytest.raises(JobCancelled):
-            list(run_figures(spec, tmp_path, builder, cache=False,
-                             progress=progress))
+            run_figures(spec, tmp_path, builder, cache=False,
+                        progress=progress)
         assert not (tmp_path / "fig2.json").exists()
         assert not (tmp_path / "table3.json").exists()
 
