@@ -404,8 +404,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     finally:
         builder.render()
     if not args.no_trends:
-        trends_path = Path(args.trends or os.environ.get("REPRO_TRENDS")
-                           or "benchmarks/trends.ndjson")
+        trends_path = Path(args.trends or out_dir / "trends.ndjson")
         speed_path = out_dir / "BENCH_speed.json"
         if not speed_path.exists():
             speed_path = Path("BENCH_speed.json")
@@ -775,8 +774,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "per-figure JSON (default report_out)")
     p_rep.add_argument("--trends", default=None, metavar="NDJSON",
                        help="trend history file appended after the report "
-                            "(default $REPRO_TRENDS or "
-                            "benchmarks/trends.ndjson)")
+                            "(default <output>/trends.ndjson)")
     p_rep.add_argument("--no-trends", action="store_true",
                        help="skip appending to the trend history")
     _add_cell_options(p_rep, ["records"])

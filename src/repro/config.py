@@ -470,6 +470,31 @@ class SimConfig:
         """
         return _merge(SimConfig, None, data, "")
 
+    def gc_spare_blocks(self) -> int:
+        """Spare flash blocks per channel garbage collection needs: the
+        free-block level at which this config's collector starts a
+        campaign (the synchronous collector's reserve, or the background
+        collector's watermark), and at least the FTL's host-write floor.
+        With fewer, the device sits at its GC trigger from the start and
+        a campaign may find too little dead data to free a block."""
+        # Imported here: the ssd package imports this module.
+        from repro.ssd.factory import collector_class
+        from repro.ssd.ftl import PageFTL
+
+        return max(PageFTL.gc_reserved_blocks,
+                   collector_class(self).start_level(self.ssd))
+
+    def overprovision_floor(self) -> float:
+        """The least ``ssd.overprovision`` that leaves
+        :meth:`gc_spare_blocks` spare blocks per channel (``inf`` when
+        the geometry cannot hold them)."""
+        geometry = self.ssd.geometry
+        needed = (self.gc_spare_blocks() * geometry.channels
+                  * geometry.pages_per_block)
+        if needed >= geometry.total_pages:
+            return math.inf
+        return needed / (geometry.total_pages - needed)
+
     def validate(self) -> "SimConfig":
         """Check every field's :class:`Rule` and the rules that tie
         fields together; return ``self``.
@@ -488,6 +513,12 @@ class SimConfig:
                 f"ssd.overprovision must leave at least one logical page "
                 f"of {ssd.geometry.total_pages} flash page(s), not "
                 f"{ssd.overprovision!r}")
+        floor = self.overprovision_floor()
+        if ssd.overprovision < floor:
+            raise ValueError(
+                f"ssd.overprovision must leave the {self.gc_spare_blocks()} "
+                f"spare block(s) per channel garbage collection needs, so "
+                f"be at least {floor!r}, not {ssd.overprovision!r}")
         qos = self.qos
         tenants = qos.tenants
         for name in ("weights", "priorities"):

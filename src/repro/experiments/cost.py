@@ -13,14 +13,15 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.experiments.overall import grid_cells
-from repro.figures.spec import ChartSpec, Figure, single_bar
+from repro.figures.spec import (ChartSpec, Claim, Expectation, Figure, check,
+                                single_bar, value_at)
 from repro.workloads.suites import WORKLOAD_NAMES
 
 #: $/GB, from §VI-B.
 DDR5_COST_PER_GB = 4.28
 ULL_SSD_COST_PER_GB = 0.27
 
-#: Paper-reported headline numbers (SS VI-B) for the fidelity report:
+#: Paper-reported headline numbers (SS VI-B), the expectations below:
 #: the 15.9x DRAM:flash price ratio, SkyByte-Full reaching 75% of
 #: DRAM-Only performance, and the resulting 11.8x cost-effectiveness.
 PAPER_EXPECTED = {
@@ -107,8 +108,31 @@ def _shape_cost(data):
     )]
 
 
+_paper = PAPER_EXPECTED["cost"]
+
 COST = Figure(
     ChartSpec("cost", "Cost-effectiveness", "SS VI-B", "bar",
               "Performance fraction and $-ratio arithmetic "
               "(paper: 11.8x cost-effectiveness).", _shape_cost),
-    _cost, grid_cells(["DRAM-Only", "SkyByte-Full"]), tuple(WORKLOAD_NAMES))
+    _cost, grid_cells(["DRAM-Only", "SkyByte-Full"]), tuple(WORKLOAD_NAMES),
+    expectations=(
+        Expectation("DRAM:flash $ ratio (x)", _paper["cost_ratio"],
+                    value_at("cost_ratio"), pass_tol=0.05, warn_tol=0.5,
+                    note="pure price arithmetic -- must match"),
+        Expectation("performance fraction of DRAM-Only",
+                    _paper["performance_fraction_geomean"],
+                    value_at("performance_fraction_geomean")),
+        Expectation("cost-effectiveness (x)", _paper["cost_effectiveness"],
+                    value_at("cost_effectiveness")),
+    ),
+    claims=(
+        # The hardware cost ratio is pure price arithmetic: exact.
+        Claim("DRAM costs over 10x more per GB than flash",
+              lambda d: [check(d["cost_ratio"] > 10.0,
+                               cost_ratio=d["cost_ratio"])]),
+        Claim("cost-effectiveness favours SkyByte even at reduced "
+              "performance", lambda d: [check(
+                  d["cost_effectiveness"] > 1.0,
+                  cost_effectiveness=d["cost_effectiveness"])]),
+    ),
+)

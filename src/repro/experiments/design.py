@@ -11,10 +11,12 @@ from typing import Dict, List, Optional, Sequence
 from repro.config import T_POLICIES
 from repro.experiments.orchestrator import SweepJob
 from repro.experiments.runner import default_records
-from repro.figures.spec import ChartSpec, Figure, bar, fsorted, line
+from repro.figures.spec import (ChartSpec, Claim, Expectation, Figure,
+                                aggregate, bar, check, fsorted, line,
+                                per_workload)
 from repro.workloads.suites import representative_four
 
-#: Paper-reported reference points (SS III-A) for the fidelity report:
+#: Paper-reported reference points (SS III-A), Fig. 9's expectations:
 #: the 2 us trigger threshold wins, and larger thresholds degrade
 #: execution time by up to ~2x.
 PAPER_EXPECTED = {
@@ -117,13 +119,66 @@ def _shape_fig10(data):
     )]
 
 
+# -- what the paper says -----------------------------------------------------
+
+
+def _best_threshold(data: dict):
+    """The threshold with the lowest mean normalized time."""
+    by_threshold: Dict[float, List[float]] = {}
+    for row in data.values():
+        for threshold, value in row.items():
+            by_threshold.setdefault(float(threshold), []).append(float(value))
+    if not by_threshold:
+        return None
+    means = {t: sum(vs) / len(vs) for t, vs in by_threshold.items()}
+    return min(sorted(means), key=lambda t: means[t])
+
+
+def _max_degradation(data: dict):
+    worst = [max(float(v) for v in row.values())
+             for row in data.values() if row]
+    return aggregate(worst, "max")
+
+
+FIG9_EXPECTED = (
+    Expectation("best trigger threshold (us)",
+                PAPER_EXPECTED["fig9"]["best_threshold_us"], _best_threshold,
+                pass_tol=0.0, warn_tol=4.0,
+                note="argmin of mean normalized time"),
+    Expectation("worst-case degradation (x)",
+                PAPER_EXPECTED["fig9"]["max_degradation"], _max_degradation,
+                note="max normalized time over thresholds"),
+)
+FIG9_CLAIMS = (
+    Claim("times are normalized to the 2 us threshold (2 us = 1.0)",
+          per_workload(lambda r: check(r["2"] == 1.0, t2=r["2"]))),
+    Claim("the 80 us threshold does not beat the 2 us default by more "
+          "than noise (>= 0.9)",
+          per_workload(lambda r: check(r["80"] >= 0.9, t80=r["80"]))),
+)
+
+
+def _policy_spread(row: dict):
+    times = [p["normalized_time"] for p in row.values()]
+    spread = max(times) / min(times)
+    return check(spread < 1.4, max_over_min=spread)
+
+
+FIG10_CLAIMS = (
+    Claim("the three policies are within 40% of each other",
+          per_workload(_policy_spread)),
+)
+
+
 FIGURES = (
     Figure(ChartSpec("fig9", "Context-switch threshold sweep", "SS III-A",
                      "line", "Normalized execution time vs the Algorithm 1 "
                      "trigger threshold (paper: 2 us is best).", _shape_fig9),
-           _fig9, _fig9_cells, tuple(representative_four())),
+           _fig9, _fig9_cells, tuple(representative_four()), FIG9_EXPECTED,
+           FIG9_CLAIMS),
     Figure(ChartSpec("fig10", "Scheduling policies", "SS III-A", "bar",
                      "Execution time under the three OS scheduling policies "
                      "(paper: near-identical).", _shape_fig10),
-           _fig10, _fig10_cells, ("bc", "radix", "srad", "tpcc")),
+           _fig10, _fig10_cells, ("bc", "radix", "srad", "tpcc"),
+           claims=FIG10_CLAIMS),
 )

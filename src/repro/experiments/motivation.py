@@ -13,13 +13,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.config import CACHELINES_PER_PAGE, PAGE_SIZE
 from repro.experiments.orchestrator import SweepJob, sweep_product
 from repro.experiments.runner import _traces_for, default_records
-from repro.figures.spec import ChartSpec, Figure, bar, fsorted, line, single_bar
+from repro.figures.spec import (ChartSpec, Claim, Expectation, Figure,
+                                aggregate, bar, check, fsorted, line,
+                                per_workload, single_bar)
 from repro.sim.stats import LocalityTracker
 from repro.ssd.base_cache import SetAssociativePageCache
 from repro.workloads.suites import WORKLOAD_NAMES, get_model, representative_four
 
-#: Paper-reported reference points (SS II-C), consumed by the fidelity
-#: report (:mod:`repro.figures.fidelity`): the Fig. 2 slowdown range,
+#: Paper-reported reference points (SS II-C), the figures' expectations
+#: below: the Fig. 2 slowdown range,
 #: the Fig. 3 fast-served fraction, and the Fig. 4 memory-boundedness
 #: ranges (DRAM and CXL-SSD, min..max over the seven workloads).
 PAPER_EXPECTED = {
@@ -218,27 +220,139 @@ def _shape_locality(figure: str, what: str):
     return shape
 
 
+# -- what the paper says -----------------------------------------------------
+
+
+def _over_workloads(field: str, how: str):
+    """An extractor: ``how`` of ``field`` over the workloads' rows."""
+
+    def extract(data: dict):
+        return aggregate([row.get(field) for row in data.values()], how)
+
+    return extract
+
+
+def _cssd_fast_fraction(data: dict):
+    return aggregate(
+        [row.get("CXL-SSD", {}).get("fast_fraction") for row in data.values()],
+        "mean",
+    )
+
+
+FIG2_EXPECTED = (
+    Expectation("min slowdown over DRAM", PAPER_EXPECTED["fig2"]["slowdown_min"],
+                _over_workloads("slowdown", "min"),
+                note="min over the workloads present"),
+    Expectation("max slowdown over DRAM", PAPER_EXPECTED["fig2"]["slowdown_max"],
+                _over_workloads("slowdown", "max"),
+                note="max over the workloads present"),
+)
+FIG3_EXPECTED = (
+    Expectation("CXL-SSD fast-served fraction",
+                PAPER_EXPECTED["fig3"]["cssd_fast_fraction"], _cssd_fast_fraction,
+                pass_tol=0.1, warn_tol=0.5,
+                note="mean fraction of requests under 300 ns"),
+)
+FIG4_EXPECTED = tuple(
+    Expectation(f"memory-bound fraction, {label} ({how})",
+                PAPER_EXPECTED["fig4"][field][i], _over_workloads(field, how))
+    for field, label in (("dram_memory_bound", "DRAM"),
+                         ("cssd_memory_bound", "CXL-SSD"))
+    for i, how in enumerate(("min", "max"))
+)
+
+
+def _slowdown_spread(data: dict):
+    slowdowns = [row["slowdown"] for row in data.values()]
+    spread = max(slowdowns) / min(slowdowns)
+    return [check(spread > 2.0, max_over_min=spread)]
+
+
+FIG2_CLAIMS = (
+    Claim("every workload is over 1.2x slower on Base-CSSD than on DRAM",
+          per_workload(lambda r: check(r["slowdown"] > 1.2,
+                                       slowdown=r["slowdown"]))),
+    Claim("the worst slowdown is over 2x the best",
+          _slowdown_spread),
+    Claim("bfs-dense slows down more than tpcc",
+          lambda d: [check(
+              d["bfs-dense"]["slowdown"] > d["tpcc"]["slowdown"],
+              bfs_dense=d["bfs-dense"]["slowdown"],
+              tpcc=d["tpcc"]["slowdown"])]),
+)
+FIG3_CLAIMS = (
+    Claim("DRAM's latency tail stays under 10 us",
+          per_workload(lambda r: check(r["DRAM"]["max_ns"] < 10_000,
+                                       dram_max_ns=r["DRAM"]["max_ns"]))),
+    Claim("the CXL-SSD's latency tail reaches past 3 us (flash scale)",
+          per_workload(lambda r: check(r["CXL-SSD"]["max_ns"] > 3_000,
+                                       cssd_max_ns=r["CXL-SSD"]["max_ns"]))),
+    Claim("most CXL-SSD requests are still served fast (fraction > 0.5)",
+          per_workload(lambda r: check(
+              r["CXL-SSD"]["fast_fraction"] > 0.5,
+              fast_fraction=r["CXL-SSD"]["fast_fraction"]))),
+)
+FIG4_CLAIMS = (
+    Claim("the CXL-SSD is at least as memory-bound as DRAM (within 0.02)",
+          per_workload(lambda r: check(
+              r["cssd_memory_bound"] >= r["dram_memory_bound"] - 0.02,
+              cssd=r["cssd_memory_bound"], dram=r["dram_memory_bound"]))),
+    Claim("every workload is over 70% memory-bound on the CXL-SSD",
+          per_workload(lambda r: check(r["cssd_memory_bound"] > 0.7,
+                                       cssd=r["cssd_memory_bound"]))),
+)
+
+
+def _sparse_reads(data: dict):
+    for wl in ("bc", "dlrm", "ycsb"):
+        below = data[wl]["128"]["pages_below_40pct"]
+        yield check(below > 0.6, **{f"{wl} 1:128 below_40pct": below})
+
+
+FIG5_CLAIMS = (
+    Claim("bc, dlrm and ycsb touch under 40% of the lines of over 60% of "
+          "pages at 1:128", _sparse_reads),
+    Claim("a 1:128 cache is at least as sparse as a 1:2 one (within 0.05)",
+          per_workload(lambda r: check(
+              r["128"]["mean_ratio"] <= r["2"]["mean_ratio"] + 0.05,
+              mean_ratio_128=r["128"]["mean_ratio"],
+              mean_ratio_2=r["2"]["mean_ratio"]))),
+)
+FIG6_CLAIMS = (
+    Claim("at 1:128, over half the flushed pages are under 40% dirty",
+          per_workload(lambda r: check(
+              r["128"]["pages_below_40pct"] > 0.5,
+              below_40pct=r["128"]["pages_below_40pct"]))),
+    Claim("at 1:128, flushed pages are under half dirty on average",
+          per_workload(lambda r: check(r["128"]["mean_ratio"] < 0.5,
+                                       mean_ratio=r["128"]["mean_ratio"]))),
+)
+
+
 FIGURES = (
     Figure(ChartSpec("fig2", "Base-CSSD slowdown over DRAM-Only", "SS II-C",
                      "bar", "End-to-end slowdown of a naive CXL-SSD vs DRAM "
                      "(paper: 1.5x-31.4x).", _shape_fig2),
-           _fig2, _dram_vs_cssd, tuple(WORKLOAD_NAMES)),
+           _fig2, _dram_vs_cssd, tuple(WORKLOAD_NAMES), FIG2_EXPECTED,
+           FIG2_CLAIMS),
     Figure(ChartSpec("fig3", "Off-chip latency distribution", "SS II-C",
                      "line", "Latency CDFs showing the bimodal fast/flash "
                      "split (one chart per workload, log-x).", _shape_fig3),
-           _fig3, _dram_vs_cssd, tuple(representative_four())),
+           _fig3, _dram_vs_cssd, tuple(representative_four()), FIG3_EXPECTED,
+           FIG3_CLAIMS),
     Figure(ChartSpec("fig4", "Memory-boundedness", "SS II-C", "bar",
                      "Fraction of cycles bounded by memory on DRAM vs "
                      "CXL-SSD.", _shape_fig4),
-           _fig4, _dram_vs_cssd, tuple(WORKLOAD_NAMES)),
+           _fig4, _dram_vs_cssd, tuple(WORKLOAD_NAMES), FIG4_EXPECTED,
+           FIG4_CLAIMS),
     Figure(ChartSpec("fig5", "Read cacheline locality", "SS II-C", "line",
                      "CDF of lines touched per page read from flash "
                      "(one chart per workload).",
                      _shape_locality("Fig. 5", "touched")),
-           _locality(0), workloads=LOCALITY_WORKLOADS),
+           _locality(0), workloads=LOCALITY_WORKLOADS, claims=FIG5_CLAIMS),
     Figure(ChartSpec("fig6", "Write cacheline locality", "SS II-C", "line",
                      "CDF of dirty lines per page flushed to flash "
                      "(one chart per workload).",
                      _shape_locality("Fig. 6", "dirtied")),
-           _locality(1), workloads=LOCALITY_WORKLOADS),
+           _locality(1), workloads=LOCALITY_WORKLOADS, claims=FIG6_CLAIMS),
 )

@@ -22,20 +22,14 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.orchestrator import SweepJob, sweep_product
 from repro.experiments.runner import default_records
-from repro.figures.spec import (
-    AMAT_COMPONENTS,
-    ChartSpec,
-    Figure,
-    bar,
-    fsorted,
-    line,
-    single_bar,
-    stacked,
-)
+from repro.figures.spec import (AMAT_COMPONENTS, ChartSpec, Claim, Expectation,
+                                Figure, aggregate, bar, check, fsorted,
+                                geomean, line, per_workload, single_bar,
+                                stacked, value_at)
 from repro.variants import MAIN_VARIANTS
 from repro.workloads.suites import WORKLOAD_NAMES
 
-#: Paper-reported reference points (SS VI-B/C) for the fidelity report:
+#: Paper-reported reference points (SS VI-B/C), the expectations below:
 #: Fig. 14's 6.11x geometric-mean speedup of SkyByte-Full over
 #: Base-CSSD, and Table III's per-workload average flash read latency
 #: in microseconds.
@@ -261,6 +255,148 @@ def _shape_table3(data):
     )]
 
 
+# -- what the paper says -----------------------------------------------------
+
+
+def _full_speedup(data: dict):
+    speedups = []
+    for row in data.values():
+        normalized = row.get("SkyByte-Full")
+        if normalized:
+            speedups.append(1.0 / float(normalized))
+    return aggregate(speedups, "geomean")
+
+
+FIG14_EXPECTED = (
+    Expectation("SkyByte-Full geomean speedup (x)",
+                PAPER_EXPECTED["fig14"]["skybyte_full_geomean_speedup"],
+                _full_speedup, note="geomean of 1/normalized time"),
+)
+TABLE3_EXPECTED = tuple(
+    Expectation(f"flash read latency, {workload} (us)", paper_us,
+                value_at(workload))
+    for workload, paper_us in PAPER_EXPECTED["table3"]["read_latency_us"].items()
+)
+
+
+def _speedups(data: dict) -> Dict[str, float]:
+    """Fig. 14: each design's geomean speedup over Base-CSSD."""
+    return {v: geomean([1.0 / data[wl][v] for wl in data])
+            for v in MAIN_VARIANTS}
+
+
+def _speedup_claim(text: str, test, *variants: str) -> Claim:
+    """A claim over Fig. 14's geomean speedups ``s``, showing those of
+    ``variants``."""
+
+    def run(data: dict):
+        s = _speedups(data)
+        return [check(test(s), **{v: s[v] for v in variants})]
+
+    return Claim(text, run)
+
+
+FIG14_CLAIMS = (
+    _speedup_claim("DRAM-Only > SkyByte-Full > Base-CSSD (geomean speedup)",
+                   lambda s: s["DRAM-Only"] > s["SkyByte-Full"] > 1.0,
+                   "DRAM-Only", "SkyByte-Full"),
+    _speedup_claim("SkyByte-Full is within 5% of SkyByte-WP or better",
+                   lambda s: s["SkyByte-Full"] >= s["SkyByte-WP"] * 0.95,
+                   "SkyByte-Full", "SkyByte-WP"),
+    _speedup_claim("SkyByte-CP beats SkyByte-P",
+                   lambda s: s["SkyByte-CP"] > s["SkyByte-P"],
+                   "SkyByte-CP", "SkyByte-P"),
+    _speedup_claim("SkyByte-C beats Base-CSSD",
+                   lambda s: s["SkyByte-C"] > 1.0, "SkyByte-C"),
+    _speedup_claim("SkyByte-P is no more than 2% behind Base-CSSD",
+                   lambda s: s["SkyByte-P"] > 0.98, "SkyByte-P"),
+)
+
+
+def _scales_past_8_threads(row: dict):
+    best = max(point["throughput"] for point in row.values())
+    return check(best >= row["8"]["throughput"] * 0.95,
+                 best=best, at_8=row["8"]["throughput"])
+
+
+FIG15_CLAIMS = (
+    Claim("oversubscribing with switching matches or beats 8 threads "
+          "(within 5%)", per_workload(_scales_past_8_threads)),
+)
+
+
+def _graph_keeps_more_flash_misses(data: dict):
+    bfs, tpcc = data["bfs-dense"]["S-R-M"], data["tpcc"]["S-R-M"]
+    return [check(bfs > tpcc, bfs_dense=bfs, tpcc=tpcc)]
+
+
+FIG16_CLAIMS = (
+    Claim("the request classes sum to 1",
+          per_workload(lambda r: check(abs(sum(r.values()) - 1.0) < 1e-6,
+                                       total=sum(r.values())))),
+    Claim("flash-bound read misses are fewer than SSD-DRAM and host hits",
+          per_workload(lambda r: check(
+              r["S-R-M"] < r["S-R-H"] + r["H-R/W"], s_r_m=r["S-R-M"],
+              hits=r["S-R-H"] + r["H-R/W"]))),
+    Claim("bfs-dense keeps a larger flash-bound share than tpcc",
+          _graph_keeps_more_flash_misses),
+)
+
+
+def _amat(row: dict, variant: str) -> float:
+    return row[variant]["amat_ns"]
+
+
+FIG17_CLAIMS = (
+    Claim("SkyByte-Full improves AMAT over Base-CSSD",
+          per_workload(lambda r: check(
+              _amat(r, "SkyByte-Full") < _amat(r, "Base-CSSD"),
+              full=_amat(r, "SkyByte-Full"), base=_amat(r, "Base-CSSD")))),
+    Claim("DRAM-Only's AMAT stays ahead of SkyByte-Full's",
+          per_workload(lambda r: check(
+              _amat(r, "DRAM-Only") < _amat(r, "SkyByte-Full"),
+              dram=_amat(r, "DRAM-Only"), full=_amat(r, "SkyByte-Full")))),
+    Claim("the flash component shrinks from Base-CSSD to SkyByte-Full",
+          per_workload(lambda r: check(
+              r["SkyByte-Full"]["Flash"] <= r["Base-CSSD"]["Flash"],
+              full=r["SkyByte-Full"]["Flash"], base=r["Base-CSSD"]["Flash"]))),
+)
+
+
+def _full_traffic_reduction(data: dict):
+    reduction = geomean([1.0 / max(data[wl]["SkyByte-Full"], 1e-9)
+                         for wl in data])
+    return [check(reduction > 1.5, reduction=reduction)]
+
+
+FIG18_CLAIMS = (
+    Claim("SkyByte-Full cuts flash write traffic on every workload",
+          per_workload(lambda r: check(r["SkyByte-Full"] < 1.0,
+                                       full=r["SkyByte-Full"]))),
+    Claim("promotion alone adds no more than 5% traffic",
+          per_workload(lambda r: check(r["SkyByte-P"] <= 1.05,
+                                       p=r["SkyByte-P"]))),
+    Claim("SkyByte-Full's geomean traffic reduction is over 1.5x",
+          _full_traffic_reduction),
+)
+
+#: The device read latency Table III's averages cannot go below (us).
+DEVICE_READ_US = 3.0
+
+
+def _latency_spread(data: dict):
+    lo, hi = min(data.values()), max(data.values())
+    return [check(hi > lo * 1.05, max_us=hi, min_us=lo)]
+
+
+TABLE3_CLAIMS = (
+    Claim("every average is at least the 3 us device read latency",
+          per_workload(lambda us: check(us >= DEVICE_READ_US, us=us))),
+    Claim("interference spreads the workloads apart (max > 1.05 x min)",
+          _latency_spread),
+)
+
+
 _ALL = tuple(WORKLOAD_NAMES)
 
 FIGURES = (
@@ -268,26 +404,28 @@ FIGURES = (
                      "Normalized execution time of every design vs "
                      "Base-CSSD (paper: SkyByte-Full 6.11x mean speedup).",
                      _shape_fig14),
-           _fig14, grid_cells(MAIN_VARIANTS), _ALL),
+           _fig14, grid_cells(MAIN_VARIANTS), _ALL, FIG14_EXPECTED,
+           FIG14_CLAIMS),
     Figure(ChartSpec("fig15", "Thread scaling", "SS VI-C", "line",
                      "Throughput and SSD bandwidth vs thread count, "
                      "normalized to SkyByte-WP at 8 threads.", _shape_fig15),
-           _fig15, _fig15_cells, _ALL),
+           _fig15, _fig15_cells, _ALL, claims=FIG15_CLAIMS),
     Figure(ChartSpec("fig16", "Request breakdown", "SS VI-C", "stacked",
                      "Fractions of H-R/W, S-R-H, S-R-M and S-W requests, "
                      "stacked per workload.", _shape_fig16),
-           _fig16, grid_cells(["SkyByte-Full"]), _ALL),
+           _fig16, grid_cells(["SkyByte-Full"]), _ALL, claims=FIG16_CLAIMS),
     Figure(ChartSpec("fig17", "AMAT decomposition", "SS VI-C", "stacked",
                      "Average memory access time stacked into its "
                      "host-DRAM/protocol/indexing/SSD-DRAM/flash components "
                      "(one chart per workload).", _shape_fig17),
-           _fig17, grid_cells(FIG17_VARIANTS), _ALL),
+           _fig17, grid_cells(FIG17_VARIANTS), _ALL, claims=FIG17_CLAIMS),
     Figure(ChartSpec("fig18", "Flash write traffic", "SS VI-D", "bar",
                      "Flash writes per instruction normalized to Base-CSSD.",
                      _shape_fig18),
-           _fig18, grid_cells(FIG18_VARIANTS), _ALL),
+           _fig18, grid_cells(FIG18_VARIANTS), _ALL, claims=FIG18_CLAIMS),
     Figure(ChartSpec("table3", "Flash read latency", "SS VI-C", "bar",
                      "Average flash read latency in us (paper: 3.3-25.7 us).",
                      _shape_table3),
-           _table3, grid_cells(["SkyByte-WP"]), _ALL),
+           _table3, grid_cells(["SkyByte-WP"]), _ALL, TABLE3_EXPECTED,
+           TABLE3_CLAIMS),
 )

@@ -65,10 +65,6 @@ class RunResult:
     def execution_ns(self) -> float:
         return self.stats.execution_ns
 
-    @property
-    def throughput(self) -> float:
-        return self.stats.throughput_ipns
-
     def speedup_over(self, other: "RunResult") -> float:
         """Throughput ratio of self over ``other`` (same trace workload)."""
         if self.stats.throughput_ipns == 0:

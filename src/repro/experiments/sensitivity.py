@@ -16,7 +16,8 @@ from typing import Dict, List, Optional, Sequence
 from repro.config import KB
 from repro.experiments.orchestrator import SweepJob
 from repro.experiments.runner import default_records
-from repro.figures.spec import ChartSpec, Figure, bar, fsorted, geomean, kib, line
+from repro.figures.spec import (ChartSpec, Claim, Figure, bar, check, fsorted,
+                                geomean, kib, line, per_workload)
 from repro.workloads.suites import WORKLOAD_NAMES
 
 #: Scaled-down analogue of Fig. 19/20's 0.5 MB..256 MB sweep.  The
@@ -248,22 +249,81 @@ def _shape_fig22(data):
     )]
 
 
+# -- what the paper says -----------------------------------------------------
+
+
+def _small_log_suffices(row: dict):
+    default, small = row[str(128 * KB)], row[str(16 * KB)]
+    return check(default <= small * 1.3 or default < 1.35,
+                 at_128k=default, at_16k=small)
+
+
+def _full_never_loses(data: dict):
+    for wl, by_variant in data.items():
+        full, base = by_variant["SkyByte-Full"], by_variant["Base-CSSD"]
+        for size in (512 * KB, 1024 * KB, 2048 * KB):
+            f, b = full[str(size)], base[str(size)]
+            yield check(f <= b * 1.05, **{f"{wl} full@{size // KB}K": f,
+                                          f"{wl} base@{size // KB}K": b})
+
+
+def _small_skybyte_vs_large_base(row: dict):
+    small = row["SkyByte-Full"][str(512 * KB)]
+    large = row["Base-CSSD"][str(2048 * KB)]
+    return check(small <= large * 1.6, full_512k=small, base_2048k=large)
+
+
+def _mlc_penalty(row: dict, design: str) -> float:
+    return row["MLC"][design] / max(row["ULL"][design], 1e-9)
+
+
+FIG19_CLAIMS = (
+    Claim("the default 128 KB log is within 30% of a 16 KB one's time, "
+          "or under 1.35x the largest log's",
+          per_workload(_small_log_suffices)),
+)
+FIG20_CLAIMS = (
+    Claim("the biggest log writes no more than the smallest (within 5%)",
+          per_workload(lambda r: check(
+              r[str(256 * KB)] <= r[str(16 * KB)] * 1.05,
+              at_256k=r[str(256 * KB)], at_16k=r[str(16 * KB)]))),
+)
+FIG21_CLAIMS = (
+    Claim("SkyByte-Full never loses to Base-CSSD at the same DRAM size "
+          "(within 5%, 512 KB-2 MB)", _full_never_loses),
+    Claim("SkyByte-Full at 512 KB is within 1.6x of Base-CSSD at 2 MB",
+          per_workload(_small_skybyte_vs_large_base)),
+)
+FIG22_CLAIMS = (
+    Claim("MLC flash does not speed SkyByte-WP up (>= 0.9x its ULL time)",
+          per_workload(lambda r: check(
+              r["MLC"]["SkyByte-WP"] >= r["ULL"]["SkyByte-WP"] * 0.9,
+              wp_mlc=r["MLC"]["SkyByte-WP"], wp_ull=r["ULL"]["SkyByte-WP"]))),
+    Claim("SkyByte-Full-24's MLC penalty is within 1.5x SkyByte-WP's",
+          per_workload(lambda r: check(
+              _mlc_penalty(r, "SkyByte-Full-24")
+              <= _mlc_penalty(r, "SkyByte-WP") * 1.5,
+              full_penalty=_mlc_penalty(r, "SkyByte-Full-24"),
+              wp_penalty=_mlc_penalty(r, "SkyByte-WP")))),
+)
+
+
 _ALL = tuple(WORKLOAD_NAMES)
 
 FIGURES = (
     Figure(ChartSpec("fig19", "Write-log size: performance", "SS VI-E",
                      "line", "Execution time vs log size at fixed total SSD "
                      "DRAM.", _shape_fig19),
-           _fig19, _log_size_cells, _ALL),
+           _fig19, _log_size_cells, _ALL, claims=FIG19_CLAIMS),
     Figure(ChartSpec("fig20", "Write-log size: traffic", "SS VI-E", "line",
                      "Flash write traffic vs log size.", _shape_fig20),
-           _fig20, _log_size_cells, _ALL),
+           _fig20, _log_size_cells, _ALL, claims=FIG20_CLAIMS),
     Figure(ChartSpec("fig21", "SSD DRAM size", "SS VI-F", "line",
                      "Execution time vs SSD DRAM capacity (one chart per "
                      "workload).", _shape_fig21),
-           _fig21, _fig21_cells, _ALL),
+           _fig21, _fig21_cells, _ALL, claims=FIG21_CLAIMS),
     Figure(ChartSpec("fig22", "Flash technology", "SS VI-G", "bar",
                      "ULL/ULL2/SLC/MLC flash sensitivity (geomean across "
                      "workloads).", _shape_fig22),
-           _fig22, _fig22_cells, _ALL),
+           _fig22, _fig22_cells, _ALL, claims=FIG22_CLAIMS),
 )

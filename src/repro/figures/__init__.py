@@ -6,11 +6,12 @@ with no dependencies beyond the standard library (CI never needs
 matplotlib):
 
 * :mod:`repro.figures.spec` -- the :class:`Figure` record (cells,
-  reduce, chart spec) and the chart helpers the shapers use;
+  reduce, chart spec, the paper's expectations and claims) and the
+  chart helpers the shapers use;
 * :mod:`repro.figures.svg` -- a deterministic SVG renderer for grouped
   bars and lines;
-* :mod:`repro.figures.fidelity` -- reproduced-vs-paper scoring against
-  the ``PAPER_EXPECTED`` annotations beside the figures;
+* :mod:`repro.figures.fidelity` -- scores a payload against its
+  record's expectations and claims;
 * :mod:`repro.figures.report` -- the incremental ``REPORT.md`` /
   ``REPORT.html`` builder behind ``python -m repro report``.
 
@@ -18,30 +19,23 @@ See ``docs/ARCHITECTURE.md`` for where this layer sits and
 ``docs/FIGURES.md`` for the per-figure gallery.
 """
 
-from repro.figures.fidelity import (
-    Expectation,
-    FidelityRow,
-    all_expectations,
-    classify,
-    evaluate,
-    expectations_for,
-)
+from repro.figures.fidelity import ClaimRow, FidelityRow, classify, evaluate
 from repro.figures.report import ReportBuilder
-from repro.figures.spec import ChartSpec, Figure, shape_figure
+from repro.figures.spec import ChartSpec, Claim, Expectation, Figure, shape_figure
 from repro.figures.svg import Chart, Series, render_chart
 
 __all__ = [
     "Chart",
     "ChartSpec",
+    "Claim",
+    "ClaimRow",
     "Expectation",
     "FidelityRow",
     "Figure",
     "ReportBuilder",
     "Series",
-    "all_expectations",
     "classify",
     "evaluate",
-    "expectations_for",
     "render_chart",
     "shape_figure",
 ]

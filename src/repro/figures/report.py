@@ -1,4 +1,5 @@
-"""Assemble rendered figures + fidelity table into REPORT.md/REPORT.html.
+"""Assemble rendered figures + fidelity and claim tables into
+REPORT.md/REPORT.html.
 
 :class:`ReportBuilder` is the log of
 :func:`repro.experiments.jobspec.run_figures`: it counts the cells of
@@ -12,8 +13,10 @@ backend is executing cells.
 
 Outputs, all under one directory:
 
-* ``REPORT.md`` -- status, fidelity table, one section per figure
-  referencing its ``<figure>.svg`` files;
+* ``REPORT.md`` -- status, fidelity table (the paper's numbers), claim
+  table (the paper's orderings: holds, broken with the values that
+  broke it, or n/a), one section per figure referencing its
+  ``<figure>.svg`` files;
 * ``REPORT.html`` -- the same content as a standalone page with every
   SVG inlined (the single-file artifact CI uploads);
 * ``<figure>.svg`` (or ``<figure>_N.svg`` for faceted figures) -- the
@@ -21,9 +24,10 @@ Outputs, all under one directory:
 * ``BENCH_fidelity.json`` -- the fidelity table in machine-readable
   form: per figure a score in [0, 1] (pass=1, warn=0.5, off=0,
   averaged over its expectations), the seconds from the report's start
-  until it was written, and the raw rows, plus overall aggregates
-  (``wall_s`` there is the report's own wall time) -- so CI can diff
-  fidelity across commits instead of eyeballing the rendered table.
+  until it was written, the raw rows and its claim rows, plus overall
+  aggregates (``wall_s`` there is the report's own wall time) -- so CI
+  can diff fidelity across commits and fail on a broken claim instead
+  of eyeballing the rendered tables.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.figures.fidelity import FidelityRow, evaluate, expectations_for
+from repro.figures.fidelity import ClaimRow, FidelityRow, evaluate
 from repro.figures.spec import shape_figure
 from repro.figures.svg import render_chart
 from repro.figures.trends import render_markdown as render_trend_markdown
@@ -54,6 +58,31 @@ def _fmt_num(value: Optional[float]) -> str:
 
 def _fmt_delta(delta: Optional[float]) -> str:
     return "-" if delta is None else f"{delta:+.1%}"
+
+
+def _fmt_measured(measured: Dict[str, float]) -> str:
+    return ", ".join(f"{k} {_fmt_num(v)}" for k, v in measured.items()) or "-"
+
+
+#: The report's score tables: heading, the explanation above the
+#: table, the text when no figure has rows, and the columns as
+#: ``(name, numeric)``.
+_TABLES = (
+    ("Fidelity vs. the paper",
+     "Relative delta `(reproduced - paper) / |paper|`; `pass` within 25%, "
+     "`warn` within 150% (expected at this scale), `off` beyond, `n/a` not "
+     "measurable from this run. See `docs/FIGURES.md`.",
+     "No paper expectations registered for the selected figures.",
+     (("figure", False), ("metric", False), ("paper", True),
+      ("reproduced", True), ("delta", True), ("status", False))),
+    ("Paper claims",
+     "The paper's orderings and directions: `holds`, `broken` (with the "
+     "values that broke it), or `n/a` when this run lacks a workload or "
+     "value the claim reads.",
+     "No paper claims registered for the selected figures.",
+     (("figure", False), ("claim", False), ("status", False),
+      ("measured", False))),
+)
 
 
 def _escape_html(text: str) -> str:
@@ -81,7 +110,7 @@ class ReportBuilder:
         unknown = [f for f in figures if f not in FIGURES]
         if unknown:
             raise KeyError(f"no chart spec for figure(s): {', '.join(unknown)}")
-        self.charts = {f: FIGURES[f].chart for f in figures}
+        self.records = {f: FIGURES[f] for f in figures}
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.title = title
@@ -90,13 +119,14 @@ class ReportBuilder:
         self.errors: Dict[str, str] = {}
         self.svg_files: Dict[str, List[Tuple[str, str]]] = {}
         self.fidelity: Dict[str, List[FidelityRow]] = {}
+        self.claims: Dict[str, List[ClaimRow]] = {}
         self.cells_run = 0
         self.cells_cached = 0
         self._t0 = time.monotonic()
         #: Seconds from the start of the report until each figure was
         #: written (or failed).
         self.figure_wall_s: Dict[str, float] = {}
-        #: Historic trend rows (benchmarks/trends.ndjson), set by the CLI
+        #: Historic trend rows (``<output>/trends.ndjson``), set by the CLI
         #: once the run completes; rendered as a sparkline table.
         self.trend_rows: List[Dict[str, object]] = []
 
@@ -113,7 +143,8 @@ class ReportBuilder:
             _atomic_write(self.out_dir / name, svg)
             files.append((name, svg))
         self.svg_files[figure] = files
-        self.fidelity[figure] = evaluate(figure, data)
+        self.fidelity[figure], self.claims[figure] = evaluate(
+            self.records[figure], data)
         self.state[figure] = "done"
         self.render()
 
@@ -150,49 +181,50 @@ class ReportBuilder:
                 f"This file is rewritten as each figure finishes -- "
                 f"refresh to watch.")
 
-    def _fidelity_rows(self) -> List[FidelityRow]:
-        rows: List[FidelityRow] = []
+    def _score_tables(self) -> List[Tuple[tuple, List[List[str]]]]:
+        """The fidelity and claim tables: each its :data:`_TABLES` entry
+        and its rows of cell text (a figure not yet written lists its
+        expectations and claims under its state)."""
+        fidelity: List[List[str]] = []
+        claims: List[List[str]] = []
         for figure in self.figures:
             if figure in self.fidelity:
-                rows.extend(self.fidelity[figure])
+                fidelity += [[r.figure, r.metric, _fmt_num(r.paper),
+                              _fmt_num(r.reproduced), _fmt_delta(r.delta),
+                              r.status] for r in self.fidelity[figure]]
+                claims += [[c.figure, c.claim, c.status,
+                            _fmt_measured(c.measured)]
+                           for c in self.claims[figure]]
             else:
-                rows.extend(
-                    FidelityRow(exp.figure, exp.metric, exp.paper, None,
-                                None, _STATE_LABEL[self.state[figure]],
-                                exp.note)
-                    for exp in expectations_for(figure)
-                )
-        return rows
+                label = _STATE_LABEL[self.state[figure]]
+                record = self.records[figure]
+                fidelity += [[figure, e.metric, _fmt_num(e.paper), "-", "-",
+                              label] for e in record.expectations]
+                claims += [[figure, c.text, label, "-"] for c in record.claims]
+        return list(zip(_TABLES, (fidelity, claims)))
 
     def markdown(self) -> str:
         lines = [f"# {self.title}", "", self.status_line(), ""]
-        rows = self._fidelity_rows()
-        lines += ["## Fidelity vs. the paper", ""]
-        if rows:
+        for (heading, intro, empty, columns), rows in self._score_tables():
+            lines += [f"## {heading}", ""]
+            if not rows:
+                lines += [empty, ""]
+                continue
             lines += [
-                "Relative delta `(reproduced - paper) / |paper|`; `pass` "
-                "within 25%, `warn` within 150% (expected at this scale), "
-                "`off` beyond, `n/a` not measurable from this run. See "
-                "`docs/FIGURES.md`.",
-                "",
-                "| figure | metric | paper | reproduced | delta | status |",
-                "| --- | --- | ---: | ---: | ---: | --- |",
+                intro, "",
+                "| " + " | ".join(name for name, _ in columns) + " |",
+                "| " + " | ".join("---:" if numeric else "---"
+                                  for _, numeric in columns) + " |",
             ]
-            lines += [
-                f"| {r.figure} | {r.metric} | {_fmt_num(r.paper)} "
-                f"| {_fmt_num(r.reproduced)} | {_fmt_delta(r.delta)} "
-                f"| {r.status} |"
-                for r in rows
-            ]
-        else:
-            lines.append("No paper expectations registered for the "
-                         "selected figures.")
+            lines += ["| " + " | ".join(row) + " |" for row in rows]
+            lines.append("")
         if self.trend_rows:
-            lines += ["", "## Trends", ""]
+            lines += ["## Trends", ""]
             lines += render_trend_markdown(self.trend_rows)
-        lines += ["", "## Figures", ""]
+            lines.append("")
+        lines += ["## Figures", ""]
         for figure in self.figures:
-            spec = self.charts[figure]
+            spec = self.records[figure].chart
             state = self.state[figure]
             lines.append(f"### {figure} -- {spec.title} ({spec.section})")
             lines += ["", spec.description, ""]
@@ -207,7 +239,6 @@ class ReportBuilder:
         return "\n".join(lines).rstrip() + "\n"
 
     def html(self) -> str:
-        rows = self._fidelity_rows()
         parts = [
             "<!DOCTYPE html>",
             '<html lang="en"><head><meta charset="utf-8">',
@@ -220,34 +251,30 @@ class ReportBuilder:
             "th,td{border:1px solid #d9d8d3;padding:0.3rem 0.6rem;"
             "text-align:left}",
             "td.num{text-align:right;font-variant-numeric:tabular-nums}",
-            ".pass{color:#006100}.warn{color:#8a5a00}.off{color:#a11a1a}",
+            ".pass,.holds{color:#006100}.warn{color:#8a5a00}"
+            ".off,.broken{color:#a11a1a}",
             "figure{margin:1rem 0}",
             "pre{background:#f3f2ee;padding:0.6rem;overflow-x:auto}",
             "</style></head><body>",
             f"<h1>{_escape_html(self.title)}</h1>",
             f"<p>{_escape_html(self.status_line()).replace('**', '')}</p>",
-            "<h2>Fidelity vs. the paper</h2>",
         ]
-        if rows:
-            parts.append(
-                "<table><thead><tr><th>figure</th><th>metric</th>"
-                "<th>paper</th><th>reproduced</th><th>delta</th>"
-                "<th>status</th></tr></thead><tbody>"
-            )
-            for r in rows:
-                css = r.status if r.status in ("pass", "warn", "off") else ""
-                parts.append(
-                    f"<tr><td>{_escape_html(r.figure)}</td>"
-                    f"<td>{_escape_html(r.metric)}</td>"
-                    f'<td class="num">{_fmt_num(r.paper)}</td>'
-                    f'<td class="num">{_fmt_num(r.reproduced)}</td>'
-                    f'<td class="num">{_fmt_delta(r.delta)}</td>'
-                    f'<td class="{css}">{_escape_html(r.status)}</td></tr>'
-                )
+        for (heading, intro, empty, columns), rows in self._score_tables():
+            parts.append(f"<h2>{heading}</h2>")
+            if not rows:
+                parts.append(f"<p>{empty}</p>")
+                continue
+            parts.append(f"<p>{_escape_html(intro.replace('`', ''))}</p>")
+            head = "".join(f"<th>{name}</th>" for name, _ in columns)
+            parts.append(f"<table><thead><tr>{head}</tr></thead><tbody>")
+            for row in rows:
+                # numbers align right; a status cell is coloured by value
+                cells = "".join(
+                    f'<td class="{"num" if numeric else value if name == "status" else ""}">'
+                    f"{_escape_html(value)}</td>"
+                    for (name, numeric), value in zip(columns, row))
+                parts.append(f"<tr>{cells}</tr>")
             parts.append("</tbody></table>")
-        else:
-            parts.append("<p>No paper expectations registered for the "
-                         "selected figures.</p>")
         if self.trend_rows:
             parts.append("<h2>Trends</h2>")
             parts.append("<pre>" + _escape_html(
@@ -255,7 +282,7 @@ class ReportBuilder:
             ) + "</pre>")
         parts.append("<h2>Figures</h2>")
         for figure in self.figures:
-            spec = self.charts[figure]
+            spec = self.records[figure].chart
             state = self.state[figure]
             parts.append(
                 f"<h3>{_escape_html(figure)} &mdash; "
@@ -282,10 +309,12 @@ class ReportBuilder:
     def bench(self) -> Dict[str, object]:
         """The ``BENCH_fidelity.json`` payload: per-figure fidelity score
         (pass=1, warn=0.5, off=0, averaged over scored expectations;
-        null when the figure has none or has not finished) and wall
-        time, plus overall aggregates -- what CI diffs across commits."""
+        null when the figure has none or has not finished), wall time
+        and claim rows, plus overall aggregates -- what CI diffs across
+        commits, and fails on when a claim is broken."""
         figures: Dict[str, object] = {}
         status_counts = {"pass": 0, "warn": 0, "off": 0, "n/a": 0}
+        claim_counts = {"holds": 0, "broken": 0, "n/a": 0}
         scores: List[float] = []
         for figure in self.figures:
             rows = self.fidelity.get(figure, [])
@@ -307,7 +336,14 @@ class ReportBuilder:
                      "status": r.status}
                     for r in rows
                 ],
+                "claims": [
+                    {"claim": c.claim, "status": c.status,
+                     "measured": c.measured}
+                    for c in self.claims.get(figure, [])
+                ],
             }
+            for c in self.claims.get(figure, []):
+                claim_counts[c.status] += 1
         return {
             "figures": figures,
             "overall": {
@@ -316,6 +352,7 @@ class ReportBuilder:
                 "cells_run": self.cells_run,
                 "cells_cached": self.cells_cached,
                 "statuses": status_counts,
+                "claims": claim_counts,
                 "complete": self.complete,
             },
         }

@@ -14,25 +14,30 @@ needs, in one record:
   payload into one or more renderable :class:`~repro.figures.svg.Chart`
   objects (a figure whose natural encoding needs more series than the
   palette has hues is faceted into small multiples, one chart per
-  workload).
+  workload);
+* ``expectations`` -- the paper's reported numbers for it, each an
+  :class:`Expectation` (paper value, extractor, tolerances) scored as
+  pass/warn/off;
+* ``claims`` -- the paper's qualitative results for it, each a
+  :class:`Claim` (an ordering or a direction) that holds or breaks.
 
 The records live beside their cells and reduce in the
 :mod:`repro.experiments` modules; the one registry of them is
 :data:`repro.experiments.jobspec.FIGURES`, and ``repro report`` runs
 the cells of every requested figure as one sweep
-(:func:`~repro.experiments.jobspec.run_figures`).
+(:func:`~repro.experiments.jobspec.run_figures`) and scores each
+payload against its record (:func:`repro.figures.fidelity.evaluate`).
 
-Shapers are fed the **JSON-normalized** form of the data
-(:func:`shape_figure` round-trips through ``json`` first), so they see
-exactly what a reader of the ``figures_out/*.json`` artifacts sees:
-string keys everywhere, no tuples.  That makes rendering from a live
-run and from a JSON file on disk byte-identical.
+Shapers, extractors and claims are fed the **JSON-normalized** form of
+the data (:func:`shape_figure` round-trips through ``json`` first), so
+they see exactly what a reader of the ``figures_out/*.json`` artifacts
+sees: string keys everywhere, no tuples.  That makes rendering from a
+live run and from a JSON file on disk byte-identical.
 
-Adding a figure: write its record -- cells, reduce and chart with its
-shaper -- in the matching ``repro.experiments`` module and list it in
-``FIGURES``; add its row to the gallery in ``docs/FIGURES.md``; and,
-if the paper reports concrete numbers for it, add expectations in
-:mod:`repro.figures.fidelity`.
+Adding a figure: write its record -- cells, reduce, chart with its
+shaper, and its expectations and claims -- in the matching
+``repro.experiments`` module and list it in ``FIGURES``; add its row
+to the gallery in ``docs/FIGURES.md``.
 """
 
 from __future__ import annotations
@@ -40,7 +45,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.figures.svg import Chart, Series
 
@@ -49,6 +64,62 @@ if TYPE_CHECKING:
     from repro.experiments.runner import RunResult
 
 ShapeFn = Callable[[object], List[Chart]]
+
+#: Default :class:`Expectation` tolerances: within 25% passes, within
+#: 150% is the expected scaled-down-warm band, beyond is flagged.
+PASS_TOL = 0.25
+WARN_TOL = 1.5
+
+#: Reads one number from a JSON-normalized payload (None: not measurable).
+Extractor = Callable[[dict], Optional[float]]
+
+
+@dataclass(frozen=True)
+class Expectation:
+    """One paper-reported number and how to measure it from a payload."""
+
+    metric: str
+    paper: float
+    extract: Extractor
+    pass_tol: float = PASS_TOL
+    warn_tol: float = WARN_TOL
+    note: str = ""
+
+
+#: One comparison a claim makes: whether it held, and the values it
+#: compared, by name (shown when it breaks).
+Check = Tuple[bool, Dict[str, float]]
+
+
+def check(held: bool, **values: float) -> Check:
+    """A :data:`Check` of ``held`` over the named ``values``."""
+    return bool(held), values
+
+
+def per_workload(test: Callable[[dict], Check]) -> Callable[[dict], Iterator[Check]]:
+    """A claim test applying ``test`` to every workload's row of a
+    ``{workload: row}`` payload, each value named after its workload."""
+
+    def run(data: dict) -> Iterator[Check]:
+        for workload, row in data.items():
+            held, values = test(row)
+            yield held, {f"{workload} {k}": v for k, v in values.items()}
+
+    return run
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One qualitative paper result over a figure's payload.
+
+    ``test`` yields a :data:`Check` per comparison.  The claim holds
+    when every comparison holds and breaks when one does not; it is
+    n/a when the payload lacks a workload or key it reads, or it
+    compares nothing.
+    """
+
+    text: str
+    test: Callable[[dict], Iterable[Check]]
 
 
 @dataclass(frozen=True)
@@ -71,7 +142,8 @@ def no_cells(workloads: Sequence[str], records: Optional[int]) -> List["SweepJob
 @dataclass(frozen=True)
 class Figure:
     """One figure or table: its cells, their reduction to the JSON
-    payload, and its chart.  ``workloads`` is the list both get when the
+    payload, its chart, and the paper's numbers and claims it is
+    scored against.  ``workloads`` is the list both get when the
     report names none (empty for a figure that takes no workloads);
     ``records`` is the report's trace length, or None for each figure's
     default."""
@@ -80,6 +152,8 @@ class Figure:
     reduce: Callable[[Sequence[str], Optional[int], List["RunResult"]], object]
     cells: Callable[[Sequence[str], Optional[int]], List["SweepJob"]] = no_cells
     workloads: Tuple[str, ...] = ()
+    expectations: Tuple[Expectation, ...] = ()
+    claims: Tuple[Claim, ...] = ()
 
     @property
     def name(self) -> str:
@@ -170,7 +244,7 @@ def geomean(values: Sequence[float]) -> Optional[float]:
     """Geometric mean over the finite values (None when none remain).
 
     Values are clamped at 1e-12 so a zero cell cannot collapse the
-    mean.  Shared by the fig. 22 shaper and the fidelity extractors.
+    mean.  Shared by the fig. 22 shaper, extractors and claims.
     """
     clean = [max(float(v), 1e-12) for v in values
              if v is not None and math.isfinite(float(v))]
@@ -180,6 +254,32 @@ def geomean(values: Sequence[float]) -> Optional[float]:
     for v in clean:
         product *= v
     return product ** (1.0 / len(clean))
+
+
+def aggregate(values: Sequence[float], how: str) -> Optional[float]:
+    """``how`` ("geomean", "min", "max" or "mean") of the finite values
+    (None when none remain)."""
+    if how == "geomean":
+        return geomean(values)
+    values = [float(v) for v in values
+              if v is not None and math.isfinite(float(v))]
+    if not values:
+        return None
+    if how == "min":
+        return min(values)
+    if how == "max":
+        return max(values)
+    return sum(values) / len(values)  # mean
+
+
+def value_at(key: str) -> Extractor:
+    """The extractor of the number under a top-level payload ``key``."""
+
+    def extract(data: dict) -> Optional[float]:
+        value = data.get(key)
+        return None if value is None else float(value)
+
+    return extract
 
 
 def shape_figure(figure: str, data: object) -> List[Chart]:

@@ -1,10 +1,10 @@
-"""Per-commit fidelity/speed trend tracking (``benchmarks/trends.ndjson``).
+"""Per-commit fidelity/speed trend tracking (``<output>/trends.ndjson``).
 
 ``repro report`` appends one NDJSON row per completed report run, carrying
 the headline numbers of ``BENCH_fidelity.json`` and (when present)
-``BENCH_speed.json`` plus the current git commit, so the repository
-accumulates a queryable history of reproduction quality and simulator
-speed.  The report itself renders the recent history as a sparkline table.
+``BENCH_speed.json`` plus the current git commit, so a report directory
+kept across runs (or any ``--trends`` file) accumulates a queryable
+history of reproduction quality and simulator speed.  The report itself renders the recent history as a sparkline table.
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ def render_markdown(rows: List[Dict[str, object]]) -> List[str]:
     if any(v is not None for v in speedup):
         series.append(("vector/scalar speedup (geomean)", speedup))
     lines = [
-        f"Last {len(recent)} report run(s) from `benchmarks/trends.ndjson` "
+        f"Last {len(recent)} report run(s) from the trend file "
         f"(oldest left).",
         "",
         "| metric | trend | latest |",

@@ -519,8 +519,13 @@ class System:
         for core in self.cores:
             core.start()
         self.engine.run(until=max_ns)
-        if self.stats.end_ns < self.stats.start_ns:
-            self.stats.end_ns = self.engine.now
+        if self._threads_done < len(self.threads):
+            # A run is timed from its start to its last thread's end
+            # (on_thread_done); one cut before that has no execution time.
+            raise ValueError(
+                f"max_ns {max_ns!r} ends the run before its last thread "
+                f"finishes, so it measures no execution time; raise max_ns "
+                f"or leave it unset")
         if self.controller is not None:
             self.controller.drain(self.engine.now)
             self.engine.run(until=max_ns)

@@ -8,7 +8,7 @@ and ``docs/DEVICE_MODEL.md``) lives in exactly one place.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Tuple, Type
 
 from repro.config import DEVICE_KINDS, SimConfig
 from repro.sim.engine import Engine
@@ -16,6 +16,16 @@ from repro.sim.stats import DeviceStats, SimStats
 from repro.ssd.flash import DeepFlashArray, FlashArray
 from repro.ssd.ftl import PageFTL
 from repro.ssd.gc import BackgroundGarbageCollector, GarbageCollector
+
+
+def collector_class(config: SimConfig) -> Type[GarbageCollector]:
+    """The garbage collector ``config.device_model`` runs: the deferred
+    paced one on the deep model with ``background_gc``, else the
+    synchronous one."""
+    device = config.device_model
+    if device.kind == "deep" and device.background_gc:
+        return BackgroundGarbageCollector
+    return GarbageCollector
 
 
 def build_flash_subsystem(
@@ -38,20 +48,18 @@ def build_flash_subsystem(
         flash: FlashArray = DeepFlashArray(
             ssd.geometry, ssd.timing, engine, stats, device=device
         )
-        if device.background_gc:
-            gc: GarbageCollector = BackgroundGarbageCollector(
-                ssd, ftl, flash, engine, stats, idle_ns=device.gc_idle_ns
-            )
-        else:
-            gc = GarbageCollector(ssd, ftl, flash, engine, stats)
     elif device.kind == "flat":
         flash = FlashArray(ssd.geometry, ssd.timing, engine, stats)
-        gc = GarbageCollector(ssd, ftl, flash, engine, stats)
     else:
         raise ValueError(
             f"unknown device_model.kind {device.kind!r} (expected one of "
             f"{', '.join(DEVICE_KINDS)})"
         )
+    collector = collector_class(config)
+    if collector is BackgroundGarbageCollector:
+        gc = collector(ssd, ftl, flash, engine, stats, idle_ns=device.gc_idle_ns)
+    else:
+        gc = collector(ssd, ftl, flash, engine, stats)
     return ftl, flash, gc
 
 

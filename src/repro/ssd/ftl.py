@@ -65,6 +65,11 @@ class OutOfSpaceError(RuntimeError):
 class PageFTL:
     """Page-mapping FTL with per-channel write points."""
 
+    #: Blocks per channel reserved for GC relocation -- host writes can
+    #: never claim them, so a campaign always has somewhere to move a
+    #: victim's live pages (every real FTL keeps this floor).
+    gc_reserved_blocks = 2
+
     def __init__(self, geometry: FlashGeometry, seed: int = 0) -> None:
         self.geometry = geometry
         self._mapping: Dict[int, int] = {}  # lpa -> ppa
@@ -73,10 +78,6 @@ class PageFTL:
         #: finds no free block, giving GC a chance to reclaim one before
         #: the allocation is retried.
         self.on_out_of_space = None
-        #: Blocks per channel reserved for GC relocation -- host writes
-        #: can never claim them, so a campaign always has somewhere to
-        #: move a victim's live pages (every real FTL keeps this floor).
-        self.gc_reserved_blocks = 2
         self._free_blocks: List[List[int]] = []
         self._open_block: List[Optional[int]] = []
         self._rng = random.Random(seed)
@@ -159,7 +160,13 @@ class PageFTL:
         old = self._mapping.get(lpa)
         if old is not None:
             self._drop_live(old)
-        ppa = self.allocate(channel, for_gc=for_gc)
+        try:
+            ppa = self.allocate(channel, for_gc=for_gc)
+        except OutOfSpaceError:
+            # The old copy is already dead (and the emergency GC may have
+            # erased it): unmap the page so the mapping stays consistent.
+            self._mapping.pop(lpa, None)
+            raise
         self._mapping[lpa] = ppa
         block = self.blocks[ppa // self.geometry.pages_per_block]
         block.live[ppa % self.geometry.pages_per_block] = lpa

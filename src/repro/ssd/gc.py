@@ -12,7 +12,7 @@ queue-sum estimator accounts for.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.config import SSDConfig
 from repro.sim.engine import Engine
@@ -21,8 +21,28 @@ from repro.ssd.flash import FlashArray
 from repro.ssd.ftl import PageFTL
 
 
+def campaign_sizes(config: SSDConfig) -> Tuple[int, int]:
+    """``(reserve_blocks, blocks_per_campaign)`` per channel of ``config``.
+
+    The reserve is the free-block floor that triggers a GC campaign: a
+    small fraction of the 20% slack the 80% utilisation threshold
+    (Table II) leaves.  Preconditioning fills the device to just above
+    it.  Campaigns are deliberately small so each lasts the "few
+    milliseconds" the paper attributes to a GC (§II-C): one block's
+    worth of moves plus its erase.
+    """
+    blocks_per_channel = config.geometry.blocks_per_channel
+    reserve = max(2, int(blocks_per_channel * (1.0 - config.gc_threshold) * 0.15))
+    return reserve, max(1, int(blocks_per_channel * config.gc_free_fraction))
+
+
 class GarbageCollector:
     """Channel-local greedy garbage collector."""
+
+    @classmethod
+    def start_level(cls, config: SSDConfig) -> int:
+        """Free blocks per channel at or below which a campaign starts."""
+        return campaign_sizes(config)[0]
 
     def __init__(
         self,
@@ -37,19 +57,9 @@ class GarbageCollector:
         self._flash = flash
         self._engine = engine
         self._stats = stats
-        blocks_per_channel = config.geometry.blocks_per_channel
-        #: Free-block floor that triggers a GC campaign: a small fraction
-        #: of the 20% slack the 80% utilisation threshold (Table II)
-        #: leaves.  Preconditioning fills the device to just above this.
-        self.reserve_blocks = max(
-            2, int(blocks_per_channel * (1.0 - config.gc_threshold) * 0.15)
-        )
-        #: Blocks to free per campaign.  Campaigns are deliberately small
-        #: so each lasts the "few milliseconds" the paper attributes to a
-        #: GC (§II-C): one block's worth of moves plus its erase.
-        self.blocks_per_campaign = max(
-            1, int(blocks_per_channel * config.gc_free_fraction)
-        )
+        #: The free-block floor that triggers a campaign, and the blocks
+        #: a campaign frees (:func:`campaign_sizes`).
+        self.reserve_blocks, self.blocks_per_campaign = campaign_sizes(config)
         #: Per channel: a GC campaign currently occupies it (a read
         #: miss there triggers a context switch at once, §III-A).
         self.active = [False] * config.geometry.channels
@@ -158,6 +168,13 @@ class BackgroundGarbageCollector(GarbageCollector):
     failed allocation's retry still succeeds immediately.
     """
 
+    @classmethod
+    def start_level(cls, config: SSDConfig) -> int:
+        """The watermark: one campaign's worth of blocks above the
+        synchronous collector's reserve floor."""
+        reserve, per_campaign = campaign_sizes(config)
+        return reserve + per_campaign
+
     def __init__(
         self,
         config: SSDConfig,
@@ -169,9 +186,8 @@ class BackgroundGarbageCollector(GarbageCollector):
     ) -> None:
         super().__init__(config, ftl, flash, engine, stats)
         self.idle_ns = max(0.0, idle_ns)
-        #: Background campaigns start this many blocks before the
-        #: synchronous collector's reserve floor.
-        self.watermark = self.reserve_blocks + self.blocks_per_campaign
+        #: Background campaigns start this many free blocks per channel.
+        self.watermark = self.start_level(config)
 
     def needs_collection(self, channel: int) -> bool:
         return (

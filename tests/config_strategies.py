@@ -5,12 +5,14 @@ Every leaf is drawn from its annotated type and its
 :class:`~repro.config.Rule` (range, choices), so a field added to
 ``repro.config`` with a rule is covered without touching this file.
 :func:`config_st` then redraws the few fields that cross-field rules tie
-together (the write log inside SSD DRAM, at least one logical page, a
-consistent QoS block), so every config it draws is valid.
+together (the write log inside SSD DRAM, enough over-provisioning for
+GC's spare blocks and at least one logical page, a consistent QoS
+block), so every config it draws is valid.
 """
 
 from __future__ import annotations
 
+import math
 import typing
 
 from hypothesis import strategies as st
@@ -73,10 +75,19 @@ def _qos_field(name: str, tenants: int) -> st.SearchStrategy:
 def config_st(draw) -> SimConfig:
     """A :class:`SimConfig` that :meth:`SimConfig.validate` accepts."""
     config = draw(section_st(SimConfig))
-    ssd = config.ssd
     dram = draw(st.integers(CACHELINE_SIZE, SPAN))
     log = draw(st.integers(CACHELINE_SIZE, dram))
-    overprovision = draw(st.floats(0.0, min(4.0, ssd.geometry.total_pages - 1)))
+    if config.overprovision_floor() == math.inf:
+        # GC needs more spare blocks per channel than a channel has:
+        # give it at least 8 blocks per channel and campaigns of at most
+        # half of them, which always leaves room.
+        config = config.replace(ssd={
+            "gc_free_fraction": draw(st.floats(0.0, 0.5, exclude_min=True)),
+            "geometry": {"blocks_per_plane": draw(st.integers(8, 1 << 10))},
+        })
+    floor = config.overprovision_floor()
+    overprovision = draw(st.floats(
+        floor, min(floor + 4.0, config.ssd.geometry.total_pages - 1)))
     tenants = draw(st.integers(0, 3))
     partitions, base = [], 0
     for gap, pages in draw(st.lists(st.tuples(st.integers(0, 64),

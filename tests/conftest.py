@@ -8,18 +8,6 @@ import pytest
 from _worker_utils import worker_env
 
 
-@pytest.fixture(autouse=True)
-def _trends_to_tmp(tmp_path, monkeypatch):
-    """Keep ``repro report`` trend appends out of the repo checkout.
-
-    ``cmd_report`` defaults its trend file to ``benchmarks/trends.ndjson``
-    relative to the cwd; tests invoke the CLI from the repo root, so
-    without this every report test would append rows to the tracked
-    file.
-    """
-    monkeypatch.setenv("REPRO_TRENDS", str(tmp_path / "trends.ndjson"))
-
-
 @pytest.fixture
 def spawn_worker():
     """A factory launching ``python -m repro worker`` subprocesses.

@@ -169,6 +169,30 @@ def test_cross_field_rules_name_the_field(change, path):
         scaled_config().replace(**change).validate()
 
 
+@pytest.mark.parametrize("kind", ["flat", "deep"])
+def test_overprovision_below_the_gc_floor_is_rejected(kind):
+    config = scaled_config().replace(device_model={"kind": kind})
+    floor = config.overprovision_floor()
+    assert 0.0 < floor < config.ssd.overprovision  # the default has room
+    below = config.replace(ssd={"overprovision": math.nextafter(floor, 0.0)})
+    with pytest.raises(ValueError, match=(
+            rf"^ssd\.overprovision must leave the {config.gc_spare_blocks()} "
+            rf"spare block\(s\) .* at least {re.escape(repr(floor))}, not")):
+        below.validate()
+    config.replace(ssd={"overprovision": floor}).validate()
+
+
+@pytest.mark.parametrize("kind", ["flat", "deep"])
+@pytest.mark.parametrize("workload", ["bc", "tpcc"])
+def test_the_smallest_accepted_overprovision_runs(kind, workload):
+    floor = scaled_config().replace(
+        device_model={"kind": kind}).overprovision_floor()
+    result = run_workload(workload, "SkyByte-Full", records_per_thread=300,
+                          ssd_overrides={"overprovision": floor},
+                          device_model=kind)
+    assert result.stats.execution_ns > 0
+
+
 # -- entry points ----------------------------------------------------------------
 
 
@@ -182,6 +206,11 @@ BAD_CELLS = [
     ({"max_ns": -5.0}, "max_ns"),
     ({"max_ns": math.inf}, "max_ns"),
     ({"max_ns": math.nan}, "max_ns"),
+    # a run cut before its threads finish measures no execution time
+    ({"max_ns": 1}, "max_ns"),
+    # too little spare flash for GC: OutOfSpaceError mid-run, unchecked
+    ({"ssd_overrides": {"overprovision": 0.01}}, "ssd.overprovision"),
+    ({"ssd_overrides": {"overprovision": 0.0}}, "ssd.overprovision"),
 ]
 
 

@@ -1,17 +1,21 @@
-"""Fidelity-table math: delta computation and status classification."""
+"""Fidelity scoring: delta classification, the expectations and claims
+on the figure records, and their evaluation over payloads."""
 
+import json
 import math
 
 import pytest
 
+from repro.cli import main
 from repro.experiments.cost import PAPER_EXPECTED as COST_EXPECTED
+from repro.experiments.jobspec import FIGURES
 from repro.experiments.overall import PAPER_EXPECTED as OVERALL_EXPECTED
-from repro.figures.fidelity import (
-    all_expectations,
-    classify,
-    evaluate,
-    expectations_for,
-)
+from repro.figures.fidelity import classify, evaluate, judge
+from repro.figures.spec import Claim, check
+
+
+def expectation_rows(figure, payload):
+    return evaluate(FIGURES[figure], payload)[0]
 
 
 # -- classify() edge cases --------------------------------------------------
@@ -63,13 +67,13 @@ def test_exact_tolerance_zero_requires_equality():
 
 def test_table3_rows_cover_every_paper_workload():
     paper = OVERALL_EXPECTED["table3"]["read_latency_us"]
-    rows = evaluate("table3", dict(paper))  # reproduced == paper
+    rows = expectation_rows("table3", dict(paper))  # reproduced == paper
     assert len(rows) == len(paper)
     assert all(r.status == "pass" and r.delta == 0.0 for r in rows)
 
 
 def test_table3_workload_subset_yields_na_for_missing():
-    rows = evaluate("table3", {"ycsb": 3.3})
+    rows = expectation_rows("table3", {"ycsb": 3.3})
     by_metric = {r.metric: r for r in rows}
     assert by_metric["flash read latency, ycsb (us)"].status == "pass"
     missing = [r for r in rows if "ycsb" not in r.metric]
@@ -79,12 +83,12 @@ def test_table3_workload_subset_yields_na_for_missing():
 def test_fig14_geomean_speedup_extraction():
     # normalized times 0.25 and 0.0625 -> speedups 4 and 16, geomean 8
     data = {"bc": {"SkyByte-Full": 0.25}, "ycsb": {"SkyByte-Full": 0.0625}}
-    (row,) = [r for r in evaluate("fig14", data)]
+    (row,) = [r for r in expectation_rows("fig14", data)]
     assert row.reproduced == pytest.approx(8.0)
 
 
 def test_fig14_without_full_variant_is_na():
-    (row,) = evaluate("fig14", {"bc": {"Base-CSSD": 1.0}})
+    (row,) = expectation_rows("fig14", {"bc": {"Base-CSSD": 1.0}})
     assert row.status == "n/a"
 
 
@@ -93,7 +97,7 @@ def test_fig9_best_threshold_argmin():
         "bc": {"2.0": 1.0, "10.0": 1.3, "80.0": 2.0},
         "ycsb": {"2.0": 1.0, "10.0": 1.1, "80.0": 1.5},
     }
-    rows = {r.metric: r for r in evaluate("fig9", data)}
+    rows = {r.metric: r for r in expectation_rows("fig9", data)}
     best = rows["best trigger threshold (us)"]
     assert best.reproduced == 2.0
     assert best.status == "pass"  # exact-match expectation
@@ -107,7 +111,7 @@ def test_cost_ratio_tight_tolerance():
         "performance_fraction_geomean": 0.75,
         "cost_effectiveness": 11.8,
     }
-    rows = {r.metric: r for r in evaluate("cost", payload)}
+    rows = {r.metric: r for r in expectation_rows("cost", payload)}
     assert rows["DRAM:flash $ ratio (x)"].status == "pass"
     assert rows["cost-effectiveness (x)"].status == "pass"
     assert COST_EXPECTED["cost"]["cost_ratio"] == pytest.approx(
@@ -116,18 +120,84 @@ def test_cost_ratio_tight_tolerance():
 
 
 def test_malformed_payload_yields_na_not_raise():
-    rows = evaluate("fig2", {"bc": "not-a-dict"})
+    rows = expectation_rows("fig2", {"bc": "not-a-dict"})
     assert rows and all(r.status == "n/a" for r in rows)
 
 
 def test_figures_without_expectations_evaluate_empty():
-    assert evaluate("fig16", {"bc": {"H-R/W": 1.0}}) == []
-    assert expectations_for("fig16") == []
+    assert expectation_rows("fig16", {"bc": {"H-R/W": 1.0}}) == []
+    assert FIGURES["fig16"].expectations == ()
 
 
-def test_every_expectation_names_a_registered_figure():
-    from repro.experiments.jobspec import FIGURES
-
-    for exp in all_expectations():
-        assert exp.figure in FIGURES
+def test_every_expectation_has_sane_tolerances():
+    expectations = [e for f in FIGURES.values() for e in f.expectations]
+    assert len(expectations) == 20
+    for exp in expectations:
         assert exp.warn_tol >= exp.pass_tol >= 0.0
+
+
+def test_every_former_benchmark_assert_is_one_claim():
+    assert sum(len(f.claims) for f in FIGURES.values()) == 43
+
+
+# -- claims --------------------------------------------------------------------
+
+
+def test_claim_holds_breaks_and_is_na():
+    claim = Claim("tpcc beats bc", lambda d: [check(
+        d["tpcc"] < d["bc"], tpcc=d["tpcc"], bc=d["bc"])])
+    holds = judge("figX", claim, {"bc": 2.0, "tpcc": 1.0})
+    assert (holds.figure, holds.status, holds.measured) == ("figX", "holds", {})
+    broken = judge("figX", claim, {"bc": 1.0, "tpcc": 2.0})
+    assert broken.status == "broken"
+    assert broken.measured == {"tpcc": 2.0, "bc": 1.0}
+    assert judge("figX", claim, {"bc": 1.0}).status == "n/a"  # no tpcc
+
+
+def test_per_workload_claim_shows_only_the_workloads_that_broke():
+    (claim,) = [c for c in FIGURES["fig18"].claims
+                if c.text.startswith("SkyByte-Full cuts")]
+    payload = {"bc": {"SkyByte-Full": 0.5}, "tpcc": {"SkyByte-Full": 1.2}}
+    (row,) = [r for r in evaluate(FIGURES["fig18"], payload)[1]
+              if r.claim == claim.text]
+    assert row.status == "broken"
+    assert row.measured == {"tpcc full": 1.2}
+
+
+def test_claim_without_comparisons_is_na():
+    claim = Claim("every workload is fast", lambda d: [
+        check(v < 1.0, v=v) for v in d.values()])
+    assert judge("figX", claim, {}).status == "n/a"
+
+
+def test_fig23_claim_keeps_the_benchmark_bound():
+    """CP <= CT * 1.1 exactly: 1.1 holds, just past it breaks."""
+    (claim,) = FIGURES["fig23"].claims[:1]
+    row = {"SkyByte-C": 1.0, "SkyByte-CP": 0.9, "SkyByte-CT": 0.9 / 1.1,
+           "SkyByte-Full": 0.8}
+    assert judge("fig23", claim, {"bc": row}).status == "holds"
+    row["SkyByte-CP"] = 0.9 * 1.001
+    assert judge("fig23", claim, {"bc": row}).status == "broken"
+
+
+@pytest.fixture(scope="module")
+def report_60(tmp_path_factory):
+    out = tmp_path_factory.mktemp("report60")
+    assert main(["report", "--records", "60", "--no-cache", "--no-trends",
+                 "-o", str(out), "--quiet"]) == 0
+    return out
+
+
+def test_every_record_evaluates_on_a_real_report(report_60):
+    bench = json.loads((report_60 / "BENCH_fidelity.json").read_text())
+    for name, record in FIGURES.items():
+        payload = json.loads((report_60 / f"{name}.json").read_text())
+        rows, claims = evaluate(record, payload)
+        assert len(rows) == len(record.expectations)
+        assert len(claims) == len(record.claims)
+        # every workload the claims read is in the report's payloads
+        assert all(c.status in ("holds", "broken") for c in claims), name
+        assert [c["status"] for c in bench["figures"][name]["claims"]] == [
+            c.status for c in claims]
+    counts = bench["overall"]["claims"]
+    assert sum(counts.values()) == 43 and counts["n/a"] == 0

@@ -3,8 +3,8 @@
 The scan parses ``src/repro`` with :mod:`ast` and lists every function,
 method and class. A definition counts as reached when its name is used
 (as a bare name or an attribute) in ``src/`` outside every definition of
-that name, anywhere in ``perfbench/``, ``examples/`` or ``benchmarks/``
-(there also as a string, since perfbench wraps methods it names), or
+that name, anywhere in ``perfbench/`` or ``examples/`` (there also as
+a string, since perfbench wraps methods it names), or
 appears in some module's ``__all__``. Matching is by name only: a name
 shared by two definitions keeps both alive if either is used, and a
 chain of same-named delegations (``a.size`` summing ``b.size``) counts
@@ -26,7 +26,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
-ENTRY_DIRS = ("perfbench", "examples", "benchmarks")
+ENTRY_DIRS = ("perfbench", "examples")
 
 #: ``module:qualname`` -> why a definition with no non-test caller stays.
 ALLOWED = {

@@ -29,6 +29,8 @@ def test_builder_incremental_states(tmp_path):
     # pending figures still show their fidelity rows, marked by state
     assert ("| table3 | flash read latency, bc (us) | 3.5 | - | - "
             "| pending |") in md
+    assert ("| table3 | every average is at least the 3 us device read "
+            "latency | pending | - |") in md
 
     assert "rewritten as each figure finishes" in md
 
@@ -87,6 +89,10 @@ def test_builder_writes_machine_readable_bench(tmp_path):
     assert bench["figures"]["table3"]["score"] is None
     assert bench["overall"]["complete"] is False
     assert bench["overall"]["statuses"]["pass"] == 1
+    # one workload lacks the designs fig14's claims compare: n/a, not broken
+    assert {c["status"] for c in fig14["claims"]} == {"n/a"}
+    assert len(fig14["claims"]) == 5
+    assert bench["overall"]["claims"] == {"holds": 0, "broken": 0, "n/a": 5}
 
     builder.figure_failed("table3", "boom")
     bench = json.loads((tmp_path / "BENCH_fidelity.json").read_text())
