@@ -34,12 +34,11 @@ from repro.config import (
     paper_config,
     scaled_config,
 )
-from repro.experiments.backends import CellPolicy
+from repro.experiments.backends import CellPolicy, LocalProcessBackend
 from repro.experiments.orchestrator import (
     CellUpdate,
     ResultCache,
     SweepJob,
-    run_pairs,
     run_sweep,
     stream_sweep,
     sweep_product,
@@ -81,11 +80,11 @@ __all__ = [
     "scaled_config",
     "CellPolicy",
     "CellUpdate",
+    "LocalProcessBackend",
     "ResultCache",
     "RunResult",
     "SweepJob",
     "build_config",
-    "run_pairs",
     "run_sweep",
     "run_workload",
     "stream_sweep",

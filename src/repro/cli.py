@@ -12,10 +12,13 @@ The cell options are declared once, from
 :data:`~repro.experiments.jobspec.CELL_FIELDS`, and ``sweep``,
 ``figures``, ``report`` and ``job submit`` build one job spec from argv
 (:func:`_spec_from_args`), checked by the parser the service uses.
-Environment defaults: ``REPRO_RECORDS``, ``REPRO_JOBS``,
-``REPRO_BENCH_BACKEND``, ``REPRO_CELL_TIMEOUT``/``REPRO_RETRY_BUDGET``,
-``REPRO_CACHE_DIR`` (default ``.repro_cache/``) and
-``REPRO_CACHE_MAX_BYTES``.  The CLI caches results by default;
+A command runs its sweeps on one backend it builds
+(:func:`_backend_from_args`): ``--listen`` a distributed coordinator,
+else ``--jobs`` local cell processes.  Environment defaults:
+``REPRO_RECORDS``, ``REPRO_JOBS``,
+``REPRO_CELL_TIMEOUT``/``REPRO_RETRY_BUDGET``, ``REPRO_CACHE_DIR``
+(default ``.repro_cache/``) and ``REPRO_CACHE_MAX_BYTES``; a bad value
+exits 2 naming the variable.  The CLI caches results by default;
 ``--no-cache`` opts out.
 """
 
@@ -34,9 +37,10 @@ from repro.config import ISOLATIONS
 from repro.experiments.backends import (
     CellPolicy,
     DistributedBackend,
+    LocalProcessBackend,
     SweepBackend,
+    default_jobs,
     parse_address,
-    resolve_backend,
 )
 from repro.experiments.jobspec import (
     CELL_FIELDS,
@@ -52,13 +56,7 @@ from repro.experiments.jobspec import (
     run_figures,
     sweep_payload,
 )
-from repro.experiments.orchestrator import (
-    ResultCache,
-    SweepJob,
-    default_jobs,
-    drain_sweep,
-    run_sweep,
-)
+from repro.experiments.orchestrator import ResultCache, SweepJob, run_sweep
 from repro.experiments.runner import (
     DEFAULT_SCALE,
     build_config,
@@ -94,52 +92,47 @@ def _split_names(values: Optional[Sequence[str]]) -> Optional[List[str]]:
     return out or None
 
 
-def _cache_from_args(args: argparse.Namespace) -> object:
-    """The cache argument for run_sweep: CLI caches by default."""
-    if getattr(args, "no_cache", False):
-        return False
-    max_bytes = getattr(args, "cache_max_bytes", None)
-    return ResultCache(getattr(args, "cache_dir", None), max_bytes=max_bytes)
+def _cache_from_args(args: argparse.Namespace) -> Optional[ResultCache]:
+    """The command's result cache: the CLI caches by default."""
+    if args.no_cache:
+        return None
+    return ResultCache(args.cache_dir, max_bytes=args.cache_max_bytes)
 
 
 def _policy_from_args(args: argparse.Namespace) -> Optional[CellPolicy]:
-    """The per-cell reliability policy, or None for the env default.
+    """The distributed backend's cell policy, None without ``--listen``.
 
-    ``--cell-timeout`` / ``--retry-budget`` override the corresponding
-    ``REPRO_CELL_TIMEOUT`` / ``REPRO_RETRY_BUDGET`` values; unset
-    options keep the environment's (or built-in) defaults.
+    ``--cell-timeout`` / ``--retry-budget`` override
+    ``REPRO_CELL_TIMEOUT`` / ``REPRO_RETRY_BUDGET``.  Options of the
+    backend the command does not build are a ``ValueError`` naming the
+    option it needs: a setting is never ignored.
     """
-    timeout = getattr(args, "cell_timeout", None)
-    budget = getattr(args, "retry_budget", None)
-    if timeout is None and budget is None:
+    timeout, budget = args.cell_timeout, args.retry_budget
+    if not args.listen:
+        for option, value in (("--cell-timeout", timeout),
+                              ("--retry-budget", budget)):
+            if value is not None:
+                raise ValueError(
+                    f"{option} sets the distributed backend's cell policy "
+                    f"and needs --listen [HOST:]PORT (workers dial in "
+                    f"with repro worker --connect HOST:PORT)")
         return None
-    base = CellPolicy.from_env()
-    return CellPolicy(
-        cell_timeout=timeout if timeout is not None else base.cell_timeout,
-        retry_budget=budget if budget is not None else base.retry_budget,
-    )
+    if args.jobs is not None:
+        raise ValueError("--jobs sets the local backend's cell processes "
+                         "and is incompatible with --listen (the workers "
+                         "that dial in run the cells)")
+    return CellPolicy.from_env(cell_timeout=timeout, retry_budget=budget)
 
 
 def _backend_from_args(args: argparse.Namespace) -> SweepBackend:
-    """The one backend a command runs all its sweeps on.
-
-    ``--listen`` builds a coordinator workers dial in to
-    (``repro worker --connect``); ``--backend`` names a local backend
-    (``distributed`` needs ``--listen``); without either,
-    ``REPRO_BENCH_BACKEND`` decides.  The command closes it at its end.
-    """
-    listen = getattr(args, "listen", None)
-    spec = getattr(args, "backend", None)
+    """The one backend a command runs all its sweeps on, closed at its
+    end: with ``--listen`` a coordinator workers dial in to (``repro
+    worker --connect``), else ``--jobs`` (default ``REPRO_JOBS``) local
+    cell processes."""
     policy = _policy_from_args(args)
-    if listen:
-        if spec not in (None, "distributed"):
-            raise ValueError(
-                f"--listen is a distributed-backend option, "
-                f"incompatible with --backend {spec}"
-            )
-        return DistributedBackend(listen=listen, policy=policy)
-    return resolve_backend(spec, jobs=getattr(args, "jobs", None),
-                           policy=policy)
+    if policy is None:
+        return LocalProcessBackend(args.jobs)
+    return DistributedBackend(listen=args.listen, policy=policy)
 
 
 def _print_kv(rows: Dict[str, object], indent: str = "  ") -> None:
@@ -251,10 +244,6 @@ def _add_grid_options(parser: argparse.ArgumentParser,
 
 def _add_common_run_options(parser: argparse.ArgumentParser) -> None:
     _add_spec_option(parser, JOBS)
-    parser.add_argument("--backend", default=None,
-                        choices=["local", "serial", "distributed"],
-                        help="execution backend (default REPRO_BENCH_BACKEND "
-                             "or local; distributed needs --listen)")
     _add_fleet_options(parser)
     _add_cache_options(parser)
     parser.add_argument("--quiet", action="store_true",
@@ -295,6 +284,7 @@ def _planned_job(args: argparse.Namespace) -> SweepJob:
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         job = _planned_job(args)
+        store = _cache_from_args(args)
         backend = _backend_from_args(args)
     except (KeyError, ValueError) as exc:
         return _bad_input(exc)
@@ -306,9 +296,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             result = run_workload(job.workload, job.variant,
                                   timeline=args.timeline, **dict(job.params))
         else:
-            result = run_sweep([job], cache=_cache_from_args(args),
-                               backend=backend,
-                               policy=_policy_from_args(args))[0]
+            result = run_sweep([job], backend=backend, cache=store)[0]
     print(f"{result.workload} / {result.variant} "
           f"({result.threads} threads, {result.config.ssd.timing.name} flash)")
     _print_kv(result.stats.summary())
@@ -324,16 +312,15 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         spec = parse_spec("sweep", _spec_from_args("sweep", args))
-        jobs = spec.jobs if spec.jobs is not None else default_jobs()
+        store = _cache_from_args(args)
         backend = _backend_from_args(args)
     except ValueError as exc:
         return _bad_input(exc)
     cells = plan_sweep(spec)
-    store = _cache_from_args(args)
     backend_label = backend.describe()
     print(f"sweep: {len(spec.workloads)} workload(s) x "
           f"{len(spec.variants)} variant(s) = {len(cells)} cell(s), "
-          f"{spec.cell['records']} records/thread, jobs={jobs}, "
+          f"{spec.cell['records']} records/thread, "
           f"backend={backend_label}", flush=True)
 
     def on_cell(update) -> None:
@@ -345,8 +332,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             print(f"  [{update.source:>5}] {update.job.label()}", flush=True)
 
     with backend:
-        results = drain_sweep(cells, on_cell, jobs=jobs, cache=store,
-                              backend=backend, policy=_policy_from_args(args))
+        results = run_sweep(cells, backend=backend, cache=store,
+                            on_update=on_cell)
 
     header = f"{'workload':<12}{'variant':<16}{'threads':>8}" \
              f"{'exec_ms':>12}{'ipns':>10}{'ctx_sw':>8}"
@@ -360,6 +347,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _print_cache_summary(store, backend)
 
     if args.output:
+        jobs = (backend.jobs if isinstance(backend, LocalProcessBackend)
+                else None)
         payload = sweep_payload(spec, jobs, backend_label, results, store)
         Path(args.output).write_text(json.dumps(payload, indent=2))
         print(f"wrote {args.output}")
@@ -372,16 +361,16 @@ def cmd_figures(args: argparse.Namespace) -> int:
     # figure, and bad backend arguments fail before any simulation.
     try:
         spec = parse_spec("report", _spec_from_args("report", args))
+        store = _cache_from_args(args)
         backend = _backend_from_args(args)
     except ValueError as exc:
         return _bad_input(exc)
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     with backend:
-        run_figures(spec, out_dir, verbose=True, backend=backend,
-                    cache=_cache_from_args(args),
-                    policy=_policy_from_args(args),
-                    progress=_progress_printer(not args.quiet))
+        run_figures(spec, out_dir, verbose=True,
+                    progress=_progress_printer(not args.quiet),
+                    backend=backend, cache=store)
     return 0
 
 
@@ -389,18 +378,18 @@ def cmd_report(args: argparse.Namespace) -> int:
     """Render figures to SVG and assemble the paper-fidelity report."""
     try:
         spec = parse_spec("report", _spec_from_args("report", args))
+        store = _cache_from_args(args)
         backend = _backend_from_args(args)
     except ValueError as exc:
         return _bad_input(exc)
     out_dir = Path(args.output)
     builder = ReportBuilder(out_dir, list(spec.figures))
-    store = _cache_from_args(args)
     try:
         with backend:
             failures = run_figures(
-                spec, out_dir, builder, verbose=True, backend=backend,
-                cache=store, policy=_policy_from_args(args),
-                progress=_progress_printer(not args.quiet))
+                spec, out_dir, builder, verbose=True,
+                progress=_progress_printer(not args.quiet),
+                backend=backend, cache=store)
     finally:
         builder.render()
     if not args.no_trends:
@@ -431,7 +420,7 @@ def cmd_worker(args: argparse.Namespace) -> int:
     # index needs shared memory, so no network filesystems).
     try:
         return run_worker(connect=args.connect,
-                          cache=_cache_from_args(args) or None,
+                          cache=_cache_from_args(args),
                           retries=args.retry, retry_delay=args.retry_delay,
                           once=args.once)
     except (ValueError, OSError) as exc:
@@ -439,7 +428,10 @@ def cmd_worker(args: argparse.Namespace) -> int:
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
-    store = ResultCache(args.cache_dir, max_bytes=args.max_bytes)
+    try:
+        store = ResultCache(args.cache_dir, max_bytes=args.max_bytes)
+    except ValueError as exc:
+        return _bad_input(exc)
     if args.action == "path":
         print(store.root)
         return 0
@@ -556,15 +548,13 @@ def cmd_trace(args: argparse.Namespace) -> int:
             return 0
         # replay: one SweepJob keyed on the file content, so any backend
         # (and the result cache) can serve it like a normal sweep cell.
-        meta = read_meta(args.file)
-        variant = args.variant or meta.get("variant") or "Base-CSSD"
-        job = SweepJob.make(str(meta.get("workload") or "trace"), variant,
-                            trace=args.file)
+        store = _cache_from_args(args)
         with _backend_from_args(args) as backend:
-            result = run_sweep(
-                [job], cache=_cache_from_args(args),
-                backend=backend, policy=_policy_from_args(args),
-            )[0]
+            meta = read_meta(args.file)
+            variant = args.variant or meta.get("variant") or "Base-CSSD"
+            job = SweepJob.make(str(meta.get("workload") or "trace"),
+                                variant, trace=args.file)
+            result = run_sweep([job], backend=backend, cache=store)[0]
         print(f"replayed {args.file}: {result.workload} / {result.variant} "
               f"({result.threads} thread(s))")
         _print_kv(result.stats.summary())

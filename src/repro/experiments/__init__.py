@@ -7,7 +7,7 @@ cells, their reduction to its payload, its chart -- listed in
 :mod:`repro.experiments.orchestrator`, which provides pluggable
 execution backends (``backend=``: kept local cell processes or
 dial-in TCP workers -- see :mod:`repro.experiments.backends`) and a
-size-capped, concurrency-safe on-disk result cache.
+size-capped, concurrency-safe on-disk result cache (``cache=``).
 """
 
 from repro.experiments.backends import (
@@ -15,13 +15,11 @@ from repro.experiments.backends import (
     DistributedBackend,
     LocalProcessBackend,
     SweepBackend,
-    resolve_backend,
 )
 from repro.experiments.orchestrator import (
     CellUpdate,
     ResultCache,
     SweepJob,
-    run_pairs,
     run_sweep,
     stream_sweep,
     sweep_product,
@@ -37,8 +35,6 @@ __all__ = [
     "RunResult",
     "SweepBackend",
     "SweepJob",
-    "resolve_backend",
-    "run_pairs",
     "run_sweep",
     "run_workload",
     "stream_sweep",

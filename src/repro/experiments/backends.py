@@ -11,7 +11,8 @@ once per cell, always from the caller's thread:
   :class:`~repro.experiments.worker.CellChild` processes, forked at
   first use and kept until :meth:`~SweepBackend.close`, so the trace
   and FTL-precondition memos carry from cell to cell and from sweep to
-  sweep.  This is the default.
+  sweep.  A sweep given no backend builds one, of width
+  ``REPRO_JOBS``, and closes it when it ends.
 * :class:`DistributedBackend` -- fans cells out to worker processes
   (possibly on other hosts) over a newline-delimited TCP/JSON protocol.
   The coordinator listens (``listen=``) and workers dial in with
@@ -35,18 +36,17 @@ Every out-of-process cell comes back through ``RunResult.to_dict()`` /
 ``from_dict()`` -- the same lossless serialization the result cache
 uses -- so results are byte-identical no matter where a cell ran.
 
-Environment knobs: ``REPRO_JOBS`` the local backend's width (a
-positive integer; default 1), ``REPRO_BENCH_BACKEND`` the default
-backend (``local``, ``serial``, or ``distributed:[HOST:]PORT``, the
-address a coordinator listens on), and ``REPRO_CELL_TIMEOUT`` /
-``REPRO_RETRY_BUDGET`` the reliability policy.
+A backend a caller builds and hands to a sweep stays open for it to
+reuse and close.  Environment knobs supply only constructor defaults:
+``REPRO_JOBS`` the local backend's width (a positive integer; default
+1), and ``REPRO_CELL_TIMEOUT`` / ``REPRO_RETRY_BUDGET`` the distributed
+backend's reliability policy.
 """
 
 from __future__ import annotations
 
 import bisect
 import json
-import os
 import queue
 import select
 import socket
@@ -56,7 +56,8 @@ from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Callable, Dict, Hashable, List, Optional,
                     Sequence, Set, Tuple, Union)
 
-from repro.experiments.runner import RunResult, cell_trace_key, default_records
+from repro.experiments.runner import (RunResult, cell_trace_key,
+                                     default_records, env_number)
 from repro.obs import REGISTRY, get_logger
 from repro.obs.spans import SpanContext, current_context
 
@@ -65,7 +66,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle is runtime-lazy
     from repro.experiments.worker import CellChild
 
 JOBS_ENV = "REPRO_JOBS"
-BACKEND_ENV = "REPRO_BENCH_BACKEND"
 CELL_TIMEOUT_ENV = "REPRO_CELL_TIMEOUT"
 RETRY_BUDGET_ENV = "REPRO_RETRY_BUDGET"
 
@@ -77,7 +77,6 @@ log = get_logger("backends")
 
 PendingCell = Tuple[str, "SweepJob"]
 FinishFn = Callable[[str, RunResult], None]
-BackendLike = Union["SweepBackend", str, None]
 
 #: Seconds a distributed sweep waits, once every worker it has seen is
 #: quarantined and none is running a cell, for a new worker to join
@@ -86,19 +85,9 @@ QUARANTINE_GRACE_S = 2.0
 
 
 def default_jobs() -> int:
-    """Worker count when a sweep does not specify one (REPRO_JOBS or 1).
-
-    Raises ``ValueError`` naming the variable unless it is a positive
-    integer: it sets how many cell processes a local backend keeps.
-    """
-    raw = os.environ.get(JOBS_ENV, "").strip() or "1"
-    try:
-        jobs = int(raw)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise ValueError(f"{JOBS_ENV} must be a positive integer, not {raw!r}")
-    return jobs
+    """A local backend's width when its caller gives none: REPRO_JOBS
+    (a positive integer), or 1."""
+    return env_number(JOBS_ENV, 1)
 
 
 @dataclass(frozen=True)
@@ -135,20 +124,16 @@ class CellPolicy:
             object.__setattr__(self, "quarantine_after", self.retry_budget)
 
     @classmethod
-    def from_env(cls) -> "CellPolicy":
-        """REPRO_CELL_TIMEOUT (seconds; unset/0 = unlimited) and
+    def from_env(cls, cell_timeout: Optional[float] = None,
+                 retry_budget: Optional[int] = None) -> "CellPolicy":
+        """The policy with each value not given taken from
+        REPRO_CELL_TIMEOUT (seconds; unset/0 = unlimited) or
         REPRO_RETRY_BUDGET (attempts; default 3)."""
-        try:
-            timeout: Optional[float] = float(
-                os.environ.get(CELL_TIMEOUT_ENV, "0") or "0")
-        except ValueError:
-            timeout = 0.0
-        try:
-            budget = max(1, int(os.environ.get(RETRY_BUDGET_ENV, "3") or "3"))
-        except ValueError:
-            budget = 3
-        return cls(cell_timeout=timeout if timeout and timeout > 0 else None,
-                   retry_budget=budget)
+        if cell_timeout is None:
+            cell_timeout = env_number(CELL_TIMEOUT_ENV, 0.0, 0, float)
+        if retry_budget is None:
+            retry_budget = env_number(RETRY_BUDGET_ENV, 3)
+        return cls(cell_timeout=cell_timeout, retry_budget=retry_budget)
 
     def describe(self) -> str:
         timeout = "inf" if self.cell_timeout is None else f"{self.cell_timeout:g}s"
@@ -795,44 +780,3 @@ class DistributedBackend(SweepBackend):
             for thread in threads:
                 thread.join(timeout=2.0)
             wake_r.close()
-
-
-# ---------------------------------------------------------------------------
-# Resolution
-# ---------------------------------------------------------------------------
-
-_BACKEND_NAMES = ("local", "serial", "distributed")
-
-
-def resolve_backend(
-    backend: BackendLike = None,
-    jobs: Optional[int] = None,
-    policy: Optional[CellPolicy] = None,
-) -> SweepBackend:
-    """Normalise a backend argument to a :class:`SweepBackend`.
-
-    ``None`` consults ``REPRO_BENCH_BACKEND`` (default ``local``).
-    Strings accept ``local``, ``serial`` (local with one job), and
-    ``distributed:[HOST:]PORT``, which binds a coordinator on that
-    address for workers to ``--connect`` to.  An explicit ``policy`` overrides the backend's
-    cell policy, including on an already-built instance.
-    """
-    if isinstance(backend, SweepBackend):
-        if policy is not None and hasattr(backend, "policy"):
-            backend.policy = policy
-        return backend
-    if backend is None:
-        spec = os.environ.get(BACKEND_ENV, "").strip() or "local"
-    else:
-        spec = str(backend).strip()
-    name, _, rest = spec.partition(":")
-    name = name.lower()
-    if name == "local":
-        return LocalProcessBackend(jobs)
-    if name == "serial":
-        return LocalProcessBackend(1)
-    if name == "distributed":
-        return DistributedBackend(listen=rest.strip() or None, policy=policy)
-    raise ValueError(
-        f"unknown sweep backend {spec!r} (expected one of {', '.join(_BACKEND_NAMES)})"
-    )

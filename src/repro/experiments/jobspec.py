@@ -25,11 +25,12 @@ from repro.config import FLASH_TIMINGS, rule_of
 from repro.experiments import ablation, colocation, cost, design, migration_study
 from repro.experiments import flash_sensitivity, motivation, occupancy, overall
 from repro.experiments import qos, sensitivity
+from repro.experiments.backends import SweepBackend
 from repro.experiments.orchestrator import (
     CellUpdate,
     ResultCache,
     SweepJob,
-    drain_sweep,
+    run_sweep,
     sweep_product,
 )
 from repro.experiments.runner import RunResult, default_records
@@ -197,6 +198,8 @@ def parse_spec(kind: str, spec: object) -> JobSpec:
     values = {k: _CHECKS[k](v) for k, v in spec.items() if v is not None}
     cell = {k: values[k] for k in _CELL_KEYS if k in values}
     if kind == "report":
+        if "records" not in cell:
+            default_records()  # each figure's own default derives from it
         figures = values.get("figures") or sorted(FIGURES)
         return JobSpec(kind, workloads=values.get("workloads", ()),
                        figures=tuple(dict.fromkeys(figures)), cell=cell,
@@ -241,11 +244,12 @@ def cell_event(update: CellUpdate) -> Dict[str, object]:
             "ipns": r.stats.throughput_ipns}
 
 
-def sweep_payload(spec: JobSpec, jobs: int, backend: str,
+def sweep_payload(spec: JobSpec, jobs: Optional[int], backend: str,
                   results: Sequence[RunResult],
                   cache: object = None) -> Dict[str, object]:
     """The ``repro sweep --output`` document, a sweep job's result;
-    with a :class:`ResultCache`, plus the run's cache counters."""
+    with a :class:`ResultCache`, plus the run's cache counters.
+    ``jobs`` is the local backend's width (None on a distributed one)."""
     payload: Dict[str, object] = {
         "workloads": list(spec.workloads),
         "variants": list(spec.variants),
@@ -279,17 +283,18 @@ class FigureLog:
 
 
 def run_figures(spec: JobSpec, out_dir: Path, log: object = None,
-                verbose: bool = False, progress: object = None,
-                **sweep_options: object) -> List[str]:
+                verbose: bool = False, progress: object = None, *,
+                backend: Optional[SweepBackend] = None,
+                cache: Optional[ResultCache] = None) -> List[str]:
     """Make a report spec's figures; returns the names of those that
     failed.
 
-    Plans the cells of every figure, runs them as one sweep
-    (:func:`~repro.experiments.orchestrator.drain_sweep`, which
-    simulates each distinct cell once; ``sweep_options`` are its
-    ``jobs``, ``cache``, ``backend`` and ``policy``) and reduces each
-    figure as soon as its last cell lands -- a figure with no cells
-    first, before the sweep -- writing ``<out_dir>/<name>.json``.
+    Plans the cells of every figure, runs them as one sweep on
+    ``backend`` through ``cache``
+    (:func:`~repro.experiments.orchestrator.run_sweep`, which simulates
+    each distinct cell once) and reduces each figure as soon as its
+    last cell lands -- a figure with no cells first, before the sweep
+    -- writing ``<out_dir>/<name>.json``.
     ``log`` (default a :class:`FigureLog`) hears of each cell and of
     each figure written or failed, in completion order; ``progress``
     also gets each cell.  A reduce that raises fails its own figure; a
@@ -353,7 +358,7 @@ def run_figures(spec: JobSpec, out_dir: Path, log: object = None,
         if not left:
             finish(name)
     try:
-        drain_sweep(cells, on_update, **sweep_options)
+        run_sweep(cells, backend=backend, cache=cache, on_update=on_update)
     except Exception:  # noqa: BLE001 - fails the figures it starved
         error = traceback.format_exc()
         for name, left in waiting.items():

@@ -11,7 +11,7 @@ go through:
   :class:`~repro.experiments.backends.SweepBackend` (in process, kept
   local cell processes, or distributed TCP workers) while preserving
   input order, deduplicating identical cells, and consulting the
-  result cache;
+  result cache, optionally handing each finished cell to a callback;
 * :func:`stream_sweep` -- the streaming core ``run_sweep`` is built on:
   an iterator of :class:`CellUpdate` events, one per distinct cell, in
   completion order -- cache-served cells first, then simulated cells as
@@ -36,14 +36,11 @@ serial loop it replaces -- worker results round-trip through
 from a local cell process, a remote worker, the cache, or an
 in-process run.
 
-Environment knobs: ``REPRO_JOBS`` (default worker count),
-``REPRO_BENCH_BACKEND`` (default backend, see
-:func:`repro.experiments.backends.resolve_backend`),
-``REPRO_CELL_TIMEOUT`` / ``REPRO_RETRY_BUDGET`` (distributed per-cell
-reliability policy, see
-:class:`repro.experiments.backends.CellPolicy`), ``REPRO_CACHE``
-(truthy enables caching when callers do not say), ``REPRO_CACHE_DIR``
-(cache location, default ``.repro_cache``), ``REPRO_CACHE_MAX_BYTES``
+A sweep's execution settings are two objects its caller builds: the
+backend (none: a :class:`~repro.experiments.backends.LocalProcessBackend`
+of width ``REPRO_JOBS``, built and closed per call) and the cache
+(none: no cache).  The cache's own knobs are ``REPRO_CACHE_DIR``
+(location, default ``.repro_cache``) and ``REPRO_CACHE_MAX_BYTES``
 (size cap; 0 or unset means unbounded).
 """
 
@@ -71,22 +68,20 @@ from typing import (
     Union,
 )
 
-from repro.experiments.backends import (
-    BackendLike,
-    CellPolicy,
-    SweepBackend,
-    default_jobs,
-    resolve_backend,
+from repro.experiments.backends import LocalProcessBackend, SweepBackend
+from repro.experiments.runner import (
+    DEFAULT_SCALE,
+    RunResult,
+    env_number,
+    resolve_run,
+    run_workload,
 )
-from repro.experiments.runner import DEFAULT_SCALE, RunResult, resolve_run, run_workload
 from repro.obs import REGISTRY, span
 from repro.scenarios.library import find_scenario
 from repro.scenarios.tracefile import file_sha256
 from repro.variants import canonical_variant
 from repro.workloads.suites import canonical_workload
 
-JOBS_ENV = "REPRO_JOBS"
-CACHE_ENV = "REPRO_CACHE"
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 CACHE_MAX_BYTES_ENV = "REPRO_CACHE_MAX_BYTES"
 DEFAULT_CACHE_DIR = ".repro_cache"
@@ -95,20 +90,6 @@ DEFAULT_CACHE_DIR = ".repro_cache"
 #: incompatibly; old cache entries then miss instead of deserializing
 #: garbage.
 CACHE_VERSION = 1
-
-_TRUTHY = {"1", "true", "yes", "on"}
-
-#: A job given to :func:`run_sweep`: either a prepared :class:`SweepJob`
-#: or a bare ``(workload, variant)`` pair.
-JobLike = Union["SweepJob", Tuple[str, str]]
-
-
-def default_cache_max_bytes() -> int:
-    """The size cap from REPRO_CACHE_MAX_BYTES (0 = unbounded)."""
-    try:
-        return max(0, int(os.environ.get(CACHE_MAX_BYTES_ENV, "0") or "0"))
-    except ValueError:
-        return 0
 
 
 class _Frozen(tuple):
@@ -310,17 +291,10 @@ class ResultCache:
     least-recently-used entries until the cap holds.  ``hits`` /
     ``misses`` / ``evictions`` count this object's lifetime;
     :meth:`stats` additionally reports the directory-wide lifetime
-    counters kept in the index.  A pre-sqlite ``index.json`` is adopted
-    once (counters and LRU order carry over) and renamed to
-    ``index.json.migrated``.
+    counters kept in the index.
     """
 
     INDEX_DB = "index.sqlite3"
-
-    #: The pre-sqlite JSON index, adopted once and then renamed to
-    #: :attr:`MIGRATED_NAME`.
-    LEGACY_INDEX_NAME = "index.json"
-    MIGRATED_NAME = "index.json.migrated"
 
     _COUNTERS = ("hits", "misses", "evictions", "puts")
 
@@ -333,7 +307,7 @@ class ResultCache:
             root = os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR
         self.root = Path(root)
         if max_bytes is None:
-            max_bytes = default_cache_max_bytes()
+            max_bytes = env_number(CACHE_MAX_BYTES_ENV, 0, 0)
         self.max_bytes = max(0, int(max_bytes))
         self.hits = 0
         self.misses = 0
@@ -361,70 +335,13 @@ class ResultCache:
             con.execute(
                 "CREATE INDEX IF NOT EXISTS entries_lru ON entries (tick, key)"
             )
+            with _txn(con):
+                con.executemany(
+                    "INSERT OR IGNORE INTO meta (k, v) VALUES (?, 0)",
+                    [(k,) for k in ("tick",) + self._COUNTERS],
+                )
             self._tls.con = con
-            self._adopt_legacy_index(con)
         return con
-
-    def _read_legacy_index(self) -> Tuple[Dict[str, int], List[Tuple[str, int, int]]]:
-        """The ``(meta, rows)`` a pre-sqlite ``index.json`` holds.
-
-        Salvages what a damaged or foreign-version index still has:
-        every well-formed counter, the tick and each well-formed entry
-        carry over; malformed ones are skipped.
-        """
-        try:
-            with open(self.root / self.LEGACY_INDEX_NAME, "r",
-                      encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (OSError, ValueError):
-            return {}, []
-        if not isinstance(raw, dict):
-            return {}, []
-        fields = [("tick", raw.get("tick", 0))]
-        stats = raw.get("stats")
-        if isinstance(stats, dict):
-            fields += [(field, stats.get(field, 0)) for field in self._COUNTERS]
-        meta: Dict[str, int] = {}
-        for field, value in fields:
-            with contextlib.suppress(TypeError, ValueError):
-                meta[field] = max(0, int(value))
-        rows: List[Tuple[str, int, int]] = []
-        entries = raw.get("entries")
-        if isinstance(entries, dict):
-            for key, entry in entries.items():
-                with contextlib.suppress(TypeError, ValueError, KeyError):
-                    rows.append((str(key), int(entry["size"]), int(entry["tick"])))
-        return meta, rows
-
-    def _adopt_legacy_index(self, con: sqlite3.Connection) -> None:
-        """One-time import of a pre-sqlite ``index.json`` (and of any
-        stray data blobs), preserving lifetime stats and LRU order."""
-        with _txn(con):
-            con.executemany(
-                "INSERT OR IGNORE INTO meta (k, v) VALUES (?, 0)",
-                [(k,) for k in ("adopted", "tick") + self._COUNTERS],
-            )
-            if con.execute(
-                "SELECT v FROM meta WHERE k='adopted'"
-            ).fetchone()[0]:
-                return
-            meta, rows = self._read_legacy_index()
-            con.executemany(
-                "UPDATE meta SET v = v + ? WHERE k = ?",
-                [(value, field) for field, value in meta.items()],
-            )
-            con.executemany(
-                "INSERT OR REPLACE INTO entries (key, size, tick) "
-                "VALUES (?, ?, ?)",
-                rows,
-            )
-            self._reconcile_rows(con)
-            con.execute("UPDATE meta SET v = 1 WHERE k = 'adopted'")
-        with contextlib.suppress(OSError):
-            os.replace(
-                self.root / self.LEGACY_INDEX_NAME,
-                self.root / self.MIGRATED_NAME,
-            )
 
     # -- row helpers (call inside a transaction) -------------------------
 
@@ -477,8 +394,8 @@ class ResultCache:
         """Make the rows agree with the directory (inside a txn).
 
         Rows whose data file vanished are dropped; stray data files
-        (e.g. written by a pre-index version of this cache) are adopted
-        at tick 0, i.e. first in line for eviction.
+        (copied in, or left by a writer killed between its blob and its
+        row) are adopted at tick 0, i.e. first in line for eviction.
         """
         for (key,) in con.execute("SELECT key FROM entries").fetchall():
             if not self.path_for(key).is_file():
@@ -496,9 +413,10 @@ class ResultCache:
     def _data_files(self) -> List[Path]:
         if not self.root.is_dir():
             return []
+        # A pre-sqlite version kept its index in ``index.json``; one
+        # left behind is not a result.
         return sorted(
-            p for p in self.root.glob("*.json")
-            if p.name != self.LEGACY_INDEX_NAME
+            p for p in self.root.glob("*.json") if p.name != "index.json"
         )
 
     def _write_blob(self, key: str, result: RunResult) -> int:
@@ -651,34 +569,6 @@ class ResultCache:
             self._tls.con = None
 
 
-def resolve_cache(
-    cache: Union[ResultCache, bool, str, Path, None],
-) -> Optional[ResultCache]:
-    """Normalise a ``cache`` argument to a ResultCache or None.
-
-    ``True`` -> default cache; ``False`` -> disabled; a path -> cache at
-    that directory; ``None`` -> enabled iff ``REPRO_CACHE`` is truthy
-    (so library callers and tests stay side-effect free by default while
-    the CLI opts in).
-    """
-    if isinstance(cache, ResultCache):
-        return cache
-    if cache is True:
-        return ResultCache()
-    if isinstance(cache, (str, Path)):
-        return ResultCache(cache)
-    if cache is None and os.environ.get(CACHE_ENV, "").lower() in _TRUTHY:
-        return ResultCache()
-    return None
-
-
-def _as_job(item: JobLike) -> SweepJob:
-    if isinstance(item, SweepJob):
-        return item
-    workload, variant = item
-    return SweepJob.make(workload, variant)
-
-
 def _execute_job(job: SweepJob) -> RunResult:
     with span("sweep.cell", workload=job.workload, variant=job.variant):
         return run_workload(job.workload, job.variant, **job.kwargs())
@@ -703,47 +593,39 @@ class CellUpdate:
 
 
 def stream_sweep(
-    jobs_or_pairs: Iterable[JobLike],
-    jobs: Optional[int] = None,
-    cache: Union[ResultCache, bool, str, Path, None] = None,
-    backend: BackendLike = None,
-    policy: Optional[CellPolicy] = None,
+    cells: Iterable[SweepJob],
+    *,
+    backend: Optional[SweepBackend] = None,
+    cache: Optional[ResultCache] = None,
 ) -> Iterator[CellUpdate]:
     """Run a batch of cells, yielding each one **as it completes**.
 
     The streaming core under :func:`run_sweep`: cells are deduplicated
-    and checked against the cache exactly the same way, but instead of
-    a barrier the caller receives an iterator of :class:`CellUpdate`
-    events in completion order -- cache-served cells first (before any
-    simulation starts), then simulated cells as the backend delivers
-    them.  Cache writes happen on the backend helper thread the moment
-    a cell finishes, *before* its update is queued for the consumer --
-    so a consumer that crashes (or abandons the iterator early) never
-    loses finished work: the cache already has it.
+    and checked against ``cache`` (None: no cache) exactly the same way,
+    but instead of a barrier the caller receives an iterator of
+    :class:`CellUpdate` events in completion order -- cache-served cells
+    first (before any simulation starts), then simulated cells as the
+    backend delivers them.  Cache writes happen on the backend helper
+    thread the moment a cell finishes, *before* its update is queued for
+    the consumer -- so a consumer that crashes (or abandons the iterator
+    early) never loses finished work: the cache already has it.
 
     The backend executes on a helper thread while the caller iterates;
     an error on any cell (or in the backend itself) is re-raised from
-    the iterator after in-flight results drain.  A backend given by
-    name or left to the default is built here and closed when the
-    iterator ends, however it ends, so no local cell process outlives
-    the call: abandoning the iterator early kills the cells still in
-    flight (an in-process cell finishes in the background, on the
-    daemon helper thread).  Cells already finished are in the cache
-    either way.  A :class:`~repro.experiments.backends.SweepBackend`
-    instance stays open for its owner to reuse and close.
-
-    ``policy`` is the distributed backend's per-cell reliability policy
-    (timeout / retry budget / quarantine); see
-    :class:`~repro.experiments.backends.CellPolicy`.  The local backend
-    ignores it.
+    the iterator after in-flight results drain.  ``backend`` stays open
+    for its owner to reuse and close.  Without one, a
+    :class:`~repro.experiments.backends.LocalProcessBackend` of width
+    ``REPRO_JOBS`` is built here and closed when the iterator ends,
+    however it ends, so no local cell process outlives the call:
+    abandoning the iterator early kills the cells still in flight (an
+    in-process cell finishes in the background, on the daemon helper
+    thread).  Cells already finished are in the cache either way.
     """
-    specs = [_as_job(item) for item in jobs_or_pairs]
-    store = resolve_cache(cache)
-    executor = resolve_backend(backend, jobs=jobs, policy=policy)
+    specs = list(cells)
     with contextlib.ExitStack() as owned:
-        if executor is not backend:
-            owned.callback(executor.close)
-        yield from _stream_cells(specs, store, executor)
+        if backend is None:
+            backend = owned.enter_context(LocalProcessBackend())
+        yield from _stream_cells(specs, cache, backend)
 
 
 def _stream_cells(
@@ -751,7 +633,7 @@ def _stream_cells(
     store: Optional[ResultCache],
     executor: SweepBackend,
 ) -> Iterator[CellUpdate]:
-    """The body of :func:`stream_sweep`, on an already-resolved backend."""
+    """The body of :func:`stream_sweep`, on the backend it runs on."""
 
     # Deduplicate: one simulation per distinct cache key, results shared.
     key_order: List[str] = []
@@ -840,86 +722,33 @@ def _stream_cells(
 
 
 def run_sweep(
-    jobs_or_pairs: Iterable[JobLike],
-    jobs: Optional[int] = None,
-    cache: Union[ResultCache, bool, str, Path, None] = None,
-    progress: Optional[Callable[[SweepJob, str], None]] = None,
-    backend: BackendLike = None,
-    policy: Optional[CellPolicy] = None,
+    cells: Iterable[SweepJob],
+    *,
+    backend: Optional[SweepBackend] = None,
+    cache: Optional[ResultCache] = None,
+    on_update: Optional[Callable[[CellUpdate], None]] = None,
 ) -> List[RunResult]:
-    """Run a batch of simulation cells, in parallel, through the cache.
+    """Run a batch of simulation cells through ``cache``; returns their
+    results in ``cells`` order.
 
-    Args:
-        jobs_or_pairs: :class:`SweepJob` objects or ``(workload,
-            variant)`` pairs; results come back in the same order.
-        jobs: cell processes for the local backend (1 = run in
-            process; default ``REPRO_JOBS`` or 1).
-        cache: see :func:`resolve_cache`.
-        progress: optional callback invoked per completed cell with the
-            job and its source (``"cache"`` or ``"run"``).  The contract
-            holds on **every** backend: the callback fires exactly once
-            per distinct cell, always from the calling thread, and
-            cache-served cells fire before any backend execution starts.
-            Incremental consumers need no locking.
-        backend: a :class:`~repro.experiments.backends.SweepBackend`
-            (left open for the caller to reuse and close), a backend
-            name (``local``/``serial``/``distributed:[HOST:]PORT``), or
-            None for the ``REPRO_BENCH_BACKEND`` default; see
-            :func:`~repro.experiments.backends.resolve_backend`.  A
-            backend built from a name or the default is closed before
-            this returns.
-        policy: per-cell reliability policy for the distributed backend
-            (:class:`~repro.experiments.backends.CellPolicy`; defaults
-            to ``REPRO_CELL_TIMEOUT`` / ``REPRO_RETRY_BUDGET``).
-
-    Identical jobs are simulated once and fanned back out to every
-    position that requested them.  This is a thin barrier over
-    :func:`stream_sweep` -- callers that want cells as they complete
-    should iterate that instead, or use :func:`drain_sweep`.
+    Identical cells are simulated once and fanned back out to every
+    position that asked for them.  ``backend`` and ``cache`` are as for
+    :func:`stream_sweep`, the stream this is a barrier over.
+    ``on_update``, if given, gets each distinct cell's
+    :class:`CellUpdate` as it lands, on the calling thread, cache-served
+    cells first, so incremental consumers need no locking.  An exception
+    from it stops the sweep: the cells in flight are abandoned, finished
+    ones are already cached.
     """
-
-    def on_update(update: CellUpdate) -> None:
-        if progress is not None:
-            progress(update.job, update.source)
-
-    return drain_sweep(jobs_or_pairs, on_update, jobs=jobs, cache=cache,
-                       backend=backend, policy=policy)
-
-
-def drain_sweep(
-    jobs_or_pairs: Iterable[JobLike],
-    on_update: Callable[[CellUpdate], None],
-    **stream_options: object,
-) -> List[RunResult]:
-    """Run cells through :func:`stream_sweep` (options pass through),
-    calling ``on_update`` per finished cell; returns the results in job
-    order.  An exception from ``on_update`` stops the sweep: the cells
-    in flight are abandoned, finished ones are already cached."""
-    specs = [_as_job(item) for item in jobs_or_pairs]
+    specs = list(cells)
     results: List[Optional[RunResult]] = [None] * len(specs)
-    stream = stream_sweep(specs, **stream_options)
+    stream = stream_sweep(specs, backend=backend, cache=cache)
     try:
         for update in stream:
             for i in update.positions:
                 results[i] = update.result
-            on_update(update)
+            if on_update is not None:
+                on_update(update)
     finally:
         stream.close()
     return results  # type: ignore[return-value]  # every slot is filled
-
-
-def run_pairs(
-    workloads: Sequence[str],
-    variants: Sequence[str],
-    jobs: Optional[int] = None,
-    cache: Union[ResultCache, bool, str, Path, None] = None,
-    progress: Optional[Callable[[SweepJob, str], None]] = None,
-    backend: BackendLike = None,
-    policy: Optional[CellPolicy] = None,
-    **params: object,
-) -> Dict[Tuple[str, str], RunResult]:
-    """Convenience grid sweep returning ``{(workload, variant): result}``."""
-    specs = sweep_product(workloads, variants, **params)
-    out = run_sweep(specs, jobs=jobs, cache=cache, progress=progress,
-                    backend=backend, policy=policy)
-    return {(r.workload, r.variant): r for r in out}

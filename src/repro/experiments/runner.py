@@ -13,6 +13,7 @@ All benchmarks, examples and figures go through
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from collections import OrderedDict
@@ -34,21 +35,32 @@ RECORDS_ENV = "REPRO_RECORDS"
 _MAX_NS = Rule(above=0)
 
 
-def default_records() -> int:
-    """Trace records per thread: REPRO_RECORDS, or 3000.
+def env_number(name: str, default: float, minimum: float = 1,
+               kind: type = int) -> float:
+    """The ``kind`` number environment variable ``name`` holds, or
+    ``default`` when it is unset or blank.
 
-    Raises ``ValueError`` naming the variable unless it is a positive
-    integer: a run of no records retires nothing.
+    Raises ``ValueError`` naming the variable unless the value parses
+    and is a finite number of at least ``minimum``: a knob set to
+    garbage must not quietly turn into some other setting.
     """
-    raw = os.environ.get(RECORDS_ENV, "").strip() or "3000"
+    raw = os.environ.get(name, "").strip()
+    if not raw:
+        return default
     try:
-        records = int(raw)
+        value = kind(raw)
     except ValueError:
-        records = 0
-    if records < 1:
-        raise ValueError(f"{RECORDS_ENV} must be a positive integer, "
-                         f"not {raw!r}")
-    return records
+        value = math.nan
+    if not (math.isfinite(value) and value >= minimum):
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{name} must be {noun} >= {minimum:g}, not {raw!r}")
+    return value
+
+
+def default_records() -> int:
+    """Trace records per thread: REPRO_RECORDS (a positive integer: a
+    run of no records retires nothing), or 3000."""
+    return env_number(RECORDS_ENV, 3000)
 
 
 @dataclass

@@ -52,8 +52,9 @@ from typing import Dict, Iterator, List, Optional, TextIO, Union
 from repro.experiments.backends import (
     CellPolicy,
     DistributedBackend,
+    LocalProcessBackend,
     SweepBackend,
-    resolve_backend,
+    default_jobs,
 )
 from repro.experiments.jobspec import (
     KIND_KEYS,
@@ -64,7 +65,7 @@ from repro.experiments.jobspec import (
     run_figures,
     sweep_payload,
 )
-from repro.experiments.orchestrator import ResultCache, default_jobs, drain_sweep
+from repro.experiments.orchestrator import ResultCache, run_sweep
 from repro.obs import REGISTRY, span
 from repro.obs.log import JsonLinesLogger
 from repro.obs.spans import SpanContext, activate, deactivate
@@ -84,9 +85,10 @@ class SweepService:
     directories; ``cache_dir`` the result cache shared by every job
     (and by any ``repro sweep`` on this host pointed at the same
     directory).  ``listen`` binds one shared :class:`DistributedBackend`
-    for dial-in workers; without it, each job runs its cells on a
-    local backend of its own (``jobs`` kept cell processes, or in
-    process at 1), closed when the job ends.
+    for dial-in workers, under ``policy``; without it, each job runs its
+    cells on a local backend of its own (``jobs`` kept cell processes,
+    or in process at 1), closed when the job ends, and a ``policy`` is
+    a ``ValueError``: no local backend honours it.
     """
 
     def __init__(
@@ -100,17 +102,19 @@ class SweepService:
         max_active: int = 1,
         log: Optional[TextIO] = None,
     ) -> None:
-        # Bind first: a bad or busy listen address fails before any
-        # state or cache directory is created.
+        if policy is not None and not listen:
+            raise ValueError("a cell policy needs a listen address: only "
+                             "the distributed backend honours it")
+        # Bad settings fail before the bind, and a bad or busy listen
+        # address before any state or cache directory is created.
+        self.cache = ResultCache(cache_dir, max_bytes=cache_max_bytes)
         self._backend: Optional[DistributedBackend] = (
             DistributedBackend(listen=listen, policy=policy) if listen
             else None)
         self.state_dir = Path(state_dir)
         self.state_dir.mkdir(parents=True, exist_ok=True)
         self.store = JobStore(self.state_dir / "jobs.sqlite3")
-        self.cache = ResultCache(cache_dir, max_bytes=cache_max_bytes)
         self.jobs = jobs
-        self.policy = policy
         self.max_active = max(1, int(max_active))
         #: Serializes sweeps onto the shared distributed backend: its
         #: listener is a single-sweep-at-a-time resource.  Local-backend
@@ -264,11 +268,8 @@ class SweepService:
             with self._backend_lock:
                 yield self._backend
             return
-        backend = resolve_backend(None, jobs=jobs, policy=self.policy)
-        try:
+        with LocalProcessBackend(jobs) as backend:
             yield backend
-        finally:
-            backend.close()
 
     def _run_sweep_job(self, job_id: int, spec: JobSpec) -> Dict[str, object]:
         """One sweep/scenario job: ``repro sweep``'s planner, runner and
@@ -294,9 +295,8 @@ class SweepService:
             self._check_cancel(job_id)
 
         with self._job_backend(jobs) as backend:
-            results = drain_sweep(cells, on_cell, jobs=jobs,
-                                  cache=self.cache, backend=backend,
-                                  policy=self.policy)
+            results = run_sweep(cells, backend=backend, cache=self.cache,
+                                on_update=on_cell)
         payload = sweep_payload(spec, jobs, self.backend_label, results)
         artifact = self.artifact_dir(job_id)
         artifact.mkdir(parents=True, exist_ok=True)
@@ -334,7 +334,7 @@ class SweepService:
         try:
             with self._job_backend(spec.jobs or self.jobs) as backend:
                 failures = run_figures(spec, out_dir, builder, backend=backend,
-                                       cache=self.cache, policy=self.policy)
+                                       cache=self.cache)
         finally:
             builder.render()
         if failures:

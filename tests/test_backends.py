@@ -1,6 +1,7 @@
 """Tests for the pluggable sweep execution backends.
 
-Covers backend resolution (names, env knobs, listen addresses), the
+Covers which backend a sweep runs on (the one handed to it, else a
+local one it builds and closes), the env knobs, listen addresses, the
 cell queue both backends dispatch from (trace-key groups, requeues,
 close), the local backend's kept cell children (byte-identical results,
 reuse across sweeps, one synthesis per trace key, failures), and the
@@ -33,7 +34,6 @@ from repro.experiments.backends import (
     LocalProcessBackend,
     SweepBackend,
     parse_address,
-    resolve_backend,
 )
 from repro.experiments.orchestrator import ResultCache, SweepJob, run_sweep
 
@@ -151,42 +151,40 @@ class TestCellQueue:
 
 
 class TestResolution:
-    def test_default_is_local(self, monkeypatch):
-        monkeypatch.delenv(backends.BACKEND_ENV, raising=False)
-        backend = resolve_backend(None, jobs=3)
-        assert isinstance(backend, LocalProcessBackend)
-        assert backend.jobs == 3
+    """A sweep runs on the backend its caller hands it, else on a local
+    backend it builds and closes."""
 
-    def test_names(self):
-        assert isinstance(resolve_backend("local", jobs=2), LocalProcessBackend)
-        serial = resolve_backend("serial", jobs=8)
-        assert isinstance(serial, LocalProcessBackend)
-        assert serial.jobs == 1
-        for retired in ("thread", "threads", "process", "processes"):
-            with pytest.raises(ValueError, match="unknown sweep backend"):
-                resolve_backend(retired)
+    def test_default_is_local(self, monkeypatch):
+        built = []
+
+        class Spy(LocalProcessBackend):
+            def __init__(self):
+                super().__init__()
+                built.append(self)
+
+        monkeypatch.setattr(orchestrator, "LocalProcessBackend", Spy)
+        monkeypatch.setenv(backends.JOBS_ENV, "1")
+        run_sweep(tiny_jobs()[:1])
+        assert [b.describe() for b in built] == ["local[jobs=1]"]
+        assert built[0]._closed
 
     def test_instance_passes_through(self):
-        backend = LocalProcessBackend(2)
-        assert resolve_backend(backend, jobs=5) is backend
+        """A handed backend runs the sweep and stays open for reuse."""
+        ran = []
 
-    def test_env_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(backends.BACKEND_ENV, "serial")
-        backend = resolve_backend(None, jobs=2)
-        assert isinstance(backend, LocalProcessBackend)
-        assert backend.jobs == 1
+        class Recording(LocalProcessBackend):
+            def run(self, pending, finish):
+                ran.append(len(pending))
+                super().run(pending, finish)
 
-    def test_env_supplies_workers(self, monkeypatch):
-        """REPRO_BENCH_BACKEND=distributed:HOST:PORT binds the address
-        the worker fleet dials in to."""
-        monkeypatch.setenv(backends.BACKEND_ENV, "distributed:127.0.0.1:0")
-        with resolve_backend(None) as backend:
-            assert isinstance(backend, DistributedBackend)
-            host, port = backend.address
-            assert host == "127.0.0.1" and port > 0
+        with Recording(1) as backend:
+            run_sweep(tiny_jobs()[:1], backend=backend)
+            assert ran == [1] and not backend._closed
+            run_sweep(tiny_jobs()[1:2], backend=backend)
+        assert ran == [1, 1]
 
-    def test_spec_suffix_supplies_workers(self):
-        with resolve_backend("distributed:127.0.0.1:0") as backend:
+    def test_listen_address_is_in_describe(self):
+        with DistributedBackend(listen="127.0.0.1:0") as backend:
             host, port = backend.address
             assert host == "127.0.0.1" and port > 0
             # perfbench parses ``listen=H:P`` out of this text.
@@ -195,20 +193,26 @@ class TestResolution:
                 f"{backend.policy.describe()}]"
             )
 
-    def test_explicit_workers_beat_env_backend(self, monkeypatch):
-        """A typed fleet address must not lose to an ambient env default."""
-        monkeypatch.setenv(backends.BACKEND_ENV, "serial")
-        with resolve_backend("distributed:127.0.0.1:0") as backend:
-            assert isinstance(backend, DistributedBackend)
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(ValueError, match="unknown sweep backend"):
-            resolve_backend("carrier-pigeon")
-
     def test_distributed_without_workers_raises(self):
         """Without a listen address there is nowhere for workers to dial."""
         with pytest.raises(ValueError, match="--listen.*worker --connect"):
-            resolve_backend("distributed")
+            DistributedBackend()
+
+    def test_a_sweep_keeps_the_backends_policy(self):
+        policy = CellPolicy(cell_timeout=1.5, retry_budget=7)
+        with DistributedBackend(listen="127.0.0.1:0",
+                                policy=policy) as backend:
+            assert backend.policy is policy
+            with pytest.raises(TypeError, match="policy"):
+                run_sweep([], backend=backend, policy=CellPolicy())
+            assert backend.policy is policy
+
+    def test_a_width_is_not_a_sweep_setting(self):
+        """The backend object is, and only by keyword."""
+        with pytest.raises(TypeError, match="jobs"):
+            run_sweep(tiny_jobs()[:1], jobs=2)
+        with pytest.raises(TypeError):
+            run_sweep(tiny_jobs()[:1], LocalProcessBackend(1))
 
     def test_parse_address(self):
         assert parse_address("host:8") == ("host", 8)
@@ -224,14 +228,6 @@ class TestResolution:
     def test_describe(self):
         assert LocalProcessBackend(4).describe() == "local[jobs=4]"
         assert SweepBackend().describe() == "abstract"
-
-    def test_policy_reaches_instances_and_specs(self):
-        policy = CellPolicy(cell_timeout=1.5, retry_budget=7)
-        with resolve_backend("distributed:127.0.0.1:0",
-                             policy=policy) as spec_built:
-            assert spec_built.policy is policy
-        with DistributedBackend(listen="127.0.0.1:0") as instance:
-            assert resolve_backend(instance, policy=policy).policy is policy
 
 
 class TestCellPolicy:
@@ -257,12 +253,25 @@ class TestCellPolicy:
         assert CellPolicy.from_env().cell_timeout is None
         assert CellPolicy(cell_timeout=-1.0).cell_timeout is None
 
-    def test_garbage_env_falls_back(self, monkeypatch):
-        monkeypatch.setenv(backends.CELL_TIMEOUT_ENV, "soon")
-        monkeypatch.setenv(backends.RETRY_BUDGET_ENV, "many")
-        policy = CellPolicy.from_env()
-        assert policy.cell_timeout is None
-        assert policy.retry_budget == 3
+    @pytest.mark.parametrize("variable, value", [
+        ("REPRO_CELL_TIMEOUT", "soon"), ("REPRO_CELL_TIMEOUT", "-1"),
+        ("REPRO_CELL_TIMEOUT", "nan"), ("REPRO_RETRY_BUDGET", "many"),
+        ("REPRO_RETRY_BUDGET", "0"), ("REPRO_RETRY_BUDGET", "2.5"),
+    ])
+    def test_garbage_env_is_rejected_naming_it(self, monkeypatch, variable,
+                                               value):
+        """Garbage must not quietly become unlimited, 3 or 1."""
+        monkeypatch.setenv(variable, value)
+        with pytest.raises(ValueError, match=variable):
+            CellPolicy.from_env()
+
+    def test_given_values_beat_the_env(self, monkeypatch):
+        monkeypatch.setenv(backends.CELL_TIMEOUT_ENV, "2.5")
+        monkeypatch.setenv(backends.RETRY_BUDGET_ENV, "5")
+        policy = CellPolicy.from_env(cell_timeout=0, retry_budget=2)
+        assert (policy.cell_timeout, policy.retry_budget) == (None, 2)
+        assert policy.quarantine_after == 2
+        assert CellPolicy.from_env(retry_budget=4).cell_timeout == 2.5
 
     def test_budget_must_be_positive(self):
         with pytest.raises(ValueError, match="retry_budget"):
@@ -288,7 +297,7 @@ class TestJobs:
         with pytest.raises(ValueError, match="REPRO_JOBS"):
             backends.default_jobs()
         with pytest.raises(ValueError, match="REPRO_JOBS"):
-            run_sweep(tiny_jobs()[:1], cache=False)
+            run_sweep(tiny_jobs()[:1])
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_is_rejected(self, jobs):
@@ -300,8 +309,9 @@ class TestJobs:
                     reason="cell children need the fork start method")
 class TestKeptChildren:
     def test_matches_serial_byte_identical(self):
-        serial = run_sweep(tiny_jobs(), jobs=1, cache=False)
-        children = run_sweep(tiny_jobs(), jobs=3, cache=False)
+        serial = run_sweep(tiny_jobs())
+        with LocalProcessBackend(3) as backend:
+            children = run_sweep(tiny_jobs(), backend=backend)
         assert dumps(serial) == dumps(children)
 
     def test_each_trace_key_is_synthesized_in_one_child(
@@ -330,7 +340,7 @@ class TestKeptChildren:
                 for w in ("bc", "ycsb")
                 for v in ("Base-CSSD", "SkyByte-Full")]
         with LocalProcessBackend(2) as backend:
-            children = run_sweep(jobs, cache=False, backend=backend)
+            children = run_sweep(jobs, backend=backend)
         pids_by_key = {}
         for line in log.read_text().splitlines():
             pid, workload = line.split()
@@ -340,7 +350,7 @@ class TestKeptChildren:
         assert pids_by_key["bc"] != pids_by_key["ycsb"]
         assert os.getpid() not in set.union(*pids_by_key.values())
         log.unlink()
-        assert dumps(children) == dumps(run_sweep(jobs, jobs=1, cache=False))
+        assert dumps(children) == dumps(run_sweep(jobs))
 
     def test_uses_cache(self, tmp_path):
         store = ResultCache(tmp_path)
@@ -353,22 +363,35 @@ class TestKeptChildren:
     def test_children_are_kept_across_sweeps(self):
         """Two sweeps on one backend run on the same two children, so
         the memos a child built for the first serve the second."""
-        serial = run_sweep(tiny_jobs(), jobs=1, cache=False)
+        serial = run_sweep(tiny_jobs())
         with LocalProcessBackend(2) as backend:
-            first = run_sweep(tiny_jobs(), cache=False, backend=backend)
+            first = run_sweep(tiny_jobs(), backend=backend)
             pids = sorted(child.pid for child in backend._children)
-            second = run_sweep(tiny_jobs(), cache=False, backend=backend)
+            second = run_sweep(tiny_jobs(), backend=backend)
             assert sorted(child.pid for child in backend._children) == pids
         assert len(set(pids)) == 2 and os.getpid() not in pids
         assert dumps(first) == dumps(serial) == dumps(second)
         assert multiprocessing.active_children() == []
 
-    def test_a_backend_it_built_is_closed_on_return(self):
-        run_sweep(tiny_jobs(), jobs=2, cache=False)
+    def test_a_backend_it_built_is_closed_on_return(self, monkeypatch):
+        """A sweep given no backend builds one of REPRO_JOBS children
+        and leaves none of them alive, however it ends."""
+        built = []
+
+        class Counted(worker_mod.CellChild):
+            def __init__(self):
+                super().__init__()
+                built.append(self)
+
+        monkeypatch.setattr(worker_mod, "CellChild", Counted)
+        monkeypatch.setenv(backends.JOBS_ENV, "2")
+        run_sweep(tiny_jobs())
+        assert len(built) == 2
         assert multiprocessing.active_children() == []
-        stream = orchestrator.stream_sweep(tiny_jobs(), jobs=2, cache=False)
+        stream = orchestrator.stream_sweep(tiny_jobs())
         next(stream)
         stream.close()  # abandoned mid-sweep
+        assert len(built) == 4
         assert multiprocessing.active_children() == []
 
     def test_a_raising_cell_fails_the_sweep_with_its_traceback(
@@ -383,7 +406,7 @@ class TestKeptChildren:
         monkeypatch.setattr(worker_mod, "_execute_job", execute)
         with LocalProcessBackend(2) as backend:
             with pytest.raises(RuntimeError, match="(?s)Traceback.*boom"):
-                run_sweep(tiny_jobs(), cache=False, backend=backend)
+                run_sweep(tiny_jobs(), backend=backend)
 
     def test_a_killed_child_fails_the_sweep_and_is_replaced(
             self, monkeypatch, tmp_path):
@@ -400,18 +423,17 @@ class TestKeptChildren:
         survivors = tiny_jobs()[:2]
         with LocalProcessBackend(2) as backend:
             with pytest.raises(RuntimeError, match="exitcode -9"):
-                run_sweep(tiny_jobs(), cache=False, backend=backend)
-            results = run_sweep(survivors, cache=False, backend=backend)
+                run_sweep(tiny_jobs(), backend=backend)
+            results = run_sweep(survivors, backend=backend)
             pids = [child.pid for child in backend._children]
             assert None not in pids and int(killed.read_text()) not in pids
-        assert dumps(results) == dumps(run_sweep(survivors, jobs=1,
-                                                 cache=False))
+        assert dumps(results) == dumps(run_sweep(survivors))
 
     def test_a_closed_backend_runs_no_more_cells(self):
         backend = LocalProcessBackend(2)
         backend.close()
         with pytest.raises(RuntimeError, match="closed"):
-            run_sweep(tiny_jobs(), cache=False, backend=backend)
+            run_sweep(tiny_jobs(), backend=backend)
         assert multiprocessing.active_children() == []
 
 
@@ -430,10 +452,10 @@ def start_inprocess_worker(address, cache=None):
 
 class TestDistributedBackend:
     def test_listen_mode_matches_serial(self):
-        serial = run_sweep(tiny_jobs(), jobs=1, cache=False)
+        serial = run_sweep(tiny_jobs())
         with DistributedBackend(listen="127.0.0.1:0") as backend:
             workers = [start_inprocess_worker(backend.address) for _ in range(2)]
-            results = run_sweep(tiny_jobs(), cache=False, backend=backend)
+            results = run_sweep(tiny_jobs(), backend=backend)
         assert dumps(results) == dumps(serial)
         for thread in workers:
             thread.join(timeout=5)
@@ -451,14 +473,14 @@ class TestDistributedBackend:
     def test_workers_share_coordinator_cache(self, tmp_path):
         """A cell cached by a local sweep is served, not re-simulated,
         when the worker points at the same cache directory."""
-        run_sweep(tiny_jobs(), jobs=1, cache=ResultCache(tmp_path))
+        run_sweep(tiny_jobs(), cache=ResultCache(tmp_path))
         worker_store = ResultCache(tmp_path)
         with DistributedBackend(listen="127.0.0.1:0") as backend:
             start_inprocess_worker(backend.address, cache=worker_store)
-            results = run_sweep(tiny_jobs(), cache=False, backend=backend)
+            results = run_sweep(tiny_jobs(), backend=backend)
         assert worker_store.hits == 3
         assert worker_store.misses == 0
-        assert dumps(results) == dumps(run_sweep(tiny_jobs(), jobs=1, cache=False))
+        assert dumps(results) == dumps(run_sweep(tiny_jobs()))
 
     def test_worker_cell_failure_raises(self):
         with DistributedBackend(listen="127.0.0.1:0") as backend:
@@ -483,7 +505,7 @@ class TestDistributedBackend:
 
             threading.Thread(target=bad_worker, daemon=True).start()
             with pytest.raises(RuntimeError, match="boom"):
-                run_sweep(tiny_jobs()[:1], cache=False, backend=backend)
+                run_sweep(tiny_jobs()[:1], backend=backend)
 
     def test_dead_worker_requeues_cell(self):
         """A connection dying mid-cell hands the cell to a survivor."""
@@ -501,8 +523,8 @@ class TestDistributedBackend:
             threading.Thread(target=flaky_worker, daemon=True).start()
             time.sleep(0.3)  # let the flaky worker grab a cell first
             start_inprocess_worker(backend.address)
-            results = run_sweep(tiny_jobs(), cache=False, backend=backend)
-        assert dumps(results) == dumps(run_sweep(tiny_jobs(), jobs=1, cache=False))
+            results = run_sweep(tiny_jobs(), backend=backend)
+        assert dumps(results) == dumps(run_sweep(tiny_jobs()))
 
     def test_cell_timeout_retries_on_another_worker(self):
         """An attempt exceeding the cell timeout is abandoned and the
@@ -531,10 +553,10 @@ class TestDistributedBackend:
             threading.Thread(target=stalling_worker, daemon=True).start()
             threading.Thread(target=good_worker_after_stall,
                              daemon=True).start()
-            results = run_sweep(tiny_jobs()[:1], cache=False, backend=backend)
+            results = run_sweep(tiny_jobs()[:1], backend=backend)
             assert stalled.is_set()
         assert dumps(results) == dumps(
-            run_sweep(tiny_jobs()[:1], jobs=1, cache=False)
+            run_sweep(tiny_jobs()[:1])
         )
 
     def test_repeatedly_failing_worker_quarantined(self):
@@ -568,13 +590,13 @@ class TestDistributedBackend:
                         start_inprocess_worker(backend.address)
 
             threading.Thread(target=bad_worker, daemon=True).start()
-            results = run_sweep(tiny_jobs()[:1], cache=False, backend=backend)
+            results = run_sweep(tiny_jobs()[:1], backend=backend)
             assert got_bye.wait(timeout=10)
         # Exactly quarantine_after attempts reached the flaky worker,
         # and the budget (10) was nowhere near exhausted.
         assert len(jobs_seen) == 2
         assert dumps(results) == dumps(
-            run_sweep(tiny_jobs()[:1], jobs=1, cache=False)
+            run_sweep(tiny_jobs()[:1])
         )
 
     def test_a_sweep_whose_workers_are_all_quarantined_fails(self):
@@ -613,7 +635,7 @@ class TestDistributedBackend:
 
         def sweep(backend):
             try:
-                run_sweep(jobs, cache=False, backend=backend)
+                run_sweep(jobs, backend=backend)
                 outcome.append(None)
             except RuntimeError as exc:
                 outcome.append(str(exc))
@@ -668,12 +690,12 @@ class TestDistributedBackend:
             for thread in threads:
                 thread.start()
             wait_for_dial_ins(backend.address[1], 3)
-            results = run_sweep(tiny_jobs()[:1], cache=False, backend=backend)
+            results = run_sweep(tiny_jobs()[:1], backend=backend)
             for thread in threads:
                 thread.join(timeout=10)
         assert last_message == ["bye", "bye", "bye"]
         assert dumps(results) == dumps(
-            run_sweep(tiny_jobs()[:1], jobs=1, cache=False))
+            run_sweep(tiny_jobs()[:1]))
 
     def test_all_attempts_dead_exhausts_retry_budget(self):
         """A worker that keeps dying mid-cell (and dialing back in) burns
@@ -703,7 +725,7 @@ class TestDistributedBackend:
                 with pytest.raises(
                     RuntimeError, match="retry budget 3 exhausted.*mid-cell"
                 ):
-                    run_sweep(tiny_jobs()[:1], cache=False, backend=backend)
+                    run_sweep(tiny_jobs()[:1], backend=backend)
             finally:
                 stop.set()
 
@@ -729,10 +751,10 @@ class TestDistributedBackend:
             threading.Thread(target=ancient_worker, daemon=True).start()
             threading.Thread(target=good_worker_after_rejection,
                              daemon=True).start()
-            results = run_sweep(tiny_jobs()[:1], cache=False, backend=backend)
+            results = run_sweep(tiny_jobs()[:1], backend=backend)
         assert seen == [b""]  # closed without a job or a bye
         assert dumps(results) == dumps(
-            run_sweep(tiny_jobs()[:1], jobs=1, cache=False)
+            run_sweep(tiny_jobs()[:1])
         )
 
     def test_needs_workers_or_listen(self):
@@ -743,12 +765,12 @@ class TestDistributedBackend:
         """A --connect worker redials after each sweep, so one worker
         serves a whole multi-sweep (e.g. ``figures --listen``) session
         and exits cleanly once the coordinator's listener closes."""
-        serial = run_sweep(tiny_jobs(), jobs=1, cache=False)
+        serial = run_sweep(tiny_jobs())
         with DistributedBackend(listen="127.0.0.1:0") as backend:
             host, port = backend.address
             proc = spawn_worker("--connect", f"{host}:{port}", "--no-cache")
-            first = run_sweep(tiny_jobs(), cache=False, backend=backend)
-            second = run_sweep(tiny_jobs(), cache=False, backend=backend)
+            first = run_sweep(tiny_jobs(), backend=backend)
+            second = run_sweep(tiny_jobs(), backend=backend)
         assert dumps(first) == dumps(serial)
         assert dumps(second) == dumps(serial)
         assert proc.wait(timeout=30) == 0  # listener closed -> clean exit
@@ -1072,11 +1094,11 @@ class TestWorkerPreemption:
             threading.Thread(target=stalling_worker, daemon=True).start()
             threading.Thread(target=good_worker_after_stall,
                              daemon=True).start()
-            results = run_sweep(tiny_jobs()[:1], cache=False, backend=backend)
+            results = run_sweep(tiny_jobs()[:1], backend=backend)
             assert cancelled.wait(timeout=10), \
                 "timeout abandoned the cell without sending cancel"
         assert dumps(results) == dumps(
-            run_sweep(tiny_jobs()[:1], jobs=1, cache=False)
+            run_sweep(tiny_jobs()[:1])
         )
 
 

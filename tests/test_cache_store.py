@@ -1,9 +1,9 @@
 """Tests for the ResultCache storage layer.
 
 Exercises the sqlite index, size caps with LRU eviction, exact hit/miss/
-put/evict accounting, prune, one-time adoption of a legacy ``index.json``
-(including damaged ones), multi-process writers sharing one cache
-directory, and ``repro sweep`` and ``repro serve`` sharing one directory.
+put/evict accounting, prune, adoption of stray data files, multi-process
+writers sharing one cache directory, and ``repro sweep`` and ``repro
+serve`` sharing one directory.
 """
 
 import gc
@@ -14,6 +14,8 @@ import sys
 import threading
 import time
 
+import pytest
+
 from repro.cli import main
 from repro.config import SimConfig
 from repro.experiments import orchestrator
@@ -22,8 +24,6 @@ from repro.experiments.runner import RunResult
 from repro.service.coordinator import SweepService
 from repro.service.store import SqliteResultCache
 from repro.sim.stats import SimStats
-
-LEGACY = ResultCache.LEGACY_INDEX_NAME
 
 
 def fake_result(workload: str = "bc") -> RunResult:
@@ -36,26 +36,6 @@ def entry_size(tmp_path) -> int:
     probe = ResultCache(tmp_path / "probe")
     probe.put("probe", fake_result())
     return probe.size_bytes()
-
-
-def write_legacy_cache(root, keys=("k0", "k1"), hits=1, misses=1):
-    """A cache directory as the pre-sqlite JSON index left it: one blob
-    per key plus an ``index.json`` with LRU ticks and lifetime stats."""
-    root.mkdir(parents=True, exist_ok=True)
-    blob = json.dumps(fake_result().to_dict(), separators=(",", ":"))
-    entries = {}
-    for tick, key in enumerate(keys, start=1):
-        (root / f"{key}.json").write_text(blob)
-        entries[key] = {"size": len(blob), "tick": tick}
-    index = {
-        "version": 1,
-        "tick": len(keys),
-        "stats": {"hits": hits, "misses": misses, "evictions": 0,
-                  "puts": len(keys)},
-        "entries": entries,
-    }
-    (root / LEGACY).write_text(json.dumps(index))
-    return index
 
 
 class TestBasics:
@@ -72,6 +52,8 @@ class TestBasics:
         assert (stats["hits"], stats["misses"], stats["puts"]) == (1, 1, 1)
 
     def test_index_file_is_not_an_entry(self, tmp_path):
+        """Nor is the ``index.json`` a pre-sqlite version left."""
+        (tmp_path / "index.json").write_text("{}")
         store = ResultCache(tmp_path)
         store.put("k1", fake_result())
         assert (tmp_path / ResultCache.INDEX_DB).is_file()
@@ -81,8 +63,10 @@ class TestBasics:
     def test_max_bytes_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "4096")
         assert ResultCache(tmp_path).max_bytes == 4096
-        monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "junk")
-        assert ResultCache(tmp_path).max_bytes == 0
+        for junk in ("junk", "-1", "1e3"):
+            monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", junk)
+            with pytest.raises(ValueError, match="REPRO_CACHE_MAX_BYTES"):
+                ResultCache(tmp_path)
         monkeypatch.delenv("REPRO_CACHE_MAX_BYTES")
         assert ResultCache(tmp_path).max_bytes == 0
         assert ResultCache(tmp_path, max_bytes=123).max_bytes == 123
@@ -178,20 +162,11 @@ class TestPrune:
 
 
 class TestResilience:
-    def test_corrupt_index_recovers(self, tmp_path):
-        """An unparseable legacy index still adopts every blob."""
-        write_legacy_cache(tmp_path)
-        (tmp_path / LEGACY).write_text("{not json")
-        store = ResultCache(tmp_path)
-        assert store.stats()["entries"] == 2  # rebuilt from data files
-        assert store.get("k0") is not None
-        assert (tmp_path / ResultCache.MIGRATED_NAME).is_file()
-
     def test_adopts_legacy_unindexed_entries(self, tmp_path):
-        """Data files written before the index existed are adopted and
-        are first in line for eviction (least recently used)."""
-        legacy = tmp_path / "legacykey.json"
-        legacy.write_text(json.dumps(fake_result().to_dict()))
+        """Data files the index does not know are adopted and are first
+        in line for eviction (least recently used)."""
+        stray = tmp_path / "straykey.json"
+        stray.write_text(json.dumps(fake_result().to_dict()))
         store = ResultCache(tmp_path)
         assert store.stats()["entries"] == 1
         store.put("fresh", fake_result())
@@ -205,56 +180,39 @@ class TestResilience:
         assert store.stats()["entries"] == 0
 
 
-class TestLegacyAdoption:
-    def test_adoption_keeps_lru_order(self, tmp_path):
-        unit = entry_size(tmp_path / "probe-dir")
-        write_legacy_cache(tmp_path / "c", keys=("old", "new"))
-        store = ResultCache(tmp_path / "c", max_bytes=2 * unit)
-        store.put("fresh", fake_result())
-        assert {p.stem for p in store.entries()} == {"new", "fresh"}
-
-
 class TestIndexSalvage:
-    def test_version_mismatch_preserves_stats_and_entries(self, tmp_path):
-        """A foreign-version legacy index is salvaged, not zeroed:
-        lifetime counters and entries carry over into sqlite."""
-        index = write_legacy_cache(tmp_path, hits=1, misses=1)
-        index["version"] = 999
-        (tmp_path / LEGACY).write_text(json.dumps(index))
-
-        fresh = ResultCache(tmp_path)
-        stats = fresh.stats()
-        assert stats["entries"] == 2
-        assert stats["puts"] == 2
-        assert stats["hits"] == 1
-        assert stats["misses"] == 1
-        assert fresh.get("k1") is not None
-
     def test_mangled_entries_reconciled_from_disk(self, tmp_path):
-        """Damaged entry records and counters are skipped but the blobs
-        they pointed at are re-adopted from the directory -- nothing is
-        orphaned, and the well-formed counters survive."""
-        index = write_legacy_cache(tmp_path)
-        index["entries"]["k0"] = "garbage"
-        index["stats"]["hits"] = "garbage"
-        (tmp_path / LEGACY).write_text(json.dumps(index))
+        """Rows lost from the index (a writer killed between its blob and
+        its row) are re-adopted from the directory -- nothing is
+        orphaned -- and the lifetime counters survive."""
+        store = ResultCache(tmp_path)
+        for key in ("k0", "k1"):
+            store.put(key, fake_result())
+        store.get("k0")
+        con = sqlite3.connect(str(tmp_path / ResultCache.INDEX_DB))
+        con.execute("DELETE FROM entries WHERE key = 'k0'")
+        con.commit()
+        con.close()
 
         stats = ResultCache(tmp_path).stats()
         assert stats["entries"] == 2           # k0 came back via reconcile
-        assert stats["puts"] == 2              # counters survived
-        assert stats["misses"] == 1
-        assert stats["hits"] == 0              # the malformed one is skipped
+        assert (stats["puts"], stats["hits"]) == (2, 1)
 
     def test_salvaged_blobs_stay_evictable(self, tmp_path):
-        """After index damage every blob must stay visible to the LRU."""
+        """With its index deleted, every blob must stay visible to the
+        LRU: a prune adopts them first in line for eviction."""
         unit = entry_size(tmp_path)
         root = tmp_path / "c"
-        write_legacy_cache(root, keys=("k0", "k1", "k2"))
-        (root / LEGACY).write_text("{not json")
+        old = ResultCache(root)
+        for key in ("k0", "k1", "k2"):
+            old.put(key, fake_result())
+        old.close()
+        (root / ResultCache.INDEX_DB).unlink()
         capped = ResultCache(root, max_bytes=unit + unit // 2)
         capped.put("fresh", fake_result())
+        assert capped.prune() == 3
         assert capped.size_bytes() <= capped.max_bytes
-        assert "fresh" in {p.stem for p in capped.entries()}
+        assert [p.stem for p in capped.entries()] == ["fresh"]
 
 
 def _hammer(root, worker_id, n, max_bytes):
@@ -400,7 +358,7 @@ class TestSharedDirectory:
         sweep("ycsb", "tpcc")                           # hit ycsb, put tpcc
 
         assert (cache_dir / ResultCache.INDEX_DB).is_file()
-        assert not (cache_dir / LEGACY).exists()
+        assert not (cache_dir / "index.json").exists()
         stats = ResultCache(cache_dir).stats()
         assert (stats["puts"], stats["hits"]) == (3, 2)
         assert stats["entries"] == 3

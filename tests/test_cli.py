@@ -88,8 +88,8 @@ def test_cell_policy_flags_reach_backend():
 
     from repro.cli import _backend_from_args
 
-    args = argparse.Namespace(listen="127.0.0.1:0", backend=None,
-                              jobs=None, cell_timeout=1.5, retry_budget=2)
+    args = argparse.Namespace(listen="127.0.0.1:0", jobs=None,
+                              cell_timeout=1.5, retry_budget=2)
     with _backend_from_args(args) as backend:
         assert backend.policy.cell_timeout == 1.5
         assert backend.policy.retry_budget == 2
@@ -312,10 +312,42 @@ def test_bad_repro_jobs_is_rejected_naming_it(capsys, monkeypatch, tmp_path,
     assert "REPRO_JOBS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("variable, argv", [
+    ("REPRO_RECORDS", ["sweep", "--workloads", "bc", "--no-cache"]),
+    ("REPRO_RECORDS", ["figures", "fig2", "--no-cache"]),
+    ("REPRO_RECORDS", ["report", "fig2", "--no-cache"]),
+    ("REPRO_JOBS", ["report", "fig2", "--records", R, "--no-cache"]),
+    ("REPRO_JOBS", ["serve"]),
+    ("REPRO_CACHE_MAX_BYTES", ["run", "bc", "Base-CSSD", "--records", R]),
+    ("REPRO_CACHE_MAX_BYTES", ["sweep", "--workloads", "bc"]),
+    ("REPRO_CACHE_MAX_BYTES", ["figures", "fig2", "--records", R]),
+    ("REPRO_CACHE_MAX_BYTES", ["report", "fig2", "--records", R]),
+    ("REPRO_CACHE_MAX_BYTES", ["trace", "replay", "missing.sbt"]),
+    ("REPRO_CACHE_MAX_BYTES", ["cache", "stats"]),
+    ("REPRO_CACHE_MAX_BYTES", ["worker", "--connect", "127.0.0.1:9"]),
+    ("REPRO_CACHE_MAX_BYTES", ["serve"]),
+    ("REPRO_CELL_TIMEOUT", ["sweep", "--listen", "127.0.0.1:0"]),
+    ("REPRO_CELL_TIMEOUT", ["serve", "--listen", "127.0.0.1:0"]),
+    ("REPRO_RETRY_BUDGET", ["report", "--listen", "127.0.0.1:0"]),
+    ("REPRO_RETRY_BUDGET", ["serve", "--listen", "127.0.0.1:0"]),
+])
+def test_a_bad_env_value_exits_2_naming_it(capsys, monkeypatch, tmp_path,
+                                           variable, argv):
+    """Each knob a verb reads is checked up front: garbage is exit 2
+    naming the variable, never a traceback or a quiet default."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(variable, "abc")
+    if argv[0] == "serve":
+        argv = argv + ["--http", "127.0.0.1:0"]
+    assert main(argv) == 2
+    assert variable in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_distributed_backend_matches_local(capsys, tmp_path, spawn_worker):
-    """The acceptance path: ``sweep --backend distributed --listen
-    HOST:PORT`` served by a real ``repro worker --connect`` subprocess is
-    byte-identical to ``--backend local``."""
+    """The acceptance path: ``sweep --listen HOST:PORT`` served by a
+    real ``repro worker --connect`` subprocess is byte-identical to the
+    local backend."""
     from _worker_utils import free_port
 
     address = f"127.0.0.1:{free_port()}"
@@ -324,9 +356,8 @@ def test_sweep_distributed_backend_matches_local(capsys, tmp_path, spawn_worker)
     out_dist = tmp_path / "dist.json"
     base = ["sweep", "--workloads", "bc", "--variants", "Base-CSSD,DRAM-Only",
             "--records", R, "--no-cache", "--quiet"]
-    assert main(base + ["--backend", "local", "--output", str(out_local)]) == 0
-    assert main(base + ["--backend", "distributed", "--listen", address,
-                        "--output", str(out_dist)]) == 0
+    assert main(base + ["--output", str(out_local)]) == 0
+    assert main(base + ["--listen", address, "--output", str(out_dist)]) == 0
     capsys.readouterr()
     assert proc.wait(timeout=30) == 0  # listener closed -> clean exit
     local = json.loads(out_local.read_text())
@@ -334,17 +365,51 @@ def test_sweep_distributed_backend_matches_local(capsys, tmp_path, spawn_worker)
     assert json.dumps(local["results"], sort_keys=True) == json.dumps(
         dist["results"], sort_keys=True
     )
+    # The output's keys, in order, and the width each backend ran at.
+    assert list(dist) == list(local) == [
+        "workloads", "variants", "records_per_thread", "jobs", "backend",
+        "results"]
+    assert (local["jobs"], dist["jobs"]) == (1, None)
+    assert dist["backend"].startswith("distributed[listen=")
 
 
 def test_sweep_distributed_without_workers_fails_cleanly(capsys):
-    """``--backend distributed`` without ``--listen`` exits 2 and says
-    how to start a dial-in fleet."""
+    """A distributed-backend option without ``--listen`` exits 2 and
+    says how to start a dial-in fleet."""
     rc = main(["sweep", "--workloads", "bc", "--variants", "Base-CSSD",
                "--records", R, "--no-cache", "--quiet",
-               "--backend", "distributed"])
+               "--retry-budget", "2"])
     assert rc == 2
     err = capsys.readouterr().err
     assert "--listen" in err and "repro worker --connect" in err
+
+
+def _fleet_argv(verb, tmp_path):
+    """``verb`` with options that keep its files under ``tmp_path``."""
+    if verb[0] == "serve":
+        return verb + ["--state-dir", str(tmp_path / "state"),
+                       "--cache-dir", str(tmp_path / "cache")]
+    return verb + ["--no-cache"]
+
+
+@pytest.mark.parametrize("verb", [
+    ["run", "bc", "Base-CSSD"],
+    ["sweep", "--workloads", "bc"],
+    ["figures", "fig2"],
+    ["report", "fig2"],
+    ["trace", "replay", "missing.sbt"],
+    ["serve"],
+])
+@pytest.mark.parametrize("option", [["--cell-timeout", "1"],
+                                    ["--retry-budget", "2"]])
+def test_a_cell_policy_option_without_listen_exits_2_naming_listen(
+        capsys, tmp_path, verb, option):
+    """The local backend has no cell policy: the option is an error,
+    not a setting silently ignored."""
+    assert main(_fleet_argv(verb, tmp_path) + option) == 2
+    err = capsys.readouterr().err
+    assert option[0] in err and "--listen" in err
+    assert not (tmp_path / "state").exists()
 
 
 def test_cache_stats_reports_lifetime_counters(capsys, tmp_path):
@@ -397,12 +462,15 @@ def test_cache_prune_evicts_lru(capsys, tmp_path):
     assert "entries:   1" in capsys.readouterr().out
 
 
-def test_listen_conflicts_with_non_distributed_backend(capsys):
-    rc = main(["sweep", "--workloads", "bc", "--variants", "Base-CSSD",
-               "--records", R, "--no-cache", "--quiet",
-               "--listen", "127.0.0.1:0", "--backend", "serial"])
-    assert rc == 2
-    assert "incompatible" in capsys.readouterr().err
+def test_listen_conflicts_with_non_distributed_backend(capsys, tmp_path):
+    """``--jobs`` sizes the local backend, which ``--listen`` replaces."""
+    for verb in (["sweep", "--workloads", "bc"], ["report", "fig2"],
+                 ["serve"]):
+        argv = _fleet_argv(verb, tmp_path)
+        assert main(argv + ["--listen", "127.0.0.1:0", "--jobs", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "--jobs" in err and "incompatible" in err
+    assert not (tmp_path / "state").exists()
 
 
 def test_worker_requires_a_mode():

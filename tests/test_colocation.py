@@ -11,7 +11,8 @@ from repro.experiments.colocation import (
     run_colocation,
     solo_cells,
 )
-from repro.experiments.orchestrator import SweepJob, run_sweep
+from repro.experiments.backends import LocalProcessBackend
+from repro.experiments.orchestrator import ResultCache, SweepJob, run_sweep
 from repro.experiments.runner import build_config, run_workload
 from repro.figures.spec import shape_figure
 from repro.scenarios.colocate import (
@@ -116,7 +117,7 @@ def test_colocation_study_shape_and_charts():
 
 
 def test_colocation_solo_baselines_go_through_the_cache(tmp_path):
-    run_sweep(solo_cells(TENANTS, RECORDS), cache=tmp_path)
+    run_sweep(solo_cells(TENANTS, RECORDS), cache=ResultCache(tmp_path))
     cached = [p for p in tmp_path.glob("*.json") if p.name != "index.json"]
     assert len(cached) == len(TENANTS)  # one solo cell per tenant
 
@@ -154,8 +155,9 @@ def test_colocation_trace_replay_identical_across_backends(tmp_path):
     path = tmp_path / "coloc.sbt"
     _write_colocation_trace(path, plan)
     job = SweepJob.make("coloc-test", "SkyByte-Full", trace=str(path))
-    local = run_sweep([job], jobs=1, cache=False)[0]
-    child = run_sweep([job], jobs=2, cache=False)[0]
+    local = run_sweep([job])[0]
+    with LocalProcessBackend(2) as backend:
+        child = run_sweep([job], backend=backend)[0]
     assert canonical_stats(local.stats) == canonical_stats(child.stats)
 
 
@@ -171,12 +173,13 @@ def test_capture_replays_bit_exactly_on_all_backends(tmp_path, spawn_worker):
                                 records_per_thread=60, seed=42)
     job = SweepJob.make("bc", "SkyByte-Full", trace=str(path))
 
-    local = run_sweep([job], jobs=1, cache=False)[0]
-    child = run_sweep([job], jobs=2, cache=False)[0]
+    local = run_sweep([job])[0]
+    with LocalProcessBackend(2) as backend:
+        child = run_sweep([job], backend=backend)[0]
     with DistributedBackend(listen="127.0.0.1:0") as backend:
         host, port = backend.address
         proc = spawn_worker("--connect", f"{host}:{port}", "--no-cache")
-        distributed = run_sweep([job], cache=False, backend=backend)[0]
+        distributed = run_sweep([job], backend=backend)[0]
     assert proc.wait(timeout=30) == 0
 
     reference = canonical_stats(captured.stats)

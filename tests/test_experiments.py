@@ -9,6 +9,7 @@ import pytest
 from repro.experiments import orchestrator
 from repro.experiments.cost import CostModel
 from repro.experiments.jobspec import FIGURES, FigureLog, parse_spec, run_figures
+from repro.experiments.orchestrator import ResultCache
 
 R = 400  # tiny traces: these tests check plumbing, not magnitudes
 
@@ -47,8 +48,7 @@ def plan(tmp_path, figures, workloads=("bc",), records=R, **options):
 @pytest.fixture(scope="module")
 def every(tmp_path_factory):
     """Every figure's payload from one plan on bc at R records."""
-    log, failed = plan(tmp_path_factory.mktemp("figures"), sorted(FIGURES),
-                       cache=False)
+    log, failed = plan(tmp_path_factory.mktemp("figures"), sorted(FIGURES))
     assert failed == [], log.errors
     return log.data
 
@@ -153,7 +153,7 @@ def test_cost_model_arithmetic():
 class TestAblations:
     def test_prefetch_helps_streaming(self, tmp_path):
         log, failed = plan(tmp_path, ["prefetch-ablation"],
-                           workloads=["srad"], records=600, cache=False)
+                           workloads=["srad"], records=600)
         assert failed == []
         assert log.data["prefetch-ablation"]["srad"]["prefetch_gain"] > 0.95
 
@@ -175,7 +175,7 @@ def test_one_plan_simulates_each_distinct_cell_once(tmp_path):
     """Figs. 14, 17 and 18 read one design grid: without a cache, every
     distinct cell still runs exactly once."""
     figures = ("fig14", "fig17", "fig18")
-    log, failed = plan(tmp_path, figures, records=200, cache=False)
+    log, failed = plan(tmp_path, figures, records=200)
     assert failed == []
     planned = [job.key() for name in figures
                for job in FIGURES[name].cells(["bc"], 200)]
@@ -191,8 +191,7 @@ def test_a_reduce_that_raises_fails_only_its_figure(tmp_path, monkeypatch):
 
     monkeypatch.setitem(FIGURES, "table3",
                         dataclasses.replace(FIGURES["table3"], reduce=boom))
-    log, failed = plan(tmp_path, ["table3", "fig16", "fig5"], records=80,
-                       cache=False)
+    log, failed = plan(tmp_path, ["table3", "fig16", "fig5"], records=80)
     assert failed == ["table3"]
     assert "reduce exploded" in log.errors["table3"]
     assert set(log.data) == {"fig16", "fig5"}
@@ -205,7 +204,7 @@ def test_a_failing_cell_fails_only_the_figures_it_starves(tmp_path,
     """Figures whose cells all landed (table3 from the cache, fig5 with
     none) render; fig16 and fig14, still waiting on a SkyByte-Full cell
     when it raises, fail."""
-    cache = tmp_path / "cache"
+    cache = ResultCache(tmp_path / "cache")
     plan(tmp_path, ["table3"], records=80, cache=cache)
     real = orchestrator.run_workload
 
@@ -216,7 +215,7 @@ def test_a_failing_cell_fails_only_the_figures_it_starves(tmp_path,
 
     monkeypatch.setattr(orchestrator, "run_workload", run_workload)
     log, failed = plan(tmp_path, ["table3", "fig5", "fig16", "fig14"],
-                       records=80, cache=cache, jobs=1)
+                       records=80, cache=cache)
     assert sorted(failed) == ["fig14", "fig16"]
     assert all("cell exploded" in log.errors[f] for f in failed)
     assert set(log.data) == {"table3", "fig5"}

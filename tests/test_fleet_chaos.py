@@ -67,13 +67,13 @@ class TestDialInFleet:
         """Two real ``repro worker --connect`` processes serve a sweep
         byte-identically to the serial path, then exit cleanly when the
         coordinator closes its listener."""
-        serial = run_sweep(tiny_jobs(), jobs=1, cache=False)
+        serial = run_sweep(tiny_jobs())
         with DistributedBackend(listen="127.0.0.1:0") as backend:
             address = "%s:%d" % backend.address
             procs = [spawn_worker("--connect", address, "--no-cache")
                      for _ in range(2)]
             wait_for_dial_ins(backend.address[1], 2)
-            results = run_sweep(tiny_jobs(), cache=False, backend=backend)
+            results = run_sweep(tiny_jobs(), backend=backend)
         assert dumps(results) == dumps(serial)
         for proc in procs:
             assert proc.wait(timeout=30) == 0
@@ -81,7 +81,7 @@ class TestDialInFleet:
     def test_worker_killed_mid_cell_retried_elsewhere(self):
         """The acceptance scenario: one of two dial-in workers dies
         mid-cell; its cell is retried on the survivor within budget."""
-        serial = run_sweep(tiny_jobs(), jobs=1, cache=False)
+        serial = run_sweep(tiny_jobs())
         with DistributedBackend(listen="127.0.0.1:0") as backend:
             took_cell = threading.Event()
 
@@ -103,7 +103,7 @@ class TestDialInFleet:
                 dial_in_worker(backend.address)
 
             threading.Thread(target=survivor_after_kill, daemon=True).start()
-            results = run_sweep(tiny_jobs(), cache=False, backend=backend)
+            results = run_sweep(tiny_jobs(), backend=backend)
             assert took_cell.is_set()
         assert dumps(results) == dumps(serial)
 
@@ -132,18 +132,18 @@ class TestDialInFleet:
             with pytest.raises(
                 RuntimeError, match="retry budget 2 exhausted.*boom"
             ):
-                run_sweep(tiny_jobs()[:1], cache=False, backend=backend)
+                run_sweep(tiny_jobs()[:1], backend=backend)
 
     def test_late_joining_worker_picks_up_queued_cells(self):
         """A sweep started with no workers waits; a worker that dials in
         later drains the queue."""
-        serial = run_sweep(tiny_jobs(), jobs=1, cache=False)
+        serial = run_sweep(tiny_jobs())
         with DistributedBackend(listen="127.0.0.1:0") as backend:
             results_box = {}
 
             def sweep():
                 results_box["results"] = run_sweep(
-                    tiny_jobs(), cache=False, backend=backend
+                    tiny_jobs(), backend=backend
                 )
 
             thread = threading.Thread(target=sweep, daemon=True)
@@ -181,7 +181,7 @@ class TestDialInFleet:
         with DistributedBackend(listen="127.0.0.1:0") as backend:
             proc = spawn_worker("--connect", "%s:%d" % backend.address,
                                 "--no-cache")
-            run_sweep(tiny_jobs()[:1], cache=False, backend=backend)
+            run_sweep(tiny_jobs()[:1], backend=backend)
             children = _children(proc.pid)
             assert len(children) == 1, children  # the idle cell child
             proc.send_signal(signal.SIGKILL)

@@ -25,7 +25,12 @@ import pytest
 
 from _worker_utils import free_port, wait_for_dial_ins
 from repro.experiments.backends import DistributedBackend, LocalProcessBackend
-from repro.experiments.orchestrator import SweepJob, run_sweep, stream_sweep
+from repro.experiments.orchestrator import (
+    ResultCache,
+    SweepJob,
+    run_sweep,
+    stream_sweep,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 RECORDS = 100  # short but long enough to exercise flash, cache and log paths
@@ -67,7 +72,7 @@ def assert_matches_golden(results):
 
 @pytest.fixture(scope="module")
 def serial_results():
-    results = run_sweep(golden_jobs(), jobs=1, cache=False)
+    results = run_sweep(golden_jobs())
     if os.environ.get("REPRO_UPDATE_GOLDEN"):
         GOLDEN_DIR.mkdir(exist_ok=True)
         for (workload, variant), result in zip(CELLS, results):
@@ -107,7 +112,7 @@ def test_serial_matches_golden(serial_results):
 
 def test_process_backend_matches_golden():
     with LocalProcessBackend(2) as backend:
-        results = run_sweep(golden_jobs(), cache=False, backend=backend)
+        results = run_sweep(golden_jobs(), backend=backend)
     assert_matches_golden(results)
 
 
@@ -121,7 +126,7 @@ def test_distributed_backend_matches_golden(spawn_worker):
             for _ in range(2)
         ]
         wait_for_dial_ins(port, 2)
-        results = run_sweep(golden_jobs(), cache=False, backend=backend)
+        results = run_sweep(golden_jobs(), backend=backend)
     assert_matches_golden(results)
     for proc in procs:
         assert proc.wait(timeout=30) == 0
@@ -134,7 +139,7 @@ def test_distributed_dial_mode_matches_golden(spawn_worker):
     address = f"127.0.0.1:{free_port()}"
     proc = spawn_worker("--connect", address, "--once", "--no-cache")
     with DistributedBackend(listen=address) as backend:
-        results = run_sweep(golden_jobs(), cache=False, backend=backend)
+        results = run_sweep(golden_jobs(), backend=backend)
     assert_matches_golden(results)
     assert proc.wait(timeout=30) == 0
 
@@ -143,7 +148,7 @@ def test_streamed_results_match_golden():
     """Streaming delivery (stream_sweep) is byte-identical to the
     barrier path: same cells, same pins, whatever order they complete."""
     results = [None] * len(CELLS)
-    for update in stream_sweep(golden_jobs(), jobs=1, cache=False):
+    for update in stream_sweep(golden_jobs()):
         for i in update.positions:
             results[i] = update.result
     assert_matches_golden(results)
@@ -152,6 +157,6 @@ def test_streamed_results_match_golden():
 def test_cached_results_match_golden(tmp_path):
     """A result that round-trips through the on-disk cache is still
     byte-identical to the pinned run."""
-    run_sweep(golden_jobs(), jobs=1, cache=tmp_path)
-    cached = run_sweep(golden_jobs(), jobs=1, cache=tmp_path)
+    run_sweep(golden_jobs(), cache=ResultCache(tmp_path))
+    cached = run_sweep(golden_jobs(), cache=ResultCache(tmp_path))
     assert_matches_golden(cached)

@@ -5,11 +5,10 @@ import json
 import pytest
 
 from repro.config import scaled_config, SimConfig
+from repro.experiments.backends import LocalProcessBackend
 from repro.experiments.orchestrator import (
     ResultCache,
     SweepJob,
-    resolve_cache,
-    run_pairs,
     run_sweep,
     sweep_product,
 )
@@ -115,18 +114,18 @@ class TestResultCache:
     def test_miss_then_hit(self, tmp_path):
         store = ResultCache(tmp_path)
         job = tiny_job()
-        first = run_sweep([job], jobs=1, cache=store)
+        first = run_sweep([job], cache=store)
         assert (store.hits, store.misses) == (0, 1)
         assert len(store.entries()) == 1
-        again = run_sweep([job], jobs=1, cache=store)
+        again = run_sweep([job], cache=store)
         assert (store.hits, store.misses) == (1, 1)
         assert json.dumps(again[0].to_dict()) == json.dumps(first[0].to_dict())
 
     def test_config_change_misses(self, tmp_path):
         store = ResultCache(tmp_path)
-        run_sweep([tiny_job()], jobs=1, cache=store)
+        run_sweep([tiny_job()], cache=store)
         run_sweep([tiny_job(ssd_overrides={"prefetch_depth": 0})],
-                  jobs=1, cache=store)
+                  cache=store)
         assert store.misses == 2
         assert store.hits == 0
         assert len(store.entries()) == 2
@@ -134,39 +133,30 @@ class TestResultCache:
     def test_cache_hit_skips_simulation(self, tmp_path, monkeypatch):
         store = ResultCache(tmp_path)
         job = tiny_job()
-        run_sweep([job], jobs=1, cache=store)
+        run_sweep([job], cache=store)
 
         def boom(_job):
             raise AssertionError("cache hit must not re-simulate")
 
         monkeypatch.setattr("repro.experiments.orchestrator._execute_job", boom)
-        result = run_sweep([job], jobs=1, cache=store)[0]
+        result = run_sweep([job], cache=store)[0]
         assert result.workload == "bc"
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         store = ResultCache(tmp_path)
         job = tiny_job()
-        run_sweep([job], jobs=1, cache=store)
+        run_sweep([job], cache=store)
         store.path_for(job.key()).write_text("{not json")
-        result = run_sweep([job], jobs=1, cache=store)[0]
+        result = run_sweep([job], cache=store)[0]
         assert result.stats.instructions > 0
         assert store.misses == 2
 
     def test_clear(self, tmp_path):
         store = ResultCache(tmp_path)
-        run_sweep([tiny_job()], jobs=1, cache=store)
+        run_sweep([tiny_job()], cache=store)
         assert store.clear() == 1
         assert store.entries() == []
         assert store.size_bytes() == 0
-
-    def test_resolve_cache_modes(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE", raising=False)
-        assert resolve_cache(False) is None
-        assert resolve_cache(None) is None  # library default: off
-        assert isinstance(resolve_cache(True), ResultCache)
-        assert resolve_cache(tmp_path).root == tmp_path
-        monkeypatch.setenv("REPRO_CACHE", "1")
-        assert isinstance(resolve_cache(None), ResultCache)
 
 
 class TestRunSweep:
@@ -176,8 +166,9 @@ class TestRunSweep:
             tiny_job("bc", "DRAM-Only"),
             tiny_job("ycsb", "SkyByte-Full"),
         ]
-        serial = run_sweep(specs, jobs=1, cache=False)
-        parallel = run_sweep(specs, jobs=2, cache=False)
+        serial = run_sweep(specs)
+        with LocalProcessBackend(2) as backend:
+            parallel = run_sweep(specs, backend=backend)
         for s, p in zip(serial, parallel):
             assert json.dumps(s.to_dict(), sort_keys=True) == json.dumps(
                 p.to_dict(), sort_keys=True
@@ -185,7 +176,7 @@ class TestRunSweep:
 
     def test_matches_direct_run_workload(self):
         job = tiny_job()
-        via_sweep = run_sweep([job], jobs=1, cache=False)[0]
+        via_sweep = run_sweep([job])[0]
         direct = run_workload("bc", "Base-CSSD", records_per_thread=R)
         assert json.dumps(via_sweep.to_dict(), sort_keys=True) == json.dumps(
             direct.to_dict(), sort_keys=True
@@ -194,33 +185,22 @@ class TestRunSweep:
     def test_preserves_order_and_dedupes(self, tmp_path):
         store = ResultCache(tmp_path)
         specs = [tiny_job(), tiny_job("ycsb"), tiny_job()]
-        results = run_sweep(specs, jobs=1, cache=store)
+        results = run_sweep(specs, cache=store)
         assert [r.workload for r in results] == ["bc", "ycsb", "bc"]
         # The duplicate bc cell simulated (and cached) only once.
         assert store.misses == 2
         assert len(store.entries()) == 2
 
-    def test_accepts_bare_pairs(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RECORDS", str(R))
-        results = run_sweep([("bc", "Base-CSSD")], jobs=1, cache=False)
-        assert results[0].variant == "Base-CSSD"
-
     def test_progress_reports_source(self, tmp_path):
         store = ResultCache(tmp_path)
         events = []
-        run_sweep([tiny_job()], jobs=1, cache=store,
-                  progress=lambda job, src: events.append((job.label(), src)))
-        run_sweep([tiny_job()], jobs=1, cache=store,
-                  progress=lambda job, src: events.append((job.label(), src)))
-        assert events == [("bc/Base-CSSD", "run"), ("bc/Base-CSSD", "cache")]
 
-    def test_run_pairs_grid(self):
-        out = run_pairs(["bc"], ["Base-CSSD", "DRAM-Only"],
-                        jobs=1, cache=False, records_per_thread=R)
-        assert set(out) == {("bc", "Base-CSSD"), ("bc", "DRAM-Only")}
-        base = out[("bc", "Base-CSSD")]
-        dram = out[("bc", "DRAM-Only")]
-        assert dram.speedup_over(base) > 1.0
+        def on_update(update):
+            events.append((update.job.label(), update.source))
+
+        run_sweep([tiny_job()], cache=store, on_update=on_update)
+        run_sweep([tiny_job()], cache=store, on_update=on_update)
+        assert events == [("bc/Base-CSSD", "run"), ("bc/Base-CSSD", "cache")]
 
 
 class TestExperimentsThroughOrchestrator:
@@ -236,7 +216,9 @@ class TestExperimentsThroughOrchestrator:
         store = ResultCache(tmp_path)
         first = self.figure("fig14", ["bc"], cache=store)
         assert store.misses == 8
-        second = self.figure("fig14", ["bc"], cache=store, jobs=2)
+        with LocalProcessBackend(2) as backend:
+            second = self.figure("fig14", ["bc"], cache=store,
+                                 backend=backend)
         assert store.hits == 8
         assert first == second
         assert first["bc"]["Base-CSSD"] == 1.0

@@ -138,7 +138,7 @@ def test_report_accepts_positional_names(tmp_path, capsys):
     out, cache = tmp_path / "rep", tmp_path / "cache"
     argv = ["report", "table3", "--workloads", "ycsb", "--records", R,
             "--cache-dir", str(cache), "-o", str(out), "--quiet",
-            "--backend", "serial"]
+            "--jobs", "1"]
     assert main(argv) == 0
     assert "Complete: 1/1" in (out / "REPORT.md").read_text()
 

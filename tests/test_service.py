@@ -1,8 +1,8 @@
 """Tests for sweep-as-a-service: sqlite stores, coordinator, HTTP API.
 
 Covers the service's result cache (``SqliteResultCache``, the one
-:class:`ResultCache`: round trips, LRU caps, one-time adoption of a
-legacy ``index.json``, multi-process writers), the :class:`JobStore` queue (priority + fair-share claim order,
+:class:`ResultCache`: round trips, LRU caps, multi-process writers),
+the :class:`JobStore` queue (priority + fair-share claim order,
 concurrent submitters, crash requeue, cancellation), the :class:`SweepService`
 scheduler (byte-identical results, failure capture, restart recovery --
 including a SIGKILL'd ``repro serve`` subprocess resuming its queue),
@@ -22,13 +22,14 @@ import pytest
 
 from _worker_utils import worker_env
 from repro.cli import main
+from repro.experiments.backends import CellPolicy
 from repro.experiments.orchestrator import run_sweep, sweep_product
 from repro.service.api import ServiceAPI
 from repro.service.client import ServiceClient, ServiceError
 from repro.experiments.jobspec import parse_spec, run_figures
 from repro.service.coordinator import JobCancelled, SweepService
 from repro.service.store import JobStore, SqliteResultCache
-from test_cache_store import entry_size, fake_result, write_legacy_cache
+from test_cache_store import entry_size, fake_result
 
 R = 150  # tiny traces: service plumbing, not magnitudes
 
@@ -84,33 +85,6 @@ class TestSqliteResultCache:
         store.put("k0", fake_result())
         store.put("k1", fake_result())
         assert [p.stem for p in store.entries()] == ["k1"]
-
-    def test_adopts_legacy_json_index(self, tmp_path):
-        write_legacy_cache(tmp_path, keys=("old1", "old2"), hits=1, misses=1)
-        store = SqliteResultCache(tmp_path)
-        assert store.get("old1").workload == "bc"
-        assert store.get("old2") is not None
-        stats = store.stats()
-        # Adoption preserved the legacy counters, then the two fresh
-        # hits above were added on top.
-        assert stats["puts"] == 2
-        assert stats["hits"] == 1 + 2
-        assert stats["misses"] == 1
-        assert not (tmp_path / SqliteResultCache.LEGACY_INDEX_NAME).exists()
-        assert (tmp_path / SqliteResultCache.MIGRATED_NAME).is_file()
-
-    def test_adoption_happens_once(self, tmp_path):
-        write_legacy_cache(tmp_path, keys=("old",))
-        SqliteResultCache(tmp_path).get("old")
-        # A new legacy index written afterwards must not be re-imported
-        # (the sqlite index is authoritative once it exists).
-        (tmp_path / SqliteResultCache.LEGACY_INDEX_NAME).write_text(json.dumps(
-            {"version": 1, "tick": 0, "entries": {},
-             "stats": {"hits": 0, "misses": 0, "evictions": 0, "puts": 7}}
-        ))
-        store = SqliteResultCache(tmp_path)
-        assert store.stats()["puts"] == 1
-        assert store.stats()["entries"] == 1  # index.json is never a blob
 
     def test_clear(self, tmp_path):
         store = SqliteResultCache(tmp_path)
@@ -335,7 +309,7 @@ class TestSweepService:
             payload = job["result"]
             specs = sweep_product(["ycsb"], ["Base-CSSD", "DRAM-Only"],
                                   records_per_thread=R)
-            local = run_sweep(specs, jobs=2, cache=False)
+            local = run_sweep(specs)
             assert dumps(payload["results"]) == dumps(local)
             # The artifact on disk is the same document.
             artifact = svc.artifact_dir(jid) / "results.json"
@@ -366,6 +340,14 @@ class TestSweepService:
             assert job["state"] == "failed"
             assert "cell bc/DRAM-Only crashed" in job["error"]
             assert "Traceback" in job["error"]
+
+    def test_a_policy_without_listen_is_rejected(self, tmp_path):
+        """No local backend honours a cell policy, so it is an error,
+        before any state directory is made."""
+        with pytest.raises(ValueError, match="listen"):
+            SweepService(state_dir=tmp_path / "s", cache_dir=tmp_path / "c",
+                         policy=CellPolicy(cell_timeout=5.0))
+        assert not (tmp_path / "s").exists()
 
     def test_unknown_kind_rejected(self, tmp_path):
         with SweepService(state_dir=tmp_path / "s", cache_dir=tmp_path / "c",
@@ -472,8 +454,7 @@ class TestSweepService:
             raise JobCancelled("stop")
 
         with pytest.raises(JobCancelled):
-            run_figures(spec, tmp_path, builder, cache=False,
-                        progress=progress)
+            run_figures(spec, tmp_path, builder, progress=progress)
         assert not (tmp_path / "fig2.json").exists()
         assert not (tmp_path / "table3.json").exists()
 
@@ -531,8 +512,7 @@ class TestServiceHTTP:
         assert got[0]["config"]["device_model"]["kind"] == "deep"
         local = run_sweep(sweep_product(["bc"], ["Base-CSSD"],
                                         records_per_thread=R,
-                                        device_model="deep"),
-                          jobs=1, cache=False)
+                                        device_model="deep"))
         assert dumps(got) == dumps(local)
 
     def test_error_paths(self, service):
@@ -596,9 +576,7 @@ class TestServiceHTTP:
             payload = client.result(jobs[name])
             local = run_sweep(
                 sweep_product(spec["workloads"], spec["variants"],
-                              records_per_thread=R),
-                jobs=2, cache=False,
-            )
+                              records_per_thread=R))
             assert dumps(payload["results"]) == dumps(local)
 
     def test_event_stream_ends_with_state(self, service):
@@ -710,9 +688,7 @@ class TestServeProcess:
             # And the payloads match a local sweep exactly.
             payload = client2.result(ids[0])
             local = run_sweep(
-                sweep_product(["bc"], ["Base-CSSD"], records_per_thread=R),
-                jobs=1, cache=False,
-            )
+                sweep_product(["bc"], ["Base-CSSD"], records_per_thread=R))
             assert dumps(payload["results"]) == dumps(local)
         finally:
             proc2.terminate()

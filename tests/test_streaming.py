@@ -46,15 +46,15 @@ def collect(updates, n):
 
 class TestStreamSweep:
     def test_streamed_matches_barrier_byte_identical(self):
-        barrier = run_sweep(tiny_jobs(), jobs=1, cache=False)
-        streamed, _ = collect(stream_sweep(tiny_jobs(), jobs=1, cache=False), 3)
+        barrier = run_sweep(tiny_jobs())
+        streamed, _ = collect(stream_sweep(tiny_jobs()), 3)
         assert dumps(streamed) == dumps(barrier)
 
     def test_streamed_matches_barrier_on_kept_children(self):
-        barrier = run_sweep(tiny_jobs(), jobs=1, cache=False)
+        barrier = run_sweep(tiny_jobs())
         with LocalProcessBackend(3) as backend:
             streamed, seen = collect(
-                stream_sweep(tiny_jobs(), backend=backend, cache=False), 3
+                stream_sweep(tiny_jobs(), backend=backend), 3
             )
         assert dumps(streamed) == dumps(barrier)
         assert sorted(u.completed for u in seen) == [1, 2, 3]
@@ -63,8 +63,8 @@ class TestStreamSweep:
 
     def test_cache_hits_stream_first(self, tmp_path):
         store = ResultCache(tmp_path)
-        run_sweep(tiny_jobs()[:2], jobs=1, cache=store)  # warm 2 of 3 cells
-        _, seen = collect(stream_sweep(tiny_jobs(), jobs=1, cache=store), 3)
+        run_sweep(tiny_jobs()[:2], cache=store)  # warm 2 of 3 cells
+        _, seen = collect(stream_sweep(tiny_jobs(), cache=store), 3)
         assert [u.source for u in seen] == ["cache", "cache", "run"]
         assert [u.completed for u in seen] == [1, 2, 3]
         # The simulated cell was written back before its update.
@@ -73,7 +73,7 @@ class TestStreamSweep:
 
     def test_duplicate_cells_share_one_update(self):
         specs = tiny_jobs() + [tiny_jobs()[0]]  # duplicate first cell
-        results, seen = collect(stream_sweep(specs, jobs=1, cache=False), 4)
+        results, seen = collect(stream_sweep(specs), 4)
         assert len(seen) == 3  # distinct cells only
         assert all(r is not None for r in results)
         dup = next(u for u in seen if len(u.positions) == 2)
@@ -88,7 +88,7 @@ class TestStreamSweep:
             "repro.experiments.orchestrator._execute_job", boom
         )
         with pytest.raises(RuntimeError, match="cell exploded"):
-            list(stream_sweep(tiny_jobs()[:1], jobs=1, cache=False))
+            list(stream_sweep(tiny_jobs()[:1]))
 
     def test_error_after_partial_results_preserves_them(self, monkeypatch):
         """Cells finished before the failure are delivered (and cached)."""
@@ -108,22 +108,22 @@ class TestStreamSweep:
         )
         seen = []
         with pytest.raises(RuntimeError, match="second cell exploded"):
-            for update in stream_sweep(tiny_jobs(), jobs=1, cache=False):
+            for update in stream_sweep(tiny_jobs()):
                 seen.append(update)
         assert len(seen) == 1
         assert seen[0].source == "run"
 
     def test_progress_callback_equivalence(self, tmp_path):
-        """run_sweep's progress contract is exactly a replay of the
+        """run_sweep's ``on_update`` contract is exactly a replay of the
         stream: same cells, same sources, same order (two identically
         warmed caches, so both paths see one hit and two misses)."""
         store_a = ResultCache(tmp_path / "a")
         store_b = ResultCache(tmp_path / "b")
-        run_sweep(tiny_jobs()[:1], jobs=1, cache=store_a)
-        run_sweep(tiny_jobs()[:1], jobs=1, cache=store_b)
+        run_sweep(tiny_jobs()[:1], cache=store_a)
+        run_sweep(tiny_jobs()[:1], cache=store_b)
         events = []
-        run_sweep(tiny_jobs(), jobs=1, cache=store_a,
-                  progress=lambda job, src: events.append((job.label(), src)))
-        _, seen = collect(stream_sweep(tiny_jobs(), jobs=1, cache=store_b), 3)
+        run_sweep(tiny_jobs(), cache=store_a, on_update=lambda update:
+                  events.append((update.job.label(), update.source)))
+        _, seen = collect(stream_sweep(tiny_jobs(), cache=store_b), 3)
         assert events == [(u.job.label(), u.source) for u in seen]
         assert [src for _label, src in events] == ["cache", "run", "run"]
