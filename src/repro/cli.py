@@ -39,7 +39,6 @@ from repro.experiments.backends import (
     DistributedBackend,
     LocalProcessBackend,
     SweepBackend,
-    default_jobs,
     parse_address,
 )
 from repro.experiments.jobspec import (
@@ -62,6 +61,7 @@ from repro.experiments.runner import (
     build_config,
     capture_workload,
     default_records,
+    parse_number,
     resolve_run,
     run_workload,
 )
@@ -197,16 +197,29 @@ def _add_cell_options(parser: argparse.ArgumentParser,
             _add_spec_option(parser, spec_field)
 
 
+def _number_type(option: str, minimum: float, kind: type) -> Callable:
+    """An argparse ``type`` holding ``option`` to the rule its
+    environment variable follows (:func:`parse_number`)."""
+    def parse(raw: str) -> float:
+        try:
+            return parse_number(option, raw, minimum, kind)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
+
+
 def _add_fleet_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--listen", default=None, metavar="[HOST:]PORT",
                         help="coordinate distributed workers that dial in "
                              "(started with: repro worker --connect HOST:PORT); "
                              "port 0 picks a free port")
-    parser.add_argument("--cell-timeout", type=float, default=None,
+    parser.add_argument("--cell-timeout", default=None,
+                        type=_number_type("--cell-timeout", 0, float),
                         metavar="SECONDS",
                         help="per-attempt cell timeout on distributed workers "
                              "(default REPRO_CELL_TIMEOUT; 0 = unlimited)")
-    parser.add_argument("--retry-budget", type=int, default=None, metavar="N",
+    parser.add_argument("--retry-budget", default=None, metavar="N",
+                        type=_number_type("--retry-budget", 1, int),
                         help="attempts per cell before the sweep fails "
                              "(default REPRO_RETRY_BUDGET or 3)")
 
@@ -317,11 +330,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _bad_input(exc)
     cells = plan_sweep(spec)
-    backend_label = backend.describe()
     print(f"sweep: {len(spec.workloads)} workload(s) x "
           f"{len(spec.variants)} variant(s) = {len(cells)} cell(s), "
           f"{spec.cell['records']} records/thread, "
-          f"backend={backend_label}", flush=True)
+          f"backend={backend.describe()}", flush=True)
 
     def on_cell(update) -> None:
         if args.stream:
@@ -334,6 +346,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     with backend:
         results = run_sweep(cells, backend=backend, cache=store,
                             on_update=on_cell)
+        # Described while open: a closed listener has no address.
+        payload = sweep_payload(spec, backend, results, store)
 
     header = f"{'workload':<12}{'variant':<16}{'threads':>8}" \
              f"{'exec_ms':>12}{'ipns':>10}{'ctx_sw':>8}"
@@ -347,9 +361,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _print_cache_summary(store, backend)
 
     if args.output:
-        jobs = (backend.jobs if isinstance(backend, LocalProcessBackend)
-                else None)
-        payload = sweep_payload(spec, jobs, backend_label, results, store)
         Path(args.output).write_text(json.dumps(payload, indent=2))
         print(f"wrote {args.output}")
     return 0
@@ -584,7 +595,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             cache_dir=args.cache_dir,
             cache_max_bytes=args.cache_max_bytes,
             listen=args.listen,
-            jobs=args.jobs if args.jobs is not None else default_jobs(),
+            jobs=args.jobs,
             policy=_policy_from_args(args),
             max_active=args.max_active,
             log=sys.stdout,

@@ -25,7 +25,7 @@ from repro.config import FLASH_TIMINGS, rule_of
 from repro.experiments import ablation, colocation, cost, design, migration_study
 from repro.experiments import flash_sensitivity, motivation, occupancy, overall
 from repro.experiments import qos, sensitivity
-from repro.experiments.backends import SweepBackend
+from repro.experiments.backends import LocalProcessBackend, SweepBackend
 from repro.experiments.orchestrator import (
     CellUpdate,
     ResultCache,
@@ -244,18 +244,20 @@ def cell_event(update: CellUpdate) -> Dict[str, object]:
             "ipns": r.stats.throughput_ipns}
 
 
-def sweep_payload(spec: JobSpec, jobs: Optional[int], backend: str,
+def sweep_payload(spec: JobSpec, backend: SweepBackend,
                   results: Sequence[RunResult],
                   cache: object = None) -> Dict[str, object]:
-    """The ``repro sweep --output`` document, a sweep job's result;
-    with a :class:`ResultCache`, plus the run's cache counters.
-    ``jobs`` is the local backend's width (None on a distributed one)."""
+    """The ``repro sweep --output`` document, a sweep job's result,
+    for the ``backend`` it ran on; with a :class:`ResultCache`, plus
+    the run's cache counters.  ``jobs`` is a local backend's width,
+    None on any other."""
     payload: Dict[str, object] = {
         "workloads": list(spec.workloads),
         "variants": list(spec.variants),
         "records_per_thread": spec.cell["records"],
-        "jobs": jobs,
-        "backend": backend,
+        "jobs": (backend.jobs if isinstance(backend, LocalProcessBackend)
+                 else None),
+        "backend": backend.describe(),
         "results": [r.to_dict() for r in results],
     }
     if isinstance(cache, ResultCache):

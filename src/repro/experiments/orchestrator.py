@@ -336,10 +336,18 @@ class ResultCache:
                 "CREATE INDEX IF NOT EXISTS entries_lru ON entries (tick, key)"
             )
             with _txn(con):
+                fresh = con.execute(
+                    "INSERT OR IGNORE INTO meta (k, v) VALUES ('tick', 0)"
+                ).rowcount > 0
                 con.executemany(
                     "INSERT OR IGNORE INTO meta (k, v) VALUES (?, 0)",
-                    [(k,) for k in ("tick",) + self._COUNTERS],
+                    [(k,) for k in self._COUNTERS],
                 )
+                if fresh:
+                    # A new index over a directory that already holds
+                    # blobs (its index lost, or blobs copied in) adopts
+                    # them, so the next put's eviction sees them.
+                    self._reconcile_rows(con)
             self._tls.con = con
         return con
 

@@ -38,15 +38,19 @@ _MAX_NS = Rule(above=0)
 def env_number(name: str, default: float, minimum: float = 1,
                kind: type = int) -> float:
     """The ``kind`` number environment variable ``name`` holds, or
-    ``default`` when it is unset or blank.
+    ``default`` when it is unset or blank; see :func:`parse_number`."""
+    raw = os.environ.get(name, "").strip()
+    return parse_number(name, raw, minimum, kind) if raw else default
 
-    Raises ``ValueError`` naming the variable unless the value parses
+
+def parse_number(name: str, raw: str, minimum: float = 1,
+                 kind: type = int) -> float:
+    """``raw``, the value of setting ``name``, as a ``kind`` number.
+
+    Raises ``ValueError`` naming the setting unless the value parses
     and is a finite number of at least ``minimum``: a knob set to
     garbage must not quietly turn into some other setting.
     """
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
     try:
         value = kind(raw)
     except ValueError:

@@ -87,8 +87,9 @@ class SweepService:
     directory).  ``listen`` binds one shared :class:`DistributedBackend`
     for dial-in workers, under ``policy``; without it, each job runs its
     cells on a local backend of its own (``jobs`` kept cell processes,
-    or in process at 1), closed when the job ends, and a ``policy`` is
-    a ``ValueError``: no local backend honours it.
+    or in process at 1), closed when the job ends.  A ``policy``
+    without ``listen`` is a ``ValueError`` (no local backend honours
+    it), and so is ``jobs`` with it (the fleet sets the width).
     """
 
     def __init__(
@@ -105,16 +106,21 @@ class SweepService:
         if policy is not None and not listen:
             raise ValueError("a cell policy needs a listen address: only "
                              "the distributed backend honours it")
+        if jobs is not None and listen:
+            raise ValueError("jobs sizes a local backend: with a listen "
+                             "address every job runs on the fleet")
         # Bad settings fail before the bind, and a bad or busy listen
         # address before any state or cache directory is created.
         self.cache = ResultCache(cache_dir, max_bytes=cache_max_bytes)
+        #: Width of each job's own local backend (None with ``listen``).
+        self.jobs = None if listen else (
+            default_jobs() if jobs is None else jobs)
         self._backend: Optional[DistributedBackend] = (
             DistributedBackend(listen=listen, policy=policy) if listen
             else None)
         self.state_dir = Path(state_dir)
         self.state_dir.mkdir(parents=True, exist_ok=True)
         self.store = JobStore(self.state_dir / "jobs.sqlite3")
-        self.jobs = jobs
         self.max_active = max(1, int(max_active))
         #: Serializes sweeps onto the shared distributed backend: its
         #: listener is a single-sweep-at-a-time resource.  Local-backend
@@ -173,7 +179,7 @@ class SweepService:
     def backend_label(self) -> str:
         if self._backend is not None:
             return self._backend.describe()
-        return f"local[jobs={self.jobs or default_jobs()}]"
+        return f"local[jobs={self.jobs}]"
 
     # -- submission convenience (the HTTP API calls these) ---------------
 
@@ -261,7 +267,7 @@ class SweepService:
     # -- executors -------------------------------------------------------
 
     @contextlib.contextmanager
-    def _job_backend(self, jobs: int) -> Iterator[SweepBackend]:
+    def _job_backend(self, jobs: Optional[int]) -> Iterator[SweepBackend]:
         """The backend one job runs on: the shared listener (one job at
         a time), else a local backend of its own, closed at its end."""
         if self._backend is not None:
@@ -280,7 +286,6 @@ class SweepService:
         the two byte-for-byte.
         """
         cells = plan_sweep(spec)
-        jobs = spec.jobs or self.jobs or default_jobs()
         self.store.add_event(job_id, {
             "event": "plan", "cells": len(cells),
             "workloads": list(spec.workloads),
@@ -294,10 +299,10 @@ class SweepService:
             self.store.add_event(job_id, cell_event(update))
             self._check_cancel(job_id)
 
-        with self._job_backend(jobs) as backend:
+        with self._job_backend(spec.jobs or self.jobs) as backend:
             results = run_sweep(cells, backend=backend, cache=self.cache,
                                 on_update=on_cell)
-        payload = sweep_payload(spec, jobs, self.backend_label, results)
+        payload = sweep_payload(spec, backend, results)
         artifact = self.artifact_dir(job_id)
         artifact.mkdir(parents=True, exist_ok=True)
         (artifact / "results.json").write_text(json.dumps(payload, indent=2))

@@ -344,6 +344,25 @@ def test_a_bad_env_value_exits_2_naming_it(capsys, monkeypatch, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--listen", "127.0.0.1:0", "--cell-timeout", "-1"],
+    ["sweep", "--listen", "127.0.0.1:0", "--cell-timeout", "nan"],
+    ["report", "--listen", "127.0.0.1:0", "--retry-budget", "0"],
+    ["serve", "--listen", "127.0.0.1:0", "--retry-budget", "abc"],
+])
+def test_a_bad_policy_option_exits_2_naming_it(capsys, monkeypatch, tmp_path,
+                                               argv):
+    """A cell-policy option follows its environment variable's rule: a
+    value that is not a finite number at or above the minimum is exit 2
+    naming the option, not a quiet unlimited or NaN timeout."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert f"{argv[-2]} must be" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_distributed_backend_matches_local(capsys, tmp_path, spawn_worker):
     """The acceptance path: ``sweep --listen HOST:PORT`` served by a
     real ``repro worker --connect`` subprocess is byte-identical to the

@@ -311,6 +311,7 @@ class TestSweepService:
                                   records_per_thread=R)
             local = run_sweep(specs)
             assert dumps(payload["results"]) == dumps(local)
+            assert (payload["jobs"], payload["backend"]) == (2, "local[jobs=2]")
             # The artifact on disk is the same document.
             artifact = svc.artifact_dir(jid) / "results.json"
             assert json.loads(artifact.read_text()) == payload
@@ -348,6 +349,30 @@ class TestSweepService:
             SweepService(state_dir=tmp_path / "s", cache_dir=tmp_path / "c",
                          policy=CellPolicy(cell_timeout=5.0))
         assert not (tmp_path / "s").exists()
+
+    def test_jobs_with_listen_is_rejected(self, tmp_path):
+        """``jobs`` sizes a local backend; a listen service has none."""
+        with pytest.raises(ValueError, match="jobs"):
+            SweepService(state_dir=tmp_path / "s", cache_dir=tmp_path / "c",
+                         listen="127.0.0.1:0", jobs=2)
+        assert not (tmp_path / "s").exists()
+
+    def test_a_fleet_sweep_job_reports_its_backend(self, tmp_path):
+        """A listen service's sweep result names the distributed backend
+        and no local width, as ``repro sweep --listen --output`` does."""
+        from test_fleet_chaos import dial_in_worker
+
+        with SweepService(state_dir=tmp_path / "s", cache_dir=tmp_path / "c",
+                          listen="127.0.0.1:0") as svc:
+            dial_in_worker(svc._backend.address)
+            jid = svc.submit("sweep", {"workloads": ["bc"],
+                                       "variants": ["DRAM-Only"],
+                                       "records": R})
+            job = wait_for(svc.store, jid)
+            assert job["state"] == "done", job.get("error")
+            assert job["result"]["jobs"] is None
+            assert job["result"]["backend"] == svc.backend_label
+            assert svc.backend_label.startswith("distributed[listen=")
 
     def test_unknown_kind_rejected(self, tmp_path):
         with SweepService(state_dir=tmp_path / "s", cache_dir=tmp_path / "c",
