@@ -20,9 +20,15 @@ the A/A spread the floor was set from.
 
 ``--workload service-sweep`` runs the fleet workload instead.  It runs
 four processes on two cores, so its pairs run one after the other,
-unpinned, alternating which side goes first; each pair records the
+unpinned, alternating which side goes first; each pair prints the
 ``job_cold_s`` and ``accesses_per_s`` ratios.  Only its correctness
-checks gate it: it has no floor until its A/A spread is recorded.
+checks gate it: it has no floor yet.  Its summary also carries, for
+every end-to-end metric of ``BENCHMARK.json``, each side's median and
+quartiles, the per-pair ratios (this tree over DIR), the pairs this
+tree won, and whether they make a gain (wins in at least nine tenths
+of the pairs, medians apart by more than DIR's interquartile range) or
+a regression beyond the metric's bound, so a claim and every
+no-regression row read off one file.
 """
 
 from __future__ import annotations
@@ -217,9 +223,9 @@ def run_bench(
                     f"{peak_rss_mb(this):.1f}/{peak_rss_mb(base):.1f}"
                     f" peak MB = {rss_ratio:.3f}")
             if fleet:
-                run["job_cold_ratio"] = job_cold_s(this) / job_cold_s(base)
                 line += (f", {job_cold_s(this):.3f}/{job_cold_s(base):.3f}"
-                         f" job_cold_s = {run['job_cold_ratio']:.3f}")
+                         f" job_cold_s = "
+                         f"{job_cold_s(this) / job_cold_s(base):.3f}")
             runs[workload].append(run)
             payload["workloads"][workload] = this
             echo(line)
@@ -229,16 +235,18 @@ def run_bench(
         "floor": FLOOR,
         "rss_ceiling": RSS_CEILING,
         "side_by_side": side_by_side,
-        "workloads": {workload: _summary(workload, rs)
+        "workloads": {workload: _summary(workload, rs, root)
                       for workload, rs in runs.items()},
     }
     return payload
 
 
-def _summary(workload: str, runs: Sequence[Mapping[str, object]]
-             ) -> Dict[str, object]:
+def _summary(workload: str, runs: Sequence[Mapping[str, object]],
+             root: Path) -> Dict[str, object]:
     """One workload's pairs and their median ratios; ``gated`` says
-    whether the floor and ceiling apply to it."""
+    whether the floor and ceiling apply to it.  A fleet workload also
+    gets :func:`metric_summary` of each of ``root``'s end-to-end
+    metrics that every run reports."""
     data: Dict[str, object] = {
         "gated": workload not in FLEET_WORKLOADS,
         "median_ratio": statistics.median(r["ratio"] for r in runs),
@@ -246,9 +254,51 @@ def _summary(workload: str, runs: Sequence[Mapping[str, object]]
         "pairs": list(runs),
     }
     if not data["gated"]:
-        data["median_job_cold_ratio"] = statistics.median(
-            r["job_cold_ratio"] for r in runs)
+        spec = json.loads((root / "BENCHMARK.json").read_text())
+        data["metrics"] = {
+            m["name"]: metric_summary(m, runs) for m in spec["end_to_end"]
+            if all(m["name"] in r[side]["result"]["metrics"]
+                   for r in runs for side in ("this", "base"))}
     return data
+
+
+def _quartiles(values: Sequence[float]) -> Dict[str, float]:
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                      if len(values) > 1 else list(values) * 3)
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def metric_summary(spec: Mapping[str, object],
+                   runs: Sequence[Mapping[str, object]]) -> Dict[str, object]:
+    """One end-to-end metric over the pairs of an A/B run.
+
+    ``spec`` is its ``BENCHMARK.json`` entry (``better`` and ``bound``).
+    ``ratios`` are this tree over the base, per pair.  A pair is a win
+    when this tree reads better (a tie is no win).  ``gain``: wins in at
+    least nine tenths of the pairs and medians apart by more than the
+    base's interquartile range.  ``regressed``: this tree's median is
+    worse than the base's by more than ``bound`` (a fraction of it).
+    """
+    name, lower = spec["name"], spec["better"] == "lower"
+    this = [metric(r["this"], name) for r in runs]
+    base = [metric(r["base"], name) for r in runs]
+    wins = sum((t < b) if lower else (t > b) for t, b in zip(this, base))
+    mine, theirs = _quartiles(this), _quartiles(base)
+    sign = 1 if lower else -1
+    return {
+        "better": spec["better"],
+        "bound": spec["bound"],
+        "this": mine,
+        "base": theirs,
+        "ratios": [t / b if b else None for t, b in zip(this, base)],
+        "wins": wins,
+        "pairs": len(runs),
+        "gain": (wins >= 0.9 * len(runs)
+                 and sign * (theirs["median"] - mine["median"])
+                 > theirs["q3"] - theirs["q1"]),
+        "regressed": (sign * (mine["median"] - theirs["median"])
+                      > spec["bound"] * abs(theirs["median"])),
+    }
 
 
 def compare(payload: Mapping[str, object]) -> List[str]:
@@ -337,8 +387,25 @@ def run_from_args(args, launch: Launch = launch_perfbench,
         medians = ", ".join(
             f"{w} {d['median_ratio']:.3f} (peak MB {d['median_rss_ratio']:.3f}"
             + (")" if d["gated"] else
-               f", job_cold_s {d['median_job_cold_ratio']:.3f}, not gated)")
+               f", job_cold_s {_median_ratio(d, 'job_cold_s'):.3f}, "
+               "not gated)")
             for w, d in payload["against"]["workloads"].items())
         print(f"speed gate passed: median ratios {medians} "
               f"(floor {FLOOR:.2f}, peak MB ceiling {RSS_CEILING:.2f})")
+        for workload, data in payload["against"]["workloads"].items():
+            for name, row in data.get("metrics", {}).items():
+                print(f"  {workload} {name}: this {_spread(row['this'])}, "
+                      f"base {_spread(row['base'])}, {row['wins']}/"
+                      f"{row['pairs']} wins"
+                      + (", gain" if row["gain"] else "")
+                      + (", regressed" if row["regressed"] else ""))
     return 0
+
+
+def _median_ratio(summary: Mapping[str, object], name: str) -> float:
+    return statistics.median(summary["metrics"][name]["ratios"])
+
+
+def _spread(quartiles: Mapping[str, float]) -> str:
+    return (f"{quartiles['median']:.4g} "
+            f"[{quartiles['q1']:.4g}-{quartiles['q3']:.4g}]")

@@ -22,7 +22,14 @@ once per cell, always from the caller's thread:
 
 Both hand cells to their runners from one :class:`CellQueue`, which
 groups them by trace key so each runner synthesizes few workloads'
-traces.
+traces, and orders them by what they cost the backend before: each
+backend keeps a :class:`CellCosts` memory of every cell's fastest run,
+at any seed, so once every cell of a sweep has a cost, within a key
+the cheapest cell goes first and at the sweep's tail the heaviest key
+starts first.  Only a backend that runs more than one sweep learns
+(``repro serve --listen``, a caller's reused backend); a first sweep,
+a backend built per sweep, or a sweep with any new cell dispatches in
+submit order.
 
 Fault tolerance on the distributed backend is governed by a per-cell
 :class:`CellPolicy`: each cell attempt has a configurable timeout
@@ -52,7 +59,8 @@ import select
 import socket
 import threading
 import time
-from dataclasses import dataclass
+from collections import OrderedDict
+from dataclasses import dataclass, replace
 from typing import (TYPE_CHECKING, Callable, Dict, Hashable, List, Optional,
                     Sequence, Set, Tuple, Union)
 
@@ -82,6 +90,10 @@ FinishFn = Callable[[str, RunResult], None]
 #: quarantined and none is running a cell, for a new worker to join
 #: before it fails: long enough for a dial already in flight.
 QUARANTINE_GRACE_S = 2.0
+
+#: Cells a backend's :class:`CellCosts` remembers; the one measured
+#: longest ago is forgotten first.
+COST_MEMORY = 1024
 
 
 def default_jobs() -> int:
@@ -203,6 +215,46 @@ def job_from_wire(data: Dict[str, object]) -> "SweepJob":
 # ---------------------------------------------------------------------------
 
 
+class CellCosts:
+    """A backend's memory of what its cells cost to run.
+
+    Holds the fastest hand-out-to-result wall seconds seen for each cell
+    minus its seed: a cell's seed changes its random draws, not its
+    work, so a sweep at a new seed is ordered by the costs of the last.
+    A :class:`CellQueue` records a cell when its result arrives from a
+    run, never for a failed attempt or a worker-cache answer.  Holds at
+    most :data:`COST_MEMORY` cells, forgetting the one measured longest
+    ago.  The memory lives as long as its backend, so only a backend
+    that runs more than one sweep learns from it.
+    """
+
+    def __init__(self) -> None:
+        self._fastest: "OrderedDict[SweepJob, float]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._fastest)
+
+    @staticmethod
+    def _unseeded(job: "SweepJob") -> "SweepJob":
+        return replace(job, params=tuple(
+            (name, value) for name, value in job.params if name != "seed"))
+
+    def get(self, job: "SweepJob") -> Optional[float]:
+        """The fastest seconds ``job`` (at any seed) took, or None."""
+        with self._lock:
+            return self._fastest.get(self._unseeded(job))
+
+    def record(self, job: "SweepJob", seconds: float) -> None:
+        key = self._unseeded(job)
+        with self._lock:
+            self._fastest[key] = min(seconds, self._fastest.get(key, seconds))
+            self._fastest.move_to_end(key)
+            while len(self._fastest) > COST_MEMORY:
+                self._fastest.popitem(last=False)
+
+
 class CellQueue:
     """A sweep's pending cells, grouped by trace key, for idle runners.
 
@@ -214,29 +266,54 @@ class CellQueue:
     1. a pending cell of the trace key it ran last (its memo holds
        those traces);
     2. else a cell of the first key, in submit order, that no busy
-       runner holds;
+       runner holds -- or, once the predicted work of every pending
+       cell is at most (busy + waiting runners) x the predicted work of
+       the heaviest such key, that heaviest key, so the longest group
+       starts before the tail rather than running alone at its end
+       (longest processing time first);
     3. else a cell of the key with the most pending cells.
 
     The key is :func:`~repro.experiments.runner.cell_trace_key`, the
     trace memo's own, so a runner that takes a whole group synthesizes
-    its traces once.  Cells of a key keep submit order; a ``.sbt``
-    replay has no key and is never held, so keyless cells go in plain
-    FIFO.  A cell put back after failing on a runner returns to its
-    place in its group and goes to that runner again only when no other
-    runner waiting in :meth:`take` could take it.  Results do not depend
-    on the order: a cell simulates the same wherever it runs.
+    its traces once.  Costs come from ``costs``, the backend's
+    :class:`CellCosts`, as it stood when the sweep began, and the
+    queue records into it each cell's hand-out-to-result seconds
+    (:meth:`finished`).  When every cell has a cost, a key's cheapest
+    cell goes first (shortest processing time first, which brings
+    results sooner) and rule 2's tail choice applies; with any cost
+    unknown, as on a backend with no history, cells keep submit order
+    and the tail rule is off.  A ``.sbt`` replay has no key and is
+    never held, so keyless cells form one group that no runner keeps.
+    A cell put back after failing on a runner returns to its place in
+    its group and goes to that runner again only when no other runner
+    waiting in :meth:`take` could take it.  Results do not depend on
+    the order: a cell simulates the same wherever it runs.
     """
 
-    def __init__(self, pending: Sequence[PendingCell]) -> None:
+    def __init__(self, pending: Sequence[PendingCell],
+                 costs: Optional[CellCosts] = None) -> None:
         self._cond = threading.Condition()
+        self._costs = CellCosts() if costs is None else costs
         self._index = {key: i for i, (key, _job) in enumerate(pending)}
         self._trace = {key: cell_trace_key(job.workload, job.variant,
                                            **job.kwargs())
                        for key, job in pending}
+        predicted = {key: self._costs.get(job) for key, job in pending}
+        #: Cell key -> its predicted seconds; None unless every cell has
+        #: one, and then dispatch ignores costs.
+        self._predicted: Optional[Dict[str, float]] = (
+            None if None in predicted.values() else predicted)
+        #: Cell key -> its place in its group: cheapest first when costs
+        #: are known, else submit order.
+        self._rank = {key: (0.0 if self._predicted is None
+                            else self._predicted[key], i)
+                      for key, i in self._index.items()}
         self._groups: Dict[Optional[Hashable], List[PendingCell]] = {}
-        for cell in pending:
+        for cell in sorted(pending, key=self._place):
             self._groups.setdefault(self._trace[cell[0]], []).append(cell)
         self._size = len(pending)
+        #: Cell key -> (monotonic time it was last handed out, its job).
+        self._handed: Dict[str, Tuple[float, "SweepJob"]] = {}
         #: Cell key -> runners it failed on.
         self._failed_on: Dict[str, Set[Hashable]] = {}
         #: Busy runner -> trace key of the cell it runs.
@@ -281,7 +358,7 @@ class CellQueue:
             if failed_on is not None:
                 self._failed_on.setdefault(cell[0], set()).add(failed_on)
             group = self._groups.setdefault(self._trace[cell[0]], [])
-            bisect.insort(group, cell, key=lambda c: self._index[c[0]])
+            bisect.insort(group, cell, key=self._place)
             self._size += 1
             self._cond.notify_all()
 
@@ -297,8 +374,22 @@ class CellQueue:
             self._closed = True
             self._cond.notify_all()
 
+    def finished(self, key: str) -> None:
+        """Record the seconds since ``key`` was handed out as its cost.
+
+        Called when the cell's result arrives from a run, never for a
+        failed attempt or an answer from a worker's cache."""
+        now = time.monotonic()
+        with self._cond:
+            handed = self._handed.pop(key, None)
+        if handed is not None:
+            self._costs.record(handed[1], now - handed[0])
+
     def _first(self, tkey: Optional[Hashable]) -> int:
         return self._index[self._groups[tkey][0][0]]
+
+    def _place(self, cell: PendingCell) -> Tuple[float, int]:
+        return self._rank[cell[0]]
 
     def _pick(self, runner: Hashable) -> Optional[PendingCell]:
         # Trace key -> position of its first cell that did not fail on
@@ -316,6 +407,8 @@ class CellQueue:
                 free = [k for k in choices if k is None or k not in held]
                 if free:
                     tkey = min(free, key=self._first)
+                    if self._predicted is not None:
+                        tkey = self._tail(free, tkey)
                 else:
                     tkey = max(choices, key=lambda k: (len(self._groups[k]),
                                                        -self._first(k)))
@@ -332,6 +425,18 @@ class CellQueue:
             return None
         return self._pop(runner, tkey, 0)
 
+    def _tail(self, free: List[Optional[Hashable]],
+              tkey: Optional[Hashable]) -> Optional[Hashable]:
+        """The heaviest of the ``free`` keys once the pending work fits
+        in (busy + waiting runners) x its work, else ``tkey``."""
+        work = {k: sum(self._predicted[key] for key, _job in group)
+                for k, group in self._groups.items()}
+        heaviest = max(free, key=lambda k: (work[k], -self._first(k)))
+        runners = len(self._running) + len(self._waiting)
+        if sum(work.values()) <= runners * work[heaviest]:
+            return heaviest
+        return tkey
+
     def _pop(self, runner: Hashable, tkey: Optional[Hashable],
              at: int) -> PendingCell:
         group = self._groups[tkey]
@@ -342,6 +447,7 @@ class CellQueue:
         self._running[runner] = tkey
         if tkey is not None:
             self._last[runner] = tkey
+        self._handed[cell[0]] = (time.monotonic(), cell[1])
         return cell
 
 
@@ -385,7 +491,9 @@ class LocalProcessBackend(SweepBackend):
     raises, or a child that dies, fails the sweep with the cell's
     traceback or the child's exit code; cells still in flight are then
     killed with their children, and the next sweep forks fresh ones.
-    Hosts without ``fork`` run every cell in process.
+    Hosts without ``fork`` run every cell in process.  Either way the
+    sweep's :class:`CellQueue` orders cells by :attr:`costs`, measured
+    in this backend's earlier sweeps.
     """
 
     name = "local"
@@ -394,6 +502,8 @@ class LocalProcessBackend(SweepBackend):
         self.jobs = default_jobs() if jobs is None else int(jobs)
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, not {self.jobs}")
+        #: What cells cost in this backend's sweeps (:class:`CellCosts`).
+        self.costs = CellCosts()
         self._children: List["CellChild"] = []
         #: Orders :meth:`close` against a fork in :meth:`run`, which
         #: runs on a sweep's driver thread: no child outlives a close.
@@ -407,11 +517,13 @@ class LocalProcessBackend(SweepBackend):
         from repro.experiments import worker
         from repro.experiments.orchestrator import _execute_job
 
-        cells = CellQueue(pending)
+        cells = CellQueue(pending, self.costs)
         if self.jobs == 1 or worker._FORK_CTX is None:
             while cells:
                 key, job = cells.take("in-process")
-                finish(key, _execute_job(job))
+                result = _execute_job(job)
+                cells.finished(key)
+                finish(key, result)
             return
         with self._lock:
             while len(self._children) < min(self.jobs, len(pending)):
@@ -434,6 +546,7 @@ class LocalProcessBackend(SweepBackend):
                     if not reply["ok"]:
                         raise RuntimeError(
                             f"cell {key} failed: {reply['error']}")
+                    cells.finished(key)
                     idle.append(child)
                     finish(key, RunResult.from_dict(reply["result"]))
         finally:
@@ -465,8 +578,13 @@ class DistributedBackend(SweepBackend):
     gets another cell of the trace key it ran last, else the first key
     no other worker holds, else a cell of the largest group, so each
     worker's cell child synthesizes few workloads' traces and the
-    groups run side by side.  Failures are governed by the per-cell
-    :class:`CellPolicy` (``policy=``, default
+    groups run side by side.  When every cell has a cost, a key's
+    cheapest cell goes first and the heaviest free key starts once the
+    sweep nears its tail.  Cell costs are
+    the hand-out-to-result seconds of earlier sweeps on this backend
+    (:attr:`costs`), so a listener that serves many sweeps (``repro
+    serve --listen``) learns them.  Failures are governed by the
+    per-cell :class:`CellPolicy` (``policy=``, default
     :meth:`CellPolicy.from_env`): a connection that dies mid-cell, a
     worker that replies with an error, and an attempt that exceeds
     ``cell_timeout`` all consume one unit of that cell's retry budget
@@ -505,6 +623,8 @@ class DistributedBackend(SweepBackend):
         self.connect_timeout = connect_timeout
         self.policy = policy if policy is not None else CellPolicy.from_env()
         self.remote_cache_hits = 0
+        #: What cells cost in this backend's sweeps (:class:`CellCosts`).
+        self.costs = CellCosts()
         #: Trace context of the thread that called :meth:`run`; each
         #: shipped cell carries a child of it so worker-side spans
         #: correlate back to the coordinator (``docs/OBSERVABILITY.md``).
@@ -623,6 +743,8 @@ class DistributedBackend(SweepBackend):
                 if reply is None:
                     raise ConnectionError(f"worker {label} closed mid-cell")
                 if reply.get("ok"):
+                    if not reply.get("cached"):
+                        cells.finished(key)
                     events.put(
                         ("ok", key, reply["result"], bool(reply.get("cached")))
                     )
@@ -651,7 +773,7 @@ class DistributedBackend(SweepBackend):
         # Connection threads start with a fresh contextvar context, so
         # the caller's trace context is captured here and handed to them.
         self._trace_parent = current_context()
-        cells = CellQueue(pending)
+        cells = CellQueue(pending, self.costs)
         events: "queue.Queue[tuple]" = queue.Queue()
         threads: List[threading.Thread] = []
         # Set once every cell has finished (or the sweep failed).  The

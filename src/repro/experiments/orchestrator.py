@@ -432,10 +432,14 @@ class ResultCache:
 
         The size comes from the payload, not a ``stat`` after the
         rename: a concurrent eviction may already have unlinked it.
+        The temp name is unique per writing thread, not only per
+        process: two threads writing one key must not rename each
+        other's file away.
         """
         self.root.mkdir(parents=True, exist_ok=True)
         final = self.path_for(key)
-        tmp = final.with_name(final.name + f".tmp{os.getpid()}")
+        tmp = final.with_name(
+            f"{final.name}.tmp{os.getpid()}-{threading.get_ident()}")
         payload = json.dumps(result.to_dict(), separators=(",", ":")).encode("utf-8")
         with open(tmp, "wb") as fh:
             fh.write(payload)

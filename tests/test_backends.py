@@ -3,11 +3,12 @@
 Covers which backend a sweep runs on (the one handed to it, else a
 local one it builds and closes), the env knobs, listen addresses, the
 cell queue both backends dispatch from (trace-key groups, requeues,
-close), the local backend's kept cell children (byte-identical results,
-reuse across sweeps, one synthesis per trace key, failures), and the
-distributed backend's TCP/JSON protocol with dial-in workers: shared
-caches, worker failure reporting, requeueing cells from dead
-connections, quarantine, and preemption.
+close, order by learned cell costs), the local backend's kept cell
+children (byte-identical results, reuse across sweeps, one synthesis
+per trace key, failures), and the distributed backend's TCP/JSON
+protocol with dial-in workers: shared caches, worker failure
+reporting, requeueing cells from dead connections, quarantine, and
+preemption.
 """
 
 import io
@@ -28,6 +29,7 @@ from collections import OrderedDict
 from repro.experiments import backends, orchestrator, runner
 from repro.experiments import worker as worker_mod
 from repro.experiments.backends import (
+    CellCosts,
     CellPolicy,
     CellQueue,
     DistributedBackend,
@@ -61,6 +63,25 @@ def cell(name, workload, variant="Base-CSSD", **params):
 def names(queue, *runners):
     """The cell key each runner takes, one take after the other."""
     return [queue.take(r)[0] for r in runners]
+
+
+def measured(cells, **seconds):
+    """A cost memory holding ``seconds`` for the named cells."""
+    costs = CellCosts()
+    for name, job in cells:
+        if name in seconds:
+            costs.record(job, seconds[name])
+    return costs
+
+
+def tail_cells():
+    """Five keys in submit order; the heaviest, tpcc (4 s), comes last."""
+    return [cell("a1", "bc"), cell("a2", "bc", "DRAM-Only"),
+            cell("b1", "ycsb"), cell("d1", "dlrm"), cell("e1", "srad"),
+            cell("c1", "tpcc"), cell("c2", "tpcc", "DRAM-Only")]
+
+
+TAIL_COSTS = dict(a1=1, a2=1, b1=1, d1=2, e1=2, c1=2, c2=2)
 
 
 class TestCellQueue:
@@ -148,6 +169,77 @@ class TestCellQueue:
         queue.put(a1, failed_on="x")
         waiter.join(timeout=5)
         assert got == [a1]
+
+
+class TestCostDispatch:
+    def test_the_cheapest_cell_of_a_key_goes_first(self):
+        cells = [cell("a1", "bc"), cell("a2", "bc", "SkyByte-Full"),
+                 cell("a3", "bc", "DRAM-Only")]
+        queue = CellQueue(cells, measured(cells, a1=3, a2=2, a3=1))
+        assert names(queue, "x", "x", "x") == ["a3", "a2", "a1"]
+
+    def test_submit_order_then_the_heaviest_free_key_at_the_tail(self):
+        """11 s pending: x and y take the first free keys in submit
+        order.  When z comes, 9 s is pending and three runners are busy
+        or waiting: 9 <= 3 x 4, so z takes the heaviest free key, tpcc,
+        before the lighter dlrm and srad ahead of it."""
+        cells = tail_cells()
+        queue = CellQueue(cells, measured(cells, **TAIL_COSTS))
+        x, y = queue.take("x"), queue.take("y")
+        assert [x[0], y[0]] == ["a1", "b1"]
+        assert names(queue, "z") == ["c1"]
+
+    def test_an_unknown_cost_keeps_submit_order(self):
+        """srad/DRAM-Only was never measured, so the sweep dispatches as
+        with no costs: bc keeps submit order though a1 is the dearer,
+        and with no tail rule z takes dlrm, the next free key."""
+        cells = tail_cells() + [cell("e2", "srad", "DRAM-Only")]
+        queue = CellQueue(cells, measured(cells, **dict(TAIL_COSTS, a1=3)))
+        x, y = queue.take("x"), queue.take("y")
+        assert [x[0], y[0]] == ["a1", "b1"]
+        assert names(queue, "z", "w", "x") == ["d1", "e1", "a2"]
+        assert names(CellQueue(cells), "x", "x") == ["a1", "a2"]
+
+    def test_a_failed_cell_is_still_skipped_for_its_runner(self):
+        a1, a2 = cell("a1", "bc"), cell("a2", "bc", "DRAM-Only")
+        queue = CellQueue([a1, a2], measured([a1, a2], a1=1, a2=2))
+        assert names(queue, "x") == ["a1"]
+        queue.put(a1, failed_on="x")
+        assert names(queue, "x", "y") == ["a2", "a1"]
+
+    def test_a_result_records_its_fastest_hand_out_seconds(self):
+        costs = CellCosts()
+        for seed, pause in ((1, 0.05), (2, 0.0), (3, 0.05)):
+            job = cell("a1", "bc", seed=seed)
+            queue = CellQueue([job], costs)
+            queue.take("x")
+            time.sleep(pause)
+            queue.finished("a1")
+            if seed == 1:
+                assert costs.get(job[1]) >= 0.05
+        # One entry for every seed of the cell, at its fastest run.
+        assert len(costs) == 1
+        assert costs.get(cell("a1", "bc", seed=9)[1]) < 0.05
+
+    def test_a_failed_attempt_records_nothing(self):
+        costs = CellCosts()
+        a1 = cell("a1", "bc")
+        queue = CellQueue([a1], costs)
+        queue.take("x")
+        queue.put(a1, failed_on="x")
+        assert len(costs) == 0
+
+    def test_the_memory_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(backends, "COST_MEMORY", 3)
+        costs = CellCosts()
+        jobs = [cell(w, w)[1] for w in ("bc", "ycsb", "tpcc", "dlrm")]
+        for seconds, job in enumerate(jobs):
+            costs.record(job, float(seconds))
+        assert len(costs) == 3
+        assert costs.get(jobs[0]) is None
+        costs.record(jobs[1], 5.0)  # measured again: now the newest
+        costs.record(jobs[0], 1.0)
+        assert [costs.get(job) for job in jobs] == [1.0, 1.0, None, 3.0]
 
 
 class TestResolution:
@@ -373,6 +465,32 @@ class TestKeptChildren:
         assert dumps(first) == dumps(serial) == dumps(second)
         assert multiprocessing.active_children() == []
 
+    def test_a_reused_backend_runs_cheapest_first_by_learned_costs(self):
+        """The second sweep, at a new seed, is dispatched by the costs
+        the first measured: its first result is the cheapest cell of its
+        trace key, and its results match in process."""
+        def grid(seed):
+            return [SweepJob.make(w, v, records_per_thread=R, seed=seed)
+                    for w in ("bc", "ycsb")
+                    for v in ("Base-CSSD", "SkyByte-Full", "DRAM-Only")]
+
+        with LocalProcessBackend(2) as backend:
+            run_sweep(grid(1), backend=backend)
+            costs = {job: backend.costs.get(job) for job in grid(2)}
+            assert None not in costs.values()
+            order = []
+            results = run_sweep(grid(2), backend=backend,
+                                on_update=lambda u: order.append(u.job))
+        assert dumps(results) == dumps(run_sweep(grid(2)))
+
+        def trace_key(job):
+            return runner.cell_trace_key(job.workload, job.variant,
+                                         **job.kwargs())
+
+        first = order[0]
+        assert costs[first] == min(cost for job, cost in costs.items()
+                                   if trace_key(job) == trace_key(first))
+
     def test_a_backend_it_built_is_closed_on_return(self, monkeypatch):
         """A sweep given no backend builds one of REPRO_JOBS children
         and leaves none of them alive, however it ends."""
@@ -407,6 +525,7 @@ class TestKeptChildren:
         with LocalProcessBackend(2) as backend:
             with pytest.raises(RuntimeError, match="(?s)Traceback.*boom"):
                 run_sweep(tiny_jobs(), backend=backend)
+            assert backend.costs.get(tiny_jobs()[2]) is None
 
     def test_a_killed_child_fails_the_sweep_and_is_replaced(
             self, monkeypatch, tmp_path):
@@ -480,7 +599,31 @@ class TestDistributedBackend:
             results = run_sweep(tiny_jobs(), backend=backend)
         assert worker_store.hits == 3
         assert worker_store.misses == 0
+        assert len(backend.costs) == 0  # a cache answer is no cost
         assert dumps(results) == dumps(run_sweep(tiny_jobs()))
+
+    def test_a_listener_runs_cheapest_first_by_learned_costs(self):
+        """Two sweeps on one listener, each served by one dial-in
+        worker (a sweep's end sends its workers away): the second, at a
+        new seed, goes out by the costs the first measured, cheapest
+        first."""
+        def grid(seed):
+            return [SweepJob.make("bc", v, records_per_thread=R, seed=seed)
+                    for v in ("Base-CSSD", "SkyByte-Full", "DRAM-Only")]
+
+        with DistributedBackend(listen="127.0.0.1:0") as backend:
+            workers = [start_inprocess_worker(backend.address)]
+            run_sweep(grid(1), backend=backend)
+            costs = {job: backend.costs.get(job) for job in grid(2)}
+            assert None not in costs.values()
+            order = []
+            workers.append(start_inprocess_worker(backend.address))
+            results = run_sweep(grid(2), backend=backend,
+                                on_update=lambda u: order.append(u.job))
+        for worker in workers:
+            worker.join(timeout=5)
+        assert dumps(results) == dumps(run_sweep(grid(2)))
+        assert order == sorted(grid(2), key=costs.__getitem__)
 
     def test_worker_cell_failure_raises(self):
         with DistributedBackend(listen="127.0.0.1:0") as backend:
@@ -506,6 +649,7 @@ class TestDistributedBackend:
             threading.Thread(target=bad_worker, daemon=True).start()
             with pytest.raises(RuntimeError, match="boom"):
                 run_sweep(tiny_jobs()[:1], backend=backend)
+            assert len(backend.costs) == 0  # failed attempts are no cost
 
     def test_dead_worker_requeues_cell(self):
         """A connection dying mid-cell hands the cell to a survivor."""

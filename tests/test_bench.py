@@ -291,9 +291,8 @@ def test_service_sweep_pairs_run_unpinned_one_after_the_other(tmp_path,
     assert list(data) == ["service-sweep"]
     sweep = data["service-sweep"]
     assert sweep["gated"] is False
-    assert [p["job_cold_ratio"] for p in sweep["pairs"]] == [
+    assert sweep["metrics"]["job_cold_s"]["ratios"] == [
         pytest.approx(0.9)] * 2
-    assert sweep["median_job_cold_ratio"] == pytest.approx(0.9)
     assert sweep["median_ratio"] == pytest.approx(1.1)
 
 
@@ -310,3 +309,67 @@ def test_service_sweep_is_gated_on_correctness_only(tmp_path, trees, capsys):
     assert bench.run_from_args(args, launch=broken, cpus=[0, 1]) == 1
     assert "service-sweep pair 1 base: correct=True failed=1" in (
         capsys.readouterr().err)
+
+
+def fleet_runs(name, this, base):
+    """A/B pairs whose ``name`` metric reads ``this`` / ``base``."""
+    def side(value):
+        run = entry(1000.0)
+        run["result"]["metrics"][name] = {"value": value, "unit": "s"}
+        return run
+
+    return [{"this": side(t), "base": side(b)} for t, b in zip(this, base)]
+
+
+def test_metric_summary_wins_gain_and_regression():
+    lower = {"name": "first_cell_s", "better": "lower", "bound": 0.25}
+    # Nine wins and a tie in ten pairs, medians 0.5 apart while the
+    # base's quartiles are 0.075 apart: a gain.
+    row = bench.metric_summary(lower, fleet_runs(
+        "first_cell_s", [0.5] * 9 + [0.6],
+        [1.0, 1.1, 0.9, 1.0, 1.0, 1.1, 0.9, 1.0, 1.0, 0.6]))
+    assert (row["wins"], row["pairs"], row["gain"], row["regressed"]) == (
+        9, 10, True, False)
+    assert row["this"]["median"] == 0.5
+    assert row["base"] == {"q1": pytest.approx(0.925), "median": 1.0,
+                           "q3": pytest.approx(1.0)}
+    assert row["ratios"][-1] == 1.0
+    # Eight of ten wins is no gain, however far apart the medians.
+    row = bench.metric_summary(lower, fleet_runs(
+        "first_cell_s", [0.5] * 8 + [2.0] * 2, [1.0] * 10))
+    assert (row["wins"], row["gain"]) == (8, False)
+    # Higher is better: 30% fewer accesses/s is beyond a 0.25 bound.
+    higher = {"name": "accesses_per_s", "better": "higher", "bound": 0.25}
+    row = bench.metric_summary(higher, fleet_runs(
+        "accesses_per_s", [70.0, 72.0, 68.0], [100.0, 101.0, 99.0]))
+    assert (row["wins"], row["gain"], row["regressed"]) == (0, False, True)
+    assert row["ratios"] == [pytest.approx(0.7), pytest.approx(72 / 101),
+                             pytest.approx(68 / 99)]
+    assert row["this"] == {"q1": 69.0, "median": 70.0, "q3": 71.0}
+    # One pair: its value is every quartile.
+    row = bench.metric_summary(higher, fleet_runs(
+        "accesses_per_s", [90.0], [100.0]))
+    assert row["this"] == {"q1": 90.0, "median": 90.0, "q3": 90.0}
+    assert not row["regressed"]
+
+
+def test_service_sweep_summarises_every_end_to_end_metric(tmp_path, trees,
+                                                           capsys):
+    """Each end-to-end metric of BENCHMARK.json that the runs report
+    gets its row, and the CLI prints it."""
+    this, base = bench.ROOT, trees[1]
+    out = tmp_path / "out.json"
+    args = parse("--against", str(base), "--pairs", "2", "--workload",
+                 "service-sweep", "--out", str(out))
+    launch = FakeLaunch({this: 1100.0, base: 1000.0},
+                        cold={this: 0.9, base: 1.0})
+    assert bench.run_from_args(args, launch=launch, cpus=[0, 1]) == 0
+    sweep = json.loads(out.read_text())["against"]["workloads"][
+        "service-sweep"]
+    assert sorted(sweep["metrics"]) == ["accesses_per_s", "job_cold_s",
+                                        "peak_rss_mb"]
+    cold = sweep["metrics"]["job_cold_s"]
+    assert (cold["better"], cold["bound"], cold["wins"]) == ("lower", 0.25, 2)
+    assert cold["ratios"] == [pytest.approx(0.9)] * 2
+    assert "service-sweep job_cold_s: this 0.9 [0.9-0.9], base 1 [1-1], " \
+        "2/2 wins" in capsys.readouterr().out

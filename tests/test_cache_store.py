@@ -9,6 +9,7 @@ serve`` sharing one directory.
 import gc
 import json
 import multiprocessing
+import os
 import sqlite3
 import sys
 import threading
@@ -301,6 +302,44 @@ class TestConcurrency:
         finally:
             release.set()
             thread.join(10)
+
+    def test_threads_putting_one_key_never_share_a_temp_file(
+            self, tmp_path, monkeypatch):
+        """Two threads of one process that ``put`` the same key (two
+        ``repro serve`` jobs sharing a cell) each write their own temp
+        file.  Both writers here finish writing before either renames,
+        the interleaving that loses the race: with a shared temp name
+        the first rename takes the file, and the second raises
+        ``FileNotFoundError``."""
+        real_replace = os.replace
+        for trial in range(20):
+            store = ResultCache(tmp_path / f"trial{trial}")
+            start, renaming = threading.Barrier(2), threading.Barrier(2)
+            errors = []
+
+            def replace(src, dst):
+                renaming.wait(timeout=10)
+                real_replace(src, dst)
+
+            def put():
+                start.wait(timeout=10)
+                try:
+                    store.put("k", fake_result())
+                except OSError as exc:
+                    errors.append(exc)
+
+            monkeypatch.setattr(os, "replace", replace)
+            writers = [threading.Thread(target=put) for _ in range(2)]
+            for writer in writers:
+                writer.start()
+            for writer in writers:
+                writer.join(timeout=30)
+            monkeypatch.undo()
+            assert not any(writer.is_alive() for writer in writers)
+            assert errors == [], f"trial {trial}: {errors}"
+            assert [p.name for p in store.root.iterdir()
+                    if ".tmp" in p.name] == []
+            assert store.get("k") is not None
 
     def test_concurrent_writers_exact_accounting(self, tmp_path):
         """Unbounded cache: no update may be lost under contention."""
